@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! cor-bench [--threads N] [--baseline] [--quick] [--label NAME] [--out PATH]
-//!           [--saturation base|optimized] [--fleet-storm]
-//!           [--profiler-overhead] [--latency]
+//!           [--saturation base|optimized] [--profiler-overhead] [--latency]
 //! ```
 //!
 //! Runs the paper matrix (every representative under every studied
@@ -109,8 +108,8 @@ fn json_blame(blame: &[u64; cor_trace::BUCKET_COUNT]) -> String {
 /// and fault-span percentiles for the fixed-seed matrix trials, the
 /// fleet blame cell, and the saturation gate cells. Every number is an
 /// *integer in virtual time* (µs, counts, bytes) — no wall-clock, no
-/// floats — so a fresh run on any machine, at any thread count, under
-/// either runtime, reproduces the file byte for byte. CI diffs a fresh
+/// floats — so a fresh run on any machine, at any thread count,
+/// reproduces the file byte for byte. CI diffs a fresh
 /// capture against the committed `LATENCY_baseline.json`; any drift is a
 /// latency regression (or an intentional change that must regenerate the
 /// baseline).
@@ -345,71 +344,8 @@ fn saturation_alloc_gate() -> u64 {
     allocs
 }
 
-/// Headline numbers of the fleet-storm intra-simulation scaling study:
-/// the 64-node × 512-migration torus storm as one cell, timed under the
-/// lock-step loop and under the actor runtime at a thread ladder.
-struct FleetStormSummary {
-    /// `nodes/topology/placement/storm` of the measured cell.
-    cell: String,
-    lockstep_wallclock_s: f64,
-    /// `(threads, wallclock_s)` per actor run (shards = threads).
-    actor_wallclock_s: Vec<(usize, f64)>,
-    /// Actor 1-thread wall-clock over actor 4-thread wall-clock: the
-    /// *intra-simulation* speedup (one big simulation split across
-    /// cores), as opposed to `matrix_speedup` (independent cells fanned
-    /// out). Meaningful only when `host_cores >= 4`.
-    intra_sim_speedup_4t: f64,
-}
-
-/// Times the 64-node torus storm under both runtimes, asserting the CSVs
-/// byte-identical at every thread count. The actor executor shards the
-/// storm's process chains across the pool, so — on a machine with the
-/// cores to back it — this is the speedup a single simulation gets,
-/// which the lock-step engine structurally cannot have.
-fn run_fleet_storm() -> FleetStormSummary {
-    use cor_experiments::fleet::{cells, csv_for, run_cell};
-    use cor_experiments::fleet_actor::run_cell_actor;
-    let spec = cells()
-        .into_iter()
-        .find(|c| c.nodes == 64)
-        .expect("the 64-node storm cell exists");
-    let t0 = Instant::now();
-    let lockstep = run_cell(spec);
-    let lockstep_wallclock_s = t0.elapsed().as_secs_f64();
-    let reference = csv_for(&[lockstep]);
-    let mut actor_wallclock_s = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let pool = Pool::new(threads);
-        let t0 = Instant::now();
-        let outcome = run_cell_actor(spec, &pool, threads);
-        let secs = t0.elapsed().as_secs_f64();
-        assert_eq!(
-            csv_for(&[outcome]),
-            reference,
-            "actor storm CSV diverged from lock-step at {threads} threads"
-        );
-        actor_wallclock_s.push((threads, secs));
-    }
-    let at = |t: usize| {
-        actor_wallclock_s
-            .iter()
-            .find(|&&(n, _)| n == t)
-            .map(|&(_, s)| s)
-            .expect("ladder point present")
-    };
-    FleetStormSummary {
-        cell: format!(
-            "{}/{}/{}/{}",
-            spec.nodes, spec.topology, spec.placement, spec.storm.name
-        ),
-        lockstep_wallclock_s,
-        intra_sim_speedup_4t: at(1) / at(4),
-        actor_wallclock_s,
-    }
-}
-
-/// Physical parallelism of the bench host; intra-simulation speedups are
-/// only meaningful when this covers the thread ladder.
+/// Physical parallelism of the bench host; `matrix_speedup` is only
+/// meaningful when this covers the thread count.
 fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -439,7 +375,6 @@ fn render_entry(
     sparse_s: f64,
     frame_allocs_sparse: Option<u64>,
     saturation: Option<&SaturationSummary>,
-    fleet_storm: Option<&FleetStormSummary>,
     profiler_overhead: Option<(f64, f64)>,
     cells: &[CellTiming],
 ) -> String {
@@ -453,9 +388,8 @@ fn render_entry(
         "      \"matrix_wallclock_s\": {},\n",
         json_f64(matrix_s)
     ));
-    // `matrix_speedup` is *inter-cell* scaling: independent matrix cells
-    // fanned across the pool. Intra-simulation scaling (one big storm
-    // split across cores) lives in the `fleet_storm` section.
+    // `matrix_speedup` is inter-cell scaling: independent matrix cells
+    // fanned across the pool.
     match serial {
         Some(s) => e.push_str(&format!(
             "      \"serial_wallclock_s\": {},\n      \"matrix_speedup\": {},\n",
@@ -491,22 +425,6 @@ fn render_entry(
             s.coalesced_hot_relay,
             s.batched_replies,
             json_f64(s.wallclock_s),
-        ));
-    }
-    if let Some(f) = fleet_storm {
-        let ladder: Vec<String> = f
-            .actor_wallclock_s
-            .iter()
-            .map(|&(t, s)| format!("\"{t}\": {}", json_f64(s)))
-            .collect();
-        e.push_str(&format!(
-            "      \"fleet_storm\": {{\"cell\": \"{}\", \"lockstep_wallclock_s\": {}, \
-             \"fleet_storm_wallclock_s\": {{{}}}, \"intra_sim_speedup_4t\": {}, \
-             \"csv_identical\": true}},\n",
-            f.cell,
-            json_f64(f.lockstep_wallclock_s),
-            ladder.join(", "),
-            json_f64(f.intra_sim_speedup_4t),
         ));
     }
     if let Some((off_s, on_s)) = profiler_overhead {
@@ -570,7 +488,6 @@ fn main() {
     let mut label = String::from("HEAD");
     let mut out = default_out();
     let mut saturation_mode: Option<bool> = None;
-    let mut fleet_storm_flag = false;
     let mut latency_mode = false;
     let mut profiler_overhead_flag = false;
     let mut out_explicit = false;
@@ -578,7 +495,10 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--threads" => {
-                threads = args.get(i + 1).and_then(|v| v.parse().ok());
+                threads = args
+                    .get(i + 1)
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0);
                 if threads.is_none() {
                     eprintln!("--threads requires a positive integer");
                     std::process::exit(2);
@@ -629,16 +549,12 @@ fn main() {
                 }
                 i += 2;
             }
-            "--fleet-storm" => {
-                fleet_storm_flag = true;
-                i += 1;
-            }
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: cor-bench [--threads N] [--baseline] [--quick] \
                      [--label NAME] [--out PATH] [--saturation base|optimized] \
-                     [--fleet-storm] [--profiler-overhead] [--latency]"
+                     [--profiler-overhead] [--latency]"
                 );
                 std::process::exit(2);
             }
@@ -760,25 +676,6 @@ fn main() {
         (trace_off_s, trace_on_s)
     });
 
-    let fleet_storm = fleet_storm_flag.then(|| {
-        let f = run_fleet_storm();
-        let ladder: Vec<String> = f
-            .actor_wallclock_s
-            .iter()
-            .map(|&(t, s)| format!("{t}t {s:.2}s"))
-            .collect();
-        eprintln!(
-            "fleet storm {} ({} host cores): lockstep {:.2}s, actor [{}], \
-             intra-sim speedup at 4 threads {:.2}x, CSVs identical",
-            f.cell,
-            host_cores(),
-            f.lockstep_wallclock_s,
-            ladder.join(", "),
-            f.intra_sim_speedup_4t
-        );
-        f
-    });
-
     let entry = render_entry(
         &label,
         threads,
@@ -789,7 +686,6 @@ fn main() {
         sparse_s,
         frame_allocs_sparse,
         saturation.as_ref(),
-        fleet_storm.as_ref(),
         profiler_overhead,
         &cells,
     );

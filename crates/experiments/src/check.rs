@@ -483,34 +483,32 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Check> {
     // its duration exactly (integer virtual time, no residue), (b) no
     // critical path exceeds its root's duration, (c) wire transit is
     // actually billed (a profiler that attributes everything to
-    // local-service is lying), (d) the flamegraph's folded stacks
-    // conserve the profiled total, and (e) the sharded actor executor
-    // reproduces the lock-step blame table byte for byte.
-    let blame_spec = crate::fleet::blame_cell_spec();
-    let (_, l_prof, l_links) = crate::fleet::run_cell_profiled(blame_spec);
+    // local-service is lying), and (d) the flamegraph's folded stacks
+    // conserve the profiled total.
+    let (_, prof, _) = crate::fleet::run_cell_profiled(crate::fleet::blame_cell_spec());
     checks.push(rel(
         "profiler blame sums exactly to span durations",
-        if l_prof.sums_exactly() { 1.0 } else { 0.0 },
+        if prof.sums_exactly() { 1.0 } else { 0.0 },
         1.0,
         0.0,
     ));
-    let cp_ok = l_prof
+    let cp_ok = prof
         .roots()
-        .all(|r| l_prof.critical_path(r).total_us <= l_prof.spans()[r].dur_us());
+        .all(|r| prof.critical_path(r).total_us <= prof.spans()[r].dur_us());
     checks.push(rel(
         "profiler critical paths bounded by root durations",
         if cp_ok { 1.0 } else { 0.0 },
         1.0,
         0.0,
     ));
-    let wire_us = l_prof.total_blame()[cor_trace::BlameBucket::WireTransit.index()];
+    let wire_us = prof.total_blame()[cor_trace::BlameBucket::WireTransit.index()];
     checks.push(bound(
         "profiler wire-transit blame billed (fraction of total)",
-        wire_us as f64 / l_prof.total_us().max(1) as f64,
+        wire_us as f64 / prof.total_us().max(1) as f64,
         0.01,
         0.99,
     ));
-    let folded_total: u64 = l_prof
+    let folded_total: u64 = prof
         .folded()
         .lines()
         .filter_map(|l| l.rsplit_once(' '))
@@ -519,17 +517,7 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Check> {
     checks.push(rel(
         "profiler flamegraph conserves the profiled total",
         folded_total as f64,
-        l_prof.total_us() as f64,
-        0.0,
-    ));
-    let (_, a_prof, a_links) =
-        crate::fleet_actor::run_cell_actor_profiled(blame_spec, &matrix.pool(), 2);
-    let blame_identical = l_prof.blame_csv(&l_links) == a_prof.blame_csv(&a_links)
-        && l_prof.folded() == a_prof.folded();
-    checks.push(rel(
-        "profiler actor blame table byte-identity",
-        if blame_identical { 1.0 } else { 0.0 },
-        1.0,
+        prof.total_us() as f64,
         0.0,
     ));
 

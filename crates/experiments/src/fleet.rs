@@ -144,7 +144,7 @@ pub fn gate_cells() -> Vec<FleetSpec> {
     cells().into_iter().filter(|c| c.nodes == 16).collect()
 }
 
-pub(crate) fn topology_for(name: &str, n: u32) -> Topology {
+fn topology_for(name: &str, n: u32) -> Topology {
     let t = match name {
         "full-mesh" => Topology::full_mesh(n),
         "ring" => Topology::ring(n),
@@ -161,7 +161,7 @@ pub(crate) fn topology_for(name: &str, n: u32) -> Topology {
     t.with_seed(FLEET_SEED)
 }
 
-pub(crate) fn placement_for(name: &str) -> Box<dyn Placement> {
+fn placement_for(name: &str) -> Box<dyn Placement> {
     match name {
         "round-robin" => Box::new(RoundRobin::new()),
         "least-loaded" => Box::new(LeastLoaded::new()),
@@ -172,7 +172,7 @@ pub(crate) fn placement_for(name: &str) -> Box<dyn Placement> {
 
 /// Builds one synthetic fleet process on `node` and runs its write
 /// phase there, leaving the read-back phase for after migration.
-pub(crate) fn spawn_proc(world: &mut World, node: NodeId) -> cor_kernel::ProcessId {
+fn spawn_proc(world: &mut World, node: NodeId) -> cor_kernel::ProcessId {
     let mut space = AddressSpace::new();
     space.validate(VAddr(0), 4 * PROC_PAGES * PAGE_SIZE).unwrap();
     let mut tb = cor_kernel::Trace::builder();
@@ -202,11 +202,6 @@ pub fn run_cell(spec: FleetSpec) -> FleetOutcome {
     run_cell_inner(spec).0
 }
 
-/// Like [`run_cell`], but also returns the cell's critical-path
-/// [`Profile`](cor_trace::Profile) (built from the world and fabric
-/// journals) and the per-directed-link queue waits in microseconds —
-/// the inputs of [`cor_trace::Profile::blame_csv`]. The actor runtime's
-/// merge reconstructs all three byte-identically.
 /// The fixed cell profiled by `experiments profile fleet` and the
 /// latency baseline: 16-node ring under the low storm with least-loaded
 /// placement — small enough to profile quickly, multi-hop enough that
@@ -225,6 +220,10 @@ pub fn blame_cell_spec() -> FleetSpec {
 /// [`cor_trace::Profile::blame_csv`] takes for its per-link rows.
 pub type LinkWaits = Vec<((NodeId, NodeId), u64)>;
 
+/// Like [`run_cell`], but also returns the cell's critical-path
+/// [`Profile`](cor_trace::Profile) (built from the world and fabric
+/// journals) and the per-directed-link queue waits in microseconds —
+/// the inputs of [`cor_trace::Profile::blame_csv`].
 pub fn run_cell_profiled(spec: FleetSpec) -> (FleetOutcome, cor_trace::Profile, LinkWaits) {
     let (outcome, world) = run_cell_inner(spec);
     let profile = cor_trace::Profile::from_journals(&world.journals());
@@ -372,10 +371,8 @@ pub fn fleet(pool: &Pool) -> String {
     render_table(&fleet_outcomes(pool))
 }
 
-/// Renders outcomes as the human-readable fleet table (shared by the
-/// lock-step and actor runtimes, so the two are diffable byte for
-/// byte).
-pub fn render_table(outcomes: &[FleetOutcome]) -> String {
+/// Renders outcomes as the human-readable fleet table.
+fn render_table(outcomes: &[FleetOutcome]) -> String {
     let mut t = TextTable::new(&[
         "nodes",
         "topology",

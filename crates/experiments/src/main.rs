@@ -1,7 +1,7 @@
 //! The `experiments` binary: regenerates the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--threads N] [--runtime lockstep|actor] <command>
+//! experiments [--threads N] [--trace-out FILE] <command>
 //!
 //! commands:
 //!   table4-1 table4-2 table4-3 table4-4 table4-5
@@ -10,6 +10,10 @@
 //!   summary     §4.4 aggregate savings
 //!   speedups    §4.3.2 transfer speedups
 //!   ablation    pre-copy ablation (ours)
+//!   cow-study   physically copied fraction under copy-on-write (§2.1)
+//!   sensitivity breakeven surface over touched fraction × locality (ours)
+//!   modern      the tradeoff under 2020s cost constants (ours)
+//!   policy      §6 automatic-migration balancer demo
 //!   loss-sweep  completion time vs wire drop rate (ours)
 //!   survivability      crash time × strategy × drain rate sweep (ours)
 //!   survivability-csv  the same sweep as CSV for downstream analysis
@@ -25,7 +29,9 @@
 //!   profile [name|fleet]    blame totals + critical paths (virtual time)
 //!   blame-csv [name|fleet]  per-node/per-link blame decomposition as CSV
 //!   flamegraph [name|fleet] folded stacks (flamegraph.pl / inferno input)
-//!   all         everything above, in order
+//!   csv         the full paper matrix as CSV for downstream analysis
+//!   check       paper-vs-measured assertions, exit 1 on drift
+//!   all         every table, figure and study above, in order
 //! ```
 //!
 //! Independent trial cells run concurrently on `N` worker threads
@@ -34,15 +40,6 @@
 //! thread count: each cell is its own deterministic simulation, and all
 //! rendering happens serially in cell order.
 //!
-//! `--runtime actor` (or `COR_RUNTIME=actor`) routes every simulation
-//! through the event-driven per-node runtimes: single trials post their
-//! causal phases to `cor_sim::NodeRuntime` inboxes, and the fleet sweep
-//! executes each storm cell as a conservative parallel simulation
-//! (per-process chains sharded across the pool, merged through the
-//! link-schedule replay). Every output remains byte-identical to the
-//! default `lockstep` runtime at any thread count — see
-//! `docs/RUNTIME.md`.
-//!
 //! `--trace-out FILE` writes a Perfetto `trace.json` to FILE: for the
 //! `trace` command it redirects that command's own trace there; for any
 //! other command (e.g. a sweep) it additionally captures a fixed-seed
@@ -50,8 +47,8 @@
 //! (`off|summary|full`) sets the journal level of sweep trials.
 
 use cor_experiments::{
-    figures, fleet, fleet_actor, loss, replication, runner::Matrix, saturation, summary,
-    survivability, tables, trace,
+    figures, fleet, loss, replication, runner::Matrix, saturation, summary, survivability, tables,
+    trace,
 };
 use cor_pool::Pool;
 use cor_sim::JournalLevel;
@@ -60,7 +57,11 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let pool = match args.iter().position(|a| a == "--threads") {
         Some(i) => {
-            let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) else {
+            let Some(n) = args
+                .get(i + 1)
+                .and_then(|v| v.parse::<usize>().ok())
+                .filter(|&n| n > 0)
+            else {
                 eprintln!("--threads requires a positive integer");
                 std::process::exit(2);
             };
@@ -68,24 +69,6 @@ fn main() {
             Pool::new(n)
         }
         None => Pool::from_env(),
-    };
-    let runtime = match args.iter().position(|a| a == "--runtime") {
-        Some(i) => {
-            let Some(kind) = args
-                .get(i + 1)
-                .and_then(|v| cor_kernel::RuntimeKind::parse(v))
-            else {
-                eprintln!("--runtime requires `lockstep` or `actor`");
-                std::process::exit(2);
-            };
-            args.drain(i..=i + 1);
-            // Sweeps read the knob through the environment so every
-            // trial — including ones built deep inside table renderers —
-            // routes through the selected runtime.
-            std::env::set_var(cor_kernel::runtime::RUNTIME_ENV, kind.name());
-            kind
-        }
-        None => cor_kernel::RuntimeKind::from_env(),
     };
     let trace_out = match args.iter().position(|a| a == "--trace-out") {
         Some(i) => {
@@ -122,17 +105,8 @@ fn main() {
         "survivability-csv" => print!("{}", survivability::survivability_csv(&workloads, &pool)),
         "replication" => emit(replication::replication(&workloads, &pool)),
         "replication-csv" => print!("{}", replication::replication_csv(&workloads, &pool)),
-        "fleet" => emit(match runtime {
-            cor_kernel::RuntimeKind::Lockstep => fleet::fleet(&pool),
-            cor_kernel::RuntimeKind::Actor => fleet_actor::fleet_actor(&pool),
-        }),
-        "fleet-csv" => print!(
-            "{}",
-            match runtime {
-                cor_kernel::RuntimeKind::Lockstep => fleet::fleet_csv(&pool),
-                cor_kernel::RuntimeKind::Actor => fleet_actor::fleet_actor_csv(&pool),
-            }
-        ),
+        "fleet" => emit(fleet::fleet(&pool)),
+        "fleet-csv" => print!("{}", fleet::fleet_csv(&pool)),
         "saturation" => emit(saturation::saturation(&pool)),
         "saturation-csv" => print!("{}", saturation::saturation_csv(&pool)),
         "cow-study" => emit(summary::cow_study()),
@@ -176,15 +150,7 @@ fn main() {
                 .map(String::as_str)
                 .unwrap_or("Minprog");
             let (profile, links, root) = if target == "fleet" {
-                let spec = fleet::blame_cell_spec();
-                let (_, p, l) = match runtime {
-                    cor_kernel::RuntimeKind::Lockstep => fleet::run_cell_profiled(spec),
-                    cor_kernel::RuntimeKind::Actor => fleet_actor::run_cell_actor_profiled(
-                        spec,
-                        &pool,
-                        pool.threads().max(1),
-                    ),
-                };
+                let (_, p, l) = fleet::run_cell_profiled(fleet::blame_cell_spec());
                 (p, l, "migration")
             } else {
                 let w = match trace::workload_by_name(target) {

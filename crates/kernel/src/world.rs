@@ -178,16 +178,8 @@ impl World {
     /// constructed, so instrumented hot paths cost one branch. At
     /// [`JournalLevel::Summary`] only lifecycle milestones are kept.
     pub fn enable_journal_at(&mut self, level: JournalLevel) {
-        let mut world_j = Journal::with_level_and_base(level, 0);
-        let mut fabric_j = Journal::with_level_and_base(level, FABRIC_SPAN_BASE);
-        // One birth counter across both journals: spans carry a global
-        // creation order, which the parallel fleet merge uses to decide
-        // which spans a late-discovered queue wait pushes later in time.
-        let births = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        world_j.set_birth_counter(births.clone());
-        fabric_j.set_birth_counter(births);
-        self.journal = Some(world_j);
-        self.fabric.journal = Some(fabric_j);
+        self.journal = Some(Journal::with_level_and_base(level, 0));
+        self.fabric.journal = Some(Journal::with_level_and_base(level, FABRIC_SPAN_BASE));
     }
 
     /// The two journals as a named slice for the exporters in

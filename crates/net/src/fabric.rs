@@ -15,7 +15,6 @@ use cor_trace::{Journal, SpanId, TraceEvent};
 
 use crate::error::NetError;
 use crate::params::{CrashTrigger, LinkFaults, ReplicationMode, WireParams};
-use crate::replay::WireSend;
 use crate::topology::LinkStats;
 
 /// Outcome of one `send`.
@@ -243,10 +242,6 @@ pub struct Fabric {
     /// The instant each physical link frees up, for per-link queueing
     /// under a routed topology.
     link_busy: HashMap<(NodeId, NodeId), SimTime>,
-    /// When armed, every routed transmission is appended here (call
-    /// order) for the parallel executor's link-schedule replay
-    /// ([`crate::replay::LinkReplay`]). `None` costs nothing.
-    wire_log: Option<Vec<WireSend>>,
     /// Replica directory: origin segment → the replica nodes its pages
     /// were write-through installed on (primary excluded). Populated only
     /// under [`WireParams::replication`]; survives crashes — liveness is
@@ -300,7 +295,6 @@ impl Fabric {
             drain_accounting: false,
             link_stats: BTreeMap::new(),
             link_busy: HashMap::new(),
-            wire_log: None,
             replica_homes: HashMap::new(),
             replica_hash: HashMap::new(),
         }
@@ -2216,24 +2210,10 @@ impl Fabric {
             wait_total += wait;
         }
         let extra = cursor.since(depart);
-        if let Some(log) = self.wire_log.as_mut() {
-            log.push(WireSend {
-                depart,
-                from,
-                to,
-                bytes: wire_bytes,
-                detached,
-                extra,
-            });
-        }
         if !detached {
             // The traversal's sub-spans, zero-duration included: queue
-            // wait behind busy links, then hop transit. Every
-            // non-detached routed send emits exactly one pair (the
-            // parallel merge relies on the 1:1 correspondence with the
-            // recorded wire log to re-impose cross-unit queueing on the
-            // span tree); detached sends never stall the caller and get
-            // none.
+            // wait behind busy links, then hop transit. Detached sends
+            // never stall the caller and get none.
             let queued = depart + wait_total;
             let lq = self.span_start(depart, "link-queue", from);
             self.span_end(queued, lq);
@@ -2252,30 +2232,6 @@ impl Fabric {
             });
         }
         Ok(())
-    }
-
-    /// Arms (or disarms) the routed-transmission recorder consumed by
-    /// the parallel executor's link replay. Recording is append-only and
-    /// purely observational: it never perturbs timing or accounting.
-    pub fn record_wire_sends(&mut self, on: bool) {
-        self.wire_log = if on { Some(Vec::new()) } else { None };
-    }
-
-    /// Drains the recorded transmissions (call order) accumulated since
-    /// the last drain, leaving the recorder armed.
-    pub fn take_wire_sends(&mut self) -> Vec<WireSend> {
-        match self.wire_log.as_mut() {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    /// Forgets all link occupancy, as if every in-flight serialization
-    /// had drained. The parallel executor calls this at unit boundaries
-    /// so each isolated unit records its *nominal* (residue-free) wire
-    /// schedule; the cross-unit residues are re-imposed by the replay.
-    pub fn clear_link_busy(&mut self) {
-        self.link_busy.clear();
     }
 
     /// Per-directed-link traffic table, populated only under an installed

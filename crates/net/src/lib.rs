@@ -63,7 +63,6 @@
 pub mod error;
 pub mod fabric;
 pub mod params;
-pub mod replay;
 pub mod topology;
 
 pub use error::NetError;
@@ -72,5 +71,4 @@ pub use params::{
     CrashEvent, CrashPlan, CrashTrigger, FaultPlan, LinkFaults, ReplicationMode,
     ReplicationParams, WireParams,
 };
-pub use replay::{LinkReplay, SendDelta, UnitCorrection, UnitSend, WireSend};
 pub use topology::{link_table, LinkStats, Topology, TopologyKind};

@@ -15,10 +15,6 @@
 //!   given seed always produces the identical trace, byte-for-byte.
 //! * [`EventQueue`] — a stable priority queue of timestamped events used for
 //!   delayed message delivery and timers.
-//! * [`runtime`] — actor-style per-node runtimes: a pooled event
-//!   [`runtime::Inbox`], a [`runtime::TimerDriver`], and the seeded
-//!   virtual-time scheduler ([`runtime::EventKey::rank`]) behind the
-//!   `--runtime actor` execution mode.
 //! * [`metrics`] — counters, byte ledgers with category tags and a time
 //!   series view (used to regenerate Figure 4-5 of the paper), and fixed
 //!   bucket histograms.
@@ -40,7 +36,6 @@ pub mod event;
 pub mod journal;
 pub mod metrics;
 pub mod rng;
-pub mod runtime;
 pub mod time;
 
 pub use clock::Clock;
@@ -48,5 +43,4 @@ pub use event::{EventQueue, ScheduledEvent};
 pub use journal::JournalLevel;
 pub use metrics::{Counter, Histogram, Ledger, LedgerCategory, ReliabilityStats, TimeSeries};
 pub use rng::Pcg32;
-pub use runtime::{EventKey, Inbox, Lookahead, NodeRuntime, TimerDriver, TimerId};
 pub use time::{SimDuration, SimTime};

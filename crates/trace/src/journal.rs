@@ -15,9 +15,6 @@
 //! lifecycle milestones only, `Full` keeps every per-page event and every
 //! fine-grained span.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use cor_ipc::NodeId;
 pub use cor_sim::JournalLevel;
 use cor_sim::SimTime;
@@ -81,20 +78,6 @@ pub struct Journal {
     /// Offset added to span indices when minting ids, so journals
     /// exported together keep disjoint id ranges.
     span_base: u64,
-    /// Per-span birth stamps, aligned with `spans`. When a shared
-    /// [`Journal::set_birth_counter`] is installed, stamps are globally
-    /// ordered across every journal sharing the counter (the actor
-    /// runtime's span merge needs creation order across the world and
-    /// fabric journals); otherwise they fall back to the local index.
-    births: Vec<u64>,
-    /// Per-span death stamps from the same counter ([`u64::MAX`] while
-    /// open). Together with `births` they recover which spans were open
-    /// at any recorded moment: span S was open when span K was created
-    /// iff `births[S] < births[K] && deaths[S] > deaths[K]`.
-    deaths: Vec<u64>,
-    birth_counter: Option<Arc<AtomicU64>>,
-    /// Fallback stamp sequence when no shared counter is installed.
-    local_stamp: u64,
 }
 
 impl Journal {
@@ -222,29 +205,8 @@ impl Journal {
     fn push_span(&mut self, mut span: Span) -> SpanId {
         let id = SpanId(self.span_base + self.spans.len() as u64 + 1);
         span.id = id;
-        let birth = self.next_stamp();
-        // Spans appended pre-closed (see [`Journal::closed_span`]) die
-        // at birth; open spans get their death stamp in `set_end`.
-        let death = if span.end.is_some() {
-            self.next_stamp()
-        } else {
-            u64::MAX
-        };
         self.spans.push(span);
-        self.births.push(birth);
-        self.deaths.push(death);
         id
-    }
-
-    fn next_stamp(&mut self) -> u64 {
-        match &self.birth_counter {
-            Some(c) => c.fetch_add(1, Ordering::Relaxed),
-            None => {
-                let v = self.local_stamp;
-                self.local_stamp += 1;
-                v
-            }
-        }
     }
 
     /// Appends an already-closed span with an explicit interval and
@@ -274,30 +236,7 @@ impl Journal {
         })
     }
 
-    /// Installs a birth-stamp counter shared with other journals, so
-    /// span creation order is recoverable across them. Stamps already
-    /// taken keep their local values; install before recording.
-    pub fn set_birth_counter(&mut self, counter: Arc<AtomicU64>) {
-        self.birth_counter = Some(counter);
-    }
-
-    /// Per-span birth stamps, aligned with [`Journal::spans`].
-    pub fn births(&self) -> &[u64] {
-        &self.births
-    }
-
-    /// Per-span death stamps, aligned with [`Journal::spans`]
-    /// ([`u64::MAX`] while the span is open). Birth and death stamps
-    /// draw from the same sequence, so `births[a] < births[k] &&
-    /// deaths[a] > deaths[k]` says span `a` was open for span `k`'s
-    /// whole lifetime.
-    pub fn deaths(&self) -> &[u64] {
-        &self.deaths
-    }
-
-    /// Depth of the open-span stack (0 when every span is closed) — a
-    /// cheap boundary assertion for code that slices the span table
-    /// into self-contained units.
+    /// Depth of the open-span stack (0 when every span is closed).
     pub fn open_len(&self) -> usize {
         self.open.len()
     }
@@ -332,15 +271,10 @@ impl Journal {
         let Some(idx) = id.0.checked_sub(self.span_base + 1) else {
             return;
         };
-        let idx = idx as usize;
-        if self
-            .spans
-            .get(idx)
-            .is_some_and(|span| span.end.is_none())
-        {
-            let death = self.next_stamp();
-            self.spans[idx].end = Some(at);
-            self.deaths[idx] = death;
+        if let Some(span) = self.spans.get_mut(idx as usize) {
+            if span.end.is_none() {
+                span.end = Some(at);
+            }
         }
     }
 
@@ -397,9 +331,6 @@ impl Journal {
         self.events.clear();
         self.spans.clear();
         self.open.clear();
-        self.births.clear();
-        self.deaths.clear();
-        self.local_stamp = 0;
     }
 }
 
@@ -559,40 +490,6 @@ mod tests {
         let muted = Journal::with_level(JournalLevel::Summary)
             .closed_span(SimTime::ZERO, SimTime::ZERO, "x", None, SpanId::NONE);
         assert!(muted.is_none());
-    }
-
-    #[test]
-    fn shared_birth_counter_orders_across_journals() {
-        use std::sync::atomic::AtomicU64;
-        use std::sync::Arc;
-
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut a = Journal::with_level_and_base(JournalLevel::Full, 0);
-        let mut b = Journal::with_level_and_base(JournalLevel::Full, 1 << 32);
-        a.set_birth_counter(Arc::clone(&counter));
-        b.set_birth_counter(Arc::clone(&counter));
-
-        let s0 = a.span_start(SimTime::ZERO, "w0", None);
-        let s1 = b.span_start(SimTime::ZERO, "f0", None);
-        let s2 = a.span_start(SimTime::ZERO, "w1", None);
-        a.span_end(SimTime::ZERO, s2);
-        a.span_end(SimTime::ZERO, s0);
-        b.span_end(SimTime::ZERO, s1);
-        assert_eq!(a.births(), &[0, 2]);
-        assert_eq!(b.births(), &[1]);
-        // Deaths draw from the same sequence, in close order: w1 first,
-        // then w0, then f0. So w0 (born before f0, dead after it) was
-        // open for f0's whole lifetime; w1 was not.
-        assert_eq!(a.deaths(), &[4, 3]);
-        assert_eq!(b.deaths(), &[5]);
-
-        // Without a counter, births fall back to a local sequence; a
-        // pre-closed span dies at birth.
-        let mut c = Journal::new();
-        c.span_start(SimTime::ZERO, "x", None);
-        c.closed_span(SimTime::ZERO, SimTime::ZERO, "y", None, SpanId::NONE);
-        assert_eq!(c.births(), &[0, 1]);
-        assert_eq!(c.deaths(), &[u64::MAX, 2]);
     }
 
     #[test]

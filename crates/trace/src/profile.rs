@@ -189,10 +189,9 @@ pub struct Profile {
 
 impl Profile {
     /// Builds a profile from merged journals, in journal order (the
-    /// kernel exports the world journal first, then the fabric journal,
-    /// so profiles built here are comparable byte-for-byte with profiles
-    /// reconstructed by the actor runtime's merge). Parents are resolved
-    /// across journals; an unknown parent id demotes the span to a root.
+    /// kernel exports the world journal first, then the fabric journal).
+    /// Parents are resolved across journals; an unknown parent id
+    /// demotes the span to a root.
     pub fn from_journals(journals: &[(&'static str, &Journal)]) -> Profile {
         let total: usize = journals.iter().map(|(_, j)| j.spans().len()).sum();
         let mut index: HashMap<u64, usize> = HashMap::with_capacity(total);
@@ -220,9 +219,9 @@ impl Profile {
         Profile::from_spans(spans)
     }
 
-    /// Builds a profile from pre-resolved spans (the actor runtime's
-    /// merge constructs these directly). Parents must precede children.
-    pub fn from_spans(spans: Vec<ProfSpan>) -> Profile {
+    /// Builds a profile from pre-resolved spans. Parents must precede
+    /// children.
+    fn from_spans(spans: Vec<ProfSpan>) -> Profile {
         let n = spans.len();
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, s) in spans.iter().enumerate() {
@@ -479,10 +478,9 @@ impl Profile {
     }
 
     /// Exports the spans as JSONL with dense re-minted ids (`id =
-    /// index + 1`, `parent = 0` for roots) — the id space is the same
-    /// regardless of which journal minted a span, so lockstep journals
-    /// and actor-merged span sets export byte-identically. Abandoned
-    /// spans close at their start with an explicit `"abandoned":true`.
+    /// index + 1`, `parent = 0` for roots), so the id space does not
+    /// depend on which journal minted a span. Abandoned spans close at
+    /// their start with an explicit `"abandoned":true`.
     pub fn jsonl(&self) -> String {
         let mut out = String::new();
         for (i, s) in self.spans.iter().enumerate() {

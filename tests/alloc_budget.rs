@@ -135,65 +135,3 @@ fn profile_analysis_allocates_no_frames() {
         "profile analysis touched the frame pool"
     );
 }
-
-#[test]
-fn actor_inbox_steady_state_reuses_pooled_slots() {
-    // The actor runtime's event loop must be allocation-free at steady
-    // state: after a warm-up burst sizes the slab, every post/poll cycle
-    // reuses a pooled slot — the same diet the frame pool keeps.
-    use cor_sim::runtime::NodeRuntime;
-    use cor_sim::SimTime;
-
-    let mut rt: NodeRuntime<u64> = NodeRuntime::new(3, 0xFEED);
-    // Warm-up: a burst of depth 8 sizes the slab once.
-    for i in 0..8u64 {
-        rt.post(SimTime::from_micros(i), i);
-    }
-    while rt.poll(SimTime::from_micros(1_000)).is_some() {}
-    let sized = rt.inbox.slab_allocs();
-    assert_eq!(sized, 8, "warm-up allocates exactly the burst depth");
-
-    // Steady state: 10k cycles at depth ≤ 8 must never grow the slab.
-    for round in 0..10_000u64 {
-        for i in 0..4u64 {
-            rt.post(SimTime::from_micros(round * 10 + i), i);
-        }
-        while rt.poll(SimTime::from_micros(round * 10 + 9)).is_some() {}
-    }
-    assert_eq!(
-        rt.inbox.slab_allocs(),
-        sized,
-        "steady-state posts allocated fresh slots instead of reusing the pool"
-    );
-    assert!(rt.inbox.slot_reuses() >= 40_000, "cycles must hit the pool");
-    assert!(rt.inbox.slab_capacity() <= 8, "slab never outgrew the burst");
-}
-
-#[test]
-fn actor_timer_steady_state_reuses_pooled_slots() {
-    // Timer arm/fire (and the cancel path's tombstones) must also stay
-    // on pooled entries once warmed.
-    use cor_sim::runtime::NodeRuntime;
-    use cor_sim::SimTime;
-
-    let mut rt: NodeRuntime<u64> = NodeRuntime::new(0, 1);
-    for i in 0..4u64 {
-        rt.arm_timer(SimTime::from_micros(i + 1), i);
-    }
-    while rt.poll(SimTime::from_micros(100)).is_some() {}
-    let sized = rt.timers.slab_allocs();
-
-    for round in 1..5_000u64 {
-        let base = round * 100;
-        let id = rt.arm_timer(SimTime::from_micros(base + 50), 0);
-        rt.cancel_timer(id);
-        rt.arm_timer(SimTime::from_micros(base + 1), round);
-        assert!(rt.poll(SimTime::from_micros(base + 2)).is_some());
-    }
-    assert_eq!(
-        rt.timers.slab_allocs(),
-        sized,
-        "steady-state timers allocated fresh slots instead of reusing the pool"
-    );
-    assert!(rt.timers.slot_reuses() >= 9_000);
-}

@@ -117,11 +117,7 @@ proptest! {
     fn workload_profiles_sum_exactly(widx in 0usize..6) {
         let workloads = cor_workloads::all();
         let w = &workloads[widx % workloads.len()];
-        let t = cor_experiments::trace::traced_trial_with_runtime(
-            w,
-            cor::sim::JournalLevel::Full,
-            cor::kernel::RuntimeKind::Lockstep,
-        );
+        let t = cor_experiments::trace::traced_trial(w, cor::sim::JournalLevel::Full);
         let p = t.profile();
         prop_assert!(p.sums_exactly());
         for i in 0..p.len() {
