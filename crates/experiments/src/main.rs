@@ -30,6 +30,7 @@
 //!   blame-csv [name|fleet]  per-node/per-link blame decomposition as CSV
 //!   flamegraph [name|fleet] folded stacks (flamegraph.pl / inferno input)
 //!   csv         the full paper matrix as CSV for downstream analysis
+//!   latency     the virtual-time baseline CI diffs against LATENCY_baseline.json
 //!   check       paper-vs-measured assertions, exit 1 on drift
 //!   all         every table, figure and study above, in order
 //! ```
@@ -47,11 +48,20 @@
 //! (`off|summary|full`) sets the journal level of sweep trials.
 
 use cor_experiments::{
-    figures, fleet, loss, replication, runner::Matrix, saturation, summary, survivability, tables,
-    trace,
+    figures, fleet, latency, loss, replication, runner::Matrix, saturation, summary, survivability,
+    tables, trace,
 };
 use cor_pool::Pool;
 use cor_sim::JournalLevel;
+
+/// Resolves a workload name from the command line; an unknown name is a
+/// usage error (stderr, exit 2), never output.
+fn workload_or_exit(name: &str) -> cor_workloads::Workload {
+    trace::workload_by_name(name).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -124,13 +134,7 @@ fn main() {
             } else {
                 JournalLevel::Full
             });
-            let w = match trace::workload_by_name(name) {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            };
+            let w = workload_or_exit(name);
             let t = trace::traced_trial(&w, level);
             eprintln!("{}", t.describe());
             let doc = if jsonl { t.jsonl() } else { t.perfetto() };
@@ -153,13 +157,7 @@ fn main() {
                 let (_, p, l) = fleet::run_cell_profiled(fleet::blame_cell_spec());
                 (p, l, "migration")
             } else {
-                let w = match trace::workload_by_name(target) {
-                    Ok(w) => w,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                };
+                let w = workload_or_exit(target);
                 let t = trace::traced_trial(&w, trace::journal_level_from_env(JournalLevel::Full));
                 (t.profile(), t.link_waits(), "migration")
             };
@@ -173,24 +171,20 @@ fn main() {
                 _ => print!("{}", profile.folded()),
             }
         }
-        "journal" => emit(summary::trace_demo(
-            args.get(1).map(String::as_str).unwrap_or("Minprog"),
-        )),
+        "journal" => {
+            let name = args.get(1).map(String::as_str).unwrap_or("Minprog");
+            emit(summary::trace_demo(&workload_or_exit(name)));
+        }
         "metrics" => {
             let name = args.get(1).map(String::as_str).unwrap_or("Minprog");
-            let w = match trace::workload_by_name(name) {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            };
+            let w = workload_or_exit(name);
             let t = trace::traced_trial(&w, trace::journal_level_from_env(JournalLevel::Full));
             let at = t.world.clock.now();
             emit(t.metrics().render(at));
         }
         "policy" => emit(summary::policy_demo()),
         "csv" => emit(cor_experiments::runner::matrix_csv(&mut matrix, &workloads)),
+        "latency" => print!("{}", latency::latency_baseline(&pool)),
         "check" => {
             let checks = cor_experiments::check::run_checks(&mut matrix, &workloads);
             let (rendered, all_pass) = cor_experiments::check::render(&checks);
@@ -235,7 +229,7 @@ fn main() {
                  trace [name] [--jsonl] [--summary], \
                  journal [name], metrics [name], profile [name|fleet], \
                  blame-csv [name|fleet], flamegraph [name|fleet], \
-                 policy, csv, check, all"
+                 policy, csv, latency, check, all"
             );
             std::process::exit(2);
         }

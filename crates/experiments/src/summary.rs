@@ -335,26 +335,10 @@ pub fn sensitivity(pool: &Pool) -> String {
 /// Narrates one migration trial through the event journal: every fault,
 /// wire crossing, and lifecycle transition of a copy-on-reference
 /// migration, in virtual-time order.
-pub fn trace_demo(workload_name: &str) -> String {
-    use cor_migrate::MigrationManager;
-    let Some(w) = cor_workloads::by_name(workload_name) else {
-        return format!(
-            "unknown workload {workload_name}; try one of {:?}",
-            cor_workloads::all()
-                .iter()
-                .map(|w| w.name())
-                .collect::<Vec<_>>()
-        );
-    };
-    let (mut world, a, b) = World::testbed();
-    world.enable_journal();
-    let src = MigrationManager::new(&mut world, a);
-    let dst = MigrationManager::new(&mut world, b);
-    let pid = w.build(&mut world, a).expect("build");
-    src.migrate_to(&mut world, &dst, pid, Strategy::PureIou { prefetch: 1 })
-        .expect("migrate");
-    world.run(b, pid).expect("run");
-    let journal = world.journal.as_ref().expect("journal");
+pub fn trace_demo(workload: &Workload) -> String {
+    let trial = crate::trace::traced_trial(workload, cor_sim::JournalLevel::Full);
+    let journal = trial.world.journal.as_ref().expect("journal");
+    let workload_name = trial.workload;
     let total = journal.len();
     let head: String = journal
         .events()

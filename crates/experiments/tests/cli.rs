@@ -54,3 +54,34 @@ fn removed_executor_variable_is_ignored() {
     assert!(plain.stdout.starts_with(b"nodes,topology,placement,storm,"));
     assert_eq!(plain.stdout, with_var.stdout);
 }
+
+#[test]
+fn unknown_workload_is_a_usage_error_not_output() {
+    for cmd in ["journal", "metrics", "trace", "profile"] {
+        let out = run(experiments().args([cmd, "NoSuchProgram"]));
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(out.stdout.is_empty(), "{cmd} wrote to stdout");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("unknown workload NoSuchProgram"),
+            "{cmd} stderr: {err}"
+        );
+    }
+}
+
+#[test]
+fn latency_reproduces_the_committed_baseline_at_any_thread_count() {
+    let committed = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../LATENCY_baseline.json"
+    ))
+    .expect("read the committed LATENCY_baseline.json");
+    for threads in ["1", "4"] {
+        let out = run(experiments().args(["--threads", threads, "latency"]));
+        assert!(out.status.success(), "--threads {threads}");
+        assert!(
+            out.stdout == committed,
+            "--threads {threads}: `experiments latency` drifted from LATENCY_baseline.json"
+        );
+    }
+}

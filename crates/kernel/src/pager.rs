@@ -302,9 +302,6 @@ impl World {
             self.settle()?;
         }
         let service_time = self.clock.now().since(fault_start);
-        self.process_mut(node, pid)?
-            .stats
-            .record_fault_time(service_time);
         self.note(|| TraceEvent::Imaginary {
             pid: pid.0,
             node,
@@ -446,9 +443,6 @@ impl World {
             self.settle()?;
         }
         let service_time = self.clock.now().since(fault_start);
-        self.process_mut(node, pid)?
-            .stats
-            .record_fault_time(service_time);
         self.note(|| TraceEvent::Imaginary {
             pid: pid.0,
             node,

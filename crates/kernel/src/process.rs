@@ -67,27 +67,9 @@ pub struct ExecStats {
     pub compute: SimDuration,
     /// Screen updates drawn.
     pub screen_updates: u64,
-    /// Imaginary fault service-time distribution (1 ms buckets up to
-    /// 1 s): the latency observability a pager operator actually wants.
-    pub fault_times: Option<cor_sim::Histogram>,
 }
 
 impl ExecStats {
-    /// Records one imaginary-fault service time.
-    pub fn record_fault_time(&mut self, d: SimDuration) {
-        self.fault_times
-            .get_or_insert_with(|| cor_sim::Histogram::new(1_000, 1_000))
-            .record_duration(d);
-    }
-
-    /// Mean imaginary-fault service time, if any were taken.
-    pub fn mean_fault_time(&self) -> Option<SimDuration> {
-        self.fault_times
-            .as_ref()
-            .filter(|h| h.count() > 0)
-            .map(|h| SimDuration::from_micros(h.mean() as u64))
-    }
-
     /// Prefetch hit ratio in `[0, 1]`, or `None` if nothing was prefetched.
     pub fn prefetch_hit_ratio(&self) -> Option<f64> {
         if self.prefetched_pages == 0 {

@@ -604,17 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_time_histogram_tracks_service_times() {
-        let (mut w, _, b, pid, _) = owed_process(5);
-        w.run(b, pid).unwrap();
-        let stats = &w.process(b, pid).unwrap().stats;
-        let mean = stats.mean_fault_time().expect("faults were taken");
-        let secs = mean.as_secs_f64();
-        assert!((0.100..0.130).contains(&secs), "mean {secs}");
-        assert_eq!(stats.fault_times.as_ref().unwrap().count(), 5);
-    }
-
-    #[test]
     fn imaginary_fault_cost_is_near_paper_value() {
         let (mut w, _, b, pid, _) = owed_process(1);
         let t0 = w.clock.now();

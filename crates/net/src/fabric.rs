@@ -2149,18 +2149,6 @@ impl Fabric {
         self.nodes.get(&node).map(|n| n.forward.len()).unwrap_or(0)
     }
 
-    /// Resets byte/CPU/message accounting (cache and forwarding state are
-    /// preserved). Used between measurement phases.
-    pub fn reset_accounting(&mut self) {
-        self.ledger = Ledger::new();
-        self.stats = FabricStats::default();
-        self.reliability = ReliabilityStats::default();
-        self.link_stats.clear();
-        for n in self.nodes.values_mut() {
-            n.cpu = SimDuration::ZERO;
-        }
-    }
-
     /// Walks the routed topology's path for one successful remote
     /// delivery: per-link byte/message accounting, per-link queueing
     /// behind earlier traffic, and store-and-forward latency for every

@@ -127,12 +127,6 @@ impl Topology {
         }
     }
 
-    /// Builder-style: sets the per-hop store-and-forward latency.
-    pub fn with_hop_latency(mut self, d: SimDuration) -> Self {
-        self.hop_latency = d;
-        self
-    }
-
     /// Builder-style: sets the tie-breaking seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

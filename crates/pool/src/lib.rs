@@ -10,9 +10,9 @@
 //! and hand the results back **in submission order**, so downstream
 //! rendering is byte-identical to a serial run at any thread count.
 //!
-//! Like `crates/proptest` and `crates/criterion`, this is an offline,
-//! dependency-free stand-in for what would otherwise be a crates.io
-//! dependency (rayon); the build container has no network access.
+//! Like `crates/proptest`, this is an offline, dependency-free stand-in
+//! for what would otherwise be a crates.io dependency (rayon); the build
+//! container has no network access.
 //!
 //! # Determinism argument
 //!

@@ -13,11 +13,9 @@
 //! * [`Pcg32`] — a small, fully deterministic pseudo-random generator
 //!   (PCG-XSH-RR 64/32). Workload generators seed one of these so that a
 //!   given seed always produces the identical trace, byte-for-byte.
-//! * [`EventQueue`] — a stable priority queue of timestamped events used for
-//!   delayed message delivery and timers.
-//! * [`metrics`] — counters, byte ledgers with category tags and a time
-//!   series view (used to regenerate Figure 4-5 of the paper), and fixed
-//!   bucket histograms.
+//! * [`metrics`] — counters, byte ledgers with category tags and a
+//!   time-binned view (used to regenerate Figure 4-5 of the paper), and
+//!   the unreliable-wire counters. Latency histograms live in `cor-trace`.
 //! * [`JournalLevel`] — the verbosity knob for the typed journal (the
 //!   journal itself lives in the `cor-trace` crate, above the substrate).
 //!
@@ -32,15 +30,13 @@
 //! ```
 
 pub mod clock;
-pub mod event;
 pub mod journal;
 pub mod metrics;
 pub mod rng;
 pub mod time;
 
 pub use clock::Clock;
-pub use event::{EventQueue, ScheduledEvent};
 pub use journal::JournalLevel;
-pub use metrics::{Counter, Histogram, Ledger, LedgerCategory, ReliabilityStats, TimeSeries};
+pub use metrics::{Counter, Ledger, LedgerCategory, ReliabilityStats};
 pub use rng::Pcg32;
 pub use time::{SimDuration, SimTime};

@@ -1,4 +1,4 @@
-//! Measurement instruments: counters, byte ledgers, histograms, series.
+//! Measurement instruments: counters, byte ledgers, reliability stats.
 //!
 //! The experiments regenerate the paper's tables and figures from these
 //! records. In particular the [`Ledger`] tags every wire transmission with a
@@ -307,120 +307,6 @@ impl ReliabilityStats {
     }
 }
 
-/// A time-ordered series of `(instant, value)` samples.
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    samples: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries::default()
-    }
-
-    /// Appends a sample. Samples should be pushed in non-decreasing time
-    /// order; the simulation clock guarantees this naturally.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        self.samples.push((at, value));
-    }
-
-    /// Returns the recorded samples.
-    pub fn samples(&self) -> &[(SimTime, f64)] {
-        &self.samples
-    }
-
-    /// Returns the number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Returns the maximum sample value, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        self.samples.iter().map(|&(_, v)| v).fold(None, |m, v| {
-            Some(match m {
-                None => v,
-                Some(m) => m.max(v),
-            })
-        })
-    }
-}
-
-/// A histogram with fixed-width buckets, used for fault service times.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    width: u64,
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `nbuckets` buckets each `width` wide; values
-    /// beyond the last bucket are clamped into it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero or `nbuckets` is zero.
-    pub fn new(width: u64, nbuckets: usize) -> Self {
-        assert!(
-            width > 0 && nbuckets > 0,
-            "histogram shape must be non-empty"
-        );
-        Histogram {
-            width,
-            buckets: vec![0; nbuckets],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        let idx = ((value / self.width) as usize).min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Records a duration observation in microseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros());
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean observation, or zero when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Largest observation seen.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,28 +427,5 @@ mod tests {
         assert_eq!(r.stall_time, SimDuration::from_millis(175));
         let copy = r.clone();
         assert_eq!(copy, r, "stats compare for determinism checks");
-    }
-
-    #[test]
-    fn series_tracks_max() {
-        let mut s = TimeSeries::new();
-        assert!(s.max().is_none());
-        s.push(SimTime::ZERO, 1.0);
-        s.push(SimTime::from_secs(1), 5.0);
-        s.push(SimTime::from_secs(2), 3.0);
-        assert_eq!(s.max(), Some(5.0));
-        assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn histogram_basic_stats() {
-        let mut h = Histogram::new(10, 5);
-        for v in [1, 11, 21, 21, 999] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.max(), 999);
-        assert_eq!(h.buckets(), &[1, 1, 2, 0, 1]); // 999 clamps to last
-        assert!((h.mean() - 210.6).abs() < 1e-9);
     }
 }

@@ -2,24 +2,9 @@
 
 use proptest::prelude::*;
 
-use cor_sim::{EventQueue, Ledger, LedgerCategory, Pcg32, SimDuration, SimTime};
+use cor_sim::{Ledger, LedgerCategory, Pcg32, SimDuration, SimTime};
 
 proptest! {
-    /// The event queue pops in exactly the order of a stable sort by time.
-    #[test]
-    fn event_queue_matches_stable_sort(times in prop::collection::vec(0u64..1000, 0..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_micros(t), i);
-        }
-        let mut expected: Vec<(u64, usize)> =
-            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        expected.sort_by_key(|&(t, i)| (t, i)); // stable by construction
-        let got: Vec<(u64, usize)> =
-            std::iter::from_fn(|| q.pop()).map(|e| (e.at.as_micros(), e.event)).collect();
-        prop_assert_eq!(got, expected);
-    }
-
     /// `below` is always in range and `range` respects its bounds.
     #[test]
     fn rng_bounds(seed in any::<u64>(), bound in 1u32..10_000, lo in 0u64..1000, span in 1u64..100_000) {

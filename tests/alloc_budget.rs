@@ -31,8 +31,12 @@ fn sparse_lisp_allocates_o_pages_touched() {
         total_pages > 8_000_000,
         "Lisp-T should validate a 4 GB heap, got {total_pages} pages"
     );
+    // The zero-copy pipeline allocates only for pages with real content
+    // or diverged writes — measured 4,332 — so 8,192 gives ~2x headroom
+    // for legitimate drift while failing loudly if anything starts
+    // allocating per *validated* page again.
     assert!(
-        allocs < 10_000,
+        allocs <= 8_192,
         "sparse trial allocated {allocs} frames — O(address space), not O(touched)"
     );
 }
