@@ -7,7 +7,7 @@
 //! outstanding send right valid — the location transparency that RIG and
 //! DCN lacked and that Accent migration depends on (paper §5).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
 use crate::message::Message;
@@ -57,6 +57,9 @@ struct PortEntry {
     home: NodeId,
     queue: VecDeque<Message>,
     alive: bool,
+    /// A server drains this port when the system settles (see
+    /// [`PortRegistry::set_served`]).
+    served: bool,
 }
 
 /// Errors from port operations.
@@ -95,10 +98,37 @@ impl std::error::Error for PortError {}
 /// let m = ports.dequeue(p).unwrap().unwrap();
 /// assert_eq!(m.kind, MsgKind::User(1));
 /// ```
+///
+/// # Ready set
+///
+/// Ports drained by a server at quiescence (a NetMsgServer's service
+/// port, a user-level backer's port) are marked with
+/// [`PortRegistry::set_served`]. The registry keeps the ordered set of
+/// served ports whose queue is non-empty, so driving the system to
+/// quiescence costs one step per queue that has work, not one probe per
+/// port that exists.
+///
+/// ```
+/// use cor_ipc::{Message, MsgKind, NodeId, PortRegistry};
+///
+/// let mut ports = PortRegistry::new();
+/// let served = ports.allocate(NodeId(0));
+/// let plain = ports.allocate(NodeId(0));
+/// ports.set_served(served, true);
+/// ports.enqueue(plain, Message::new(MsgKind::User(1), plain)).unwrap();
+/// assert_eq!(ports.ready_ports().count(), 0, "unserved ports are never ready");
+/// ports.enqueue(served, Message::new(MsgKind::User(2), served)).unwrap();
+/// assert_eq!(ports.ready_ports().collect::<Vec<_>>(), [served]);
+/// ports.dequeue(served).unwrap();
+/// assert_eq!(ports.ready_ports().count(), 0);
+/// ```
 #[derive(Debug, Default)]
 pub struct PortRegistry {
     ports: HashMap<PortId, PortEntry>,
     next: u64,
+    /// Exactly the ports that are alive, served and have a queued message.
+    /// Maintained by every method that changes one of the three.
+    ready: BTreeSet<PortId>,
 }
 
 impl PortRegistry {
@@ -117,6 +147,7 @@ impl PortRegistry {
                 home,
                 queue: VecDeque::new(),
                 alive: true,
+                served: false,
             },
         );
         id
@@ -160,6 +191,9 @@ impl PortRegistry {
         match self.ports.get_mut(&port) {
             Some(e) if e.alive => {
                 e.queue.push_back(msg);
+                if e.served && e.queue.len() == 1 {
+                    self.ready.insert(port);
+                }
                 Ok(())
             }
             _ => Err(PortError::Dead(port)),
@@ -173,7 +207,13 @@ impl PortRegistry {
     /// [`PortError::Dead`] for unknown or deallocated ports.
     pub fn dequeue(&mut self, port: PortId) -> Result<Option<Message>, PortError> {
         match self.ports.get_mut(&port) {
-            Some(e) if e.alive => Ok(e.queue.pop_front()),
+            Some(e) if e.alive => {
+                let msg = e.queue.pop_front();
+                if e.served && msg.is_some() && e.queue.is_empty() {
+                    self.ready.remove(&port);
+                }
+                Ok(msg)
+            }
             _ => Err(PortError::Dead(port)),
         }
     }
@@ -186,12 +226,36 @@ impl PortRegistry {
             .map_or(0, |e| e.queue.len())
     }
 
+    /// Marks whether a server drains `port` when the system settles. Only
+    /// served ports appear in [`PortRegistry::ready_ports`]; a port that
+    /// already holds messages becomes ready at once. A dead or unknown
+    /// port cannot be served: the call is a no-op and the port is never
+    /// ready (senders to it already get [`PortError::Dead`]).
+    pub fn set_served(&mut self, port: PortId, served: bool) {
+        if let Some(e) = self.ports.get_mut(&port).filter(|e| e.alive) {
+            e.served = served;
+            if served && !e.queue.is_empty() {
+                self.ready.insert(port);
+            } else {
+                self.ready.remove(&port);
+            }
+        }
+    }
+
+    /// The served ports that have at least one queued message, in
+    /// ascending [`PortId`] order.
+    pub fn ready_ports(&self) -> impl Iterator<Item = PortId> + '_ {
+        self.ready.iter().copied()
+    }
+
     /// Destroys a port. Queued messages are dropped; subsequent operations
     /// return [`PortError::Dead`].
     pub fn deallocate(&mut self, port: PortId) {
         if let Some(e) = self.ports.get_mut(&port) {
             e.alive = false;
+            e.served = false;
             e.queue.clear();
+            self.ready.remove(&port);
         }
     }
 
@@ -202,10 +266,11 @@ impl PortRegistry {
     /// Returns the number of messages dropped.
     pub fn purge_node(&mut self, node: NodeId) -> usize {
         let mut dropped = 0;
-        for e in self.ports.values_mut() {
-            if e.alive && e.home == node {
+        for (id, e) in &mut self.ports {
+            if e.alive && e.home == node && !e.queue.is_empty() {
                 dropped += e.queue.len();
                 e.queue.clear();
+                self.ready.remove(id);
             }
         }
         dropped
@@ -300,5 +365,64 @@ mod tests {
         assert_eq!(r.queue_len(q), 1, "other nodes' queues untouched");
         assert!(r.is_alive(p0) && r.is_alive(p1), "names survive the crash");
         assert!(r.enqueue(p0, Message::new(MsgKind::User(4), p0)).is_ok());
+    }
+
+    fn ready(r: &PortRegistry) -> Vec<PortId> {
+        r.ready_ports().collect()
+    }
+
+    #[test]
+    fn serving_a_non_empty_port_makes_it_ready_at_once() {
+        let mut r = PortRegistry::new();
+        let p = r.allocate(NodeId(0));
+        r.enqueue(p, Message::new(MsgKind::User(0), p)).unwrap();
+        assert!(ready(&r).is_empty(), "not served yet");
+        r.set_served(p, true);
+        assert_eq!(ready(&r), [p]);
+        r.set_served(p, false);
+        assert!(ready(&r).is_empty());
+        assert_eq!(r.queue_len(p), 1, "unserving drops no message");
+    }
+
+    #[test]
+    fn ready_set_tracks_queue_edges_in_port_order() {
+        let mut r = PortRegistry::new();
+        let ps: Vec<PortId> = (0..3).map(|_| r.allocate(NodeId(0))).collect();
+        for &p in &ps {
+            r.set_served(p, true);
+        }
+        for &p in ps.iter().rev() {
+            r.enqueue(p, Message::new(MsgKind::User(0), p)).unwrap();
+            r.enqueue(p, Message::new(MsgKind::User(1), p)).unwrap();
+        }
+        assert_eq!(ready(&r), ps);
+        r.dequeue(ps[1]).unwrap();
+        assert_eq!(ready(&r), ps, "one message left: still ready");
+        r.dequeue(ps[1]).unwrap();
+        assert_eq!(ready(&r), [ps[0], ps[2]]);
+        assert!(r.dequeue(ps[1]).unwrap().is_none());
+        r.relocate(ps[0], NodeId(1)).unwrap();
+        assert_eq!(ready(&r), [ps[0], ps[2]], "the queue moves with its port");
+    }
+
+    #[test]
+    fn purge_and_deallocate_clear_readiness() {
+        let mut r = PortRegistry::new();
+        let p = r.allocate(NodeId(0));
+        let q = r.allocate(NodeId(1));
+        let d = r.allocate(NodeId(1));
+        for port in [p, q, d] {
+            r.set_served(port, true);
+            r.enqueue(port, Message::new(MsgKind::User(0), port))
+                .unwrap();
+        }
+        r.purge_node(NodeId(0));
+        assert_eq!(ready(&r), [q, d]);
+        r.deallocate(d);
+        assert_eq!(ready(&r), [q]);
+        r.set_served(d, true);
+        assert_eq!(ready(&r), [q], "a dead port is never served");
+        r.enqueue(p, Message::new(MsgKind::User(1), p)).unwrap();
+        assert_eq!(ready(&r), [p, q], "a purged port is still served");
     }
 }

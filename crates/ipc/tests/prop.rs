@@ -60,6 +60,71 @@ proptest! {
         prop_assert_eq!(reg.queue_len(port) as u32, next_in - next_out);
     }
 
+    /// The ready set is exactly `{p : served ∧ alive ∧ queue_len(p) > 0}`
+    /// in ascending port order after any sequence of registry operations.
+    #[test]
+    fn ready_set_is_served_alive_and_non_empty(
+        ops in prop::collection::vec((0u8..8, 0usize..6, 0u32..3), 1..300)
+    ) {
+        let mut reg = PortRegistry::new();
+        // The model: (port, home, queued, alive, served).
+        let mut model: Vec<(PortId, NodeId, usize, bool, bool)> = Vec::new();
+        for &(op, pick, node) in &ops {
+            let node = NodeId(node);
+            if op == 0 || model.is_empty() {
+                model.push((reg.allocate(node), node, 0, true, false));
+                continue;
+            }
+            let slot = pick % model.len();
+            let (port, _, _, alive, _) = model[slot];
+            match op {
+                1 => {
+                    reg.set_served(port, true);
+                    model[slot].4 = alive;
+                }
+                2 => {
+                    reg.set_served(port, false);
+                    model[slot].4 = false;
+                }
+                3 | 4 => {
+                    let sent = reg.enqueue(port, Message::new(MsgKind::User(0), port));
+                    prop_assert_eq!(sent.is_ok(), alive);
+                    model[slot].2 += usize::from(alive);
+                }
+                5 => {
+                    let got = reg.dequeue(port);
+                    prop_assert_eq!(got.is_ok(), alive);
+                    prop_assert_eq!(got.ok().flatten().is_some(), model[slot].2 > 0);
+                    model[slot].2 = model[slot].2.saturating_sub(1);
+                }
+                6 => {
+                    prop_assert_eq!(reg.relocate(port, node).is_ok(), alive);
+                    if alive {
+                        model[slot].1 = node;
+                    }
+                }
+                _ if pick < 2 => {
+                    reg.deallocate(port);
+                    model[slot] = (port, model[slot].1, 0, false, false);
+                }
+                _ => {
+                    let purged = reg.purge_node(node);
+                    let mut expect = 0;
+                    for m in model.iter_mut().filter(|m| m.3 && m.1 == node) {
+                        expect += std::mem::take(&mut m.2);
+                    }
+                    prop_assert_eq!(purged, expect);
+                }
+            }
+            let expect: Vec<PortId> = model
+                .iter()
+                .filter(|&&(_, _, queued, alive, served)| served && alive && queued > 0)
+                .map(|m| m.0)
+                .collect();
+            prop_assert_eq!(reg.ready_ports().collect::<Vec<_>>(), expect);
+        }
+    }
+
     /// Segment refcounting: interleaved add/release sequences die exactly
     /// when the running balance hits zero, never before.
     #[test]

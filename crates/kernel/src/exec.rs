@@ -70,9 +70,9 @@ impl World {
                 let process = self.process_mut(node, pid)?;
                 let idx = process.pcb.trace_pos;
                 match process.trace.ops().get(idx) {
-                    Some(op) => {
+                    Some(&op) => {
                         process.pcb.trace_pos += 1;
-                        (op.clone(), idx)
+                        (op, idx)
                     }
                     None => return Err(KernelError::TraceUnderrun(pid)),
                 }

@@ -8,7 +8,7 @@
 use cor_ipc::protocol::{self, ProtocolMsg};
 use cor_ipc::NodeId;
 use cor_mem::space::SegmentId;
-use cor_mem::{Fault, PageNum, PageRange, PageState, VAddr};
+use cor_mem::{Fault, PageNum, PageRange, PageState, VAddr, PAGE_SIZE};
 use cor_sim::SimTime;
 use cor_trace::TraceEvent;
 
@@ -48,16 +48,17 @@ impl World {
             // is re-faulting, not failing).
             let chunk_start = addr.0.max(page.base().0);
             let chunk_end = end.min(page.offset(1).base().0);
-            let chunk_len = (chunk_end - chunk_start) as usize;
+            // A chunk never crosses a page boundary: one page of stack.
+            let mut buf = [0u8; PAGE_SIZE as usize];
+            let chunk = &mut buf[..(chunk_end - chunk_start) as usize];
             let process = self.process_mut(node, pid)?;
             if write {
-                let data: Vec<u8> = (0..chunk_len as u64)
-                    .map(|i| write_pattern(VAddr(chunk_start + i), op_index))
-                    .collect();
-                process.space.write(VAddr(chunk_start), &data)?;
+                for (byte, a) in chunk.iter_mut().zip(chunk_start..) {
+                    *byte = write_pattern(VAddr(a), op_index);
+                }
+                process.space.write(VAddr(chunk_start), chunk)?;
             } else {
-                let mut scratch = vec![0u8; chunk_len];
-                process.space.read(VAddr(chunk_start), &mut scratch)?;
+                process.space.read(VAddr(chunk_start), chunk)?;
             }
         }
         Ok(())

@@ -10,7 +10,7 @@ use cor_mem::VAddr;
 use cor_sim::SimDuration;
 
 /// One step of a program.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Touch `[addr, addr+len)`, reading or writing. Write-touches store
     /// deterministic bytes derived from the address and the trace position,

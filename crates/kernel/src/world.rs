@@ -394,14 +394,19 @@ impl World {
     }
 
     /// Registers a user-level backer: messages arriving on `port` are
-    /// served from `store` by [`World::settle`].
+    /// served from `store` by [`World::settle`]. A backer on a dead port
+    /// is never served — nothing can reach its queue, and senders get
+    /// [`cor_ipc::port::PortError::Dead`].
     pub fn register_backer(&mut self, port: PortId, node: NodeId, store: Box<dyn PageStore>) {
+        self.ports.set_served(port, true);
         self.backers.insert(port, BackerEntry { node, store });
     }
 
     /// Unregisters a backer and returns its store.
     pub fn take_backer(&mut self, port: PortId) -> Option<Box<dyn PageStore>> {
-        self.backers.remove(&port).map(|e| e.store)
+        let entry = self.backers.remove(&port)?;
+        self.ports.set_served(port, false);
+        Some(entry.store)
     }
 
     /// Pages currently held by registered user-level backers.
@@ -445,27 +450,49 @@ impl World {
             let served = self.service_backers()?;
             processed += pumped + served;
             if pumped + served == 0 {
+                debug_assert!(
+                    self.backers.keys().all(|&p| self.ports.queue_len(p) == 0),
+                    "settle went quiescent with a backer queue non-empty"
+                );
                 return Ok(processed);
             }
         }
     }
 
+    /// One pass over the backers that have queued work, in ascending
+    /// [`PortId`] order, draining each completely. A reply that lands on
+    /// a higher-numbered backer is served in the same pass; one on a
+    /// lower-numbered backer waits for the next [`World::settle`] round.
     pub(crate) fn service_backers(&mut self) -> Result<usize, KernelError> {
-        let ports_list: Vec<PortId> = self.backers.keys().copied().collect();
         let mut served = 0;
-        for port in ports_list {
-            while let Some(msg) = self.ports.dequeue(port)? {
-                served += 1;
-                // Temporarily take the entry so `self` can be re-borrowed
-                // for sending the reply.
-                let mut entry = self
-                    .backers
-                    .remove(&port)
-                    .expect("backer disappeared while being served");
-                let result = self.serve_backer_msg(port, &mut entry, &msg);
-                self.backers.insert(port, entry);
-                result?;
-            }
+        let mut last = None;
+        loop {
+            // The entry is out of the table while it serves so `self` can
+            // be re-borrowed for sending replies.
+            let next = self
+                .ports
+                .ready_ports()
+                .filter(|&port| Some(port) > last)
+                .find_map(|port| Some((port, self.backers.remove(&port)?)));
+            let Some((port, mut entry)) = next else {
+                return Ok(served);
+            };
+            let drained = self.drain_backer(port, &mut entry);
+            self.backers.insert(port, entry);
+            served += drained?;
+            last = Some(port);
+        }
+    }
+
+    fn drain_backer(
+        &mut self,
+        port: PortId,
+        entry: &mut BackerEntry,
+    ) -> Result<usize, KernelError> {
+        let mut served = 0;
+        while let Some(msg) = self.ports.dequeue(port)? {
+            served += 1;
+            self.serve_backer_msg(port, entry, &msg)?;
         }
         Ok(served)
     }

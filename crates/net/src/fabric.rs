@@ -1,6 +1,7 @@
 //! The distributed-system data path: wire + NetMsgServers.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::ops::Bound;
 
 use cor_ipc::message::{Message, MsgItem, MsgKind};
 use cor_ipc::port::{PortId, PortRegistry};
@@ -15,7 +16,7 @@ use cor_trace::{Journal, SpanId, TraceEvent};
 
 use crate::error::NetError;
 use crate::params::{CrashTrigger, LinkFaults, ReplicationMode, WireParams};
-use crate::topology::LinkStats;
+use crate::topology::{LinkStats, Topology};
 
 /// Outcome of one `send`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -336,6 +337,7 @@ impl Fabric {
     /// Returns the NMS service port.
     pub fn add_node(&mut self, node: NodeId, ports: &mut PortRegistry) -> PortId {
         let port = ports.allocate(node);
+        ports.set_served(port, true);
         self.nodes.insert(
             node,
             NmsState {
@@ -592,8 +594,9 @@ impl Fabric {
         // hop beyond the first adds store-and-forward latency, and a
         // still-busy link queues the delivery. `None` (the default) keeps
         // the seed-era point-to-point behaviour byte-identical.
-        if self.params.topology.is_some() {
-            if let Err(e) = self.route_and_charge(clock, from, dest_home, wire_bytes, kind, detached)
+        if let Some(topo) = self.params.topology {
+            if let Err(e) =
+                self.route_and_charge(clock, topo, from, dest_home, wire_bytes, kind, detached)
             {
                 self.span_end(clock.now(), send_span);
                 return Err(e);
@@ -1320,8 +1323,18 @@ impl Fabric {
         Ok(())
     }
 
-    /// Serves every node's NMS repeatedly (in node order) until all NMS
-    /// queues are empty. Returns the number of messages processed.
+    /// Serves NetMsgServers in rounds until a round finds nothing to do.
+    /// Returns the number of messages processed.
+    ///
+    /// A round runs the housekeeping (time-triggered crashes, limbo
+    /// release, the dead-PIT sweep) and then serves, in ascending
+    /// [`NodeId`] order, every live node whose NMS queue is non-empty *at
+    /// the moment the walk reaches it*. So a message a served node sends
+    /// to a higher-numbered node is served in the same round, and one to
+    /// a lower-numbered node in the next round, after the housekeeping
+    /// has run again. This order is part of the model — virtual time,
+    /// link queueing and every journal depend on it — but its cost is
+    /// per ready queue ([`PortRegistry::ready_ports`]), not per node.
     ///
     /// # Errors
     ///
@@ -1332,7 +1345,6 @@ impl Fabric {
         ports: &mut PortRegistry,
         segs: &mut SegmentRegistry,
     ) -> Result<usize, NetError> {
-        let nodes: Vec<NodeId> = self.node_order.iter().copied().collect();
         let mut processed = 0;
         loop {
             if self.params.crashes.is_some() {
@@ -1350,24 +1362,42 @@ impl Fabric {
             if self.params.coalesce && !self.ever_crashed.is_empty() {
                 self.sweep_dead_pit_waiters(clock, ports, segs)?;
             }
-            let mut quiescent = true;
-            for &node in &nodes {
-                if self.crashed.contains(&node) {
-                    continue; // a dead node serves nothing
-                }
-                let port = self.nms_port(node)?;
-                let pending = ports.queue_len(port);
-                if pending > 0 {
-                    quiescent = false;
-                    processed += pending;
-                    let unhandled = self.serve_nms(clock, ports, segs, node)?;
-                    processed -= unhandled.len();
-                }
+            let mut last = None;
+            while let Some((node, port)) = self.next_ready_nms(ports, last) {
+                processed += ports.queue_len(port);
+                let unhandled = self.serve_nms(clock, ports, segs, node)?;
+                processed -= unhandled.len();
+                last = Some(node);
             }
-            if quiescent {
+            if last.is_none() {
+                debug_assert!(
+                    self.nodes.iter().all(|(n, nms)| self.crashed.contains(n)
+                        || ports.queue_len(nms.port) == 0),
+                    "pump went quiescent with a live NMS queue non-empty"
+                );
                 return Ok(processed);
             }
         }
+    }
+
+    /// The lowest-numbered live node above `after` whose NMS queue has
+    /// work, with its NMS port. A crashed node is skipped, not
+    /// served: whatever was enqueued directly on its port stays queued
+    /// (and its port ready), which must not keep [`Fabric::pump`] going.
+    fn next_ready_nms(
+        &self,
+        ports: &PortRegistry,
+        after: Option<NodeId>,
+    ) -> Option<(NodeId, PortId)> {
+        ports
+            .ready_ports()
+            .filter_map(|port| {
+                let node = ports.home(port).ok()?;
+                let is_nms = self.nodes.get(&node)?.port == port;
+                (is_nms && Some(node) > after && !self.crashed.contains(&node))
+                    .then_some((node, port))
+            })
+            .min_by_key(|&(node, _)| node)
     }
 
     /// Fails or re-routes every pending-interest waiter whose upstream
@@ -1386,8 +1416,13 @@ impl Fabric {
         ports: &mut PortRegistry,
         segs: &mut SegmentRegistry,
     ) -> Result<(), NetError> {
-        let nodes: Vec<NodeId> = self.node_order.iter().copied().collect();
-        for node in nodes {
+        let mut next = self.node_order.first().copied();
+        while let Some(node) = next {
+            next = self
+                .node_order
+                .range((Bound::Excluded(node), Bound::Unbounded))
+                .next()
+                .copied();
             if self.crashed.contains(&node) {
                 continue;
             }
@@ -1756,10 +1791,16 @@ impl Fabric {
             self.record_spread(now, now + xmit, wire_bytes, LedgerCategory::Replicate);
             self.charge_cpu(primary, cpu);
             self.charge_cpu(replica, cpu);
-            if self.params.topology.is_some() {
-                if let Err(e) =
-                    self.route_and_charge(clock, primary, replica, wire_bytes, MsgKind::Rimas, true)
-                {
+            if let Some(topo) = self.params.topology {
+                if let Err(e) = self.route_and_charge(
+                    clock,
+                    topo,
+                    primary,
+                    replica,
+                    wire_bytes,
+                    MsgKind::Rimas,
+                    true,
+                ) {
                     self.span_end(clock.now(), rep_span);
                     return Err(e);
                 }
@@ -1924,10 +1965,11 @@ impl Fabric {
             let cpu = self.params.handling_cpu(req_payload) + self.params.handling_cpu(reply_payload);
             self.charge_cpu(requester, cpu);
             self.charge_cpu(replica, cpu);
-            if self.params.topology.is_some() {
+            if let Some(topo) = self.params.topology {
                 let routed = self
                     .route_and_charge(
                         clock,
+                        topo,
                         requester,
                         replica,
                         req_bytes,
@@ -1937,6 +1979,7 @@ impl Fabric {
                     .and_then(|()| {
                         self.route_and_charge(
                             clock,
+                            topo,
                             replica,
                             requester,
                             reply_bytes,
@@ -2154,23 +2197,18 @@ impl Fabric {
     /// behind earlier traffic, and store-and-forward latency for every
     /// hop beyond the first (which the transmission loop already
     /// charged). Detached sends account bytes but never stall the caller.
+    #[allow(clippy::too_many_arguments)] // the world state travels together
     fn route_and_charge(
         &mut self,
         clock: &mut Clock,
+        topo: Topology,
         from: NodeId,
         to: NodeId,
         wire_bytes: u64,
         kind: MsgKind,
         detached: bool,
     ) -> Result<(), NetError> {
-        let topo = self
-            .params
-            .topology
-            .as_ref()
-            .expect("route_and_charge requires an installed topology");
-        let hop_latency = topo.hop_latency;
-        let route = topo.route(from, to)?;
-        let hops = route.len() as u32;
+        let route = topo.hops(from, to)?;
         // The link holds each message for its serialization time (bytes
         // only — the fixed per-message latency is an end-to-end charge,
         // not a per-link occupancy).
@@ -2179,17 +2217,22 @@ impl Fabric {
         let depart = clock.now();
         let mut cursor = depart;
         let mut wait_total = SimDuration::ZERO;
-        for (i, &link) in route.iter().enumerate() {
+        let mut hops = 0u32;
+        let mut at = from;
+        for next in route {
+            let link = (at, next);
+            at = next;
             let busy = self.link_busy.get(&link).copied().unwrap_or(SimTime::ZERO);
             let wait = busy.saturating_since(cursor);
             if wait > SimDuration::ZERO {
                 cursor = busy;
             }
-            if i > 0 {
+            if hops > 0 {
                 // Cut-through forwarding: each extra hop adds its relay
                 // latency, not a full re-serialization.
-                cursor += hop_latency;
+                cursor += topo.hop_latency;
             }
+            hops += 1;
             self.link_busy.insert(link, cursor + occupancy);
             let s = self.link_stats.entry(link).or_default();
             s.msgs += 1;
@@ -2921,6 +2964,66 @@ mod tests {
             .pump(&mut w.clock, &mut w.ports, &mut w.segs)
             .unwrap();
         assert_eq!(w.ports.queue_len(dest), 1, "pump flushes limbo");
+    }
+
+    /// The round semantics of [`Fabric::pump`], pinned: within a round
+    /// the walk only moves up the node order, so a message sent to a
+    /// lower-numbered NMS waits for the next round — even while a
+    /// higher-numbered NMS still has work in this one.
+    #[test]
+    fn pump_serves_a_lower_node_in_the_following_round() {
+        let mut w = fleet_world(WireParams::default(), 3);
+        let (n0, n1, n2) = (NodeId(0), NodeId(1), NodeId(2));
+        // Pages paged out from node0 to a port on node1: node0's NMS
+        // caches them, node1's NMS holds the stand-in.
+        let dest = w.ports.allocate(n1);
+        let rimas = Message::new(MsgKind::Rimas, dest).push(MsgItem::Pages {
+            base_page: 0,
+            frames: vec![Frame::zeroed()],
+        });
+        w.fabric
+            .send(&mut w.clock, &mut w.ports, &mut w.segs, n0, rimas)
+            .unwrap();
+        let got = w.ports.dequeue(dest).unwrap().unwrap();
+        let MsgItem::Iou { seg: stand_in, .. } = got.items[0] else {
+            panic!("expected a stand-in IOU");
+        };
+        // node2's NMS serves a segment of its own.
+        let own = w.segs.create(w.fabric.nms_port(n2).unwrap(), 1);
+        w.fabric
+            .install_cache(n2, own, vec![Frame::zeroed()])
+            .unwrap();
+        // Two faulters on node1: one asks the stand-in (node1's NMS must
+        // forward *down* to node0), one asks node2 directly.
+        let pager = w.ports.allocate(n1);
+        for (nms, seg) in [(n1, stand_in), (n2, own)] {
+            let port = w.fabric.nms_port(nms).unwrap();
+            let req = protocol::imag_read_request(port, pager, seg, 0, 1).with_no_ious(true);
+            w.ports.enqueue(port, req).unwrap();
+        }
+        w.fabric.journal = Some(Journal::new());
+        let processed = w
+            .fabric
+            .pump(&mut w.clock, &mut w.ports, &mut w.segs)
+            .unwrap();
+        // Round 1: node1 forwards to node0 (lower: deferred), node2
+        // answers. Round 2: node0 replies to node1's NMS (higher: same
+        // round), node1 relays to the faulter (a local delivery: no wire
+        // span). Round 3 finds nothing.
+        let senders: Vec<NodeId> = w
+            .fabric
+            .journal
+            .as_ref()
+            .unwrap()
+            .spans()
+            .iter()
+            .filter(|s| s.name == "wire-send")
+            .filter_map(|s| s.node)
+            .collect();
+        assert_eq!(senders, [n1, n2, n0]);
+        assert_eq!(processed, 4);
+        assert_eq!(w.ports.queue_len(pager), 2, "both faulters were answered");
+        assert_eq!(w.ports.ready_ports().count(), 0);
     }
 
     #[test]

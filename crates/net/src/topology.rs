@@ -66,7 +66,7 @@ pub enum TopologyKind {
 /// ring position `i`, or grid position `(i / cols, i % cols)` for the 2D
 /// shapes. Worlds built with sequential [`NodeId`]s (the default) fit
 /// with no mapping.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Topology {
     /// The interconnect shape.
     pub kind: TopologyKind,
@@ -77,6 +77,35 @@ pub struct Topology {
     pub hop_latency: SimDuration,
     /// Seed for route tie-breaking draws (equal-length route choices).
     pub seed: u64,
+}
+
+/// The walk behind [`Topology::route`]: yields each node the route
+/// reaches, columns (X) first, then rows (Y).
+#[derive(Debug)]
+pub(crate) struct Hops {
+    cols: u32,
+    rows: u32,
+    r: u32,
+    c: u32,
+    tr: u32,
+    tc: u32,
+    cstep: u32,
+    rstep: u32,
+}
+
+impl Iterator for Hops {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        if self.c != self.tc {
+            self.c = (self.c + self.cstep) % self.cols;
+        } else if self.r != self.tr {
+            self.r = (self.r + self.rstep) % self.rows;
+        } else {
+            return None;
+        }
+        Some(NodeId(self.r * self.cols + self.c))
+    }
 }
 
 impl Topology {
@@ -170,83 +199,10 @@ impl Topology {
         rng.chance(0.5)
     }
 
-    /// The ring step (+1 or −1 modulo `n`) from `from` toward `to`,
-    /// taking the shorter way (seeded tie-break at the antipode).
-    fn ring_step(&self, n: u32, from: NodeId, to: NodeId) -> u32 {
-        let fwd = (to.0 + n - from.0) % n;
-        let bwd = n - fwd;
-        let forward = match fwd.cmp(&bwd) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => self.tie_forward(0, from, to),
-        };
-        if forward {
-            1
-        } else {
-            n - 1
-        }
-    }
-
-    /// The deterministic route from `from` to `to` as a list of directed
-    /// links; empty when `from == to`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownNode`] if either endpoint lies outside the
-    /// topology.
-    pub fn route(&self, from: NodeId, to: NodeId) -> Result<Vec<(NodeId, NodeId)>, NetError> {
-        self.check(from)?;
-        self.check(to)?;
-        if from == to {
-            return Ok(Vec::new());
-        }
-        let mut path = vec![from.0];
-        match self.kind {
-            TopologyKind::FullMesh => path.push(to.0),
-            TopologyKind::Ring => {
-                let n = self.nodes;
-                let step = self.ring_step(n, from, to);
-                let mut cur = from.0;
-                while cur != to.0 {
-                    cur = (cur + step) % n;
-                    path.push(cur);
-                }
-            }
-            TopologyKind::Mesh2d { cols } => {
-                let (mut r, mut c) = (from.0 / cols, from.0 % cols);
-                let (tr, tc) = (to.0 / cols, to.0 % cols);
-                // Dimension order: X (columns) first, then Y (rows).
-                while c != tc {
-                    c = if tc > c { c + 1 } else { c - 1 };
-                    path.push(r * cols + c);
-                }
-                while r != tr {
-                    r = if tr > r { r + 1 } else { r - 1 };
-                    path.push(r * cols + c);
-                }
-            }
-            TopologyKind::Torus2d { cols } => {
-                let rows = self.nodes / cols;
-                let (mut r, mut c) = (from.0 / cols, from.0 % cols);
-                let (tr, tc) = (to.0 / cols, to.0 % cols);
-                let cstep = self.axis_step(cols, c, tc, 1, from, to);
-                while c != tc {
-                    c = (c + cstep) % cols;
-                    path.push(r * cols + c);
-                }
-                let rstep = self.axis_step(rows, r, tr, 2, from, to);
-                while r != tr {
-                    r = (r + rstep) % rows;
-                    path.push(r * cols + c);
-                }
-            }
-        }
-        Ok(path.windows(2).map(|w| (NodeId(w[0]), NodeId(w[1]))).collect())
-    }
-
-    /// The wraparound step (+1 or −1 modulo `n`) along one torus axis,
-    /// shorter way, seeded tie-break half-way around.
-    fn axis_step(&self, n: u32, cur: u32, target: u32, axis: u64, from: NodeId, to: NodeId) -> u32 {
+    /// The step (+1 or −1 modulo `n`) from `cur` toward `target` along one
+    /// wraparound axis of `n` positions, taking the shorter way (seeded
+    /// tie-break half-way around).
+    fn wrap_step(&self, n: u32, cur: u32, target: u32, axis: u64, from: NodeId, to: NodeId) -> u32 {
         let fwd = (target + n - cur) % n;
         let bwd = n - fwd;
         let forward = match fwd.cmp(&bwd) {
@@ -259,6 +215,63 @@ impl Topology {
         } else {
             n - 1
         }
+    }
+
+    /// The nodes the deterministic route visits after `from`, ending at
+    /// `to` (nothing when `from == to`), without allocating. Every shape
+    /// is a walk on a `rows × cols` grid, columns first: a ring is one
+    /// row, a full mesh one row crossed in a single stride.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::UnknownNode`] if either endpoint lies outside the
+    /// topology.
+    pub(crate) fn hops(&self, from: NodeId, to: NodeId) -> Result<Hops, NetError> {
+        self.check(from)?;
+        self.check(to)?;
+        let cols = match self.kind {
+            TopologyKind::FullMesh | TopologyKind::Ring => self.nodes,
+            TopologyKind::Mesh2d { cols } | TopologyKind::Torus2d { cols } => cols,
+        };
+        let rows = self.nodes / cols;
+        let (r, c) = (from.0 / cols, from.0 % cols);
+        let (tr, tc) = (to.0 / cols, to.0 % cols);
+        // Without wraparound a −1 step is `n − 1` modulo `n` all the same.
+        let toward = |n: u32, cur: u32, target: u32| if target > cur { 1 } else { n - 1 };
+        let (cstep, rstep) = match self.kind {
+            TopologyKind::FullMesh => ((tc + cols - c) % cols, 0),
+            TopologyKind::Ring => (self.wrap_step(cols, c, tc, 0, from, to), 0),
+            TopologyKind::Mesh2d { .. } => (toward(cols, c, tc), toward(rows, r, tr)),
+            TopologyKind::Torus2d { .. } => (
+                self.wrap_step(cols, c, tc, 1, from, to),
+                self.wrap_step(rows, r, tr, 2, from, to),
+            ),
+        };
+        Ok(Hops {
+            cols,
+            rows,
+            r,
+            c,
+            tr,
+            tc,
+            cstep,
+            rstep,
+        })
+    }
+
+    /// The deterministic route from `from` to `to` as a list of directed
+    /// links; empty when `from == to`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::UnknownNode`] if either endpoint lies outside the
+    /// topology.
+    pub fn route(&self, from: NodeId, to: NodeId) -> Result<Vec<(NodeId, NodeId)>, NetError> {
+        let mut prev = from;
+        Ok(self
+            .hops(from, to)?
+            .map(|next| (std::mem::replace(&mut prev, next), next))
+            .collect())
     }
 
     /// Hop count of the deterministic route (`0` when `from == to`).

@@ -97,3 +97,32 @@ fn world_clock_only_moves_forward() {
     world.run(b, pid).unwrap();
     assert!(world.clock.now() > t1);
 }
+
+/// The committed sweep outputs are the serve-order regression test: the
+/// 64-node torus storm cells, the paper matrix and the replication sweep
+/// depend on the order NMS queues and backers are served, so any change
+/// to quiescence that is not byte-identical shows up here. Regenerate
+/// with `experiments fleet-csv`, `csv`, `replication-csv`.
+#[test]
+fn committed_results_are_current() {
+    use cor_experiments::runner::{matrix_csv, Matrix};
+    use cor_experiments::{fleet, replication};
+    let pool = cor_pool::Pool::from_env();
+    let workloads = cor_workloads::all();
+    assert_eq!(
+        fleet::fleet_csv(&pool),
+        include_str!("../results/fleet.csv"),
+        "results/fleet.csv is stale"
+    );
+    // `experiments csv` prints through `println!`: one trailing newline.
+    assert_eq!(
+        matrix_csv(&mut Matrix::with_pool(pool), &workloads) + "\n",
+        include_str!("../results/matrix.csv"),
+        "results/matrix.csv is stale"
+    );
+    assert_eq!(
+        replication::replication_csv(&workloads, &pool),
+        include_str!("../results/replication.csv"),
+        "results/replication.csv is stale"
+    );
+}

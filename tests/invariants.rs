@@ -1,6 +1,6 @@
 //! Cross-crate system invariants: conservation, lifecycle, transparency.
 
-use cor::ipc::Right;
+use cor::ipc::{NodeId, Right};
 use cor::kernel::program::Trace;
 use cor::kernel::World;
 use cor::mem::{AddressSpace, PageNum, VAddr, PAGE_SIZE};
@@ -222,4 +222,189 @@ fn ledger_conservation() {
         .flat_map(|&c| ledger.binned(cor::sim::SimDuration::from_secs(1), end, c))
         .sum();
     assert_eq!(ledger.total(), binned, "binning conserves bytes");
+}
+
+/// Quiescence: what `World::settle` promises when it returns `Ok`. Every
+/// queue a server drains (NetMsgServer ports, backer ports) is empty —
+/// except on a crashed node, which serves nothing.
+fn assert_quiescent(world: &World, what: &str) {
+    for port in world.ports.ready_ports() {
+        let home = world.ports.home(port).unwrap();
+        assert!(
+            world.fabric.is_crashed(home),
+            "{what}: settle left {} message(s) on {port} of live {home}",
+            world.ports.queue_len(port)
+        );
+    }
+}
+
+/// Migrates `pid` and runs it to the end, settling and checking
+/// quiescence after each step. A run may fail (a crash can orphan the
+/// process): the queues must be drained all the same.
+fn migrate_run_and_check(
+    world: &mut World,
+    src: &MigrationManager,
+    dst: &MigrationManager,
+    pid: cor::kernel::ProcessId,
+    what: &str,
+) {
+    src.migrate_to(world, dst, pid, Strategy::PureIou { prefetch: 1 })
+        .unwrap();
+    world.settle().unwrap();
+    assert_quiescent(world, what);
+    let _ = world.run(dst.node(), pid);
+    world.settle().unwrap();
+    assert_quiescent(world, what);
+}
+
+#[test]
+fn settle_leaves_no_live_served_queue_non_empty() {
+    use cor::kernel::CostModel;
+    use cor::net::{CrashPlan, CrashTrigger, FaultPlan, Topology, WireParams};
+
+    // The paper testbed: healthy, lossy, and with the source crashing
+    // mid-run (staying down, then rebooting amnesiac).
+    let plan = CrashPlan::new(3);
+    let trigger = CrashTrigger::AfterMessages(12);
+    let legs = [
+        ("testbed", WireParams::default(), 0),
+        (
+            "lossy wire",
+            WireParams {
+                faults: Some(FaultPlan::dropping(7, 0.15)),
+                ..WireParams::default()
+            },
+            0,
+        ),
+        (
+            "crash",
+            WireParams {
+                crashes: Some(plan.clone().killing(NodeId(0), trigger)),
+                ..WireParams::default()
+            },
+            1,
+        ),
+        (
+            "reboot",
+            WireParams {
+                crashes: Some(plan.rebooting(NodeId(0), trigger)),
+                ..WireParams::default()
+            },
+            1,
+        ),
+    ];
+    for (what, wire, crashes) in legs {
+        let (mut world, nodes) = World::fleet(2, CostModel::default(), wire);
+        let src = MigrationManager::new(&mut world, nodes[0]);
+        let dst = MigrationManager::new(&mut world, nodes[1]);
+        let pid = simple_process(&mut world, nodes[0], 24, 8);
+        migrate_run_and_check(&mut world, &src, &dst, pid, what);
+        assert_eq!(
+            world.fabric.reliability.node_crashes.get(),
+            crashes,
+            "{what}"
+        );
+    }
+
+    // A 16-node ring storm: every even node evicts two processes five
+    // hops round the ring, and each faults its pages back.
+    let wire = WireParams {
+        topology: Some(Topology::ring(16)),
+        ..WireParams::default()
+    };
+    let (mut world, nodes) = World::fleet(16, CostModel::default(), wire);
+    let managers: Vec<MigrationManager> = nodes
+        .iter()
+        .map(|&n| MigrationManager::new(&mut world, n))
+        .collect();
+    for i in (0..16).step_by(2) {
+        for _ in 0..2 {
+            let pid = simple_process(&mut world, nodes[i], 8, 8);
+            let (src, dst) = (&managers[i], &managers[(i + 5) % 16]);
+            migrate_run_and_check(&mut world, src, dst, pid, "ring storm");
+        }
+    }
+}
+
+/// `Fabric::pump` never serves a crashed node, so a message enqueued
+/// directly on a dead node's NetMsgServer port stays queued (and the port
+/// stays ready) for ever. Quiescence must skip it, not spin on it.
+#[test]
+fn a_message_on_a_crashed_nodes_nms_port_does_not_hang_settle() {
+    use cor::ipc::protocol::imag_segment_death;
+    use cor::mem::space::SegmentId;
+
+    let (mut world, a, b) = World::testbed();
+    let now = world.clock.now();
+    world.fabric.crash_node(now, &mut world.ports, a, false);
+    let dead_nms = world.fabric.nms_port(a).unwrap();
+    let notice = |port| imag_segment_death(port, SegmentId(999));
+    world.ports.enqueue(dead_nms, notice(dead_nms)).unwrap();
+    assert_eq!(world.settle().unwrap(), 0, "nothing a live server can do");
+    assert_eq!(
+        world.ports.queue_len(dead_nms),
+        1,
+        "the dead NMS answered nothing"
+    );
+    assert_quiescent(&world, "dead NMS");
+
+    // An amnesiac reboot is up again: its NMS port is still served.
+    world.fabric.crash_node(now, &mut world.ports, b, true);
+    let rebooted_nms = world.fabric.nms_port(b).unwrap();
+    world
+        .ports
+        .enqueue(rebooted_nms, notice(rebooted_nms))
+        .unwrap();
+    assert_eq!(world.settle().unwrap(), 1);
+    assert_eq!(world.ports.queue_len(rebooted_nms), 0);
+}
+
+/// The one place quiescence is allowed to differ from the all-ports poll
+/// it replaced: a backer whose port was deallocated while still
+/// registered used to fail every later `settle` with `PortError::Dead`;
+/// now it is simply never ready. Nothing can reach its queue — senders
+/// get the typed error — and the rest of the system keeps settling.
+#[test]
+fn a_backer_on_a_dead_port_is_never_served_and_breaks_nothing() {
+    use cor::ipc::port::PortError;
+    use cor::ipc::protocol::imag_segment_death;
+    use cor::mem::space::SegmentId;
+
+    struct Unreachable;
+    impl cor::kernel::PageStore for Unreachable {
+        fn fetch(&mut self, _: SegmentId, _: u64, _: u64) -> Option<Vec<cor::mem::Frame>> {
+            panic!("a backer on a dead port must never be asked for pages")
+        }
+        fn death(&mut self, _: SegmentId) {
+            panic!("a backer on a dead port must never be served")
+        }
+        fn pages_held(&self) -> u64 {
+            0
+        }
+    }
+
+    let (mut world, a, _) = World::testbed();
+    let live = world.ports.allocate(a);
+    world.register_backer(live, a, Box::new(Unreachable));
+    world
+        .ports
+        .enqueue(live, imag_segment_death(live, SegmentId(1)))
+        .unwrap();
+    world.ports.deallocate(live);
+    assert_eq!(world.settle().unwrap(), 0, "deallocation dropped the queue");
+
+    let dead = world.ports.allocate(a);
+    world.ports.deallocate(dead);
+    world.register_backer(dead, a, Box::new(Unreachable));
+    assert_eq!(
+        world
+            .ports
+            .enqueue(dead, imag_segment_death(dead, SegmentId(1))),
+        Err(PortError::Dead(dead))
+    );
+    assert_eq!(world.settle().unwrap(), 0);
+    assert!(
+        world.take_backer(dead).is_some(),
+        "still registered, still removable"
+    );
 }
