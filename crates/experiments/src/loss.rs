@@ -16,7 +16,7 @@ use cor_pool::Pool;
 use cor_workloads::Workload;
 
 use crate::render::{commas, secs, TextTable};
-use crate::runner::run_trial_with;
+use crate::runner::run_trial_on;
 
 /// The studied per-attempt drop rates, in percent.
 pub const DROP_RATES_PCT: [u32; 6] = [0, 2, 5, 10, 15, 20];
@@ -39,6 +39,7 @@ pub fn loss_sweep(workloads: &[Workload], pool: &Pool) -> String {
         .iter()
         .find(|w| w.name() == "Minprog")
         .unwrap_or(&workloads[0]);
+    let image = &w.image().expect("workload build");
     let mut t = TextTable::new(&[
         "drop%",
         "strategy",
@@ -65,7 +66,7 @@ pub fn loss_sweep(workloads: &[Workload], pool: &Pool) -> String {
                         pct as f64 / 100.0,
                     ));
                 }
-                run_trial_with(w, strategy, cor_kernel::CostModel::default(), wire)
+                run_trial_on(image, strategy, cor_kernel::CostModel::default(), wire)
             }
         })
         .collect();
@@ -94,6 +95,7 @@ pub fn loss_sweep(workloads: &[Workload], pool: &Pool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_trial_with;
 
     #[test]
     fn loss_sweep_renders_and_is_deterministic() {

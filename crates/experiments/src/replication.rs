@@ -18,7 +18,7 @@ use cor_migrate::{MigrationManager, Strategy};
 use cor_net::{CrashPlan, ReplicationParams, WireParams};
 use cor_pool::Pool;
 use cor_sim::{LedgerCategory, SimDuration};
-use cor_workloads::Workload;
+use cor_workloads::{ProcessImage, Workload};
 
 use crate::render::{commas, secs, TextTable};
 
@@ -104,7 +104,7 @@ pub struct ReplicationOutcome {
 /// Panics on internal simulation errors other than the expected
 /// [`KernelError::OrphanedProcess`] outcome.
 fn run_cell(
-    workload: &Workload,
+    image: &ProcessImage<'_>,
     strategy: Strategy,
     factor: u64,
     mode: &'static str,
@@ -123,7 +123,7 @@ fn run_cell(
     let _pool1 = world.add_node();
     let src = MigrationManager::new(&mut world, a);
     let dst = MigrationManager::new(&mut world, b);
-    let pid = workload.build(&mut world, a).expect("workload build");
+    let pid = image.fork(&mut world, a).expect("workload build");
     src.migrate_to(&mut world, &dst, pid, strategy)
         .expect("migration");
     world.reset_touch_tracking(b, pid).expect("tracking reset");
@@ -164,7 +164,8 @@ fn run_cell(
 
 /// Computes every cell in deterministic order, fanning the independent
 /// `(factor, mode, delay, strategy)` simulations across `pool`. Each
-/// cell also runs a crash-free twin for the byte-identity check.
+/// cell also runs a crash-free twin for the byte-identity check. The
+/// process is built once; every run is a fork of that image.
 ///
 /// # Panics
 ///
@@ -174,6 +175,7 @@ pub fn replication_outcomes(workloads: &[Workload], pool: &Pool) -> Vec<Replicat
         .iter()
         .find(|w| w.name() == "Minprog")
         .unwrap_or(&workloads[0]);
+    let image = &w.image().expect("workload build");
     let cells: Vec<(u64, &'static str, u64, Strategy)> = FACTOR_MODES
         .iter()
         .flat_map(|&(f, m)| {
@@ -187,8 +189,8 @@ pub fn replication_outcomes(workloads: &[Workload], pool: &Pool) -> Vec<Replicat
         .map(|&(factor, mode, ms, strategy)| {
             move || {
                 let delay = SimDuration::from_millis(ms);
-                let (clean, _) = run_cell(w, strategy, factor, mode, delay, false);
-                let (crashed, mut outcome) = run_cell(w, strategy, factor, mode, delay, true);
+                let (clean, _) = run_cell(image, strategy, factor, mode, delay, false);
+                let (crashed, mut outcome) = run_cell(image, strategy, factor, mode, delay, true);
                 outcome.checksum_match = match (crashed, clean) {
                     (Some(c), Some(k)) => c == k,
                     _ => false,

@@ -1,12 +1,12 @@
 //! Trial execution: one migration + remote execution per matrix cell.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use cor_kernel::World;
-use cor_mem::PageNum;
 use cor_migrate::{MigrationManager, MigrationReport, Strategy};
 use cor_sim::{Ledger, LedgerCategory, ReliabilityStats, SimDuration, SimTime};
-use cor_workloads::Workload;
+use cor_workloads::{ProcessImage, Workload};
 
 use crate::PREFETCHES;
 
@@ -139,13 +139,29 @@ pub fn run_trial(workload: &Workload, strategy: Strategy) -> Trial {
 }
 
 /// Runs one trial under explicit cost models (used by the modern-hardware
-/// what-if study).
+/// what-if study). Builds the workload's image for this one trial; sweeps
+/// over one workload build it once and call [`run_trial_on`] per cell.
 ///
 /// # Panics
 ///
 /// As for [`run_trial`].
 pub fn run_trial_with(
     workload: &Workload,
+    strategy: Strategy,
+    costs: cor_kernel::CostModel,
+    wire: cor_net::WireParams,
+) -> Trial {
+    let image = workload.image().expect("workload build");
+    run_trial_on(&image, strategy, costs, wire)
+}
+
+/// Runs one trial on a fork of `image`.
+///
+/// # Panics
+///
+/// As for [`run_trial`].
+pub fn run_trial_on(
+    image: &ProcessImage<'_>,
     strategy: Strategy,
     costs: cor_kernel::CostModel,
     wire: cor_net::WireParams,
@@ -161,21 +177,23 @@ pub fn run_trial_with(
     let b = world.add_node();
     let src = MigrationManager::new(&mut world, a);
     let dst = MigrationManager::new(&mut world, b);
-    let pid = workload.build(&mut world, a).expect("workload build");
-    let process = world.process(a, pid).expect("process");
-    let real_set: HashSet<PageNum> = process.space.materialized_pages().map(|(p, _)| p).collect();
-    let resident_set: HashSet<PageNum> = process.space.resident_pages().into_iter().collect();
-    let total_pages = process.space.stats().total_bytes() / cor_mem::PAGE_SIZE;
+    let pid = image.fork(&mut world, a).expect("workload build");
     let migration = src
         .migrate_to(&mut world, &dst, pid, strategy)
         .expect("migration");
     let exec = world.run(b, pid).expect("remote execution");
-    let stats = world.process(b, pid).expect("process").stats.clone();
-    let touched_real: HashSet<PageNum> = stats.touched.intersection(&real_set).copied().collect();
-    let rs_union = resident_set.union(&touched_real).count() as u64;
-    let fabric_stats = world.fabric.stats().clone();
+    let stats = &world.process(b, pid).expect("process").stats;
+    // What was real and what was resident at migration time is a fact of
+    // the image, the same for every strategy cell.
+    let before = image.space();
+    let (mut touched_real_pages, mut rs_union_pages) = (0, before.resident_pages());
+    for was_resident in stats.touched.iter().filter_map(|&p| before.residency(p)) {
+        touched_real_pages += 1;
+        rs_union_pages += u64::from(!was_resident);
+    }
+    let fabric_stats = world.fabric.stats();
     Trial {
-        workload: workload.name().to_string(),
+        workload: image.name().to_string(),
         strategy,
         migration,
         exec_elapsed: exec.elapsed,
@@ -188,10 +206,10 @@ pub fn run_trial_with(
         disk_faults: stats.disk_faults,
         zero_faults: stats.zero_faults,
         prefetch_hit_ratio: stats.prefetch_hit_ratio(),
-        touched_real_pages: touched_real.len() as u64,
-        real_pages: real_set.len() as u64,
-        total_pages,
-        rs_union_pages: rs_union,
+        touched_real_pages,
+        real_pages: before.real_pages(),
+        total_pages: before.total_pages(),
+        rs_union_pages,
         retransmit_bytes: world.fabric.ledger.total_for(LedgerCategory::Retransmit),
         reliability: world.fabric.reliability.clone(),
         ledger: world.fabric.ledger.clone(),
@@ -269,30 +287,37 @@ impl Matrix {
     }
 
     /// Computes every missing `(workload, strategy)` cell, fanning the
-    /// independent trials across the matrix's pool. Results are inserted
-    /// in deterministic cell order (workload-major), so the cache — and
-    /// everything rendered from it — is identical to a serial fill.
+    /// independent trials across the matrix's pool. The cells of one
+    /// workload are forks of one process image, which the first of them to
+    /// run builds and the last one drops — so a serial fill, which runs
+    /// workload-major, holds one image at a time, and a pooled fill as many
+    /// as its workers straddle. Results are inserted in deterministic cell
+    /// order (workload-major), so the cache — and everything rendered from
+    /// it — is identical to a serial fill.
     pub fn prefill(&mut self, workloads: &[Workload], strategies: &[Strategy]) {
-        let missing: Vec<(usize, Strategy)> = workloads
-            .iter()
-            .enumerate()
-            .flat_map(|(i, w)| {
-                strategies
-                    .iter()
-                    .filter(|&&s| !self.cache.contains_key(&(w.name(), s)))
-                    .map(move |&s| (i, s))
-            })
-            .collect();
-        let jobs: Vec<_> = missing
-            .iter()
-            .map(|&(i, s)| {
-                let w = &workloads[i];
-                move || run_trial(w, s)
-            })
-            .collect();
+        let mut missing = Vec::new();
+        let mut jobs = Vec::new();
+        for w in workloads {
+            let image = Arc::new(OnceLock::new());
+            for &s in strategies {
+                if self.cache.contains_key(&(w.name(), s)) {
+                    continue;
+                }
+                let image = Arc::clone(&image);
+                missing.push((w.name(), s));
+                jobs.push(move || {
+                    run_trial_on(
+                        image.get_or_init(|| w.image().expect("workload build")),
+                        s,
+                        cor_kernel::CostModel::default(),
+                        cor_net::WireParams::default(),
+                    )
+                });
+            }
+        }
         let trials = self.pool.run(jobs);
-        for (&(i, s), trial) in missing.iter().zip(trials) {
-            self.cache.insert((workloads[i].name(), s), trial);
+        for (cell, trial) in missing.into_iter().zip(trials) {
+            self.cache.insert(cell, trial);
         }
     }
 

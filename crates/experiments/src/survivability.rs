@@ -16,7 +16,7 @@ use cor_migrate::{Drainer, MigrationManager, Strategy};
 use cor_net::{CrashPlan, WireParams};
 use cor_pool::Pool;
 use cor_sim::{LedgerCategory, SimDuration};
-use cor_workloads::Workload;
+use cor_workloads::{ProcessImage, Workload};
 
 use crate::render::{commas, secs, TextTable};
 
@@ -75,7 +75,7 @@ pub struct SurvivalOutcome {
 /// Panics on internal simulation errors other than the expected
 /// [`KernelError::OrphanedProcess`] outcome.
 fn run_cell(
-    workload: &Workload,
+    image: &ProcessImage<'_>,
     strategy: Strategy,
     drain_rate: u64,
     delay: SimDuration,
@@ -86,7 +86,7 @@ fn run_cell(
     let b = world.add_node();
     let src = MigrationManager::new(&mut world, a);
     let dst = MigrationManager::new(&mut world, b);
-    let pid = workload.build(&mut world, a).expect("workload build");
+    let pid = image.fork(&mut world, a).expect("workload build");
     src.migrate_to(&mut world, &dst, pid, strategy)
         .expect("migration");
     // Count only remote touches so the checksum covers exactly the pages
@@ -126,6 +126,7 @@ fn run_cell(
 /// Computes every cell of the sweep in deterministic order, fanning the
 /// independent `(delay, strategy, rate)` simulations across `pool`. Each
 /// cell also runs its own crash-free twin for the byte-identity check.
+/// The process is built once; every run is a fork of that image.
 ///
 /// # Panics
 ///
@@ -135,6 +136,7 @@ pub fn survival_outcomes(workloads: &[Workload], pool: &Pool) -> Vec<SurvivalOut
         .iter()
         .find(|w| w.name() == "Minprog")
         .unwrap_or(&workloads[0]);
+    let image = &w.image().expect("workload build");
     let cells: Vec<(u64, Strategy, u64)> = CRASH_DELAYS_MS
         .iter()
         .flat_map(|&ms| {
@@ -148,8 +150,8 @@ pub fn survival_outcomes(workloads: &[Workload], pool: &Pool) -> Vec<SurvivalOut
         .map(|&(ms, strategy, rate)| {
             move || {
                 let delay = SimDuration::from_millis(ms);
-                let (clean, _) = run_cell(w, strategy, rate, delay, false);
-                let (crashed, mut outcome) = run_cell(w, strategy, rate, delay, true);
+                let (clean, _) = run_cell(image, strategy, rate, delay, false);
+                let (crashed, mut outcome) = run_cell(image, strategy, rate, delay, true);
                 outcome.checksum_match = match (crashed, clean) {
                     (Some(c), Some(k)) => c == k,
                     _ => false,

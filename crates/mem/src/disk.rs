@@ -96,6 +96,12 @@ impl Disk {
         frame
     }
 
+    /// The frame stored in a block, without counting a read — host-side
+    /// inspection (freezing a process image), not a simulated disk access.
+    pub fn peek_frame(&self, addr: DiskAddr) -> Option<&Frame> {
+        self.blocks.get(&addr)
+    }
+
     /// Reads a block and releases it in one step — the zero-copy page-in:
     /// the caller takes over the disk's reference, so a block written by
     /// [`Disk::write_new_frame`] and taken back never copies its bytes.

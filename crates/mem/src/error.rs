@@ -20,6 +20,8 @@ pub enum MemError {
     BadState(PageNum, &'static str),
     /// A zero-length or inverted range was supplied.
     EmptyRange,
+    /// A space handed to `SpaceImage::freeze` was not freshly built.
+    NotFresh(&'static str),
 }
 
 impl fmt::Display for MemError {
@@ -31,6 +33,7 @@ impl fmt::Display for MemError {
                 write!(f, "page {} is in an incompatible state: {what}", p.0)
             }
             MemError::EmptyRange => write!(f, "empty or inverted range"),
+            MemError::NotFresh(what) => write!(f, "space is not freshly built: {what}"),
         }
     }
 }

@@ -40,5 +40,5 @@ pub use content::ContentStore;
 pub use disk::{Disk, DiskAddr};
 pub use error::MemError;
 pub use fault::Fault;
-pub use page::{Frame, PageData, PageNum, PageRange, VAddr, PAGE_SIZE};
-pub use space::{AddressSpace, PageState, SegmentId, SpaceStats};
+pub use page::{Frame, ImageArena, PageData, PageNum, PageRange, VAddr, PAGE_SIZE};
+pub use space::{AddressSpace, PageState, SegmentId, SpaceImage, SpaceStats};

@@ -8,6 +8,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::Range;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// The Accent page size in bytes.
 pub const PAGE_SIZE: u64 = 512;
@@ -117,8 +118,11 @@ impl PageRange {
     }
 }
 
-/// The contents of one page.
-pub type PageData = Box<[u8; PAGE_SIZE as usize]>;
+/// The raw bytes of one page.
+pub type PageBytes = [u8; PAGE_SIZE as usize];
+
+/// The contents of one page, privately owned.
+pub type PageData = Box<PageBytes>;
 
 /// Allocates a zero-filled page.
 pub fn zero_page() -> PageData {
@@ -144,23 +148,102 @@ pub fn page_from_bytes(bytes: &[u8]) -> PageData {
 #[derive(Clone)]
 pub struct Frame(Rc<FrameInner>);
 
-/// The shared interior of a [`Frame`]: the page bytes plus a memoized
-/// content hash. The hash cell caches [`Frame::content_hash`] so the
-/// 512-byte FNV walk runs at most once per contents version — every
+/// The shared interior of a [`Frame`]: the page's host bytes plus a
+/// memoized content hash. The hash cell caches [`Frame::content_hash`] so
+/// the 512-byte FNV walk runs at most once per contents version — every
 /// alias of the frame (CoW shares, messages in flight, dedup-table
 /// residents) reuses it for free, and any mutation through
-/// [`Frame::with_mut`] invalidates it.
+/// [`Frame::with_mut`] invalidates it. Zero means "not computed" (a page
+/// that really hashes to zero is merely re-walked each time), which keeps
+/// the interior at the 32 bytes it had before host bytes could be shared.
 struct FrameInner {
-    data: RefCell<PageData>,
-    hash: Cell<Option<u64>>,
+    data: RefCell<HostBytes>,
+    hash: Cell<u64>,
 }
 
 impl FrameInner {
-    fn new(data: PageData) -> Self {
+    fn new(data: HostBytes) -> Self {
         FrameInner {
             data: RefCell::new(data),
-            hash: Cell::new(None),
+            hash: Cell::new(0),
         }
+    }
+}
+
+/// Where a frame's bytes live on the host. This is a level *below* the
+/// simulated frame: the `Rc` identity of a [`Frame`] (its sharing, its
+/// copy-on-write count) is what the simulated machine sees, while two
+/// unrelated frames — in different forks of one process image, on
+/// different threads — may read the same host bytes out of an
+/// [`ImageArena`]. The first write copies them private.
+enum HostBytes {
+    Private(PageData),
+    Image { arena: Rc<ImageArena>, slot: u32 },
+}
+
+impl HostBytes {
+    fn get(&self) -> &PageBytes {
+        match self {
+            HostBytes::Private(data) => data,
+            HostBytes::Image { arena, slot } => &arena.0[*slot as usize],
+        }
+    }
+
+    /// The bytes for writing, first copied out of the arena if they were
+    /// still image-backed. That copy is host bookkeeping, not a simulated
+    /// copy-on-write: the frame was never shared with anything the
+    /// simulated machine knows about, and no simulation counter moves.
+    fn make_mut(&mut self) -> &mut PageBytes {
+        if let HostBytes::Image { .. } = self {
+            #[cfg(any(test, feature = "alloc-stats"))]
+            alloc_stats::record_alloc();
+            *self = HostBytes::Private(Box::new(*self.get()));
+        }
+        match self {
+            HostBytes::Private(data) => data,
+            HostBytes::Image { .. } => unreachable!("copied private above"),
+        }
+    }
+}
+
+/// An immutable, atomically reference-counted block of page bytes: the
+/// host memory behind every fork of one frozen process image (see
+/// `SpaceImage`). One allocation holds every page; frames made by
+/// [`ImageArena::frames`] point into it instead of owning 512 bytes each,
+/// and the arena is `Send + Sync`, so forks on `cor-pool` workers share
+/// it although frames themselves never cross threads.
+#[derive(Clone)]
+pub struct ImageArena(Arc<Vec<PageBytes>>);
+
+impl ImageArena {
+    /// Freezes `pages` as an arena; slot `i` holds `pages[i]`. The vector
+    /// is moved, not copied.
+    pub fn new(pages: Vec<PageBytes>) -> Self {
+        ImageArena(Arc::new(pages))
+    }
+
+    /// A frame factory for one fork: `frames()(slot)` is a fresh, unshared
+    /// frame whose bytes are slot `slot` of the arena. No page-sized
+    /// allocation happens (and none is counted in `alloc_stats`) until the
+    /// frame is first written. The fork's frames share one thread-local
+    /// handle on the arena, so the atomic count all workers contend on
+    /// moves once per fork, not once per page.
+    ///
+    /// # Panics
+    ///
+    /// The factory panics on a slot that is out of range.
+    pub fn frames(&self) -> impl Fn(u32) -> Frame {
+        let arena = Rc::new(self.clone());
+        move |slot| {
+            assert!((slot as usize) < arena.0.len(), "arena slot out of range");
+            let arena = Rc::clone(&arena);
+            Frame(Rc::new(FrameInner::new(HostBytes::Image { arena, slot })))
+        }
+    }
+
+    /// One frame of [`ImageArena::frames`].
+    pub fn frame(&self, slot: u32) -> Frame {
+        self.frames()(slot)
     }
 }
 
@@ -170,7 +253,7 @@ thread_local! {
     /// [`Frame::zeroed`] call aliases it, so validating or zero-filling
     /// megabytes of RealZeroMem costs reference bumps, not allocations;
     /// the first write diverges through the normal deferred-copy path.
-    static ZERO_FRAME: Frame = Frame(Rc::new(FrameInner::new(zero_page())));
+    static ZERO_FRAME: Frame = Frame(Rc::new(FrameInner::new(HostBytes::Private(zero_page()))));
 }
 
 /// A thread-local pool of recycled `Vec<Frame>` buffers for message
@@ -242,7 +325,10 @@ pub mod alloc_stats {
     }
 
     /// Fresh page-sized frame allocations on this thread since the last
-    /// [`reset`]. Interned-zero clones and CoW `Rc` shares do not count.
+    /// [`reset`]. Interned-zero clones, CoW `Rc` shares and image-backed
+    /// frames ([`super::ImageArena::frame`]: no bytes are allocated) do
+    /// not count; the first write to an image-backed frame, which copies
+    /// its 512 bytes out of the arena, does.
     pub fn frame_allocs() -> u64 {
         FRAME_ALLOCS.with(|c| c.get())
     }
@@ -258,7 +344,7 @@ impl Frame {
     pub fn new(data: PageData) -> Self {
         #[cfg(any(test, feature = "alloc-stats"))]
         alloc_stats::record_alloc();
-        Frame(Rc::new(FrameInner::new(data)))
+        Frame(Rc::new(FrameInner::new(HostBytes::Private(data))))
     }
 
     /// A zero-filled frame: an alias of the thread's interned zero page.
@@ -284,7 +370,7 @@ impl Frame {
 
     /// Copies the frame contents into a brand-new unshared frame.
     pub fn deep_copy(&self) -> Frame {
-        Frame::new(Box::new(**self.0.data.borrow()))
+        Frame::new(self.snapshot())
     }
 
     /// Forces this mapping private: if the frame is shared (with another
@@ -300,7 +386,17 @@ impl Frame {
 
     /// Reads the whole page into a fresh buffer.
     pub fn snapshot(&self) -> PageData {
-        Box::new(**self.0.data.borrow())
+        self.with(|d| Box::new(*d))
+    }
+
+    /// The arena slot behind this frame, if its bytes are still backed by
+    /// `arena` (i.e. it came from [`ImageArena::frame`] on that arena and
+    /// has not been written since).
+    pub fn image_slot(&self, arena: &ImageArena) -> Option<u32> {
+        match &*self.0.data.borrow() {
+            HostBytes::Image { arena: a, slot } if Arc::ptr_eq(&a.0, &arena.0) => Some(*slot),
+            _ => None,
+        }
     }
 
     /// FNV-1a hash of the page contents, for content-addressed dedup
@@ -315,8 +411,9 @@ impl Frame {
     /// interned frames are re-hashed every time they cross a dedup-capable
     /// NetMsgServer, this turns the checksum into a constant-time lookup.
     pub fn content_hash(&self) -> u64 {
-        if let Some(h) = self.0.hash.get() {
-            return h;
+        let memo = self.0.hash.get();
+        if memo != 0 {
+            return memo;
         }
         let h = self.with(|d| {
             let mut h: u64 = 0xcbf29ce484222325;
@@ -326,7 +423,7 @@ impl Frame {
             }
             h
         });
-        self.0.hash.set(Some(h));
+        self.0.hash.set(h);
         h
     }
 
@@ -337,8 +434,8 @@ impl Frame {
     }
 
     /// Runs `f` over the page contents.
-    pub fn with<R>(&self, f: impl FnOnce(&[u8; PAGE_SIZE as usize]) -> R) -> R {
-        f(&self.0.data.borrow())
+    pub fn with<R>(&self, f: impl FnOnce(&PageBytes) -> R) -> R {
+        f(self.0.data.borrow().get())
     }
 
     /// Runs `f` over the mutable page contents.
@@ -346,10 +443,12 @@ impl Frame {
     /// Callers must only do this on unshared frames (enforced by
     /// `AddressSpace`, which copies shared frames first); mutating a shared
     /// frame would violate copy-on-write semantics, though it cannot violate
-    /// memory safety. Invalidates the memoized content hash.
-    pub fn with_mut<R>(&self, f: impl FnOnce(&mut [u8; PAGE_SIZE as usize]) -> R) -> R {
-        self.0.hash.set(None);
-        f(&mut self.0.data.borrow_mut())
+    /// memory safety. Invalidates the memoized content hash. An
+    /// image-backed frame first copies its bytes out of the arena — a
+    /// host-level divergence no simulation counter sees.
+    pub fn with_mut<R>(&self, f: impl FnOnce(&mut PageBytes) -> R) -> R {
+        self.0.hash.set(0);
+        f(self.0.data.borrow_mut().make_mut())
     }
 }
 
@@ -500,6 +599,34 @@ mod tests {
         let mut fresh = *zero_page();
         fresh[..3].copy_from_slice(b"xbc");
         assert_eq!(g.content_hash(), Frame::new(Box::new(fresh)).content_hash());
+    }
+
+    #[test]
+    fn image_frames_share_host_bytes_until_written() {
+        let arena = ImageArena::new(vec![*page_from_bytes(b"one"), *page_from_bytes(b"two")]);
+        let two = Frame::new(page_from_bytes(b"two")).content_hash();
+        alloc_stats::reset();
+        let (a, b) = (arena.frame(1), arena.frame(1));
+        assert_eq!(alloc_stats::frame_allocs(), 0, "no page-sized allocation");
+        // Two forks of one slot are unrelated simulated frames.
+        assert!(!a.is_shared() && !b.is_shared());
+        assert_eq!(a.image_slot(&arena), Some(1));
+        assert_eq!(a.content_hash(), two);
+        // A write diverges the host bytes: invisible to the other fork and
+        // to the arena, counted as one frame allocation.
+        a.with_mut(|d| d[0] = b'T');
+        assert_eq!(alloc_stats::frame_allocs(), 1);
+        assert_eq!(a.image_slot(&arena), None);
+        a.with(|d| assert_eq!(&d[..3], b"Two"));
+        b.with(|d| assert_eq!(&d[..3], b"two"));
+        arena.frame(1).with(|d| assert_eq!(&d[..3], b"two"));
+        a.with_mut(|d| d[1] = b'W');
+        assert_eq!(alloc_stats::frame_allocs(), 1, "already private");
+        // Sharing host bytes costs a private frame no space.
+        assert_eq!(std::mem::size_of::<FrameInner>(), 32);
+        // Another arena with equal bytes is still another arena.
+        let other = ImageArena::new(vec![*page_from_bytes(b"one")]);
+        assert_eq!(other.frame(0).image_slot(&arena), None);
     }
 
     #[test]

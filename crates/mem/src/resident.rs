@@ -55,6 +55,17 @@ impl ResidentTracker {
         }
     }
 
+    /// A tracker holding `lru` (least recently used first) under
+    /// `capacity`, as if each page had been touched in that order.
+    pub fn from_lru_order(capacity: Option<usize>, lru: &[PageNum]) -> Self {
+        ResidentTracker {
+            stamps: lru.iter().zip(0..).map(|(&p, stamp)| (p, stamp)).collect(),
+            order: (0..).zip(lru.iter().copied()).collect(),
+            next_stamp: lru.len() as u64,
+            capacity,
+        }
+    }
+
     /// Changes the capacity. Does not immediately evict; the next `touch`
     /// enforces the new bound one page at a time.
     pub fn set_capacity(&mut self, frames: Option<usize>) {

@@ -16,14 +16,14 @@
 //!   frame budget is exceeded, giving each process a meaningful resident
 //!   set at migration time (Table 4-2).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::amap::{AMap, Access};
 use crate::disk::{Disk, DiskAddr};
 use crate::error::MemError;
 use crate::fault::Fault;
-use crate::page::{Frame, PageData, PageNum, PageRange, VAddr, PAGE_SIZE};
+use crate::page::{Frame, ImageArena, PageData, PageNum, PageRange, VAddr, PAGE_SIZE};
 use crate::resident::ResidentTracker;
 
 /// Identifies an imaginary segment (a memory object served through a
@@ -148,6 +148,16 @@ impl AddressSpace {
             return;
         }
         let (mut start, mut end) = (r.start.0, r.end.0);
+        // Already inside one region (every page install after the first
+        // validation of its region): nothing to merge, nothing to allocate.
+        let idx = self.regions.partition_point(|&(_, e)| e <= start);
+        if self
+            .regions
+            .get(idx)
+            .is_some_and(|&(s, e)| s <= start && end <= e)
+        {
+            return;
+        }
         // Merge every region overlapping or adjacent to [start, end).
         let mut merged = Vec::with_capacity(self.regions.len() + 1);
         let mut placed = false;
@@ -449,10 +459,16 @@ impl AddressSpace {
     /// are RealMem, accessible at local-disk cost, but not resident). The
     /// page is validated if needed.
     pub fn install_on_disk(&mut self, page: PageNum, data: PageData, disk: &mut Disk) {
+        self.install_on_disk_frame(page, Frame::new(data), disk);
+    }
+
+    /// [`AddressSpace::install_on_disk`] with an already-framed page: the
+    /// disk block holds `frame` by reference.
+    pub fn install_on_disk_frame(&mut self, page: PageNum, frame: Frame, disk: &mut Disk) {
         self.validate_pages(PageRange::new(page, PageNum(page.0 + 1)));
         self.pages.remove(&page);
         self.resident.remove(page);
-        let addr = disk.write_new(data);
+        let addr = disk.write_new_frame(frame);
         self.pages.insert(page, PageState::OnDisk(addr));
     }
 
@@ -549,6 +565,12 @@ impl AddressSpace {
         self.resident.pages()
     }
 
+    /// The resident pages from least to most recently used: the order in
+    /// which the frame budget would page them out.
+    pub fn resident_pages_lru(&self) -> Vec<PageNum> {
+        self.resident.pages_lru_order()
+    }
+
     /// Composition statistics (Table 4-1 quantities).
     pub fn stats(&self) -> SpaceStats {
         let mut real = 0u64;
@@ -596,6 +618,152 @@ impl AddressSpace {
             std::mem::take(&mut self.regions),
             std::mem::take(&mut self.pages),
         )
+    }
+}
+
+/// One materialized page of a [`SpaceImage`]: 16 bytes, no frame held.
+#[derive(Clone, Copy)]
+struct ImagePage {
+    page: PageNum,
+    /// The arena slot holding the page's bytes.
+    slot: u32,
+    /// Resident: the page's rank in LRU order (0 = next to be paged out).
+    /// Paged out: [`ON_DISK`] | the block's number on the build disk.
+    home: u32,
+}
+
+/// Tag bit of [`ImagePage::home`].
+const ON_DISK: u32 = 1 << 31;
+
+impl ImagePage {
+    /// The page's block number on the build disk, if it is paged out.
+    fn block(&self) -> Option<usize> {
+        (self.home & ON_DISK != 0).then_some((self.home & !ON_DISK) as usize)
+    }
+}
+
+/// A freshly built address space, frozen: the thing to build once and
+/// fork many times.
+///
+/// The image holds no [`Frame`]s — only the validated regions, a sorted
+/// 16-byte-per-page index into an [`ImageArena`], and the counters — so it
+/// is `Send + Sync` and can be thawed on any thread. [`SpaceImage::thaw`]
+/// returns a space indistinguishable from the one that was frozen: every
+/// frame is fresh and unshared (a fork is not a simulated copy-on-write,
+/// `cow_copies` does not move), only the host bytes behind the frames are
+/// shared until written.
+pub struct SpaceImage {
+    arena: ImageArena,
+    regions: Vec<(u64, u64)>,
+    /// Materialized pages in ascending page order.
+    pages: Vec<ImagePage>,
+    resident: usize,
+    frame_budget: Option<usize>,
+    zero_fills: u64,
+    cow_copies: u64,
+    pageouts: u64,
+}
+
+impl SpaceImage {
+    /// Freezes `space`, which must be *freshly built*: populated only by
+    /// validation and page installs of frames from `arena`, on a `disk`
+    /// that was empty before and has served nothing else.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::NotFresh`] when that contract is broken: an imaginary
+    /// page, a frame not backed by `arena` (foreign, or already written),
+    /// or a disk that was read, freed from, or written to by anyone else.
+    pub fn freeze(space: &AddressSpace, disk: &Disk, arena: &ImageArena) -> Result<Self, MemError> {
+        // As many live blocks as writes, none read: nothing was freed or
+        // overwritten, so the live blocks are exactly numbers 0..blocks —
+        // which lets `thaw` replay the disk with plain `write_new_frame`s.
+        let blocks = disk.blocks_in_use() as u64;
+        if (disk.writes(), disk.reads()) != (blocks, 0) || blocks >= u64::from(ON_DISK) {
+            return Err(MemError::NotFresh("build disk served other traffic"));
+        }
+        let lru = space.resident.pages_lru_order();
+        let rank: HashMap<PageNum, u32> = lru.iter().copied().zip(0..).collect();
+        let mut pages = Vec::with_capacity(space.pages.len());
+        for (&page, state) in &space.pages {
+            let (frame, home) = match state {
+                PageState::Resident(frame) => (Some(frame), rank[&page]),
+                PageState::OnDisk(addr) => (disk.peek_frame(*addr), ON_DISK | addr.0 as u32),
+                PageState::Imaginary { .. } => (None, 0),
+            };
+            let slot = frame
+                .and_then(|f| f.image_slot(arena))
+                .ok_or(MemError::NotFresh("a page's bytes are not in the arena"))?;
+            pages.push(ImagePage { page, slot, home });
+        }
+        if (pages.len() - lru.len()) as u64 != blocks {
+            return Err(MemError::NotFresh("build disk holds blocks of no page"));
+        }
+        Ok(SpaceImage {
+            arena: arena.clone(),
+            regions: space.regions.clone(),
+            pages,
+            resident: lru.len(),
+            frame_budget: space.frame_budget(),
+            zero_fills: space.zero_fills,
+            cow_copies: space.cow_copies,
+            pageouts: space.pageouts,
+        })
+    }
+
+    /// A fork of the frozen space, its paged-out pages written to `disk`
+    /// as fresh blocks in the order the build wrote them (so block
+    /// numbers, `Disk::writes` and `Disk::blocks_in_use` advance exactly
+    /// as the incremental build advanced them).
+    pub fn thaw(&self, disk: &mut Disk) -> AddressSpace {
+        let mut block_slots = vec![0; self.pages.len() - self.resident];
+        let mut lru = vec![PageNum(0); self.resident];
+        for p in &self.pages {
+            match p.block() {
+                Some(block) => block_slots[block] = p.slot,
+                None => lru[p.home as usize] = p.page,
+            }
+        }
+        let frame = self.arena.frames();
+        let addrs: Vec<DiskAddr> = block_slots
+            .iter()
+            .map(|&slot| disk.write_new_frame(frame(slot)))
+            .collect();
+        let state = |p: &ImagePage| match p.block() {
+            Some(block) => PageState::OnDisk(addrs[block]),
+            None => PageState::Resident(frame(p.slot)),
+        };
+        AddressSpace {
+            regions: self.regions.clone(),
+            // Ascending input: `BTreeMap` bulk-builds instead of inserting.
+            pages: self.pages.iter().map(|p| (p.page, state(p))).collect(),
+            resident: ResidentTracker::from_lru_order(self.frame_budget, &lru),
+            zero_fills: self.zero_fills,
+            cow_copies: self.cow_copies,
+            pageouts: self.pageouts,
+        }
+    }
+
+    /// Where `page` was when the space was frozen: `Some(true)` in the
+    /// resident set, `Some(false)` paged out, `None` not materialized.
+    pub fn residency(&self, page: PageNum) -> Option<bool> {
+        let i = self.pages.binary_search_by_key(&page, |p| p.page).ok()?;
+        Some(self.pages[i].block().is_none())
+    }
+
+    /// Materialized (RealMem) pages.
+    pub fn real_pages(&self) -> u64 {
+        self.pages.len() as u64
+    }
+
+    /// Pages in the resident set.
+    pub fn resident_pages(&self) -> u64 {
+        self.resident as u64
+    }
+
+    /// Validated pages, materialized or not.
+    pub fn total_pages(&self) -> u64 {
+        self.regions.iter().map(|&(s, e)| e - s).sum()
     }
 }
 
@@ -889,6 +1057,43 @@ mod tests {
         let mut buf = [0u8; 4];
         s.read(p(4).base(), &mut buf).unwrap();
         assert_eq!(&buf, b"file");
+    }
+
+    #[test]
+    fn freeze_refuses_spaces_that_are_not_freshly_built() {
+        use crate::page::page_from_bytes;
+        let arena = ImageArena::new(vec![*page_from_bytes(b"a"), *page_from_bytes(b"b")]);
+        let fresh = || {
+            let (mut s, mut d) = (AddressSpace::with_frame_budget(1), Disk::new());
+            s.install_page(p(0), arena.frame(0), &mut d);
+            s.install_page(p(1), arena.frame(1), &mut d); // pages 0 out
+            (s, d)
+        };
+        let refused = |s: &AddressSpace, d: &Disk| {
+            matches!(SpaceImage::freeze(s, d, &arena), Err(MemError::NotFresh(_)))
+        };
+        let (s, d) = fresh();
+        let image = SpaceImage::freeze(&s, &d, &arena).unwrap();
+        assert_eq!((image.real_pages(), image.resident_pages()), (2, 1));
+        let residency = [p(0), p(1), p(2)].map(|page| image.residency(page));
+        assert_eq!(residency, [Some(false), Some(true), None]);
+
+        let (mut s, d) = fresh();
+        s.map_imaginary(PageRange::new(p(5), p(6)), SegmentId(1), 0);
+        assert!(refused(&s, &d), "imaginary page");
+        let (mut s, mut d) = fresh();
+        s.install_page(p(2), Frame::zeroed(), &mut d);
+        assert!(refused(&s, &d), "frame from outside the arena");
+        let (mut s, d) = fresh();
+        s.check_write(p(1)).unwrap();
+        s.write(p(1).base(), b"x").unwrap();
+        assert!(refused(&s, &d), "written frame");
+        let (mut s, mut d) = fresh();
+        s.install_page(p(0), arena.frame(0), &mut d);
+        assert!(refused(&s, &d), "re-installed page strands its old block");
+        let (mut s, mut d) = fresh();
+        ready(&mut s, &mut d, p(0));
+        assert!(refused(&s, &d), "disk was read");
     }
 
     #[test]

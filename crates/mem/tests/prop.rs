@@ -8,7 +8,10 @@ use proptest::prelude::*;
 use cor_mem::amap::Access;
 use cor_mem::page::PAGE_SIZE;
 use cor_mem::resident::ResidentTracker;
-use cor_mem::{AddressSpace, Disk, Fault, PageNum, PageRange, SegmentId, VAddr};
+use cor_mem::{
+    AddressSpace, Disk, Fault, ImageArena, PageNum, PageRange, PageState, SegmentId, SpaceImage,
+    VAddr,
+};
 
 /// Drives a page to readiness like a minimal pager (no imaginary service).
 fn ready(space: &mut AddressSpace, disk: &mut Disk, page: PageNum) {
@@ -40,7 +43,102 @@ fn space_ops() -> impl Strategy<Value = Vec<SpaceOp>> {
     prop::collection::vec(op, 1..80)
 }
 
+#[derive(Debug, Clone)]
+enum BuildOp {
+    Validate(u64, u64),
+    Install(u64),
+    InstallOnDisk(u64),
+    Budget(Option<usize>),
+}
+
+fn build_ops() -> impl Strategy<Value = Vec<BuildOp>> {
+    let op = prop_oneof![
+        (0u64..128, 1u64..24).prop_map(|(p, n)| BuildOp::Validate(p, n)),
+        (0u64..128).prop_map(BuildOp::Install),
+        (0u64..128).prop_map(BuildOp::Install),
+        (0u64..128).prop_map(BuildOp::InstallOnDisk),
+        (0usize..12).prop_map(|b| BuildOp::Budget((b > 0).then_some(b))),
+    ];
+    prop::collection::vec(op, 1..120)
+}
+
+/// Everything observable about a space and the blocks it owns on `disk`,
+/// with disk addresses relative to `base`.
+fn observe(space: &AddressSpace, disk: &Disk, base: u64) -> String {
+    let pages: Vec<String> = space
+        .materialized_pages()
+        .map(|(p, state)| match state {
+            PageState::Resident(f) => format!("{}:r:{:x}", p.0, f.content_hash()),
+            PageState::OnDisk(a) => {
+                let hash = disk.peek_frame(*a).unwrap().content_hash();
+                format!("{}:d{}:{hash:x}", p.0, a.0 - base)
+            }
+            PageState::Imaginary { .. } => unreachable!("no build op maps imaginary memory"),
+        })
+        .collect();
+    format!(
+        "{:?} {pages:?} {:?} {:?} {:?} {:?} {:?}",
+        space.regions(),
+        space.resident_pages_lru(),
+        space.frame_budget(),
+        space.stats(),
+        (space.pageouts(), space.zero_fills(), space.cow_copies()),
+        (
+            disk.blocks_in_use() as u64 - base,
+            disk.writes() - base,
+            disk.reads()
+        ),
+    )
+}
+
 proptest! {
+    /// Any freshly built space — validations, resident and on-disk installs
+    /// and budget changes in any order — thaws from its frozen image into
+    /// an indistinguishable space, on an empty disk or a used one, and keeps
+    /// behaving identically (the next installs evict the same victims).
+    #[test]
+    fn freeze_then_thaw_is_the_original(ops in build_ops(), used in 0u64..5) {
+        use cor_mem::page::page_from_bytes;
+        let arena = ImageArena::new((0..128u64).map(|p| *page_from_bytes(&p.to_le_bytes())).collect());
+        let mut space = AddressSpace::new();
+        let mut disk = Disk::new();
+        let mut installed = HashSet::new();
+        for op in ops {
+            match op {
+                BuildOp::Validate(p, n) => {
+                    space.validate_pages(PageRange::new(PageNum(p), PageNum(p + n)));
+                }
+                // A build installs each page once: a second install would
+                // strand the first one's disk block, which `freeze` refuses.
+                BuildOp::Install(p) if installed.insert(p) => {
+                    space.install_page(PageNum(p), arena.frame(p as u32), &mut disk);
+                }
+                BuildOp::InstallOnDisk(p) if installed.insert(p) => {
+                    space.install_on_disk_frame(PageNum(p), arena.frame(p as u32), &mut disk);
+                }
+                BuildOp::Budget(b) => space.set_frame_budget(b),
+                BuildOp::Install(_) | BuildOp::InstallOnDisk(_) => {}
+            }
+        }
+        let image = SpaceImage::freeze(&space, &disk, &arena).unwrap();
+        prop_assert_eq!(image.real_pages(), installed.len() as u64);
+        let mut disk2 = Disk::new();
+        for i in 0..used {
+            disk2.write_new(page_from_bytes(&[i as u8]));
+        }
+        let mut thawed = image.thaw(&mut disk2);
+        prop_assert_eq!(observe(&thawed, &disk2, used), observe(&space, &disk, 0));
+        for p in (0..128).map(PageNum) {
+            let expected = space.page_state(p).map(|s| matches!(s, PageState::Resident(_)));
+            prop_assert_eq!(image.residency(p), expected);
+        }
+        for p in 200..204u64 {
+            space.install_page(PageNum(p), arena.frame(0), &mut disk);
+            thawed.install_page(PageNum(p), arena.frame(0), &mut disk2);
+        }
+        prop_assert_eq!(observe(&thawed, &disk2, used), observe(&space, &disk, 0));
+    }
+
     /// After any sequence of operations, the constructed AMap satisfies
     /// its structural invariants and agrees with per-page classification.
     #[test]

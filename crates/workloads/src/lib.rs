@@ -29,7 +29,7 @@ pub mod spec;
 pub mod synth;
 
 pub use paper::PaperRow;
-pub use spec::{Blueprint, Workload};
+pub use spec::{Blueprint, ProcessImage, Workload};
 
 /// All seven representatives, in the paper's order.
 pub fn all() -> Vec<Workload> {

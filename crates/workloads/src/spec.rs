@@ -4,8 +4,8 @@ use cor_ipc::{PortRight, Right};
 use cor_kernel::process::ProcessId;
 use cor_kernel::program::Trace;
 use cor_kernel::{KernelError, World};
-use cor_mem::page::{Frame, PageData, PAGE_SIZE};
-use cor_mem::{AddressSpace, PageNum, PageRange};
+use cor_mem::page::{PageBytes, PAGE_SIZE};
+use cor_mem::{AddressSpace, Disk, ImageArena, MemError, PageNum, PageRange, SpaceImage};
 use cor_sim::{Pcg32, SimDuration};
 
 use cor_ipc::NodeId;
@@ -15,9 +15,9 @@ use crate::paper::PaperRow;
 /// Deterministic non-zero contents for a workload page: a function of the
 /// workload seed and the page number, so every build of a blueprint is
 /// byte-identical.
-pub fn page_content(seed: u64, page: PageNum) -> PageData {
+pub fn page_content(seed: u64, page: PageNum) -> PageBytes {
     let mut rng = Pcg32::with_stream(seed ^ page.0.rotate_left(17), page.0);
-    let mut data = cor_mem::page::zero_page();
+    let mut data = [0u8; PAGE_SIZE as usize];
     for chunk in data.chunks_mut(8) {
         let v = rng.next_u64().to_le_bytes();
         chunk.copy_from_slice(&v[..chunk.len()]);
@@ -52,36 +52,86 @@ pub struct Blueprint {
 }
 
 impl Blueprint {
+    /// Builds the process's pre-migration memory once and freezes it. Page
+    /// contents are generated straight into one arena; the address space is
+    /// then assembled by the incremental installer — regions, unread file
+    /// pages on disk, then the resident installs whose LRU tail survives
+    /// the frame budget — on a scratch disk, and frozen.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::NotFresh`] if the blueprint installs a page twice.
+    pub fn image(&self) -> Result<ProcessImage<'_>, MemError> {
+        let pages = self.on_disk.iter().chain(&self.install_order);
+        let arena = ImageArena::new(pages.map(|&p| page_content(self.seed, p)).collect());
+        let mut frames = (0..).map(arena.frames());
+        let mut space = AddressSpace::with_frame_budget(self.frame_budget);
+        let mut disk = Disk::new();
+        for r in &self.regions {
+            space.validate_pages(*r);
+        }
+        for (&page, frame) in self.on_disk.iter().zip(&mut frames) {
+            space.install_on_disk_frame(page, frame, &mut disk);
+        }
+        for (&page, frame) in self.install_order.iter().zip(&mut frames) {
+            space.install_page(page, frame, &mut disk);
+        }
+        Ok(ProcessImage {
+            blueprint: self,
+            space: SpaceImage::freeze(&space, &disk, &arena)?,
+        })
+    }
+
     /// Creates the process on `node` with its memory in the documented
     /// pre-migration state, ready to migrate (or to run in place as the
-    /// unmigrated baseline).
+    /// unmigrated baseline): [`Blueprint::image`], forked once.
     ///
     /// # Errors
     ///
     /// Unknown node, or internal errors while populating memory.
     pub fn instantiate(&self, world: &mut World, node: NodeId) -> Result<ProcessId, KernelError> {
-        let mut space = AddressSpace::with_frame_budget(self.frame_budget);
-        for r in &self.regions {
-            space.validate_pages(*r);
-        }
-        {
-            let n = world.node_mut(node)?;
-            for &page in &self.on_disk {
-                space.install_on_disk(page, page_content(self.seed, page), &mut n.disk);
-            }
-            for &page in &self.install_order {
-                space.install_page(page, Frame::new(page_content(self.seed, page)), &mut n.disk);
-            }
-        }
-        let mut rights = Vec::with_capacity(self.send_rights + 2 * self.recv_ports);
-        for _ in 0..self.send_rights {
+        self.image()?.fork(world, node)
+    }
+}
+
+/// A blueprint with its pre-migration memory frozen: build once with
+/// [`Blueprint::image`], [`ProcessImage::fork`] once per trial. The image
+/// is `Sync`, so one image serves every worker of a pooled sweep; it is
+/// meant to live exactly as long as the sweep call that built it.
+pub struct ProcessImage<'a> {
+    blueprint: &'a Blueprint,
+    space: SpaceImage,
+}
+
+impl ProcessImage<'_> {
+    /// The process's name.
+    pub fn name(&self) -> &'static str {
+        self.blueprint.name
+    }
+
+    /// The frozen address space (strategy-independent page facts).
+    pub fn space(&self) -> &SpaceImage {
+        &self.space
+    }
+
+    /// Creates a fresh copy of the process on `node`: the frozen space
+    /// thawed onto the node's disk, new ports for its rights, its trace.
+    ///
+    /// # Errors
+    ///
+    /// Unknown node.
+    pub fn fork(&self, world: &mut World, node: NodeId) -> Result<ProcessId, KernelError> {
+        let bp = self.blueprint;
+        let space = self.space.thaw(&mut world.node_mut(node)?.disk);
+        let mut rights = Vec::with_capacity(bp.send_rights + 2 * bp.recv_ports);
+        for _ in 0..bp.send_rights {
             let port = world.ports.allocate(node);
             rights.push(PortRight {
                 port,
                 right: Right::Send,
             });
         }
-        for _ in 0..self.recv_ports {
+        for _ in 0..bp.recv_ports {
             let port = world.ports.allocate(node);
             rights.push(PortRight {
                 port,
@@ -92,7 +142,7 @@ impl Blueprint {
                 right: Right::Ownership,
             });
         }
-        let pid = world.create_process(node, self.name, space, self.trace.clone())?;
+        let pid = world.create_process(node, bp.name, space, bp.trace.clone())?;
         world.process_mut(node, pid)?.rights = rights;
         Ok(pid)
     }
@@ -120,6 +170,15 @@ impl Workload {
     /// As for [`Blueprint::instantiate`].
     pub fn build(&self, world: &mut World, node: NodeId) -> Result<ProcessId, KernelError> {
         self.blueprint.instantiate(world, node)
+    }
+
+    /// The process frozen for repeated forking (see [`Blueprint::image`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Blueprint::image`].
+    pub fn image(&self) -> Result<ProcessImage<'_>, MemError> {
+        self.blueprint.image()
     }
 }
 

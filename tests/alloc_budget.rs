@@ -53,6 +53,39 @@ fn pure_copy_allocates_no_more_than_iou() {
 }
 
 #[test]
+fn forks_of_one_image_allocate_o_pages_written() {
+    // `frame_allocs` counts page-sized host buffers. Thawing an image
+    // allocates none (its frames point into the one arena), and the first
+    // write to an image-backed page — the host-level divergence copy — is
+    // counted, so a whole strategy sweep on one Lisp-T image costs what
+    // its cells write and receive, not eleven 4,300-page rebuilds.
+    let w = cor_workloads::by_name("Lisp-T").expect("workload exists");
+    let image = w.image().expect("workload build");
+    let strategies = runner::Matrix::paper_strategies();
+    alloc_stats::reset();
+    let mut touched = 0;
+    for &s in &strategies {
+        let t = runner::run_trial_on(
+            &image,
+            s,
+            cor_kernel::CostModel::default(),
+            cor_net::WireParams::default(),
+        );
+        touched += t.touched_real_pages + t.zero_faults;
+    }
+    let allocs = alloc_stats::frame_allocs();
+    // Measured: 319 allocations for 1,419 page touches (most are reads).
+    assert!(
+        allocs <= touched,
+        "{allocs} frame allocs for {touched} pages touched in 11 forks"
+    );
+    assert!(
+        allocs < image.space().real_pages() / 4,
+        "{allocs} frame allocs: a fork is rebuilding pages again"
+    );
+}
+
+#[test]
 fn zero_fill_faults_do_not_allocate() {
     // A run that only zero-fills must clone the interned zero frame, not
     // allocate: compare allocations against an identical trial and the
