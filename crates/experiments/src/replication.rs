@@ -21,6 +21,7 @@ use cor_sim::{LedgerCategory, SimDuration};
 use cor_workloads::{ProcessImage, Workload};
 
 use crate::render::{commas, secs, TextTable};
+use crate::twin::{crash_sweep, same_bytes};
 
 /// Crash delays after migration completes, in milliseconds.
 pub const CRASH_DELAYS_MS: [u64; 2] = [1_000, 10_000];
@@ -58,6 +59,26 @@ fn replication_for(factor: u64, mode: &str) -> Option<ReplicationParams> {
     }
 }
 
+/// One cell of the sweep: factor, mode, crash delay, strategy.
+type Cell = (u64, &'static str, SimDuration, Strategy);
+
+/// The sweep's cells in table order.
+fn cells() -> Vec<Cell> {
+    FACTOR_MODES
+        .iter()
+        .flat_map(|&(f, m)| {
+            CRASH_DELAYS_MS
+                .iter()
+                .flat_map(move |&ms| strategies().map(|s| (f, m, SimDuration::from_millis(ms), s)))
+        })
+        .collect()
+}
+
+/// What a cell's crash-free twin depends on: everything but the delay.
+fn twin_key(&(factor, mode, _, strategy): &Cell) -> (u64, &'static str, Strategy) {
+    (factor, mode, strategy)
+}
+
 /// One cell's outcome.
 #[derive(Debug, Clone)]
 pub struct ReplicationOutcome {
@@ -65,7 +86,7 @@ pub struct ReplicationOutcome {
     pub factor: u64,
     /// Mode label: "none", "primary-backup" or "quorum".
     pub mode: &'static str,
-    /// Crash delay after migration.
+    /// Crash delay after migration (zero for a crash-free twin).
     pub delay: SimDuration,
     /// Strategy under test.
     pub strategy: Strategy,
@@ -94,10 +115,10 @@ pub struct ReplicationOutcome {
 }
 
 /// Runs one replication cell: four nodes (source, destination, and a
-/// two-node replica pool), one migration, then — when `crash` is true —
-/// a seeded [`CrashPlan`] kills the source `delay` after migration while
-/// the process executes at the destination. No draining runs: survival
-/// must come from the replicas alone.
+/// two-node replica pool), one migration, then a seeded [`CrashPlan`]
+/// kills the source `crash` after migration while the process executes
+/// at the destination; `None` is the crash-free twin, which has no delay
+/// to vary. No draining runs: survival must come from the replicas alone.
 ///
 /// # Panics
 ///
@@ -108,8 +129,7 @@ fn run_cell(
     strategy: Strategy,
     factor: u64,
     mode: &'static str,
-    delay: SimDuration,
-    crash: bool,
+    crash: Option<SimDuration>,
 ) -> (Option<u64>, ReplicationOutcome) {
     let params = WireParams {
         replication: replication_for(factor, mode),
@@ -128,7 +148,7 @@ fn run_cell(
         .expect("migration");
     world.reset_touch_tracking(b, pid).expect("tracking reset");
     let migration_end = world.clock.now();
-    if crash {
+    if let Some(delay) = crash {
         world.fabric.params.crashes =
             Some(CrashPlan::at_time(SWEEP_SEED, a, migration_end + delay));
     }
@@ -137,7 +157,7 @@ fn run_cell(
     let mut outcome = ReplicationOutcome {
         factor,
         mode,
-        delay,
+        delay: crash.unwrap_or_default(),
         strategy,
         survived: false,
         checksum_match: false,
@@ -163,9 +183,10 @@ fn run_cell(
 }
 
 /// Computes every cell in deterministic order, fanning the independent
-/// `(factor, mode, delay, strategy)` simulations across `pool`. Each
-/// cell also runs a crash-free twin for the byte-identity check. The
-/// process is built once; every run is a fork of that image.
+/// simulations across `pool`: first the crash-free twin of each distinct
+/// `(factor, mode, strategy)`, then every `(factor, mode, delay,
+/// strategy)` cell, compared against its twin for the byte-identity
+/// check. The process is built once; every run is a fork of that image.
 ///
 /// # Panics
 ///
@@ -176,30 +197,17 @@ pub fn replication_outcomes(workloads: &[Workload], pool: &Pool) -> Vec<Replicat
         .find(|w| w.name() == "Minprog")
         .unwrap_or(&workloads[0]);
     let image = &w.image().expect("workload build");
-    let cells: Vec<(u64, &'static str, u64, Strategy)> = FACTOR_MODES
-        .iter()
-        .flat_map(|&(f, m)| {
-            CRASH_DELAYS_MS
-                .iter()
-                .flat_map(move |&ms| strategies().map(|s| (f, m, ms, s)))
-        })
-        .collect();
-    let jobs: Vec<_> = cells
-        .iter()
-        .map(|&(factor, mode, ms, strategy)| {
-            move || {
-                let delay = SimDuration::from_millis(ms);
-                let (clean, _) = run_cell(image, strategy, factor, mode, delay, false);
-                let (crashed, mut outcome) = run_cell(image, strategy, factor, mode, delay, true);
-                outcome.checksum_match = match (crashed, clean) {
-                    (Some(c), Some(k)) => c == k,
-                    _ => false,
-                };
-                outcome
-            }
-        })
-        .collect();
-    pool.run(jobs)
+    crash_sweep(
+        pool,
+        &cells(),
+        twin_key,
+        |(factor, mode, strategy)| run_cell(image, strategy, factor, mode, None).0,
+        |(factor, mode, delay, strategy), clean| {
+            let (crashed, mut outcome) = run_cell(image, strategy, factor, mode, Some(delay));
+            outcome.checksum_match = same_bytes(crashed, clean);
+            outcome
+        },
+    )
 }
 
 /// Runs the sweep and renders the table (serial, cell-order rendering:
@@ -317,6 +325,40 @@ mod tests {
             csv.lines().count(),
             1 + FACTOR_MODES.len() * CRASH_DELAYS_MS.len() * strategies().len()
         );
+    }
+
+    /// The sweep as it was before twins were shared: every cell runs a
+    /// crash-free twin of its own.
+    fn per_cell_twin_reference() -> Vec<ReplicationOutcome> {
+        let w = cor_workloads::minprog::workload();
+        let image = &w.image().unwrap();
+        cells()
+            .into_iter()
+            .map(|(factor, mode, delay, strategy)| {
+                let (clean, _) = run_cell(image, strategy, factor, mode, None);
+                let (crashed, mut outcome) = run_cell(image, strategy, factor, mode, Some(delay));
+                outcome.checksum_match = matches!((crashed, clean), (Some(c), Some(k)) if c == k);
+                outcome
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_twins_give_the_outcomes_of_a_twin_per_cell() {
+        let workloads = [cor_workloads::minprog::workload()];
+        let reference = format!("{:?}", per_cell_twin_reference());
+        for pool in [Pool::serial(), Pool::new(4)] {
+            let shared = replication_outcomes(&workloads, &pool);
+            assert_eq!(format!("{shared:?}"), reference);
+        }
+    }
+
+    #[test]
+    fn thirty_cells_share_fifteen_twins() {
+        // `crash_sweep` runs one twin per distinct key (tested there), so
+        // the distinct keys are the twins a sweep call simulates.
+        let keys: std::collections::HashSet<_> = cells().iter().map(twin_key).collect();
+        assert_eq!((cells().len(), keys.len()), (30, 15));
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! seeded [`CrashPlan`] at a swept delay after migration, and background
 //! flush-draining at a swept rate races the crash. Each cell reports
 //! whether the process survived, whether its memory is byte-identical to
-//! a crash-free run, how many pages the recovery ladder salvaged from the
-//! crashed node's disk backer, and what the draining cost — which is
-//! ledgered under its own category so the paper tables are untouched.
+//! its crash-free twin (`twin.rs`), how many pages the recovery ladder
+//! salvaged from the crashed node's disk backer, and what the draining
+//! cost — which is ledgered under its own category so the paper tables
+//! are untouched.
 
 use cor_kernel::{CostModel, DrainPolicy, KernelError, World};
 use cor_migrate::{Drainer, MigrationManager, Strategy};
@@ -19,6 +20,7 @@ use cor_sim::{LedgerCategory, SimDuration};
 use cor_workloads::{ProcessImage, Workload};
 
 use crate::render::{commas, secs, TextTable};
+use crate::twin::{crash_sweep, same_bytes};
 
 /// Crash delays after migration completes, in milliseconds.
 pub const CRASH_DELAYS_MS: [u64; 3] = [1_000, 3_000, 10_000];
@@ -39,10 +41,30 @@ fn strategies() -> [Strategy; 3] {
     ]
 }
 
+/// One cell of the sweep: crash delay, strategy, flush rate.
+type Cell = (SimDuration, Strategy, u64);
+
+/// The sweep's cells in table order.
+fn cells() -> Vec<Cell> {
+    CRASH_DELAYS_MS
+        .iter()
+        .flat_map(|&ms| {
+            strategies()
+                .into_iter()
+                .flat_map(move |s| DRAIN_RATES.map(|r| (SimDuration::from_millis(ms), s, r)))
+        })
+        .collect()
+}
+
+/// What a cell's crash-free twin depends on: everything but the delay.
+fn twin_key(&(_, strategy, rate): &Cell) -> (Strategy, u64) {
+    (strategy, rate)
+}
+
 /// One cell's outcome.
 #[derive(Debug, Clone)]
 pub struct SurvivalOutcome {
-    /// Crash delay after migration.
+    /// Crash delay after migration (zero for a crash-free twin).
     pub delay: SimDuration,
     /// Strategy under test.
     pub strategy: Strategy,
@@ -67,8 +89,8 @@ pub struct SurvivalOutcome {
 
 /// Runs one survivability cell: migrate, optionally flush-drain in the
 /// background (one page budget per foreground op), and kill the source
-/// `delay` after migration via a seeded [`CrashPlan`]. When `crash` is
-/// false the same cell runs crash-free — the checksum baseline.
+/// `crash` after migration via a seeded [`CrashPlan`]. `None` is the
+/// crash-free twin — the checksum baseline, which has no delay to vary.
 ///
 /// # Panics
 ///
@@ -78,8 +100,7 @@ fn run_cell(
     image: &ProcessImage<'_>,
     strategy: Strategy,
     drain_rate: u64,
-    delay: SimDuration,
-    crash: bool,
+    crash: Option<SimDuration>,
 ) -> (Option<u64>, SurvivalOutcome) {
     let mut world = World::new(CostModel::default(), WireParams::default());
     let a = world.add_node();
@@ -93,14 +114,15 @@ fn run_cell(
     // the process observed at the new site.
     world.reset_touch_tracking(b, pid).expect("tracking reset");
     let migration_end = world.clock.now();
-    if crash {
-        world.fabric.params.crashes = Some(CrashPlan::at_time(SWEEP_SEED, a, migration_end + delay));
+    if let Some(delay) = crash {
+        world.fabric.params.crashes =
+            Some(CrashPlan::at_time(SWEEP_SEED, a, migration_end + delay));
     }
     let drainer = Drainer::new(DrainPolicy::flush(drain_rate)).with_interleave(1);
     let run = drainer.run(&mut world, b, pid);
     let rel = &world.fabric.reliability;
     let mut outcome = SurvivalOutcome {
-        delay,
+        delay: crash.unwrap_or_default(),
         strategy,
         drain_rate,
         survived: false,
@@ -124,9 +146,10 @@ fn run_cell(
 }
 
 /// Computes every cell of the sweep in deterministic order, fanning the
-/// independent `(delay, strategy, rate)` simulations across `pool`. Each
-/// cell also runs its own crash-free twin for the byte-identity check.
-/// The process is built once; every run is a fork of that image.
+/// independent simulations across `pool`: first the crash-free twin of
+/// each distinct `(strategy, rate)`, then every `(delay, strategy, rate)`
+/// cell, compared against its twin for the byte-identity check. The
+/// process is built once; every run is a fork of that image.
 ///
 /// # Panics
 ///
@@ -137,30 +160,17 @@ pub fn survival_outcomes(workloads: &[Workload], pool: &Pool) -> Vec<SurvivalOut
         .find(|w| w.name() == "Minprog")
         .unwrap_or(&workloads[0]);
     let image = &w.image().expect("workload build");
-    let cells: Vec<(u64, Strategy, u64)> = CRASH_DELAYS_MS
-        .iter()
-        .flat_map(|&ms| {
-            strategies()
-                .into_iter()
-                .flat_map(move |s| DRAIN_RATES.map(|r| (ms, s, r)))
-        })
-        .collect();
-    let jobs: Vec<_> = cells
-        .iter()
-        .map(|&(ms, strategy, rate)| {
-            move || {
-                let delay = SimDuration::from_millis(ms);
-                let (clean, _) = run_cell(image, strategy, rate, delay, false);
-                let (crashed, mut outcome) = run_cell(image, strategy, rate, delay, true);
-                outcome.checksum_match = match (crashed, clean) {
-                    (Some(c), Some(k)) => c == k,
-                    _ => false,
-                };
-                outcome
-            }
-        })
-        .collect();
-    pool.run(jobs)
+    crash_sweep(
+        pool,
+        &cells(),
+        twin_key,
+        |(strategy, rate)| run_cell(image, strategy, rate, None).0,
+        |(delay, strategy, rate), clean| {
+            let (crashed, mut outcome) = run_cell(image, strategy, rate, Some(delay));
+            outcome.checksum_match = same_bytes(crashed, clean);
+            outcome
+        },
+    )
 }
 
 /// Runs the sweep and renders the table (serial, cell-order rendering:
@@ -267,6 +277,40 @@ mod tests {
         let csv = survivability_csv(&workloads, &Pool::new(2));
         assert_eq!(csv, survivability_csv(&workloads, &Pool::serial()));
         assert_eq!(csv.lines().count(), 1 + 27);
+    }
+
+    /// The sweep as it was before twins were shared: every cell runs a
+    /// crash-free twin of its own.
+    fn per_cell_twin_reference() -> Vec<SurvivalOutcome> {
+        let w = cor_workloads::minprog::workload();
+        let image = &w.image().unwrap();
+        cells()
+            .into_iter()
+            .map(|(delay, strategy, rate)| {
+                let (clean, _) = run_cell(image, strategy, rate, None);
+                let (crashed, mut outcome) = run_cell(image, strategy, rate, Some(delay));
+                outcome.checksum_match = matches!((crashed, clean), (Some(c), Some(k)) if c == k);
+                outcome
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_twins_give_the_outcomes_of_a_twin_per_cell() {
+        let workloads = [cor_workloads::minprog::workload()];
+        let reference = format!("{:?}", per_cell_twin_reference());
+        for pool in [Pool::serial(), Pool::new(4)] {
+            let shared = survival_outcomes(&workloads, &pool);
+            assert_eq!(format!("{shared:?}"), reference);
+        }
+    }
+
+    #[test]
+    fn twenty_seven_cells_share_nine_twins() {
+        // `crash_sweep` runs one twin per distinct key (tested there), so
+        // the distinct keys are the twins a sweep call simulates.
+        let keys: std::collections::HashSet<_> = cells().iter().map(twin_key).collect();
+        assert_eq!((cells().len(), keys.len()), (27, 9));
     }
 
     #[test]

@@ -104,6 +104,10 @@ pub struct Process {
     pub trace: Trace,
     /// Execution measurements.
     pub stats: ExecStats,
+    /// The drain cursor: no page below it can be owed to another node's
+    /// volatile state again while the process lives here, so the
+    /// owed-page walk of [`crate::World::drain_round`] resumes at it.
+    pub(crate) drain_cursor: PageNum,
 }
 
 impl Process {
@@ -126,6 +130,7 @@ impl Process {
             space,
             trace,
             stats: ExecStats::default(),
+            drain_cursor: PageNum(0),
         }
     }
 

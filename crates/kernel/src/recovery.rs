@@ -16,6 +16,18 @@ use crate::error::KernelError;
 use crate::process::ProcessId;
 use crate::world::{DrainMode, DrainPolicy, World};
 
+/// A page owed to a remote node's volatile state: the process's mapping
+/// of it and the `(backer, bseg, boff)` its bytes resolve to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OwedPage {
+    page: PageNum,
+    seg: SegmentId,
+    offset: u64,
+    backer: NodeId,
+    bseg: SegmentId,
+    boff: u64,
+}
+
 impl World {
     // ----- crash tolerance: residual deps, draining, recovery --------------
 
@@ -37,24 +49,8 @@ impl World {
         pid: ProcessId,
     ) -> Result<BTreeMap<NodeId, u64>, KernelError> {
         let mut deps = BTreeMap::new();
-        let process = self.process(node, pid)?;
-        for (_, state) in process.space.materialized_pages() {
-            if let PageState::Imaginary { seg, offset } = state {
-                // A dead segment means the references were already
-                // released (e.g. at termination): no dependency remains.
-                if self.segs.get(*seg).is_none() {
-                    continue;
-                }
-                let (backer, bseg, boff) =
-                    self.fabric
-                        .resolve_owed(&self.ports, &self.segs, *seg, *offset)?;
-                if backer != node
-                    && !self.fabric.disk_has(backer, bseg, boff)
-                    && !self.fabric.replica_live_elsewhere(backer, bseg, boff)
-                {
-                    *deps.entry(backer).or_insert(0) += 1;
-                }
-            }
+        for owed in self.owed_pages(node, pid, None, u64::MAX)?.0 {
+            *deps.entry(owed.backer).or_insert(0) += 1;
         }
         Ok(deps)
     }
@@ -87,31 +83,70 @@ impl World {
         }
     }
 
-    /// The first still-owed page of `pid` whose resolved backer is remote
-    /// and not yet crash-safe on that backer's disk.
-    pub(crate) fn first_remote_owed(
+    /// The owed-page walk: the first `limit` materialized pages of `pid`,
+    /// from `from` (default: its drain cursor) upward, that are imaginary
+    /// with a live segment and resolve to a *remote* backer whose disk
+    /// does not hold them and that have no live replica elsewhere. Also
+    /// returns the next cursor: one past the leading run of *settled*
+    /// pages — not imaginary, segment dead, or resolved to this node or
+    /// to a disk that holds them; each is permanent for the process's life
+    /// here unless a forward table on the chain dies with its node, so
+    /// the last two settle nothing while a remote node holds a stand-in
+    /// (`docs/ARCHITECTURE.md`). Debug builds check every resumed walk
+    /// against the walk from page 0.
+    fn owed_pages(
         &self,
         node: NodeId,
         pid: ProcessId,
-    ) -> Result<Option<(PageNum, SegmentId, u64)>, KernelError> {
+        from: Option<PageNum>,
+        limit: u64,
+    ) -> Result<(Vec<OwedPage>, PageNum), KernelError> {
         let process = self.process(node, pid)?;
-        for (page, state) in process.space.materialized_pages() {
-            if let PageState::Imaginary { seg, offset } = state {
-                if self.segs.get(*seg).is_none() {
-                    continue;
-                }
-                let (backer, bseg, boff) =
-                    self.fabric
-                        .resolve_owed(&self.ports, &self.segs, *seg, *offset)?;
-                if backer != node
-                    && !self.fabric.disk_has(backer, bseg, boff)
-                    && !self.fabric.replica_live_elsewhere(backer, bseg, boff)
-                {
-                    return Ok(Some((page, *seg, *offset)));
+        let chain_is_local = self
+            .nodes
+            .keys()
+            .all(|&n| n == node || self.fabric.standins_live(n) == 0);
+        let mut owed = Vec::new();
+        let (mut cursor, mut settling) = (from.unwrap_or(process.drain_cursor), true);
+        for (page, state) in process.space.materialized_pages_from(cursor) {
+            let mut settled = true;
+            if let PageState::Imaginary { seg, offset } = *state {
+                // A dead segment means the references were already
+                // released (e.g. at termination): no dependency remains.
+                if self.segs.get(seg).is_some() {
+                    let (backer, bseg, boff) =
+                        self.fabric
+                            .resolve_owed(&self.ports, &self.segs, seg, offset)?;
+                    let safe = backer == node || self.fabric.disk_has(backer, bseg, boff);
+                    settled = safe && chain_is_local;
+                    if !safe && !self.fabric.replica_live_elsewhere(backer, bseg, boff) {
+                        owed.push(OwedPage {
+                            page,
+                            seg,
+                            offset,
+                            backer,
+                            bseg,
+                            boff,
+                        });
+                    }
                 }
             }
+            settling &= settled;
+            if settling {
+                cursor = page.offset(1);
+            }
+            if owed.len() as u64 == limit {
+                break;
+            }
         }
-        Ok(None)
+        debug_assert!(
+            from.is_some()
+                || self
+                    .owed_pages(node, pid, Some(PageNum(0)), limit)
+                    .is_ok_and(|full| full.0 == owed),
+            "the drain cursor skipped a page that is owed again"
+        );
+        Ok((owed, cursor))
     }
 
     /// Prefetch-mode draining: pull up to `quota` owed pages across the
@@ -123,13 +158,16 @@ impl World {
         pid: ProcessId,
         quota: u64,
     ) -> Result<u64, KernelError> {
-        let Some((page, seg, offset)) = self.first_remote_owed(node, pid)? else {
+        let (owed, cursor) = self.owed_pages(node, pid, None, 1)?;
+        self.process_mut(node, pid)?.drain_cursor = cursor;
+        let Some(&first) = owed.first() else {
             return Ok(0);
         };
+        let (seg, offset) = (first.seg, first.offset);
         let saved = self.prefetch;
         self.prefetch = quota - 1;
         self.fabric.set_drain_accounting(true);
-        let fetched = self.handle_imaginary_fault(node, pid, page, seg, offset);
+        let fetched = self.handle_imaginary_fault(node, pid, first.page, seg, offset);
         self.fabric.set_drain_accounting(false);
         self.prefetch = saved;
         let installed = fetched?;
@@ -150,60 +188,47 @@ impl World {
     /// stay owed — no wire transfer happens — but a crash can no longer
     /// lose them, so they leave [`World::residual_dependencies`].
     pub(crate) fn drain_flush(&mut self, node: NodeId, pid: ProcessId, quota: u64) -> Result<u64, KernelError> {
-        let targets: Vec<(NodeId, SegmentId, u64)> = {
-            let process = self.process(node, pid)?;
-            let mut t = Vec::new();
-            for (_, state) in process.space.materialized_pages() {
-                if let PageState::Imaginary { seg, offset } = state {
-                    if self.segs.get(*seg).is_none() {
-                        continue;
-                    }
-                    let (backer, bseg, boff) =
-                        self.fabric
-                            .resolve_owed(&self.ports, &self.segs, *seg, *offset)?;
-                    if backer != node
-                        && !self.fabric.disk_has(backer, bseg, boff)
-                        && !self.fabric.replica_live_elsewhere(backer, bseg, boff)
-                    {
-                        t.push((backer, bseg, boff));
-                    }
+        let (mut flushed, mut from) = (0u64, None);
+        // Targets that cannot be flushed do not use up the quota: walk on
+        // past them until it is spent or no owed page is left.
+        while flushed < quota {
+            let (targets, cursor) = self.owed_pages(node, pid, from, quota - flushed)?;
+            if from.is_none() {
+                self.process_mut(node, pid)?.drain_cursor = cursor;
+            }
+            let Some(last) = targets.last() else { break };
+            from = Some(last.page.offset(1));
+            for target in targets {
+                let (backer, bseg, boff) = (target.backer, target.bseg, target.boff);
+                // A dead backer's volatile copy is already gone; there is
+                // nothing left to flush (prefetch-mode draining would instead
+                // climb the recovery ladder here).
+                if self.fabric.is_crashed(backer) {
+                    continue;
                 }
+                let written = self.fabric.flush_cached_page_to_disk(backer, bseg, boff)
+                    || self.flush_user_backed_page(backer, bseg, boff);
+                if !written {
+                    continue;
+                }
+                // The flush is the *backer's* disk writing out its own cache —
+                // background work at another node that overlaps the foreground
+                // process's execution, so it costs ledger bytes but no global
+                // wall time (the destination never blocks on it).
+                let now = self.clock.now();
+                self.fabric
+                    .ledger
+                    .record(now, cor_mem::PAGE_SIZE, cor_sim::LedgerCategory::Drain);
+                self.fabric.reliability.drained_pages.incr();
+                flushed += 1;
+                self.note(|| TraceEvent::DrainFlush {
+                    pid: pid.0,
+                    node,
+                    seg: bseg.0,
+                    offset: boff,
+                    backer,
+                });
             }
-            t
-        };
-        let mut flushed = 0u64;
-        for (backer, bseg, boff) in targets {
-            if flushed >= quota {
-                break;
-            }
-            // A dead backer's volatile copy is already gone; there is
-            // nothing left to flush (prefetch-mode draining would instead
-            // climb the recovery ladder here).
-            if self.fabric.is_crashed(backer) {
-                continue;
-            }
-            let written = self.fabric.flush_cached_page_to_disk(backer, bseg, boff)
-                || self.flush_user_backed_page(backer, bseg, boff);
-            if !written {
-                continue;
-            }
-            // The flush is the *backer's* disk writing out its own cache —
-            // background work at another node that overlaps the foreground
-            // process's execution, so it costs ledger bytes but no global
-            // wall time (the destination never blocks on it).
-            let now = self.clock.now();
-            self.fabric
-                .ledger
-                .record(now, cor_mem::PAGE_SIZE, cor_sim::LedgerCategory::Drain);
-            self.fabric.reliability.drained_pages.incr();
-            flushed += 1;
-            self.note(|| TraceEvent::DrainFlush {
-                pid: pid.0,
-                node,
-                seg: bseg.0,
-                offset: boff,
-                backer,
-            });
         }
         Ok(flushed)
     }

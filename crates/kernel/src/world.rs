@@ -581,10 +581,7 @@ mod tests {
         let nms_a = w.fabric.nms_port(a).unwrap();
         let seg = w.segs.create(nms_a, pages);
         w.segs.add_refs(seg, pages).unwrap();
-        let frames: Vec<Frame> = (0..pages)
-            .map(|i| Frame::new(page_from_bytes(&[i as u8 + 1])))
-            .collect();
-        w.fabric.install_cache(a, seg, frames).unwrap();
+        w.fabric.install_cache(a, seg, frames(pages)).unwrap();
         let mut space = AddressSpace::new();
         space.map_imaginary(PageRange::new(PageNum(0), PageNum(pages)), seg, 0);
         let mut tb = Trace::builder();
@@ -966,6 +963,68 @@ mod tests {
         }
         assert_eq!(w.fabric.reliability.pages_recovered.get(), 2);
         assert_eq!(w.fabric.reliability.pages_lost.get(), 3);
+    }
+
+    fn frames(pages: u64) -> Vec<Frame> {
+        (0..pages)
+            .map(|i| Frame::new(page_from_bytes(&[i as u8 + 1])))
+            .collect()
+    }
+
+    #[test]
+    fn the_drain_cursor_passes_pages_only_once_they_are_on_the_backers_disk() {
+        let (mut w, a, b, pid, _) = owed_process(6);
+        let cursor = |w: &World| w.process(b, pid).unwrap().drain_cursor;
+        // The round that flushes a page finds it owed; the next one walks
+        // over it, now on a's disk, and resumes behind it for good.
+        assert_eq!(w.drain_round(b, pid, DrainPolicy::flush(2)).unwrap(), 2);
+        assert_eq!(cursor(&w), PageNum(0));
+        assert_eq!(w.drain_round(b, pid, DrainPolicy::flush(2)).unwrap(), 2);
+        assert_eq!(cursor(&w), PageNum(2));
+        // Reading the cursor does not move it.
+        assert_eq!(w.residual_dependencies(b, pid).unwrap().get(&a), Some(&2));
+        assert_eq!(cursor(&w), PageNum(2));
+        // A fetched page is settled too: prefetch draining resumes there.
+        assert_eq!(w.drain_round(b, pid, DrainPolicy::prefetch(1)).unwrap(), 1);
+        assert_eq!(w.drain_round(b, pid, DrainPolicy::prefetch(1)).unwrap(), 1);
+        assert_eq!(cursor(&w), PageNum(5));
+        assert_eq!(w.drain_round(b, pid, DrainPolicy::flush(2)).unwrap(), 0);
+        assert_eq!(cursor(&w), PageNum(6));
+    }
+
+    #[test]
+    fn a_page_its_backer_has_not_cached_stops_the_cursor_until_it_is_flushed() {
+        let (mut w, a, b, pid, seg) = owed_process(4);
+        // a's NMS holds only the first half of the segment.
+        w.fabric.install_cache(a, seg, frames(2)).unwrap();
+        assert_eq!(w.drain_round(b, pid, DrainPolicy::flush(8)).unwrap(), 2);
+        assert_eq!(w.drain_round(b, pid, DrainPolicy::flush(8)).unwrap(), 0);
+        assert_eq!(w.process(b, pid).unwrap().drain_cursor, PageNum(2));
+        assert_eq!(w.residual_dependencies(b, pid).unwrap().get(&a), Some(&2));
+        // Once the rest is cached, the same pages are found and flushed.
+        w.fabric.install_cache(a, seg, frames(4)).unwrap();
+        assert_eq!(w.drain_round(b, pid, DrainPolicy::flush(8)).unwrap(), 2);
+        assert!(w.residual_dependencies(b, pid).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_crashed_backer_stops_the_cursor_and_its_reboot_is_rescanned() {
+        let (mut w, a, b, pid, seg) = owed_process(4);
+        assert_eq!(w.drain_round(b, pid, DrainPolicy::flush(1)).unwrap(), 1);
+        // a crashes and reboots amnesiac: nothing is left to flush, and
+        // the three unflushed pages stay owed round after round.
+        let now = w.clock.now();
+        w.fabric.crash_node(now, &mut w.ports, a, true);
+        for _ in 0..2 {
+            assert_eq!(w.drain_round(b, pid, DrainPolicy::flush(8)).unwrap(), 0);
+            assert_eq!(w.process(b, pid).unwrap().drain_cursor, PageNum(1));
+            assert_eq!(w.residual_dependencies(b, pid).unwrap().get(&a), Some(&3));
+        }
+        // The rebooted NMS is handed the segment again: the scan, which
+        // never passed those pages, flushes them.
+        w.fabric.install_cache(a, seg, frames(4)).unwrap();
+        assert_eq!(w.drain_round(b, pid, DrainPolicy::flush(8)).unwrap(), 3);
+        assert!(w.residual_dependencies(b, pid).unwrap().is_empty());
     }
 
     #[test]

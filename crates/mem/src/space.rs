@@ -560,6 +560,15 @@ impl AddressSpace {
         self.pages.iter().map(|(&p, s)| (p, s))
     }
 
+    /// The materialized pages numbered `from` and above, in ascending
+    /// order, found without visiting the ones below.
+    pub fn materialized_pages_from(
+        &self,
+        from: PageNum,
+    ) -> impl Iterator<Item = (PageNum, &PageState)> {
+        self.pages.range(from..).map(|(&p, s)| (p, s))
+    }
+
     /// The resident pages in ascending page order.
     pub fn resident_pages(&self) -> Vec<PageNum> {
         self.resident.pages()

@@ -294,3 +294,45 @@ fn backer_that_loses_data_mid_run_surfaces_missing_data() {
         "exactly one fetch succeeded before the failure"
     );
 }
+
+#[test]
+fn a_mid_chain_crash_re_exposes_pages_that_flush_draining_made_safe() {
+    // a → b → c, then flush-drain everything at c: the 9 pages a still
+    // holds land on a's disk, the 3 re-cached at b on b's, and no
+    // residual dependency is left. Killing b then wipes its forward
+    // table, so the 9 pages behind it resolve to b itself — owed again,
+    // to a dead node. The drain scan must see them although an earlier
+    // round had found every one of them safe.
+    use cor::kernel::DrainPolicy;
+    let (mut world, nodes, managers) = three_node_world();
+    let (a, b, c) = (nodes[0], nodes[1], nodes[2]);
+    let pid = staged_process(&mut world, a, 12);
+    let iou = Strategy::PureIou { prefetch: 0 };
+    managers[&a]
+        .migrate_to(&mut world, &managers[&b], pid, iou)
+        .unwrap();
+    world.run_for(b, pid, 3).unwrap();
+    managers[&b]
+        .migrate_to(&mut world, &managers[&c], pid, iou)
+        .unwrap();
+    while world.drain_round(c, pid, DrainPolicy::flush(5)).unwrap() > 0 {}
+    assert!(world.residual_dependencies(c, pid).unwrap().is_empty());
+    assert_eq!(
+        (world.fabric.disk_pages(a), world.fabric.disk_pages(b)),
+        (9, 3)
+    );
+    let now = world.clock.now();
+    world.fabric.crash_node(now, &mut world.ports, b, false);
+    let deps = world.residual_dependencies(c, pid).unwrap();
+    assert_eq!(deps.get(&b).copied(), Some(9), "deps: {deps:?}");
+    assert_eq!(deps.len(), 1, "deps: {deps:?}");
+    assert_eq!(world.drain_round(c, pid, DrainPolicy::flush(5)).unwrap(), 0);
+    match world.run(c, pid) {
+        Err(KernelError::OrphanedProcess {
+            node, lost_pages, ..
+        }) => {
+            assert_eq!((node, lost_pages), (b, 9));
+        }
+        other => panic!("expected OrphanedProcess, got {other:?}"),
+    }
+}

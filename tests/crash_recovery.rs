@@ -15,6 +15,12 @@
 //! 3. **Determinism.** Identical crash plans journal identical event
 //!    sequences, rerun after rerun; the survivability sweep's CSV is
 //!    byte-identical at any worker-thread count.
+//! 4. **Drain-scan oracle.** [`World::drain_round`] resumes its owed-page
+//!    walk at a per-process cursor. After every foreground slice and
+//!    every drain round — under any strategy, drain mode, rate,
+//!    interleave, hop count, crash plan and replication factor together —
+//!    the walk from page 0 kept here must agree with
+//!    [`World::residual_dependencies`] and with what the round drained.
 //!
 //! The `COR_CHAOS_SEED` environment variable (default 1) perturbs the
 //! crash seeds so CI can sweep distinct crash universes run over run
@@ -22,11 +28,14 @@
 
 use proptest::prelude::*;
 
+use std::collections::BTreeMap;
+
+use cor::ipc::NodeId;
 use cor::kernel::program::Trace;
-use cor::kernel::{DrainPolicy, KernelError, World};
-use cor::mem::{AddressSpace, PageNum, VAddr, PAGE_SIZE};
+use cor::kernel::{DrainMode, DrainPolicy, KernelError, ProcessId, World};
+use cor::mem::{AddressSpace, PageNum, PageState, SegmentId, VAddr, PAGE_SIZE};
 use cor::migrate::{Drainer, MigrationManager, Strategy};
-use cor::net::{CrashPlan, CrashTrigger};
+use cor::net::{CrashPlan, CrashTrigger, ReplicationParams, WireParams};
 use cor::sim::SimDuration;
 
 /// CI-swept perturbation of every crash seed in this suite.
@@ -48,6 +57,21 @@ fn traveler_trace(pages: u64) -> Trace {
         tb.compute(SimDuration::from_millis(5));
     }
     tb.read(VAddr(0), pages * PAGE_SIZE);
+    tb.terminate()
+}
+
+/// Write every page, then read them back one page per op with a pause
+/// before each — so crashes fire, and drain rounds run, between
+/// individual faults while other pages are still owed.
+fn stepper_trace(pages: u64) -> Trace {
+    let mut tb = Trace::builder();
+    for i in 0..pages {
+        tb.write(PageNum(i).base(), 64);
+    }
+    for i in 0..pages {
+        tb.compute(SimDuration::from_millis(5));
+        tb.read(PageNum(i).base(), 64);
+    }
     tb.terminate()
 }
 
@@ -112,6 +136,61 @@ const LAZY: [Strategy; 2] = [
     Strategy::PureIou { prefetch: 0 },
     Strategy::ResidentSet { prefetch: 0 },
 ];
+
+/// One still-owed page as the reference walk sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Owed {
+    page: PageNum,
+    backer: NodeId,
+    bseg: SegmentId,
+    boff: u64,
+}
+
+/// The drain-scan oracle: the owed pages of `pid` by a walk that always
+/// starts at page 0 and keeps no state between calls — imaginary, segment
+/// alive, resolved to a remote backer whose disk does not hold the page,
+/// no live replica elsewhere.
+fn reference_owed(world: &World, node: NodeId, pid: ProcessId) -> Vec<Owed> {
+    let mut owed = Vec::new();
+    for (page, state) in world.process(node, pid).unwrap().space.materialized_pages() {
+        let PageState::Imaginary { seg, offset } = *state else {
+            continue;
+        };
+        if world.segs.get(seg).is_none() {
+            continue;
+        }
+        let (backer, bseg, boff) = world
+            .fabric
+            .resolve_owed(&world.ports, &world.segs, seg, offset)
+            .unwrap();
+        if backer != node
+            && !world.fabric.disk_has(backer, bseg, boff)
+            && !world.fabric.replica_live_elsewhere(backer, bseg, boff)
+        {
+            owed.push(Owed {
+                page,
+                backer,
+                bseg,
+                boff,
+            });
+        }
+    }
+    owed
+}
+
+fn assert_deps_match_reference(world: &World, node: NodeId, pid: ProcessId) -> Vec<Owed> {
+    let owed = reference_owed(world, node, pid);
+    let mut deps = BTreeMap::new();
+    for o in &owed {
+        *deps.entry(o.backer).or_insert(0u64) += 1;
+    }
+    assert_eq!(
+        world.residual_dependencies(node, pid).unwrap(),
+        deps,
+        "the resumed walk disagrees with the walk from page 0"
+    );
+    owed
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -189,6 +268,112 @@ proptest! {
         world.run(b, pid).unwrap();
         prop_assert_eq!(world.touched_checksum(b, pid).unwrap(), reference);
         prop_assert_eq!(world.fabric.reliability.pages_lost.get(), 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The drain-scan oracle, all axes drawn together. The stepper — half
+    /// its pages paged out, so the resident-set strategy owes some too —
+    /// hops `a -> b` or `a -> m -> b`; `a`, `m` (mid-chain stand-in holder
+    /// or spare replica home) and the spare `s` each stay up, die, or
+    /// reboot amnesiac at their own instant; `b` alternates foreground
+    /// slices with drain rounds until the process ends one way or the
+    /// other.
+    #[test]
+    fn the_drain_scan_agrees_with_a_walk_from_page_zero_after_every_round(
+        seed in any::<u64>(),
+        pages in 8u64..24,
+        strat_idx in 0usize..3,
+        prefetch_mode in any::<bool>(),
+        rate in 1u64..9,
+        interleave in 1usize..5,
+        two_hops in any::<bool>(),
+        factor in 0u64..3,
+        fates in prop::collection::vec((0u8..3, 0u64..150), 3),
+    ) {
+        let strategy = [LAZY[0], LAZY[1], Strategy::PureCopy][strat_idx];
+        let params = WireParams {
+            replication: (factor > 0)
+                .then(|| ReplicationParams::primary_backup(factor, seed ^ chaos_seed())),
+            ..WireParams::default()
+        };
+        let mut world = World::new(Default::default(), params);
+        let nodes: Vec<NodeId> = (0..4).map(|_| world.add_node()).collect();
+        let (a, b, m, s) = (nodes[0], nodes[1], nodes[2], nodes[3]);
+        let managers: Vec<_> = nodes
+            .iter()
+            .map(|&n| MigrationManager::new(&mut world, n))
+            .collect();
+        let mut space = AddressSpace::new();
+        space.validate(VAddr(0), pages * PAGE_SIZE).unwrap();
+        space.set_frame_budget(Some(pages as usize / 2));
+        let pid = world
+            .create_process(a, "stepper", space, stepper_trace(pages))
+            .unwrap();
+        world.run_for(a, pid, pages as usize).unwrap();
+        if two_hops {
+            managers[0].migrate_to(&mut world, &managers[2], pid, strategy).unwrap();
+            world.run_for(m, pid, 2).unwrap();
+            managers[2].migrate_to(&mut world, &managers[1], pid, strategy).unwrap();
+        } else {
+            managers[0].migrate_to(&mut world, &managers[1], pid, strategy).unwrap();
+        }
+        let mut plan = CrashPlan::new(seed ^ chaos_seed());
+        for (node, &(fate, delay_ms)) in [a, m, s].into_iter().zip(&fates) {
+            let at = CrashTrigger::AtTime(world.clock.now() + SimDuration::from_millis(delay_ms));
+            plan = match fate {
+                0 => plan,
+                1 => plan.killing(node, at),
+                _ => plan.rebooting(node, at),
+            };
+        }
+        world.fabric.params.crashes = Some(plan);
+        let policy = DrainPolicy {
+            mode: if prefetch_mode { DrainMode::Prefetch } else { DrainMode::FlushToDisk },
+            pages_per_round: rate,
+        };
+        let orphaned = |e: &KernelError| matches!(e, KernelError::OrphanedProcess { .. });
+        loop {
+            match world.run_for(b, pid, interleave) {
+                Ok(exec) if exec.finished => break,
+                Ok(_) => {}
+                Err(e) if orphaned(&e) => break,
+                Err(e) => prop_assert!(false, "third outcome is forbidden: {e:?}"),
+            }
+            let before = assert_deps_match_reference(&world, b, pid);
+            let drained = match world.drain_round(b, pid, policy) {
+                Ok(n) => n,
+                Err(e) if orphaned(&e) => break,
+                Err(e) => { prop_assert!(false, "third outcome is forbidden: {e:?}"); 0 }
+            };
+            prop_assert!(drained <= rate);
+            if prefetch_mode {
+                if let (true, Some(first)) = (drained > 0, before.first()) {
+                    let fetched = world.process(b, pid).unwrap().space.page_state(first.page);
+                    prop_assert!(
+                        !matches!(fetched, Some(PageState::Imaginary { .. })),
+                        "prefetch draining starts at the first owed page"
+                    );
+                }
+            } else {
+                // What was flushed is what left the owed list for a disk:
+                // exactly `drained` pages, and — while every backer still
+                // has its cache — the first ones in page order.
+                let on_disk: Vec<bool> = before
+                    .iter()
+                    .map(|o| world.fabric.disk_has(o.backer, o.bseg, o.boff))
+                    .collect();
+                prop_assert_eq!(on_disk.iter().filter(|&&d| d).count() as u64, drained);
+                if !before.iter().any(|o| world.fabric.lost_volatile_state(o.backer)) {
+                    let want = before.len().min(rate as usize);
+                    prop_assert!(on_disk.iter().take(want).all(|&d| d), "{on_disk:?}");
+                    prop_assert_eq!(drained as usize, want);
+                }
+            }
+            assert_deps_match_reference(&world, b, pid);
+        }
     }
 }
 

@@ -100,13 +100,15 @@ fn world_clock_only_moves_forward() {
 
 /// The committed sweep outputs are the serve-order regression test: the
 /// 64-node torus storm cells, the paper matrix and the replication sweep
-/// depend on the order NMS queues and backers are served, so any change
-/// to quiescence that is not byte-identical shows up here. Regenerate
-/// with `experiments fleet-csv`, `csv`, `replication-csv`.
+/// depend on the order NMS queues and backers are served, and the
+/// survivability sweep on every drain round and recovery rung, so any
+/// change to quiescence or draining that is not byte-identical shows up
+/// here. Regenerate with `experiments fleet-csv`, `csv`,
+/// `replication-csv`, `survivability-csv`.
 #[test]
 fn committed_results_are_current() {
     use cor_experiments::runner::{matrix_csv, Matrix};
-    use cor_experiments::{fleet, replication};
+    use cor_experiments::{fleet, replication, survivability};
     let pool = cor_pool::Pool::from_env();
     let workloads = cor_workloads::all();
     assert_eq!(
@@ -124,5 +126,10 @@ fn committed_results_are_current() {
         replication::replication_csv(&workloads, &pool),
         include_str!("../results/replication.csv"),
         "results/replication.csv is stale"
+    );
+    assert_eq!(
+        survivability::survivability_csv(&workloads, &pool),
+        include_str!("../results/survivability.csv"),
+        "results/survivability.csv is stale"
     );
 }

@@ -413,3 +413,47 @@ fn replicated_chain_survives_the_upstream_crash_without_parked_waiters() {
     assert_eq!(rig.world.fabric.reliability.pages_lost.get(), 0);
     assert_no_parked_waiters(&rig);
 }
+
+#[test]
+fn a_page_spared_for_its_live_replica_is_drained_once_the_replica_dies() {
+    // With f = 1 every owed page has a live replica home, so nothing is
+    // residually dependent on the source and a drain round has nothing to
+    // do — but a replica is volatile, so the drain scan may not pass those
+    // pages for good: when the replica home dies, the same pages are owed
+    // to the source again and the next rounds must find and flush them.
+    use cor::kernel::DrainPolicy;
+    let pages = 10;
+    let mut exercised = 0;
+    for seed in 0..8 {
+        let Rig {
+            mut world,
+            nodes,
+            pid,
+        } = single_hop_rig(pages, 1, seed, Strategy::PureIou { prefetch: 0 });
+        let (a, b) = (nodes[0], nodes[1]);
+        assert!(world.residual_dependencies(b, pid).unwrap().is_empty());
+        for _ in 0..2 {
+            assert_eq!(world.drain_round(b, pid, DrainPolicy::flush(4)).unwrap(), 0);
+        }
+        let now = world.clock.now();
+        for &spare in &nodes[2..] {
+            world.fabric.crash_node(now, &mut world.ports, spare, false);
+        }
+        let deps = world.residual_dependencies(b, pid).unwrap();
+        if deps.is_empty() {
+            continue; // this seed homed the replica at b itself: still live
+        }
+        exercised += 1;
+        assert_eq!(deps.get(&a).copied(), Some(pages), "deps: {deps:?}");
+        let mut flushed = 0;
+        loop {
+            match world.drain_round(b, pid, DrainPolicy::flush(4)).unwrap() {
+                0 => break,
+                n => flushed += n,
+            }
+        }
+        assert_eq!(flushed, pages);
+        assert!(world.residual_dependencies(b, pid).unwrap().is_empty());
+    }
+    assert!(exercised > 0, "no seed homed the replica on a spare node");
+}
