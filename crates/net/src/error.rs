@@ -43,12 +43,11 @@ pub enum NetError {
         /// The crashed destination node.
         to: NodeId,
     },
-    /// A directed link was named that the active plan does not know: a
-    /// strict [`FaultPlan`](crate::FaultPlan) was asked for a pair with no
-    /// explicit entry, or a plan's per-link override names a node the
-    /// fabric never registered. Surfacing this as a typed error (rather
-    /// than silently applying a default) keeps a mis-wired link in an
-    /// N-node world from masquerading as a healthy one.
+    /// A [`FaultPlan`](crate::FaultPlan)'s per-link override names a node
+    /// the fabric never registered
+    /// ([`Fabric::validate_plans`](crate::Fabric::validate_plans)).
+    /// Surfacing this as a typed error up front keeps a mis-wired link in
+    /// an N-node world from masquerading as a healthy one.
     UnknownLink {
         /// The sending side of the unknown pair.
         from: NodeId,

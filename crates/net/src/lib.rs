@@ -59,10 +59,16 @@
 //!   original pairwise wire byte-identical. See `docs/TOPOLOGY.md`.
 
 #![deny(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
+mod crash;
 pub mod error;
 pub mod fabric;
+mod nms;
 pub mod params;
+mod reliability;
+mod replica;
+mod route;
 pub mod topology;
 
 pub use error::NetError;

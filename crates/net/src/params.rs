@@ -83,13 +83,10 @@ impl LinkFaults {
 /// default fault profile, and optional per-directed-link overrides.
 /// Identical plans over identical traffic produce identical faults.
 ///
-/// By default a pair with no explicit [`links`](FaultPlan::links) entry
-/// falls back to the [`all`](FaultPlan::all) profile — the documented
-/// default for small worlds where "every link behaves the same" is the
-/// point. A [`strict`](FaultPlan::strict) plan instead treats such a
-/// lookup as the typed error [`NetError::UnknownLink`], so an N-node
-/// world cannot silently route traffic over a link its plan never
-/// described.
+/// A pair with no explicit [`links`](FaultPlan::links) entry falls back
+/// to the [`all`](FaultPlan::all) profile. [`FaultPlan::validate`] (via
+/// [`Fabric::validate_plans`](crate::Fabric::validate_plans)) is the
+/// up-front check that every override names a registered pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the injection RNG (a dedicated `cor-sim` PCG stream).
@@ -98,10 +95,6 @@ pub struct FaultPlan {
     pub all: LinkFaults,
     /// Per-directed-link overrides, keyed by `(from, to)`.
     pub links: Vec<((NodeId, NodeId), LinkFaults)>,
-    /// When `true`, a link without an explicit override is an
-    /// [`NetError::UnknownLink`] error instead of falling back to
-    /// [`all`](FaultPlan::all).
-    pub strict: bool,
 }
 
 impl FaultPlan {
@@ -111,7 +104,6 @@ impl FaultPlan {
             seed,
             all: faults,
             links: Vec::new(),
-            strict: false,
         }
     }
 
@@ -127,41 +119,16 @@ impl FaultPlan {
         self
     }
 
-    /// Builder-style: makes unknown-pair lookups a typed error (see
-    /// [`FaultPlan::try_for_link`]).
-    pub fn strict(mut self) -> Self {
-        self.strict = true;
-        self
-    }
-
     /// The faults in effect on the directed link `from → to`, falling
     /// back to [`all`](FaultPlan::all) when the pair has no explicit
-    /// override — the documented non-strict default.
+    /// override.
     pub fn for_link(&self, from: NodeId, to: NodeId) -> LinkFaults {
-        self.link_override(from, to).unwrap_or(self.all)
-    }
-
-    /// The faults in effect on the directed link `from → to`, honouring
-    /// [`strict`](FaultPlan::strict) mode.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownLink`] when the plan is strict and the pair has
-    /// no explicit [`links`](FaultPlan::links) entry.
-    pub fn try_for_link(&self, from: NodeId, to: NodeId) -> Result<LinkFaults, NetError> {
-        match self.link_override(from, to) {
-            Some(lf) => Ok(lf),
-            None if self.strict => Err(NetError::UnknownLink { from, to }),
-            None => Ok(self.all),
-        }
-    }
-
-    fn link_override(&self, from: NodeId, to: NodeId) -> Option<LinkFaults> {
         self.links
             .iter()
             .rev() // later overrides win
             .find(|((f, t), _)| *f == from && *t == to)
             .map(|(_, lf)| *lf)
+            .unwrap_or(self.all)
     }
 
     /// Validates that every per-link override names nodes drawn from
@@ -421,10 +388,8 @@ pub struct WireParams {
     /// the same contiguous fragment run with one multi-page reply,
     /// amortizing the per-message and per-run costs. Off (the default)
     /// answers each request individually, byte-identical to the seed.
+    /// A single batched reply carries at most 32 pages.
     pub batch_replies: bool,
-    /// Largest number of pages a single batched reply may carry. Only
-    /// consulted when [`batch_replies`](Self::batch_replies) is on.
-    pub max_batch_pages: u64,
     /// CCNx-style in-flight request coalescing (a pending-interest table):
     /// when on, a relaying NetMsgServer that already has a fetch in flight
     /// for a (segment, page) key parks duplicate requests and answers all
@@ -458,7 +423,6 @@ impl Default for WireParams {
             crashes: None,
             topology: None,
             batch_replies: false,
-            max_batch_pages: 32,
             coalesce: false,
             replication: None,
         }
@@ -565,24 +529,6 @@ mod tests {
         assert_eq!(plan.for_link(a, c).drop, 0.10, "others use the default");
         let plan = plan.with_link(a, b, LinkFaults::dropping(0.9));
         assert_eq!(plan.for_link(a, b).drop, 0.9, "later override wins");
-    }
-
-    #[test]
-    fn strict_plan_rejects_unknown_pairs() {
-        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
-        let lenient = FaultPlan::dropping(7, 0.10).with_link(a, b, LinkFaults::dropping(0.5));
-        assert_eq!(
-            lenient.try_for_link(b, c).unwrap().drop,
-            0.10,
-            "non-strict lookups fall back to the documented default"
-        );
-        let strict = lenient.clone().strict();
-        assert_eq!(strict.try_for_link(a, b).unwrap().drop, 0.5);
-        assert_eq!(
-            strict.try_for_link(b, c),
-            Err(NetError::UnknownLink { from: b, to: c }),
-            "strict lookups surface the unknown pair"
-        );
     }
 
     #[test]

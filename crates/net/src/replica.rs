@@ -1,0 +1,325 @@
+//! Page-home replication: the placement draw, the replica and
+//! content-hash directories, nearest-live-home selection, and the
+//! write-through / content-addressed read paths built on them.
+
+use std::collections::HashMap;
+
+use cor_ipc::message::MsgKind;
+use cor_ipc::protocol;
+use cor_ipc::NodeId;
+use cor_mem::content::ContentStore;
+use cor_mem::page::Frame;
+use cor_mem::space::SegmentId;
+use cor_sim::{Clock, LedgerCategory, Pcg32};
+use cor_trace::TraceEvent;
+
+use crate::error::NetError;
+use crate::fabric::{Fabric, Transfer};
+use crate::params::{ReplicationMode, ReplicationParams};
+
+/// Replica-placement RNG stream, disjoint from the fault, crash and
+/// kernel placement streams so enabling replication never perturbs any
+/// other seeded draw.
+const REPLICA_STREAM: u64 = 0x9E_0F;
+
+/// Where replicated pages live. Populated only under
+/// [`WireParams::replication`](crate::WireParams::replication); survives
+/// crashes — liveness is checked at lookup time, which is what makes the
+/// failover ladder's "all homes down" outcome reachable.
+#[derive(Debug, Default)]
+pub(crate) struct ReplicaDirectory {
+    /// Origin segment → the replica nodes its pages were write-through
+    /// installed on (primary excluded).
+    homes: HashMap<SegmentId, Vec<NodeId>>,
+    /// `(origin segment, offset)` → the page's content hash at page-out
+    /// time, the key a content-addressed COR request resolves against a
+    /// replica's [`ContentStore`](cor_mem::content::ContentStore).
+    hash: HashMap<(u64, u64), u64>,
+}
+
+impl ReplicaDirectory {
+    /// The deterministic replica homes for `seg` with primary `primary`:
+    /// a seeded draw of up to `rep.factor` distinct nodes from
+    /// `registered` (ascending, primary excluded), keyed on the plan seed
+    /// and the segment so every segment spreads independently but
+    /// reproducibly.
+    fn place(
+        registered: impl Iterator<Item = NodeId>,
+        primary: NodeId,
+        seg: SegmentId,
+        rep: ReplicationParams,
+    ) -> Vec<NodeId> {
+        let mut pool: Vec<NodeId> = registered.filter(|&n| n != primary).collect();
+        let mut rng = Pcg32::with_stream(
+            rep.seed ^ seg.0.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            REPLICA_STREAM,
+        );
+        let take = (rep.factor as usize).min(pool.len());
+        let mut targets = Vec::with_capacity(take);
+        for _ in 0..take {
+            let i = rng.range(0, pool.len() as u64) as usize;
+            targets.push(pool.swap_remove(i));
+        }
+        targets.sort_unstable();
+        targets
+    }
+
+    /// The recorded replica homes of `oseg` (empty when none).
+    pub(crate) fn homes_of(&self, oseg: SegmentId) -> &[NodeId] {
+        self.homes.get(&oseg).map(Vec::as_slice).unwrap_or(&[])
+    }
+}
+
+impl Fabric {
+    /// Write-through installs `seg`'s page backing on its replica homes
+    /// (the migration page-out hook). Under a [`ReplicationParams`] plan
+    /// with factor `f`, the pages land in `f` replica content stores, the
+    /// replica directory and content-hash directory are recorded, and
+    /// each replica's copy is charged to the wire — bytes under
+    /// [`LedgerCategory::Replicate`] (spread over the transmission
+    /// interval), handling CPU at both ends, and per-link accounting
+    /// when a topology is installed. The install is fire-and-forget on
+    /// the virtual clock (the same discipline as segment-death notices):
+    /// the migration's foreground path is never stalled by its own
+    /// replication traffic. Without a plan (the default) this is a
+    /// no-op, byte-identical to the seed.
+    ///
+    /// Returns the total pages installed across all replicas.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::UnknownNode`] if `primary` was never added.
+    pub fn replicate_backing(
+        &mut self,
+        clock: &mut Clock,
+        primary: NodeId,
+        seg: SegmentId,
+        frames: &[Frame],
+    ) -> Result<u64, NetError> {
+        let Some(rep) = self.params.replication else {
+            return Ok(0);
+        };
+        self.nms_port(primary)?;
+        if rep.factor == 0 || frames.is_empty() {
+            return Ok(0);
+        }
+        let targets = ReplicaDirectory::place(self.nms.nodes(), primary, seg, rep);
+        if targets.is_empty() {
+            return Ok(0);
+        }
+        for (i, f) in frames.iter().enumerate() {
+            let at = (seg.0, i as u64);
+            self.replicas.hash.insert(at, f.content_hash());
+        }
+        let pages = frames.len() as u64;
+        let payload = pages * cor_mem::PAGE_SIZE;
+        let now = clock.now();
+        let arrives = now + self.params.xmit_time(payload, 1);
+        // Fire-and-forget on the clock, so this span is zero-duration:
+        // it marks *that* replication happened on the trace without
+        // blaming the foreground path for off-clock traffic.
+        let rep_span = self.span_start(now, "replicate", primary);
+        // Each replica's copy is one detached transfer from the primary.
+        let installed = targets.iter().try_fold(0u64, |total, &replica| {
+            let store = self.nms.replicas_mut(replica)?;
+            for f in frames {
+                store.insert(f);
+            }
+            let category = LedgerCategory::Replicate;
+            let copy = self.one_way(primary, replica, MsgKind::Rimas, payload, category, true);
+            self.charge_transfer(clock, now, arrives, &copy)?;
+            self.reliability.replicated_pages.add(pages);
+            self.note(now, || TraceEvent::NetReplicate {
+                node: primary,
+                replica,
+                pages,
+            });
+            Ok::<u64, NetError>(total + pages)
+        });
+        self.span_end(clock.now(), rep_span);
+        let total = installed?;
+        self.replicas.homes.insert(seg, targets);
+        Ok(total)
+    }
+
+    /// The *live* homes of `oseg` other than `avoid`, ascending: up, with
+    /// their volatile state intact, and holding every hash of `hashes` in
+    /// their replica store.
+    fn live_homes<'a>(
+        &'a self,
+        avoid: NodeId,
+        oseg: SegmentId,
+        hashes: &'a [u64],
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        let homes = self.replicas.homes_of(oseg).iter().copied();
+        let holds_all = |store: &ContentStore| hashes.iter().all(|&h| store.contains(h));
+        homes.filter(move |&r| {
+            r != avoid
+                && !self.lost_volatile_state(r)
+                && self.nms.replicas(r).is_some_and(holds_all)
+        })
+    }
+
+    /// Whether a *live* replica other than `avoid` holds the page of
+    /// `oseg` at `ooff`. The residual-dependency and lost-page
+    /// accounting use this: a page with a surviving replica home is not
+    /// hostage to `avoid`'s volatile state.
+    pub fn replica_live_elsewhere(&self, avoid: NodeId, oseg: SegmentId, ooff: u64) -> bool {
+        if self.params.replication.is_none() {
+            return false;
+        }
+        let hash = self.replicas.hash.get(&(oseg.0, ooff));
+        hash.is_some_and(|&h| self.live_homes(avoid, oseg, &[h]).next().is_some())
+    }
+
+    /// The hop distance from `from` to `to` for nearest-replica routing:
+    /// zero for a local copy, the topology's hop count when one is
+    /// installed, and one hop on the point-to-point wire.
+    fn replica_distance(&self, from: NodeId, to: NodeId) -> u64 {
+        if from == to {
+            return 0;
+        }
+        match &self.params.topology {
+            Some(t) => t.distance(from, to).map(u64::from).unwrap_or(u64::MAX),
+            None => 1,
+        }
+    }
+
+    /// Content-addressed COR read against the replica directory: resolves
+    /// the content hashes of `count` pages of `oseg` starting at `ooff`
+    /// and serves them from the nearest live replica. `backer` is the
+    /// page's primary home as resolved through the forwarding chain.
+    ///
+    /// Routing discipline by [`ReplicationMode`]:
+    /// * `PrimaryBackup` serves from a replica only once the primary is
+    ///   down (crashed, or amnesiac — its volatile copy is gone either
+    ///   way);
+    /// * `Quorum` additionally serves healthy reads whenever a live
+    ///   replica is strictly nearer than the primary.
+    ///
+    /// The fetch is charged like the request/reply round trip it
+    /// replaces — wire bytes under [`LedgerCategory::Replicate`], clock
+    /// time for both transmissions plus the replica's NMS service, and
+    /// per-link accounting under a topology. A same-node replica costs
+    /// one local delivery.
+    ///
+    /// Returns `(replica, frames, failover)` — `failover` is `true` when
+    /// the read substituted for a down primary — or `None` when no live
+    /// replica can serve the full run (the caller falls through to the
+    /// ordinary path or the next recovery rung).
+    pub fn replica_read(
+        &mut self,
+        clock: &mut Clock,
+        requester: NodeId,
+        backer: NodeId,
+        oseg: SegmentId,
+        ooff: u64,
+        count: u64,
+    ) -> Option<(NodeId, Vec<Frame>, bool)> {
+        let rep = self.params.replication?;
+        if count == 0 || self.replicas.homes_of(oseg).is_empty() {
+            return None;
+        }
+        let hash_of = |o| self.replicas.hash.get(&(oseg.0, o)).copied();
+        let hashes: Vec<u64> = (ooff..ooff + count).map(hash_of).collect::<Option<_>>()?;
+        let primary_down = self.lost_volatile_state(backer);
+        // The nearest live home by hop count, smallest `NodeId` on a tie.
+        let live = self.live_homes(backer, oseg, &hashes);
+        let (d, replica) = live
+            .map(|r| (self.replica_distance(requester, r), r))
+            .min()?;
+        // A healthy primary keeps the read unless quorum routing finds the
+        // replica strictly nearer.
+        let nearer = || d < self.replica_distance(requester, backer);
+        let serves = primary_down || (rep.mode == ReplicationMode::Quorum && nearer());
+        if !serves {
+            return None;
+        }
+        let store = self.nms.replicas(replica)?;
+        let frames: Vec<Frame> = hashes
+            .iter()
+            .map(|&h| store.get(h).cloned())
+            .collect::<Option<_>>()?;
+        let start = clock.now();
+        // The replica round trip gets its own blame span: `failover` when
+        // it substitutes for a down primary, `replicate` when a live
+        // replica merely serves the read nearer. Link spans the routed
+        // charge opens nest under it.
+        let name: &'static str = if primary_down {
+            "failover"
+        } else {
+            "replicate"
+        };
+        let span = self.span_start(start, name, requester);
+        let fetched = self.charge_replica_fetch(clock, requester, replica, (oseg, ooff), &frames);
+        self.span_end(clock.now(), span);
+        fetched?;
+        if primary_down {
+            self.reliability.failover_fetches.incr();
+            self.reliability.failover_pages.add(count);
+            self.reliability.failover_time += clock.now().since(start);
+        } else {
+            self.reliability.replica_reads.incr();
+        }
+        Some((replica, frames, primary_down))
+    }
+
+    /// Charges fetching `frames` (the pages of `oseg` from `ooff`) from
+    /// `replica`: request out, replica NMS service, reply back — the same
+    /// shape as the round trip it replaces, with real message sizes — as
+    /// one transfer. `None` if the requester is unknown or a leg cannot
+    /// be routed.
+    fn charge_replica_fetch(
+        &mut self,
+        clock: &mut Clock,
+        requester: NodeId,
+        replica: NodeId,
+        (oseg, ooff): (SegmentId, u64),
+        frames: &[Frame],
+    ) -> Option<()> {
+        if replica == requester {
+            clock.advance(self.params.local_delivery);
+            return Some(());
+        }
+        let start = clock.now();
+        let my_port = self.nms_port(requester).ok()?;
+        let count = frames.len() as u64;
+        let req_payload =
+            protocol::imag_read_request(my_port, my_port, oseg, ooff, count).wire_size();
+        let reply_payload =
+            protocol::imag_read_reply(my_port, oseg, ooff, frames.to_vec()).wire_size();
+        clock.advance(self.params.xmit_time(req_payload, 0));
+        clock.advance(self.params.nms_service);
+        clock.advance(self.params.xmit_time(reply_payload, 1));
+        let category = LedgerCategory::Replicate;
+        let request = self.one_way(
+            requester,
+            replica,
+            MsgKind::ImagReadRequest,
+            req_payload,
+            category,
+            false,
+        );
+        let round_trip = Transfer {
+            back: Some((
+                MsgKind::ImagReadReply,
+                self.params.wire_bytes(reply_payload),
+            )),
+            cpu: request.cpu + self.params.handling_cpu(reply_payload),
+            ..request
+        };
+        self.charge_transfer(clock, start, clock.now(), &round_trip)
+            .ok()
+    }
+
+    /// Pages held in `node`'s replica store.
+    pub fn replica_pages(&self, node: NodeId) -> u64 {
+        self.nms.replicas(node).map_or(0, |s| s.pages())
+    }
+
+    /// The recorded replica homes of `oseg` (empty when no replication
+    /// plan installed pages for it).
+    pub fn replica_homes_of(&self, oseg: SegmentId) -> &[NodeId] {
+        self.replicas.homes_of(oseg)
+    }
+}

@@ -103,12 +103,15 @@ fn world_clock_only_moves_forward() {
 /// depend on the order NMS queues and backers are served, and the
 /// survivability sweep on every drain round and recovery rung, so any
 /// change to quiescence or draining that is not byte-identical shows up
-/// here. Regenerate with `experiments fleet-csv`, `csv`,
-/// `replication-csv`, `survivability-csv`.
+/// here. The saturation sweep is the only one that runs batched replies
+/// and the pending-interest table, and the fleet blame table the only
+/// pin on the per-link `wire-send` / `link-queue` / `link-transit` spans.
+/// Regenerate with `experiments fleet-csv`, `csv`, `replication-csv`,
+/// `survivability-csv`, `saturation-csv`, `blame-csv fleet`.
 #[test]
 fn committed_results_are_current() {
     use cor_experiments::runner::{matrix_csv, Matrix};
-    use cor_experiments::{fleet, replication, survivability};
+    use cor_experiments::{fleet, replication, saturation, survivability};
     let pool = cor_pool::Pool::from_env();
     let workloads = cor_workloads::all();
     assert_eq!(
@@ -131,5 +134,16 @@ fn committed_results_are_current() {
         survivability::survivability_csv(&workloads, &pool),
         include_str!("../results/survivability.csv"),
         "results/survivability.csv is stale"
+    );
+    assert_eq!(
+        saturation::saturation_csv(&pool),
+        include_str!("../results/saturation.csv"),
+        "results/saturation.csv is stale"
+    );
+    let (_, profile, links) = fleet::run_cell_profiled(fleet::blame_cell_spec());
+    assert_eq!(
+        profile.blame_csv(&links),
+        include_str!("../results/blame_fleet.csv"),
+        "results/blame_fleet.csv is stale"
     );
 }
