@@ -16,7 +16,7 @@ use cor_kernel::process::ProcessId;
 use cor_kernel::{KernelError, World};
 use cor_mem::amap::Access;
 use cor_mem::page::Frame;
-use cor_mem::PageState;
+use cor_mem::{MemError, PageState};
 use cor_sim::SimDuration;
 
 use crate::context::{CoreBlob, ExcisedProcess};
@@ -79,46 +79,43 @@ pub fn excise_process(
     let mut imag_pages = 0u64;
     {
         let n = world.node_mut(node)?;
-        let (processes, disk) = (&mut n.processes, &mut n.disk);
+        let (processes, disk) = (&n.processes, &mut n.disk);
         let process = processes
-            .get_mut(&pid)
+            .get(&pid)
             .ok_or(KernelError::UnknownProcess(pid))?;
+        let bad = |page, what| KernelError::Mem(MemError::BadState(page, what));
         for entry in amap.entries() {
             match entry.access {
                 Access::RealZero => {} // reconstructed from the AMap alone
                 Access::Real => {
+                    if batch.is_empty() {
+                        batch_base = cursor;
+                    }
+                    // The AMap was walked off this page table, so the
+                    // entry's pages are its next entries: walk them
+                    // alongside instead of searching for each.
+                    let mut table = process.space.materialized_pages_from(entry.range.start);
                     for page in entry.range.iter() {
-                        if batch.is_empty() {
-                            batch_base = cursor;
-                        }
-                        match process.space.page_state(page) {
-                            Some(PageState::Resident(frame)) => {
+                        match table.next().filter(|&(p, _)| p == page) {
+                            Some((_, PageState::Resident(frame))) => {
                                 // Memory-mapped into the message: a COW
                                 // share, not a copy.
                                 batch.push(frame.clone());
                                 resident_slots.push(cursor);
                                 resident_pages += 1;
                             }
-                            Some(PageState::OnDisk(_)) => {
-                                // Transferred by reference to the disk
-                                // block: the frame moves into the message
-                                // and the block is reclaimed (the process
-                                // is leaving this node) — no byte copy.
-                                let frame =
-                                    process.space.take_disk_frame(page, disk).ok_or(
-                                        KernelError::Mem(cor_mem::MemError::NotResident(page)),
-                                    )?;
-                                batch.push(frame);
+                            // Transferred by reference to the disk block:
+                            // the frame moves into the message and the
+                            // block is reclaimed (the process is leaving
+                            // this node) — one disk read, no byte copy.
+                            Some((_, PageState::OnDisk(addr))) => batch.push(
+                                disk.take_frame(*addr)
+                                    .ok_or(KernelError::Mem(MemError::NotResident(page)))?,
+                            ),
+                            Some(_) => {
+                                return Err(bad(page, "AMap says Real but page is imaginary"))
                             }
-                            other => {
-                                return Err(KernelError::Mem(cor_mem::MemError::BadState(
-                                    page,
-                                    match other {
-                                        None => "AMap says Real but page is missing",
-                                        _ => "AMap says Real but page is imaginary",
-                                    },
-                                )))
-                            }
+                            None => return Err(bad(page, "AMap says Real but page is missing")),
                         }
                         real_pages += 1;
                         cursor += 1;
@@ -134,14 +131,16 @@ pub fn excise_process(
                     let pages = entry.range.len();
                     items.push(MsgItem::Iou {
                         base_page: cursor,
-                        seg: entry.seg.expect("Imag entries carry a segment"),
+                        seg: entry.seg.ok_or_else(|| {
+                            bad(entry.range.start, "Imag entry without a segment")
+                        })?,
                         seg_offset: entry.seg_offset,
                         pages,
                     });
                     imag_pages += pages;
                     cursor += pages;
                 }
-                Access::Bad => unreachable!("AMaps never contain BadMem entries"),
+                Access::Bad => return Err(bad(entry.range.start, "BadMem entry in an AMap")),
             }
         }
     }

@@ -9,15 +9,13 @@
 //! physically carried slots install real pages, owed slots map imaginary
 //! ranges (typically the stand-ins the receiving NetMsgServer created).
 
-use cor_ipc::message::{Message, MsgItem};
+use cor_ipc::message::MsgItem;
 use cor_ipc::port::Right;
 use cor_ipc::NodeId;
 use cor_kernel::process::{Process, ProcessId};
 use cor_kernel::{KernelError, World};
 use cor_mem::amap::Access;
-use cor_mem::page::Frame;
-use cor_mem::space::SegmentId;
-use cor_mem::{AddressSpace, PageNum, PageRange};
+use cor_mem::{AddressSpace, PageNum, PageState};
 use cor_sim::SimDuration;
 
 use crate::context::{CoreBlob, ExcisedProcess};
@@ -35,55 +33,13 @@ pub struct InsertReport {
     pub runs: u64,
 }
 
-enum SlotSrc<'a> {
-    Frames(&'a [Frame]),
-    Iou { seg: SegmentId, seg_offset: u64 },
-}
-
-struct SlotIndex<'a> {
-    /// (base_slot, len, source), sorted by base.
-    entries: Vec<(u64, u64, SlotSrc<'a>)>,
-}
-
-impl<'a> SlotIndex<'a> {
-    fn build(rimas: &'a Message) -> Self {
-        let mut entries: Vec<(u64, u64, SlotSrc<'a>)> = rimas
-            .items
-            .iter()
-            .filter_map(|item| match item {
-                MsgItem::Pages { base_page, frames } => {
-                    Some((*base_page, frames.len() as u64, SlotSrc::Frames(frames)))
-                }
-                MsgItem::Iou {
-                    base_page,
-                    seg,
-                    seg_offset,
-                    pages,
-                } => Some((
-                    *base_page,
-                    *pages,
-                    SlotSrc::Iou {
-                        seg: *seg,
-                        seg_offset: *seg_offset,
-                    },
-                )),
-                _ => None,
-            })
-            .collect();
-        entries.sort_by_key(|&(base, _, _)| base);
-        SlotIndex { entries }
-    }
-
-    fn resolve(&self, slot: u64) -> Option<(&SlotSrc<'a>, u64)> {
-        let idx = self
-            .entries
-            .partition_point(|&(base, len, _)| base + len <= slot);
-        let (base, len, src) = self.entries.get(idx)?;
-        if slot >= *base && slot < base + len {
-            Some((src, slot - base))
-        } else {
-            None
+/// A RIMAS item that fills collapsed slots, with its first slot.
+fn by_base(item: &MsgItem) -> Option<(u64, &MsgItem)> {
+    match item {
+        MsgItem::Pages { base_page, .. } | MsgItem::Iou { base_page, .. } => {
+            Some((*base_page, item))
         }
+        _ => None,
     }
 }
 
@@ -108,49 +64,48 @@ pub fn insert_process(
     };
     let blob = CoreBlob::decode(blob_bytes).ok_or_else(malformed)?;
     let rights = excised.core.rights();
-    let amap = excised.core.amap().ok_or_else(malformed)?.clone();
+    let amap = excised.core.amap().ok_or_else(malformed)?;
 
-    // -- Rebuild the address space by replaying the collapse walk. The
-    // frame budget applies during installation: physically carried pages
-    // beyond the destination's physical memory overflow to its disk, just
-    // as a bulk-copied context would on the real testbed. --
-    let index = SlotIndex::build(&excised.rimas);
-    let mut space = AddressSpace::new();
-    space.set_frame_budget(blob.budget());
-    let mut cursor = 0u64;
-    let mut carried_pages = 0u64;
-    let mut owed_pages = 0u64;
-    let mut runs = 0u64;
-    {
-        let disk = &mut world.node_mut(node)?.disk;
-        for entry in amap.entries() {
-            match entry.access {
-                Access::RealZero => space.validate_pages(entry.range),
-                Access::Real | Access::Imag => {
-                    runs += 1;
-                    for page in entry.range.iter() {
-                        let (src, off) = index.resolve(cursor).ok_or_else(malformed)?;
-                        match src {
-                            SlotSrc::Frames(frames) => {
-                                space.install_page(page, frames[off as usize].clone(), disk);
-                                carried_pages += 1;
-                            }
-                            SlotSrc::Iou { seg, seg_offset } => {
-                                space.map_imaginary(
-                                    PageRange::new(page, PageNum(page.0 + 1)),
-                                    *seg,
-                                    seg_offset + off,
-                                );
-                                owed_pages += 1;
-                            }
-                        }
-                        cursor += 1;
-                    }
-                }
-                Access::Bad => unreachable!("AMaps never contain BadMem entries"),
+    // -- Rebuild the address space by replaying the collapse walk, the
+    // k-th mapped page filling collapsed slot k. The frame budget applies
+    // as it would during page-by-page installation: physically carried
+    // pages beyond the destination's physical memory overflow to its disk,
+    // just as a bulk-copied context would on the real testbed. --
+    let mut items: Vec<(u64, &MsgItem)> = excised.rimas.items.iter().filter_map(by_base).collect();
+    items.sort_by_key(|&(base, _)| base);
+    let (mut at, mut carried_pages, mut owed_pages) = (0, 0u64, 0u64);
+    // What fills a collapsed slot: a carried frame or an owed segment page,
+    // `None` if no item covers it. The walk asks in ascending order, so the
+    // search resumes at the item that answered last.
+    let fill = |slot: u64| loop {
+        let &(base, item) = items.get(at)?;
+        let off = slot.checked_sub(base)?;
+        match item {
+            MsgItem::Pages { frames, .. } if off < frames.len() as u64 => {
+                carried_pages += 1;
+                return Some(PageState::Resident(frames[off as usize].clone()));
             }
+            MsgItem::Iou {
+                seg,
+                seg_offset,
+                pages,
+                ..
+            } if off < *pages => {
+                owed_pages += 1;
+                let offset = seg_offset + off;
+                return Some(PageState::Imaginary { seg: *seg, offset });
+            }
+            _ => at += 1,
         }
-    }
+    };
+    let disk = &mut world.node_mut(node)?.disk;
+    let space = AddressSpace::from_amap(amap, fill, blob.budget(), disk).ok_or_else(malformed)?;
+    let runs = amap
+        .entries()
+        .iter()
+        .filter(|e| e.access != Access::RealZero)
+        .count() as u64;
+
     // -- Relocate the receive and ownership rights to the new host. --
     for right in &rights {
         if matches!(right.right, Right::Receive | Right::Ownership) {

@@ -466,4 +466,28 @@ mod tests {
         };
         assert!(uncoalesced.verify().is_err());
     }
+
+    /// Only this module can build an AMap with an empty entry (the builder
+    /// drops them), so the bulk constructor's "an empty range validates
+    /// nothing" is pinned here.
+    #[test]
+    fn an_empty_entry_contributes_nothing_to_a_rebuilt_space() {
+        let entry = |range, access| AMapEntry {
+            range,
+            access,
+            seg: None,
+            seg_offset: 0,
+        };
+        let amap = AMap {
+            entries: vec![
+                entry(r(0, 2), Access::RealZero),
+                entry(r(5, 5), Access::Real),
+                entry(r(8, 9), Access::RealZero),
+            ],
+        };
+        let mut disk = crate::disk::Disk::new();
+        let space = crate::space::AddressSpace::from_amap(&amap, |_| None, None, &mut disk)
+            .expect("no mapped page, so nothing to fill");
+        assert_eq!(space.regions(), vec![r(0, 2), r(8, 9)]);
+    }
 }

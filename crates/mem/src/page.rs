@@ -8,6 +8,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::Range;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The Accent page size in bytes.
@@ -185,7 +186,7 @@ impl HostBytes {
     fn get(&self) -> &PageBytes {
         match self {
             HostBytes::Private(data) => data,
-            HostBytes::Image { arena, slot } => &arena.0[*slot as usize],
+            HostBytes::Image { arena, slot } => &arena.0.pages[*slot as usize],
         }
     }
 
@@ -212,14 +213,38 @@ impl HostBytes {
 /// [`ImageArena::frames`] point into it instead of owning 512 bytes each,
 /// and the arena is `Send + Sync`, so forks on `cor-pool` workers share
 /// it although frames themselves never cross threads.
+///
+/// Beside the bytes sits one content-hash memo per slot, so a page is
+/// hashed once per image, not once per fork: [`Frame::content_hash`] of a
+/// frame still backed by the arena consults and fills it.
 #[derive(Clone)]
-pub struct ImageArena(Arc<Vec<PageBytes>>);
+pub struct ImageArena(Arc<ArenaInner>);
+
+struct ArenaInner {
+    pages: Vec<PageBytes>,
+    /// `hashes[slot]` memoizes the hash of `pages[slot]`; 0 = not computed.
+    hashes: Vec<AtomicU64>,
+}
 
 impl ImageArena {
     /// Freezes `pages` as an arena; slot `i` holds `pages[i]`. The vector
     /// is moved, not copied.
     pub fn new(pages: Vec<PageBytes>) -> Self {
-        ImageArena(Arc::new(pages))
+        let hashes = pages.iter().map(|_| AtomicU64::new(0)).collect();
+        ImageArena(Arc::new(ArenaInner { pages, hashes }))
+    }
+
+    /// The content hash of slot `slot`, walked at most once per arena
+    /// (twice if two threads race, to the same value). `Relaxed`: the memo
+    /// is a pure function of immutable bytes and publishes nothing else.
+    fn slot_hash(&self, slot: u32) -> u64 {
+        let memo = &self.0.hashes[slot as usize];
+        let mut h = memo.load(Ordering::Relaxed);
+        if h == 0 {
+            h = fnv1a(&self.0.pages[slot as usize]);
+            memo.store(h, Ordering::Relaxed);
+        }
+        h
     }
 
     /// A frame factory for one fork: `frames()(slot)` is a fresh, unshared
@@ -235,7 +260,10 @@ impl ImageArena {
     pub fn frames(&self) -> impl Fn(u32) -> Frame {
         let arena = Rc::new(self.clone());
         move |slot| {
-            assert!((slot as usize) < arena.0.len(), "arena slot out of range");
+            assert!(
+                (slot as usize) < arena.0.pages.len(),
+                "arena slot out of range"
+            );
             let arena = Rc::clone(&arena);
             Frame(Rc::new(FrameInner::new(HostBytes::Image { arena, slot })))
         }
@@ -410,19 +438,17 @@ impl Frame {
     /// invalidates the cache. On the COR reply path, where shared and
     /// interned frames are re-hashed every time they cross a dedup-capable
     /// NetMsgServer, this turns the checksum into a constant-time lookup.
+    /// A frame whose bytes are still an [`ImageArena`] slot takes its hash
+    /// from the arena's memo, shared by every fork of the image.
     pub fn content_hash(&self) -> u64 {
         let memo = self.0.hash.get();
         if memo != 0 {
             return memo;
         }
-        let h = self.with(|d| {
-            let mut h: u64 = 0xcbf29ce484222325;
-            for &b in d.iter() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-            h
-        });
+        let h = match &*self.0.data.borrow() {
+            HostBytes::Private(data) => fnv1a(data),
+            HostBytes::Image { arena, slot } => arena.slot_hash(*slot),
+        };
         self.0.hash.set(h);
         h
     }
@@ -450,6 +476,12 @@ impl Frame {
         self.0.hash.set(0);
         f(self.0.data.borrow_mut().make_mut())
     }
+}
+
+fn fnv1a(bytes: &PageBytes) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |h: u64, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
 }
 
 impl fmt::Debug for Frame {
@@ -627,6 +659,43 @@ mod tests {
         // Another arena with equal bytes is still another arena.
         let other = ImageArena::new(vec![*page_from_bytes(b"one")]);
         assert_eq!(other.frame(0).image_slot(&arena), None);
+    }
+
+    #[test]
+    fn a_slot_is_hashed_once_per_image_not_once_per_fork() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ImageArena>();
+        assert_send_sync::<crate::space::SpaceImage>();
+
+        let arena = ImageArena::new(vec![*page_from_bytes(b"one"), *page_from_bytes(b"two")]);
+        let memo = |slot: usize| arena.0.hashes[slot].load(Ordering::Relaxed);
+        let two = Frame::new(page_from_bytes(b"two")).content_hash();
+        let (a, b) = (arena.frame(1), arena.frame(1));
+        assert_eq!((memo(0), memo(1)), (0, 0), "nothing hashed yet");
+        assert_eq!(a.content_hash(), two);
+        assert_eq!(
+            (memo(0), memo(1)),
+            (0, two),
+            "the first fork fills the memo"
+        );
+        // The second fork reads the memo instead of walking the bytes: it
+        // reports whatever the cell holds.
+        arena.0.hashes[1].store(0xFEED, Ordering::Relaxed);
+        assert_eq!(b.content_hash(), 0xFEED);
+        arena.0.hashes[1].store(two, Ordering::Relaxed);
+        assert_eq!(arena.frame(1).content_hash(), two);
+
+        // A written frame is private: it hashes its own bytes and neither
+        // reads nor disturbs the arena's memo or the other fork.
+        a.with_mut(|d| d[0] = b'T');
+        let written = Frame::new(page_from_bytes(b"Two")).content_hash();
+        assert_eq!(a.content_hash(), written);
+        assert_ne!(written, two);
+        assert_eq!(memo(1), two, "the arena's memo is intact");
+        assert_eq!(arena.frame(1).content_hash(), two, "so is a later fork");
+        a.with_mut(|d| d[0] = b't');
+        arena.0.hashes[1].store(0xFEED, Ordering::Relaxed);
+        assert_eq!(a.content_hash(), two, "private bytes, never the memo");
     }
 
     #[test]

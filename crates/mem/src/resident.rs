@@ -6,11 +6,30 @@
 //! The tracker models a per-space frame budget; when it is exceeded the
 //! least recently used page is nominated for page-out.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::page::PageNum;
 
-/// LRU tracker over the resident pages of one address space.
+/// One slab entry: a link of the LRU list or, once released, of the free
+/// list (through `next`).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    prev: u32,
+    next: u32,
+    page: PageNum,
+}
+
+impl Node {
+    /// The node at `slot`, linked to itself: a list of one.
+    fn alone(slot: u32, page: PageNum) -> Self {
+        let (prev, next) = (slot, slot);
+        Node { prev, next, page }
+    }
+}
+
+/// LRU tracker over the resident pages of one address space: an intrusive
+/// circular doubly-linked list in one slab, plus a page → slot index, so
+/// `touch`, `refresh` and `remove` are O(1).
 ///
 /// # Examples
 ///
@@ -27,11 +46,14 @@ use crate::page::PageNum;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ResidentTracker {
-    /// page -> recency stamp
-    stamps: HashMap<PageNum, u64>,
-    /// recency stamp -> page (inverse index, for O(log n) LRU lookup)
-    order: BTreeMap<u64, PageNum>,
-    next_stamp: u64,
+    /// `nodes[0]`, pushed with the first page, is the list's sentinel: its
+    /// `next` is the least recently used node (the next victim), its `prev`
+    /// the most recently used.
+    nodes: Vec<Node>,
+    /// Never iterated for output: `pages` sorts, the list carries the order.
+    slots: HashMap<PageNum, u32>,
+    /// The first released node, 0 when there is none.
+    free: u32,
     capacity: Option<usize>,
 }
 
@@ -58,12 +80,14 @@ impl ResidentTracker {
     /// A tracker holding `lru` (least recently used first) under
     /// `capacity`, as if each page had been touched in that order.
     pub fn from_lru_order(capacity: Option<usize>, lru: &[PageNum]) -> Self {
-        ResidentTracker {
-            stamps: lru.iter().zip(0..).map(|(&p, stamp)| (p, stamp)).collect(),
-            order: (0..).zip(lru.iter().copied()).collect(),
-            next_stamp: lru.len() as u64,
+        let mut tracker = ResidentTracker {
             capacity,
-        }
+            ..ResidentTracker::default()
+        };
+        tracker.nodes.reserve(lru.len() + 1);
+        tracker.slots.reserve(lru.len());
+        lru.iter().for_each(|&page| tracker.refresh(page));
+        tracker
     }
 
     /// Changes the capacity. Does not immediately evict; the next `touch`
@@ -82,25 +106,15 @@ impl ResidentTracker {
     /// must page it out.
     #[must_use = "a returned page must be paged out by the caller"]
     pub fn touch(&mut self, page: PageNum) -> Option<PageNum> {
-        if let Some(old) = self.stamps.insert(page, self.next_stamp) {
-            self.order.remove(&old);
-        }
-        self.order.insert(self.next_stamp, page);
-        self.next_stamp += 1;
-        if let Some(cap) = self.capacity {
-            if self.stamps.len() > cap {
-                let (&stamp, &victim) = self
-                    .order
-                    .iter()
-                    .next()
-                    .expect("tracker over capacity implies at least one entry");
-                // The page just touched is never the LRU victim when cap >= 1.
-                self.order.remove(&stamp);
-                self.stamps.remove(&victim);
-                return Some(victim);
-            }
-        }
-        None
+        self.refresh(page);
+        // Over capacity, so the list is not empty and its head is the victim
+        // — never the page just touched when the capacity is >= 1.
+        let over = self.capacity.is_some_and(|cap| self.slots.len() > cap);
+        over.then(|| {
+            let victim = self.nodes[self.nodes[0].next as usize].page;
+            self.remove(victim);
+            victim
+        })
     }
 
     /// Marks `page` as most recently used *without* enforcing capacity.
@@ -109,54 +123,87 @@ impl ResidentTracker {
     /// a budget shrink or a bulk insertion) drains one page per subsequent
     /// install rather than on reads.
     pub fn refresh(&mut self, page: PageNum) {
-        if let Some(old) = self.stamps.insert(page, self.next_stamp) {
-            self.order.remove(&old);
-        }
-        self.order.insert(self.next_stamp, page);
-        self.next_stamp += 1;
+        let (nodes, free) = (&mut self.nodes, &mut self.free);
+        // An absent page takes a released node if there is one, else a new
+        // one, linked to itself so that unlinking it below changes nothing.
+        let slot = *self.slots.entry(page).or_insert_with(|| {
+            if nodes.is_empty() {
+                nodes.push(Node::alone(0, page)); // the sentinel
+            }
+            let slot = match *free {
+                0 => nodes.len() as u32,
+                released => released,
+            };
+            match nodes.get_mut(slot as usize) {
+                Some(node) => *free = std::mem::replace(node, Node::alone(slot, page)).next,
+                None => nodes.push(Node::alone(slot, page)),
+            }
+            slot
+        });
+        self.unlink(slot);
+        // Link `slot` in as the most recently used.
+        let prev = std::mem::replace(&mut self.nodes[0].prev, slot);
+        self.nodes[prev as usize].next = slot;
+        self.nodes[slot as usize].prev = prev;
+        self.nodes[slot as usize].next = 0;
+    }
+
+    /// Takes `slot` out of the LRU list, joining its neighbours.
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        self.nodes[prev as usize].next = next;
+        self.nodes[next as usize].prev = prev;
     }
 
     /// Removes `page` (it was paged out, unmapped, or migrated away).
     pub fn remove(&mut self, page: PageNum) -> bool {
-        if let Some(stamp) = self.stamps.remove(&page) {
-            self.order.remove(&stamp);
-            true
-        } else {
-            false
-        }
+        let Some(slot) = self.slots.remove(&page) else {
+            return false;
+        };
+        self.unlink(slot);
+        self.nodes[slot as usize].next = self.free;
+        self.free = slot;
+        true
     }
 
     /// Forgets everything (e.g. after process excision).
     pub fn clear(&mut self) {
-        self.stamps.clear();
-        self.order.clear();
+        self.nodes.clear();
+        self.slots.clear();
+        self.free = 0;
     }
 
     /// Whether `page` is tracked as resident.
     pub fn contains(&self, page: PageNum) -> bool {
-        self.stamps.contains_key(&page)
+        self.slots.contains_key(&page)
     }
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.stamps.len()
+        self.slots.len()
     }
 
     /// `true` when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.stamps.is_empty()
+        self.slots.is_empty()
     }
 
     /// The resident pages in ascending page order.
     pub fn pages(&self) -> Vec<PageNum> {
-        let mut v: Vec<PageNum> = self.stamps.keys().copied().collect();
+        let mut v: Vec<PageNum> = self.slots.keys().copied().collect();
         v.sort_unstable();
         v
     }
 
     /// The resident pages from least to most recently used.
     pub fn pages_lru_order(&self) -> Vec<PageNum> {
-        self.order.values().copied().collect()
+        let mut order = Vec::with_capacity(self.slots.len());
+        let mut at = self.nodes.first().map_or(0, |sentinel| sentinel.next);
+        while at != 0 {
+            order.push(self.nodes[at as usize].page);
+            at = self.nodes[at as usize].next;
+        }
+        order
     }
 
     /// The configured capacity, if bounded.

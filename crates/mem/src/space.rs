@@ -81,6 +81,7 @@ impl SpaceStats {
 }
 
 /// A sparse virtual address space.
+#[derive(Default)]
 pub struct AddressSpace {
     /// Sorted, disjoint, non-adjacent validated page ranges.
     regions: Vec<(u64, u64)>,
@@ -96,14 +97,7 @@ pub struct AddressSpace {
 impl AddressSpace {
     /// Creates an empty space with unbounded physical memory.
     pub fn new() -> Self {
-        AddressSpace {
-            regions: Vec::new(),
-            pages: BTreeMap::new(),
-            resident: ResidentTracker::unbounded(),
-            zero_fills: 0,
-            cow_copies: 0,
-            pageouts: 0,
-        }
+        AddressSpace::default()
     }
 
     /// Creates an empty space whose resident set is bounded to
@@ -112,6 +106,83 @@ impl AddressSpace {
         let mut s = AddressSpace::new();
         s.resident = ResidentTracker::with_capacity(frame_budget);
         s
+    }
+
+    /// The one bulk constructor: `pages` ascends, so the page table is
+    /// built in a single pass instead of by per-page insertion, and `lru`
+    /// lists the resident ones, least recently used first.
+    fn assemble(
+        regions: Vec<(u64, u64)>,
+        pages: impl Iterator<Item = (PageNum, PageState)>,
+        frame_budget: Option<usize>,
+        lru: &[PageNum],
+        [zero_fills, cow_copies, pageouts]: [u64; 3],
+    ) -> Self {
+        AddressSpace {
+            regions,
+            pages: pages.collect(),
+            resident: ResidentTracker::from_lru_order(frame_budget, lru),
+            zero_fills,
+            cow_copies,
+            pageouts,
+        }
+    }
+
+    /// Rebuilds the space `amap` was walked off, in one pass — process
+    /// insertion replaying the collapse (paper §3.1). `fill(k)` is the state
+    /// of the k-th mapped (Real or Imag) page in address order; `None` from
+    /// it, or a BadMem entry, yields `None`. The result is what a new space
+    /// with `frame_budget` holds after validating every entry and then
+    /// `install_page` / `map_imaginary` of each mapped page in turn:
+    /// resident pages beyond the budget overflow to `disk` first-in
+    /// first-out, blocks written in that order and counted as page-outs.
+    pub fn from_amap(
+        amap: &AMap,
+        mut fill: impl FnMut(u64) -> Option<PageState>,
+        frame_budget: Option<usize>,
+        disk: &mut Disk,
+    ) -> Option<Self> {
+        let mapped = amap.bytes_of(Access::Real) + amap.bytes_of(Access::Imag);
+        let mut pages = Vec::with_capacity((mapped / PAGE_SIZE) as usize);
+        let mut regions: Vec<(u64, u64)> = Vec::new();
+        let mut carried = 0;
+        // An empty entry validates nothing, as in `validate_pages`.
+        for entry in amap.entries().iter().filter(|e| !e.range.is_empty()) {
+            let (start, end) = (entry.range.start.0, entry.range.end.0);
+            match regions.last_mut() {
+                // Adjacent entries are one region, as `validate_pages` merges.
+                Some(last) if start <= last.1 => last.1 = last.1.max(end),
+                _ => regions.push((start, end)),
+            }
+            match entry.access {
+                Access::RealZero => {}
+                Access::Real | Access::Imag => {
+                    for page in entry.range.iter() {
+                        let state = fill(pages.len() as u64)?;
+                        carried += usize::from(matches!(state, PageState::Resident(_)));
+                        pages.push((page, state));
+                    }
+                }
+                Access::Bad => return None,
+            }
+        }
+        // On a new tracker every install is a first touch, so the LRU victim
+        // is always the oldest resident page: the first `spill` of them go to
+        // disk, each frame moved there, and the rest are the LRU order.
+        let mut spill = frame_budget.map_or(0, |budget| carried.saturating_sub(budget));
+        let pageouts = spill as u64;
+        let mut lru = Vec::with_capacity(carried - spill);
+        let resident = |(_, s): &&(PageNum, PageState)| matches!(s, PageState::Resident(_));
+        lru.extend(pages.iter().filter(resident).skip(spill).map(|p| p.0));
+        let pages = pages.into_iter().map(|(page, state)| match state {
+            PageState::Resident(frame) if spill > 0 => {
+                spill -= 1;
+                (page, PageState::OnDisk(disk.write_new_frame(frame)))
+            }
+            state => (page, state),
+        });
+        let counters = [0, 0, pageouts];
+        Some(Self::assemble(regions, pages, frame_budget, &lru, counters))
     }
 
     /// Adjusts the frame budget (`None` = unbounded).
@@ -395,7 +466,6 @@ impl AddressSpace {
         let frame = disk
             .take_frame(addr)
             .ok_or(MemError::BadState(page, "disk block missing"))?;
-        self.pages.remove(&page);
         self.install_frame(page, frame, disk);
         Ok(())
     }
@@ -416,7 +486,6 @@ impl AddressSpace {
             Some(PageState::Imaginary { .. }) => {}
             _ => return Err(MemError::BadState(page, "not imaginary")),
         }
-        self.pages.remove(&page);
         self.install_frame(page, Frame::new(data), disk);
         Ok(())
     }
@@ -440,7 +509,6 @@ impl AddressSpace {
             Some(PageState::Imaginary { .. }) => {}
             _ => return Err(MemError::BadState(page, "not imaginary")),
         }
-        self.pages.remove(&page);
         self.install_frame(page, frame, disk);
         Ok(())
     }
@@ -450,7 +518,6 @@ impl AddressSpace {
     /// validated if it was not already. May page out an LRU victim.
     pub fn install_page(&mut self, page: PageNum, frame: Frame, disk: &mut Disk) {
         self.validate_pages(PageRange::new(page, PageNum(page.0 + 1)));
-        self.pages.remove(&page);
         self.install_frame(page, frame, disk);
     }
 
@@ -466,7 +533,6 @@ impl AddressSpace {
     /// disk block holds `frame` by reference.
     pub fn install_on_disk_frame(&mut self, page: PageNum, frame: Frame, disk: &mut Disk) {
         self.validate_pages(PageRange::new(page, PageNum(page.0 + 1)));
-        self.pages.remove(&page);
         self.resident.remove(page);
         let addr = disk.write_new_frame(frame);
         self.pages.insert(page, PageState::OnDisk(addr));
@@ -479,7 +545,6 @@ impl AddressSpace {
     pub fn map_imaginary(&mut self, range: PageRange, seg: SegmentId, base_offset: u64) {
         self.validate_pages(range);
         for (i, page) in range.iter().enumerate() {
-            self.pages.remove(&page);
             self.resident.remove(page);
             self.pages.insert(
                 page,
@@ -534,20 +599,6 @@ impl AddressSpace {
             PageState::OnDisk(addr) => disk.read_frame(*addr),
             PageState::Imaginary { .. } => None,
         }
-    }
-
-    /// Removes `page`'s on-disk block and returns its frame without copying
-    /// — the excision path for paged-out pages: the process is leaving the
-    /// node, so the block is reclaimed and its frame rides the RIMAS
-    /// message by reference. Counts one disk read, like the copying path it
-    /// replaces. Returns `None` (and changes nothing) unless the page is in
-    /// the on-disk state with a live block.
-    pub fn take_disk_frame(&mut self, page: PageNum, disk: &mut Disk) -> Option<Frame> {
-        let addr = match self.pages.get(&page) {
-            Some(PageState::OnDisk(a)) => *a,
-            _ => return None,
-        };
-        disk.take_frame(addr)
     }
 
     /// The page's raw state, if materialized.
@@ -742,15 +793,13 @@ impl SpaceImage {
             Some(block) => PageState::OnDisk(addrs[block]),
             None => PageState::Resident(frame(p.slot)),
         };
-        AddressSpace {
-            regions: self.regions.clone(),
-            // Ascending input: `BTreeMap` bulk-builds instead of inserting.
-            pages: self.pages.iter().map(|p| (p.page, state(p))).collect(),
-            resident: ResidentTracker::from_lru_order(self.frame_budget, &lru),
-            zero_fills: self.zero_fills,
-            cow_copies: self.cow_copies,
-            pageouts: self.pageouts,
-        }
+        AddressSpace::assemble(
+            self.regions.clone(),
+            self.pages.iter().map(|p| (p.page, state(p))),
+            self.frame_budget,
+            &lru,
+            [self.zero_fills, self.cow_copies, self.pageouts],
+        )
     }
 
     /// Where `page` was when the space was frozen: `Some(true)` in the
@@ -773,12 +822,6 @@ impl SpaceImage {
     /// Validated pages, materialized or not.
     pub fn total_pages(&self) -> u64 {
         self.regions.iter().map(|&(s, e)| e - s).sum()
-    }
-}
-
-impl Default for AddressSpace {
-    fn default() -> Self {
-        AddressSpace::new()
     }
 }
 

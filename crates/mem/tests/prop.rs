@@ -1,7 +1,7 @@
 //! Property tests on the virtual-memory substrate: AMap invariants,
 //! data-path roundtrips, LRU model conformance.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -60,6 +60,61 @@ fn build_ops() -> impl Strategy<Value = Vec<BuildOp>> {
         (0usize..12).prop_map(|b| BuildOp::Budget((b > 0).then_some(b))),
     ];
     prop::collection::vec(op, 1..120)
+}
+
+#[derive(Debug, Clone)]
+enum LruOp {
+    Touch(u64),
+    Refresh(u64),
+    Remove(u64),
+    SetCapacity(Option<usize>),
+    Clear,
+}
+
+fn lru_op() -> impl Strategy<Value = LruOp> {
+    prop_oneof![
+        (0u64..64).prop_map(LruOp::Touch),
+        (0u64..64).prop_map(LruOp::Touch),
+        (0u64..64).prop_map(LruOp::Touch),
+        (0u64..64).prop_map(LruOp::Refresh),
+        (0u64..64).prop_map(LruOp::Refresh),
+        (0u64..64).prop_map(LruOp::Remove),
+        (0u64..64).prop_map(LruOp::Remove),
+        (0usize..16).prop_map(|c| LruOp::SetCapacity((c > 0).then_some(c))),
+        (0u8..16).prop_map(|n| if n == 0 {
+            LruOp::Clear
+        } else {
+            LruOp::Touch(u64::from(n))
+        }),
+    ]
+}
+
+#[derive(Debug, Clone)]
+enum DiskOp {
+    WriteNew(u8),
+    Write(u64, u8),
+    Read(u64),
+    ReadFrame(u64),
+    Take(u64),
+    Free(u64),
+    Peek(u64),
+}
+
+/// Addresses reach past anything a 200-op run allocates, so every
+/// operation also meets blocks that were never written.
+fn disk_op() -> impl Strategy<Value = DiskOp> {
+    let addr = || 0u64..96;
+    prop_oneof![
+        any::<u8>().prop_map(DiskOp::WriteNew),
+        any::<u8>().prop_map(DiskOp::WriteNew),
+        any::<u8>().prop_map(DiskOp::WriteNew),
+        (addr(), any::<u8>()).prop_map(|(a, b)| DiskOp::Write(a, b)),
+        addr().prop_map(DiskOp::Read),
+        addr().prop_map(DiskOp::ReadFrame),
+        addr().prop_map(DiskOp::Take),
+        addr().prop_map(DiskOp::Free),
+        addr().prop_map(DiskOp::Peek),
+    ]
 }
 
 /// Everything observable about a space and the blocks it owns on `disk`,
@@ -212,30 +267,123 @@ proptest! {
         }
     }
 
-    /// The LRU tracker behaves exactly like a naive reference model.
+    /// The LRU tracker behaves exactly like a naive reference model under
+    /// any interleaving of its operations, from any starting order.
     #[test]
     fn lru_matches_reference_model(
-        touches in prop::collection::vec(0u64..64, 1..300),
-        cap in 1usize..16,
+        start in prop::collection::vec(0u64..64, 0..24),
+        ops in prop::collection::vec(lru_op(), 1..300),
+        cap in 0usize..16,
     ) {
-        let mut tracker = ResidentTracker::with_capacity(cap);
+        let cap = (cap > 0).then_some(cap);
         let mut model: Vec<u64> = Vec::new(); // LRU order, front = oldest
-        for &p in &touches {
+        for &p in &start {
+            if !model.contains(&p) {
+                model.push(p);
+            }
+        }
+        let pages = |model: &[u64]| model.iter().map(|&p| PageNum(p)).collect::<Vec<_>>();
+        let mut tracker = ResidentTracker::from_lru_order(cap, &pages(&model));
+        let mut model_cap = cap;
+        let renew = |model: &mut Vec<u64>, p: u64| {
             model.retain(|&q| q != p);
             model.push(p);
-            let expect_evict = if model.len() > cap {
-                Some(model.remove(0))
-            } else {
-                None
-            };
-            let got = tracker.touch(PageNum(p));
-            prop_assert_eq!(got, expect_evict.map(PageNum));
+        };
+        for op in ops {
+            match op {
+                LruOp::Touch(p) => {
+                    renew(&mut model, p);
+                    // Over capacity (after a shrink, by any amount): one
+                    // victim per touch, the oldest.
+                    let over = model_cap.is_some_and(|cap| model.len() > cap);
+                    let victim = over.then(|| model.remove(0));
+                    prop_assert_eq!(tracker.touch(PageNum(p)), victim.map(PageNum));
+                }
+                LruOp::Refresh(p) => {
+                    renew(&mut model, p);
+                    tracker.refresh(PageNum(p));
+                }
+                LruOp::Remove(p) => {
+                    let present = model.contains(&p);
+                    model.retain(|&q| q != p);
+                    prop_assert_eq!(tracker.remove(PageNum(p)), present);
+                    prop_assert!(!tracker.contains(PageNum(p)));
+                }
+                LruOp::SetCapacity(cap) => {
+                    model_cap = cap;
+                    tracker.set_capacity(cap);
+                }
+                LruOp::Clear => {
+                    model.clear();
+                    tracker.clear();
+                }
+            }
+            prop_assert_eq!(tracker.capacity(), model_cap);
             prop_assert_eq!(tracker.len(), model.len());
+            prop_assert_eq!(tracker.is_empty(), model.is_empty());
+            let mut expected = pages(&model);
+            prop_assert_eq!(tracker.pages_lru_order(), expected.clone());
+            prop_assert!(expected.iter().all(|&p| tracker.contains(p)));
+            expected.sort_unstable();
+            prop_assert_eq!(tracker.pages(), expected);
         }
-        let mut expected: Vec<PageNum> = model.iter().map(|&p| PageNum(p)).collect();
-        prop_assert_eq!(tracker.pages_lru_order(), expected.clone());
-        expected.sort_unstable();
-        prop_assert_eq!(tracker.pages(), expected);
+    }
+
+    /// The disk behaves exactly like a keyed map whose addresses count up
+    /// and are never reused: same addresses, same results, same counters
+    /// after every operation, on live, released and never-allocated blocks.
+    #[test]
+    fn disk_matches_reference_model(ops in prop::collection::vec(disk_op(), 1..200)) {
+        use cor_mem::page::{page_from_bytes, Frame};
+        use cor_mem::DiskAddr;
+        let mut disk = Disk::new();
+        let mut model: BTreeMap<u64, u8> = BTreeMap::new(); // block -> its first byte
+        let (mut next, mut reads, mut writes) = (0u64, 0u64, 0u64);
+        let first = |frame: &Frame| frame.with(|d| d[0]);
+        for op in ops {
+            match op {
+                DiskOp::WriteNew(byte) => {
+                    let addr = disk.write_new_frame(Frame::new(page_from_bytes(&[byte])));
+                    prop_assert_eq!(addr, DiskAddr(next));
+                    model.insert(next, byte);
+                    next += 1;
+                    writes += 1;
+                }
+                DiskOp::Write(a, byte) => {
+                    let live = model.contains_key(&a);
+                    prop_assert_eq!(disk.write(DiskAddr(a), page_from_bytes(&[byte])), live);
+                    if live {
+                        model.insert(a, byte);
+                        writes += 1;
+                    }
+                }
+                DiskOp::Read(a) => {
+                    let expected = model.get(&a).copied();
+                    prop_assert_eq!(disk.read(DiskAddr(a)).map(|d| d[0]), expected);
+                    reads += u64::from(expected.is_some());
+                }
+                DiskOp::ReadFrame(a) => {
+                    let expected = model.get(&a).copied();
+                    prop_assert_eq!(disk.read_frame(DiskAddr(a)).as_ref().map(first), expected);
+                    reads += u64::from(expected.is_some());
+                }
+                DiskOp::Take(a) => {
+                    let expected = model.remove(&a);
+                    prop_assert_eq!(disk.take_frame(DiskAddr(a)).as_ref().map(first), expected);
+                    reads += u64::from(expected.is_some());
+                }
+                DiskOp::Free(a) => {
+                    prop_assert_eq!(disk.free(DiskAddr(a)), model.remove(&a).is_some());
+                }
+                DiskOp::Peek(a) => {
+                    let expected = model.get(&a).copied();
+                    prop_assert_eq!(disk.peek_frame(DiskAddr(a)).map(first), expected);
+                }
+            }
+            prop_assert_eq!(disk.blocks_in_use(), model.len());
+            prop_assert_eq!(disk.bytes_in_use(), model.len() as u64 * PAGE_SIZE);
+            prop_assert_eq!((disk.reads(), disk.writes()), (reads, writes));
+        }
     }
 
     /// Copy-on-write: writes through one mapping never leak into aliases.

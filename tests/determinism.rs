@@ -114,36 +114,58 @@ fn committed_results_are_current() {
     use cor_experiments::{fleet, replication, saturation, survivability};
     let pool = cor_pool::Pool::from_env();
     let workloads = cor_workloads::all();
-    assert_eq!(
-        fleet::fleet_csv(&pool),
+    assert_current(
+        "results/fleet.csv",
+        &fleet::fleet_csv(&pool),
         include_str!("../results/fleet.csv"),
-        "results/fleet.csv is stale"
     );
     // `experiments csv` prints through `println!`: one trailing newline.
-    assert_eq!(
-        matrix_csv(&mut Matrix::with_pool(pool), &workloads) + "\n",
+    assert_current(
+        "results/matrix.csv",
+        &(matrix_csv(&mut Matrix::with_pool(pool), &workloads) + "\n"),
         include_str!("../results/matrix.csv"),
-        "results/matrix.csv is stale"
     );
-    assert_eq!(
-        replication::replication_csv(&workloads, &pool),
+    assert_current(
+        "results/replication.csv",
+        &replication::replication_csv(&workloads, &pool),
         include_str!("../results/replication.csv"),
-        "results/replication.csv is stale"
     );
-    assert_eq!(
-        survivability::survivability_csv(&workloads, &pool),
+    assert_current(
+        "results/survivability.csv",
+        &survivability::survivability_csv(&workloads, &pool),
         include_str!("../results/survivability.csv"),
-        "results/survivability.csv is stale"
     );
-    assert_eq!(
-        saturation::saturation_csv(&pool),
+    assert_current(
+        "results/saturation.csv",
+        &saturation::saturation_csv(&pool),
         include_str!("../results/saturation.csv"),
-        "results/saturation.csv is stale"
     );
     let (_, profile, links) = fleet::run_cell_profiled(fleet::blame_cell_spec());
-    assert_eq!(
-        profile.blame_csv(&links),
+    assert_current(
+        "results/blame_fleet.csv",
+        &profile.blame_csv(&links),
         include_str!("../results/blame_fleet.csv"),
-        "results/blame_fleet.csv is stale"
     );
+}
+
+/// Fails naming the first line at which `fresh` output leaves the
+/// `committed` file, with both versions of it: a stale pin should say
+/// which cell moved, not only that one did.
+fn assert_current(file: &str, fresh: &str, committed: &str) {
+    if fresh == committed {
+        return;
+    }
+    let (mut fresh, mut committed) = (fresh.lines(), committed.lines());
+    let mut line = 1;
+    loop {
+        match (fresh.next(), committed.next()) {
+            (f, c) if f != c => panic!(
+                "{file} is stale; first difference at line {line}:\n  fresh:     {}\n  committed: {}",
+                f.unwrap_or("<end of output>"),
+                c.unwrap_or("<end of file>"),
+            ),
+            (None, None) => panic!("{file} is stale: line endings differ"),
+            _ => line += 1,
+        }
+    }
 }

@@ -8,11 +8,26 @@
 //! counters, disk accounting, bytes — and forks must be independent of one
 //! another and of the image in the *simulated* machine (fresh unshared
 //! frames, no copy-on-write counted) although they share host bytes.
+//!
+//! The same rule covers migration: `insert_process` builds the destination
+//! space in one ordered pass and `excise_process` collapses the source in
+//! one walk, so the page-by-page loops they replaced live on here too, as
+//! the oracles two properties compare them against on random spaces.
 
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+use proptest::strategy::Strategy as _;
+
+use cor::ipc::message::MsgItem;
 use cor::ipc::{NodeId, PortRight, Right};
+use cor::kernel::program::{Op, Trace};
 use cor::kernel::{ProcessId, World};
+use cor::mem::amap::Access;
 use cor::mem::page::{page_from_bytes, Frame};
-use cor::mem::{AddressSpace, PageState};
+use cor::mem::{AddressSpace, Disk, PageNum, PageRange, PageState, SegmentId};
+use cor::migrate::context::CoreBlob;
+use cor::migrate::{excise_process, insert_process, ExcisedProcess};
 use cor::migrate::{MigrationManager, Strategy};
 use cor::workloads::spec::page_content;
 use cor::workloads::synth::SynthSpec;
@@ -250,5 +265,337 @@ fn a_forked_trial_sees_the_memory_a_built_one_sees() {
             };
             assert_eq!(run(true), run(false), "{} under {strategy:?}", w.name());
         }
+    }
+}
+
+/// One step of building a random source space.
+#[derive(Debug, Clone)]
+enum SpaceOp {
+    Validate(u64, u64),
+    Install(u64),
+    InstallOnDisk(u64),
+    MapImaginary(u64, u64),
+    Budget(usize),
+}
+
+/// Scattered runs, RealZero gaps, adjacent and overlapping regions,
+/// already-imaginary runs, pages installed on disk and pages a shrinking
+/// budget pushed there.
+fn space_ops() -> impl proptest::strategy::Strategy<Value = Vec<SpaceOp>> {
+    let op = prop_oneof![
+        (0u64..160, 1u64..24).prop_map(|(p, n)| SpaceOp::Validate(p, n)),
+        (0u64..160).prop_map(SpaceOp::Install),
+        (0u64..160).prop_map(SpaceOp::Install),
+        (0u64..160, 1u64..6).prop_map(|(p, n)| SpaceOp::Install(p + n)),
+        (0u64..160).prop_map(SpaceOp::InstallOnDisk),
+        (0u64..160, 1u64..8).prop_map(|(p, n)| SpaceOp::MapImaginary(p, n)),
+        (1usize..12).prop_map(SpaceOp::Budget),
+    ];
+    prop::collection::vec(op, 1..120)
+}
+
+/// The budget the process carries to its destination: unbounded, one
+/// frame, a few, or more than it has real pages.
+fn carried_budget() -> impl proptest::strategy::Strategy<Value = Option<usize>> {
+    prop_oneof![
+        Just(None),
+        Just(Some(1)),
+        (2usize..24).prop_map(Some),
+        Just(Some(1_000)),
+    ]
+}
+
+/// A world with the process `ops` describe on node `a`, and the frames the
+/// caller keeps aliased (every third install), so that sharing survives
+/// the source space. Deterministic: equal arguments, equal worlds.
+fn random_process(
+    ops: &[SpaceOp],
+    budget: Option<usize>,
+) -> (World, NodeId, NodeId, ProcessId, Vec<Frame>) {
+    let (mut world, a, b) = World::testbed();
+    let disk = &mut world.node_mut(a).unwrap().disk;
+    let mut space = AddressSpace::new();
+    let (mut aliases, mut segs) = (Vec::new(), 0);
+    for op in ops {
+        match *op {
+            SpaceOp::Validate(p, n) => {
+                space.validate_pages(PageRange::new(PageNum(p), PageNum(p + n)));
+            }
+            SpaceOp::Install(p) => {
+                let frame = Frame::new(page_from_bytes(&p.to_le_bytes()));
+                if p % 3 == 0 {
+                    aliases.push(frame.clone());
+                }
+                space.install_page(PageNum(p), frame, disk);
+            }
+            SpaceOp::InstallOnDisk(p) => {
+                space.install_on_disk(PageNum(p), page_from_bytes(&[0xD1, p as u8]), disk);
+            }
+            SpaceOp::MapImaginary(p, n) => {
+                segs += 1;
+                let range = PageRange::new(PageNum(p), PageNum(p + n));
+                space.map_imaginary(range, SegmentId(segs), 3 * p);
+            }
+            SpaceOp::Budget(frames) => space.set_frame_budget(Some(frames)),
+        }
+    }
+    space.set_frame_budget(budget);
+    let pid = world
+        .create_process(a, "random", space, Trace::new(vec![Op::Terminate]))
+        .unwrap();
+    (world, a, b, pid, aliases)
+}
+
+/// Everything a process, or the next excision, can observe of a space and
+/// its disk.
+fn observe_space(space: &AddressSpace, disk: &Disk) -> String {
+    let pages: Vec<String> = space
+        .materialized_pages()
+        .map(|(p, state)| match state {
+            PageState::Resident(f) => {
+                format!("{}:r:{:x}:{}", p.0, f.content_hash(), f.is_shared())
+            }
+            PageState::OnDisk(a) => {
+                let frame = disk.peek_frame(*a).unwrap();
+                format!("{}:d{}:{:x}", p.0, a.0, frame.content_hash())
+            }
+            PageState::Imaginary { seg, offset } => format!("{}:i{}+{offset}", p.0, seg.0),
+        })
+        .collect();
+    format!(
+        "{:?} {pages:?} {:?} {:?} {:?} {:?} {:?}",
+        space.regions(),
+        space.resident_pages_lru(),
+        space.frame_budget(),
+        space.stats(),
+        (space.pageouts(), space.zero_fills(), space.cow_copies()),
+        (disk.blocks_in_use(), disk.writes(), disk.reads()),
+    )
+}
+
+/// The collapsed area of a RIMAS message, slot by slot.
+fn observe_items(items: &[MsgItem]) -> Vec<String> {
+    items
+        .iter()
+        .map(|item| match item {
+            MsgItem::Pages { base_page, frames } => {
+                let frames: Vec<_> = frames
+                    .iter()
+                    .map(|f| (f.content_hash(), f.is_shared()))
+                    .collect();
+                format!("pages@{base_page} {frames:x?}")
+            }
+            other => format!("{other:?}"),
+        })
+        .collect()
+}
+
+/// `InsertProcess` as it rebuilt a space before the bulk constructor: one
+/// `install_page` or `map_imaginary` per page of the replayed walk, the
+/// frame budget enforced install by install. Returns the space and
+/// `[runs, carried, owed]`.
+fn insert_page_by_page(excised: &ExcisedProcess, disk: &mut Disk) -> (AddressSpace, [u64; 3]) {
+    enum Slot<'a> {
+        Carried(&'a Frame),
+        Owed(SegmentId, u64),
+    }
+    let mut slots = BTreeMap::new();
+    for item in &excised.rimas.items {
+        match item {
+            MsgItem::Pages { base_page, frames } => {
+                for (slot, frame) in (*base_page..).zip(frames) {
+                    slots.insert(slot, Slot::Carried(frame));
+                }
+            }
+            MsgItem::Iou {
+                base_page,
+                seg,
+                seg_offset,
+                pages,
+            } => {
+                for i in 0..*pages {
+                    slots.insert(base_page + i, Slot::Owed(*seg, seg_offset + i));
+                }
+            }
+            _ => {}
+        }
+    }
+    let MsgItem::Inline(blob) = &excised.core.items[0] else {
+        panic!("the Core message starts with its blob");
+    };
+    let mut space = AddressSpace::new();
+    space.set_frame_budget(CoreBlob::decode(blob).unwrap().budget());
+    let (mut cursor, mut runs, mut carried, mut owed) = (0u64, 0, 0, 0);
+    for entry in excised.core.amap().unwrap().entries() {
+        match entry.access {
+            Access::RealZero => space.validate_pages(entry.range),
+            Access::Real | Access::Imag => {
+                runs += 1;
+                for page in entry.range.iter() {
+                    match slots[&cursor] {
+                        Slot::Carried(frame) => {
+                            space.install_page(page, frame.clone(), disk);
+                            carried += 1;
+                        }
+                        Slot::Owed(seg, offset) => {
+                            space.map_imaginary(
+                                PageRange::new(page, PageNum(page.0 + 1)),
+                                seg,
+                                offset,
+                            );
+                            owed += 1;
+                        }
+                    }
+                    cursor += 1;
+                }
+            }
+            Access::Bad => unreachable!("AMaps never contain BadMem entries"),
+        }
+    }
+    (space, [runs, carried, owed])
+}
+
+/// `ExciseProcess`'s collapse as it ran before the one-walk version: a
+/// page-table search per Real page of the AMap, and another to take a
+/// paged-out page's frame off the disk. Returns the RIMAS items, the
+/// resident slots and `[real, resident, imaginary]` page counts.
+fn collapse_page_by_page(
+    space: &AddressSpace,
+    disk: &mut Disk,
+) -> (Vec<MsgItem>, Vec<u64>, [u64; 3]) {
+    let (mut items, mut batch, mut batch_base) = (Vec::new(), Vec::new(), 0);
+    let (mut cursor, mut resident_slots) = (0u64, Vec::new());
+    let (mut real, mut resident, mut imag) = (0, 0, 0);
+    for entry in space.amap().entries() {
+        match entry.access {
+            Access::RealZero => {}
+            Access::Real => {
+                for page in entry.range.iter() {
+                    if batch.is_empty() {
+                        batch_base = cursor;
+                    }
+                    match space.page_state(page) {
+                        Some(PageState::Resident(frame)) => {
+                            batch.push(frame.clone());
+                            resident_slots.push(cursor);
+                            resident += 1;
+                        }
+                        Some(PageState::OnDisk(addr)) => {
+                            batch.push(disk.take_frame(*addr).unwrap());
+                        }
+                        other => panic!("AMap says Real but {page:?} is {other:?}"),
+                    }
+                    real += 1;
+                    cursor += 1;
+                }
+            }
+            Access::Imag => {
+                if !batch.is_empty() {
+                    items.push(MsgItem::Pages {
+                        base_page: batch_base,
+                        frames: std::mem::take(&mut batch),
+                    });
+                }
+                let pages = entry.range.len();
+                items.push(MsgItem::Iou {
+                    base_page: cursor,
+                    seg: entry.seg.unwrap(),
+                    seg_offset: entry.seg_offset,
+                    pages,
+                });
+                imag += pages;
+                cursor += pages;
+            }
+            Access::Bad => unreachable!("AMaps never contain BadMem entries"),
+        }
+    }
+    if !batch.is_empty() {
+        items.push(MsgItem::Pages {
+            base_page: batch_base,
+            frames: batch,
+        });
+    }
+    (items, resident_slots, [real, resident, imag])
+}
+
+proptest! {
+    /// Two equal worlds, one excised by `excise_process` and one collapsed
+    /// by the page-by-page oracle: the same RIMAS items (contents and
+    /// sharing of every frame), resident slots, report and source disk.
+    #[test]
+    fn the_one_walk_collapse_equals_the_page_by_page_collapse(
+        ops in space_ops(),
+        budget in carried_budget(),
+    ) {
+        let (mut world, a, b, pid, _aliases) = random_process(&ops, budget);
+        let (mut oracle, _, _, _, _oracle_aliases) = random_process(&ops, budget);
+        let complexity = world.process(a, pid).unwrap().space.map_complexity();
+        let dest = world.ports.allocate(b);
+        let (excised, report) = excise_process(&mut world, a, pid, dest).unwrap();
+
+        let n = oracle.node_mut(a).unwrap();
+        let (items, resident_slots, [real, resident, imag]) =
+            collapse_page_by_page(&n.processes[&pid].space, &mut n.disk);
+        // Excision dismantles the source space; so must the oracle, or
+        // every frame it collapsed stays shared with it.
+        drop(oracle.remove_process(a, pid).unwrap());
+
+        prop_assert_eq!(observe_items(&excised.rimas.items), observe_items(&items));
+        prop_assert_eq!(&excised.resident_slots, &resident_slots);
+        prop_assert_eq!(
+            (report.real_pages, report.resident_pages, report.imag_pages),
+            (real, resident, imag)
+        );
+        prop_assert_eq!(report.amap_entries, excised.core.amap().unwrap().len() as u64);
+        prop_assert_eq!(report.amap_time, world.costs.amap_cost(complexity));
+        prop_assert_eq!(report.rimas_time, world.costs.rimas_cost(resident, real));
+        prop_assert_eq!(
+            report.total,
+            report.amap_time + report.rimas_time + world.costs.excise_fixed
+        );
+        let disks = [&world, &oracle].map(|w| {
+            let disk = &w.node(a).unwrap().disk;
+            (disk.blocks_in_use(), disk.writes(), disk.reads())
+        });
+        prop_assert_eq!(disks[0], disks[1]);
+    }
+
+    /// Two equal excised contexts, one rebuilt by `insert_process` and one
+    /// by the page-by-page oracle, each on its own destination disk (empty
+    /// or used): every observable of the space and the disk is equal, and
+    /// the report counts what the oracle counted.
+    #[test]
+    fn the_bulk_insert_equals_the_page_by_page_insert(
+        ops in space_ops(),
+        budget in carried_budget(),
+        used in 0u64..4,
+    ) {
+        let (mut world, a, b, pid, _aliases) = random_process(&ops, budget);
+        let (mut oracle, _, _, _, _oracle_aliases) = random_process(&ops, budget);
+        let mut excised = Vec::new();
+        for w in [&mut world, &mut oracle] {
+            for i in 0..used {
+                w.node_mut(b).unwrap().disk.write_new(page_from_bytes(&[i as u8]));
+            }
+            let dest = w.ports.allocate(b);
+            excised.push(excise_process(w, a, pid, dest).unwrap().0);
+        }
+        let expected = {
+            let context = excised.pop().unwrap();
+            let disk = &mut oracle.node_mut(b).unwrap().disk;
+            let (space, counts) = insert_page_by_page(&context, disk);
+            // Insertion consumes the context messages and with them their
+            // hold on every carried frame.
+            drop(context);
+            (observe_space(&space, disk), counts)
+        };
+        let before = world.clock.now();
+        let (inserted, report) = insert_process(&mut world, b, excised.pop().unwrap()).unwrap();
+        prop_assert_eq!(inserted, pid);
+        let n = world.node(b).unwrap();
+        let got = observe_space(&n.processes[&pid].space, &n.disk);
+        prop_assert_eq!((got, [report.runs, report.carried_pages, report.owed_pages]), expected);
+        prop_assert_eq!(report.total, world.costs.insert_cost(report.runs, report.carried_pages));
+        prop_assert_eq!(world.clock.now().since(before), report.total);
     }
 }
