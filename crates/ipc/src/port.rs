@@ -7,7 +7,7 @@
 //! outstanding send right valid — the location transparency that RIG and
 //! DCN lacked and that Accent migration depends on (paper §5).
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 use crate::message::Message;
@@ -124,8 +124,10 @@ impl std::error::Error for PortError {}
 /// ```
 #[derive(Debug, Default)]
 pub struct PortRegistry {
-    ports: HashMap<PortId, PortEntry>,
-    next: u64,
+    /// `ports[id]` is the entry of `PortId(id)`: ids are handed out in
+    /// sequence and an entry is never removed (a deallocated port stays,
+    /// dead), so the id is the index and is never reused.
+    ports: Vec<PortEntry>,
     /// Exactly the ports that are alive, served and have a queued message.
     /// Maintained by every method that changes one of the three.
     ready: BTreeSet<PortId>,
@@ -139,18 +141,30 @@ impl PortRegistry {
 
     /// Allocates a fresh port whose receive right lives on `home`.
     pub fn allocate(&mut self, home: NodeId) -> PortId {
-        let id = PortId(self.next);
-        self.next += 1;
-        self.ports.insert(
-            id,
-            PortEntry {
-                home,
-                queue: VecDeque::new(),
-                alive: true,
-                served: false,
-            },
-        );
+        let id = PortId(self.ports.len() as u64);
+        self.ports.push(PortEntry {
+            home,
+            queue: VecDeque::new(),
+            alive: true,
+            served: false,
+        });
         id
+    }
+
+    fn live(&self, port: PortId) -> Result<&PortEntry, PortError> {
+        usize::try_from(port.0)
+            .ok()
+            .and_then(|i| self.ports.get(i))
+            .filter(|e| e.alive)
+            .ok_or(PortError::Dead(port))
+    }
+
+    fn live_mut(&mut self, port: PortId) -> Result<&mut PortEntry, PortError> {
+        usize::try_from(port.0)
+            .ok()
+            .and_then(|i| self.ports.get_mut(i))
+            .filter(|e| e.alive)
+            .ok_or(PortError::Dead(port))
     }
 
     /// The node currently holding the receive right.
@@ -159,10 +173,7 @@ impl PortRegistry {
     ///
     /// [`PortError::Dead`] for unknown or deallocated ports.
     pub fn home(&self, port: PortId) -> Result<NodeId, PortError> {
-        match self.ports.get(&port) {
-            Some(e) if e.alive => Ok(e.home),
-            _ => Err(PortError::Dead(port)),
-        }
+        self.live(port).map(|e| e.home)
     }
 
     /// Relocates the receive right (migration does this for every port a
@@ -173,13 +184,8 @@ impl PortRegistry {
     ///
     /// [`PortError::Dead`] for unknown or deallocated ports.
     pub fn relocate(&mut self, port: PortId, new_home: NodeId) -> Result<(), PortError> {
-        match self.ports.get_mut(&port) {
-            Some(e) if e.alive => {
-                e.home = new_home;
-                Ok(())
-            }
-            _ => Err(PortError::Dead(port)),
-        }
+        self.live_mut(port)?.home = new_home;
+        Ok(())
     }
 
     /// Enqueues a message on `port`.
@@ -188,16 +194,12 @@ impl PortRegistry {
     ///
     /// [`PortError::Dead`] for unknown or deallocated ports.
     pub fn enqueue(&mut self, port: PortId, msg: Message) -> Result<(), PortError> {
-        match self.ports.get_mut(&port) {
-            Some(e) if e.alive => {
-                e.queue.push_back(msg);
-                if e.served && e.queue.len() == 1 {
-                    self.ready.insert(port);
-                }
-                Ok(())
-            }
-            _ => Err(PortError::Dead(port)),
+        let e = self.live_mut(port)?;
+        e.queue.push_back(msg);
+        if e.served && e.queue.len() == 1 {
+            self.ready.insert(port);
         }
+        Ok(())
     }
 
     /// Dequeues the oldest message, or `Ok(None)` when the queue is empty.
@@ -206,24 +208,17 @@ impl PortRegistry {
     ///
     /// [`PortError::Dead`] for unknown or deallocated ports.
     pub fn dequeue(&mut self, port: PortId) -> Result<Option<Message>, PortError> {
-        match self.ports.get_mut(&port) {
-            Some(e) if e.alive => {
-                let msg = e.queue.pop_front();
-                if e.served && msg.is_some() && e.queue.is_empty() {
-                    self.ready.remove(&port);
-                }
-                Ok(msg)
-            }
-            _ => Err(PortError::Dead(port)),
+        let e = self.live_mut(port)?;
+        let msg = e.queue.pop_front();
+        if e.served && msg.is_some() && e.queue.is_empty() {
+            self.ready.remove(&port);
         }
+        Ok(msg)
     }
 
     /// Number of queued messages (zero for dead ports).
     pub fn queue_len(&self, port: PortId) -> usize {
-        self.ports
-            .get(&port)
-            .filter(|e| e.alive)
-            .map_or(0, |e| e.queue.len())
+        self.live(port).map_or(0, |e| e.queue.len())
     }
 
     /// Marks whether a server drains `port` when the system settles. Only
@@ -232,7 +227,7 @@ impl PortRegistry {
     /// port cannot be served: the call is a no-op and the port is never
     /// ready (senders to it already get [`PortError::Dead`]).
     pub fn set_served(&mut self, port: PortId, served: bool) {
-        if let Some(e) = self.ports.get_mut(&port).filter(|e| e.alive) {
+        if let Ok(e) = self.live_mut(port) {
             e.served = served;
             if served && !e.queue.is_empty() {
                 self.ready.insert(port);
@@ -251,7 +246,7 @@ impl PortRegistry {
     /// Destroys a port. Queued messages are dropped; subsequent operations
     /// return [`PortError::Dead`].
     pub fn deallocate(&mut self, port: PortId) {
-        if let Some(e) = self.ports.get_mut(&port) {
+        if let Ok(e) = self.live_mut(port) {
             e.alive = false;
             e.served = false;
             e.queue.clear();
@@ -266,11 +261,11 @@ impl PortRegistry {
     /// Returns the number of messages dropped.
     pub fn purge_node(&mut self, node: NodeId) -> usize {
         let mut dropped = 0;
-        for (id, e) in &mut self.ports {
+        for (id, e) in (0..).map(PortId).zip(&mut self.ports) {
             if e.alive && e.home == node && !e.queue.is_empty() {
                 dropped += e.queue.len();
                 e.queue.clear();
-                self.ready.remove(id);
+                self.ready.remove(&id);
             }
         }
         dropped
@@ -278,12 +273,12 @@ impl PortRegistry {
 
     /// Whether the port is alive.
     pub fn is_alive(&self, port: PortId) -> bool {
-        self.ports.get(&port).is_some_and(|e| e.alive)
+        self.live(port).is_ok()
     }
 
     /// Number of live ports.
     pub fn live_ports(&self) -> usize {
-        self.ports.values().filter(|e| e.alive).count()
+        self.ports.iter().filter(|e| e.alive).count()
     }
 }
 

@@ -8,7 +8,6 @@
 //! outstanding; when the count reaches zero the backer is owed an
 //! `ImaginarySegmentDeath` notice so it can release its copy of the data.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use cor_mem::space::SegmentId;
@@ -70,8 +69,10 @@ impl std::error::Error for SegmentError {}
 /// ```
 #[derive(Debug, Default)]
 pub struct SegmentRegistry {
-    segments: HashMap<SegmentId, Segment>,
-    next: u64,
+    /// `segments[id]` is `SegmentId(id)`: ids are handed out in sequence,
+    /// a dead segment leaves `None` behind, and its id is never reused.
+    segments: Vec<Option<Segment>>,
+    /// Segment deaths so far, i.e. the `None`s in `segments`.
     deaths: u64,
 }
 
@@ -84,17 +85,21 @@ impl SegmentRegistry {
     /// Creates a segment of `len_pages` pages backed by `backing_port`,
     /// with no outstanding references yet.
     pub fn create(&mut self, backing_port: PortId, len_pages: u64) -> SegmentId {
-        let id = SegmentId(self.next);
-        self.next += 1;
-        self.segments.insert(
-            id,
-            Segment {
-                backing_port,
-                len_pages,
-                outstanding: 0,
-            },
-        );
+        let id = SegmentId(self.segments.len() as u64);
+        self.segments.push(Some(Segment {
+            backing_port,
+            len_pages,
+            outstanding: 0,
+        }));
         id
+    }
+
+    fn get_mut(&mut self, seg: SegmentId) -> Result<&mut Segment, SegmentError> {
+        usize::try_from(seg.0)
+            .ok()
+            .and_then(|i| self.segments.get_mut(i))
+            .and_then(Option::as_mut)
+            .ok_or(SegmentError::Unknown(seg))
     }
 
     /// Records `pages` new outstanding references (IOUs issued against the
@@ -104,11 +109,7 @@ impl SegmentRegistry {
     ///
     /// [`SegmentError::Unknown`] if the segment died or never existed.
     pub fn add_refs(&mut self, seg: SegmentId, pages: u64) -> Result<(), SegmentError> {
-        let s = self
-            .segments
-            .get_mut(&seg)
-            .ok_or(SegmentError::Unknown(seg))?;
-        s.outstanding += pages;
+        self.get_mut(seg)?.outstanding += pages;
         Ok(())
     }
 
@@ -121,26 +122,23 @@ impl SegmentRegistry {
     ///
     /// [`SegmentError::Unknown`] or [`SegmentError::OverRelease`].
     pub fn release_refs(&mut self, seg: SegmentId, pages: u64) -> Result<bool, SegmentError> {
-        let s = self
-            .segments
-            .get_mut(&seg)
-            .ok_or(SegmentError::Unknown(seg))?;
+        let s = self.get_mut(seg)?;
         if pages > s.outstanding {
             return Err(SegmentError::OverRelease(seg));
         }
         s.outstanding -= pages;
-        if s.outstanding == 0 {
-            self.segments.remove(&seg);
-            self.deaths += 1;
-            Ok(true)
-        } else {
-            Ok(false)
+        if s.outstanding > 0 {
+            return Ok(false);
         }
+        // `get_mut` found the slot, so the index is in range.
+        self.segments[seg.0 as usize] = None;
+        self.deaths += 1;
+        Ok(true)
     }
 
     /// Looks up a live segment.
     pub fn get(&self, seg: SegmentId) -> Option<&Segment> {
-        self.segments.get(&seg)
+        self.segments.get(usize::try_from(seg.0).ok()?)?.as_ref()
     }
 
     /// The backing port of a live segment.
@@ -170,7 +168,8 @@ impl SegmentRegistry {
 
     /// Number of live segments.
     pub fn live(&self) -> usize {
-        self.segments.len()
+        // One `None` per death, and `deaths <= segments.len()` fits a usize.
+        self.segments.len() - self.deaths as usize
     }
 
     /// Number of segment deaths so far.

@@ -1,13 +1,58 @@
 //! Property tests for the IPC substrate.
 
+use std::collections::{HashMap, VecDeque};
+
 use proptest::prelude::*;
 
 use cor_ipc::message::{Message, MsgItem, MsgKind};
-use cor_ipc::port::{NodeId, PortId, PortRegistry};
+use cor_ipc::port::{NodeId, PortError, PortId, PortRegistry};
 use cor_ipc::protocol::{self, ProtocolMsg};
-use cor_ipc::segment::SegmentRegistry;
+use cor_ipc::segment::{SegmentError, SegmentRegistry};
 use cor_mem::page::Frame;
 use cor_mem::space::SegmentId;
+
+/// The port registry as it was before it became a slab — a map keyed by
+/// id and a counter that only goes up — kept as the reference
+/// `port_registry_matches_the_keyed_reference` compares against.
+#[derive(Default)]
+struct RefPorts {
+    ports: HashMap<PortId, RefPort>,
+    next: u64,
+}
+
+struct RefPort {
+    home: NodeId,
+    /// The `MsgKind::User` payloads queued, oldest first.
+    queue: VecDeque<u32>,
+    alive: bool,
+    served: bool,
+}
+
+impl RefPorts {
+    fn allocate(&mut self, home: NodeId) -> PortId {
+        let id = PortId(self.next);
+        self.next += 1;
+        let port = RefPort {
+            home,
+            queue: VecDeque::new(),
+            alive: true,
+            served: false,
+        };
+        self.ports.insert(id, port);
+        id
+    }
+
+    fn live(&mut self, port: PortId) -> Result<&mut RefPort, PortError> {
+        let entry = self.ports.get_mut(&port).filter(|e| e.alive);
+        entry.ok_or(PortError::Dead(port))
+    }
+
+    fn set_served(&mut self, port: PortId, served: bool) {
+        if let Ok(e) = self.live(port) {
+            e.served = served;
+        }
+    }
+}
 
 proptest! {
     /// Protocol encode/parse is the identity for arbitrary field values.
@@ -60,68 +105,132 @@ proptest! {
         prop_assert_eq!(reg.queue_len(port) as u32, next_in - next_out);
     }
 
-    /// The ready set is exactly `{p : served ∧ alive ∧ queue_len(p) > 0}`
-    /// in ascending port order after any sequence of registry operations.
+    /// The slab registry against the keyed one it replaced: the same ids
+    /// (sequential, never reused), the same result from every operation on
+    /// any id — allocated, deallocated or never handed out — and after each
+    /// the same ready set in ascending port order.
     #[test]
-    fn ready_set_is_served_alive_and_non_empty(
-        ops in prop::collection::vec((0u8..8, 0usize..6, 0u32..3), 1..300)
+    fn port_registry_matches_the_keyed_reference(
+        ops in prop::collection::vec((0u8..9, 0u64..8, 0u32..3), 1..300)
     ) {
         let mut reg = PortRegistry::new();
-        // The model: (port, home, queued, alive, served).
-        let mut model: Vec<(PortId, NodeId, usize, bool, bool)> = Vec::new();
+        let mut model = RefPorts::default();
+        let mut sent = 0u32;
         for &(op, pick, node) in &ops {
-            let node = NodeId(node);
-            if op == 0 || model.is_empty() {
-                model.push((reg.allocate(node), node, 0, true, false));
-                continue;
-            }
-            let slot = pick % model.len();
-            let (port, _, _, alive, _) = model[slot];
+            let (port, node) = (PortId(pick), NodeId(node));
             match op {
+                0 => prop_assert_eq!(reg.allocate(node), model.allocate(node)),
                 1 => {
                     reg.set_served(port, true);
-                    model[slot].4 = alive;
+                    model.set_served(port, true);
                 }
                 2 => {
                     reg.set_served(port, false);
-                    model[slot].4 = false;
+                    model.set_served(port, false);
                 }
                 3 | 4 => {
-                    let sent = reg.enqueue(port, Message::new(MsgKind::User(0), port));
-                    prop_assert_eq!(sent.is_ok(), alive);
-                    model[slot].2 += usize::from(alive);
+                    sent += 1;
+                    let got = reg.enqueue(port, Message::new(MsgKind::User(sent), port));
+                    prop_assert_eq!(got, model.live(port).map(|e| e.queue.push_back(sent)));
                 }
                 5 => {
-                    let got = reg.dequeue(port);
-                    prop_assert_eq!(got.is_ok(), alive);
-                    prop_assert_eq!(got.ok().flatten().is_some(), model[slot].2 > 0);
-                    model[slot].2 = model[slot].2.saturating_sub(1);
+                    let got = reg.dequeue(port).map(|m| m.map(|m| m.kind));
+                    let want = model.live(port).map(|e| e.queue.pop_front().map(MsgKind::User));
+                    prop_assert_eq!(got, want);
                 }
                 6 => {
-                    prop_assert_eq!(reg.relocate(port, node).is_ok(), alive);
-                    if alive {
-                        model[slot].1 = node;
-                    }
+                    let want = model.live(port).map(|e| e.home = node);
+                    prop_assert_eq!(reg.relocate(port, node), want);
                 }
-                _ if pick < 2 => {
+                7 => {
                     reg.deallocate(port);
-                    model[slot] = (port, model[slot].1, 0, false, false);
+                    if let Some(e) = model.ports.get_mut(&port) {
+                        (e.alive, e.served) = (false, false);
+                        e.queue.clear();
+                    }
                 }
                 _ => {
-                    let purged = reg.purge_node(node);
-                    let mut expect = 0;
-                    for m in model.iter_mut().filter(|m| m.3 && m.1 == node) {
-                        expect += std::mem::take(&mut m.2);
+                    let mut want = 0;
+                    for e in model.ports.values_mut().filter(|e| e.alive && e.home == node) {
+                        want += std::mem::take(&mut e.queue).len();
                     }
-                    prop_assert_eq!(purged, expect);
+                    prop_assert_eq!(reg.purge_node(node), want);
                 }
             }
-            let expect: Vec<PortId> = model
+            // Ids 0..8 cover every allocated port and, until the eighth
+            // allocation, some that were never handed out.
+            for id in (0..8).map(PortId) {
+                let want = model.live(id).map(|e| (e.home, e.queue.len()));
+                prop_assert_eq!(reg.home(id), want.map(|w| w.0));
+                prop_assert_eq!(reg.queue_len(id), want.map_or(0, |w| w.1));
+                prop_assert_eq!(reg.is_alive(id), want.is_ok());
+            }
+            let mut ready: Vec<PortId> = model
+                .ports
                 .iter()
-                .filter(|&&(_, _, queued, alive, served)| served && alive && queued > 0)
-                .map(|m| m.0)
+                .filter(|(_, e)| e.alive && e.served && !e.queue.is_empty())
+                .map(|(&id, _)| id)
                 .collect();
-            prop_assert_eq!(reg.ready_ports().collect::<Vec<_>>(), expect);
+            ready.sort_unstable();
+            prop_assert_eq!(reg.ready_ports().collect::<Vec<_>>(), ready);
+            let live = model.ports.values().filter(|e| e.alive).count();
+            prop_assert_eq!(reg.live_ports(), live);
+        }
+    }
+
+    /// The slab segment table against the keyed one it replaced: ids are
+    /// sequential and a dead segment's id stays `Unknown` for good — it is
+    /// never handed out again, however many segments die before the next
+    /// `create`.
+    #[test]
+    fn segment_registry_matches_the_keyed_reference(
+        ops in prop::collection::vec((0u8..6, 0u64..8, 0u64..5), 1..300)
+    ) {
+        let mut reg = SegmentRegistry::new();
+        let mut model: HashMap<SegmentId, (PortId, u64, u64)> = HashMap::new();
+        let (mut next, mut deaths) = (0u64, 0u64);
+        for &(op, pick, n) in &ops {
+            let seg = SegmentId(pick);
+            let unknown = SegmentError::Unknown(seg);
+            match op {
+                0 => {
+                    prop_assert_eq!(reg.create(PortId(pick), n), SegmentId(next));
+                    model.insert(SegmentId(next), (PortId(pick), n, 0));
+                    next += 1;
+                }
+                1 | 2 => {
+                    let want = model.get_mut(&seg).map(|s| s.2 += n).ok_or(unknown);
+                    prop_assert_eq!(reg.add_refs(seg, n), want);
+                }
+                3 | 4 => {
+                    let want = match model.get_mut(&seg) {
+                        None => Err(unknown),
+                        Some(s) if n > s.2 => Err(SegmentError::OverRelease(seg)),
+                        Some(s) => {
+                            s.2 -= n;
+                            Ok(s.2 == 0)
+                        }
+                    };
+                    if want == Ok(true) {
+                        model.remove(&seg);
+                        deaths += 1;
+                    }
+                    prop_assert_eq!(reg.release_refs(seg, n), want);
+                }
+                _ => {
+                    let want = match model.get(&seg) {
+                        None => Err(unknown),
+                        Some(s) if pick + n > s.1 => Err(SegmentError::OutOfBounds(seg)),
+                        Some(_) => Ok(()),
+                    };
+                    prop_assert_eq!(reg.check_range(seg, pick, n), want);
+                }
+            }
+            for id in (0..8).map(SegmentId) {
+                let got = reg.get(id).map(|s| (s.backing_port, s.len_pages, s.outstanding));
+                prop_assert_eq!(got, model.get(&id).copied());
+            }
+            prop_assert_eq!((reg.live(), reg.deaths()), (model.len(), deaths));
         }
     }
 

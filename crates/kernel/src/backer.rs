@@ -11,6 +11,7 @@
 
 use cor_mem::page::Frame;
 use cor_mem::space::SegmentId;
+use cor_sim::IdMap;
 
 /// A supplier of imaginary segment pages.
 pub trait PageStore {
@@ -29,7 +30,7 @@ pub trait PageStore {
 /// A simple in-memory [`PageStore`]: one frame vector per segment.
 #[derive(Debug, Default)]
 pub struct VecStore {
-    segments: std::collections::HashMap<SegmentId, Vec<Frame>>,
+    segments: IdMap<SegmentId, Vec<Frame>>,
 }
 
 impl VecStore {

@@ -4,12 +4,10 @@
 //! instruction loop that consumes [`crate::program::Op`]s, charges
 //! compute time, and feeds memory touches to the pager.
 
-use std::collections::HashMap;
-
 use cor_ipc::NodeId;
 use cor_mem::space::SegmentId;
 use cor_mem::{PageNum, PageState};
-use cor_sim::SimDuration;
+use cor_sim::{IdMap, SimDuration};
 use cor_trace::TraceEvent;
 
 use crate::error::KernelError;
@@ -132,7 +130,7 @@ impl World {
         slice_ops: usize,
     ) -> Result<Vec<(ProcessId, SimDuration)>, KernelError> {
         assert!(slice_ops > 0, "slices must make progress");
-        let mut spent: HashMap<ProcessId, SimDuration> = HashMap::new();
+        let mut spent: IdMap<ProcessId, SimDuration> = IdMap::default();
         let mut finished = Vec::new();
         loop {
             let ready: Vec<ProcessId> = self
@@ -165,7 +163,7 @@ impl World {
     ///
     /// Network failures during reference release.
     pub fn terminate(&mut self, node: NodeId, pid: ProcessId) -> Result<(), KernelError> {
-        let mut owed: HashMap<SegmentId, u64> = HashMap::new();
+        let mut owed: IdMap<SegmentId, u64> = IdMap::default();
         {
             let process = self.process_mut(node, pid)?;
             for (_, state) in process.space.materialized_pages() {

@@ -59,7 +59,9 @@ pub struct ExecStats {
     pub prefetched_pages: u64,
     /// Prefetched pages later touched by the program.
     pub prefetch_hits: u64,
-    /// Distinct pages the program has touched.
+    /// Distinct pages the program has touched. This set and the next keep
+    /// std's hasher: they are public, and the frozen benchmark intersects
+    /// `touched` with a std `HashSet`, which needs the same hasher type.
     pub touched: HashSet<PageNum>,
     /// Pages currently installed by prefetch and not yet touched.
     pub prefetch_pending: HashSet<PageNum>,

@@ -3,7 +3,7 @@
 //! The replication layer (see `docs/REPLICATION.md`) write-through
 //! installs a migrated process's owed pages on `f` replica nodes. Each
 //! replica keeps the pages in a [`ContentStore`]: frames indexed by
-//! their FNV-1a [`Frame::content_hash`], deduplicated by
+//! their [`Frame::content_hash`], deduplicated by
 //! [`Frame::same_contents`] within a hash bucket. A COR read that is
 //! routed to a replica resolves the page's content hash against this
 //! store instead of walking the origin segment — which is what makes
@@ -15,7 +15,7 @@
 //! crash-survivable disk backer), so a process survives only while at
 //! least one of its `f + 1` homes is up.
 
-use std::collections::HashMap;
+use cor_sim::IdMap;
 
 use crate::page::Frame;
 
@@ -27,7 +27,7 @@ use crate::page::Frame;
 /// operation is deterministic under identical insertion order.
 #[derive(Debug, Clone, Default)]
 pub struct ContentStore {
-    by_hash: HashMap<u64, Vec<Frame>>,
+    by_hash: IdMap<u64, Vec<Frame>>,
     pages: u64,
 }
 

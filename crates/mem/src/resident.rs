@@ -6,7 +6,7 @@
 //! The tracker models a per-space frame budget; when it is exceeded the
 //! least recently used page is nominated for page-out.
 
-use std::collections::HashMap;
+use cor_sim::IdMap;
 
 use crate::page::PageNum;
 
@@ -51,7 +51,7 @@ pub struct ResidentTracker {
     /// the most recently used.
     nodes: Vec<Node>,
     /// Never iterated for output: `pages` sorts, the list carries the order.
-    slots: HashMap<PageNum, u32>,
+    slots: IdMap<PageNum, u32>,
     /// The first released node, 0 when there is none.
     free: u32,
     capacity: Option<usize>,

@@ -16,8 +16,10 @@
 //!   frame budget is exceeded, giving each process a meaningful resident
 //!   set at migration time (Table 4-2).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
+
+use cor_sim::IdMap;
 
 use crate::amap::{AMap, Access};
 use crate::disk::{Disk, DiskAddr};
@@ -743,7 +745,7 @@ impl SpaceImage {
             return Err(MemError::NotFresh("build disk served other traffic"));
         }
         let lru = space.resident.pages_lru_order();
-        let rank: HashMap<PageNum, u32> = lru.iter().copied().zip(0..).collect();
+        let rank: IdMap<PageNum, u32> = lru.iter().copied().zip(0..).collect();
         let mut pages = Vec::with_capacity(space.pages.len());
         for (&page, state) in &space.pages {
             let (frame, home) = match state {

@@ -4,13 +4,13 @@
 //! that reads and writes them. Nothing outside this module can mark a
 //! node down without also marking its volatile state lost.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use cor_ipc::port::PortRegistry;
 use cor_ipc::NodeId;
 use cor_mem::page::Frame;
 use cor_mem::space::SegmentId;
-use cor_sim::SimTime;
+use cor_sim::{IdMap, IdSet, SimTime};
 use cor_trace::TraceEvent;
 
 use crate::fabric::Fabric;
@@ -22,22 +22,22 @@ pub(crate) struct CrashState {
     /// Nodes currently down. Sends toward them fail fast with
     /// [`NetError::NodeDown`](crate::NetError::NodeDown); their
     /// NetMsgServers answer nothing. Always a subset of `lost_volatile`.
-    down: HashSet<NodeId>,
+    down: IdSet<NodeId>,
     /// Nodes that crashed at least once, including amnesiac reboots: their
     /// volatile NetMsgServer state (cache, forwards, relays) is gone even
     /// if they answer the wire again. The recovery ladder consults this to
     /// tell "the backer forgot" from "the chain was always broken".
-    lost_volatile: HashSet<NodeId>,
+    lost_volatile: IdSet<NodeId>,
     /// Crash-plan events that already fired (by event index).
-    fired: HashSet<usize>,
+    fired: IdSet<usize>,
     /// Remote messages carried per node (sent or received) under a crash
     /// plan, feeding `AfterMessages` triggers.
-    carried: HashMap<NodeId, u64>,
+    carried: IdMap<NodeId, u64>,
     /// Per-node crash-survivable disk backers ("Sesame" in the paper's
     /// flush variation): pages flushed here by the drain machinery outlive
     /// the node's crash and serve post-crash recovery reads. Keyed by
     /// `(segment, offset)`; deterministic iteration order.
-    disk: HashMap<NodeId, BTreeMap<(u64, u64), Frame>>,
+    disk: IdMap<NodeId, BTreeMap<(u64, u64), Frame>>,
 }
 
 impl Fabric {

@@ -10,7 +10,7 @@
 //! [`Fabric::serve_nms`] and its handlers — and every other part of
 //! [`Fabric`]'s surface that reads NetMsgServer state live here too.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use cor_ipc::message::{Message, MsgItem, MsgKind};
 use cor_ipc::port::{PortId, PortRegistry};
@@ -20,7 +20,7 @@ use cor_ipc::NodeId;
 use cor_mem::content::ContentStore;
 use cor_mem::page::{frame_pool, Frame};
 use cor_mem::space::SegmentId;
-use cor_sim::{Clock, SimDuration, SimTime};
+use cor_sim::{Clock, IdMap, SimDuration, SimTime};
 use cor_trace::{SpanId, TraceEvent};
 
 use crate::error::NetError;
@@ -99,12 +99,12 @@ struct DedupEntry {
 #[derive(Debug, Default)]
 struct ContentStores {
     /// Segments this NMS backs, with their cached page data (offset-indexed).
-    cache: HashMap<SegmentId, Vec<Frame>>,
+    cache: IdMap<SegmentId, Vec<Frame>>,
     /// Content-addressed page cache for incoming COR replies: content hash
     /// → entries already held with that hash (a short list, since unequal
     /// pages practically never collide). Replies carrying bytes this node
     /// already holds install the held frame instead of a fresh copy.
-    dedup: HashMap<u64, Vec<DedupEntry>>,
+    dedup: IdMap<u64, Vec<DedupEntry>>,
     /// Deterministic LRU order over `dedup`: recency stamp → content
     /// hash. At [`DEDUP_CAP_PAGES`] the least-recently-used entry
     /// (`pop_first`) is evicted to make room.
@@ -244,13 +244,13 @@ struct NmsState {
     port: PortId,
     store: ContentStores,
     /// Stand-in segments this NMS created for remote imaginary objects.
-    forward: HashMap<SegmentId, ForwardEntry>,
+    forward: IdMap<SegmentId, ForwardEntry>,
     /// Keyed by (origin segment, origin offset) of a forwarded request.
     /// With [`WireParams::coalesce`](crate::WireParams::coalesce) off the
     /// vector never holds more than one waiter (latest wins, the seed
     /// semantics); with it on, duplicate in-flight requests park here
     /// CCNx-PIT-style and are all answered from the single upstream reply.
-    pending: HashMap<(SegmentId, u64), Vec<PendingRelay>>,
+    pending: IdMap<(SegmentId, u64), Vec<PendingRelay>>,
     /// Message-handling CPU charged to this node. Accounting, not NMS
     /// memory: it survives a crash.
     cpu: SimDuration,
@@ -262,8 +262,8 @@ impl NmsState {
             node,
             port,
             store: ContentStores::default(),
-            forward: HashMap::new(),
-            pending: HashMap::new(),
+            forward: IdMap::default(),
+            pending: IdMap::default(),
             cpu: SimDuration::ZERO,
         }
     }
@@ -306,15 +306,8 @@ impl NmsState {
     /// waiter and a reply covers exactly its own key, so this reduces to
     /// the seed's exact-match relay.
     fn take_covered(&mut self, seg: SegmentId, offset: u64, n: u64) -> Vec<(u64, PendingRelay)> {
-        let mut covered: Vec<u64> = self
-            .pending
-            .keys()
-            .filter(|&&(s, o)| s == seg && o >= offset && o < offset + n)
-            .map(|&(_, o)| o)
-            .collect();
-        covered.sort_unstable();
         let mut matched: Vec<(u64, PendingRelay)> = Vec::new();
-        for o in covered {
+        for o in offset..offset + n {
             if let Some(mut waiters) = self.pending.remove(&(seg, o)) {
                 let mut kept = Vec::new();
                 for w in waiters.drain(..) {

@@ -6,12 +6,10 @@
 //! a fixed order — drop (once per attempt), jitter, duplicate, reorder —
 //! so identical plans over identical traffic inject identical faults.
 
-use std::collections::HashMap;
-
 use cor_ipc::message::Message;
 use cor_ipc::port::PortRegistry;
 use cor_ipc::NodeId;
-use cor_sim::{Clock, LedgerCategory, Pcg32, SimDuration};
+use cor_sim::{Clock, IdMap, LedgerCategory, Pcg32, SimDuration};
 use cor_trace::TraceEvent;
 
 use crate::error::NetError;
@@ -33,7 +31,7 @@ pub(crate) struct LinkLayer {
     /// receiver's delivered high-water mark: a repeat delivery carries a
     /// number at or below it. Only maintained under faults (a perfect
     /// wire cannot duplicate), one entry per link however long the run.
-    seq: HashMap<(NodeId, NodeId), u64>,
+    seq: IdMap<(NodeId, NodeId), u64>,
     /// Deliveries held back by reorder injection, released (FIFO) by the
     /// next non-reordered send or by [`Fabric::pump`].
     limbo: Vec<Message>,

@@ -2,15 +2,13 @@
 //! content-hash directories, nearest-live-home selection, and the
 //! write-through / content-addressed read paths built on them.
 
-use std::collections::HashMap;
-
 use cor_ipc::message::MsgKind;
 use cor_ipc::protocol;
 use cor_ipc::NodeId;
 use cor_mem::content::ContentStore;
 use cor_mem::page::Frame;
 use cor_mem::space::SegmentId;
-use cor_sim::{Clock, LedgerCategory, Pcg32};
+use cor_sim::{Clock, IdMap, LedgerCategory, Pcg32};
 use cor_trace::TraceEvent;
 
 use crate::error::NetError;
@@ -30,11 +28,11 @@ const REPLICA_STREAM: u64 = 0x9E_0F;
 pub(crate) struct ReplicaDirectory {
     /// Origin segment → the replica nodes its pages were write-through
     /// installed on (primary excluded).
-    homes: HashMap<SegmentId, Vec<NodeId>>,
+    homes: IdMap<SegmentId, Vec<NodeId>>,
     /// `(origin segment, offset)` → the page's content hash at page-out
     /// time, the key a content-addressed COR request resolves against a
     /// replica's [`ContentStore`](cor_mem::content::ContentStore).
-    hash: HashMap<(u64, u64), u64>,
+    hash: IdMap<(u64, u64), u64>,
 }
 
 impl ReplicaDirectory {

@@ -2,26 +2,22 @@
 //! the installed [`Topology`](crate::Topology), bills every link crossed, and queues behind
 //! links still busy with earlier traffic.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use cor_ipc::message::MsgKind;
 use cor_ipc::NodeId;
-use cor_sim::{Clock, SimDuration, SimTime};
+use cor_sim::{Clock, IdMap, SimDuration, SimTime};
 use cor_trace::TraceEvent;
 
 use crate::error::NetError;
 use crate::fabric::Fabric;
 use crate::topology::LinkStats;
 
-/// Per-directed-link state, populated only under a routed topology.
+/// Per-directed-link state, populated only under a routed topology: the
+/// instant the physical link frees up (for per-link queueing) and the
+/// traffic every routed message traversing it has billed.
 #[derive(Debug, Default)]
-pub(crate) struct Links {
-    /// Traffic accounting: every link a routed message traverses bills its
-    /// bytes here (deterministic iteration order).
-    stats: BTreeMap<(NodeId, NodeId), LinkStats>,
-    /// The instant each physical link frees up, for per-link queueing.
-    busy: HashMap<(NodeId, NodeId), SimTime>,
-}
+pub(crate) struct Links(IdMap<(NodeId, NodeId), (SimTime, LinkStats)>);
 
 impl Fabric {
     /// Walks the routed topology's path for one remote crossing: per-link
@@ -53,12 +49,11 @@ impl Fabric {
         let mut hops = 0u32;
         let mut at = from;
         for next in topo.hops(from, to)? {
-            let link = (at, next);
+            let (busy, s) = self.links.0.entry((at, next)).or_default();
             at = next;
-            let busy = self.links.busy.get(&link).copied().unwrap_or(SimTime::ZERO);
             let wait = busy.saturating_since(cursor);
             if wait > SimDuration::ZERO {
-                cursor = busy;
+                cursor = *busy;
             }
             if hops > 0 {
                 // Cut-through forwarding: each extra hop adds its relay
@@ -66,8 +61,7 @@ impl Fabric {
                 cursor += topo.hop_latency;
             }
             hops += 1;
-            self.links.busy.insert(link, cursor + occupancy);
-            let s = self.links.stats.entry(link).or_default();
+            *busy = cursor + occupancy;
             s.msgs += 1;
             s.bytes += bytes;
             s.queue_wait += wait;
@@ -99,14 +93,14 @@ impl Fabric {
     }
 
     /// Per-directed-link traffic table, populated only under an installed
-    /// [`WireParams::topology`](crate::WireParams::topology). Keys iterate
-    /// in deterministic `(from, to)` order.
-    pub fn link_stats(&self) -> &BTreeMap<(NodeId, NodeId), LinkStats> {
-        &self.links.stats
+    /// [`WireParams::topology`](crate::WireParams::topology). Collected on
+    /// each call, sorted by `(from, to)`.
+    pub fn link_stats(&self) -> BTreeMap<(NodeId, NodeId), LinkStats> {
+        self.links.0.iter().map(|(&l, &(_, s))| (l, s)).collect()
     }
 
     /// Renders the per-link traffic table ([`crate::topology::link_table`]).
     pub fn link_table(&self) -> String {
-        crate::topology::link_table(&self.links.stats)
+        crate::topology::link_table(&self.link_stats())
     }
 }

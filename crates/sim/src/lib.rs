@@ -16,6 +16,9 @@
 //! * [`metrics`] — counters, byte ledgers with category tags and a
 //!   time-binned view (used to regenerate Figure 4-5 of the paper), and
 //!   the unreliable-wire counters. Latency histograms live in `cor-trace`.
+//! * [`IdMap`] / [`IdSet`] — hash tables for keys the simulator minted
+//!   itself (ids, page numbers, links), over the one-multiply
+//!   [`idhash::IdHasher`].
 //! * [`JournalLevel`] — the verbosity knob for the typed journal (the
 //!   journal itself lives in the `cor-trace` crate, above the substrate).
 //!
@@ -30,12 +33,14 @@
 //! ```
 
 pub mod clock;
+pub mod idhash;
 pub mod journal;
 pub mod metrics;
 pub mod rng;
 pub mod time;
 
 pub use clock::Clock;
+pub use idhash::{IdMap, IdSet};
 pub use journal::JournalLevel;
 pub use metrics::{Counter, Ledger, LedgerCategory, ReliabilityStats};
 pub use rng::Pcg32;
