@@ -40,7 +40,6 @@ pub mod drain;
 pub mod excise;
 pub mod insert;
 pub mod manager;
-pub mod policy;
 pub mod report;
 pub mod strategy;
 
@@ -49,6 +48,5 @@ pub use drain::{DrainReport, Drainer};
 pub use excise::excise_process;
 pub use insert::insert_process;
 pub use manager::MigrationManager;
-pub use policy::{Balancer, NodeLoad};
 pub use report::{MigrationReport, PhaseTimings};
 pub use strategy::Strategy;

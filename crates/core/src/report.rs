@@ -60,11 +60,6 @@ pub struct MigrationReport {
 }
 
 impl MigrationReport {
-    /// Total bytes retransmitted by pre-copy rounds after the first.
-    pub fn precopy_overhead_bytes(&self) -> u64 {
-        self.precopy_rounds.iter().skip(1).sum()
-    }
-
     /// Process downtime: for pre-copy, only the final (smallest) round
     /// plus excision/insertion stops the process — earlier rounds overlap
     /// execution at the source. For every other strategy the whole
@@ -100,7 +95,7 @@ mod tests {
     }
 
     #[test]
-    fn precopy_overhead_excludes_first_round() {
+    fn precopy_downtime_is_the_final_round() {
         let r = MigrationReport {
             strategy: "precopy".into(),
             process: "x".into(),
@@ -119,7 +114,6 @@ mod tests {
                 SimDuration::from_millis(500),
             ],
         };
-        assert_eq!(r.precopy_overhead_bytes(), 250);
         // Downtime counts only the final round (plus zeroed phases here).
         assert_eq!(r.downtime(), SimDuration::from_millis(500));
     }

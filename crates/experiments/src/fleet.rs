@@ -220,6 +220,12 @@ pub fn blame_cell_spec() -> FleetSpec {
 /// [`cor_trace::Profile::blame_csv`] takes for its per-link rows.
 pub type LinkWaits = Vec<((NodeId, NodeId), u64)>;
 
+/// The queue wait in microseconds each directed link of `world` has seen.
+pub fn link_waits(world: &World) -> LinkWaits {
+    let stats = world.fabric.link_stats();
+    stats.iter().map(|(&l, s)| (l, s.queue_wait.as_micros())).collect()
+}
+
 /// Like [`run_cell`], but also returns the cell's critical-path
 /// [`Profile`](cor_trace::Profile) (built from the world and fabric
 /// journals) and the per-directed-link queue waits in microseconds —
@@ -227,13 +233,7 @@ pub type LinkWaits = Vec<((NodeId, NodeId), u64)>;
 pub fn run_cell_profiled(spec: FleetSpec) -> (FleetOutcome, cor_trace::Profile, LinkWaits) {
     let (outcome, world) = run_cell_inner(spec);
     let profile = cor_trace::Profile::from_journals(&world.journals());
-    let links = world
-        .fabric
-        .link_stats()
-        .iter()
-        .map(|(&l, s)| (l, s.queue_wait.as_micros()))
-        .collect();
-    (outcome, profile, links)
+    (outcome, profile, link_waits(&world))
 }
 
 fn run_cell_inner(spec: FleetSpec) -> (FleetOutcome, World) {

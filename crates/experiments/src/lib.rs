@@ -5,23 +5,12 @@
 //! time, and the [`tables`]/[`figures`]/[`summary`] modules format the
 //! results next to the paper's published numbers.
 //!
-//! | Paper artifact | Regenerated by |
-//! |---|---|
-//! | Table 4-1 (address-space composition) | [`tables::table4_1`] |
-//! | Table 4-2 (resident sets) | [`tables::table4_2`] |
-//! | Table 4-3 (% of space accessed) | [`tables::table4_3`] |
-//! | Table 4-4 (excision times) | [`tables::table4_4`] |
-//! | Table 4-5 (transfer times) | [`tables::table4_5`] |
-//! | Figure 4-1 (remote execution times) | [`figures::fig4_1`] |
-//! | Figure 4-2 (overall speedup) | [`figures::fig4_2`] |
-//! | Figure 4-3 (bytes transferred) | [`figures::fig4_3`] |
-//! | Figure 4-4 (message-handling time) | [`figures::fig4_4`] |
-//! | Figure 4-5 (Lisp-Del transfer-rate panels) | [`figures::fig4_5`] |
-//! | §4.3.3 constants, §4.4 aggregates | [`summary::constants`], [`summary::aggregates`] |
-//! | Pre-copy ablation (ours) | [`summary::ablation`] |
-//! | `LATENCY_baseline.json` (virtual-time CI gate) | [`latency::latency_baseline`] |
+//! Which function regenerates which paper artifact, under which
+//! subcommand, and what pins its output is one table:
+//! [`commands::COMMANDS`].
 
 pub mod check;
+pub mod commands;
 pub mod figures;
 pub mod fleet;
 pub mod latency;

@@ -127,8 +127,10 @@ mod tests {
             cor_kernel::CostModel::default(),
             WireParams::default(),
         );
-        let mut wire = WireParams::default();
-        wire.faults = Some(FaultPlan::dropping(9, 0.20));
+        let wire = WireParams {
+            faults: Some(FaultPlan::dropping(9, 0.20)),
+            ..WireParams::default()
+        };
         let lossy = run_trial_with(
             &w,
             Strategy::PureIou { prefetch: 1 },

@@ -256,11 +256,6 @@ impl Matrix {
         }
     }
 
-    /// Worker threads used by [`Matrix::prefill`].
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
     /// The pool backing this matrix (pools are `Copy`: a thread budget,
     /// not live workers).
     pub fn pool(&self) -> cor_pool::Pool {

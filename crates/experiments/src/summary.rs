@@ -179,7 +179,6 @@ pub fn cow_study() -> String {
         let total_pages = pages_per_msg * msgs;
         let mut space = AddressSpace::new();
         let mut tb = Trace::builder();
-        let mut writes = 0u64;
         let write_every = if write_pct > 0.0 {
             (100.0 / write_pct).round() as u64
         } else {
@@ -201,14 +200,12 @@ pub fn cow_study() -> String {
                     space.install_page(page, frame, &mut node.disk);
                     if (page.0 + 1).is_multiple_of(write_every) {
                         tb.write(page.base(), 16); // relocation patch
-                        writes += 1;
                     } else {
                         tb.read(page.base(), PAGE_SIZE);
                     }
                 }
             }
         }
-        let _ = writes;
         let pid = world
             .create_process(a, "linker", space, tb.terminate())
             .unwrap();
@@ -337,7 +334,7 @@ pub fn sensitivity(pool: &Pool) -> String {
 /// migration, in virtual-time order.
 pub fn trace_demo(workload: &Workload) -> String {
     let trial = crate::trace::traced_trial(workload, cor_sim::JournalLevel::Full);
-    let journal = trial.world.journal.as_ref().expect("journal");
+    let journal = trial.world.journal.as_ref().expect("a traced trial keeps its journal");
     let workload_name = trial.workload;
     let total = journal.len();
     let head: String = journal
@@ -355,7 +352,7 @@ pub fn trace_demo(workload: &Workload) -> String {
 
 /// Cost parameters resembling 2020s hardware: gigabit networking, NVMe
 /// paging, microsecond kernel paths. Used by the what-if study.
-pub fn modern_params() -> (cor_kernel::CostModel, cor_net::WireParams) {
+fn modern_params() -> (cor_kernel::CostModel, cor_net::WireParams) {
     use cor_sim::SimDuration;
     let costs = cor_kernel::CostModel {
         fault_dispatch: SimDuration::from_micros(5),
@@ -447,89 +444,6 @@ pub fn modern_study(workloads: &[Workload], pool: &Pool) -> String {
          that produced the paper's Pasmac slowdowns has largely vanished —\n\
          the 2026 reading of why post-copy migration survived.\n",
         t.render()
-    )
-}
-
-/// Demonstrates the §6 automatic-migration policy: a three-node system
-/// with every job started on node 0, rebalanced by the dispersion-aware
-/// greedy balancer.
-pub fn policy_demo() -> String {
-    use cor_kernel::program::Trace;
-    use cor_migrate::policy::{node_loads, Balancer};
-    use cor_migrate::MigrationManager;
-    use cor_sim::SimDuration;
-    use std::collections::HashMap;
-
-    let mut world = World::new(Default::default(), Default::default());
-    let nodes: Vec<_> = (0..3).map(|_| world.add_node()).collect();
-    let managers: HashMap<_, _> = nodes
-        .iter()
-        .map(|&n| (n, MigrationManager::new(&mut world, n)))
-        .collect();
-    let mut jobs = Vec::new();
-    for j in 0..6u64 {
-        let pages = 50 + j * 8;
-        let mut space = AddressSpace::with_frame_budget(24);
-        space.validate(VAddr(0), 2 * pages * PAGE_SIZE).unwrap();
-        let mut tb = Trace::builder();
-        for i in 0..pages {
-            tb.write(PageNum(i).base(), 128);
-            tb.compute(SimDuration::from_millis(300));
-        }
-        let pid = world
-            .create_process(nodes[0], "job", space, tb.terminate())
-            .unwrap();
-        world.run_for(nodes[0], pid, pages as usize).unwrap();
-        jobs.push((nodes[0], pid));
-    }
-    let render_loads = |world: &World| -> String {
-        node_loads(world)
-            .expect("loads")
-            .iter()
-            .map(|l| {
-                format!(
-                    "  {}: {} runnable (score {:.2})\n",
-                    l.node,
-                    l.runnable,
-                    l.score()
-                )
-            })
-            .collect()
-    };
-    let before = render_loads(&world);
-    let balancer = Balancer::default();
-    let mut log = String::new();
-    let mut moves = 0;
-    while let Some((mv, report)) = balancer
-        .rebalance_step(&mut world, &managers)
-        .expect("step")
-    {
-        moves += 1;
-        log.push_str(&format!(
-            "  move {moves}: pid{} {} -> {} ({} transfer, {} pages owed)\n",
-            mv.pid.0, mv.from, mv.to, report.timings.rimas_transfer, report.owed_pages
-        ));
-        for job in &mut jobs {
-            if job.1 == mv.pid {
-                job.0 = mv.to;
-            }
-        }
-        if moves >= 10 {
-            break;
-        }
-    }
-    let after = render_loads(&world);
-    let mut busy: HashMap<_, f64> = HashMap::new();
-    for &(node, pid) in &jobs {
-        let r = world.run(node, pid).expect("run");
-        *busy.entry(node).or_insert(0.0) += r.elapsed.as_secs_f64();
-    }
-    let makespan = busy.values().cloned().fold(0.0f64, f64::max);
-    let serial: f64 = busy.values().sum();
-    format!(
-        "Automatic migration policy (paper §6 future work)\n\n\
-         before:\n{before}\nmoves:\n{log}\nafter:\n{after}\n\
-         per-node busy time sums to {serial:.1}s; as-if-parallel makespan {makespan:.1}s\n"
     )
 }
 

@@ -9,7 +9,6 @@
 //! offline analysis. Load the Perfetto output at <https://ui.perfetto.dev>
 //! (virtual time, one track per node).
 
-use cor_ipc::NodeId;
 use cor_kernel::World;
 use cor_migrate::{MigrationManager, Strategy};
 use cor_sim::JournalLevel;
@@ -102,13 +101,8 @@ impl TracedTrial {
 
     /// Per-link queue-wait totals in microseconds, for the link rows of
     /// the blame CSV.
-    pub fn link_waits(&self) -> Vec<((NodeId, NodeId), u64)> {
-        self.world
-            .fabric
-            .link_stats()
-            .iter()
-            .map(|(&l, s)| (l, s.queue_wait.as_micros()))
-            .collect()
+    pub fn link_waits(&self) -> crate::fleet::LinkWaits {
+        crate::fleet::link_waits(&self.world)
     }
 
     /// A short human summary for stderr alongside an export.
@@ -125,20 +119,6 @@ impl TracedTrial {
             self.world.clock.now()
         )
     }
-}
-
-/// Resolves a workload by name (case-sensitive, as printed by the paper
-/// tables), or an error string listing the valid names.
-pub fn workload_by_name(name: &str) -> Result<Workload, String> {
-    cor_workloads::by_name(name).ok_or_else(|| {
-        format!(
-            "unknown workload {name}; try one of {:?}",
-            cor_workloads::all()
-                .iter()
-                .map(|w| w.name())
-                .collect::<Vec<_>>()
-        )
-    })
 }
 
 #[cfg(test)]

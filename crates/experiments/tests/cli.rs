@@ -2,7 +2,7 @@
 //! fail loudly with exit code 2, and a dead environment variable is
 //! dead, not half-honoured.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 // The removed executor knob. Spelled in halves so the repo-wide grep
 // that proves the knob is gone from the tree stays empty.
@@ -67,6 +67,57 @@ fn unknown_workload_is_a_usage_error_not_output() {
             "{cmd} stderr: {err}"
         );
     }
+}
+
+#[test]
+fn a_flag_is_not_a_workload_name() {
+    let plain = run(experiments().arg("metrics"));
+    let flagged = run(experiments().args(["metrics", "--jsonl"]));
+    assert!(plain.status.success() && flagged.status.success());
+    assert!(plain.stdout.starts_with(b"metrics @ "));
+    assert_eq!(plain.stdout, flagged.stdout);
+}
+
+#[test]
+fn stray_arguments_are_rejected() {
+    for args in [
+        &["all", "extra-arg"][..],
+        &["fleet-csv", "--jsonl"],
+        &["profile", "Minprog", "Chess"],
+    ] {
+        let out = run(experiments().args(args));
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("{} takes", args[0])), "stderr: {err}");
+    }
+}
+
+#[test]
+fn an_unknown_command_prints_the_command_table() {
+    let out = run(experiments().arg("help"));
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    for row in ["unknown command: help", "  table4-1 ", "  blame-csv [name|fleet] ", "  all "] {
+        assert!(err.contains(row), "no {row:?} in: {err}");
+    }
+}
+
+#[test]
+fn a_closed_pipe_is_a_quiet_exit() {
+    // `experiments all | head -1`: the reader is gone before the first
+    // byte is written.
+    let mut child = experiments()
+        .arg("table4-1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn the experiments binary");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait");
+    assert_eq!(out.status.code(), Some(0));
+    assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 #[test]

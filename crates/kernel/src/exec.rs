@@ -7,7 +7,7 @@
 use cor_ipc::NodeId;
 use cor_mem::space::SegmentId;
 use cor_mem::{PageNum, PageState};
-use cor_sim::{IdMap, SimDuration};
+use cor_sim::IdMap;
 use cor_trace::TraceEvent;
 
 use crate::error::KernelError;
@@ -112,48 +112,6 @@ impl World {
         })
     }
 
-    /// Runs every ready process on `node` to completion, round-robin in
-    /// slices of `slice_ops` trace ops — a minimal time-sharing scheduler
-    /// for multi-process studies. Returns `(pid, total execution time)` in
-    /// completion order, where the total sums that process's own slices.
-    ///
-    /// # Errors
-    ///
-    /// Any execution failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slice_ops` is zero (no slice could make progress).
-    pub fn run_round_robin(
-        &mut self,
-        node: NodeId,
-        slice_ops: usize,
-    ) -> Result<Vec<(ProcessId, SimDuration)>, KernelError> {
-        assert!(slice_ops > 0, "slices must make progress");
-        let mut spent: IdMap<ProcessId, SimDuration> = IdMap::default();
-        let mut finished = Vec::new();
-        loop {
-            let ready: Vec<ProcessId> = self
-                .node(node)?
-                .processes
-                .values()
-                .filter(|p| p.pcb.status != RunStatus::Terminated)
-                .map(|p| p.id)
-                .collect();
-            if ready.is_empty() {
-                return Ok(finished);
-            }
-            for pid in ready {
-                let report = self.run_for(node, pid, slice_ops)?;
-                let total = spent.entry(pid).or_insert(SimDuration::ZERO);
-                *total += report.elapsed;
-                if report.finished {
-                    finished.push((pid, *total));
-                }
-            }
-        }
-    }
-
     /// Terminates `pid`: releases the references its address space holds on
     /// imaginary segments (never-touched owed pages), triggering segment
     /// deaths, and marks the PCB terminated. The address space itself is
@@ -225,14 +183,10 @@ impl World {
         pages.sort_unstable();
         let mut digest: u64 = 0xcbf29ce484222325;
         for page in pages {
-            let n = self.node_mut(node)?;
-            let process = n
-                .processes
-                .get_mut(&pid)
-                .ok_or(KernelError::UnknownProcess(pid))?;
+            let (process, disk) = self.node_mut(node)?.process_and_disk(pid)?;
             let frame = process
                 .space
-                .peek_frame(page, &mut n.disk)
+                .peek_frame(page, disk)
                 .ok_or(KernelError::Mem(cor_mem::MemError::NotResident(page)))?;
             digest ^= page.0;
             digest = digest.wrapping_mul(0x100000001b3);

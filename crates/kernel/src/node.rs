@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use cor_ipc::{NodeId, PortId};
 use cor_mem::Disk;
 
+use crate::error::KernelError;
 use crate::process::{Process, ProcessId};
 
 /// One machine of the testbed: a local disk, a pager service port, and the
@@ -42,5 +43,22 @@ impl Node {
     /// Looks up a process mutably.
     pub fn process_mut(&mut self, pid: ProcessId) -> Option<&mut Process> {
         self.processes.get_mut(&pid)
+    }
+
+    /// Borrows a process together with the node's paging disk: the split
+    /// borrow every page-state transition that may evict needs.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::UnknownProcess`].
+    pub fn process_and_disk(
+        &mut self,
+        pid: ProcessId,
+    ) -> Result<(&mut Process, &mut Disk), KernelError> {
+        let process = self
+            .processes
+            .get_mut(&pid)
+            .ok_or(KernelError::UnknownProcess(pid))?;
+        Ok((process, &mut self.disk))
     }
 }

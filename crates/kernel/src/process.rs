@@ -80,11 +80,6 @@ impl ExecStats {
             Some(self.prefetch_hits as f64 / self.prefetched_pages as f64)
         }
     }
-
-    /// Bytes of distinct pages touched.
-    pub fn touched_bytes(&self) -> u64 {
-        self.touched.len() as u64 * cor_mem::PAGE_SIZE
-    }
 }
 
 /// A process: context plus its driving trace and measurements.
@@ -140,15 +135,6 @@ impl Process {
     pub fn finished(&self) -> bool {
         self.pcb.status == RunStatus::Terminated
     }
-
-    /// Size in bytes of the non-address-space context (microstate, kernel
-    /// stack, PCB, rights) — the "roughly 1 Kbyte" of paper §3.1.
-    pub fn core_context_bytes(&self) -> u64 {
-        self.microstate.len() as u64
-            + self.kernel_stack.len() as u64
-            + 128 // PCB encoding
-            + 16 * self.rights.len() as u64
-    }
 }
 
 #[cfg(test)]
@@ -175,19 +161,6 @@ mod tests {
         let a = Process::new(ProcessId(1), "a", AddressSpace::new(), Trace::default());
         let b = Process::new(ProcessId(2), "b", AddressSpace::new(), Trace::default());
         assert_ne!(a.microstate, b.microstate);
-    }
-
-    #[test]
-    fn core_context_is_about_a_kilobyte() {
-        let mut p = Process::new(ProcessId(1), "x", AddressSpace::new(), Trace::default());
-        p.rights = (0..30)
-            .map(|i| PortRight {
-                port: cor_ipc::PortId(i),
-                right: cor_ipc::Right::Send,
-            })
-            .collect();
-        let bytes = p.core_context_bytes();
-        assert!((1000..2000).contains(&bytes), "got {bytes}");
     }
 
     #[test]

@@ -92,17 +92,6 @@ impl Trace {
             })
             .sum()
     }
-
-    /// Total bytes named by `Touch` ops (with multiplicity).
-    pub fn touched_bytes(&self) -> u64 {
-        self.ops
-            .iter()
-            .filter_map(|o| match o {
-                Op::Touch { len, .. } => Some(*len),
-                _ => None,
-            })
-            .sum()
-    }
 }
 
 /// Incremental [`Trace`] construction.
@@ -178,7 +167,6 @@ mod tests {
         assert_eq!(t.len(), 5);
         assert!(matches!(t.ops().last(), Some(Op::Terminate)));
         assert_eq!(t.compute_total(), SimDuration::from_millis(5));
-        assert_eq!(t.touched_bytes(), 108);
     }
 
     #[test]

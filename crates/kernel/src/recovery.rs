@@ -334,39 +334,9 @@ impl World {
                 cor_mem::PAGE_SIZE * n,
                 cor_sim::LedgerCategory::Drain,
             );
-            let mut installed = 0u64;
-            {
-                let nd = self.node_mut(node)?;
-                let process = nd
-                    .processes
-                    .get_mut(&pid)
-                    .ok_or(KernelError::UnknownProcess(pid))?;
-                for (i, frame) in recovered.into_iter().enumerate() {
-                    let target = page.offset(i as u64);
-                    if matches!(
-                        process.space.page_state(target),
-                        Some(PageState::Imaginary { .. })
-                    ) {
-                        process
-                            .space
-                            .satisfy_imaginary_frame(target, frame, &mut nd.disk)?;
-                        installed += 1;
-                    }
-                }
-                process.stats.imag_faults += 1;
-            }
+            let installed = self.install_owed(node, pid, page, recovered, false)?;
             self.fabric.reliability.pages_recovered.add(installed);
-            if installed > 0 {
-                self.fabric.release_refs(
-                    &mut self.clock,
-                    &mut self.ports,
-                    &mut self.segs,
-                    node,
-                    seg,
-                    installed,
-                )?;
-                self.settle()?;
-            }
+            self.release_installed(node, seg, installed)?;
             self.note(|| TraceEvent::Recover {
                 pid: pid.0,
                 node,

@@ -786,34 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_interleaves_and_finishes_everything() {
-        let (mut w, a, _) = World::testbed();
-        let mut pids = Vec::new();
-        for j in 0..3u64 {
-            let mut space = AddressSpace::new();
-            space.validate(VAddr(0), 8 * PAGE_SIZE).unwrap();
-            let mut tb = Trace::builder();
-            for i in 0..(2 + j) {
-                tb.write(PageNum(i).base(), 16);
-                tb.compute(SimDuration::from_millis(10));
-            }
-            let pid = w
-                .create_process(a, format!("rr{j}"), space, tb.terminate())
-                .unwrap();
-            pids.push(pid);
-        }
-        let finished = w.run_round_robin(a, 2).unwrap();
-        assert_eq!(finished.len(), 3);
-        // Shorter traces finish first under equal slices.
-        assert_eq!(finished[0].0, pids[0]);
-        assert_eq!(finished[2].0, pids[2]);
-        for &(pid, total) in &finished {
-            assert!(w.process(a, pid).unwrap().finished());
-            assert!(total > SimDuration::ZERO);
-        }
-    }
-
-    #[test]
     fn kernel_peek_refuses_imag_mem_instead_of_deadlocking() {
         let (mut w, _, b, pid, _) = owed_process(3);
         // Kernel-context read of an owed page: refused via the AMap check.

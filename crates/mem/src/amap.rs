@@ -216,11 +216,6 @@ impl AMap {
             .sum()
     }
 
-    /// Total bytes covered by any entry.
-    pub fn covered_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.range.bytes()).sum()
-    }
-
     /// The most distant accessibility class in `range` — the §2.3 question
     /// ("can this range be touched safely from the current context?").
     /// Gaps count as [`Access::Bad`].
@@ -363,7 +358,6 @@ mod tests {
         assert_eq!(m.bytes_of(Access::Real), 4 * 512);
         assert_eq!(m.bytes_of(Access::RealZero), 6 * 512);
         assert_eq!(m.bytes_of(Access::Imag), 0);
-        assert_eq!(m.covered_bytes(), 10 * 512);
     }
 
     #[test]

@@ -44,12 +44,6 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// `true` for the fault kinds that a healthy program may trigger
-    /// (everything except an addressing error).
-    pub fn is_benign(&self) -> bool {
-        !matches!(self, Fault::Addressing { .. })
-    }
-
     /// The faulting page, if the fault concerns a specific page.
     pub fn page(&self) -> Option<PageNum> {
         match self {
@@ -75,23 +69,6 @@ impl Fault {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn benign_classification() {
-        assert!(Fault::FillZero { page: PageNum(1) }.is_benign());
-        assert!(Fault::DiskIn {
-            page: PageNum(1),
-            addr: DiskAddr(0)
-        }
-        .is_benign());
-        assert!(Fault::Imaginary {
-            page: PageNum(1),
-            seg: SegmentId(0),
-            offset: 0
-        }
-        .is_benign());
-        assert!(!Fault::Addressing { addr: VAddr(0) }.is_benign());
-    }
 
     #[test]
     fn page_extraction() {

@@ -6,7 +6,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,11 +110,6 @@ impl PageRange {
     /// Iterator over the pages in the range.
     pub fn iter(&self) -> impl Iterator<Item = PageNum> {
         (self.start.0..self.end.0).map(PageNum)
-    }
-
-    /// The underlying numeric range.
-    pub fn as_range(&self) -> Range<u64> {
-        self.start.0..self.end.0
     }
 }
 
@@ -401,17 +395,6 @@ impl Frame {
         Frame::new(self.snapshot())
     }
 
-    /// Forces this mapping private: if the frame is shared (with another
-    /// mapping, a message in flight, or the zero intern), replaces it with
-    /// a deep copy. Use on transfer paths only where a caller is about to
-    /// mutate bytes outside the `AddressSpace` write discipline; everything
-    /// else should rely on the deferred copy in `check_write`.
-    pub fn unshare(&mut self) {
-        if self.is_shared() {
-            *self = self.deep_copy();
-        }
-    }
-
     /// Reads the whole page into a fresh buffer.
     pub fn snapshot(&self) -> PageData {
         self.with(|d| Box::new(*d))
@@ -607,25 +590,6 @@ mod tests {
         // Both alias the intern, so both are permanently shared.
         assert!(a.is_shared() && b.is_shared());
         a.with(|d| assert!(d.iter().all(|&x| x == 0)));
-    }
-
-    #[test]
-    fn unshare_diverges_interned_zero() {
-        let mut a = Frame::zeroed();
-        a.unshare();
-        assert!(!a.is_interned_zero());
-        assert!(!a.is_shared());
-        a.with_mut(|d| d[0] = 1);
-        // The intern is untouched by the write.
-        Frame::zeroed().with(|d| assert_eq!(d[0], 0));
-    }
-
-    #[test]
-    fn unshare_is_a_noop_on_private_frames() {
-        let mut f = Frame::new(page_from_bytes(b"priv"));
-        alloc_stats::reset();
-        f.unshare();
-        assert_eq!(alloc_stats::frame_allocs(), 0, "already private");
     }
 
     #[test]

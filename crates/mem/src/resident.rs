@@ -58,11 +58,6 @@ pub struct ResidentTracker {
 }
 
 impl ResidentTracker {
-    /// A tracker with unbounded capacity (no page-outs).
-    pub fn unbounded() -> Self {
-        ResidentTracker::default()
-    }
-
     /// A tracker that nominates pages for page-out beyond `frames` resident
     /// pages.
     ///
@@ -222,7 +217,7 @@ mod tests {
 
     #[test]
     fn unbounded_never_evicts() {
-        let mut rs = ResidentTracker::unbounded();
+        let mut rs = ResidentTracker::default();
         for i in 0..1000 {
             assert_eq!(rs.touch(p(i)), None);
         }
@@ -265,7 +260,7 @@ mod tests {
 
     #[test]
     fn lru_order_listing() {
-        let mut rs = ResidentTracker::unbounded();
+        let mut rs = ResidentTracker::default();
         let _ = rs.touch(p(5));
         let _ = rs.touch(p(3));
         let _ = rs.touch(p(5)); // refresh: 3 is now LRU

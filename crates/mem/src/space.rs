@@ -472,26 +472,6 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Services an imaginary fault: installs fetched `data` for `page`,
-    /// replacing its imaginary mapping. May page out an LRU victim.
-    ///
-    /// # Errors
-    ///
-    /// [`MemError::BadState`] if the page is not imaginary.
-    pub fn satisfy_imaginary(
-        &mut self,
-        page: PageNum,
-        data: PageData,
-        disk: &mut Disk,
-    ) -> Result<(), MemError> {
-        match self.pages.get(&page) {
-            Some(PageState::Imaginary { .. }) => {}
-            _ => return Err(MemError::BadState(page, "not imaginary")),
-        }
-        self.install_frame(page, Frame::new(data), disk);
-        Ok(())
-    }
-
     /// Services an imaginary fault with an already-framed page, sharing
     /// the frame by reference count instead of copying 512 bytes. The
     /// fetch path hands the reply message's frame straight in; a later
@@ -670,16 +650,6 @@ impl AddressSpace {
     /// Pages paged out so far.
     pub fn pageouts(&self) -> u64 {
         self.pageouts
-    }
-
-    /// Destructively extracts every materialized page and validated region
-    /// (process excision). The space is left empty.
-    pub fn drain(&mut self) -> (Vec<(u64, u64)>, BTreeMap<PageNum, PageState>) {
-        self.resident.clear();
-        (
-            std::mem::take(&mut self.regions),
-            std::mem::take(&mut self.pages),
-        )
     }
 }
 
@@ -1004,8 +974,8 @@ mod tests {
             }
             other => panic!("expected Imaginary, got {other:?}"),
         }
-        s.satisfy_imaginary(p(11), crate::page::page_from_bytes(b"owed"), &mut d)
-            .unwrap();
+        let owed = Frame::new(crate::page::page_from_bytes(b"owed"));
+        s.satisfy_imaginary_frame(p(11), owed, &mut d).unwrap();
         assert!(s.check_read(p(11)).is_ok());
         let mut buf = [0u8; 4];
         s.read(p(11).base(), &mut buf).unwrap();
@@ -1032,7 +1002,7 @@ mod tests {
         assert_eq!(s.cow_copies(), 1);
         s.write(p(0).base(), b"MINE").unwrap();
         senders_copy.with(|d| assert_eq!(&d[..4], b"wire"));
-        // Non-imaginary pages are rejected just like satisfy_imaginary.
+        // Non-imaginary pages are rejected.
         assert!(matches!(
             s.satisfy_imaginary_frame(p(0), Frame::zeroed(), &mut d),
             Err(MemError::BadState(_, _))
@@ -1148,18 +1118,5 @@ mod tests {
         let (mut s, mut d) = fresh();
         ready(&mut s, &mut d, p(0));
         assert!(refused(&s, &d), "disk was read");
-    }
-
-    #[test]
-    fn drain_empties_space() {
-        let mut s = AddressSpace::new();
-        let mut d = Disk::new();
-        s.validate(VAddr(0), 2 * PAGE_SIZE).unwrap();
-        ready(&mut s, &mut d, p(0));
-        let (regions, pages) = s.drain();
-        assert_eq!(regions.len(), 1);
-        assert_eq!(pages.len(), 1);
-        assert_eq!(s.stats().total_bytes(), 0);
-        assert_eq!(s.classify(p(0)), Access::Bad);
     }
 }

@@ -967,27 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn ultimate_backer_follows_standin_chains() {
-        let (mut w, a, b) = world();
-        // Cache a segment at a, deliver an IOU to b (creating a stand-in).
-        let dest = w.ports.allocate(b);
-        let frames: Vec<Frame> = (0..2).map(|_| Frame::zeroed()).collect();
-        let msg = Message::new(MsgKind::Rimas, dest).push(MsgItem::Pages {
-            base_page: 0,
-            frames,
-        });
-        w.fabric
-            .send(&mut w.clock, &mut w.ports, &mut w.segs, a, msg)
-            .unwrap();
-        let got = w.ports.dequeue(dest).unwrap().unwrap();
-        let MsgItem::Iou { seg: stand_in, .. } = got.items[0] else {
-            panic!("expected Iou");
-        };
-        // The stand-in's first-hop backer is b's NMS, but the data is at a.
-        assert_eq!(w.fabric.ultimate_backer(&w.ports, &w.segs, stand_in), Ok(a));
-    }
-
-    #[test]
     fn send_to_dead_port_fails() {
         let (mut w, a, b) = world();
         let dest = w.ports.allocate(b);
@@ -1604,11 +1583,6 @@ mod tests {
         assert_eq!(node, a, "the data really lives in a's NMS cache");
         assert_ne!(seg, stand_in, "resolution followed the forward entry");
         assert_eq!(off, 2);
-        // The resolution agrees with ultimate_backer on the node.
-        assert_eq!(
-            w.fabric.ultimate_backer(&w.ports, &w.segs, stand_in).unwrap(),
-            node
-        );
     }
 
     #[test]
@@ -1802,7 +1776,7 @@ mod tests {
             .replicate_backing(&mut w.clock, primary, seg, &frames)
             .unwrap();
         assert_eq!(installed, 10, "5 pages × factor 2");
-        let homes: Vec<NodeId> = w.fabric.replica_homes_of(seg).to_vec();
+        let homes: Vec<NodeId> = w.fabric.replicas.homes_of(seg).to_vec();
         assert_eq!(homes.len(), 2);
         assert!(!homes.contains(&primary), "the primary is not its own replica");
         for &h in &homes {
@@ -1866,7 +1840,7 @@ mod tests {
                     .unwrap();
             }
             [SegmentId(1), SegmentId(2), SegmentId(3)]
-                .map(|s| w.fabric.replica_homes_of(s).to_vec())
+                .map(|s| w.fabric.replicas.homes_of(s).to_vec())
         };
         let first = build();
         assert_eq!(first, build(), "same seed, same placement, run over run");

@@ -1018,21 +1018,4 @@ impl Fabric {
         }
         Err(NetError::MissingData { seg, offset })
     }
-
-    /// Resolves where a segment's data *ultimately* lives — the node at
-    /// the end of [`Fabric::resolve_owed`]'s chain. Load metrics for
-    /// automatic migration use this to measure true dispersion (paper §6).
-    ///
-    /// # Errors
-    ///
-    /// Dead segments or ports along the chain.
-    pub fn ultimate_backer(
-        &self,
-        ports: &PortRegistry,
-        segs: &SegmentRegistry,
-        seg: SegmentId,
-    ) -> Result<NodeId, NetError> {
-        let (node, _, _) = self.resolve_owed(ports, segs, seg, 0)?;
-        Ok(node)
-    }
 }

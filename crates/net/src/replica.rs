@@ -314,10 +314,4 @@ impl Fabric {
     pub fn replica_pages(&self, node: NodeId) -> u64 {
         self.nms.replicas(node).map_or(0, |s| s.pages())
     }
-
-    /// The recorded replica homes of `oseg` (empty when no replication
-    /// plan installed pages for it).
-    pub fn replica_homes_of(&self, oseg: SegmentId) -> &[NodeId] {
-        self.replicas.homes_of(oseg)
-    }
 }

@@ -307,22 +307,6 @@ impl Topology {
             }
         })
     }
-
-    /// The longest shortest-path distance in the topology.
-    pub fn diameter(&self) -> u32 {
-        match self.kind {
-            TopologyKind::FullMesh => 1,
-            TopologyKind::Ring => self.nodes / 2,
-            TopologyKind::Mesh2d { cols } => {
-                let rows = self.nodes / cols;
-                (rows - 1) + (cols - 1)
-            }
-            TopologyKind::Torus2d { cols } => {
-                let rows = self.nodes / cols;
-                rows / 2 + cols / 2
-            }
-        }
-    }
 }
 
 /// Per-directed-link traffic accounting, maintained by the fabric
@@ -376,7 +360,6 @@ mod tests {
         let r = t.route(NodeId(2), NodeId(7)).unwrap();
         assert_eq!(r, vec![(NodeId(2), NodeId(7))]);
         assert_eq!(t.distance(NodeId(2), NodeId(7)).unwrap(), 1);
-        assert_eq!(t.diameter(), 1);
     }
 
     #[test]
@@ -397,7 +380,6 @@ mod tests {
         assert_eq!(r.len(), 2, "wraps backward: 0 -> 7 -> 6");
         assert_eq!(r[0], (NodeId(0), NodeId(7)));
         assert_eq!(t.distance(NodeId(0), NodeId(6)).unwrap(), 2);
-        assert_eq!(t.diameter(), 4);
     }
 
     #[test]
@@ -423,7 +405,6 @@ mod tests {
         assert_eq!(r[2], (NodeId(7), NodeId(11)));
         assert_eq!(r[3], (NodeId(11), NodeId(15)));
         assert_eq!(t.distance(NodeId(5), NodeId(15)).unwrap(), 4);
-        assert_eq!(t.diameter(), 6);
     }
 
     #[test]
@@ -433,7 +414,6 @@ mod tests {
         let r = t.route(NodeId(0), NodeId(3)).unwrap();
         assert_eq!(r, vec![(NodeId(0), NodeId(3))]);
         assert_eq!(t.distance(NodeId(0), NodeId(3)).unwrap(), 1);
-        assert_eq!(t.diameter(), 4);
         // (0,0) to (2,2): ties on both axes, still a shortest path.
         let r = t.route(NodeId(0), NodeId(10)).unwrap();
         assert_eq!(r.len(), 4);
@@ -458,7 +438,6 @@ mod tests {
                         "{} {a}->{b}",
                         t.name()
                     );
-                    assert!(t.distance(a, b).unwrap() <= t.diameter());
                     if a != b {
                         links_valid(&t, &route, a, b);
                     }

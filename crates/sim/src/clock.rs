@@ -5,9 +5,7 @@ use crate::time::{SimDuration, SimTime};
 /// A monotone cursor over the virtual timeline.
 ///
 /// A simulated world owns exactly one `Clock`. Components advance it as they
-/// model work being performed; it can never move backwards. The clock also
-/// remembers the largest instant it has ever been asked to advance *to*,
-/// which makes "wait until" patterns straightforward.
+/// model work being performed; it can never move backwards.
 ///
 /// # Examples
 ///
@@ -16,7 +14,6 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// let mut clock = Clock::new();
 /// clock.advance(SimDuration::from_millis(40));
-/// clock.advance_to(SimTime::from_millis(30)); // already past; no-op
 /// assert_eq!(clock.now(), SimTime::from_millis(40));
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -30,11 +27,6 @@ impl Clock {
         Clock { now: SimTime::ZERO }
     }
 
-    /// Creates a clock starting at `at`.
-    pub fn starting_at(at: SimTime) -> Self {
-        Clock { now: at }
-    }
-
     /// Returns the current instant.
     pub fn now(&self) -> SimTime {
         self.now
@@ -44,23 +36,6 @@ impl Clock {
     pub fn advance(&mut self, d: SimDuration) -> SimTime {
         self.now += d;
         self.now
-    }
-
-    /// Moves the clock forward to `t` if `t` is in the future; otherwise
-    /// leaves it unchanged. Returns the (possibly unchanged) current instant.
-    pub fn advance_to(&mut self, t: SimTime) -> SimTime {
-        if t > self.now {
-            self.now = t;
-        }
-        self.now
-    }
-
-    /// Runs `f`, returning its result together with the virtual time it
-    /// consumed (i.e. how far `f` advanced this clock).
-    pub fn timed<T>(&mut self, f: impl FnOnce(&mut Clock) -> T) -> (T, SimDuration) {
-        let start = self.now;
-        let out = f(self);
-        (out, self.now.since(start))
     }
 }
 
@@ -74,25 +49,5 @@ mod tests {
         c.advance(SimDuration::from_millis(10));
         c.advance(SimDuration::from_millis(5));
         assert_eq!(c.now(), SimTime::from_millis(15));
-    }
-
-    #[test]
-    fn advance_to_is_monotone() {
-        let mut c = Clock::starting_at(SimTime::from_secs(1));
-        c.advance_to(SimTime::from_millis(1)); // in the past
-        assert_eq!(c.now(), SimTime::from_secs(1));
-        c.advance_to(SimTime::from_secs(2));
-        assert_eq!(c.now(), SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn timed_measures_consumed_time() {
-        let mut c = Clock::new();
-        let (v, d) = c.timed(|c| {
-            c.advance(SimDuration::from_millis(7));
-            42
-        });
-        assert_eq!(v, 42);
-        assert_eq!(d, SimDuration::from_millis(7));
     }
 }

@@ -224,7 +224,6 @@ impl Ledger {
 /// r.timeout_stalls.incr();
 /// r.stall_time += SimDuration::from_millis(25);
 /// assert_eq!(r.retransmissions.get(), 1);
-/// assert!(r.any_faults_injected());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReliabilityStats {
@@ -296,15 +295,6 @@ pub struct ReliabilityStats {
     /// Coalesced pending-interest waiters re-routed to a live replica
     /// after their upstream crashed mid-flight.
     pub pit_waiters_rerouted: Counter,
-}
-
-impl ReliabilityStats {
-    /// `true` if the fault plan injected anything at all.
-    pub fn any_faults_injected(&self) -> bool {
-        self.drops_injected.get() > 0
-            || self.duplicates_injected.get() > 0
-            || self.reorders_injected.get() > 0
-    }
 }
 
 #[cfg(test)]
@@ -405,13 +395,11 @@ mod tests {
         assert_eq!(r.drained_pages.get(), 0);
         assert_eq!(r.pages_recovered.get(), 0);
         assert_eq!(r.pages_lost.get(), 0);
-        assert!(!r.any_faults_injected());
     }
 
     #[test]
     fn reliability_stats_track_injection_and_recovery() {
         let mut r = ReliabilityStats::default();
-        assert!(!r.any_faults_injected());
         r.drops_injected.add(3);
         r.retransmissions.add(3);
         r.timeout_stalls.add(3);
@@ -421,7 +409,6 @@ mod tests {
         r.reorders_injected.incr();
         r.stale_replies.incr();
         r.unreachable_failures.incr();
-        assert!(r.any_faults_injected());
         assert_eq!(r.drops_injected.get(), r.retransmissions.get());
         assert_eq!(r.duplicates_injected.get(), r.duplicate_drops.get());
         assert_eq!(r.stall_time, SimDuration::from_millis(175));

@@ -85,12 +85,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
-    /// Creates a duration from fractional seconds, rounding to the nearest
-    /// microsecond and saturating below at zero.
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * 1e6).round() as u64)
-    }
-
     /// Returns the duration in microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -257,12 +251,6 @@ mod tests {
     fn duration_sum() {
         let total: SimDuration = (1..=4).map(SimDuration::from_millis).sum();
         assert_eq!(total, SimDuration::from_millis(10));
-    }
-
-    #[test]
-    fn from_secs_f64_rounds_and_clamps() {
-        assert_eq!(SimDuration::from_secs_f64(0.0408).as_micros(), 40_800);
-        assert_eq!(SimDuration::from_secs_f64(-5.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl Journal {
         self.level
     }
 
-    /// Changes the recording level; already-recorded events are kept.
-    pub fn set_level(&mut self, level: JournalLevel) {
-        self.level = level;
-    }
-
     /// Appends an already-constructed event (subject to the level gate).
     pub fn record(&mut self, at: SimTime, event: TraceEvent) {
         self.record_with(at, || event);
@@ -394,10 +389,6 @@ mod tests {
         assert!(j
             .span_start(SimTime::ZERO, "imag-fault", None)
             .is_none());
-
-        j.set_level(JournalLevel::Full);
-        j.record_with(SimTime::ZERO, || fault(0));
-        assert_eq!(j.len(), 1);
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub mod span;
 pub use cor_sim::JournalLevel;
 pub use event::TraceEvent;
 pub use journal::{Journal, JournalEvent};
-pub use metrics::{LinkMetrics, LogHistogram, MetricsRegistry, NodeMetrics};
+pub use metrics::{LogHistogram, MetricsRegistry, NodeMetrics};
 pub use profile::{BlameBucket, CriticalPath, CriticalStep, ProfSpan, Profile, BUCKET_COUNT};
 pub use span::{Span, SpanId};

@@ -163,23 +163,12 @@ pub struct NodeMetrics {
     pub latencies: BTreeMap<&'static str, LogHistogram>,
 }
 
-/// Traffic totals of one directed interconnect link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkMetrics {
-    /// Messages that traversed the link.
-    pub msgs: u64,
-    /// Wire bytes carried over the link.
-    pub bytes: u64,
-}
-
 /// Per-node metrics, keyed by [`NodeId`] with `None` as the global
-/// (`wire`) pseudo-node, plus per-directed-link traffic series for
-/// routed-topology fabrics. All iteration orders are deterministic
+/// (`wire`) pseudo-node. All iteration orders are deterministic
 /// (`BTreeMap` everywhere), so rendered snapshots are byte-stable.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     nodes: BTreeMap<Option<NodeId>, NodeMetrics>,
-    links: BTreeMap<(NodeId, NodeId), LinkMetrics>,
 }
 
 fn category_name(c: LedgerCategory) -> &'static str {
@@ -223,7 +212,8 @@ impl MetricsRegistry {
     }
 
     /// The `(node, name)` counter value (0 if absent).
-    pub fn counter(&self, node: Option<NodeId>, name: &str) -> u64 {
+    #[cfg(test)]
+    fn counter(&self, node: Option<NodeId>, name: &str) -> u64 {
         self.nodes
             .get(&node)
             .and_then(|m| m.counters.get(name).copied())
@@ -231,38 +221,12 @@ impl MetricsRegistry {
     }
 
     /// The `(node, name)` byte-gauge value (0 if absent).
-    pub fn bytes(&self, node: Option<NodeId>, name: &str) -> u64 {
+    #[cfg(test)]
+    fn bytes(&self, node: Option<NodeId>, name: &str) -> u64 {
         self.nodes
             .get(&node)
             .and_then(|m| m.bytes.get(name).copied())
             .unwrap_or(0)
-    }
-
-    /// The `(node, name)` latency histogram, if any samples exist.
-    pub fn latency(&self, node: Option<NodeId>, name: &str) -> Option<&LogHistogram> {
-        self.nodes.get(&node).and_then(|m| m.latencies.get(name))
-    }
-
-    /// All populated keys, global pseudo-node (`None`) first.
-    pub fn nodes(&self) -> impl Iterator<Item = (Option<NodeId>, &NodeMetrics)> {
-        self.nodes.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// Accumulates traffic onto the directed link `from → to`.
-    pub fn link_add(&mut self, from: NodeId, to: NodeId, msgs: u64, bytes: u64) {
-        let l = self.links.entry((from, to)).or_default();
-        l.msgs += msgs;
-        l.bytes += bytes;
-    }
-
-    /// The totals of the directed link `from → to` (zero if absent).
-    pub fn link(&self, from: NodeId, to: NodeId) -> LinkMetrics {
-        self.links.get(&(from, to)).copied().unwrap_or_default()
-    }
-
-    /// All populated links in deterministic `(from, to)` order.
-    pub fn links(&self) -> impl Iterator<Item = ((NodeId, NodeId), LinkMetrics)> + '_ {
-        self.links.iter().map(|(k, v)| (*k, *v))
     }
 
     /// Feeds the wire [`Ledger`] into the global byte gauges, one per
@@ -344,18 +308,6 @@ impl MetricsRegistry {
                     h.p95(),
                     h.p99(),
                     h.max()
-                );
-            }
-        }
-        if !self.links.is_empty() {
-            let _ = writeln!(out, "links:");
-            for ((from, to), l) in &self.links {
-                let _ = writeln!(
-                    out,
-                    "  {:<28} {:>8} msgs {:>12} bytes",
-                    format!("{from}->{to}"),
-                    l.msgs,
-                    l.bytes
                 );
             }
         }
@@ -471,21 +423,6 @@ mod tests {
         let n1_pos = snap.find("node1:").unwrap();
         assert!(wire_pos < n0_pos && n0_pos < n1_pos, "global first, nodes in order");
         assert!(snap.contains("imag-fault"));
-    }
-
-    #[test]
-    fn link_series_accumulate_and_render_in_order() {
-        let mut r = MetricsRegistry::new();
-        r.link_add(NodeId(1), NodeId(0), 1, 100);
-        r.link_add(NodeId(0), NodeId(1), 2, 300);
-        r.link_add(NodeId(0), NodeId(1), 1, 200);
-        assert_eq!(r.link(NodeId(0), NodeId(1)), LinkMetrics { msgs: 3, bytes: 500 });
-        assert_eq!(r.link(NodeId(5), NodeId(6)), LinkMetrics::default());
-        let keys: Vec<_> = r.links().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![(NodeId(0), NodeId(1)), (NodeId(1), NodeId(0))]);
-        let snap = r.render(SimTime::ZERO);
-        assert!(snap.contains("links:"));
-        assert!(snap.find("node0->node1").unwrap() < snap.find("node1->node0").unwrap());
     }
 
     #[test]

@@ -41,21 +41,6 @@ pub struct PaperRow {
     pub xfer_copy_s: f64,
 }
 
-/// §4.3.1: insertion times ranged from 263 ms (Minprog) to 853 ms
-/// (Lisp-Del).
-pub const INSERT_RANGE_S: (f64, f64) = (0.263, 0.853);
-
-/// §4.3.3: servicing an imaginary fault remotely vs. a local disk fault.
-pub const IMAG_FAULT_S: f64 = 0.115;
-/// §4.3.3: local disk fault service time.
-pub const DISK_FAULT_S: f64 = 0.0408;
-
-/// §4.4.1: average byte-traffic saving of pure-IOU (no prefetch) over
-/// pure-copy.
-pub const BYTE_SAVINGS_PCT: f64 = 58.2;
-/// §4.4.2: average message-handling time saving of pure-IOU (no prefetch).
-pub const MSG_SAVINGS_PCT: f64 = 47.8;
-
 /// The published rows, in the paper's order.
 pub const ROWS: [PaperRow; 7] = [
     PaperRow {

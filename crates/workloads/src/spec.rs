@@ -265,11 +265,6 @@ pub fn scattered_runs(
     runs
 }
 
-/// Flattens runs into their pages, in run order.
-pub fn run_pages(runs: &[PageRange]) -> Vec<PageNum> {
-    runs.iter().flat_map(|r| r.iter()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,6 +311,5 @@ mod tests {
             assert!(w[0].end.0 <= w[1].start.0, "overlap: {:?} {:?}", w[0], w[1]);
         }
         assert!(runs.last().unwrap().end.0 <= 50_000);
-        assert_eq!(run_pages(&runs).len(), 3_503);
     }
 }

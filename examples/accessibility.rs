@@ -19,7 +19,7 @@ use cor::kernel::{KernelError, World};
 use cor::mem::{PageNum, PageRange};
 use cor::migrate::{MigrationManager, Strategy};
 
-fn main() {
+pub fn main() {
     let (mut world, a, b) = World::testbed();
     let src = MigrationManager::new(&mut world, a);
     let dst = MigrationManager::new(&mut world, b);
@@ -50,12 +50,12 @@ fn main() {
 
     // Kernel-context peeks refuse the distant ranges...
     let addr = PageNum(100).base();
-    match world.kernel_peek(b, pid, addr, 16) {
-        Err(KernelError::WouldDeadlock { .. }) => {
-            println!("\nkernel peek at {addr}: refused — ImagMem would deadlock");
-        }
-        other => println!("\nunexpected: {other:?}"),
-    }
+    let refused = world.kernel_peek(b, pid, addr, 16);
+    assert!(
+        matches!(refused, Err(KernelError::WouldDeadlock { .. })),
+        "a kernel-context peek of owed memory must be refused, got {refused:?}"
+    );
+    println!("\nkernel peek at {addr}: refused — ImagMem would deadlock");
 
     // ...until the process itself collects its working set.
     world.run(b, pid).expect("run");

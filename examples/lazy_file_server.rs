@@ -99,7 +99,7 @@ fn serve(lazy: bool) -> (f64, u64) {
     (elapsed, world.fabric.ledger.total())
 }
 
-fn main() {
+pub fn main() {
     println!(
         "A 1 MB file served across the network; the client reads {PAGES_READ} of {FILE_PAGES} pages\n"
     );
@@ -108,6 +108,7 @@ fn main() {
     println!("{:<8} {:>14} {:>14}", "mode", "client secs", "wire bytes");
     println!("{:<8} {:>14.2} {:>14}", "eager", eager_t, eager_b);
     println!("{:<8} {:>14.2} {:>14}", "lazy", lazy_t, lazy_b);
+    assert!(lazy_b < eager_b, "lazy shipment must move fewer bytes");
     println!(
         "\nLazy shipment moved {:.1}% of the bytes. Copy-on-reference is a data\n\
          transfer discipline, not just a migration trick.",

@@ -27,19 +27,20 @@ fn trial(strategy: Strategy) -> (f64, f64, u64) {
     )
 }
 
-fn main() {
+pub fn main() {
     println!("Lisp-T: 4 GB validated, 2.2 MB real, evaluates T and exits\n");
     println!(
         "{:<22} {:>14} {:>13} {:>12}",
         "strategy", "xfer (s)", "exec (s)", "wire bytes"
     );
-    for strategy in [
+    let strategies = [
         Strategy::PureCopy,
         Strategy::PureIou { prefetch: 0 },
         Strategy::PureIou { prefetch: 1 },
         Strategy::ResidentSet { prefetch: 1 },
-    ] {
-        let (xfer, exec, bytes) = trial(strategy);
+    ];
+    let trials = strategies.map(trial);
+    for (strategy, (xfer, exec, bytes)) in strategies.iter().zip(trials) {
         println!(
             "{:<22} {:>14.2} {:>13.2} {:>12}",
             strategy.to_string(),
@@ -48,6 +49,11 @@ fn main() {
             bytes
         );
     }
+    let ((copy_xfer, _, copy_bytes), (iou_xfer, _, iou_bytes)) = (trials[0], trials[1]);
+    assert!(
+        iou_xfer * 100.0 < copy_xfer && iou_bytes < copy_bytes,
+        "the headline: an IOU transfer is orders of magnitude cheaper than a copy"
+    );
     println!(
         "\nThe address-space transfer collapses from minutes to a fraction of a\n\
          second under copy-on-reference, at the price of remote page faults\n\

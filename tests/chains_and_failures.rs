@@ -12,7 +12,6 @@ use std::collections::HashMap;
 use cor::kernel::program::Trace;
 use cor::kernel::{KernelError, World};
 use cor::mem::{AddressSpace, PageNum, PageRange, VAddr, PAGE_SIZE};
-use cor::migrate::policy::dispersion;
 use cor::migrate::{MigrationManager, Strategy};
 
 fn three_node_world() -> (
@@ -78,7 +77,7 @@ fn two_hop_chain_faults_resolve_through_both_nms() {
     // Dispersion at c must see through the chain: the 9 never-fetched
     // pages still live at a; the 3 fetched at b were re-cached by b's NMS
     // when the second RIMAS passed through it.
-    let d = dispersion(&world, c, pid).unwrap();
+    let d = world.residual_dependencies(c, pid).unwrap();
     assert_eq!(
         d.get(&a).copied(),
         Some(9),

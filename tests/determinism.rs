@@ -6,6 +6,7 @@
 
 use cor::kernel::World;
 use cor::migrate::{MigrationManager, Strategy};
+use cor_experiments::commands::{self, Ctx, Gate, COMMANDS};
 
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
@@ -98,54 +99,56 @@ fn world_clock_only_moves_forward() {
     assert!(world.clock.now() > t1);
 }
 
-/// The committed sweep outputs are the serve-order regression test: the
+/// The committed outputs are the serve-order regression test: the
 /// 64-node torus storm cells, the paper matrix and the replication sweep
 /// depend on the order NMS queues and backers are served, and the
 /// survivability sweep on every drain round and recovery rung, so any
 /// change to quiescence or draining that is not byte-identical shows up
 /// here. The saturation sweep is the only one that runs batched replies
-/// and the pending-interest table, and the fleet blame table the only
-/// pin on the per-link `wire-send` / `link-queue` / `link-transit` spans.
-/// Regenerate with `experiments fleet-csv`, `csv`, `replication-csv`,
-/// `survivability-csv`, `saturation-csv`, `blame-csv fleet`.
+/// and the pending-interest table, the fleet blame table the only pin on
+/// the per-link `wire-send` / `link-queue` / `link-transit` spans, and
+/// `results/all.txt` the only pin on how the paper's tables and figures
+/// (and `ablation`, `cow-study`, `sensitivity`, `modern`, `loss-sweep`)
+/// are *rendered*. The loop is the [`Gate::File`] rows of the command
+/// table; regenerate a stale file with the command it names, e.g.
+/// `experiments all > results/all.txt`.
 #[test]
 fn committed_results_are_current() {
-    use cor_experiments::runner::{matrix_csv, Matrix};
-    use cor_experiments::{fleet, replication, saturation, survivability};
-    let pool = cor_pool::Pool::from_env();
-    let workloads = cor_workloads::all();
-    assert_current(
-        "results/fleet.csv",
-        &fleet::fleet_csv(&pool),
-        include_str!("../results/fleet.csv"),
-    );
-    // `experiments csv` prints through `println!`: one trailing newline.
-    assert_current(
-        "results/matrix.csv",
-        &(matrix_csv(&mut Matrix::with_pool(pool), &workloads) + "\n"),
-        include_str!("../results/matrix.csv"),
-    );
-    assert_current(
-        "results/replication.csv",
-        &replication::replication_csv(&workloads, &pool),
-        include_str!("../results/replication.csv"),
-    );
-    assert_current(
-        "results/survivability.csv",
-        &survivability::survivability_csv(&workloads, &pool),
-        include_str!("../results/survivability.csv"),
-    );
-    assert_current(
-        "results/saturation.csv",
-        &saturation::saturation_csv(&pool),
-        include_str!("../results/saturation.csv"),
-    );
-    let (_, profile, links) = fleet::run_cell_profiled(fleet::blame_cell_spec());
-    assert_current(
-        "results/blame_fleet.csv",
-        &profile.blame_csv(&links),
-        include_str!("../results/blame_fleet.csv"),
-    );
+    let mut ctx = Ctx::new(cor_pool::Pool::from_env());
+    for command in COMMANDS {
+        if let Gate::File(path, args) = command.gate {
+            let fresh = commands::run(&mut ctx, command.name, args)
+                .unwrap_or_else(|e| panic!("`{}` failed: {e:?}", command.name));
+            assert_current(path, &fresh, &read_committed(path));
+        }
+    }
+}
+
+/// A row of the command table that nothing pins is a surface nobody
+/// would notice breaking: every [`Gate`] must exist. `File` rows are
+/// compared by the loop above, so the file only has to be there; a
+/// `Test` row's file must drive the command through the table, by name.
+#[test]
+fn every_command_has_a_gate() {
+    for command in COMMANDS {
+        let name = command.name;
+        match command.gate {
+            Gate::All => {}
+            Gate::File(path, _) => assert!(
+                !read_committed(path).is_empty(),
+                "`{name}` is gated by an empty {path}"
+            ),
+            Gate::Test(path) => assert!(
+                path.starts_with("tests/") && read_committed(path).contains(&format!("\"{name}\"")),
+                "`{name}` is gated by {path}, which never runs \"{name}\""
+            ),
+        }
+    }
+}
+
+fn read_committed(path: &str) -> String {
+    let root = env!("CARGO_MANIFEST_DIR");
+    std::fs::read_to_string(format!("{root}/{path}")).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
 /// Fails naming the first line at which `fresh` output leaves the

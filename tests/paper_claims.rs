@@ -239,3 +239,16 @@ fn excise_and_insert_costs_grow_slowly() {
         spread(&inserts)
     );
 }
+
+/// The reproduction gate itself — `experiments check`, run through the
+/// command table: every paper-vs-measured row passes.
+#[test]
+fn the_reproduction_gate_passes() {
+    use cor_experiments::commands::{self, Ctx, Failure};
+    let mut ctx = Ctx::new(cor_pool::Pool::from_env());
+    match commands::run(&mut ctx, "check", &[]) {
+        Ok(report) => assert!(report.contains("checks passed"), "{report}"),
+        Err(Failure::Failed(report)) => panic!("the gate drifted:\n{report}"),
+        Err(Failure::Usage(message)) => panic!("{message}"),
+    }
+}

@@ -23,6 +23,7 @@ use cor::mem::{AddressSpace, PageNum, VAddr, PAGE_SIZE};
 use cor::migrate::{MigrationManager, Strategy};
 use cor::net::FaultPlan;
 use cor::trace::{LogHistogram, Profile};
+use cor_experiments::commands::{self, Ctx, Failure};
 
 /// One seeded, optionally lossy migration trial with the full journal,
 /// reduced to its profile.
@@ -166,5 +167,34 @@ proptest! {
                 prop_assert_eq!(merged.percentile(p), pooled.percentile(p));
             }
         }
+    }
+}
+
+/// `journal`, `metrics`, `profile` and `flamegraph` of the `experiments`
+/// command table, run through it: four renderings of one traced trial.
+/// The folded stacks partition exactly the time the blame totals
+/// account for, at any `COR_JOURNAL` level; a flag is not a target; an
+/// unknown target is a usage error, not output.
+#[test]
+fn the_trace_views_render_one_trial() {
+    let mut ctx = Ctx::new(cor_pool::Pool::serial());
+    let mut view = |name: &str, args: &[&str]| commands::run(&mut ctx, name, args);
+    let folded = view("flamegraph", &[]).unwrap();
+    let stack_us = |l: &str| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap();
+    let total: u64 = folded.lines().map(stack_us).sum();
+    let report = view("profile", &["Minprog"]).unwrap();
+    assert!(
+        report.starts_with(&format!("blame totals ({total} us profiled):")),
+        "{report}"
+    );
+    let metrics = view("metrics", &[]).unwrap();
+    assert!(metrics.starts_with("metrics @ "), "{metrics}");
+    assert_eq!(view("metrics", &["--jsonl"]).unwrap(), metrics);
+    let journal = view("journal", &[]).unwrap();
+    assert!(journal.starts_with("Event journal of a pure-IOU (pf=1) migration of Minprog"));
+    for name in ["journal", "metrics", "profile", "flamegraph"] {
+        let err = view(name, &["NoSuchProgram"]).unwrap_err();
+        assert!(matches!(&err, Failure::Usage(m) if m.contains("unknown workload NoSuchProgram")));
+        assert!(matches!(view(name, &["Minprog", "Chess"]), Err(Failure::Usage(_))));
     }
 }

@@ -56,6 +56,22 @@ fn summary_jsonl_matches_golden_file() {
     );
 }
 
+/// What `experiments trace` prints is the trial this suite checks: the
+/// command table's row adds the target, the format flag and the
+/// `COR_JOURNAL` level, nothing else.
+#[test]
+fn the_trace_command_prints_the_traced_trial() {
+    use cor_experiments::commands::{self, Ctx};
+    use cor_experiments::trace::journal_level_from_env;
+    let mut ctx = Ctx::new(cor_pool::Pool::serial());
+    let w = cor::workloads::minprog::workload();
+    let full = traced_trial(&w, journal_level_from_env(JournalLevel::Full));
+    assert_eq!(commands::run(&mut ctx, "trace", &[]).unwrap(), full.perfetto());
+    let summary = traced_trial(&w, journal_level_from_env(JournalLevel::Summary));
+    let args = ["Minprog", "--jsonl", "--summary"];
+    assert_eq!(commands::run(&mut ctx, "trace", &args).unwrap(), summary.jsonl());
+}
+
 #[test]
 fn perfetto_trace_is_schema_sane() {
     let w = cor::workloads::minprog::workload();
