@@ -19,11 +19,12 @@ use std::rc::Rc;
 use cor_ipc::message::{Message, MsgItem, MsgKind};
 use cor_ipc::port::PortId;
 use cor_ipc::NodeId;
-use cor_kernel::backer::{PageStore, VecStore};
+use cor_kernel::backer::PageStore;
 use cor_kernel::process::ProcessId;
 use cor_kernel::{KernelError, World};
 use cor_mem::page::{Frame, PAGE_SIZE};
 use cor_mem::space::SegmentId;
+use cor_mem::SegmentStore;
 use cor_sim::{IdSet, SimDuration};
 
 use crate::context::{CoreBlob, ExcisedProcess};
@@ -32,26 +33,15 @@ use crate::insert::insert_process;
 use crate::report::{MigrationReport, PhaseTimings};
 use crate::strategy::Strategy;
 
-/// A clonable handle to a [`VecStore`], so the manager can keep filling
+/// A clonable handle to a [`SegmentStore`], so the manager can keep filling
 /// the store after registering it as a world backer.
-#[derive(Clone)]
-pub struct SharedStore(Rc<RefCell<VecStore>>);
+#[derive(Clone, Default)]
+pub struct SharedStore(Rc<RefCell<SegmentStore>>);
 
 impl SharedStore {
-    /// Creates an empty shared store.
-    pub fn new() -> Self {
-        SharedStore(Rc::new(RefCell::new(VecStore::new())))
-    }
-
     /// Installs segment data.
     pub fn insert(&self, seg: SegmentId, frames: Vec<Frame>) {
         self.0.borrow_mut().insert(seg, frames);
-    }
-}
-
-impl Default for SharedStore {
-    fn default() -> Self {
-        SharedStore::new()
     }
 }
 
@@ -83,7 +73,7 @@ impl MigrationManager {
     pub fn new(world: &mut World, node: NodeId) -> Self {
         let control_port = world.ports.allocate(node);
         let backing_port = world.ports.allocate(node);
-        let store = SharedStore::new();
+        let store = SharedStore::default();
         world.register_backer(backing_port, node, Box::new(store.clone()));
         MigrationManager {
             node,

@@ -115,7 +115,7 @@ pub struct ReplicationOutcome {
 }
 
 /// Runs one replication cell: four nodes (source, destination, and a
-/// two-node replica pool), one migration, then a seeded [`CrashPlan`]
+/// two-node replica pool), one migration, then a [`CrashPlan`]
 /// kills the source `crash` after migration while the process executes
 /// at the destination; `None` is the crash-free twin, which has no delay
 /// to vary. No draining runs: survival must come from the replicas alone.
@@ -149,8 +149,7 @@ fn run_cell(
     world.reset_touch_tracking(b, pid).expect("tracking reset");
     let migration_end = world.clock.now();
     if let Some(delay) = crash {
-        world.fabric.params.crashes =
-            Some(CrashPlan::at_time(SWEEP_SEED, a, migration_end + delay));
+        world.fabric.params.crashes = Some(CrashPlan::at_time(a, migration_end + delay));
     }
     let run = world.run(b, pid);
     let rel = &world.fabric.reliability;

@@ -4,7 +4,7 @@
 //! process dies with the source node that still backs its untouched
 //! pages — but never measures it. This study does: a representative
 //! workload is migrated under each strategy, the source is killed by a
-//! seeded [`CrashPlan`] at a swept delay after migration, and background
+//! [`CrashPlan`] at a swept delay after migration, and background
 //! flush-draining at a swept rate races the crash. Each cell reports
 //! whether the process survived, whether its memory is byte-identical to
 //! its crash-free twin (`twin.rs`), how many pages the recovery ladder
@@ -27,9 +27,6 @@ pub const CRASH_DELAYS_MS: [u64; 3] = [1_000, 3_000, 10_000];
 
 /// Studied background flush rates (pages per idle round; 0 = no drain).
 pub const DRAIN_RATES: [u64; 3] = [0, 8, 64];
-
-/// Seed for the sweep's crash-injection RNG; fixed for reproducibility.
-const SWEEP_SEED: u64 = 0xC4A5;
 
 /// The strategies compared: pure-copy carries everything up front (no
 /// residual dependency at all), the two lazy strategies are exposed.
@@ -89,7 +86,7 @@ pub struct SurvivalOutcome {
 
 /// Runs one survivability cell: migrate, optionally flush-drain in the
 /// background (one page budget per foreground op), and kill the source
-/// `crash` after migration via a seeded [`CrashPlan`]. `None` is the
+/// `crash` after migration via a [`CrashPlan`]. `None` is the
 /// crash-free twin — the checksum baseline, which has no delay to vary.
 ///
 /// # Panics
@@ -115,8 +112,7 @@ fn run_cell(
     world.reset_touch_tracking(b, pid).expect("tracking reset");
     let migration_end = world.clock.now();
     if let Some(delay) = crash {
-        world.fabric.params.crashes =
-            Some(CrashPlan::at_time(SWEEP_SEED, a, migration_end + delay));
+        world.fabric.params.crashes = Some(CrashPlan::at_time(a, migration_end + delay));
     }
     let drainer = Drainer::new(DrainPolicy::flush(drain_rate)).with_interleave(1);
     let run = drainer.run(&mut world, b, pid);

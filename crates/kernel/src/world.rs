@@ -571,8 +571,8 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backer::VecStore;
     use cor_mem::page::{page_from_bytes, Frame, PAGE_SIZE};
+    use cor_mem::SegmentStore;
 
     /// Builds a world where node `b` hosts a process whose pages
     /// `[0, pages)` are owed by a segment cached at node `a`'s NMS.
@@ -699,7 +699,7 @@ mod tests {
     fn user_level_backer_serves_faults() {
         let (mut w, a, b) = World::testbed();
         let backing_port = w.ports.allocate(a);
-        let mut store = VecStore::new();
+        let mut store = SegmentStore::default();
         let seg = w.segs.create(backing_port, 2);
         w.segs.add_refs(seg, 2).unwrap();
         store.insert(

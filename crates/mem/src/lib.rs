@@ -21,24 +21,26 @@
 //! * A simulated local [`Disk`] and an LRU [`resident::ResidentTracker`]
 //!   modelling limited physical memory, so each process has a well-defined
 //!   resident set at migration time (Table 4-2 of the paper).
+//! * A [`SegmentStore`] of backed segments' frames by `(segment, offset)`:
+//!   the NetMsgServer's segment cache and every user-level backer.
 //!
 //! Faults are *returned*, not handled, by this crate: the pager/scheduler in
 //! `cor-kernel` interprets them, charges the right service times, and
 //! installs pages via the mutators exposed here.
 
 pub mod amap;
-pub mod content;
 pub mod disk;
 pub mod error;
 pub mod fault;
 pub mod page;
 pub mod resident;
 pub mod space;
+mod store;
 
 pub use amap::{AMap, AMapEntry, Access};
-pub use content::ContentStore;
 pub use disk::{Disk, DiskAddr};
 pub use error::MemError;
 pub use fault::Fault;
 pub use page::{Frame, ImageArena, PageData, PageNum, PageRange, VAddr, PAGE_SIZE};
 pub use space::{AddressSpace, PageState, SegmentId, SpaceImage, SpaceStats};
+pub use store::SegmentStore;

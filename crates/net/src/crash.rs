@@ -132,7 +132,7 @@ impl Fabric {
                 continue;
             }
             let is_due = match (event.trigger, carried) {
-                (CrashTrigger::AtTime(_), None) => plan.fire_time(idx).is_some_and(|at| now >= at),
+                (CrashTrigger::AtTime(at), None) => now >= at,
                 (CrashTrigger::AfterMessages(n), Some(_)) => {
                     state.carried.get(&event.node).is_some_and(|&c| c >= n)
                 }
@@ -203,7 +203,7 @@ mod tests {
         let mut segs = SegmentRegistry::new();
         let mut clock = Clock::new();
         let mut fabric = Fabric::new(crate::WireParams {
-            crashes: Some(crate::CrashPlan::at_time(1, b, due)),
+            crashes: Some(crate::CrashPlan::at_time(b, due)),
             ..crate::WireParams::default()
         });
         fabric.add_node(a, &mut ports);

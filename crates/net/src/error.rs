@@ -43,17 +43,6 @@ pub enum NetError {
         /// The crashed destination node.
         to: NodeId,
     },
-    /// A [`FaultPlan`](crate::FaultPlan)'s per-link override names a node
-    /// the fabric never registered
-    /// ([`Fabric::validate_plans`](crate::Fabric::validate_plans)).
-    /// Surfacing this as a typed error up front keeps a mis-wired link in
-    /// an N-node world from masquerading as a healthy one.
-    UnknownLink {
-        /// The sending side of the unknown pair.
-        from: NodeId,
-        /// The receiving side of the unknown pair.
-        to: NodeId,
-    },
 }
 
 impl fmt::Display for NetError {
@@ -77,9 +66,6 @@ impl fmt::Display for NetError {
             }
             NetError::NodeDown { from, to } => {
                 write!(f, "node {to} is down (crashed); send from {from} aborted")
-            }
-            NetError::UnknownLink { from, to } => {
-                write!(f, "link {from}->{to} is unknown to the active plan")
             }
         }
     }

@@ -299,7 +299,7 @@ impl Fabric {
     ) -> Result<(), NetError> {
         let (from, to) = (wire.from, wire.to);
         let faults = match &self.params.faults {
-            Some(plan) => self.link.arm(plan, from, to),
+            Some(plan) => self.link.arm(plan),
             None => None,
         };
         // 2. Transmission. Under a routed topology the attempt that gets
@@ -542,24 +542,20 @@ impl Fabric {
     }
 
     /// Validates the installed plans against the registered node set: a
-    /// topology must cover every node, fault-plan overrides must name
-    /// registered pairs, and crash events must name registered nodes.
-    /// Call after building an N-node world to surface a mis-wired plan as
-    /// a typed error up front rather than as silent defaulting later.
+    /// topology must cover every node, and crash events must name
+    /// registered nodes. Call after building an N-node world to surface a
+    /// mis-wired plan as a typed error up front rather than as silent
+    /// defaulting later.
     ///
     /// # Errors
     ///
-    /// [`NetError::UnknownNode`] or [`NetError::UnknownLink`] naming the
-    /// first mis-wired entity.
+    /// [`NetError::UnknownNode`] naming the first unregistered node.
     pub fn validate_plans(&self) -> Result<(), NetError> {
         let registered: BTreeSet<NodeId> = self.nms.nodes().collect();
         if let Some(topo) = &self.params.topology {
             if let Some(&n) = registered.iter().find(|&&n| !topo.contains(n)) {
                 return Err(NetError::UnknownNode(n));
             }
-        }
-        if let Some(plan) = &self.params.faults {
-            plan.validate(&registered)?;
         }
         if let Some(plan) = &self.params.crashes {
             plan.validate(&registered)?;
@@ -571,7 +567,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nms::DEDUP_CAP_PAGES;
+    use crate::content::DEDUP_CAP_PAGES;
     use cor_ipc::message::INLINE_THRESHOLD;
     use cor_ipc::port::PortId;
     use cor_ipc::protocol::ProtocolMsg;
@@ -711,26 +707,17 @@ mod tests {
             w.fabric.validate_plans(),
             Err(NetError::UnknownNode(NodeId(4)))
         );
-        // A fault-plan override naming an unregistered node.
+        // A crash aimed at an unregistered node.
         let w = fleet_world(
             WireParams {
-                faults: Some(
-                    crate::FaultPlan::dropping(7, 0.0).with_link(
-                        NodeId(0),
-                        NodeId(9),
-                        LinkFaults::dropping(0.5),
-                    ),
-                ),
+                crashes: Some(crate::CrashPlan::at_time(NodeId(9), SimTime::ZERO)),
                 ..WireParams::default()
             },
             2,
         );
         assert_eq!(
             w.fabric.validate_plans(),
-            Err(NetError::UnknownLink {
-                from: NodeId(0),
-                to: NodeId(9)
-            })
+            Err(NetError::UnknownNode(NodeId(9)))
         );
     }
 
@@ -1403,11 +1390,7 @@ mod tests {
     fn at_time_crash_fires_and_purges_queues() {
         let (mut w, a, b) = world();
         w.fabric.journal = Some(Journal::new());
-        w.fabric.params.crashes = Some(crate::CrashPlan::at_time(
-            1,
-            b,
-            SimTime::from_millis(500),
-        ));
+        w.fabric.params.crashes = Some(crate::CrashPlan::at_time(b, SimTime::from_millis(500)));
         let dest = w.ports.allocate(b);
         // Delivered before the crash instant: sits in b's queue.
         w.fabric
@@ -1448,11 +1431,7 @@ mod tests {
         // retry loop must notice and abort instead of burning the full
         // budget (about 12.8 s of stall at the default parameters).
         let (mut w, a, b) = faulty_world(LinkFaults::dropping(1.0), 3);
-        w.fabric.params.crashes = Some(crate::CrashPlan::at_time(
-            1,
-            b,
-            SimTime::from_millis(40),
-        ));
+        w.fabric.params.crashes = Some(crate::CrashPlan::at_time(b, SimTime::from_millis(40)));
         let dest = w.ports.allocate(b);
         let err = w
             .fabric
@@ -1481,7 +1460,7 @@ mod tests {
     #[test]
     fn after_messages_trigger_kills_the_node() {
         let (mut w, a, b) = world();
-        w.fabric.params.crashes = Some(crate::CrashPlan::after_messages(1, b, 3));
+        w.fabric.params.crashes = Some(crate::CrashPlan::after_messages(b, 3));
         let dest = w.ports.allocate(b);
         for i in 0..3 {
             w.fabric
@@ -1751,7 +1730,9 @@ mod tests {
         // (possibly amnesiac-rebooted) source cannot keep vouching for
         // bytes.
         w.fabric.crash_node(w.clock.now(), &mut w.ports, a, false);
-        send_reply_frames(&mut w, c, dest, vec![Frame::new(page_from_bytes(b"from a"))]);
+        let page = Frame::new(page_from_bytes(b"from a"));
+        assert!(!w.fabric.nms.content(b).unwrap().holds(&page));
+        send_reply_frames(&mut w, c, dest, vec![page]);
         assert_eq!(
             w.fabric.reliability.dedup_hits.get(),
             0,
@@ -1823,6 +1804,37 @@ mod tests {
             .replica_read(&mut w.clock, requester, primary, seg, 0, 2)
             .is_none());
         assert!(!w.fabric.replica_live_elsewhere(primary, seg, 0));
+    }
+
+    #[test]
+    fn a_replica_home_dedups_a_reply_page_onto_its_replica_frame() {
+        let params = WireParams {
+            replication: Some(crate::ReplicationParams::primary_backup(1, 7)),
+            ..WireParams::default()
+        };
+        let mut w = fleet_world(params, 2);
+        let (primary, home) = (NodeId(0), NodeId(1));
+        let replica = Frame::new(page_from_bytes(b"replicated"));
+        let pages = std::slice::from_ref(&replica);
+        w.fabric
+            .replicate_backing(&mut w.clock, primary, SegmentId(5), pages)
+            .unwrap();
+        // A COR reply to the home carries the same bytes in a fresh frame.
+        let dest = w.ports.allocate(home);
+        let fresh = Frame::new(page_from_bytes(b"replicated"));
+        send_reply_frames(&mut w, primary, dest, vec![fresh]);
+        assert_eq!(w.fabric.reliability.dedup_hits.get(), 1);
+        let content = w.fabric.nms.content(home).unwrap();
+        assert_eq!(content.interned_pages(), 0, "no second copy was interned");
+        assert_eq!(content.pinned_pages(), 1);
+        let got = w.ports.dequeue(dest).unwrap().unwrap();
+        let MsgItem::Pages { frames, .. } = &got.items[0] else {
+            panic!("expected pages, got {:?}", got.items[0]);
+        };
+        // The delivered frame *is* the replica's: a write through one
+        // alias shows through the other.
+        replica.with_mut(|d| d[0] = b'R');
+        frames[0].with(|d| assert_eq!(d[0], b'R'));
     }
 
     #[test]

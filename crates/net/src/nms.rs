@@ -2,38 +2,34 @@
 //! it forwards on stand-ins, and the answers it relays back.
 //!
 //! In content-centric terms (Mosko, *Process Migration over CCNx*) each
-//! [`NmsState`] is a forwarding triad: a Content Store ([`ContentStores`]:
-//! the segment cache, the reply-dedup table and the replica store), a
-//! Pending Interest Table (`pending`, swept by
-//! [`Fabric::sweep_dead_pit_waiters`]) and a FIB (`forward`, walked by
-//! [`Fabric::resolve_owed`]). The service loop that drives them —
+//! [`NmsState`] is a forwarding triad: a Content Store, a Pending Interest
+//! Table (`pending`, swept by [`Fabric::sweep_dead_pit_waiters`]) and a
+//! FIB (`forward`, walked by [`Fabric::resolve_owed`]). Its Content Store
+//! is one store per way a page is named: the segment cache (`cache`, by
+//! `(segment, offset)`, the way every read request names pages) and the
+//! [`ContentStore`] (`content`, by content hash: pinned replica pages and
+//! interned reply pages). The service loop that drives them —
 //! [`Fabric::serve_nms`] and its handlers — and every other part of
 //! [`Fabric`]'s surface that reads NetMsgServer state live here too.
-
-use std::collections::BTreeMap;
 
 use cor_ipc::message::{Message, MsgItem, MsgKind};
 use cor_ipc::port::{PortId, PortRegistry};
 use cor_ipc::protocol::{self, ProtocolMsg};
 use cor_ipc::segment::SegmentRegistry;
 use cor_ipc::NodeId;
-use cor_mem::content::ContentStore;
 use cor_mem::page::{frame_pool, Frame};
 use cor_mem::space::SegmentId;
+use cor_mem::SegmentStore;
 use cor_sim::{Clock, IdMap, SimDuration, SimTime};
 use cor_trace::{SpanId, TraceEvent};
 
+use crate::content::ContentStore;
 use crate::error::NetError;
 use crate::fabric::Fabric;
 
 /// Largest number of pages a single batched reply may carry
 /// ([`WireParams::batch_replies`](crate::WireParams::batch_replies)).
 const MAX_BATCH_PAGES: u64 = 32;
-
-/// Upper bound on pages a node's reply-dedup table may intern (2 MiB of
-/// page data at 512-byte pages). At the cap, inserting a new page first
-/// evicts the least-recently-used entry, deterministically.
-pub(crate) const DEDUP_CAP_PAGES: u64 = 4096;
 
 /// Where a stand-in segment's pages really come from.
 #[derive(Debug, Clone, Copy)]
@@ -82,167 +78,16 @@ impl PendingRelay {
     }
 }
 
-/// One interned page in a node's reply-dedup table, stamped for LRU
-/// eviction and tagged with the node whose reply carried it so a crash
-/// of that source can invalidate exactly its contributions.
-#[derive(Debug, Clone)]
-struct DedupEntry {
-    frame: Frame,
-    /// Monotonic recency stamp (per node); refreshed on every hit.
-    stamp: u64,
-    /// The node whose reply first interned this page.
-    src: NodeId,
-}
-
-/// A NetMsgServer's Content Store: the three places it holds pages. All
-/// volatile — a crash drops the lot.
-#[derive(Debug, Default)]
-struct ContentStores {
-    /// Segments this NMS backs, with their cached page data (offset-indexed).
-    cache: IdMap<SegmentId, Vec<Frame>>,
-    /// Content-addressed page cache for incoming COR replies: content hash
-    /// → entries already held with that hash (a short list, since unequal
-    /// pages practically never collide). Replies carrying bytes this node
-    /// already holds install the held frame instead of a fresh copy.
-    dedup: IdMap<u64, Vec<DedupEntry>>,
-    /// Deterministic LRU order over `dedup`: recency stamp → content
-    /// hash. At [`DEDUP_CAP_PAGES`] the least-recently-used entry
-    /// (`pop_first`) is evicted to make room.
-    dedup_lru: BTreeMap<u64, u64>,
-    /// Source of `DedupEntry::stamp` values, bumped on insert and hit.
-    dedup_stamp: u64,
-    /// Pages currently interned in `dedup`, bounded by
-    /// [`DEDUP_CAP_PAGES`] so the table cannot grow without limit.
-    dedup_pages: u64,
-    /// Content-addressed replica store: pages the replication layer
-    /// write-through installed here at page-out time, resolvable by any
-    /// COR requester holding the content hash. This is why survival
-    /// requires a *live* replica.
-    replicas: ContentStore,
-}
-
-impl ContentStores {
-    /// The reply answering `req` straight from the cache, assembled in a
-    /// recycled frame vector (contents identical to a fresh `to_vec`).
-    /// `Ok(None)` when this NMS does not back the segment at all.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::MissingData`] when the cached segment is too short.
-    fn reply_from_cache(&self, req: &ReadRequest) -> Result<Option<Message>, NetError> {
-        let ReadRequest { seg, offset, .. } = *req;
-        let Some(cache) = self.cache.get(&seg) else {
-            return Ok(None);
-        };
-        let end = offset + req.count;
-        if end > cache.len() as u64 {
-            return Err(NetError::MissingData { seg, offset });
-        }
-        let mut frames = frame_pool::take(req.count as usize);
-        frames.extend_from_slice(&cache[offset as usize..end as usize]);
-        let msg = protocol::imag_read_reply(req.reply, seg, offset, frames)
-            .with_seq(req.seq)
-            .with_no_ious(true);
-        Ok(Some(msg))
-    }
-
-    /// Evicts the least-recently-used dedup entry (smallest recency
-    /// stamp). Deterministic: stamps are unique and totally ordered.
-    fn evict_lru_dedup_entry(&mut self) {
-        let Some((stamp, hash)) = self.dedup_lru.pop_first() else {
-            return;
-        };
-        if let Some(bucket) = self.dedup.get_mut(&hash) {
-            bucket.retain(|e| e.stamp != stamp);
-            if bucket.is_empty() {
-                self.dedup.remove(&hash);
-            }
-        }
-        self.dedup_pages = self.dedup_pages.saturating_sub(1);
-    }
-
-    /// Wipes every dedup entry whose bytes were interned from `src`'s
-    /// replies — called when `src` crashes, so stale contributions of a
-    /// dead (possibly later amnesiac-rebooted) node cannot linger.
-    fn wipe_dedup_from(&mut self, src: NodeId) {
-        let mut wiped = 0u64;
-        self.dedup.retain(|_, bucket| {
-            bucket.retain(|e| {
-                if e.src == src {
-                    self.dedup_lru.remove(&e.stamp);
-                    wiped += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            !bucket.is_empty()
-        });
-        self.dedup_pages = self.dedup_pages.saturating_sub(wiped);
-    }
-
-    /// Replaces reply page frames whose bytes this node already holds with
-    /// the held frames, interning unseen pages tagged with the sending
-    /// node `from`. Returns `(hits, evictions)`. Byte-for-byte equality
-    /// is confirmed on every hash match, so a collision can never
-    /// substitute wrong contents.
-    ///
-    /// The table is bounded at [`DEDUP_CAP_PAGES`] with deterministic
-    /// least-recently-used eviction: every hit refreshes an entry's
-    /// recency stamp, and an insert at the cap evicts the entry with the
-    /// smallest stamp. A crash of `from` later wipes exactly the entries
-    /// it contributed ([`Fabric::crash_node`]).
-    fn dedup_reply_pages(&mut self, from: NodeId, msg: &mut Message) -> (u64, u64) {
-        let (mut hits, mut evictions) = (0u64, 0u64);
-        for item in &mut msg.items {
-            let MsgItem::Pages { frames, .. } = item else {
-                continue;
-            };
-            for frame in frames.iter_mut() {
-                let hash = frame.content_hash();
-                let held = self
-                    .dedup
-                    .get_mut(&hash)
-                    .and_then(|bucket| bucket.iter_mut().find(|e| e.frame.same_contents(frame)));
-                match held {
-                    Some(entry) => {
-                        *frame = entry.frame.clone();
-                        // Refresh recency: the hit entry moves to the
-                        // youngest LRU position.
-                        self.dedup_lru.remove(&entry.stamp);
-                        self.dedup_stamp += 1;
-                        entry.stamp = self.dedup_stamp;
-                        self.dedup_lru.insert(entry.stamp, hash);
-                        hits += 1;
-                    }
-                    None => {
-                        if self.dedup_pages >= DEDUP_CAP_PAGES {
-                            self.evict_lru_dedup_entry();
-                            evictions += 1;
-                        }
-                        self.dedup_stamp += 1;
-                        let stamp = self.dedup_stamp;
-                        self.dedup.entry(hash).or_default().push(DedupEntry {
-                            frame: frame.clone(),
-                            stamp,
-                            src: from,
-                        });
-                        self.dedup_lru.insert(stamp, hash);
-                        self.dedup_pages += 1;
-                    }
-                }
-            }
-        }
-        (hits, evictions)
-    }
-}
-
 /// Per-node NetMsgServer state.
 #[derive(Debug)]
 struct NmsState {
     node: NodeId,
     port: PortId,
-    store: ContentStores,
+    /// The segments this NMS backs, with their page data, by
+    /// `(segment, offset)`: every read request names pages that way.
+    cache: SegmentStore,
+    /// Replica pages (pinned) and reply pages (interned), by content hash.
+    content: ContentStore,
     /// Stand-in segments this NMS created for remote imaginary objects.
     forward: IdMap<SegmentId, ForwardEntry>,
     /// Keyed by (origin segment, origin offset) of a forwarded request.
@@ -261,17 +106,35 @@ impl NmsState {
         NmsState {
             node,
             port,
-            store: ContentStores::default(),
+            cache: SegmentStore::default(),
+            content: ContentStore::default(),
             forward: IdMap::default(),
             pending: IdMap::default(),
             cpu: SimDuration::ZERO,
         }
     }
 
-    /// Whether this NMS can answer `req` straight from its cache.
-    fn is_cache_hit(&self, req: &ReadRequest) -> bool {
-        let cache = self.store.cache.get(&req.seg);
-        cache.is_some_and(|c| req.offset + req.count <= c.len() as u64)
+    /// The reply answering `req` straight from the cache, assembled in a
+    /// recycled frame vector (contents identical to a fresh `to_vec`).
+    /// `Ok(None)` when this NMS does not back the segment at all.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::MissingData`] when the cached segment is too short.
+    fn reply_from_cache(&self, req: &ReadRequest) -> Result<Option<Message>, NetError> {
+        let Some(cached) = self.cache.range(req.seg, req.offset, req.count) else {
+            if !self.cache.holds(req.seg) {
+                return Ok(None);
+            }
+            let (seg, offset) = (req.seg, req.offset);
+            return Err(NetError::MissingData { seg, offset });
+        };
+        let mut frames = frame_pool::take(cached.len());
+        frames.extend_from_slice(cached);
+        let msg = protocol::imag_read_reply(req.reply, req.seg, req.offset, frames)
+            .with_seq(req.seq)
+            .with_no_ious(true);
+        Ok(Some(msg))
     }
 
     /// Records `relay` as waiting on `key`. Returns `true` when coalescing
@@ -356,19 +219,21 @@ impl NmsTable {
         self.servers.iter().map(|n| n.node)
     }
 
-    /// `node`'s replica store: pages the replication layer wrote through.
-    pub(crate) fn replicas(&self, node: NodeId) -> Option<&ContentStore> {
-        self.get(node).ok().map(|n| &n.store.replicas)
+    /// `node`'s content store.
+    pub(crate) fn content(&self, node: NodeId) -> Option<&ContentStore> {
+        self.get(node).ok().map(|n| &n.content)
     }
 
-    /// `node`'s replica store, for write-through.
-    pub(crate) fn replicas_mut(&mut self, node: NodeId) -> Result<&mut ContentStore, NetError> {
-        Ok(&mut self.get_mut(node)?.store.replicas)
+    /// Pins `frames` in `node`'s content store: replica write-through.
+    pub(crate) fn pin(&mut self, node: NodeId, frames: &[Frame]) -> Result<(), NetError> {
+        let content = &mut self.get_mut(node)?.content;
+        frames.iter().for_each(|f| content.pin(f));
+        Ok(())
     }
 
     /// Wipes `node`'s volatile state — a wiped NMS is a fresh NMS on the
-    /// same port — and, on every other node, the dedup entries `node`'s
-    /// replies interned. Returns `false` if `node` was never registered.
+    /// same port — and, on every other node, the pages `node`'s replies
+    /// interned. Returns `false` if `node` was never registered.
     pub(crate) fn wipe(&mut self, node: NodeId) -> bool {
         let Ok(nms) = self.get_mut(node) else {
             return false;
@@ -378,7 +243,7 @@ impl NmsTable {
             ..NmsState::new(node, nms.port)
         };
         for other in self.servers.iter_mut().filter(|n| n.node != node) {
-            other.store.wipe_dedup_from(node);
+            other.content.forget(node);
         }
         true
     }
@@ -434,7 +299,7 @@ impl Fabric {
     ) -> Result<(), NetError> {
         let nms = self.nms.get_mut(node)?;
         self.stats.pages_cached += frames.len() as u64;
-        nms.store.cache.insert(seg, frames);
+        nms.cache.insert(seg, frames);
         Ok(())
     }
 
@@ -453,8 +318,7 @@ impl Fabric {
 
     /// Pages currently held in `node`'s NMS cache.
     pub fn cached_pages_live(&self, node: NodeId) -> u64 {
-        let cache = self.nms.get(node).map(|n| &n.store.cache);
-        cache.map_or(0, |c| c.values().map(|v| v.len() as u64).sum())
+        self.nms.get(node).map_or(0, |n| n.cache.pages())
     }
 
     /// Live stand-in segments on `node`.
@@ -471,15 +335,15 @@ impl Fabric {
     /// Copies one cached page (if the NMS cache of `node` holds it) into
     /// `node`'s disk backer. Returns `true` if a page was written.
     pub fn flush_cached_page_to_disk(&mut self, node: NodeId, seg: SegmentId, offset: u64) -> bool {
-        let cache = self
+        let cached = self
             .nms
             .get(node)
             .ok()
-            .and_then(|n| n.store.cache.get(&seg));
-        let Some(frame) = cache.and_then(|c| c.get(offset as usize)).cloned() else {
+            .and_then(|n| n.cache.range(seg, offset, 1));
+        let Some([frame]) = cached else {
             return false;
         };
-        self.disk_install_page(node, seg, offset, frame);
+        self.disk_install_page(node, seg, offset, frame.clone());
         true
     }
 
@@ -526,11 +390,12 @@ impl Fabric {
     /// Incoming translation on the receiving NMS `dest`. It creates a
     /// local stand-in segment for every IOU item of `msg` owed from another
     /// node, remembering the forwarding path back to the origin segment.
-    /// And a reply page whose bytes it already holds (retransmitted or
-    /// duplicate COR replies under chaos, repeated zero or constant
-    /// pages) installs the already-held frame instead of a fresh copy
-    /// ([`ContentStores::dedup_reply_pages`]) — pure bookkeeping on
-    /// identical bytes, no virtual time is charged.
+    /// And a reply page whose bytes it already holds, pinned or interned
+    /// (retransmitted or duplicate COR replies under chaos, repeated zero
+    /// or constant pages, a replica home's own replica pages), installs
+    /// the already-held frame instead of a fresh copy
+    /// ([`ContentStore::intern`]) — pure bookkeeping on identical bytes,
+    /// no virtual time is charged.
     pub(crate) fn translate_incoming(
         &mut self,
         now: SimTime,
@@ -568,7 +433,17 @@ impl Fabric {
             (*seg, *seg_offset) = (stand_in, 0);
         }
         if matches!(msg.kind, MsgKind::ImagReadReply) {
-            let (hits, evictions) = nms.store.dedup_reply_pages(from, msg);
+            let (mut hits, mut evictions) = (0u64, 0u64);
+            for item in &mut msg.items {
+                let MsgItem::Pages { frames, .. } = item else {
+                    continue;
+                };
+                for frame in frames {
+                    let (hit, evicted) = nms.content.intern(from, frame);
+                    hits += u64::from(hit);
+                    evictions += u64::from(evicted);
+                }
+            }
             self.reliability.dedup_hits.add(hits);
             self.reliability.dedup_evictions.add(evictions);
             if hits > 0 {
@@ -656,7 +531,8 @@ impl Fabric {
                         reply,
                         seq,
                     };
-                    if batching && self.nms.get(node).is_ok_and(|n| n.is_cache_hit(&req)) {
+                    let hit = |n: &NmsState| n.cache.range(seg, offset, count).is_some();
+                    if batching && self.nms.get(node).is_ok_and(hit) {
                         batch.push(req);
                     } else {
                         self.flush_batch(clock, ports, segs, node, &mut batch)?;
@@ -746,13 +622,10 @@ impl Fabric {
                 ..first
             };
             let nms = self.nms.get(node)?;
-            let reply_msg = nms
-                .store
-                .reply_from_cache(&run)?
-                .ok_or(NetError::MissingData {
-                    seg: first.seg,
-                    offset: run_start,
-                })?;
+            let reply_msg = nms.reply_from_cache(&run)?.ok_or(NetError::MissingData {
+                seg: first.seg,
+                offset: run_start,
+            })?;
             self.stats.batched_replies += 1;
             self.stats.batched_pages += pages;
             self.note(clock.now(), || TraceEvent::NetBatch {
@@ -777,7 +650,7 @@ impl Fabric {
         let (seg, offset) = (req.seg, req.offset);
         let coalesce = self.params.coalesce;
         let nms = self.nms.get_mut(node)?;
-        if let Some(reply_msg) = nms.store.reply_from_cache(&req)? {
+        if let Some(reply_msg) = nms.reply_from_cache(&req)? {
             self.send(clock, ports, segs, node, reply_msg)?;
             return Ok(());
         }
@@ -869,7 +742,7 @@ impl Fabric {
         seg: SegmentId,
     ) -> Result<(), NetError> {
         let nms = self.nms.get_mut(node)?;
-        if nms.store.cache.remove(&seg).is_some() {
+        if nms.cache.remove(seg) {
             return Ok(()); // our cached copy is released; nothing further
         }
         if let Some(fwd) = nms.forward.remove(&seg) {
@@ -968,7 +841,7 @@ impl Fabric {
                 // stay parked for the live reply.
                 let recached = || {
                     let nms = self.nms.get(upstream);
-                    nms.is_ok_and(|n| n.store.cache.contains_key(&key.0))
+                    nms.is_ok_and(|n| n.cache.holds(key.0))
                 };
                 let upstream_answers = !self.is_crashed(upstream)
                     && (!self.lost_volatile_state(upstream) || recached());

@@ -17,15 +17,10 @@
 //!   right with a few dozen rights per process.
 
 use cor_ipc::NodeId;
-use cor_sim::{Pcg32, SimDuration, SimTime};
+use cor_sim::{SimDuration, SimTime};
 
 use crate::topology::Topology;
 use crate::NetError;
-
-/// Dedicated PCG stream for crash-plan jitter draws, disjoint from the
-/// fault-injection stream so adding a crash plan never perturbs the
-/// drop/duplicate/reorder draws of an existing fault plan.
-pub(crate) const CRASH_STREAM: u64 = 0xDEAD;
 
 /// Fault rates for one directed link, applied per transmission attempt by
 /// the fabric's fault-injection layer. All rates are probabilities in
@@ -79,81 +74,36 @@ impl LinkFaults {
     }
 }
 
-/// A deterministic fault-injection plan: a seed for the injection RNG, a
-/// default fault profile, and optional per-directed-link overrides.
-/// Identical plans over identical traffic produce identical faults.
-///
-/// A pair with no explicit [`links`](FaultPlan::links) entry falls back
-/// to the [`all`](FaultPlan::all) profile. [`FaultPlan::validate`] (via
-/// [`Fabric::validate_plans`](crate::Fabric::validate_plans)) is the
-/// up-front check that every override names a registered pair.
+/// A deterministic fault-injection plan: a seed for the injection RNG and
+/// the fault profile every directed link runs under. Identical plans over
+/// identical traffic produce identical faults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the injection RNG (a dedicated `cor-sim` PCG stream).
     pub seed: u64,
-    /// Faults applied to every link without an override.
+    /// Faults applied to every link.
     pub all: LinkFaults,
-    /// Per-directed-link overrides, keyed by `(from, to)`.
-    pub links: Vec<((NodeId, NodeId), LinkFaults)>,
 }
 
 impl FaultPlan {
     /// A plan applying `faults` to every link.
     pub fn uniform(seed: u64, faults: LinkFaults) -> Self {
-        FaultPlan {
-            seed,
-            all: faults,
-            links: Vec::new(),
-        }
+        FaultPlan { seed, all: faults }
     }
 
     /// A plan that drops every message at rate `p` on every link.
     pub fn dropping(seed: u64, p: f64) -> Self {
         FaultPlan::uniform(seed, LinkFaults::dropping(p))
     }
-
-    /// Builder-style: overrides the faults on the directed link
-    /// `from → to`.
-    pub fn with_link(mut self, from: NodeId, to: NodeId, faults: LinkFaults) -> Self {
-        self.links.push(((from, to), faults));
-        self
-    }
-
-    /// The faults in effect on the directed link `from → to`, falling
-    /// back to [`all`](FaultPlan::all) when the pair has no explicit
-    /// override.
-    pub fn for_link(&self, from: NodeId, to: NodeId) -> LinkFaults {
-        self.links
-            .iter()
-            .rev() // later overrides win
-            .find(|((f, t), _)| *f == from && *t == to)
-            .map(|(_, lf)| *lf)
-            .unwrap_or(self.all)
-    }
-
-    /// Validates that every per-link override names nodes drawn from
-    /// `nodes` (the fabric's registered set).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::UnknownLink`] naming the first mis-wired pair.
-    pub fn validate(&self, nodes: &std::collections::BTreeSet<NodeId>) -> Result<(), NetError> {
-        for &((from, to), _) in &self.links {
-            if !nodes.contains(&from) || !nodes.contains(&to) {
-                return Err(NetError::UnknownLink { from, to });
-            }
-        }
-        Ok(())
-    }
 }
 
 /// When a planned crash fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashTrigger {
-    /// The node dies at this virtual instant (plus the plan's seeded
-    /// slack, if any). Fires lazily: the fabric checks the clock at every
-    /// send, service and pump step, so the crash lands at the first
-    /// network activity at or after the chosen time.
+    /// The node dies at this virtual instant. Fires lazily: the fabric
+    /// checks the clock at every send, service and pump step, so the
+    /// crash lands at the first network activity at or after the chosen
+    /// time.
     AtTime(SimTime),
     /// The node dies after carrying its `n`-th remote message (sent or
     /// received). The `n`-th message itself is delivered at the link
@@ -179,39 +129,28 @@ pub struct CrashEvent {
 
 /// A deterministic whole-node crash plan: the crash-injection sibling of
 /// [`FaultPlan`]. Identical plans over identical traffic kill identical
-/// nodes at identical instants; the seed only feeds the optional
-/// [`slack`](CrashPlan::slack) jitter on `AtTime` triggers.
-#[derive(Debug, Clone, PartialEq)]
+/// nodes at identical instants.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CrashPlan {
-    /// Seed for the crash-jitter RNG (a dedicated `cor-sim` PCG stream).
-    pub seed: u64,
-    /// Extra delay added to every `AtTime` trigger: a per-event uniform
-    /// draw from `[0, slack]`, derived from `seed` and the event's index.
-    /// `ZERO` (the default) makes `AtTime` fire exactly on time.
-    pub slack: SimDuration,
     /// The planned crashes, applied in order of appearance.
     pub events: Vec<CrashEvent>,
 }
 
 impl CrashPlan {
-    /// An empty plan with the given seed.
-    pub fn new(seed: u64) -> Self {
-        CrashPlan {
-            seed,
-            slack: SimDuration::ZERO,
-            events: Vec::new(),
-        }
+    /// An empty plan.
+    pub fn new() -> Self {
+        CrashPlan::default()
     }
 
     /// A plan that permanently kills `node` at virtual time `at`.
-    pub fn at_time(seed: u64, node: NodeId, at: SimTime) -> Self {
-        CrashPlan::new(seed).killing(node, CrashTrigger::AtTime(at))
+    pub fn at_time(node: NodeId, at: SimTime) -> Self {
+        CrashPlan::new().killing(node, CrashTrigger::AtTime(at))
     }
 
     /// A plan that permanently kills `node` after it carries its `n`-th
     /// remote message.
-    pub fn after_messages(seed: u64, node: NodeId, n: u64) -> Self {
-        CrashPlan::new(seed).killing(node, CrashTrigger::AfterMessages(n))
+    pub fn after_messages(node: NodeId, n: u64) -> Self {
+        CrashPlan::new().killing(node, CrashTrigger::AfterMessages(n))
     }
 
     /// Builder-style: adds a permanent crash of `node` on `trigger`.
@@ -233,27 +172,6 @@ impl CrashPlan {
             reboot_amnesiac: true,
         });
         self
-    }
-
-    /// Builder-style: sets the seeded `AtTime` slack window.
-    pub fn with_slack(mut self, slack: SimDuration) -> Self {
-        self.slack = slack;
-        self
-    }
-
-    /// The effective fire time of event `index` (an `AtTime` trigger plus
-    /// its seeded slack draw), or `None` for message-count triggers.
-    pub fn fire_time(&self, index: usize) -> Option<SimTime> {
-        let event = self.events.get(index)?;
-        let CrashTrigger::AtTime(at) = event.trigger else {
-            return None;
-        };
-        if self.slack == SimDuration::ZERO {
-            return Some(at);
-        }
-        let mut rng = Pcg32::with_stream(self.seed ^ (index as u64).wrapping_mul(0x9E37), CRASH_STREAM);
-        let jitter = SimDuration::from_micros(rng.range(0, self.slack.as_micros() + 1));
-        Some(at + jitter)
     }
 
     /// Validates that every crash event names a node drawn from `nodes`
@@ -521,59 +439,29 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_link_overrides_win() {
-        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
-        let plan = FaultPlan::dropping(7, 0.10).with_link(a, b, LinkFaults::dropping(0.5));
-        assert_eq!(plan.for_link(a, b).drop, 0.5, "override applies");
-        assert_eq!(plan.for_link(b, a).drop, 0.10, "reverse direction untouched");
-        assert_eq!(plan.for_link(a, c).drop, 0.10, "others use the default");
-        let plan = plan.with_link(a, b, LinkFaults::dropping(0.9));
-        assert_eq!(plan.for_link(a, b).drop, 0.9, "later override wins");
-    }
-
-    #[test]
     fn plan_validation_names_the_miswired_entity() {
         let (a, b, ghost) = (NodeId(0), NodeId(1), NodeId(9));
         let nodes: std::collections::BTreeSet<NodeId> = [a, b].into_iter().collect();
-        let plan = FaultPlan::dropping(7, 0.1).with_link(a, ghost, LinkFaults::dropping(0.5));
-        assert_eq!(
-            plan.validate(&nodes),
-            Err(NetError::UnknownLink { from: a, to: ghost })
-        );
-        assert!(FaultPlan::dropping(7, 0.1).validate(&nodes).is_ok());
-        let crash = CrashPlan::at_time(7, ghost, SimTime::from_secs(1));
+        let crash = CrashPlan::at_time(ghost, SimTime::from_secs(1));
         assert_eq!(crash.validate(&nodes), Err(NetError::UnknownNode(ghost)));
-        assert!(CrashPlan::at_time(7, b, SimTime::from_secs(1)).validate(&nodes).is_ok());
+        assert!(CrashPlan::at_time(b, SimTime::from_secs(1))
+            .validate(&nodes)
+            .is_ok());
     }
 
     #[test]
-    fn crash_plan_builders_and_fire_times() {
+    fn crash_plan_builders() {
         let (a, b) = (NodeId(0), NodeId(1));
-        let plan = CrashPlan::at_time(7, a, SimTime::from_secs(3))
+        let plan = CrashPlan::at_time(a, SimTime::from_secs(3))
             .rebooting(b, CrashTrigger::AfterMessages(12));
         assert_eq!(plan.events.len(), 2);
         assert!(!plan.events[0].reboot_amnesiac);
-        assert!(plan.events[1].reboot_amnesiac);
-        assert_eq!(plan.fire_time(0), Some(SimTime::from_secs(3)));
-        assert_eq!(plan.fire_time(1), None, "message triggers have no time");
-        assert_eq!(plan.fire_time(9), None, "out of range");
-    }
-
-    #[test]
-    fn crash_plan_slack_is_seeded_and_bounded() {
-        let a = NodeId(0);
-        let base = SimTime::from_secs(1);
-        let plan = CrashPlan::at_time(42, a, base).with_slack(SimDuration::from_millis(500));
-        let fire = plan.fire_time(0).unwrap();
-        assert!(fire >= base);
-        assert!(fire <= base + SimDuration::from_millis(500));
         assert_eq!(
-            fire,
-            plan.fire_time(0).unwrap(),
-            "slack draw is deterministic per plan"
+            plan.events[0].trigger,
+            CrashTrigger::AtTime(SimTime::from_secs(3))
         );
-        let other = CrashPlan::at_time(43, a, base).with_slack(SimDuration::from_millis(500));
-        assert_eq!(other.fire_time(0), other.fire_time(0));
+        assert!(plan.events[1].reboot_amnesiac);
+        assert_eq!(plan.events[1].trigger, CrashTrigger::AfterMessages(12));
     }
 
     #[test]

@@ -38,15 +38,15 @@ pub(crate) struct LinkLayer {
 }
 
 impl LinkLayer {
-    /// Binds `plan` to the injection RNG for one send over `from → to`
-    /// and returns the fault rates in force: `None` when the link is clean
-    /// and injection can be skipped. The stream starts at the first send
-    /// under a plan, clean link or not, and is never re-seeded, so the
-    /// rates this returns always have an RNG to draw against.
-    pub(crate) fn arm(&mut self, plan: &FaultPlan, from: NodeId, to: NodeId) -> Option<LinkFaults> {
+    /// Binds `plan` to the injection RNG for one send and returns the
+    /// fault rates in force: `None` when the plan is clean and injection
+    /// can be skipped. The stream starts at the first send under a plan,
+    /// clean or not, and is never re-seeded, so the rates this returns
+    /// always have an RNG to draw against.
+    pub(crate) fn arm(&mut self, plan: &FaultPlan) -> Option<LinkFaults> {
         self.rng
             .get_or_insert_with(|| Pcg32::with_stream(plan.seed, FAULT_STREAM));
-        Some(plan.for_link(from, to)).filter(|f| !f.is_clean())
+        Some(plan.all).filter(|f| !f.is_clean())
     }
 
     /// Draws whether a fault of probability `p` strikes; no draw at zero.

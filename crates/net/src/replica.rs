@@ -5,12 +5,12 @@
 use cor_ipc::message::MsgKind;
 use cor_ipc::protocol;
 use cor_ipc::NodeId;
-use cor_mem::content::ContentStore;
 use cor_mem::page::Frame;
 use cor_mem::space::SegmentId;
 use cor_sim::{Clock, IdMap, LedgerCategory, Pcg32};
 use cor_trace::TraceEvent;
 
+use crate::content::ContentStore;
 use crate::error::NetError;
 use crate::fabric::{Fabric, Transfer};
 use crate::params::{ReplicationMode, ReplicationParams};
@@ -30,8 +30,8 @@ pub(crate) struct ReplicaDirectory {
     /// installed on (primary excluded).
     homes: IdMap<SegmentId, Vec<NodeId>>,
     /// `(origin segment, offset)` → the page's content hash at page-out
-    /// time, the key a content-addressed COR request resolves against a
-    /// replica's [`ContentStore`](cor_mem::content::ContentStore).
+    /// time, the key a content-addressed COR request resolves against the
+    /// pages a replica home pinned.
     hash: IdMap<(u64, u64), u64>,
 }
 
@@ -71,9 +71,9 @@ impl ReplicaDirectory {
 impl Fabric {
     /// Write-through installs `seg`'s page backing on its replica homes
     /// (the migration page-out hook). Under a [`ReplicationParams`] plan
-    /// with factor `f`, the pages land in `f` replica content stores, the
-    /// replica directory and content-hash directory are recorded, and
-    /// each replica's copy is charged to the wire — bytes under
+    /// with factor `f`, the pages are pinned in `f` replicas' content
+    /// stores, the replica directory and content-hash directory are
+    /// recorded, and each replica's copy is charged to the wire — bytes under
     /// [`LedgerCategory::Replicate`] (spread over the transmission
     /// interval), handling CPU at both ends, and per-link accounting
     /// when a topology is installed. The install is fire-and-forget on
@@ -119,10 +119,7 @@ impl Fabric {
         let rep_span = self.span_start(now, "replicate", primary);
         // Each replica's copy is one detached transfer from the primary.
         let installed = targets.iter().try_fold(0u64, |total, &replica| {
-            let store = self.nms.replicas_mut(replica)?;
-            for f in frames {
-                store.insert(f);
-            }
+            self.nms.pin(replica, frames)?;
             let category = LedgerCategory::Replicate;
             let copy = self.one_way(primary, replica, MsgKind::Rimas, payload, category, true);
             self.charge_transfer(clock, now, arrives, &copy)?;
@@ -141,8 +138,8 @@ impl Fabric {
     }
 
     /// The *live* homes of `oseg` other than `avoid`, ascending: up, with
-    /// their volatile state intact, and holding every hash of `hashes` in
-    /// their replica store.
+    /// their volatile state intact, and holding every hash of `hashes`
+    /// pinned.
     fn live_homes<'a>(
         &'a self,
         avoid: NodeId,
@@ -150,11 +147,9 @@ impl Fabric {
         hashes: &'a [u64],
     ) -> impl Iterator<Item = NodeId> + 'a {
         let homes = self.replicas.homes_of(oseg).iter().copied();
-        let holds_all = |store: &ContentStore| hashes.iter().all(|&h| store.contains(h));
+        let holds_all = |store: &ContentStore| hashes.iter().all(|&h| store.pinned(h).is_some());
         homes.filter(move |&r| {
-            r != avoid
-                && !self.lost_volatile_state(r)
-                && self.nms.replicas(r).is_some_and(holds_all)
+            r != avoid && !self.lost_volatile_state(r) && self.nms.content(r).is_some_and(holds_all)
         })
     }
 
@@ -233,10 +228,10 @@ impl Fabric {
         if !serves {
             return None;
         }
-        let store = self.nms.replicas(replica)?;
+        let store = self.nms.content(replica)?;
         let frames: Vec<Frame> = hashes
             .iter()
-            .map(|&h| store.get(h).cloned())
+            .map(|&h| store.pinned(h).cloned())
             .collect::<Option<_>>()?;
         let start = clock.now();
         // The replica round trip gets its own blame span: `failover` when
@@ -310,8 +305,8 @@ impl Fabric {
             .ok()
     }
 
-    /// Pages held in `node`'s replica store.
+    /// Replica pages pinned in `node`'s content store.
     pub fn replica_pages(&self, node: NodeId) -> u64 {
-        self.nms.replicas(node).map_or(0, |s| s.pages())
+        self.nms.content(node).map_or(0, ContentStore::pinned_pages)
     }
 }

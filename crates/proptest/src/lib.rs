@@ -7,8 +7,8 @@
 //! `any::<T>()`, `prop_oneof!`, `Just`) and the *deterministic generation*
 //! (a fixed PCG stream per case index, so every run of the suite sees the
 //! identical inputs), but does no shrinking: a failing case panics with the
-//! ordinary assertion message and the case index, and re-running reproduces
-//! it exactly.
+//! ordinary assertion message and prints its case index, and re-running
+//! reproduces it exactly.
 //!
 //! Only the surface actually used by this workspace's test suites is
 //! implemented. Extend it as tests need more.
@@ -109,24 +109,25 @@ pub mod test_runner {
         }
     }
 
-    /// Runs `body` once per configured case with that case's RNG. Failures
-    /// panic with the case index attached so they can be reproduced (the
-    /// stream depends only on the index).
+    /// Runs `body` once per configured case with that case's RNG. A
+    /// failing case prints `proptest: case N failed` to stderr as it
+    /// unwinds; the input stream depends only on `N`, so that replays it.
     pub fn run<F: FnMut(&mut TestRng)>(config: &Config, mut body: F) {
-        for case in 0..config.cases {
-            let mut rng = TestRng::for_case(case);
-            CURRENT_CASE.with(|c| c.set(case));
-            body(&mut rng);
+        /// Names the case on stderr if it is dropped mid-panic.
+        struct CaseGuard(u32);
+
+        impl Drop for CaseGuard {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    eprintln!("proptest: case {} failed", self.0);
+                }
+            }
         }
-    }
 
-    thread_local! {
-        static CURRENT_CASE: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-    }
-
-    /// The case index currently executing on this thread (for diagnostics).
-    pub fn current_case() -> u32 {
-        CURRENT_CASE.with(|c| c.get())
+        for case in 0..config.cases {
+            let _guard = CaseGuard(case);
+            body(&mut TestRng::for_case(case));
+        }
     }
 }
 

@@ -243,13 +243,13 @@ fn unknown_workload_and_process_errors() {
 
 #[test]
 fn backer_that_loses_data_mid_run_surfaces_missing_data() {
-    use cor::kernel::backer::{PageStore, VecStore};
+    use cor::kernel::backer::PageStore;
     use cor::mem::page::Frame;
-    use cor::mem::SegmentId;
+    use cor::mem::{SegmentId, SegmentStore};
 
     /// A store that serves one request and then "crashes" (loses data).
     struct Flaky {
-        inner: VecStore,
+        inner: SegmentStore,
         served: u64,
     }
     impl PageStore for Flaky {
@@ -272,7 +272,7 @@ fn backer_that_loses_data_mid_run_surfaces_missing_data() {
     let backing = world.ports.allocate(a);
     let seg = world.segs.create(backing, 3);
     world.segs.add_refs(seg, 3).unwrap();
-    let mut inner = VecStore::new();
+    let mut inner = SegmentStore::default();
     inner.insert(seg, (0..3).map(|_| Frame::zeroed()).collect());
     world.register_backer(backing, a, Box::new(Flaky { inner, served: 0 }));
     let mut space = AddressSpace::new();

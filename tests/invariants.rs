@@ -300,7 +300,7 @@ fn settle_leaves_no_live_served_queue_non_empty() {
 
     // The paper testbed: healthy, lossy, and with the source crashing
     // mid-run (staying down, then rebooting amnesiac).
-    let plan = CrashPlan::new(3);
+    let plan = CrashPlan::new();
     let trigger = CrashTrigger::AfterMessages(12);
     let legs = [
         ("testbed", WireParams::default(), 0),

@@ -229,7 +229,7 @@ fn mid_fault_crash_abandons_no_spans_silently() {
     // Kill the source right now: the very first owed-page fault at the
     // destination dies against a crashed home.
     let now = world.clock.now();
-    world.fabric.params.crashes = Some(CrashPlan::new(7).killing(a, CrashTrigger::AtTime(now)));
+    world.fabric.params.crashes = Some(CrashPlan::new().killing(a, CrashTrigger::AtTime(now)));
     let err = world.run(b, pid).expect_err("read-back must orphan");
     assert!(
         matches!(err, KernelError::OrphanedProcess { .. }),
