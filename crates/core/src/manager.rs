@@ -13,18 +13,13 @@
 //! imaginary objects in the RIMAS message, servicing later page requests
 //! from its page store.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use cor_ipc::message::{Message, MsgItem, MsgKind};
 use cor_ipc::port::PortId;
 use cor_ipc::NodeId;
-use cor_kernel::backer::PageStore;
 use cor_kernel::process::ProcessId;
 use cor_kernel::{KernelError, World};
 use cor_mem::page::{Frame, PAGE_SIZE};
-use cor_mem::space::SegmentId;
-use cor_mem::SegmentStore;
+use cor_net::NetError;
 use cor_sim::{IdSet, SimDuration};
 
 use crate::context::{CoreBlob, ExcisedProcess};
@@ -33,53 +28,24 @@ use crate::insert::insert_process;
 use crate::report::{MigrationReport, PhaseTimings};
 use crate::strategy::Strategy;
 
-/// A clonable handle to a [`SegmentStore`], so the manager can keep filling
-/// the store after registering it as a world backer.
-#[derive(Clone, Default)]
-pub struct SharedStore(Rc<RefCell<SegmentStore>>);
-
-impl SharedStore {
-    /// Installs segment data.
-    pub fn insert(&self, seg: SegmentId, frames: Vec<Frame>) {
-        self.0.borrow_mut().insert(seg, frames);
-    }
-}
-
-impl PageStore for SharedStore {
-    fn fetch(&mut self, seg: SegmentId, offset: u64, count: u64) -> Option<Vec<Frame>> {
-        self.0.borrow_mut().fetch(seg, offset, count)
-    }
-
-    fn death(&mut self, seg: SegmentId) {
-        self.0.borrow_mut().death(seg);
-    }
-
-    fn pages_held(&self) -> u64 {
-        self.0.borrow().pages_held()
-    }
-}
-
 /// The per-node migration server.
 pub struct MigrationManager {
     node: NodeId,
     control_port: PortId,
     backing_port: PortId,
-    store: SharedStore,
 }
 
 impl MigrationManager {
     /// Starts a manager on `node`: allocates its control and backing ports
-    /// and registers its page store with the world.
+    /// and registers its (empty) page store with the world.
     pub fn new(world: &mut World, node: NodeId) -> Self {
         let control_port = world.ports.allocate(node);
         let backing_port = world.ports.allocate(node);
-        let store = SharedStore::default();
-        world.register_backer(backing_port, node, Box::new(store.clone()));
+        world.register_backer(backing_port, node);
         MigrationManager {
             node,
             control_port,
             backing_port,
-            store,
         }
     }
 
@@ -91,12 +57,6 @@ impl MigrationManager {
     /// The port migration commands and context messages arrive on.
     pub fn control_port(&self) -> PortId {
         self.control_port
-    }
-
-    /// Pages this manager's store currently holds on behalf of migrated
-    /// processes.
-    pub fn pages_held(&self) -> u64 {
-        self.store.pages_held()
     }
 
     /// Migrates `pid` from this manager's node to `dest`'s node under
@@ -371,7 +331,10 @@ impl MigrationManager {
         world
             .fabric
             .replicate_backing(&mut world.clock, self.node, seg, &owed_frames)?;
-        self.store.insert(seg, owed_frames);
+        world
+            .backer_mut(self.backing_port)
+            .ok_or(NetError::MissingData { seg, offset: 0 })?
+            .insert(seg, owed_frames);
         excised.rimas.items = new_items;
         excised.rimas.no_ious = true;
         Ok(())
@@ -538,7 +501,11 @@ mod tests {
             .unwrap();
         assert_eq!(report.carried_pages, 8);
         assert_eq!(report.owed_pages, 12);
-        assert_eq!(src.pages_held(), 12, "manager stores the owed pages");
+        assert_eq!(
+            world.backer_pages_held(),
+            12,
+            "manager stores the owed pages"
+        );
         let r = world.run(b, pid).unwrap();
         assert!(r.finished);
         // Faults on the owed pages were served by the manager's store.
@@ -592,7 +559,6 @@ mod tests {
             world.run(b, pid).unwrap();
             assert_eq!(world.segs.live(), 0, "segments leaked under {strategy}");
             assert_eq!(world.fabric.cached_pages_live(a), 0);
-            assert_eq!(src.pages_held(), 0);
             assert_eq!(world.backer_pages_held(), 0);
         }
     }

@@ -21,8 +21,8 @@
 //!   prefetch of adjacent pages, the paper's key tunable.
 //!
 //! User-level backers (like the MigrationManager when it actively manages
-//! an excised address space) plug in through the [`backer::PageStore`]
-//! trait.
+//! an excised address space) are [`cor_mem::SegmentStore`]s the world
+//! holds by backing port; [`World::backer_mut`] fills one.
 //!
 //! **Crash tolerance.** [`World::residual_dependencies`] names the nodes
 //! a migrated process still owes pages from (through multi-hop stand-in
@@ -33,7 +33,6 @@
 //! clean orphan termination surfacing
 //! [`KernelError::OrphanedProcess`] — never a panic or a hang.
 
-pub mod backer;
 pub mod costs;
 pub mod error;
 pub mod node;
@@ -45,7 +44,6 @@ pub mod program;
 pub mod recovery;
 pub mod world;
 
-pub use backer::PageStore;
 pub use costs::CostModel;
 pub use error::KernelError;
 pub use node::Node;

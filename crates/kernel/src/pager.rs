@@ -260,13 +260,14 @@ impl World {
         Ok(installed)
     }
 
-    /// The map-in phase of a fetch that got its pages: one `map-in` span
-    /// charging [`CostModel::map_in`](crate::CostModel) plus `map_in_extra`
-    /// per further page, under which the frames are installed by reference
+    /// The map-in phase of every fetch that got its pages — wire reply,
+    /// replica or disk salvage: one `map-in` span charging
+    /// [`CostModel::map_in`](crate::CostModel) plus `map_in_extra` per
+    /// further page, under which the frames are installed by reference
     /// count, not by 512-byte snapshot — each page is mapped copy-on-write
     /// against the sender's cache, and a later write performs the deferred
     /// copy (Accent's own message semantics, paper §2.1).
-    fn map_in(
+    pub(crate) fn map_in(
         &mut self,
         node: NodeId,
         pid: ProcessId,
@@ -277,28 +278,21 @@ impl World {
         let extra = frames.len().saturating_sub(1) as u64;
         self.clock
             .advance(self.costs.map_in + self.costs.map_in_extra.saturating_mul(extra));
-        let installed = self.install_owed(node, pid, page, frames, true);
+        let installed = self.install_owed(node, pid, page, frames);
         self.span_exit(span);
         installed
     }
 
     /// Installs delivered `frames` at `page`, `page + 1`, … of `pid`,
     /// skipping targets that are no longer imaginary (a duplicate or a
-    /// raced prefetch), and counts the fault. Returns the pages installed.
-    ///
-    /// `count_prefetch` is the one asymmetry between the callers: the wire
-    /// and replica paths count every installed page past the first in
-    /// `prefetched_pages` / `prefetch_pending`; the disk-salvage rung of
-    /// [`World::crash_recover_or_orphan`] never has, so its best-effort
-    /// extra pages are invisible to the prefetch hit ratio (a known debt,
-    /// ROADMAP item 2 — kept, not fixed, here).
-    pub(crate) fn install_owed(
+    /// raced prefetch), counts every installed page past the first as
+    /// prefetched, and counts the fault. Returns the pages installed.
+    fn install_owed(
         &mut self,
         node: NodeId,
         pid: ProcessId,
         page: PageNum,
         frames: impl IntoIterator<Item = Frame>,
-        count_prefetch: bool,
     ) -> Result<u64, KernelError> {
         let (process, disk) = self.node_mut(node)?.process_and_disk(pid)?;
         let mut installed = 0u64;
@@ -310,7 +304,7 @@ impl World {
             ) {
                 process.space.satisfy_imaginary_frame(target, frame, disk)?;
                 installed += 1;
-                if count_prefetch && i > 0 {
+                if i > 0 {
                     process.stats.prefetched_pages += 1;
                     process.stats.prefetch_pending.insert(target);
                 }
@@ -320,7 +314,7 @@ impl World {
         Ok(installed)
     }
 
-    /// Gives back the `installed` references [`World::install_owed`] made
+    /// Gives back the `installed` references [`World::map_in`] made
     /// unnecessary on `seg`, and lets a resulting death notice settle.
     pub(crate) fn release_installed(
         &mut self,

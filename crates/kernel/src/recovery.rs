@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 
 use cor_ipc::NodeId;
+use cor_mem::page::Frame;
 use cor_mem::space::SegmentId;
 use cor_mem::{PageNum, PageRange, PageState, VAddr};
 use cor_trace::TraceEvent;
@@ -239,25 +240,23 @@ impl World {
         let Ok(port) = self.segs.backing_port(seg) else {
             return false;
         };
-        let Some(mut frames) = self
+        let Some(frame) = self
             .backers
-            .get_mut(&port)
-            .and_then(|e| e.store.fetch(seg, offset, 1))
+            .get(&port)
+            .and_then(|e| e.store.range(seg, offset, 1))
+            .and_then(<[Frame]>::first)
+            .cloned()
         else {
             return false;
         };
-        if frames.is_empty() {
-            return false;
-        }
-        self.fabric
-            .disk_install_page(backer, seg, offset, frames.remove(0));
+        self.fabric.disk_install_page(backer, seg, offset, frame);
         true
     }
 
     /// The crash-recovery ladder, entered when an imaginary fetch failed.
     /// Rung 1: if the failure traces to a *crashed* backing site, read the
     /// owed pages back from that site's crash-survivable disk backer and
-    /// install them as the reply would have. Rung 2: if the faulting page
+    /// map them in as a wire reply would be. Rung 2: if the faulting page
     /// is not on disk either, the data is gone — count the losses,
     /// terminate the orphan cleanly (releasing its remaining references),
     /// and surface [`KernelError::OrphanedProcess`]. Failures unrelated to
@@ -316,25 +315,21 @@ impl World {
             if bnode != dead {
                 break;
             }
-            match self.fabric.disk_recover(bnode, bseg, boff, 1) {
-                Some(mut f) => recovered.push(f.remove(0)),
+            match self.fabric.disk_recover(bnode, bseg, boff) {
+                Some(frame) => recovered.push(frame),
                 None => break,
             }
         }
         if !recovered.is_empty() {
             let n = recovered.len() as u64;
-            self.clock.advance(
-                self.costs.disk_service
-                    + self.costs.map_in
-                    + self.costs.map_in_extra.saturating_mul(n - 1),
-            );
+            self.clock.advance(self.costs.disk_service);
+            let installed = self.map_in(node, pid, page, recovered.into_iter())?;
             let now = self.clock.now();
             self.fabric.ledger.record(
                 now,
                 cor_mem::PAGE_SIZE * n,
                 cor_sim::LedgerCategory::Drain,
             );
-            let installed = self.install_owed(node, pid, page, recovered, false)?;
             self.fabric.reliability.pages_recovered.add(installed);
             self.release_installed(node, seg, installed)?;
             self.note(|| TraceEvent::Recover {

@@ -7,14 +7,13 @@ use cor_ipc::port::{PortId, PortRegistry};
 use cor_ipc::protocol::{self, ProtocolMsg};
 use cor_ipc::segment::SegmentRegistry;
 use cor_ipc::NodeId;
-use cor_mem::AddressSpace;
 #[cfg(test)]
 use cor_mem::{space::SegmentId, Fault, PageNum, PageRange, VAddr};
+use cor_mem::{AddressSpace, SegmentStore};
 use cor_net::{Fabric, SendReport, WireParams};
-use cor_sim::{Clock, JournalLevel, SimDuration, SimTime};
+use cor_sim::{Clock, IdMap, JournalLevel, SimDuration, SimTime};
 use cor_trace::{Journal, MetricsRegistry, SpanId, TraceEvent};
 
-use crate::backer::PageStore;
 use crate::costs::CostModel;
 use crate::error::KernelError;
 use crate::node::Node;
@@ -89,7 +88,7 @@ impl DrainPolicy {
 
 pub(crate) struct BackerEntry {
     pub(crate) node: NodeId,
-    pub(crate) store: Box<dyn PageStore>,
+    pub(crate) store: SegmentStore,
 }
 
 /// The simulated distributed system.
@@ -117,7 +116,7 @@ pub struct World {
     /// absent.
     pub journal: Option<Journal>,
     pub(crate) nodes: BTreeMap<NodeId, Node>,
-    pub(crate) backers: BTreeMap<PortId, BackerEntry>,
+    pub(crate) backers: IdMap<PortId, BackerEntry>,
     pub(crate) next_pid: u64,
     pub(crate) next_node: u32,
     /// Monotonic sequence stamp for pager read requests; replies echo it
@@ -137,7 +136,7 @@ impl World {
             prefetch: 0,
             journal: None,
             nodes: BTreeMap::new(),
-            backers: BTreeMap::new(),
+            backers: IdMap::default(),
             next_pid: 0,
             next_node: 0,
             next_seq: 0,
@@ -393,25 +392,25 @@ impl World {
         Ok(())
     }
 
-    /// Registers a user-level backer: messages arriving on `port` are
-    /// served from `store` by [`World::settle`]. A backer on a dead port
-    /// is never served — nothing can reach its queue, and senders get
+    /// Registers a user-level backer with an empty store, which
+    /// [`World::backer_mut`] fills: messages arriving on `port` are served
+    /// from it by [`World::settle`]. A backer on a dead port is never
+    /// served — nothing can reach its queue, and senders get
     /// [`cor_ipc::port::PortError::Dead`].
-    pub fn register_backer(&mut self, port: PortId, node: NodeId, store: Box<dyn PageStore>) {
+    pub fn register_backer(&mut self, port: PortId, node: NodeId) {
         self.ports.set_served(port, true);
+        let store = SegmentStore::default();
         self.backers.insert(port, BackerEntry { node, store });
     }
 
-    /// Unregisters a backer and returns its store.
-    pub fn take_backer(&mut self, port: PortId) -> Option<Box<dyn PageStore>> {
-        let entry = self.backers.remove(&port)?;
-        self.ports.set_served(port, false);
-        Some(entry.store)
+    /// The store of the backer registered on `port`.
+    pub fn backer_mut(&mut self, port: PortId) -> Option<&mut SegmentStore> {
+        self.backers.get_mut(&port).map(|e| &mut e.store)
     }
 
     /// Pages currently held by registered user-level backers.
     pub fn backer_pages_held(&self) -> u64 {
-        self.backers.values().map(|e| e.store.pages_held()).sum()
+        self.backers.values().map(|e| e.store.pages()).sum()
     }
 
     /// Sends a message on behalf of `node`.
@@ -467,42 +466,25 @@ impl World {
         let mut served = 0;
         let mut last = None;
         loop {
-            // The entry is out of the table while it serves so `self` can
-            // be re-borrowed for sending replies.
             let next = self
                 .ports
                 .ready_ports()
-                .filter(|&port| Some(port) > last)
-                .find_map(|port| Some((port, self.backers.remove(&port)?)));
-            let Some((port, mut entry)) = next else {
+                .find(|&port| Some(port) > last && self.backers.contains_key(&port));
+            let Some(port) = next else {
                 return Ok(served);
             };
-            let drained = self.drain_backer(port, &mut entry);
-            self.backers.insert(port, entry);
-            served += drained?;
+            while let Some(msg) = self.ports.dequeue(port)? {
+                served += 1;
+                self.serve_backer_msg(port, &msg)?;
+            }
             last = Some(port);
         }
     }
 
-    fn drain_backer(
-        &mut self,
-        port: PortId,
-        entry: &mut BackerEntry,
-    ) -> Result<usize, KernelError> {
-        let mut served = 0;
-        while let Some(msg) = self.ports.dequeue(port)? {
-            served += 1;
-            self.serve_backer_msg(port, entry, &msg)?;
-        }
-        Ok(served)
-    }
-
-    fn serve_backer_msg(
-        &mut self,
-        port: PortId,
-        entry: &mut BackerEntry,
-        msg: &Message,
-    ) -> Result<(), KernelError> {
+    fn serve_backer_msg(&mut self, port: PortId, msg: &Message) -> Result<(), KernelError> {
+        let Some(entry) = self.backers.get_mut(&port) else {
+            return Err(KernelError::UnexpectedMessage { port });
+        };
         match protocol::parse(msg) {
             Some(ProtocolMsg::ImagReadRequest {
                 seg,
@@ -512,23 +494,25 @@ impl World {
                 seq,
             }) => {
                 self.clock.advance(self.costs.backer_service);
+                let node = entry.node;
                 let frames = entry
                     .store
-                    .fetch(seg, offset, count)
+                    .range(seg, offset, count)
                     .ok_or(KernelError::Net(cor_net::NetError::MissingData {
                         seg,
                         offset,
-                    }))?;
+                    }))?
+                    .to_vec();
                 // Echo the request's sequence number so the faulter can
                 // pair the reply with its request.
                 let reply_msg = protocol::imag_read_reply(reply, seg, offset, frames)
                     .with_seq(seq)
                     .with_no_ious(true);
-                self.send_from(entry.node, reply_msg)?;
+                self.send_from(node, reply_msg)?;
                 Ok(())
             }
             Some(ProtocolMsg::ImagSegmentDeath { seg }) => {
-                entry.store.death(seg);
+                entry.store.remove(seg);
                 Ok(())
             }
             _ => Err(KernelError::UnexpectedMessage { port }),
@@ -572,7 +556,6 @@ impl World {
 mod tests {
     use super::*;
     use cor_mem::page::{page_from_bytes, Frame, PAGE_SIZE};
-    use cor_mem::SegmentStore;
 
     /// Builds a world where node `b` hosts a process whose pages
     /// `[0, pages)` are owed by a segment cached at node `a`'s NMS.
@@ -699,17 +682,16 @@ mod tests {
     fn user_level_backer_serves_faults() {
         let (mut w, a, b) = World::testbed();
         let backing_port = w.ports.allocate(a);
-        let mut store = SegmentStore::default();
         let seg = w.segs.create(backing_port, 2);
         w.segs.add_refs(seg, 2).unwrap();
-        store.insert(
+        w.register_backer(backing_port, a);
+        w.backer_mut(backing_port).unwrap().insert(
             seg,
             vec![
                 Frame::new(page_from_bytes(b"alpha")),
                 Frame::new(page_from_bytes(b"beta")),
             ],
         );
-        w.register_backer(backing_port, a, Box::new(store));
         let mut space = AddressSpace::new();
         space.map_imaginary(PageRange::new(PageNum(0), PageNum(2)), seg, 0);
         let mut tb = Trace::builder();
@@ -729,6 +711,32 @@ mod tests {
         assert_eq!(&buf[..4], b"beta");
         // Death reached the store.
         assert_eq!(w.backer_pages_held(), 0);
+    }
+
+    #[test]
+    fn settle_serves_the_netmsgservers_before_the_backers() {
+        let (mut w, a, b) = World::testbed();
+        let nms_a = w.fabric.nms_port(a).unwrap();
+        let cached = w.segs.create(nms_a, 1);
+        w.fabric.install_cache(a, cached, frames(1)).unwrap();
+        let backing = w.ports.allocate(a);
+        let owned = w.segs.create(backing, 1);
+        w.register_backer(backing, a);
+        w.backer_mut(backing).unwrap().insert(owned, frames(1));
+        // Work waits on both kinds of server when settle starts.
+        let reply = w.ports.allocate(b);
+        for (port, seg) in [(backing, owned), (nms_a, cached)] {
+            let req = protocol::imag_read_request(port, reply, seg, 0, 1);
+            w.ports.enqueue(port, req).unwrap();
+        }
+        w.settle().unwrap();
+        let mut served = Vec::new();
+        while let Some(m) = w.ports.dequeue(reply).unwrap() {
+            if let Some(ProtocolMsg::ImagReadReply { seg, .. }) = protocol::parse(&m) {
+                served.push(seg);
+            }
+        }
+        assert_eq!(served, [cached, owned], "the pump round runs first");
     }
 
     #[test]
@@ -893,6 +901,30 @@ mod tests {
         assert_eq!(w.touched_checksum(b, pid).unwrap(), clean, "byte-identical");
         assert_eq!(w.fabric.reliability.pages_recovered.get(), 4);
         assert_eq!(w.fabric.reliability.pages_lost.get(), 0);
+    }
+
+    #[test]
+    fn a_disk_salvage_maps_in_and_counts_its_prefetch_like_any_fetch() {
+        let (mut w0, _, b0, pid0, _) = owed_process(4);
+        w0.run(b0, pid0).unwrap();
+        let clean = w0.touched_checksum(b0, pid0).unwrap();
+
+        let (mut w, a, b, pid, _) = owed_process(4);
+        w.prefetch = 3;
+        while w.drain_round(b, pid, DrainPolicy::flush(4)).unwrap() > 0 {}
+        let now = w.clock.now();
+        w.fabric.crash_node(now, &mut w.ports, a, false);
+        w.enable_journal();
+        w.run(b, pid).unwrap();
+        assert_eq!(w.process(b, pid).unwrap().stats.prefetched_pages, 3);
+        let spans = w.journal.as_ref().unwrap().spans();
+        let faults: Vec<_> = spans.iter().filter(|s| s.name == "imag-fault").collect();
+        assert_eq!(faults.len(), 1, "one fault salvages all four pages");
+        let map_ins = spans
+            .iter()
+            .filter(|s| s.name == "map-in" && s.parent == faults[0].id && s.end.is_some());
+        assert_eq!(map_ins.count(), 1);
+        assert_eq!(w.touched_checksum(b, pid).unwrap(), clean, "byte-identical");
     }
 
     #[test]

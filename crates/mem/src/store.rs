@@ -2,8 +2,8 @@
 //!
 //! One shape serves every backer that answers `(segment, offset, count)`
 //! read requests from memory — the NetMsgServer's segment cache in
-//! `cor-net` and every user-level `PageStore` in `cor-kernel` — so the
-//! range check lives here once.
+//! `cor-net` and every user-level backer the `cor-kernel` world holds — so
+//! the range check lives here once.
 
 use cor_sim::IdMap;
 

@@ -162,19 +162,10 @@ impl Fabric {
         disk.is_some_and(|d| d.contains_key(&(seg.0, offset)))
     }
 
-    /// Reads `count` consecutive pages of `seg` starting at `offset` from
-    /// `node`'s disk backer; `None` if any page is missing.
-    pub fn disk_recover(
-        &self,
-        node: NodeId,
-        seg: SegmentId,
-        offset: u64,
-        count: u64,
-    ) -> Option<Vec<Frame>> {
-        let disk = self.crash.disk.get(&node)?;
-        (offset..offset + count)
-            .map(|o| disk.get(&(seg.0, o)).cloned())
-            .collect()
+    /// Reads `seg`'s page at `offset` from `node`'s disk backer; `None` if
+    /// the disk does not hold it.
+    pub fn disk_recover(&self, node: NodeId, seg: SegmentId, offset: u64) -> Option<Frame> {
+        self.crash.disk.get(&node)?.get(&(seg.0, offset)).cloned()
     }
 
     /// Pages held by `node`'s disk backer.

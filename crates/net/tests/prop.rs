@@ -269,3 +269,33 @@ proptest! {
         }
     }
 }
+
+/// Two pages with unequal bytes and one content hash. The page hash folds
+/// word 0 and then word 4 into lane 0, so a word 4 that differs by
+/// exactly what word 0 did to the lane state cancels the difference.
+fn colliding_pages() -> (Frame, Frame) {
+    const K0: u64 = 0x9e37_79b9_7f4a_7c15;
+    let lane = |w: u64| {
+        let product = u128::from(K0 ^ w) * u128::from(K0);
+        product as u64 ^ (product >> 64) as u64
+    };
+    let page = |w0: u64, w4: u64| {
+        let mut bytes = [0u8; 40];
+        bytes[..8].copy_from_slice(&w0.to_le_bytes());
+        bytes[32..].copy_from_slice(&w4.to_le_bytes());
+        Frame::new(page_from_bytes(&bytes))
+    };
+    (page(1, 0), page(2, lane(1) ^ lane(2)))
+}
+
+#[test]
+fn a_hash_collision_is_never_a_hit() {
+    let (a, b) = colliding_pages();
+    assert_eq!(a.content_hash(), b.content_hash());
+    let mut store = ContentStore::default();
+    assert_eq!(store.intern(NodeId(0), &mut a.clone()), (false, false));
+    let mut frame = b.clone();
+    assert_eq!(store.intern(NodeId(0), &mut frame), (false, false));
+    assert!(frame.same_contents(&b) && !frame.same_contents(&a));
+    assert!(store.holds(&a) && store.holds(&b));
+}

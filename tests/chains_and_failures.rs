@@ -243,49 +243,30 @@ fn unknown_workload_and_process_errors() {
 
 #[test]
 fn backer_that_loses_data_mid_run_surfaces_missing_data() {
-    use cor::kernel::backer::PageStore;
     use cor::mem::page::Frame;
-    use cor::mem::{SegmentId, SegmentStore};
-
-    /// A store that serves one request and then "crashes" (loses data).
-    struct Flaky {
-        inner: SegmentStore,
-        served: u64,
-    }
-    impl PageStore for Flaky {
-        fn fetch(&mut self, seg: SegmentId, offset: u64, count: u64) -> Option<Vec<Frame>> {
-            if self.served >= 1 {
-                return None;
-            }
-            self.served += 1;
-            self.inner.fetch(seg, offset, count)
-        }
-        fn death(&mut self, seg: SegmentId) {
-            self.inner.death(seg);
-        }
-        fn pages_held(&self) -> u64 {
-            self.inner.pages_held()
-        }
-    }
 
     let (mut world, a, b) = World::testbed();
     let backing = world.ports.allocate(a);
     let seg = world.segs.create(backing, 3);
     world.segs.add_refs(seg, 3).unwrap();
-    let mut inner = SegmentStore::default();
-    inner.insert(seg, (0..3).map(|_| Frame::zeroed()).collect());
-    world.register_backer(backing, a, Box::new(Flaky { inner, served: 0 }));
+    world.register_backer(backing, a);
+    let frames = (0..3).map(|_| Frame::zeroed()).collect();
+    world.backer_mut(backing).unwrap().insert(seg, frames);
     let mut space = AddressSpace::new();
     space.map_imaginary(PageRange::new(PageNum(0), PageNum(3)), seg, 0);
     let mut tb = Trace::builder();
-    tb.read(VAddr(0), 3 * PAGE_SIZE);
+    for i in 0..3 {
+        tb.read(PageNum(i).base(), PAGE_SIZE);
+    }
     let pid = world
         .create_process(b, "flaked", space, tb.terminate())
         .unwrap();
-    // First page fetch succeeds; the second hits the "crash".
+    // The first page's fetch succeeds; then the backer loses its data.
+    world.run_for(b, pid, 1).unwrap();
+    world.backer_mut(backing).unwrap().remove(seg);
     match world.run(b, pid) {
         Err(KernelError::Net(cor::net::NetError::MissingData { .. })) => {}
-        other => panic!("expected MissingData after the backer crash, got {other:?}"),
+        other => panic!("expected MissingData after the backer lost its data, got {other:?}"),
     }
     assert_eq!(
         world.process(b, pid).unwrap().stats.imag_faults,

@@ -406,22 +406,9 @@ fn a_backer_on_a_dead_port_is_never_served_and_breaks_nothing() {
     use cor::ipc::protocol::imag_segment_death;
     use cor::mem::space::SegmentId;
 
-    struct Unreachable;
-    impl cor::kernel::PageStore for Unreachable {
-        fn fetch(&mut self, _: SegmentId, _: u64, _: u64) -> Option<Vec<cor::mem::Frame>> {
-            panic!("a backer on a dead port must never be asked for pages")
-        }
-        fn death(&mut self, _: SegmentId) {
-            panic!("a backer on a dead port must never be served")
-        }
-        fn pages_held(&self) -> u64 {
-            0
-        }
-    }
-
     let (mut world, a, _) = World::testbed();
     let live = world.ports.allocate(a);
-    world.register_backer(live, a, Box::new(Unreachable));
+    world.register_backer(live, a);
     world
         .ports
         .enqueue(live, imag_segment_death(live, SegmentId(1)))
@@ -431,7 +418,7 @@ fn a_backer_on_a_dead_port_is_never_served_and_breaks_nothing() {
 
     let dead = world.ports.allocate(a);
     world.ports.deallocate(dead);
-    world.register_backer(dead, a, Box::new(Unreachable));
+    world.register_backer(dead, a);
     assert_eq!(
         world
             .ports
@@ -439,8 +426,5 @@ fn a_backer_on_a_dead_port_is_never_served_and_breaks_nothing() {
         Err(PortError::Dead(dead))
     );
     assert_eq!(world.settle().unwrap(), 0);
-    assert!(
-        world.take_backer(dead).is_some(),
-        "still registered, still removable"
-    );
+    assert!(world.backer_mut(dead).is_some(), "still registered");
 }
