@@ -13,7 +13,7 @@ use cor_trace::Profile;
 use cor_workloads::Workload;
 
 use crate::runner::{matrix_csv, Matrix};
-use crate::trace::{journal_level_from_env, traced_trial, TracedTrial};
+use crate::trace::{journal_level_from_env, traced_trial, write_trace_out, TracedTrial};
 use crate::{
     check, figures, fleet, latency, loss, replication, saturation, summary, survivability, tables,
 };
@@ -201,16 +201,16 @@ fn trace(c: &mut Ctx) -> Result<String, Failure> {
     let flag = |f: &str| c.args.iter().any(|a| a == f);
     let (jsonl, summary) = (flag("--jsonl"), flag("--summary"));
     let t = c.traced(if summary { JournalLevel::Summary } else { JournalLevel::Full })?;
-    eprintln!("{}", t.describe());
     let doc = if jsonl { t.jsonl() } else { t.perfetto() };
-    Ok(match c.trace_out.take() {
-        Some(path) => {
-            std::fs::write(&path, doc).expect("write --trace-out file");
-            eprintln!("wrote {path}");
-            String::new()
+    match c.trace_out.take() {
+        Some(path) => write_trace_out(&path, &t, &doc)
+            .map_err(Failure::Usage)
+            .map(|()| String::new()),
+        None => {
+            eprintln!("{}", t.describe());
+            Ok(doc)
         }
-        None => doc,
-    })
+    }
 }
 
 fn metrics(c: &mut Ctx) -> Result<String, Failure> {

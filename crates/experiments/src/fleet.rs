@@ -495,26 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn locality_shortens_routes_on_a_torus() {
-        let run = |placement| {
-            run_cell(FleetSpec {
-                nodes: 16,
-                topology: "torus",
-                placement,
-                storm: STORM_LOW,
-            })
-        };
-        let rr = run("round-robin");
-        let local = run("locality");
-        assert!(
-            local.mean_hops <= rr.mean_hops,
-            "locality {} vs round-robin {}",
-            local.mean_hops,
-            rr.mean_hops
-        );
-    }
-
-    #[test]
     fn sweep_is_deterministic_across_threads_and_runs() {
         let slice = || fleet_outcomes_for(gate_cells(), &Pool::serial());
         let a = csv_for(&slice());

@@ -18,7 +18,10 @@
 //! `trace` command it redirects that command's own trace there; for any
 //! other command (e.g. a sweep) it additionally captures a fixed-seed
 //! Minprog trial so every run can ship a trace artifact. `COR_JOURNAL`
-//! (`off|summary|full`) sets the journal level of sweep trials.
+//! (`off|summary|full`) sets the journal level of sweep trials. A bad
+//! invocation — an unknown command, a `COR_JOURNAL` of any other value,
+//! a `--trace-out` path that cannot be written — prints one line to
+//! stderr and exits 2.
 
 use std::io::{ErrorKind, Write};
 use std::process::exit;
@@ -68,6 +71,10 @@ fn main() {
         },
         None => Pool::from_env(),
     };
+    if let Err(message) = trace::journal_level_env() {
+        eprintln!("{message}");
+        exit(2);
+    }
     let mut ctx = Ctx::new(pool);
     ctx.trace_out = take_option(&mut args, "--trace-out", "a file path");
     let mut args = args.iter().map(String::as_str);
@@ -89,8 +96,9 @@ fn main() {
     if let Some(path) = ctx.trace_out {
         let w = cor_workloads::minprog::workload();
         let t = trace::traced_trial(&w, trace::journal_level_from_env(JournalLevel::Full));
-        std::fs::write(&path, t.perfetto()).expect("write --trace-out file");
-        eprintln!("{}", t.describe());
-        eprintln!("wrote {path}");
+        if let Err(message) = trace::write_trace_out(&path, &t, &t.perfetto()) {
+            eprintln!("{message}");
+            exit(2);
+        }
     }
 }

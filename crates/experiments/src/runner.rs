@@ -346,8 +346,6 @@ mod tests {
         assert_eq!(t.touched_real_pages, 24);
         assert_eq!(t.imag_faults, 24);
         assert!(t.total_bytes > 24 * 512);
-        // IOU RIMAS transfer is sub-second (Table 4-5 says 0.16 s).
-        assert!(t.migration.timings.rimas_transfer.as_secs_f64() < 0.5);
     }
 
     #[test]

@@ -501,16 +501,10 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_matches_the_paper_fault_shape() {
+    fn closed_loop_serves_every_fault_without_queueing() {
+        // Its p50 against the paper's §4.3.3 fault cost is a gate claim.
         let o = run_cell(cell("closed", "scan", false, false, 0));
         assert_eq!(o.served, 32);
-        // §4.3.3: one remote fault costs on the order of 115 ms on the
-        // default wire; our model lands in the same band.
-        assert!(
-            (90_000..=130_000).contains(&o.p50_us),
-            "closed-loop p50 {} µs outside the paper band",
-            o.p50_us
-        );
         assert_eq!(o.p50_us, o.p99_us, "no queueing in a closed loop");
     }
 
@@ -546,21 +540,6 @@ mod tests {
             opt.achieved_fps,
             base.achieved_fps
         );
-    }
-
-    #[test]
-    fn coalescing_fires_on_the_relayed_hot_set() {
-        let base = run_cell(cell("open", "hot", true, false, 12));
-        let opt = run_cell(cell("open", "hot", true, true, 12));
-        assert_eq!(base.coalesced, 0);
-        assert!(opt.coalesced > 0, "duplicate in-flight faults must park");
-        assert!(
-            opt.wire_bytes < base.wire_bytes,
-            "coalescing must shed upstream traffic: {} vs {}",
-            opt.wire_bytes,
-            base.wire_bytes
-        );
-        assert_eq!(opt.served, base.served, "every fault still completes");
     }
 
     #[test]

@@ -9,9 +9,24 @@ use cor_workloads::Workload;
 use crate::render::{secs, TextTable};
 use crate::runner::Matrix;
 
-/// Measures the two fault-service constants of §4.3.3 with
-/// microbenchmarks: a local disk fault and a remote imaginary fault.
+/// The fault-service constants of §4.3.3 as rendered.
 pub fn constants() -> String {
+    let (disk_fault, imag_fault) = fault_constants();
+    format!(
+        "Fault service constants (paper §4.3.3)\n\n\
+         local disk fault:        {:.1} ms   (paper: 40.8 ms)\n\
+         remote imaginary fault:  {:.1} ms   (paper: 115 ms)\n\
+         ratio:                   {:.1}x     (paper: ~2.8x)\n",
+        disk_fault * 1e3,
+        imag_fault * 1e3,
+        imag_fault / disk_fault
+    )
+}
+
+/// Measures the two fault-service constants of §4.3.3 with
+/// microbenchmarks, in seconds: a local disk fault and a remote
+/// imaginary fault, each on its own one-page world.
+pub(crate) fn fault_constants() -> (f64, f64) {
     // Disk fault: a process with one paged-out page touches it.
     let disk_fault = {
         let (mut world, a, _) = World::testbed();
@@ -54,15 +69,7 @@ pub fn constants() -> String {
         world.run(b, pid).unwrap();
         world.clock.now().since(t0).as_secs_f64()
     };
-    format!(
-        "Fault service constants (paper §4.3.3)\n\n\
-         local disk fault:        {:.1} ms   (paper: 40.8 ms)\n\
-         remote imaginary fault:  {:.1} ms   (paper: 115 ms)\n\
-         ratio:                   {:.1}x     (paper: ~2.8x)\n",
-        disk_fault * 1e3,
-        imag_fault * 1e3,
-        imag_fault / disk_fault
-    )
+    (disk_fault, imag_fault)
 }
 
 /// The §4.4 aggregates: average byte-traffic and message-handling savings
@@ -445,25 +452,4 @@ pub fn modern_study(workloads: &[Workload], pool: &Pool) -> String {
          the 2026 reading of why post-copy migration survived.\n",
         t.render()
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn constants_land_near_the_paper() {
-        let out = constants();
-        // Parse back the ratio line loosely: it must be between 2 and 4.
-        let ratio_line = out.lines().find(|l| l.contains("ratio")).unwrap();
-        let ratio: f64 = ratio_line
-            .split_whitespace()
-            .nth(1)
-            .unwrap()
-            .trim_end_matches('x')
-            .parse()
-            .unwrap();
-        assert!((2.0..4.0).contains(&ratio), "{out}");
-        assert!(out.contains("40.8 ms"), "{out}");
-    }
 }

@@ -335,28 +335,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn draining_strictly_improves_early_crash_survival() {
-        let all = outcomes();
-        let survival = |rate: u64| {
-            all.iter()
-                .filter(|o| o.drain_rate == rate && o.survived)
-                .count()
-        };
-        assert!(
-            survival(64) > survival(0),
-            "heavy draining must save runs that no draining loses: {} vs {}",
-            survival(64),
-            survival(0)
-        );
-        // Fast draining survives even the earliest crash under every
-        // strategy — including the cell that slow/no draining loses.
-        for o in all
-            .iter()
-            .filter(|o| o.drain_rate == 64 && o.delay == SimDuration::from_millis(1_000))
-        {
-            assert!(o.survived, "{o:?}");
-        }
-    }
 }

@@ -240,27 +240,4 @@ mod tests {
         assert!(out.contains("190,464"), "{out}");
         assert!(out.contains("71,680"), "{out}");
     }
-
-    #[test]
-    fn table4_5_preserves_orderings() {
-        // Run only Minprog to keep the test quick: IOU < RS < Copy.
-        let w = cor_workloads::minprog::workload();
-        let mut m = Matrix::new();
-        let iou = m
-            .trial(&w, Strategy::PureIou { prefetch: 0 })
-            .migration
-            .timings
-            .rimas_transfer;
-        let rs = m
-            .trial(&w, Strategy::ResidentSet { prefetch: 0 })
-            .migration
-            .timings
-            .rimas_transfer;
-        let copy = m
-            .trial(&w, Strategy::PureCopy)
-            .migration
-            .timings
-            .rimas_transfer;
-        assert!(iou < rs && rs < copy, "iou {iou} rs {rs} copy {copy}");
-    }
 }

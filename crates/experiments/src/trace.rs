@@ -15,25 +15,50 @@ use cor_sim::JournalLevel;
 use cor_trace::{MetricsRegistry, Profile};
 use cor_workloads::Workload;
 
-/// The journal verbosity for experiment runs, from the `COR_JOURNAL`
-/// environment variable: `off`, `summary`, or `full` (default `full` for
-/// the dedicated trace commands; sweeps that only need milestones pass
-/// [`JournalLevel::Summary`] explicitly).
+/// The `COR_JOURNAL` environment variable, when set: `off`, `summary` or
+/// `full`, in any case.
+///
+/// # Errors
+///
+/// A one-line message for any other value — a typo'd level silently
+/// tracing nothing would be worse.
+pub fn journal_level_env() -> Result<Option<JournalLevel>, String> {
+    let Ok(v) = std::env::var("COR_JOURNAL") else {
+        return Ok(None);
+    };
+    match v.to_ascii_lowercase().as_str() {
+        "off" => Ok(Some(JournalLevel::Off)),
+        "summary" => Ok(Some(JournalLevel::Summary)),
+        "full" => Ok(Some(JournalLevel::Full)),
+        _ => Err(format!("COR_JOURNAL must be off|summary|full, got {v:?}")),
+    }
+}
+
+/// The journal verbosity for experiment runs: `COR_JOURNAL`, else
+/// `default` (`full` for the dedicated trace commands; sweeps that only
+/// need milestones pass [`JournalLevel::Summary`]).
 ///
 /// # Panics
 ///
-/// Panics on an unrecognized value — a typo'd level silently tracing
-/// nothing would be worse.
+/// On a value [`journal_level_env`] rejects. The `experiments` binary
+/// rejects one before it runs anything, so only a library caller can
+/// get here.
 pub fn journal_level_from_env(default: JournalLevel) -> JournalLevel {
-    match std::env::var("COR_JOURNAL") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "off" => JournalLevel::Off,
-            "summary" => JournalLevel::Summary,
-            "full" => JournalLevel::Full,
-            other => panic!("COR_JOURNAL must be off|summary|full, got {other:?}"),
-        },
-        Err(_) => default,
-    }
+    journal_level_env()
+        .unwrap_or_else(|message| panic!("{message}"))
+        .unwrap_or(default)
+}
+
+/// Writes `doc`, exported from `trial`, to a `--trace-out` path, then
+/// describes the trial and the file on stderr.
+///
+/// # Errors
+///
+/// A one-line message naming the path when it cannot be written.
+pub fn write_trace_out(path: &str, trial: &TracedTrial, doc: &str) -> Result<(), String> {
+    std::fs::write(path, doc).map_err(|e| format!("cannot write --trace-out {path}: {e}"))?;
+    eprintln!("{}\nwrote {path}", trial.describe());
+    Ok(())
 }
 
 /// A completed traced trial: the world is kept alive so its journals and
@@ -171,22 +196,5 @@ mod tests {
         let b = traced_trial(&w, JournalLevel::Full);
         assert_eq!(a.jsonl(), b.jsonl());
         assert_eq!(a.perfetto(), b.perfetto());
-    }
-
-    #[test]
-    fn env_level_parsing() {
-        // Default is honoured when the variable is absent; explicit values
-        // are exercised via from-string matching (don't mutate the global
-        // environment in tests: other tests run concurrently).
-        assert_eq!(
-            journal_level_from_env(JournalLevel::Summary),
-            std::env::var("COR_JOURNAL").map_or(JournalLevel::Summary, |v| {
-                match v.to_ascii_lowercase().as_str() {
-                    "off" => JournalLevel::Off,
-                    "summary" => JournalLevel::Summary,
-                    _ => JournalLevel::Full,
-                }
-            })
-        );
     }
 }

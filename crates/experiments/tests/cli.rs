@@ -1,6 +1,7 @@
-//! The `experiments` command-line contract: bad or stale invocations
-//! fail loudly with exit code 2, and a dead environment variable is
-//! dead, not half-honoured.
+//! The `experiments` command-line contract: bad or stale invocations —
+//! outside input the binary cannot use — fail with one stderr line and
+//! exit code 2, never a panic, and a dead environment variable is dead,
+//! not half-honoured.
 
 use std::process::{Command, Output, Stdio};
 
@@ -11,7 +12,9 @@ const DEAD_VAR: &str = concat!("COR_RUN", "TIME");
 
 fn experiments() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
-    cmd.env_remove("COR_THREADS").env_remove(DEAD_VAR);
+    cmd.env_remove("COR_THREADS")
+        .env_remove("COR_JOURNAL")
+        .env_remove(DEAD_VAR);
     cmd
 }
 
@@ -118,6 +121,42 @@ fn a_closed_pipe_is_a_quiet_exit() {
     let out = child.wait_with_output().expect("wait");
     assert_eq!(out.status.code(), Some(0));
     assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+/// A path under a regular file, which no user can create.
+const UNWRITABLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/t.json");
+
+/// Exit 2 with one stderr line containing `needle`, and no backtrace.
+fn assert_one_line_usage_error(out: &Output, needle: &str) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert_eq!(err.lines().count(), 1, "stderr: {err}");
+    assert!(err.contains(needle), "stderr: {err}");
+}
+
+#[test]
+fn an_unwritable_trace_out_is_a_usage_error() {
+    // `trace` writes its own document there; any other command writes a
+    // Minprog artifact there after its output.
+    for command in ["trace", "table4-1"] {
+        let out = run(experiments().args(["--trace-out", UNWRITABLE, command]));
+        assert_one_line_usage_error(&out, &format!("cannot write --trace-out {UNWRITABLE}"));
+    }
+}
+
+#[test]
+fn an_unknown_journal_level_is_a_usage_error() {
+    let out = run(experiments().env("COR_JOURNAL", "verbose").arg("trace"));
+    let message = "COR_JOURNAL must be off|summary|full, got \"verbose\"";
+    assert_one_line_usage_error(&out, message);
+    assert!(out.stdout.is_empty(), "nothing ran before the rejection");
+    // Any case of a known level is that level.
+    let by_env = run(experiments()
+        .env("COR_JOURNAL", "Summary")
+        .args(["trace", "--jsonl"]));
+    let by_flag = run(experiments().args(["trace", "--jsonl", "--summary"]));
+    assert!(by_env.status.success() && by_flag.status.success());
+    assert_eq!(by_env.stdout, by_flag.stdout);
 }
 
 #[test]

@@ -1,254 +1,133 @@
-//! End-to-end assertions of the paper's headline claims, run against the
-//! actual representative workloads. These are the "does the reproduction
-//! reproduce?" tests; the experiment binary prints the full tables.
+//! The reproduction gate, and the prose that quotes it.
+//!
+//! Every paper claim is stated once, as a row of `experiments check`
+//! (`crates/experiments/src/check.rs`) carrying the paper's value, the
+//! measured value and the accepted interval. This file runs the gate
+//! once through the command table, and holds the prose to what the repo
+//! prints: EXPERIMENTS.md's paper sections and README's "What
+//! reproduces" table may only quote numbers that `results/all.txt` or
+//! the gate's report prints.
 
-use cor::kernel::World;
-use cor::migrate::{MigrationManager, MigrationReport, Strategy};
-use cor::workloads::Workload;
+use std::collections::HashSet;
+use std::sync::OnceLock;
 
-struct Run {
-    report: MigrationReport,
-    exec_secs: f64,
-    wire_bytes: u64,
-    msg_cpu_secs: f64,
-}
+use cor_experiments::commands::{self, Ctx, Failure};
 
-fn run(w: &Workload, strategy: Strategy) -> Run {
-    let (mut world, a, b) = World::testbed();
-    let src = MigrationManager::new(&mut world, a);
-    let dst = MigrationManager::new(&mut world, b);
-    let pid = w.build(&mut world, a).expect("build");
-    let report = src
-        .migrate_to(&mut world, &dst, pid, strategy)
-        .expect("migrate");
-    let exec = world.run(b, pid).expect("run");
-    assert!(exec.finished);
-    Run {
-        report,
-        exec_secs: exec.elapsed.as_secs_f64(),
-        wire_bytes: world.fabric.ledger.total(),
-        msg_cpu_secs: world.fabric.stats().cpu_total.as_secs_f64(),
-    }
-}
-
-/// §4.3.2: "Times required to ship process address spaces pure-IOU are
-/// nearly independent of the amount of memory involved" — while allocated
-/// memory varies by four orders of magnitude, IOU transfer times cluster.
-#[test]
-fn iou_transfer_times_are_practically_constant() {
-    let times: Vec<f64> = cor::workloads::all()
-        .iter()
-        .map(|w| {
-            run(w, Strategy::PureIou { prefetch: 0 })
-                .report
-                .timings
-                .rimas_transfer
-                .as_secs_f64()
-        })
-        .collect();
-    let max = times.iter().cloned().fold(0.0f64, f64::max);
-    let min = times.iter().cloned().fold(f64::MAX, f64::min);
-    assert!(max < 0.5, "IOU transfers stay sub-second: {times:?}");
-    assert!(
-        max / min < 5.0,
-        "clustered within a small factor: {times:?}"
-    );
-}
-
-/// §4.3.2: pure-copy transfers vary by a factor of ~20, and the extreme
-/// case (Lisp-Del) is roughly a thousand times more expensive than IOU.
-#[test]
-fn copy_transfers_vary_and_the_extreme_is_about_1000x() {
-    let mut copies = Vec::new();
-    for w in cor::workloads::all() {
-        copies.push((
-            w.name().to_string(),
-            run(&w, Strategy::PureCopy)
-                .report
-                .timings
-                .rimas_transfer
-                .as_secs_f64(),
-        ));
-    }
-    let max = copies.iter().map(|c| c.1).fold(0.0f64, f64::max);
-    let min = copies.iter().map(|c| c.1).fold(f64::MAX, f64::min);
-    assert!(
-        (10.0..25.0).contains(&(max / min)),
-        "paper: factor of 20; got {:.1} ({copies:?})",
-        max / min
-    );
-    let lisp_del = cor::workloads::lisp::lisp_del();
-    let copy = run(&lisp_del, Strategy::PureCopy)
-        .report
-        .timings
-        .rimas_transfer;
-    let iou = run(&lisp_del, Strategy::PureIou { prefetch: 0 })
-        .report
-        .timings
-        .rimas_transfer;
-    let ratio = copy.as_secs_f64() / iou.as_secs_f64();
-    assert!(
-        (500.0..1500.0).contains(&ratio),
-        "paper: ~1000x; got {ratio:.0}x"
-    );
-}
-
-/// §4.4.1 / §4.4.2: pure-IOU (no prefetch) cuts byte traffic and
-/// message-handling time in *every* case, averaging near the published
-/// 58.2% / 47.8%.
-#[test]
-fn iou_saves_bytes_and_message_time_in_every_case() {
-    let mut byte_savings = Vec::new();
-    let mut msg_savings = Vec::new();
-    for w in cor::workloads::all() {
-        let copy = run(&w, Strategy::PureCopy);
-        let iou = run(&w, Strategy::PureIou { prefetch: 0 });
-        let bs = 1.0 - iou.wire_bytes as f64 / copy.wire_bytes as f64;
-        let ms = 1.0 - iou.msg_cpu_secs / copy.msg_cpu_secs;
-        assert!(bs > 0.0, "{}: IOU must reduce bytes ({bs:.2})", w.name());
-        assert!(
-            ms > 0.0,
-            "{}: IOU must reduce message time ({ms:.2})",
-            w.name()
-        );
-        byte_savings.push(bs);
-        msg_savings.push(ms);
-    }
-    let avg = |v: &[f64]| 100.0 * v.iter().sum::<f64>() / v.len() as f64;
-    let b = avg(&byte_savings);
-    let m = avg(&msg_savings);
-    assert!((45.0..70.0).contains(&b), "paper: 58.2%; got {b:.1}%");
-    assert!((40.0..65.0).contains(&m), "paper: 47.8%; got {m:.1}%");
-}
-
-/// §4.3.3: Chess barely notices the strategy (a few percent), while
-/// Minprog suffers a ~44x pure-IOU slowdown in remote execution.
-#[test]
-fn longevity_hides_fault_costs_and_brevity_exposes_them() {
-    let chess = cor::workloads::chess::workload();
-    let copy = run(&chess, Strategy::PureCopy).exec_secs;
-    let iou = run(&chess, Strategy::PureIou { prefetch: 0 }).exec_secs;
-    let penalty = (iou - copy) / copy;
-    assert!(
-        (0.0..0.08).contains(&penalty),
-        "paper ~3%; got {:.1}%",
-        penalty * 100.0
-    );
-
-    let minprog = cor::workloads::minprog::workload();
-    let copy = run(&minprog, Strategy::PureCopy).exec_secs;
-    let iou = run(&minprog, Strategy::PureIou { prefetch: 0 }).exec_secs;
-    let factor = iou / copy;
-    assert!(
-        (20.0..100.0).contains(&factor),
-        "paper ~44x; got {factor:.0}x"
-    );
-}
-
-/// §4.3.4: a single page of prefetch improves end-to-end performance for
-/// every representative; larger prefetch keeps helping the sequential
-/// Pasmac family but hurts the non-local Lisp family.
-#[test]
-fn prefetch_one_always_pays_more_only_sometimes() {
-    for w in cor::workloads::all() {
-        let e2e = |pf: u64| {
-            let r = run(&w, Strategy::PureIou { prefetch: pf });
-            r.report.timings.rimas_transfer.as_secs_f64() + r.exec_secs
-        };
-        let pf0 = e2e(0);
-        let pf1 = e2e(1);
-        assert!(
-            pf1 <= pf0 * 1.005,
-            "{}: one page of prefetch must not hurt (pf0 {pf0:.2}, pf1 {pf1:.2})",
-            w.name()
-        );
-    }
-    // Pasmac keeps gaining up to pf=15...
-    let pm = cor::workloads::pasmac::pm_start();
-    let pm0 = run(&pm, Strategy::PureIou { prefetch: 0 });
-    let pm15 = run(&pm, Strategy::PureIou { prefetch: 15 });
-    assert!(
-        pm15.exec_secs < pm0.exec_secs * 0.75,
-        "{} vs {}",
-        pm15.exec_secs,
-        pm0.exec_secs
-    );
-    // ...while Lisp-T gets slower with deep prefetch.
-    let lt = cor::workloads::lisp::lisp_t();
-    let lt0 = run(&lt, Strategy::PureIou { prefetch: 0 });
-    let lt15 = run(&lt, Strategy::PureIou { prefetch: 15 });
-    assert!(
-        lt15.exec_secs > lt0.exec_secs,
-        "{} vs {}",
-        lt15.exec_secs,
-        lt0.exec_secs
-    );
-}
-
-/// §4.2.2 / §4.3.4: resident-set transfer is a middle ground on transfer
-/// time, but doesn't pay its way except for the short-lived processes.
-#[test]
-fn resident_sets_are_middle_ground_not_a_win() {
-    for w in cor::workloads::all() {
-        let iou = run(&w, Strategy::PureIou { prefetch: 0 });
-        let rs = run(&w, Strategy::ResidentSet { prefetch: 0 });
-        let copy = run(&w, Strategy::PureCopy);
-        let (ti, tr, tc) = (
-            iou.report.timings.rimas_transfer,
-            rs.report.timings.rimas_transfer,
-            copy.report.timings.rimas_transfer,
-        );
-        assert!(
-            ti < tr && tr < tc,
-            "{}: transfer ordering {ti} {tr} {tc}",
-            w.name()
-        );
-        // RS ships more data than IOU — except Lisp-Del, whose resident
-        // set is ~90% re-referenced (Table 4-3: RS 17.4% vs IOU 16.5%), so
-        // shipping it up front genuinely replaces per-fault traffic.
-        if w.name() != "Lisp-Del" {
-            assert!(rs.wire_bytes > iou.wire_bytes, "{}", w.name());
-        } else {
-            assert!(rs.wire_bytes > iou.wire_bytes * 8 / 10, "{}", w.name());
-        }
-    }
-}
-
-/// §4.3.1: excision and insertion vary by small factors (4x and 3.3x in
-/// the paper) while the address spaces vary by four orders of magnitude.
-#[test]
-fn excise_and_insert_costs_grow_slowly() {
-    let mut excises = Vec::new();
-    let mut inserts = Vec::new();
-    for w in cor::workloads::all() {
-        let r = run(&w, Strategy::PureIou { prefetch: 0 });
-        excises.push(r.report.timings.excise_total.as_secs_f64());
-        inserts.push(r.report.timings.insert_total.as_secs_f64());
-    }
-    let spread = |v: &[f64]| {
-        v.iter().cloned().fold(0.0f64, f64::max) / v.iter().cloned().fold(f64::MAX, f64::min)
-    };
-    assert!(
-        spread(&excises) < 6.0,
-        "paper: ~4x; got {:.1} ({excises:?})",
-        spread(&excises)
-    );
-    assert!(
-        spread(&inserts) < 5.0,
-        "paper: ~3.3x; got {:.1} ({inserts:?})",
-        spread(&inserts)
-    );
+/// `experiments check`, run once for every test in this file.
+fn gate() -> &'static Result<String, Failure> {
+    static GATE: OnceLock<Result<String, Failure>> = OnceLock::new();
+    GATE.get_or_init(|| {
+        let mut ctx = Ctx::new(cor_pool::Pool::from_env());
+        commands::run(&mut ctx, "check", &[])
+    })
 }
 
 /// The reproduction gate itself — `experiments check`, run through the
 /// command table: every paper-vs-measured row passes.
 #[test]
 fn the_reproduction_gate_passes() {
-    use cor_experiments::commands::{self, Ctx, Failure};
-    let mut ctx = Ctx::new(cor_pool::Pool::from_env());
-    match commands::run(&mut ctx, "check", &[]) {
+    match gate() {
         Ok(report) => assert!(report.contains("checks passed"), "{report}"),
         Err(Failure::Failed(report)) => panic!("the gate drifted:\n{report}"),
         Err(Failure::Usage(message)) => panic!("{message}"),
     }
+}
+
+/// Every number in EXPERIMENTS.md from `## Table 4-1` through `## §4.4
+/// aggregates`, and in README's "What reproduces" table, is at its
+/// printed precision a rounding of a number that `results/all.txt` or
+/// the gate's report prints, the paper column included. Section, table
+/// and figure references (`§4.3.3`, `Table 4-5`) and `pf=N` are not
+/// quantities and are skipped.
+#[test]
+fn the_prose_quotes_only_printed_numbers() {
+    let report = match gate() {
+        Ok(report) | Err(Failure::Failed(report)) => report,
+        Err(Failure::Usage(message)) => panic!("{message}"),
+    };
+    // Every printed value at every precision the prose uses.
+    let printed: HashSet<String> = numbers(&read("results/all.txt"))
+        .chain(numbers(report))
+        .flat_map(|n| {
+            let v: f64 = n.parse().expect("a scanned number parses");
+            (0..=4).map(move |d| format!("{v:.d$}"))
+        })
+        .collect();
+    let mut unquoted = Vec::new();
+    for (file, first, last) in [
+        ("EXPERIMENTS.md", "## Table 4-1", "## §4.4 aggregates"),
+        ("README.md", "## What reproduces", "## What reproduces"),
+    ] {
+        let text = section(&read(file), first, last);
+        assert!(!text.is_empty(), "{file}: no {first} section");
+        for line in text.lines() {
+            for n in numbers(line).filter(|n| !printed.contains(n)) {
+                unquoted.push(format!("{file}: {n} in `{line}`"));
+            }
+        }
+    }
+    assert!(
+        unquoted.is_empty(),
+        "numbers the repo does not print (quote `experiments all` / `check`, or drop them):\n{}",
+        unquoted.join("\n")
+    );
+}
+
+fn read(path: &str) -> String {
+    let root = env!("CARGO_MANIFEST_DIR");
+    std::fs::read_to_string(format!("{root}/{path}")).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The lines from the heading starting with `first` through the end of
+/// the section whose heading starts with `last`.
+fn section(text: &str, first: &str, last: &str) -> String {
+    let mut out = Vec::new();
+    let mut in_last = false;
+    for line in text.lines().skip_while(|l| !l.starts_with(first)) {
+        if line.starts_with("## ") {
+            if in_last {
+                break;
+            }
+            in_last = line.starts_with(last);
+        }
+        out.push(line);
+    }
+    out.join("\n")
+}
+
+/// The quantities `text` prints, as written without thousands commas: a
+/// digit run glued to a word (`p99`, `table4`, `drain-64`, `pf=1`,
+/// `@26`, `§4`) is a name, not a quantity, and `N-M` is a table or
+/// figure reference.
+fn numbers(text: &str) -> impl Iterator<Item = String> + '_ {
+    let chars: Vec<char> = text.chars().collect();
+    let mut found = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        if !chars[i].is_ascii_digit() {
+            i += 1;
+            continue;
+        }
+        let glued = match i.checked_sub(1).map(|p| (p, chars[p])) {
+            Some((_, c)) if c.is_alphanumeric() || "§.@=_".contains(c) => true,
+            Some((p, '-')) => p > 0 && chars[p - 1].is_alphanumeric(),
+            _ => false,
+        };
+        let digit = |k: usize| chars.get(k).is_some_and(char::is_ascii_digit);
+        let mut number = String::new();
+        while i < chars.len() {
+            match chars[i] {
+                c if c.is_ascii_digit() => number.push(c),
+                ',' if (1..=3).all(|k| digit(i + k)) && !digit(i + 4) => {}
+                '.' if digit(i + 1) && !number.contains('.') => number.push('.'),
+                _ => break,
+            }
+            i += 1;
+        }
+        let reference = chars.get(i) == Some(&'-') && digit(i + 1);
+        if !glued && !reference {
+            found.push(number);
+        }
+    }
+    found.into_iter()
 }
