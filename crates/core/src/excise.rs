@@ -17,7 +17,7 @@ use cor_kernel::{KernelError, World};
 use cor_mem::amap::Access;
 use cor_mem::page::Frame;
 use cor_mem::{MemError, PageState};
-use cor_sim::SimDuration;
+use cor_sim::{SimDuration, SmallVec};
 
 use crate::context::{CoreBlob, ExcisedProcess};
 
@@ -69,7 +69,7 @@ pub fn excise_process(
     world.clock.advance(amap_time);
 
     // -- Collapse the Real and Imaginary portions into RIMAS items. --
-    let mut items: Vec<MsgItem> = Vec::new();
+    let mut items = SmallVec::new();
     let mut batch: Vec<Frame> = Vec::new();
     let mut batch_base = 0u64;
     let mut cursor = 0u64; // next collapsed slot

@@ -20,7 +20,7 @@ use cor_kernel::process::ProcessId;
 use cor_kernel::{KernelError, World};
 use cor_mem::page::{Frame, PAGE_SIZE};
 use cor_net::NetError;
-use cor_sim::{IdSet, SimDuration};
+use cor_sim::{IdSet, SimDuration, SmallVec};
 
 use crate::context::{CoreBlob, ExcisedProcess};
 use crate::excise::excise_process;
@@ -269,7 +269,7 @@ impl MigrationManager {
         world.segs.add_refs(seg, total_owed)?;
 
         let old_items = std::mem::take(&mut excised.rimas.items);
-        let mut new_items = Vec::new();
+        let mut new_items = SmallVec::new();
         let mut owed_frames: Vec<Frame> = Vec::new();
         for item in old_items {
             let MsgItem::Pages { base_page, frames } = item else {

@@ -341,7 +341,11 @@ pub fn run_cell(spec: SatSpec) -> SatOutcome {
                 }
                 continue;
             }
-            b.world.settle().expect("service round");
+            // Each round completes every fault it finds outstanding, so
+            // outstanding faults were injected since the last round: a
+            // round that serves nothing lost them, and waiting would spin.
+            let processed = b.world.settle().expect("service round");
+            assert!(processed > 0, "{}: faults lost", spec.label());
             while let Some(msg) = b.world.ports.dequeue(b.reply_port).expect("reply port") {
                 let Ok(ProtocolMsg::ImagReadReply {
                     seg: rseg,

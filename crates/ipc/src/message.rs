@@ -11,6 +11,7 @@
 use cor_mem::amap::AMap;
 use cor_mem::page::{Frame, PAGE_SIZE};
 use cor_mem::space::SegmentId;
+use cor_sim::SmallVec;
 
 use crate::port::{PortId, PortRight};
 
@@ -48,6 +49,17 @@ pub const INLINE_THRESHOLD: u64 = PAGE_SIZE;
 /// One typed item in a message body.
 #[derive(Debug, Clone)]
 pub enum MsgItem {
+    /// The fixed header of a copy-on-reference protocol message (see
+    /// [`crate::protocol`]): a segment, a page offset within it and a page
+    /// count. Three words, billed as the 24 inline bytes they encode.
+    Header {
+        /// The segment the message is about.
+        seg: SegmentId,
+        /// First page within the segment.
+        offset: u64,
+        /// Number of pages.
+        count: u64,
+    },
     /// Physically copied bytes.
     Inline(Vec<u8>),
     /// An out-of-line run of whole pages, transferred by copy-on-write
@@ -85,6 +97,7 @@ impl MsgItem {
     /// copy-on-reference savings.
     pub fn wire_size(&self) -> u64 {
         match self {
+            MsgItem::Header { .. } => 8 + 3 * 8,
             MsgItem::Inline(b) => 8 + b.len() as u64,
             MsgItem::Pages { frames, .. } => 16 + frames.len() as u64 * PAGE_SIZE,
             MsgItem::Iou { .. } => 32,
@@ -122,8 +135,10 @@ pub struct Message {
     /// substituting IOUs (paper §2.4). This is how the pure-copy migration
     /// strategy is selected.
     pub no_ious: bool,
-    /// The body.
-    pub items: Vec<MsgItem>,
+    /// The body. Up to two items live inline (a protocol header and a
+    /// page run), so a copy-on-reference request or reply allocates no
+    /// item vector; only migration contexts spill to the heap.
+    pub items: SmallVec<MsgItem>,
 }
 
 /// The fixed wire cost of a message header.
@@ -138,7 +153,7 @@ impl Message {
             reply: None,
             seq: 0,
             no_ious: false,
-            items: Vec::new(),
+            items: SmallVec::new(),
         }
     }
 
@@ -313,6 +328,15 @@ mod tests {
         assert_eq!(m.reply, Some(PortId(2)));
         assert!(m.no_ious);
         assert_eq!(m.seq, 0, "unsequenced by default");
+    }
+
+    #[test]
+    fn a_message_fits_136_bytes() {
+        // Port queues hold whole messages, so under the open-loop backlog
+        // a wider message is paid once per queued message: 64 more bytes
+        // here raised peak heap by 15–20 % on the fault-service workloads
+        // with no extra allocation. The two inline items are most of it.
+        assert!(std::mem::size_of::<Message>() <= 136);
     }
 
     #[test]

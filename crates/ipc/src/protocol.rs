@@ -1,7 +1,8 @@
 //! Wire protocol for the copy-on-reference machinery.
 //!
-//! The three messages of paper §2.2, with real binary encodings so that
-//! wire sizes are honest:
+//! The three messages of paper §2.2, each a typed header item (segment,
+//! offset, count) billed at the size of its binary encoding, so that wire
+//! sizes are honest:
 //!
 //! * `ImaginaryReadRequest` — sent by a faulting site's Pager/Scheduler to
 //!   a segment's backing port: "deliver pages `[offset, offset+count)` of
@@ -60,22 +61,6 @@ pub enum ProtocolMsg {
     },
 }
 
-fn encode3(a: u64, b: u64, c: u64) -> Vec<u8> {
-    let mut v = Vec::with_capacity(24);
-    v.extend_from_slice(&a.to_le_bytes());
-    v.extend_from_slice(&b.to_le_bytes());
-    v.extend_from_slice(&c.to_le_bytes());
-    v
-}
-
-fn decode3(bytes: &[u8]) -> Option<(u64, u64, u64)> {
-    if bytes.len() != 24 {
-        return None;
-    }
-    let f = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("slice length"));
-    Some((f(0), f(8), f(16)))
-}
-
 /// Builds an `ImaginaryReadRequest`.
 pub fn imag_read_request(
     backing_port: PortId,
@@ -86,13 +71,17 @@ pub fn imag_read_request(
 ) -> Message {
     Message::new(MsgKind::ImagReadRequest, backing_port)
         .with_reply(reply)
-        .push(MsgItem::Inline(encode3(seg.0, offset, count)))
+        .push(MsgItem::Header { seg, offset, count })
 }
 
 /// Builds an `ImaginaryReadReply` carrying `frames`.
 pub fn imag_read_reply(reply: PortId, seg: SegmentId, offset: u64, frames: Vec<Frame>) -> Message {
     Message::new(MsgKind::ImagReadReply, reply)
-        .push(MsgItem::Inline(encode3(seg.0, offset, frames.len() as u64)))
+        .push(MsgItem::Header {
+            seg,
+            offset,
+            count: frames.len() as u64,
+        })
         .push(MsgItem::Pages {
             base_page: offset,
             frames,
@@ -101,54 +90,39 @@ pub fn imag_read_reply(reply: PortId, seg: SegmentId, offset: u64, frames: Vec<F
 
 /// Builds an `ImaginarySegmentDeath` notice.
 pub fn imag_segment_death(backing_port: PortId, seg: SegmentId) -> Message {
-    Message::new(MsgKind::ImagSegmentDeath, backing_port)
-        .push(MsgItem::Inline(encode3(seg.0, 0, 0)))
+    Message::new(MsgKind::ImagSegmentDeath, backing_port).push(MsgItem::Header {
+        seg,
+        offset: 0,
+        count: 0,
+    })
 }
 
 /// Parses a well-known protocol message; `None` for other messages or
 /// malformed bodies.
 pub fn parse(msg: &Message) -> Option<ProtocolMsg> {
+    let Some(&MsgItem::Header { seg, offset, count }) = msg.items.first() else {
+        return None;
+    };
     match msg.kind {
-        MsgKind::ImagReadRequest => {
-            let MsgItem::Inline(bytes) = msg.items.first()? else {
-                return None;
-            };
-            let (seg, offset, count) = decode3(bytes)?;
-            Some(ProtocolMsg::ImagReadRequest {
-                seg: SegmentId(seg),
-                offset,
-                count,
-                reply: msg.reply?,
-                seq: msg.seq,
-            })
-        }
-        MsgKind::ImagReadReply => {
-            let MsgItem::Inline(bytes) = msg.items.first()? else {
-                return None;
-            };
-            let (seg, offset, n) = decode3(bytes)?;
-            let MsgItem::Pages { frames, .. } = msg.items.get(1)? else {
-                return None;
-            };
-            if frames.len() as u64 != n {
-                return None;
+        MsgKind::ImagReadRequest => Some(ProtocolMsg::ImagReadRequest {
+            seg,
+            offset,
+            count,
+            reply: msg.reply?,
+            seq: msg.seq,
+        }),
+        MsgKind::ImagReadReply => match msg.items.get(1)? {
+            MsgItem::Pages { frames, .. } if frames.len() as u64 == count => {
+                Some(ProtocolMsg::ImagReadReply {
+                    seg,
+                    offset,
+                    frames: frames.clone(),
+                    seq: msg.seq,
+                })
             }
-            Some(ProtocolMsg::ImagReadReply {
-                seg: SegmentId(seg),
-                offset,
-                frames: frames.clone(),
-                seq: msg.seq,
-            })
-        }
-        MsgKind::ImagSegmentDeath => {
-            let MsgItem::Inline(bytes) = msg.items.first()? else {
-                return None;
-            };
-            let (seg, _, _) = decode3(bytes)?;
-            Some(ProtocolMsg::ImagSegmentDeath {
-                seg: SegmentId(seg),
-            })
-        }
+            _ => None,
+        },
+        MsgKind::ImagSegmentDeath => Some(ProtocolMsg::ImagSegmentDeath { seg }),
         _ => None,
     }
 }
@@ -163,35 +137,28 @@ pub fn parse(msg: &Message) -> Option<ProtocolMsg> {
 /// # Errors
 ///
 /// The original message, when it fails to parse.
+// The message comes back by value: boxing it would allocate on the path
+// this function keeps allocation-free.
+#[allow(clippy::result_large_err)]
 pub fn parse_owned(mut msg: Message) -> Result<ProtocolMsg, Message> {
     if msg.kind != MsgKind::ImagReadReply {
         // Requests and death notices carry only integers; the borrowing
         // parser already extracts them without touching the heap.
         return parse(&msg).ok_or(msg);
     }
-    let header = match msg.items.first() {
-        Some(MsgItem::Inline(bytes)) => decode3(bytes),
-        _ => None,
-    };
-    let Some((seg, offset, n)) = header else {
-        return Err(msg);
-    };
-    let valid = matches!(
-        msg.items.get(1),
-        Some(MsgItem::Pages { frames, .. }) if frames.len() as u64 == n
-    );
-    if !valid {
-        return Err(msg);
+    if let [MsgItem::Header { seg, offset, count }, MsgItem::Pages { frames, .. }, ..] =
+        &mut msg.items[..]
+    {
+        if frames.len() as u64 == *count {
+            return Ok(ProtocolMsg::ImagReadReply {
+                seg: *seg,
+                offset: *offset,
+                frames: std::mem::take(frames),
+                seq: msg.seq,
+            });
+        }
     }
-    let MsgItem::Pages { frames, .. } = msg.items.swap_remove(1) else {
-        unreachable!("item 1 verified to be Pages above");
-    };
-    Ok(ProtocolMsg::ImagReadReply {
-        seg: SegmentId(seg),
-        offset,
-        frames,
-        seq: msg.seq,
-    })
+    Err(msg)
 }
 
 #[cfg(test)]

@@ -292,19 +292,24 @@ pub mod frame_pool {
     use super::Frame;
 
     /// Upper bound on pooled buffers per thread; beyond it, returned
-    /// vectors are simply dropped.
-    const MAX_POOLED: usize = 32;
+    /// vectors are simply dropped. Above the deepest reply backlog the
+    /// open-loop fault-service cells build (a few hundred replies queued
+    /// at once), so a drained backlog refills without allocating.
+    const MAX_POOLED: usize = 1024;
 
     thread_local! {
         static POOL: RefCell<Vec<Vec<Frame>>> = const { RefCell::new(Vec::new()) };
     }
 
     /// Takes an empty frame vector with at least `cap` capacity,
-    /// reusing a pooled buffer when one is available.
+    /// reusing a pooled buffer when one is available: the most recently
+    /// pooled one that fits, so a wide batched reply looks past one-page
+    /// buffers instead of growing one of them.
     pub fn take(cap: usize) -> Vec<Frame> {
         POOL.with(|p| {
             let mut pool = p.borrow_mut();
-            match pool.pop() {
+            let fits = pool.iter().rposition(|v| v.capacity() >= cap);
+            match fits.map(|i| pool.swap_remove(i)).or_else(|| pool.pop()) {
                 Some(mut v) => {
                     v.reserve(cap);
                     v

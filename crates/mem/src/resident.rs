@@ -6,30 +6,16 @@
 //! The tracker models a per-space frame budget; when it is exceeded the
 //! least recently used page is nominated for page-out.
 
-use cor_sim::IdMap;
+use std::collections::hash_map::Entry;
+
+use cor_sim::lru::Slot;
+use cor_sim::{IdMap, LruList};
 
 use crate::page::PageNum;
 
-/// One slab entry: a link of the LRU list or, once released, of the free
-/// list (through `next`).
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    prev: u32,
-    next: u32,
-    page: PageNum,
-}
-
-impl Node {
-    /// The node at `slot`, linked to itself: a list of one.
-    fn alone(slot: u32, page: PageNum) -> Self {
-        let (prev, next) = (slot, slot);
-        Node { prev, next, page }
-    }
-}
-
-/// LRU tracker over the resident pages of one address space: an intrusive
-/// circular doubly-linked list in one slab, plus a page → slot index, so
-/// `touch`, `refresh` and `remove` are O(1).
+/// LRU tracker over the resident pages of one address space: an
+/// [`LruList`] of pages plus a page → slot index, so `touch`, `refresh`
+/// and `remove` are O(1).
 ///
 /// # Examples
 ///
@@ -46,14 +32,9 @@ impl Node {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ResidentTracker {
-    /// `nodes[0]`, pushed with the first page, is the list's sentinel: its
-    /// `next` is the least recently used node (the next victim), its `prev`
-    /// the most recently used.
-    nodes: Vec<Node>,
+    lru: LruList<PageNum>,
     /// Never iterated for output: `pages` sorts, the list carries the order.
-    slots: IdMap<PageNum, u32>,
-    /// The first released node, 0 when there is none.
-    free: u32,
+    slots: IdMap<PageNum, Slot>,
     capacity: Option<usize>,
 }
 
@@ -76,10 +57,10 @@ impl ResidentTracker {
     /// `capacity`, as if each page had been touched in that order.
     pub fn from_lru_order(capacity: Option<usize>, lru: &[PageNum]) -> Self {
         let mut tracker = ResidentTracker {
+            lru: LruList::with_capacity(lru.len()),
             capacity,
             ..ResidentTracker::default()
         };
-        tracker.nodes.reserve(lru.len() + 1);
         tracker.slots.reserve(lru.len());
         lru.iter().for_each(|&page| tracker.refresh(page));
         tracker
@@ -102,14 +83,15 @@ impl ResidentTracker {
     #[must_use = "a returned page must be paged out by the caller"]
     pub fn touch(&mut self, page: PageNum) -> Option<PageNum> {
         self.refresh(page);
-        // Over capacity, so the list is not empty and its head is the victim
-        // — never the page just touched when the capacity is >= 1.
-        let over = self.capacity.is_some_and(|cap| self.slots.len() > cap);
-        over.then(|| {
-            let victim = self.nodes[self.nodes[0].next as usize].page;
-            self.remove(victim);
-            victim
-        })
+        // Over capacity, so the list is not empty and its oldest page is
+        // the victim — never the page just touched when the capacity is
+        // >= 1.
+        if self.capacity.is_some_and(|cap| self.slots.len() > cap) {
+            let (_, victim) = self.lru.pop_oldest()?;
+            self.slots.remove(&victim);
+            return Some(victim);
+        }
+        None
     }
 
     /// Marks `page` as most recently used *without* enforcing capacity.
@@ -118,36 +100,12 @@ impl ResidentTracker {
     /// a budget shrink or a bulk insertion) drains one page per subsequent
     /// install rather than on reads.
     pub fn refresh(&mut self, page: PageNum) {
-        let (nodes, free) = (&mut self.nodes, &mut self.free);
-        // An absent page takes a released node if there is one, else a new
-        // one, linked to itself so that unlinking it below changes nothing.
-        let slot = *self.slots.entry(page).or_insert_with(|| {
-            if nodes.is_empty() {
-                nodes.push(Node::alone(0, page)); // the sentinel
+        match self.slots.entry(page) {
+            Entry::Occupied(slot) => self.lru.touch(*slot.get()),
+            Entry::Vacant(slot) => {
+                slot.insert(self.lru.push(page));
             }
-            let slot = match *free {
-                0 => nodes.len() as u32,
-                released => released,
-            };
-            match nodes.get_mut(slot as usize) {
-                Some(node) => *free = std::mem::replace(node, Node::alone(slot, page)).next,
-                None => nodes.push(Node::alone(slot, page)),
-            }
-            slot
-        });
-        self.unlink(slot);
-        // Link `slot` in as the most recently used.
-        let prev = std::mem::replace(&mut self.nodes[0].prev, slot);
-        self.nodes[prev as usize].next = slot;
-        self.nodes[slot as usize].prev = prev;
-        self.nodes[slot as usize].next = 0;
-    }
-
-    /// Takes `slot` out of the LRU list, joining its neighbours.
-    fn unlink(&mut self, slot: u32) {
-        let Node { prev, next, .. } = self.nodes[slot as usize];
-        self.nodes[prev as usize].next = next;
-        self.nodes[next as usize].prev = prev;
+        }
     }
 
     /// Removes `page` (it was paged out, unmapped, or migrated away).
@@ -155,17 +113,14 @@ impl ResidentTracker {
         let Some(slot) = self.slots.remove(&page) else {
             return false;
         };
-        self.unlink(slot);
-        self.nodes[slot as usize].next = self.free;
-        self.free = slot;
+        self.lru.remove(slot);
         true
     }
 
     /// Forgets everything (e.g. after process excision).
     pub fn clear(&mut self) {
-        self.nodes.clear();
+        self.lru.clear();
         self.slots.clear();
-        self.free = 0;
     }
 
     /// Whether `page` is tracked as resident.
@@ -192,12 +147,8 @@ impl ResidentTracker {
 
     /// The resident pages from least to most recently used.
     pub fn pages_lru_order(&self) -> Vec<PageNum> {
-        let mut order = Vec::with_capacity(self.slots.len());
-        let mut at = self.nodes.first().map_or(0, |sentinel| sentinel.next);
-        while at != 0 {
-            order.push(self.nodes[at as usize].page);
-            at = self.nodes[at as usize].next;
-        }
+        let mut order = Vec::with_capacity(self.lru.len());
+        order.extend(self.lru.iter().map(|(_, page)| page));
         order
     }
 

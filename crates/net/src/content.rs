@@ -16,11 +16,10 @@
 //! reply page whose bytes the store holds either way installs the held
 //! frame, and a bucket holds each content at most once.
 
-use std::collections::BTreeMap;
-
 use cor_ipc::NodeId;
 use cor_mem::page::Frame;
-use cor_sim::IdMap;
+use cor_sim::lru::Slot;
+use cor_sim::{IdMap, LruList, SmallVec};
 
 /// Upper bound on interned pages (2 MiB of page data at 512-byte pages).
 /// At the cap, interning a new page first evicts the least-recently-used
@@ -30,10 +29,11 @@ pub(crate) const DEDUP_CAP_PAGES: u64 = 4096;
 #[derive(Debug, Clone, Copy)]
 enum Role {
     Pinned,
-    /// `stamp` orders the LRU (refreshed on every hit); `src` sent the
-    /// reply that first carried the bytes.
+    /// `slot` is the entry's place in the LRU order (moved to the newest
+    /// end on every hit); `src` sent the reply that first carried the
+    /// bytes.
     Interned {
-        stamp: u64,
+        slot: Slot,
         src: NodeId,
     },
 }
@@ -47,14 +47,12 @@ struct Entry {
 /// Pages held by content hash, pinned or interned.
 #[derive(Debug, Default)]
 pub(crate) struct ContentStore {
-    /// Content hash → the entries held with that hash (a short list, since
-    /// unequal pages practically never collide).
-    by_hash: IdMap<u64, Vec<Entry>>,
-    /// LRU order over the interned entries: recency stamp → content hash.
-    /// Its length is the interned count.
-    lru: BTreeMap<u64, u64>,
-    /// Source of recency stamps, bumped on every intern and interned hit.
-    stamp: u64,
+    /// Content hash → the entries held with that hash: one, inline, since
+    /// unequal pages practically never collide.
+    by_hash: IdMap<u64, SmallVec<Entry>>,
+    /// LRU order over the interned entries, each by its content hash. Its
+    /// length is the interned count.
+    lru: LruList<u64>,
     /// Pinned entries held.
     pinned: u64,
 }
@@ -68,7 +66,7 @@ fn position(bucket: &[Entry], frame: &Frame) -> Option<usize> {
 
 /// The held entry with `frame`'s bytes, whose content hash is `hash`.
 fn find<'a>(
-    by_hash: &'a mut IdMap<u64, Vec<Entry>>,
+    by_hash: &'a mut IdMap<u64, SmallVec<Entry>>,
     hash: u64,
     frame: &Frame,
 ) -> Option<&'a mut Entry> {
@@ -85,8 +83,8 @@ impl ContentStore {
         match find(&mut self.by_hash, hash, frame) {
             Some(entry) => match entry.role {
                 Role::Pinned => return,
-                Role::Interned { stamp, .. } => {
-                    self.lru.remove(&stamp);
+                Role::Interned { slot, .. } => {
+                    self.lru.remove(slot);
                     entry.role = Role::Pinned;
                 }
             },
@@ -107,28 +105,21 @@ impl ContentStore {
         let hash = frame.content_hash();
         if let Some(entry) = find(&mut self.by_hash, hash, frame) {
             *frame = entry.frame.clone();
-            if let Role::Interned { stamp, .. } = &mut entry.role {
-                self.lru.remove(stamp);
-                self.stamp += 1;
-                *stamp = self.stamp;
-                self.lru.insert(self.stamp, hash);
+            if let Role::Interned { slot, .. } = entry.role {
+                self.lru.touch(slot);
             }
             return (true, false);
         }
         let evicted = self.lru.len() as u64 >= DEDUP_CAP_PAGES;
         if evicted {
-            if let Some((lru_stamp, lru_hash)) = self.lru.pop_first() {
-                self.drop_interned(lru_hash, |stamp, _| stamp == lru_stamp);
+            if let Some((slot, lru_hash)) = self.lru.pop_oldest() {
+                self.evict(lru_hash, slot);
             }
         }
-        self.stamp += 1;
-        self.lru.insert(self.stamp, hash);
+        let slot = self.lru.push(hash);
         self.by_hash.entry(hash).or_default().push(Entry {
             frame: frame.clone(),
-            role: Role::Interned {
-                stamp: self.stamp,
-                src,
-            },
+            role: Role::Interned { slot, src },
         });
         (false, evicted)
     }
@@ -137,25 +128,26 @@ impl ContentStore {
     /// and a dead (possibly amnesiac-rebooted) node cannot keep vouching
     /// for bytes. Pinned pages stay.
     pub(crate) fn forget(&mut self, src: NodeId) {
-        let hashes: Vec<u64> = self.lru.values().copied().collect();
-        for hash in hashes {
-            self.drop_interned(hash, |_, s| s == src);
-        }
+        let lru = &mut self.lru;
+        self.by_hash.retain(|_, bucket| {
+            bucket.retain(|e| match e.role {
+                Role::Interned { slot, src: s } if s == src => {
+                    lru.remove(slot);
+                    false
+                }
+                _ => true,
+            });
+            !bucket.is_empty()
+        });
     }
 
-    /// Drops the interned entries of `hash`'s bucket whose `(stamp, src)`
-    /// match, with their LRU slots.
-    fn drop_interned(&mut self, hash: u64, matches: impl Fn(u64, NodeId) -> bool) {
+    /// Drops the interned entry of `hash`'s bucket that held `slot`, just
+    /// released by the LRU list.
+    fn evict(&mut self, hash: u64, slot: Slot) {
         let Some(bucket) = self.by_hash.get_mut(&hash) else {
             return;
         };
-        bucket.retain(|e| match e.role {
-            Role::Interned { stamp, src } if matches(stamp, src) => {
-                self.lru.remove(&stamp);
-                false
-            }
-            _ => true,
-        });
+        bucket.retain(|e| !matches!(e.role, Role::Interned { slot: s, .. } if s == slot));
         if bucket.is_empty() {
             self.by_hash.remove(&hash);
         }

@@ -864,6 +864,46 @@ mod tests {
     }
 
     #[test]
+    fn without_coalescing_the_latest_relay_waiter_wins() {
+        let (mut w, a, b) = world();
+        let dest = w.ports.allocate(b);
+        let msg = Message::new(MsgKind::Rimas, dest).push(MsgItem::Pages {
+            base_page: 0,
+            frames: vec![Frame::new(page_from_bytes(b"p0"))],
+        });
+        w.fabric
+            .send(&mut w.clock, &mut w.ports, &mut w.segs, a, msg)
+            .unwrap();
+        let got = w.ports.dequeue(dest).unwrap().unwrap();
+        let MsgItem::Iou { seg: stand_in, .. } = got.items[0] else {
+            panic!("expected Iou");
+        };
+        // Two faulters on b ask the stand-in for the same page before the
+        // relay hears back: the second waiter replaces the first, so only
+        // it is answered, and the first fetch's reply comes back stale.
+        let backer = w.segs.backing_port(stand_in).unwrap();
+        let pagers = [w.ports.allocate(b), w.ports.allocate(b)];
+        for (seq, &pager) in (1..).zip(&pagers) {
+            let req = protocol::imag_read_request(backer, pager, stand_in, 0, 1)
+                .with_seq(seq)
+                .with_no_ious(true);
+            w.fabric
+                .send(&mut w.clock, &mut w.ports, &mut w.segs, b, req)
+                .unwrap();
+        }
+        w.fabric
+            .pump(&mut w.clock, &mut w.ports, &mut w.segs)
+            .unwrap();
+        assert_eq!(w.ports.queue_len(pagers[0]), 0, "the replaced waiter");
+        let reply = w.ports.dequeue(pagers[1]).unwrap().expect("latest waiter");
+        assert!(matches!(
+            protocol::parse(&reply),
+            Some(ProtocolMsg::ImagReadReply { seq: 2, .. })
+        ));
+        assert_eq!(w.fabric.reliability.stale_replies.get(), 1);
+    }
+
+    #[test]
     fn death_cascades_from_standin_to_cache() {
         let (mut w, a, b) = world();
         let dest = w.ports.allocate(b);

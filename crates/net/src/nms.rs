@@ -20,7 +20,7 @@ use cor_ipc::NodeId;
 use cor_mem::page::{frame_pool, Frame};
 use cor_mem::space::SegmentId;
 use cor_mem::SegmentStore;
-use cor_sim::{Clock, IdMap, SimDuration, SimTime};
+use cor_sim::{Clock, IdMap, SimDuration, SimTime, SmallVec};
 use cor_trace::{SpanId, TraceEvent};
 
 use crate::content::ContentStore;
@@ -90,12 +90,13 @@ struct NmsState {
     content: ContentStore,
     /// Stand-in segments this NMS created for remote imaginary objects.
     forward: IdMap<SegmentId, ForwardEntry>,
-    /// Keyed by (origin segment, origin offset) of a forwarded request.
-    /// With [`WireParams::coalesce`](crate::WireParams::coalesce) off the
-    /// vector never holds more than one waiter (latest wins, the seed
+    /// Keyed by (origin segment, origin offset) of a forwarded request,
+    /// waiters in arrival order, the usual one inline.
+    /// With [`WireParams::coalesce`](crate::WireParams::coalesce) off a key
+    /// never holds more than one waiter (latest wins, the seed
     /// semantics); with it on, duplicate in-flight requests park here
     /// CCNx-PIT-style and are all answered from the single upstream reply.
-    pending: IdMap<(SegmentId, u64), Vec<PendingRelay>>,
+    pending: IdMap<(SegmentId, u64), SmallVec<PendingRelay>>,
     /// Message-handling CPU charged to this node. Accounting, not NMS
     /// memory: it survives a crash.
     cpu: SimDuration,
@@ -150,42 +151,18 @@ impl NmsState {
         coalesce: bool,
         now: SimTime,
     ) -> bool {
+        let waiters = self.pending.entry(key).or_default();
         if !coalesce {
-            self.pending.insert(key, vec![relay]);
+            waiters.clear();
+            waiters.push(relay);
             return false;
         }
-        let waiters = self.pending.entry(key).or_default();
         let in_flight = waiters.iter().any(|w| w.req.count >= relay.req.count);
         if in_flight {
             relay.parked_at = Some(now);
         }
         waiters.push(relay);
         in_flight
-    }
-
-    /// Removes and returns every parked waiter a reply carrying `n` pages
-    /// of `seg` from `offset` covers, in deterministic (origin offset,
-    /// arrival) order. With coalescing off each key holds at most one
-    /// waiter and a reply covers exactly its own key, so this reduces to
-    /// the seed's exact-match relay.
-    fn take_covered(&mut self, seg: SegmentId, offset: u64, n: u64) -> Vec<(u64, PendingRelay)> {
-        let mut matched: Vec<(u64, PendingRelay)> = Vec::new();
-        for o in offset..offset + n {
-            if let Some(mut waiters) = self.pending.remove(&(seg, o)) {
-                let mut kept = Vec::new();
-                for w in waiters.drain(..) {
-                    if o + w.req.count <= offset + n {
-                        matched.push((o, w));
-                    } else {
-                        kept.push(w);
-                    }
-                }
-                if !kept.is_empty() {
-                    self.pending.insert((seg, o), kept);
-                }
-            }
-        }
-        matched
     }
 }
 
@@ -195,6 +172,9 @@ impl NmsState {
 pub(crate) struct NmsTable {
     /// Sorted by `node`.
     servers: Vec<NmsState>,
+    /// [`Fabric::serve_nms`]'s batch of deferred cache hits, empty between
+    /// calls and kept so its capacity is reused.
+    batch: Vec<ReadRequest>,
 }
 
 impl NmsTable {
@@ -329,7 +309,7 @@ impl Fabric {
     /// Parked pending-interest waiters on `node` (all keys), for tests.
     pub fn pending_waiters(&self, node: NodeId) -> usize {
         let pending = self.nms.get(node).map(|n| &n.pending);
-        pending.map_or(0, |p| p.values().map(Vec::len).sum())
+        pending.map_or(0, |p| p.values().map(|w| w.len()).sum())
     }
 
     /// Copies one cached page (if the NMS cache of `node` holds it) into
@@ -511,7 +491,7 @@ impl Fabric {
         // the buffer is never used and every request answers immediately,
         // byte-identical to the seed.
         let batching = self.params.batch_replies;
-        let mut batch: Vec<ReadRequest> = Vec::new();
+        let mut batch = std::mem::take(&mut self.nms.batch);
         while let Some(msg) = ports.dequeue(port)? {
             clock.advance(self.params.nms_service);
             // Parse by value: relayed replies hand their frames through
@@ -571,6 +551,7 @@ impl Fabric {
             }
         }
         self.flush_batch(clock, ports, segs, node, &mut batch)?;
+        self.nms.batch = batch;
         Ok(unhandled)
     }
 
@@ -694,7 +675,10 @@ impl Fabric {
 
     /// Relays an upstream reply carrying `frames` for the origin page
     /// `at` to every parked waiter it covers, each renamed to the waiter's
-    /// stand-in. Returns `false` when no waiter matched.
+    /// stand-in, in (origin offset, arrival) order; waiters asking past
+    /// the reply stay parked. Returns `false` when no waiter matched. After
+    /// a failed send the remaining covered waiters are still unparked, but
+    /// not answered.
     fn relay_reply(
         &mut self,
         clock: &mut Clock,
@@ -704,32 +688,49 @@ impl Fabric {
         (seg, offset): (SegmentId, u64),
         frames: Vec<Frame>,
     ) -> Result<bool, NetError> {
-        let nms = self.nms.get_mut(node)?;
-        let matched = nms.take_covered(seg, offset, frames.len() as u64);
-        let relayed = !matched.is_empty();
-        for (o, relay) in matched {
-            if let (Some(parked), Some(j)) = (relay.parked_at, &mut self.journal) {
-                // Coalesced waiters spent this interval parked in the
-                // pending-interest table; recorded as a root span
-                // because the parking started before whatever span is
-                // currently open.
-                j.closed_span(
-                    parked,
-                    clock.now(),
-                    "coalesce-park",
-                    Some(node),
-                    SpanId::NONE,
-                );
+        let end = offset + frames.len() as u64;
+        let mut relayed = false;
+        let mut failed = None;
+        for o in offset..end {
+            let nms = self.nms.get_mut(node)?;
+            let Some(mut waiters) = nms.pending.remove(&(seg, o)) else {
+                continue;
+            };
+            let covered = |w: &PendingRelay| o + w.req.count <= end;
+            if !waiters.iter().all(covered) {
+                let kept = waiters.iter().filter(|w| !covered(w)).copied().collect();
+                nms.pending.insert((seg, o), kept);
+                waiters.retain(covered);
             }
-            let lo = (o - offset) as usize;
-            let hi = lo + relay.req.count as usize;
-            let mut sub = frame_pool::take(hi - lo);
-            sub.extend_from_slice(&frames[lo..hi]);
-            self.send(clock, ports, segs, node, relay.answer(sub))?;
+            relayed |= !waiters.is_empty();
+            for relay in waiters.iter() {
+                if failed.is_some() {
+                    break;
+                }
+                if let (Some(parked), Some(j)) = (relay.parked_at, &mut self.journal) {
+                    // Coalesced waiters spent this interval parked in the
+                    // pending-interest table; recorded as a root span
+                    // because the parking started before whatever span is
+                    // currently open.
+                    j.closed_span(
+                        parked,
+                        clock.now(),
+                        "coalesce-park",
+                        Some(node),
+                        SpanId::NONE,
+                    );
+                }
+                let lo = (o - offset) as usize;
+                let hi = lo + relay.req.count as usize;
+                let mut sub = frame_pool::take(hi - lo);
+                sub.extend_from_slice(&frames[lo..hi]);
+                failed = self.send(clock, ports, segs, node, relay.answer(sub)).err();
+            }
         }
-        if relayed {
-            frame_pool::give(frames);
+        if let Some(e) = failed {
+            return Err(e);
         }
+        frame_pool::give(frames);
         Ok(relayed)
     }
 

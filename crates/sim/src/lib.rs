@@ -19,6 +19,9 @@
 //! * [`IdMap`] / [`IdSet`] — hash tables for keys the simulator minted
 //!   itself (ids, page numbers, links), over the one-multiply
 //!   [`idhash::IdHasher`].
+//! * [`LruList`] — least-recently-used order in one slab, O(1) per
+//!   operation; [`SmallVec`] — a vector holding up to two elements inline.
+//!   The remote-fault path is built from these so it does not allocate.
 //! * [`JournalLevel`] — the verbosity knob for the typed journal (the
 //!   journal itself lives in the `cor-trace` crate, above the substrate).
 //!
@@ -35,13 +38,17 @@
 pub mod clock;
 pub mod idhash;
 pub mod journal;
+pub mod lru;
 pub mod metrics;
 pub mod rng;
+pub mod small_vec;
 pub mod time;
 
 pub use clock::Clock;
 pub use idhash::{IdMap, IdSet};
 pub use journal::JournalLevel;
+pub use lru::LruList;
 pub use metrics::{Counter, Ledger, LedgerCategory, ReliabilityStats};
 pub use rng::Pcg32;
+pub use small_vec::SmallVec;
 pub use time::{SimDuration, SimTime};

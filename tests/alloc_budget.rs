@@ -1,18 +1,84 @@
-//! The zero-copy pipeline's allocation guarantee: a sparse workload
-//! performs O(pages touched) frame allocations, never O(address space).
+//! Two allocation guarantees.
 //!
-//! The Lisp workloads validate a ~4 GB heap (over 8 million pages) but
-//! materialize only a few thousand; before the zero-copy pipeline,
-//! transfer and fault paths allocated fresh 512-byte frames at every
-//! hop. These tests pin the allocation count to the touched set with
-//! generous headroom, so any reintroduced per-page copy fails loudly.
-//! The counters are thread-local (`cor-mem`'s `alloc-stats` feature), so
-//! each test must run its whole trial on its own thread — which is
-//! exactly what libtest does.
+//! * The zero-copy pipeline's: a sparse workload performs O(pages touched)
+//!   frame allocations, never O(address space). The Lisp workloads
+//!   validate a ~4 GB heap (over 8 million pages) but materialize only a
+//!   few thousand; before the zero-copy pipeline, transfer and fault paths
+//!   allocated fresh 512-byte frames at every hop. These tests pin the
+//!   frame count to the touched set with generous headroom, so any
+//!   reintroduced per-page copy fails loudly.
+//! * The remote fault's: once warm, a copy-on-reference fault — direct,
+//!   relayed, or answered in a batch — makes no heap allocation at all.
+//!   This binary installs a counting global allocator for that.
+//!
+//! Both counters are thread-local (frames: `cor-mem`'s `alloc-stats`
+//! feature), so each test must run its whole trial on its own thread —
+//! which is exactly what libtest does.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use cor_experiments::runner;
-use cor_mem::page::alloc_stats;
+use cor_ipc::message::{Message, MsgItem, MsgKind};
+use cor_ipc::port::PortId;
+use cor_ipc::protocol::{self, ProtocolMsg};
+use cor_ipc::NodeId;
+use cor_kernel::{CostModel, World};
+use cor_mem::page::{alloc_stats, frame_pool, page_from_bytes, Frame};
+use cor_mem::space::SegmentId;
 use cor_migrate::Strategy;
+use cor_net::WireParams;
+
+/// The system allocator, counting this thread's allocations.
+struct Counting;
+
+thread_local! {
+    static HEAP_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = HEAP_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter is a const-initialised thread-local `Cell`, which
+// never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        // SAFETY: same layout the caller passed.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        // SAFETY: same layout the caller passed.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        // SAFETY: `ptr` came from this allocator with this layout, and
+        // `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static HEAP: Counting = Counting;
+
+/// Heap allocations `f` makes on this thread (a `realloc` counts as one).
+fn heap_allocs(f: impl FnOnce()) -> u64 {
+    let before = HEAP_ALLOCS.with(Cell::get);
+    f();
+    HEAP_ALLOCS.with(Cell::get) - before
+}
 
 /// Runs one full trial (build, migrate, remote run) and returns the
 /// number of frame allocations it performed.
@@ -114,12 +180,28 @@ fn sat_spec(relay: bool, optimized: bool) -> cor_experiments::saturation::SatSpe
     }
 }
 
+/// The wire of a saturation cell: the seed configuration, or batched
+/// replies + coalescing + the coarse ledger.
+fn sat_wire(optimized: bool) -> WireParams {
+    if optimized {
+        WireParams::default().hot_path()
+    } else {
+        WireParams::default()
+    }
+}
+
+/// A backlog with duplicates and an adjacent run: duplicates park in a
+/// relay's pending-interest table (coalescing on) or replace the earlier
+/// waiter (off); adjacent requests merge into one reply when batching.
+const BACKLOG: [u64; 6] = [2, 3, 3, 4, 9, 2];
+
 #[test]
 fn batched_reply_path_is_allocation_free() {
     // A saturated open-loop cell allocates frames only in its setup (the
     // 64 distinct-content cache pages); the batched reply hot path
     // reference-counts cache frames into pooled vectors and must not
-    // allocate per served fault. The unbatched cell bounds the same.
+    // allocate per served fault, nor, once warm, anything on the heap.
+    // The unbatched cell bounds the same.
     for optimized in [false, true] {
         let allocs = sat_allocs(sat_spec(false, optimized));
         assert!(
@@ -127,6 +209,14 @@ fn batched_reply_path_is_allocation_free() {
             "optimized={optimized}: {allocs} frame allocs for 192 served \
              faults — the reply path is copying pages again"
         );
+        let mut s = Service::new(sat_wire(optimized), false);
+        let heap = s.warm_allocs(&BACKLOG);
+        assert_eq!(
+            heap, 0,
+            "optimized={optimized}: heap allocations in a warm backlog"
+        );
+        let batched = s.world.fabric.stats().batched_replies;
+        assert_eq!(batched > 0, optimized, "the backlog batches when optimized");
     }
 }
 
@@ -135,13 +225,25 @@ fn coalesced_relay_path_is_allocation_free() {
     // The relayed hot-set cell adds the forward/rename path and (when
     // optimized) pending-interest coalescing; renamed replies slice the
     // upstream reply by reference, so the bound is the same as direct
-    // service.
+    // service, and a warm relayed backlog allocates nothing on the heap.
     for optimized in [false, true] {
         let allocs = sat_allocs(sat_spec(true, optimized));
         assert!(
             allocs < 100,
             "optimized={optimized}: {allocs} frame allocs on the relay \
              path — renamed replies are copying pages again"
+        );
+        let mut s = Service::new(sat_wire(optimized), true);
+        let heap = s.warm_allocs(&BACKLOG);
+        assert_eq!(
+            heap, 0,
+            "optimized={optimized}: heap allocations relaying a warm backlog"
+        );
+        let coalesced = s.world.fabric.stats().coalesced_requests;
+        assert_eq!(
+            coalesced > 0,
+            optimized,
+            "duplicates coalesce when optimized"
         );
     }
 }
@@ -171,4 +273,149 @@ fn profile_analysis_allocates_no_frames() {
         0,
         "profile analysis touched the frame pool"
     );
+}
+
+/// A fault-service world: a server NMS caching a segment of distinct
+/// pages and a client faulting on it, directly or through a relay's
+/// stand-in (set up by shipping an IOU, as migration does). The ledger
+/// runs coarse: at full detail it appends one entry per transfer for the
+/// Figure 4-5 time series, an amortised growth the fault does not need.
+struct Service {
+    world: World,
+    client: NodeId,
+    target_port: PortId,
+    target_seg: SegmentId,
+    reply_port: PortId,
+    seq: u64,
+}
+
+impl Service {
+    fn new(wire: WireParams, relay: bool) -> Self {
+        const PAGES: u64 = 16;
+        let (mut world, nodes) =
+            World::fleet(if relay { 3 } else { 2 }, CostModel::default(), wire);
+        world.fabric.ledger.set_coarse(true);
+        let (client, server) = (nodes[0], nodes[nodes.len() - 1]);
+        let server_nms = world.fabric.nms_port(server).expect("server registered");
+        let frames = (0..PAGES)
+            .map(|i| Frame::new(page_from_bytes(&i.to_le_bytes())))
+            .collect();
+        let seg = world.segs.create(server_nms, PAGES);
+        world.segs.add_refs(seg, PAGES).expect("fresh segment");
+        world
+            .fabric
+            .install_cache(server, seg, frames)
+            .expect("server registered");
+        let (target_port, target_seg) = if relay {
+            let scratch = world.ports.allocate(nodes[1]);
+            let iou = Message::new(MsgKind::User(0xA110C), scratch)
+                .push(MsgItem::Iou {
+                    base_page: 0,
+                    seg,
+                    seg_offset: 0,
+                    pages: PAGES,
+                })
+                .with_no_ious(true);
+            world.send_from(server, iou).expect("iou delivery");
+            let delivered = world.ports.dequeue(scratch).expect("live port");
+            let Some(MsgItem::Iou { seg: stand_in, .. }) =
+                delivered.expect("delivered").items.first().cloned()
+            else {
+                panic!("expected a rewritten IOU");
+            };
+            let relay_nms = world.fabric.nms_port(nodes[1]).expect("relay registered");
+            (relay_nms, stand_in)
+        } else {
+            (server_nms, seg)
+        };
+        let reply_port = world.ports.allocate(client);
+        Service {
+            world,
+            client,
+            target_port,
+            target_seg,
+            reply_port,
+            seq: 1,
+        }
+    }
+
+    /// Injects one read request per offset without waiting, as the
+    /// open-loop harness does, then settles and drains every reply.
+    /// Returns the pages delivered.
+    fn faults(&mut self, offsets: &[u64]) -> u64 {
+        for &offset in offsets {
+            let req = protocol::imag_read_request(
+                self.target_port,
+                self.reply_port,
+                self.target_seg,
+                offset,
+                1,
+            )
+            .with_seq(self.seq)
+            .with_no_ious(true);
+            self.seq += 1;
+            let w = &mut self.world;
+            w.fabric
+                .send_detached(&mut w.clock, &mut w.ports, &mut w.segs, self.client, req)
+                .expect("request injection");
+        }
+        self.world.settle().expect("service round");
+        let mut pages = 0;
+        while let Some(reply) = self
+            .world
+            .ports
+            .dequeue(self.reply_port)
+            .expect("reply port")
+        {
+            let Ok(ProtocolMsg::ImagReadReply { frames, .. }) = protocol::parse_owned(reply) else {
+                panic!("expected a read reply");
+            };
+            pages += frames.len() as u64;
+            frame_pool::give(frames);
+        }
+        pages
+    }
+
+    /// Heap allocations of `faults(offsets)` once the same faults have run
+    /// before: every table the path touches is at its working size.
+    fn warm_allocs(&mut self, offsets: &[u64]) -> u64 {
+        self.faults(offsets);
+        let mut pages = 0;
+        let allocs = heap_allocs(|| pages = self.faults(offsets));
+        assert!(pages >= 1, "the faults were answered");
+        allocs
+    }
+}
+
+#[test]
+fn a_warm_closed_loop_fault_allocates_nothing() {
+    for relay in [false, true] {
+        let mut s = Service::new(WireParams::default(), relay);
+        let allocs = s.warm_allocs(&[5]);
+        assert_eq!(
+            allocs, 0,
+            "relay={relay}: heap allocations in one warm fault"
+        );
+    }
+}
+
+#[test]
+fn a_protocol_round_trip_allocates_nothing() {
+    let frame = Frame::new(page_from_bytes(b"page"));
+    let round_trip = || {
+        let req = protocol::imag_read_request(PortId(1), PortId(2), SegmentId(7), 3, 1).with_seq(9);
+        assert!(matches!(
+            protocol::parse(&req),
+            Some(ProtocolMsg::ImagReadRequest { seq: 9, .. })
+        ));
+        let mut frames = frame_pool::take(1);
+        frames.push(frame.clone());
+        let reply = protocol::imag_read_reply(PortId(2), SegmentId(7), 3, frames).with_seq(9);
+        match protocol::parse_owned(reply) {
+            Ok(ProtocolMsg::ImagReadReply { frames, seq: 9, .. }) => frame_pool::give(frames),
+            _ => panic!("the reply did not parse"),
+        }
+    };
+    round_trip();
+    assert_eq!(heap_allocs(round_trip), 0);
 }
