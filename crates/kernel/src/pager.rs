@@ -255,7 +255,7 @@ impl World {
             page: page.0,
             seg: seg.0,
             prefetched: installed.saturating_sub(1),
-            service: service_time,
+            service_us: service_time,
         });
         Ok(installed)
     }
@@ -429,7 +429,7 @@ impl World {
             page: page.0,
             seg: seg.0,
             prefetched: installed.saturating_sub(1),
-            service: service_time,
+            service_us: service_time,
         });
         if failover {
             self.note(|| TraceEvent::Failover {

@@ -425,7 +425,7 @@ impl World {
                 .send(&mut self.clock, &mut self.ports, &mut self.segs, node, msg)?;
         if report.remote {
             self.note(|| TraceEvent::Send {
-                kind,
+                msg: kind,
                 from: node,
                 wire_bytes: report.wire_bytes,
             });

@@ -512,7 +512,11 @@ impl Fabric {
     /// peer is known dead — no transmission attempt, no backoff.
     fn node_down(&mut self, now: SimTime, from: NodeId, to: NodeId, kind: MsgKind) -> NetError {
         self.reliability.crash_fast_fails.incr();
-        self.note(now, || TraceEvent::NetNodeDown { kind, from, to });
+        self.note(now, || TraceEvent::NetNodeDown {
+            msg: kind,
+            from,
+            to,
+        });
         NetError::NodeDown { from, to }
     }
 

@@ -126,7 +126,7 @@ impl Fabric {
             self.charge_cpu(from, wire.cpu);
             self.reliability.drops_injected.incr();
             self.note(clock.now(), || TraceEvent::NetDrop {
-                kind,
+                msg: kind,
                 from,
                 to,
                 attempt: attempts,
@@ -134,7 +134,7 @@ impl Fabric {
             if attempts >= self.params.retry_budget {
                 self.reliability.unreachable_failures.incr();
                 self.note(clock.now(), || TraceEvent::NetUnreachable {
-                    kind,
+                    msg: kind,
                     from,
                     to,
                     attempts,
@@ -190,7 +190,7 @@ impl Fabric {
                 clock.advance(SimDuration::from_micros(delay_us));
             }
             self.note(clock.now(), || TraceEvent::NetJitter {
-                kind,
+                msg: kind,
                 from,
                 to,
                 delay_us,
@@ -205,7 +205,7 @@ impl Fabric {
             if self.link.already_accepted((from, to), seq) {
                 self.reliability.duplicate_drops.incr();
                 self.note(clock.now(), || TraceEvent::NetDup {
-                    kind,
+                    msg: kind,
                     from,
                     to,
                     seq,
@@ -228,7 +228,11 @@ impl Fabric {
         if faults.is_some_and(|f| self.link.chance(f.reorder)) {
             self.reliability.reorders_injected.incr();
             let (from, to, kind) = (wire.from, wire.to, wire.kind);
-            self.note(clock.now(), || TraceEvent::NetReorder { kind, from, to });
+            self.note(clock.now(), || TraceEvent::NetReorder {
+                msg: kind,
+                from,
+                to,
+            });
             self.link.limbo.push(msg);
             return Ok(());
         }

@@ -83,7 +83,7 @@ impl Fabric {
         }
         if hops > 1 {
             self.note(clock.now(), || TraceEvent::NetRoute {
-                kind,
+                msg: kind,
                 from,
                 to,
                 hops,

@@ -297,6 +297,69 @@ pub struct ReliabilityStats {
     pub pit_waiters_rerouted: Counter,
 }
 
+impl ReliabilityStats {
+    /// Every counter under the name the metrics view reports it by;
+    /// durations are whole microseconds. The destructure names every
+    /// field, so a new one does not compile until it is listed here.
+    /// `retransmit_wire_bytes` is the one field left out: the view
+    /// reports it as a byte gauge, not a counter.
+    pub fn counters(&self) -> [(&'static str, u64); 24] {
+        let ReliabilityStats {
+            drops_injected,
+            duplicates_injected,
+            reorders_injected,
+            retransmissions,
+            retransmit_wire_bytes: _,
+            duplicate_drops,
+            stale_replies,
+            timeout_stalls,
+            stall_time,
+            unreachable_failures,
+            node_crashes,
+            crash_dropped_messages,
+            crash_fast_fails,
+            drained_pages,
+            pages_recovered,
+            pages_lost,
+            dedup_hits,
+            dedup_evictions,
+            replicated_pages,
+            replica_reads,
+            failover_fetches,
+            failover_pages,
+            failover_time,
+            pit_waiters_failed,
+            pit_waiters_rerouted,
+        } = self;
+        [
+            ("net.drops-injected", drops_injected.get()),
+            ("net.duplicates-injected", duplicates_injected.get()),
+            ("net.reorders-injected", reorders_injected.get()),
+            ("net.retransmissions", retransmissions.get()),
+            ("net.duplicate-drops", duplicate_drops.get()),
+            ("net.stale-replies", stale_replies.get()),
+            ("net.timeout-stalls", timeout_stalls.get()),
+            ("net.stall-time-us", stall_time.as_micros()),
+            ("net.unreachable-failures", unreachable_failures.get()),
+            ("net.node-crashes", node_crashes.get()),
+            ("net.crash-dropped-messages", crash_dropped_messages.get()),
+            ("net.crash-fast-fails", crash_fast_fails.get()),
+            ("net.drained-pages", drained_pages.get()),
+            ("net.pages-recovered", pages_recovered.get()),
+            ("net.pages-lost", pages_lost.get()),
+            ("net.dedup-hits", dedup_hits.get()),
+            ("net.dedup-evictions", dedup_evictions.get()),
+            ("net.replicated-pages", replicated_pages.get()),
+            ("net.replica-reads", replica_reads.get()),
+            ("net.failover-fetches", failover_fetches.get()),
+            ("net.failover-pages", failover_pages.get()),
+            ("net.failover-time-us", failover_time.as_micros()),
+            ("net.pit-waiters-failed", pit_waiters_failed.get()),
+            ("net.pit-waiters-rerouted", pit_waiters_rerouted.get()),
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

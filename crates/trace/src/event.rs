@@ -4,28 +4,171 @@
 //! phases, the fault lifecycle, wire-level sends and injected faults,
 //! background draining, and crash recovery. Every variant carries its
 //! structured fields (`Copy` scalars only — recording an event never
-//! allocates), and the [`Display`](std::fmt::Display) rendering is
-//! *lossless with respect to the historical journal*: it reproduces the
-//! exact detail strings the stringly `(instant, kind, String)` journal
-//! used to format, so `render_tail` output and every test that matches on
-//! it are unchanged.
+//! allocates).
+//!
+//! Each event is written once, as one row of the `events!` table below:
+//! its doc, name and fields, its kind tag, its milestone flag, the field
+//! that owns it, and its detail format. The enum, [`TraceEvent::kind`],
+//! [`TraceEvent::is_milestone`], [`TraceEvent::node`], the
+//! [`Display`](std::fmt::Display) detail string and the JSON args of
+//! [`TraceEvent::json_args`] are all generated from that row, so adding
+//! an event is adding a row. The detail strings are the ones the stringly
+//! `(instant, kind, String)` journal used to format, byte for byte; the
+//! JSON keys are the field names.
 
 use std::fmt;
 
 use cor_ipc::{MsgKind, NodeId};
 use cor_sim::SimDuration;
 
-/// A structured journal event.
+/// How a field type is written as a JSON value.
+trait Json {
+    fn json(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result;
+}
+
+impl Json for u64 {
+    fn json(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{self}")
+    }
+}
+
+impl Json for u32 {
+    fn json(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{self}")
+    }
+}
+
+impl Json for bool {
+    fn json(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{self}")
+    }
+}
+
+/// A node is its index.
+impl Json for NodeId {
+    fn json(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.0)
+    }
+}
+
+/// A message kind is its quoted `Debug` name.
+impl Json for MsgKind {
+    fn json(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "\"{self:?}\"")
+    }
+}
+
+/// A duration is whole microseconds.
+impl Json for SimDuration {
+    fn json(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.as_micros())
+    }
+}
+
+/// The structured fields of one event as a JSON object body.
+struct JsonArgs<'a>(&'a TraceEvent);
+
+/// One row per event:
 ///
-/// [`TraceEvent::kind`] returns the historical short tag (`"fault"`,
-/// `"send"`, `"net-drop"`, ...) used by
-/// [`Journal::of_kind`](crate::Journal::of_kind);
-/// [`TraceEvent::is_milestone`] classifies events for the
-/// [`JournalLevel::Summary`](cor_sim::JournalLevel::Summary) gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// `migrate` — ExciseProcess packaged a process for departure.
-    Excised {
+/// ```text
+/// /// doc
+/// Name["kind", milestone, owner] { /// doc
+///                                  field: Type, ... } => "detail {field}", extra args;
+/// ```
+///
+/// `owner` is an expression over the fields (`Some(node)`, `None`); the
+/// detail is a format string that captures the fields by name, with
+/// trailing arguments for text that depends on a field.
+macro_rules! events {
+    ($(
+        $(#[doc = $doc:literal])*
+        $variant:ident[$kind:literal, $milestone:literal, $owner:expr] {
+            $($(#[doc = $field_doc:literal])* $field:ident: $ty:ty,)*
+        } => $detail:literal $(, $arg:expr)*;
+    )*) => {
+        /// A structured journal event.
+        ///
+        /// [`TraceEvent::kind`] returns the historical short tag
+        /// (`"fault"`, `"send"`, `"net-drop"`, ...) used by
+        /// [`Journal::of_kind`](crate::Journal::of_kind);
+        /// [`TraceEvent::is_milestone`] classifies events for the
+        /// [`JournalLevel::Summary`](cor_sim::JournalLevel::Summary) gate.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum TraceEvent {
+            $(
+                #[doc = concat!("`", $kind, "` —")]
+                $(#[doc = $doc])*
+                $variant {
+                    $($(#[doc = $field_doc])* $field: $ty,)*
+                },
+            )*
+        }
+
+        impl TraceEvent {
+            /// The historical short category tag, stable across the typed
+            /// refactor: `of_kind("fault")` selects exactly the events the
+            /// stringly journal filed under `"fault"`.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// Whether this event is a lifecycle milestone (recorded at
+            /// [`JournalLevel::Summary`](cor_sim::JournalLevel::Summary))
+            /// rather than a per-page or per-message detail (recorded only
+            /// at [`JournalLevel::Full`](cor_sim::JournalLevel::Full)).
+            pub fn is_milestone(&self) -> bool {
+                match self {
+                    $(TraceEvent::$variant { .. } => $milestone,)*
+                }
+            }
+
+            /// The node this event is best attributed to, for per-node
+            /// trace tracks. Wire events go to the *sender* (where the
+            /// cost was paid); `net-stale` has no single owner and returns
+            /// `None`.
+            #[allow(unused_variables)]
+            pub fn node(&self) -> Option<NodeId> {
+                match *self {
+                    $(TraceEvent::$variant { $($field,)* } => $owner,)*
+                }
+            }
+        }
+
+        impl fmt::Display for TraceEvent {
+            /// Renders the historical detail string, byte-for-byte.
+            #[allow(unused_variables)]
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match *self {
+                    $(TraceEvent::$variant { $($field,)* } => write!(f, $detail $(, $arg)*),)*
+                }
+            }
+        }
+
+        impl fmt::Display for JsonArgs<'_> {
+            #[allow(unused_assignments)]
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self.0 {
+                    $(TraceEvent::$variant { $($field,)* } => {
+                        let mut sep = "";
+                        $(
+                            f.write_str(sep)?;
+                            f.write_str(concat!("\"", stringify!($field), "\":"))?;
+                            $field.json(f)?;
+                            sep = ",";
+                        )*
+                        Ok(())
+                    })*
+                }
+            }
+        }
+    };
+}
+
+events! {
+    /// ExciseProcess packaged a process for departure.
+    Excised["migrate", true, Some(node)] {
         /// The process.
         pid: u64,
         /// The source node.
@@ -34,10 +177,10 @@ pub enum TraceEvent {
         real_pages: u64,
         /// Pages in the resident set.
         resident_pages: u64,
-    },
-    /// `migrate` — InsertProcess reconstructed a process at the
-    /// destination.
-    Inserted {
+    } => "excised pid{pid} from {node}: {real_pages} real pages ({resident_pages} resident)";
+
+    /// InsertProcess reconstructed a process at the destination.
+    Inserted["migrate", true, Some(node)] {
         /// The process.
         pid: u64,
         /// The destination node.
@@ -46,28 +189,31 @@ pub enum TraceEvent {
         carried_pages: u64,
         /// Pages left owed as IOUs.
         owed_pages: u64,
-    },
-    /// `fault` — a zero-fill fault serviced locally.
-    FillZero {
+    } => "inserted pid{pid} on {node}: {carried_pages} carried, {owed_pages} owed";
+
+    /// A zero-fill fault serviced locally.
+    FillZero["fault", false, Some(node)] {
         /// The faulting process.
         pid: u64,
         /// The node it runs on.
         node: NodeId,
         /// The faulting page.
         page: u64,
-    },
-    /// `fault` — a local disk page-in.
-    DiskIn {
+    } => "FillZero pid{pid} page {page}";
+
+    /// A local disk page-in.
+    DiskIn["fault", false, Some(node)] {
         /// The faulting process.
         pid: u64,
         /// The node it runs on.
         node: NodeId,
         /// The faulting page.
         page: u64,
-    },
-    /// `fault` — a copy-on-reference (imaginary) fault: the full IPC
-    /// round trip to the backing site, prefetch included.
-    Imaginary {
+    } => "DiskIn pid{pid} page {page}";
+
+    /// A copy-on-reference (imaginary) fault: the full IPC round trip to
+    /// the backing site, prefetch included.
+    Imaginary["fault", false, Some(node)] {
         /// The faulting process.
         pid: u64,
         /// The node it runs on.
@@ -79,10 +225,11 @@ pub enum TraceEvent {
         /// Extra pages installed beyond the faulting one.
         prefetched: u64,
         /// Total fault service time (dispatch to installed).
-        service: SimDuration,
-    },
-    /// `stale-reply` — the pager dropped a reply it was not waiting for.
-    StaleReply {
+        service_us: SimDuration,
+    } => "Imaginary pid{pid} page {page} seg {seg} +{prefetched} prefetched ({service_us})";
+
+    /// The pager dropped a reply it was not waiting for.
+    StaleReply["stale-reply", false, Some(node)] {
         /// The waiting process.
         pid: u64,
         /// The node it runs on.
@@ -93,19 +240,21 @@ pub enum TraceEvent {
         offset: u64,
         /// The awaited request sequence number.
         seq: u64,
-    },
-    /// `send` — a remote message left a node.
-    Send {
+    } => "pid{pid} dropped stale pager message while waiting for seg {seg} page {offset} seq {seq}";
+
+    /// A remote message left a node.
+    Send["send", false, Some(from)] {
         /// Message discriminator.
-        kind: MsgKind,
+        msg: MsgKind,
         /// Sending node.
         from: NodeId,
         /// Bytes on the wire, headers and fragmentation included.
         wire_bytes: u64,
-    },
-    /// `drain` — prefetch-mode background draining pulled owed pages
-    /// across the wire.
-    DrainPrefetch {
+    } => "{msg:?} from {from}: {wire_bytes} wire bytes";
+
+    /// Prefetch-mode background draining pulled owed pages across the
+    /// wire.
+    DrainPrefetch["drain", true, Some(node)] {
         /// The dependent process.
         pid: u64,
         /// The node it runs on.
@@ -116,10 +265,11 @@ pub enum TraceEvent {
         seg: u64,
         /// The first drained page's offset within the segment.
         offset: u64,
-    },
-    /// `drain` — flush-mode draining wrote an owed page to the backing
-    /// site's crash-survivable disk.
-    DrainFlush {
+    } => "pid{pid} prefetch-drained {pages} pages of seg {seg} from page {offset}";
+
+    /// Flush-mode draining wrote an owed page to the backing site's
+    /// crash-survivable disk.
+    DrainFlush["drain", true, Some(node)] {
         /// The dependent process.
         pid: u64,
         /// The node it runs on.
@@ -130,10 +280,11 @@ pub enum TraceEvent {
         offset: u64,
         /// The backing node whose disk now holds the page.
         backer: NodeId,
-    },
-    /// `recover` — crash recovery read owed pages back from a dead
-    /// node's disk backer.
-    Recover {
+    } => "pid{pid} flushed seg {seg} page {offset} to {backer}'s disk";
+
+    /// Crash recovery read owed pages back from a dead node's disk
+    /// backer.
+    Recover["recover", true, Some(node)] {
         /// The dependent process.
         pid: u64,
         /// The node it runs on.
@@ -144,10 +295,11 @@ pub enum TraceEvent {
         seg: u64,
         /// The crashed backing node.
         dead: NodeId,
-    },
-    /// `orphan` — a crash made owed pages unrecoverable; the process is
-    /// terminated cleanly.
-    Orphan {
+    } => "pid{pid} recovered {pages} pages of seg {seg} from {dead}'s disk";
+
+    /// A crash made owed pages unrecoverable; the process is terminated
+    /// cleanly.
+    Orphan["orphan", true, Some(node)] {
         /// The orphaned process.
         pid: u64,
         /// The node it ran on.
@@ -156,9 +308,10 @@ pub enum TraceEvent {
         dead: NodeId,
         /// Owed pages no recovery rung could produce.
         lost: u64,
-    },
-    /// `exec` — a scheduling slice ran (possibly to termination).
-    Exec {
+    } => "pid{pid} orphaned: {dead} crashed holding {lost} unrecoverable pages";
+
+    /// A scheduling slice ran (possibly to termination).
+    Exec["exec", true, Some(node)] {
         /// The process.
         pid: u64,
         /// The node it ran on.
@@ -167,158 +320,170 @@ pub enum TraceEvent {
         ops: u64,
         /// Whether the process terminated.
         finished: bool,
-    },
-    /// `net-drop` — fault injection destroyed a transmission attempt.
-    NetDrop {
+    } => "pid{pid} ran {ops} ops on {node}{}", if finished { ", terminated" } else { "" };
+
+    /// Fault injection destroyed a transmission attempt.
+    NetDrop["net-drop", false, Some(from)] {
         /// Message discriminator.
-        kind: MsgKind,
+        msg: MsgKind,
         /// Sender.
         from: NodeId,
         /// Receiver.
         to: NodeId,
         /// Which attempt was lost (1-based).
         attempt: u32,
-    },
-    /// `net-unreachable` — the retry budget ran out; the send was
-    /// abandoned.
-    NetUnreachable {
+    } => "{msg:?} {from}->{to} attempt {attempt} lost";
+
+    /// The retry budget ran out; the send was abandoned.
+    NetUnreachable["net-unreachable", true, Some(from)] {
         /// Message discriminator.
-        kind: MsgKind,
+        msg: MsgKind,
         /// Sender.
         from: NodeId,
         /// Receiver.
         to: NodeId,
         /// Attempts made before giving up.
         attempts: u32,
-    },
-    /// `net-jitter` — injected delivery delay.
-    NetJitter {
+    } => "{msg:?} {from}->{to} abandoned after {attempts} attempts";
+
+    /// Injected delivery delay.
+    NetJitter["net-jitter", false, Some(from)] {
         /// Message discriminator.
-        kind: MsgKind,
+        msg: MsgKind,
         /// Sender.
         from: NodeId,
         /// Receiver.
         to: NodeId,
         /// The injected extra latency in microseconds.
         delay_us: u64,
-    },
-    /// `net-dup` — an injected duplicate was suppressed by the
-    /// receiver's link-layer sequence tracking.
-    NetDup {
+    } => "{msg:?} {from}->{to} delayed {delay_us}us";
+
+    /// An injected duplicate was suppressed by the receiver's link-layer
+    /// sequence tracking.
+    NetDup["net-dup", false, Some(from)] {
         /// Message discriminator.
-        kind: MsgKind,
+        msg: MsgKind,
         /// Sender.
         from: NodeId,
         /// Receiver.
         to: NodeId,
         /// The duplicated link sequence number.
         seq: u64,
-    },
-    /// `net-reorder` — a delivery was held in limbo so later traffic
-    /// overtakes it.
-    NetReorder {
+    } => "{msg:?} {from}->{to} duplicate seq {seq} suppressed";
+
+    /// A delivery was held in limbo so later traffic overtakes it.
+    NetReorder["net-reorder", false, Some(from)] {
         /// Message discriminator.
-        kind: MsgKind,
+        msg: MsgKind,
         /// Sender.
         from: NodeId,
         /// Receiver.
         to: NodeId,
-    },
-    /// `net-dedup` — reply pages matched bytes the receiving
-    /// NetMsgServer already held; the held frames were installed instead
-    /// of fresh copies.
-    NetDedup {
+    } => "{msg:?} {from}->{to} held in limbo";
+
+    /// Reply pages matched bytes the receiving NetMsgServer already held;
+    /// the held frames were installed instead of fresh copies.
+    NetDedup["net-dedup", false, Some(node)] {
         /// The receiving node.
         node: NodeId,
         /// Reply pages substituted from the content cache.
         pages: u64,
-    },
-    /// `net-stale` — a reply arrived with no pending relay (its request
-    /// was already satisfied).
-    NetStale {
+    } => "{node} installed {pages} already-held reply pages";
+
+    /// A reply arrived with no pending relay (its request was already
+    /// satisfied).
+    NetStale["net-stale", false, None] {
         /// The segment the reply answered for.
         seg: u64,
         /// The reply's page offset.
         offset: u64,
         /// The reply's echoed sequence number.
         seq: u64,
-    },
-    /// `net-death-lost` — a segment death notice had no living receiver.
-    NetDeathLost {
+    } => "reply for seg {seg} page {offset} seq {seq} had no pending relay";
+
+    /// A segment death notice had no living receiver.
+    NetDeathLost["net-death-lost", true, Some(to)] {
         /// The dying segment.
         seg: u64,
         /// The (down) node the notice was headed to.
         to: NodeId,
-    },
-    /// `net-crash` — a node crashed, losing its volatile NetMsgServer
-    /// state (and possibly rebooting amnesiac).
-    NetCrash {
+    } => "death notice for seg {seg} suppressed: {to} is down";
+
+    /// A node crashed, losing its volatile NetMsgServer state (and
+    /// possibly rebooting amnesiac).
+    NetCrash["net-crash", true, Some(node)] {
         /// The crashed node.
         node: NodeId,
         /// Whether it immediately answers the wire again.
         amnesiac: bool,
         /// In-flight messages lost with it.
         dropped: u64,
-    },
-    /// `net-node-down` — a send fast-failed against a peer already known
-    /// dead.
-    NetNodeDown {
+    } => "{node} {} ({dropped} in-flight messages lost)",
+        if amnesiac { "crashed and rebooted amnesiac" } else { "crashed" };
+
+    /// A send fast-failed against a peer already known dead.
+    NetNodeDown["net-node-down", true, Some(from)] {
         /// Message discriminator.
-        kind: MsgKind,
+        msg: MsgKind,
         /// Sender.
         from: NodeId,
         /// The dead receiver.
         to: NodeId,
-    },
-    /// `net-route` — a routed topology carried a delivery over more than
-    /// one hop (single-hop deliveries are not journaled: they match the
+    } => "{msg:?} {from}->{to} aborted: peer is down";
+
+    /// A routed topology carried a delivery over more than one hop
+    /// (single-hop deliveries are not journaled: they match the
     /// point-to-point wire exactly).
-    NetRoute {
+    NetRoute["net-route", false, Some(from)] {
         /// Message discriminator.
-        kind: MsgKind,
+        msg: MsgKind,
         /// Sender.
         from: NodeId,
         /// Final receiver.
         to: NodeId,
         /// Links traversed end to end.
         hops: u32,
-    },
-    /// `net-batch` — a NetMsgServer answered several queued read
-    /// requests for the same fragment run with one multi-page reply
-    /// (opt-in batched COR service).
-    NetBatch {
+    } => "{msg:?} {from}->{to} routed over {hops} hops";
+
+    /// A NetMsgServer answered several queued read requests for the same
+    /// fragment run with one multi-page reply (opt-in batched COR
+    /// service).
+    NetBatch["net-batch", false, Some(node)] {
         /// The serving node.
         node: NodeId,
         /// Requests merged into the reply.
         requests: u64,
         /// Pages the merged reply carried.
         pages: u64,
-    },
-    /// `net-coalesce` — a read request for a page already being fetched
-    /// upstream piggybacked on the in-flight request instead of
-    /// re-sending (opt-in PIT-style coalescing).
-    NetCoalesce {
+    } => "{node} merged {requests} read requests into one {pages}-page reply";
+
+    /// A read request for a page already being fetched upstream
+    /// piggybacked on the in-flight request instead of re-sending (opt-in
+    /// PIT-style coalescing).
+    NetCoalesce["net-coalesce", false, Some(node)] {
         /// The relaying node whose pending-interest table absorbed it.
         node: NodeId,
         /// The origin segment being fetched.
         seg: u64,
         /// The origin page offset.
         offset: u64,
-    },
-    /// `net-replicate` — the replication layer write-through installed a
-    /// segment's page backing on a replica node at page-out time.
-    NetReplicate {
+    } => "{node} coalesced request for seg {seg} page {offset} onto in-flight fetch";
+
+    /// The replication layer write-through installed a segment's page
+    /// backing on a replica node at page-out time.
+    NetReplicate["net-replicate", false, Some(node)] {
         /// The primary home the pages were paged out to.
         node: NodeId,
         /// The replica that now also holds them.
         replica: NodeId,
         /// Pages installed.
         pages: u64,
-    },
-    /// `failover` — the primary page home was down, and a COR fetch was
-    /// served content-addressed from a surviving replica instead of
-    /// draining or terminating.
-    Failover {
+    } => "{node} replicated {pages} pages to {replica}";
+
+    /// The primary page home was down, and a COR fetch was served
+    /// content-addressed from a surviving replica instead of draining or
+    /// terminating.
+    Failover["failover", true, Some(node)] {
         /// The faulting process.
         pid: u64,
         /// The node it runs on.
@@ -331,20 +496,21 @@ pub enum TraceEvent {
         pages: u64,
         /// The faulted segment.
         seg: u64,
-    },
-    /// `placement-skip` — a load/locality placement policy excluded a
-    /// candidate node because it is currently down under a crash plan.
-    PlacementSkip {
+    } => "pid{pid} on {node} failed over to {replica}: {pages} pages of seg {seg} ({dead} down)";
+
+    /// A load/locality placement policy excluded a candidate node because
+    /// it is currently down under a crash plan.
+    PlacementSkip["placement-skip", false, Some(source)] {
         /// The excluded (down) candidate.
         node: NodeId,
         /// The node placing the work.
         source: NodeId,
-    },
-    /// `net-pit-fail` — parked pending-interest waiters whose upstream
-    /// fetch died with a crashed peer were unparked: re-routed through a
-    /// live replica where possible, failed onto the faulters' recovery
-    /// ladders otherwise.
-    NetPitFail {
+    } => "{source} placement skipped {node}: node is down";
+
+    /// Parked pending-interest waiters whose upstream fetch died with a
+    /// crashed peer were unparked: re-routed through a live replica where
+    /// possible, failed onto the faulters' recovery ladders otherwise.
+    NetPitFail["net-pit-fail", false, Some(node)] {
         /// The relaying node whose pending-interest table was drained.
         node: NodeId,
         /// The dead upstream the in-flight fetch was headed to.
@@ -357,303 +523,16 @@ pub enum TraceEvent {
         waiters: u64,
         /// How many of them a live replica answered.
         rerouted: u64,
-    },
+    } => "{node} unparked {waiters} waiters for seg {seg} page {offset} ({upstream} down, {rerouted} rerouted)";
 }
 
 impl TraceEvent {
-    /// The historical short category tag, stable across the typed
-    /// refactor: `of_kind("fault")` selects exactly the events the
-    /// stringly journal filed under `"fault"`.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::Excised { .. } | TraceEvent::Inserted { .. } => "migrate",
-            TraceEvent::FillZero { .. }
-            | TraceEvent::DiskIn { .. }
-            | TraceEvent::Imaginary { .. } => "fault",
-            TraceEvent::StaleReply { .. } => "stale-reply",
-            TraceEvent::Send { .. } => "send",
-            TraceEvent::DrainPrefetch { .. } | TraceEvent::DrainFlush { .. } => "drain",
-            TraceEvent::Recover { .. } => "recover",
-            TraceEvent::Orphan { .. } => "orphan",
-            TraceEvent::Exec { .. } => "exec",
-            TraceEvent::NetDrop { .. } => "net-drop",
-            TraceEvent::NetUnreachable { .. } => "net-unreachable",
-            TraceEvent::NetJitter { .. } => "net-jitter",
-            TraceEvent::NetDup { .. } => "net-dup",
-            TraceEvent::NetReorder { .. } => "net-reorder",
-            TraceEvent::NetDedup { .. } => "net-dedup",
-            TraceEvent::NetStale { .. } => "net-stale",
-            TraceEvent::NetDeathLost { .. } => "net-death-lost",
-            TraceEvent::NetCrash { .. } => "net-crash",
-            TraceEvent::NetNodeDown { .. } => "net-node-down",
-            TraceEvent::NetRoute { .. } => "net-route",
-            TraceEvent::NetBatch { .. } => "net-batch",
-            TraceEvent::NetCoalesce { .. } => "net-coalesce",
-            TraceEvent::NetReplicate { .. } => "net-replicate",
-            TraceEvent::Failover { .. } => "failover",
-            TraceEvent::PlacementSkip { .. } => "placement-skip",
-            TraceEvent::NetPitFail { .. } => "net-pit-fail",
-        }
-    }
-
-    /// Whether this event is a lifecycle milestone (recorded at
-    /// [`JournalLevel::Summary`](cor_sim::JournalLevel::Summary)) rather
-    /// than a per-page or per-message detail (recorded only at
-    /// [`JournalLevel::Full`](cor_sim::JournalLevel::Full)).
-    pub fn is_milestone(&self) -> bool {
-        matches!(
-            self,
-            TraceEvent::Excised { .. }
-                | TraceEvent::Inserted { .. }
-                | TraceEvent::DrainPrefetch { .. }
-                | TraceEvent::DrainFlush { .. }
-                | TraceEvent::Recover { .. }
-                | TraceEvent::Orphan { .. }
-                | TraceEvent::Exec { .. }
-                | TraceEvent::NetCrash { .. }
-                | TraceEvent::NetNodeDown { .. }
-                | TraceEvent::NetUnreachable { .. }
-                | TraceEvent::NetDeathLost { .. }
-                | TraceEvent::Failover { .. }
-        )
-    }
-
-    /// The node this event is best attributed to, for per-node trace
-    /// tracks. Wire events go to the *sender* (where the cost was paid);
-    /// `net-stale` has no single owner and returns `None`.
-    pub fn node(&self) -> Option<NodeId> {
-        match *self {
-            TraceEvent::Excised { node, .. }
-            | TraceEvent::Inserted { node, .. }
-            | TraceEvent::FillZero { node, .. }
-            | TraceEvent::DiskIn { node, .. }
-            | TraceEvent::Imaginary { node, .. }
-            | TraceEvent::StaleReply { node, .. }
-            | TraceEvent::DrainPrefetch { node, .. }
-            | TraceEvent::DrainFlush { node, .. }
-            | TraceEvent::Recover { node, .. }
-            | TraceEvent::Orphan { node, .. }
-            | TraceEvent::Exec { node, .. }
-            | TraceEvent::NetDedup { node, .. }
-            | TraceEvent::NetBatch { node, .. }
-            | TraceEvent::NetCoalesce { node, .. }
-            | TraceEvent::NetReplicate { node, .. }
-            | TraceEvent::Failover { node, .. }
-            | TraceEvent::NetPitFail { node, .. }
-            | TraceEvent::NetCrash { node, .. } => Some(node),
-            TraceEvent::PlacementSkip { source, .. } => Some(source),
-            TraceEvent::Send { from, .. }
-            | TraceEvent::NetDrop { from, .. }
-            | TraceEvent::NetUnreachable { from, .. }
-            | TraceEvent::NetJitter { from, .. }
-            | TraceEvent::NetDup { from, .. }
-            | TraceEvent::NetReorder { from, .. }
-            | TraceEvent::NetRoute { from, .. }
-            | TraceEvent::NetNodeDown { from, .. } => Some(from),
-            TraceEvent::NetDeathLost { to, .. } => Some(to),
-            TraceEvent::NetStale { .. } => None,
-        }
-    }
-}
-
-impl fmt::Display for TraceEvent {
-    /// Renders the historical detail string, byte-for-byte.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            TraceEvent::Excised {
-                pid,
-                node,
-                real_pages,
-                resident_pages,
-            } => write!(
-                f,
-                "excised pid{pid} from {node}: {real_pages} real pages ({resident_pages} resident)"
-            ),
-            TraceEvent::Inserted {
-                pid,
-                node,
-                carried_pages,
-                owed_pages,
-            } => write!(
-                f,
-                "inserted pid{pid} on {node}: {carried_pages} carried, {owed_pages} owed"
-            ),
-            TraceEvent::FillZero { pid, page, .. } => write!(f, "FillZero pid{pid} page {page}"),
-            TraceEvent::DiskIn { pid, page, .. } => write!(f, "DiskIn pid{pid} page {page}"),
-            TraceEvent::Imaginary {
-                pid,
-                page,
-                seg,
-                prefetched,
-                service,
-                ..
-            } => write!(
-                f,
-                "Imaginary pid{pid} page {page} seg {seg} +{prefetched} prefetched ({service})"
-            ),
-            TraceEvent::StaleReply {
-                pid,
-                seg,
-                offset,
-                seq,
-                ..
-            } => write!(
-                f,
-                "pid{pid} dropped stale pager message while waiting for seg {seg} page {offset} seq {seq}"
-            ),
-            TraceEvent::Send {
-                kind,
-                from,
-                wire_bytes,
-            } => write!(f, "{kind:?} from {from}: {wire_bytes} wire bytes"),
-            TraceEvent::DrainPrefetch {
-                pid,
-                pages,
-                seg,
-                offset,
-                ..
-            } => write!(
-                f,
-                "pid{pid} prefetch-drained {pages} pages of seg {seg} from page {offset}"
-            ),
-            TraceEvent::DrainFlush {
-                pid,
-                seg,
-                offset,
-                backer,
-                ..
-            } => write!(
-                f,
-                "pid{pid} flushed seg {seg} page {offset} to {backer}'s disk"
-            ),
-            TraceEvent::Recover {
-                pid,
-                pages,
-                seg,
-                dead,
-                ..
-            } => write!(
-                f,
-                "pid{pid} recovered {pages} pages of seg {seg} from {dead}'s disk"
-            ),
-            TraceEvent::Orphan {
-                pid, dead, lost, ..
-            } => write!(
-                f,
-                "pid{pid} orphaned: {dead} crashed holding {lost} unrecoverable pages"
-            ),
-            TraceEvent::Exec {
-                pid,
-                node,
-                ops,
-                finished,
-            } => write!(
-                f,
-                "pid{pid} ran {ops} ops on {node}{}",
-                if finished { ", terminated" } else { "" }
-            ),
-            TraceEvent::NetDrop {
-                kind,
-                from,
-                to,
-                attempt,
-            } => write!(f, "{kind:?} {from}->{to} attempt {attempt} lost"),
-            TraceEvent::NetUnreachable {
-                kind,
-                from,
-                to,
-                attempts,
-            } => write!(f, "{kind:?} {from}->{to} abandoned after {attempts} attempts"),
-            TraceEvent::NetJitter {
-                kind,
-                from,
-                to,
-                delay_us,
-            } => write!(f, "{kind:?} {from}->{to} delayed {delay_us}us"),
-            TraceEvent::NetDup {
-                kind,
-                from,
-                to,
-                seq,
-            } => write!(f, "{kind:?} {from}->{to} duplicate seq {seq} suppressed"),
-            TraceEvent::NetReorder { kind, from, to } => {
-                write!(f, "{kind:?} {from}->{to} held in limbo")
-            }
-            TraceEvent::NetDedup { node, pages } => {
-                write!(f, "{node} installed {pages} already-held reply pages")
-            }
-            TraceEvent::NetStale { seg, offset, seq } => write!(
-                f,
-                "reply for seg {seg} page {offset} seq {seq} had no pending relay"
-            ),
-            TraceEvent::NetDeathLost { seg, to } => {
-                write!(f, "death notice for seg {seg} suppressed: {to} is down")
-            }
-            TraceEvent::NetCrash {
-                node,
-                amnesiac,
-                dropped,
-            } => write!(
-                f,
-                "{node} {} ({dropped} in-flight messages lost)",
-                if amnesiac {
-                    "crashed and rebooted amnesiac"
-                } else {
-                    "crashed"
-                }
-            ),
-            TraceEvent::NetNodeDown { kind, from, to } => {
-                write!(f, "{kind:?} {from}->{to} aborted: peer is down")
-            }
-            TraceEvent::NetRoute {
-                kind,
-                from,
-                to,
-                hops,
-            } => write!(f, "{kind:?} {from}->{to} routed over {hops} hops"),
-            TraceEvent::NetBatch {
-                node,
-                requests,
-                pages,
-            } => write!(
-                f,
-                "{node} merged {requests} read requests into one {pages}-page reply"
-            ),
-            TraceEvent::NetCoalesce { node, seg, offset } => write!(
-                f,
-                "{node} coalesced request for seg {seg} page {offset} onto in-flight fetch"
-            ),
-            TraceEvent::NetReplicate {
-                node,
-                replica,
-                pages,
-            } => write!(f, "{node} replicated {pages} pages to {replica}"),
-            TraceEvent::Failover {
-                pid,
-                node,
-                dead,
-                replica,
-                pages,
-                seg,
-            } => write!(
-                f,
-                "pid{pid} on {node} failed over to {replica}: {pages} pages of seg {seg} ({dead} down)"
-            ),
-            TraceEvent::PlacementSkip { node, source } => {
-                write!(f, "{source} placement skipped {node}: node is down")
-            }
-            TraceEvent::NetPitFail {
-                node,
-                upstream,
-                seg,
-                offset,
-                waiters,
-                rerouted,
-            } => write!(
-                f,
-                "{node} unparked {waiters} waiters for seg {seg} page {offset} ({upstream} down, {rerouted} rerouted)"
-            ),
-        }
+    /// The structured fields as a JSON object body (no braces), keyed by
+    /// field name in declaration order, e.g. `"pid":3,"node":1,"page":17`.
+    /// Nodes are their index, message kinds their quoted `Debug` name,
+    /// durations whole microseconds.
+    pub fn json_args(&self) -> impl fmt::Display + '_ {
+        JsonArgs(self)
     }
 }
 
@@ -670,14 +549,18 @@ mod tests {
         };
         assert_eq!(e.to_string(), "FillZero pid3 page 17");
         assert_eq!(e.kind(), "fault");
+        assert_eq!(
+            e.json_args().to_string(),
+            "\"pid\":3,\"node\":1,\"page\":17"
+        );
         let e = TraceEvent::Send {
-            kind: MsgKind::Rimas,
+            msg: MsgKind::Rimas,
             from: NodeId(0),
             wire_bytes: 512,
         };
         assert_eq!(e.to_string(), "Rimas from node0: 512 wire bytes");
         let e = TraceEvent::NetDrop {
-            kind: MsgKind::User(7),
+            msg: MsgKind::User(7),
             from: NodeId(0),
             to: NodeId(1),
             attempt: 2,
@@ -710,7 +593,7 @@ mod tests {
         }
         .is_milestone());
         assert!(!TraceEvent::Send {
-            kind: MsgKind::Core,
+            msg: MsgKind::Core,
             from: NodeId(0),
             wire_bytes: 1
         }

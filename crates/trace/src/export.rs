@@ -3,9 +3,11 @@
 //!
 //! Both exporters take a set of named journals (typically the world
 //! journal and the fabric journal) and merge them into one
-//! chronologically ordered document. JSON is emitted by hand — the
-//! simulator is dependency-free — and every string that can carry
-//! arbitrary content passes through [`escape`]-style quoting.
+//! chronologically ordered document. JSON is written without a
+//! serializer (the simulator is dependency-free): an event's `args` are
+//! [`TraceEvent::json_args`](crate::TraceEvent::json_args), generated
+//! with the event from its one table row, and every string that can
+//! carry arbitrary content passes through [`escape`]-style quoting.
 //!
 //! The Perfetto document maps the simulation onto the [trace event
 //! format](https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
@@ -20,7 +22,6 @@ use std::fmt::Write as _;
 
 use cor_ipc::NodeId;
 
-use crate::event::TraceEvent;
 use crate::journal::Journal;
 use crate::span::{Span, SpanId};
 
@@ -42,248 +43,6 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Writes the structured fields of an event as a JSON object body
-/// (without surrounding braces), e.g. `"pid":3,"page":17`.
-fn event_args(e: &TraceEvent) -> String {
-    fn node(n: NodeId) -> u64 {
-        n.0 as u64
-    }
-    match *e {
-        TraceEvent::Excised {
-            pid,
-            node: n,
-            real_pages,
-            resident_pages,
-        } => format!(
-            "\"pid\":{pid},\"node\":{},\"real_pages\":{real_pages},\"resident_pages\":{resident_pages}",
-            node(n)
-        ),
-        TraceEvent::Inserted {
-            pid,
-            node: n,
-            carried_pages,
-            owed_pages,
-        } => format!(
-            "\"pid\":{pid},\"node\":{},\"carried_pages\":{carried_pages},\"owed_pages\":{owed_pages}",
-            node(n)
-        ),
-        TraceEvent::FillZero { pid, node: n, page } | TraceEvent::DiskIn { pid, node: n, page } => {
-            format!("\"pid\":{pid},\"node\":{},\"page\":{page}", node(n))
-        }
-        TraceEvent::Imaginary {
-            pid,
-            node: n,
-            page,
-            seg,
-            prefetched,
-            service,
-        } => format!(
-            "\"pid\":{pid},\"node\":{},\"page\":{page},\"seg\":{seg},\"prefetched\":{prefetched},\"service_us\":{}",
-            node(n),
-            service.as_micros()
-        ),
-        TraceEvent::StaleReply {
-            pid,
-            node: n,
-            seg,
-            offset,
-            seq,
-        } => format!(
-            "\"pid\":{pid},\"node\":{},\"seg\":{seg},\"offset\":{offset},\"seq\":{seq}",
-            node(n)
-        ),
-        TraceEvent::Send {
-            kind,
-            from,
-            wire_bytes,
-        } => format!(
-            "\"msg\":\"{:?}\",\"from\":{},\"wire_bytes\":{wire_bytes}",
-            kind,
-            node(from)
-        ),
-        TraceEvent::DrainPrefetch {
-            pid,
-            node: n,
-            pages,
-            seg,
-            offset,
-        } => format!(
-            "\"pid\":{pid},\"node\":{},\"pages\":{pages},\"seg\":{seg},\"offset\":{offset}",
-            node(n)
-        ),
-        TraceEvent::DrainFlush {
-            pid,
-            node: n,
-            seg,
-            offset,
-            backer,
-        } => format!(
-            "\"pid\":{pid},\"node\":{},\"seg\":{seg},\"offset\":{offset},\"backer\":{}",
-            node(n),
-            node(backer)
-        ),
-        TraceEvent::Recover {
-            pid,
-            node: n,
-            pages,
-            seg,
-            dead,
-        } => format!(
-            "\"pid\":{pid},\"node\":{},\"pages\":{pages},\"seg\":{seg},\"dead\":{}",
-            node(n),
-            node(dead)
-        ),
-        TraceEvent::Orphan {
-            pid,
-            node: n,
-            dead,
-            lost,
-        } => format!(
-            "\"pid\":{pid},\"node\":{},\"dead\":{},\"lost\":{lost}",
-            node(n),
-            node(dead)
-        ),
-        TraceEvent::Exec {
-            pid,
-            node: n,
-            ops,
-            finished,
-        } => format!(
-            "\"pid\":{pid},\"node\":{},\"ops\":{ops},\"finished\":{finished}",
-            node(n)
-        ),
-        TraceEvent::NetDrop {
-            kind,
-            from,
-            to,
-            attempt,
-        } => format!(
-            "\"msg\":\"{:?}\",\"from\":{},\"to\":{},\"attempt\":{attempt}",
-            kind,
-            node(from),
-            node(to)
-        ),
-        TraceEvent::NetUnreachable {
-            kind,
-            from,
-            to,
-            attempts,
-        } => format!(
-            "\"msg\":\"{:?}\",\"from\":{},\"to\":{},\"attempts\":{attempts}",
-            kind,
-            node(from),
-            node(to)
-        ),
-        TraceEvent::NetJitter {
-            kind,
-            from,
-            to,
-            delay_us,
-        } => format!(
-            "\"msg\":\"{:?}\",\"from\":{},\"to\":{},\"delay_us\":{delay_us}",
-            kind,
-            node(from),
-            node(to)
-        ),
-        TraceEvent::NetDup {
-            kind,
-            from,
-            to,
-            seq,
-        } => format!(
-            "\"msg\":\"{:?}\",\"from\":{},\"to\":{},\"seq\":{seq}",
-            kind,
-            node(from),
-            node(to)
-        ),
-        TraceEvent::NetReorder { kind, from, to } => format!(
-            "\"msg\":\"{:?}\",\"from\":{},\"to\":{}",
-            kind,
-            node(from),
-            node(to)
-        ),
-        TraceEvent::NetDedup { node: n, pages } => {
-            format!("\"node\":{},\"pages\":{pages}", node(n))
-        }
-        TraceEvent::NetStale { seg, offset, seq } => {
-            format!("\"seg\":{seg},\"offset\":{offset},\"seq\":{seq}")
-        }
-        TraceEvent::NetDeathLost { seg, to } => {
-            format!("\"seg\":{seg},\"to\":{}", node(to))
-        }
-        TraceEvent::NetCrash {
-            node: n,
-            amnesiac,
-            dropped,
-        } => format!(
-            "\"node\":{},\"amnesiac\":{amnesiac},\"dropped\":{dropped}",
-            node(n)
-        ),
-        TraceEvent::NetNodeDown { kind, from, to } => format!(
-            "\"msg\":\"{:?}\",\"from\":{},\"to\":{}",
-            kind,
-            node(from),
-            node(to)
-        ),
-        TraceEvent::NetRoute {
-            kind,
-            from,
-            to,
-            hops,
-        } => format!(
-            "\"msg\":\"{:?}\",\"from\":{},\"to\":{},\"hops\":{hops}",
-            kind,
-            node(from),
-            node(to)
-        ),
-        TraceEvent::NetBatch {
-            node: n,
-            requests,
-            pages,
-        } => format!("\"node\":{},\"requests\":{requests},\"pages\":{pages}", node(n)),
-        TraceEvent::NetCoalesce { node: n, seg, offset } => {
-            format!("\"node\":{},\"seg\":{seg},\"offset\":{offset}", node(n))
-        }
-        TraceEvent::NetReplicate {
-            node: n,
-            replica,
-            pages,
-        } => format!(
-            "\"node\":{},\"replica\":{},\"pages\":{pages}",
-            node(n),
-            node(replica)
-        ),
-        TraceEvent::Failover {
-            pid,
-            node: n,
-            dead,
-            replica,
-            pages,
-            seg,
-        } => format!(
-            "\"pid\":{pid},\"node\":{},\"dead\":{},\"replica\":{},\"pages\":{pages},\"seg\":{seg}",
-            node(n),
-            node(dead),
-            node(replica)
-        ),
-        TraceEvent::PlacementSkip { node: n, source } => {
-            format!("\"node\":{},\"source\":{}", node(n), node(source))
-        }
-        TraceEvent::NetPitFail {
-            node: n,
-            upstream,
-            seg,
-            offset,
-            waiters,
-            rerouted,
-        } => format!(
-            "\"node\":{},\"upstream\":{},\"seg\":{seg},\"offset\":{offset},\"waiters\":{waiters},\"rerouted\":{rerouted}",
-            node(n),
-            node(upstream)
-        ),
-    }
 }
 
 /// One merged record for chronological ordering across journals.
@@ -368,7 +127,7 @@ pub fn jsonl(journals: &[(&str, &Journal)]) -> String {
                     escape(e.kind()),
                     e.span.0,
                     escape(&e.detail()),
-                    event_args(&e.event)
+                    e.event.json_args()
                 );
             }
         }
@@ -480,7 +239,7 @@ pub fn perfetto(journals: &[(&str, &Journal)], end_us: u64) -> String {
                         e.at.as_micros(),
                         escape(source),
                         escape(&e.detail()),
-                        event_args(&e.event)
+                        e.event.json_args()
                     ),
                 );
             }
@@ -493,7 +252,7 @@ pub fn perfetto(journals: &[(&str, &Journal)], end_us: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::Journal;
+    use crate::event::TraceEvent;
     use cor_sim::SimTime;
 
     fn sample() -> Journal {

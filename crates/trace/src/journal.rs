@@ -250,10 +250,12 @@ impl Journal {
         if id.is_none() {
             return;
         }
-        if let Some(pos) = self.open.iter().rposition(|&s| s == id) {
-            while self.open.len() > pos {
-                let top = self.open.pop().expect("stack non-empty above pos");
+        if self.open.contains(&id) {
+            while let Some(top) = self.open.pop() {
                 self.set_end(top, at);
+                if top == id {
+                    break;
+                }
             }
         } else {
             // Not on the open stack (already closed, or foreign): close
@@ -300,8 +302,7 @@ impl Journal {
     }
 
     /// Events of one kind.
-    pub fn of_kind(&self, kind: &str) -> impl Iterator<Item = &JournalEvent> {
-        let kind = kind.to_string();
+    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a JournalEvent> {
         self.events.iter().filter(move |e| e.kind() == kind)
     }
 
@@ -398,7 +399,7 @@ mod tests {
         j.record(
             SimTime::ZERO,
             TraceEvent::Send {
-                kind: MsgKind::Core,
+                msg: MsgKind::Core,
                 from: NodeId(0),
                 wire_bytes: 64,
             },

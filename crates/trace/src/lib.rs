@@ -4,8 +4,9 @@
 //! The simulation substrate (`cor-sim`) keeps the [`JournalLevel`]
 //! knob; everything that *interprets* what happened lives here:
 //!
-//! - [`TraceEvent`] — the typed vocabulary of journal records, with a
-//!   lossless `Display` that reproduces the historical detail strings.
+//! - [`TraceEvent`] — the typed vocabulary of journal records, each one
+//!   table row that generates its tag, milestone flag, owner node, the
+//!   historical detail string and its JSON args.
 //! - [`Journal`] — the append-only event log plus a [`Span`] table:
 //!   every event is attributed to the innermost open span, so one remote
 //!   fault is a single tree from touch to page-install.

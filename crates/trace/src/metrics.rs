@@ -239,29 +239,12 @@ impl MetricsRegistry {
         }
     }
 
-    /// Feeds the [`ReliabilityStats`] counters into the global counters.
-    /// (The stats are cumulative end-state counters, so no time bound
-    /// applies.)
+    /// Feeds every non-zero [`ReliabilityStats::counters`] entry into the
+    /// global counters and the retransmitted wire bytes into a byte
+    /// gauge. (The stats are cumulative end-state counters, so no time
+    /// bound applies.)
     pub fn ingest_reliability(&mut self, r: &ReliabilityStats) {
-        let pairs: [(&'static str, u64); 16] = [
-            ("net.drops-injected", r.drops_injected.get()),
-            ("net.duplicates-injected", r.duplicates_injected.get()),
-            ("net.reorders-injected", r.reorders_injected.get()),
-            ("net.retransmissions", r.retransmissions.get()),
-            ("net.duplicate-drops", r.duplicate_drops.get()),
-            ("net.stale-replies", r.stale_replies.get()),
-            ("net.timeout-stalls", r.timeout_stalls.get()),
-            ("net.stall-time-us", r.stall_time.as_micros()),
-            ("net.unreachable-failures", r.unreachable_failures.get()),
-            ("net.node-crashes", r.node_crashes.get()),
-            ("net.crash-dropped-messages", r.crash_dropped_messages.get()),
-            ("net.crash-fast-fails", r.crash_fast_fails.get()),
-            ("net.drained-pages", r.drained_pages.get()),
-            ("net.pages-recovered", r.pages_recovered.get()),
-            ("net.pages-lost", r.pages_lost.get()),
-            ("net.dedup-hits", r.dedup_hits.get()),
-        ];
-        for (name, v) in pairs {
+        for (name, v) in r.counters() {
             if v > 0 {
                 self.counter_add(None, name, v);
             }

@@ -417,6 +417,38 @@ fn replicated_chain_survives_the_upstream_crash_without_parked_waiters() {
     assert_no_parked_waiters(&rig);
 }
 
+/// The metrics view reports the replication counters: after the same
+/// upstream crash, `experiments metrics` shows every non-zero
+/// reliability counter with the value the fabric counted, failover
+/// fetches included.
+#[test]
+fn the_metrics_view_reports_failover_fetches() {
+    let mut rig = chain_rig(12, 1, 0x42);
+    let (a, c) = (rig.nodes[0], rig.nodes[2]);
+    let now = rig.world.clock.now();
+    rig.world
+        .fabric
+        .crash_node(now, &mut rig.world.ports, a, false);
+    rig.world.run(c, rig.pid).unwrap();
+    let report = rig.world.metrics_registry().render(rig.world.clock.now());
+    let reported = |name: &str| {
+        report.lines().find_map(|l| {
+            let mut words = l.split_whitespace();
+            (words.next() == Some(name)).then(|| words.next().unwrap().parse::<u64>().unwrap())
+        })
+    };
+    let r = &rig.world.fabric.reliability;
+    assert!(r.failover_fetches.get() >= 1);
+    assert_eq!(
+        reported("net.failover-fetches"),
+        Some(r.failover_fetches.get()),
+        "{report}"
+    );
+    for (name, v) in r.counters() {
+        assert_eq!(reported(name), (v > 0).then_some(v), "{name}: {report}");
+    }
+}
+
 #[test]
 fn a_page_spared_for_its_live_replica_is_drained_once_the_replica_dies() {
     // With f = 1 every owed page has a live replica home, so nothing is

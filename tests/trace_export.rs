@@ -1,6 +1,6 @@
 //! Trace-export regression suite.
 //!
-//! Three layers of protection for the observability pipeline:
+//! Four layers of protection for the observability pipeline:
 //!
 //! 1. **Golden file.** The Summary-level JSONL of a fixed-seed Minprog
 //!    migration is committed at `tests/golden/minprog_trace.jsonl`; any
@@ -14,8 +14,13 @@
 //! 3. **The acceptance criterion.** The number of `imag-fault` spans in
 //!    the trace equals the trial's imaginary-fault counter — one causal
 //!    span tree per remote fault, no more, no fewer.
+//! 4. **Every event pinned.** One literal of each [`TraceEvent`] variant,
+//!    with its kind tag, milestone flag, owner node, detail string and
+//!    JSON args written out, so no rendering of any event can drift.
 
-use cor::sim::JournalLevel;
+use cor::ipc::{MsgKind, NodeId};
+use cor::sim::{JournalLevel, SimDuration, SimTime};
+use cor::trace::{export, Journal, JournalEvent, TraceEvent};
 use cor_experiments::trace::traced_trial;
 
 /// A minimal JSON scanner for the hand-rolled exporter output: extracts
@@ -271,4 +276,529 @@ fn journal_off_records_nothing_and_changes_nothing() {
     assert_eq!(off.world.clock.now(), full.world.clock.now());
     assert_eq!(off.imag_faults, full.imag_faults);
     assert_eq!(off.ops, full.ops);
+}
+
+/// One event with everything it renders to. Every field value is
+/// distinct and non-zero and every node id is distinct, so a wrong owner
+/// or a swapped key changes the output.
+struct Pin {
+    event: TraceEvent,
+    kind: &'static str,
+    milestone: bool,
+    node: Option<u32>,
+    detail: &'static str,
+    args: &'static str,
+}
+
+fn pins() -> Vec<Pin> {
+    let n = NodeId;
+    vec![
+        Pin {
+            event: TraceEvent::Excised {
+                pid: 11,
+                node: n(1),
+                real_pages: 12,
+                resident_pages: 13,
+            },
+            kind: "migrate",
+            milestone: true,
+            node: Some(1),
+            detail: "excised pid11 from node1: 12 real pages (13 resident)",
+            args: r#""pid":11,"node":1,"real_pages":12,"resident_pages":13"#,
+        },
+        Pin {
+            event: TraceEvent::Inserted {
+                pid: 21,
+                node: n(2),
+                carried_pages: 22,
+                owed_pages: 23,
+            },
+            kind: "migrate",
+            milestone: true,
+            node: Some(2),
+            detail: "inserted pid21 on node2: 22 carried, 23 owed",
+            args: r#""pid":21,"node":2,"carried_pages":22,"owed_pages":23"#,
+        },
+        Pin {
+            event: TraceEvent::FillZero {
+                pid: 31,
+                node: n(3),
+                page: 32,
+            },
+            kind: "fault",
+            milestone: false,
+            node: Some(3),
+            detail: "FillZero pid31 page 32",
+            args: r#""pid":31,"node":3,"page":32"#,
+        },
+        Pin {
+            event: TraceEvent::DiskIn {
+                pid: 41,
+                node: n(4),
+                page: 42,
+            },
+            kind: "fault",
+            milestone: false,
+            node: Some(4),
+            detail: "DiskIn pid41 page 42",
+            args: r#""pid":41,"node":4,"page":42"#,
+        },
+        Pin {
+            event: TraceEvent::Imaginary {
+                pid: 51,
+                node: n(5),
+                page: 52,
+                seg: 53,
+                prefetched: 54,
+                service_us: SimDuration::from_micros(115_376),
+            },
+            kind: "fault",
+            milestone: false,
+            node: Some(5),
+            detail: "Imaginary pid51 page 52 seg 53 +54 prefetched (115.38ms)",
+            args: r#""pid":51,"node":5,"page":52,"seg":53,"prefetched":54,"service_us":115376"#,
+        },
+        Pin {
+            event: TraceEvent::StaleReply {
+                pid: 61,
+                node: n(6),
+                seg: 62,
+                offset: 63,
+                seq: 64,
+            },
+            kind: "stale-reply",
+            milestone: false,
+            node: Some(6),
+            detail: "pid61 dropped stale pager message while waiting for seg 62 page 63 seq 64",
+            args: r#""pid":61,"node":6,"seg":62,"offset":63,"seq":64"#,
+        },
+        Pin {
+            event: TraceEvent::Send {
+                msg: MsgKind::ImagReadRequest,
+                from: n(7),
+                wire_bytes: 72,
+            },
+            kind: "send",
+            milestone: false,
+            node: Some(7),
+            detail: "ImagReadRequest from node7: 72 wire bytes",
+            args: r#""msg":"ImagReadRequest","from":7,"wire_bytes":72"#,
+        },
+        Pin {
+            event: TraceEvent::Send {
+                msg: MsgKind::User(291),
+                from: n(46),
+                wire_bytes: 292,
+            },
+            kind: "send",
+            milestone: false,
+            node: Some(46),
+            detail: "User(291) from node46: 292 wire bytes",
+            args: r#""msg":"User(291)","from":46,"wire_bytes":292"#,
+        },
+        Pin {
+            event: TraceEvent::DrainPrefetch {
+                pid: 81,
+                node: n(8),
+                pages: 82,
+                seg: 83,
+                offset: 84,
+            },
+            kind: "drain",
+            milestone: true,
+            node: Some(8),
+            detail: "pid81 prefetch-drained 82 pages of seg 83 from page 84",
+            args: r#""pid":81,"node":8,"pages":82,"seg":83,"offset":84"#,
+        },
+        Pin {
+            event: TraceEvent::DrainFlush {
+                pid: 91,
+                node: n(9),
+                seg: 92,
+                offset: 93,
+                backer: n(10),
+            },
+            kind: "drain",
+            milestone: true,
+            node: Some(9),
+            detail: "pid91 flushed seg 92 page 93 to node10's disk",
+            args: r#""pid":91,"node":9,"seg":92,"offset":93,"backer":10"#,
+        },
+        Pin {
+            event: TraceEvent::Recover {
+                pid: 101,
+                node: n(11),
+                pages: 102,
+                seg: 103,
+                dead: n(12),
+            },
+            kind: "recover",
+            milestone: true,
+            node: Some(11),
+            detail: "pid101 recovered 102 pages of seg 103 from node12's disk",
+            args: r#""pid":101,"node":11,"pages":102,"seg":103,"dead":12"#,
+        },
+        Pin {
+            event: TraceEvent::Orphan {
+                pid: 111,
+                node: n(13),
+                dead: n(14),
+                lost: 112,
+            },
+            kind: "orphan",
+            milestone: true,
+            node: Some(13),
+            detail: "pid111 orphaned: node14 crashed holding 112 unrecoverable pages",
+            args: r#""pid":111,"node":13,"dead":14,"lost":112"#,
+        },
+        Pin {
+            event: TraceEvent::Exec {
+                pid: 121,
+                node: n(15),
+                ops: 122,
+                finished: true,
+            },
+            kind: "exec",
+            milestone: true,
+            node: Some(15),
+            detail: "pid121 ran 122 ops on node15, terminated",
+            args: r#""pid":121,"node":15,"ops":122,"finished":true"#,
+        },
+        Pin {
+            event: TraceEvent::Exec {
+                pid: 271,
+                node: n(44),
+                ops: 272,
+                finished: false,
+            },
+            kind: "exec",
+            milestone: true,
+            node: Some(44),
+            detail: "pid271 ran 272 ops on node44",
+            args: r#""pid":271,"node":44,"ops":272,"finished":false"#,
+        },
+        Pin {
+            event: TraceEvent::NetDrop {
+                msg: MsgKind::ImagReadReply,
+                from: n(16),
+                to: n(17),
+                attempt: 131,
+            },
+            kind: "net-drop",
+            milestone: false,
+            node: Some(16),
+            detail: "ImagReadReply node16->node17 attempt 131 lost",
+            args: r#""msg":"ImagReadReply","from":16,"to":17,"attempt":131"#,
+        },
+        Pin {
+            event: TraceEvent::NetUnreachable {
+                msg: MsgKind::ImagSegmentDeath,
+                from: n(18),
+                to: n(19),
+                attempts: 141,
+            },
+            kind: "net-unreachable",
+            milestone: true,
+            node: Some(18),
+            detail: "ImagSegmentDeath node18->node19 abandoned after 141 attempts",
+            args: r#""msg":"ImagSegmentDeath","from":18,"to":19,"attempts":141"#,
+        },
+        Pin {
+            event: TraceEvent::NetJitter {
+                msg: MsgKind::Core,
+                from: n(20),
+                to: n(21),
+                delay_us: 151,
+            },
+            kind: "net-jitter",
+            milestone: false,
+            node: Some(20),
+            detail: "Core node20->node21 delayed 151us",
+            args: r#""msg":"Core","from":20,"to":21,"delay_us":151"#,
+        },
+        Pin {
+            event: TraceEvent::NetDup {
+                msg: MsgKind::Rimas,
+                from: n(22),
+                to: n(23),
+                seq: 161,
+            },
+            kind: "net-dup",
+            milestone: false,
+            node: Some(22),
+            detail: "Rimas node22->node23 duplicate seq 161 suppressed",
+            args: r#""msg":"Rimas","from":22,"to":23,"seq":161"#,
+        },
+        Pin {
+            event: TraceEvent::NetReorder {
+                msg: MsgKind::MigrateRequest,
+                from: n(24),
+                to: n(25),
+            },
+            kind: "net-reorder",
+            milestone: false,
+            node: Some(24),
+            detail: "MigrateRequest node24->node25 held in limbo",
+            args: r#""msg":"MigrateRequest","from":24,"to":25"#,
+        },
+        Pin {
+            event: TraceEvent::NetDedup {
+                node: n(26),
+                pages: 171,
+            },
+            kind: "net-dedup",
+            milestone: false,
+            node: Some(26),
+            detail: "node26 installed 171 already-held reply pages",
+            args: r#""node":26,"pages":171"#,
+        },
+        Pin {
+            event: TraceEvent::NetStale {
+                seg: 181,
+                offset: 182,
+                seq: 183,
+            },
+            kind: "net-stale",
+            milestone: false,
+            node: None,
+            detail: "reply for seg 181 page 182 seq 183 had no pending relay",
+            args: r#""seg":181,"offset":182,"seq":183"#,
+        },
+        Pin {
+            event: TraceEvent::NetDeathLost {
+                seg: 191,
+                to: n(27),
+            },
+            kind: "net-death-lost",
+            milestone: true,
+            node: Some(27),
+            detail: "death notice for seg 191 suppressed: node27 is down",
+            args: r#""seg":191,"to":27"#,
+        },
+        Pin {
+            event: TraceEvent::NetCrash {
+                node: n(28),
+                amnesiac: true,
+                dropped: 201,
+            },
+            kind: "net-crash",
+            milestone: true,
+            node: Some(28),
+            detail: "node28 crashed and rebooted amnesiac (201 in-flight messages lost)",
+            args: r#""node":28,"amnesiac":true,"dropped":201"#,
+        },
+        Pin {
+            event: TraceEvent::NetCrash {
+                node: n(45),
+                amnesiac: false,
+                dropped: 281,
+            },
+            kind: "net-crash",
+            milestone: true,
+            node: Some(45),
+            detail: "node45 crashed (281 in-flight messages lost)",
+            args: r#""node":45,"amnesiac":false,"dropped":281"#,
+        },
+        Pin {
+            event: TraceEvent::NetNodeDown {
+                msg: MsgKind::MigrateAck,
+                from: n(29),
+                to: n(30),
+            },
+            kind: "net-node-down",
+            milestone: true,
+            node: Some(29),
+            detail: "MigrateAck node29->node30 aborted: peer is down",
+            args: r#""msg":"MigrateAck","from":29,"to":30"#,
+        },
+        Pin {
+            event: TraceEvent::NetRoute {
+                msg: MsgKind::PreCopyRound,
+                from: n(31),
+                to: n(32),
+                hops: 211,
+            },
+            kind: "net-route",
+            milestone: false,
+            node: Some(31),
+            detail: "PreCopyRound node31->node32 routed over 211 hops",
+            args: r#""msg":"PreCopyRound","from":31,"to":32,"hops":211"#,
+        },
+        Pin {
+            event: TraceEvent::NetBatch {
+                node: n(33),
+                requests: 221,
+                pages: 222,
+            },
+            kind: "net-batch",
+            milestone: false,
+            node: Some(33),
+            detail: "node33 merged 221 read requests into one 222-page reply",
+            args: r#""node":33,"requests":221,"pages":222"#,
+        },
+        Pin {
+            event: TraceEvent::NetCoalesce {
+                node: n(34),
+                seg: 231,
+                offset: 232,
+            },
+            kind: "net-coalesce",
+            milestone: false,
+            node: Some(34),
+            detail: "node34 coalesced request for seg 231 page 232 onto in-flight fetch",
+            args: r#""node":34,"seg":231,"offset":232"#,
+        },
+        Pin {
+            event: TraceEvent::NetReplicate {
+                node: n(35),
+                replica: n(36),
+                pages: 241,
+            },
+            kind: "net-replicate",
+            milestone: false,
+            node: Some(35),
+            detail: "node35 replicated 241 pages to node36",
+            args: r#""node":35,"replica":36,"pages":241"#,
+        },
+        Pin {
+            event: TraceEvent::Failover {
+                pid: 251,
+                node: n(37),
+                dead: n(38),
+                replica: n(39),
+                pages: 252,
+                seg: 253,
+            },
+            kind: "failover",
+            milestone: true,
+            node: Some(37),
+            detail: "pid251 on node37 failed over to node39: 252 pages of seg 253 (node38 down)",
+            args: r#""pid":251,"node":37,"dead":38,"replica":39,"pages":252,"seg":253"#,
+        },
+        Pin {
+            event: TraceEvent::PlacementSkip {
+                node: n(40),
+                source: n(41),
+            },
+            kind: "placement-skip",
+            milestone: false,
+            node: Some(41),
+            detail: "node41 placement skipped node40: node is down",
+            args: r#""node":40,"source":41"#,
+        },
+        Pin {
+            event: TraceEvent::NetPitFail {
+                node: n(42),
+                upstream: n(43),
+                seg: 261,
+                offset: 262,
+                waiters: 263,
+                rerouted: 264,
+            },
+            kind: "net-pit-fail",
+            milestone: false,
+            node: Some(42),
+            detail: "node42 unparked 263 waiters for seg 261 page 262 (node43 down, 264 rerouted)",
+            args: r#""node":42,"upstream":43,"seg":261,"offset":262,"waiters":263,"rerouted":264"#,
+        },
+    ]
+}
+
+/// The variant's position in declaration order. No wildcard arm: a new
+/// variant does not compile until it is named here, and then fails
+/// [`the_pins_cover_every_variant`] until it has a pin.
+fn variant_index(e: &TraceEvent) -> usize {
+    match e {
+        TraceEvent::Excised { .. } => 0,
+        TraceEvent::Inserted { .. } => 1,
+        TraceEvent::FillZero { .. } => 2,
+        TraceEvent::DiskIn { .. } => 3,
+        TraceEvent::Imaginary { .. } => 4,
+        TraceEvent::StaleReply { .. } => 5,
+        TraceEvent::Send { .. } => 6,
+        TraceEvent::DrainPrefetch { .. } => 7,
+        TraceEvent::DrainFlush { .. } => 8,
+        TraceEvent::Recover { .. } => 9,
+        TraceEvent::Orphan { .. } => 10,
+        TraceEvent::Exec { .. } => 11,
+        TraceEvent::NetDrop { .. } => 12,
+        TraceEvent::NetUnreachable { .. } => 13,
+        TraceEvent::NetJitter { .. } => 14,
+        TraceEvent::NetDup { .. } => 15,
+        TraceEvent::NetReorder { .. } => 16,
+        TraceEvent::NetDedup { .. } => 17,
+        TraceEvent::NetStale { .. } => 18,
+        TraceEvent::NetDeathLost { .. } => 19,
+        TraceEvent::NetCrash { .. } => 20,
+        TraceEvent::NetNodeDown { .. } => 21,
+        TraceEvent::NetRoute { .. } => 22,
+        TraceEvent::NetBatch { .. } => 23,
+        TraceEvent::NetCoalesce { .. } => 24,
+        TraceEvent::NetReplicate { .. } => 25,
+        TraceEvent::Failover { .. } => 26,
+        TraceEvent::PlacementSkip { .. } => 27,
+        TraceEvent::NetPitFail { .. } => 28,
+    }
+}
+
+/// Every `Full`-journal record stores one `JournalEvent` (instant, span,
+/// event), so these sizes are what the benchmark's
+/// `cor-trace.full_bytes_per_event` and `fleet_storm`'s `peak_heap_mb`
+/// measure: a field that widens one variant widens every record of every
+/// journal.
+#[test]
+fn an_event_is_48_bytes_and_a_journal_record_64() {
+    assert_eq!(std::mem::size_of::<TraceEvent>(), 48);
+    assert_eq!(std::mem::size_of::<JournalEvent>(), 64);
+}
+
+#[test]
+fn the_pins_cover_every_variant() {
+    let mut seen = [false; 29];
+    for p in pins() {
+        seen[variant_index(&p.event)] = true;
+    }
+    let missing: Vec<usize> = (0..seen.len()).filter(|&i| !seen[i]).collect();
+    assert!(missing.is_empty(), "variants without a pin: {missing:?}");
+}
+
+#[test]
+fn every_event_renders_its_pinned_kind_milestone_owner_and_detail() {
+    for p in pins() {
+        let e = p.event;
+        assert_eq!(e.kind(), p.kind, "{e:?}");
+        assert_eq!(e.is_milestone(), p.milestone, "{e:?}");
+        assert_eq!(e.node().map(|n| n.0), p.node, "{e:?}");
+        assert_eq!(e.to_string(), p.detail, "{e:?}");
+    }
+}
+
+#[test]
+fn every_event_exports_its_pinned_json() {
+    let pins = pins();
+    let mut j = Journal::new();
+    for (i, p) in pins.iter().enumerate() {
+        j.record(SimTime::from_micros(i as u64 + 1), p.event);
+    }
+    let jsonl = export::jsonl(&[("pin", &j)]);
+    let perfetto = export::perfetto(&[("pin", &j)], 1_000);
+    assert_eq!(jsonl.lines().count(), pins.len());
+    for ((i, p), line) in pins.iter().enumerate().zip(jsonl.lines()) {
+        let t = i + 1;
+        let (kind, detail, args) = (p.kind, p.detail, p.args);
+        assert_eq!(
+            line,
+            format!(
+                r#"{{"type":"event","source":"pin","t_us":{t},"kind":"{kind}","span":0,"detail":"{detail}","args":{{{args}}}}}"#
+            )
+        );
+        let pid = p.node.map_or(0, |n| n + 1);
+        let instant = format!(
+            r#"{{"name":"{kind}","ph":"i","s":"p","pid":{pid},"tid":1,"ts":{t},"args":{{"source":"pin","detail":"{detail}",{args}}}}}"#
+        );
+        assert!(
+            perfetto.contains(&instant),
+            "missing from the Perfetto export: {instant}"
+        );
+    }
 }
