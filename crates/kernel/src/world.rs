@@ -7,6 +7,7 @@ use cor_ipc::port::{PortId, PortRegistry};
 use cor_ipc::protocol::{self, ProtocolMsg};
 use cor_ipc::segment::SegmentRegistry;
 use cor_ipc::NodeId;
+use cor_mem::page::frame_pool;
 #[cfg(test)]
 use cor_mem::{space::SegmentId, Fault, PageNum, PageRange, VAddr};
 use cor_mem::{AddressSpace, SegmentStore};
@@ -495,14 +496,16 @@ impl World {
             }) => {
                 self.clock.advance(self.costs.backer_service);
                 let node = entry.node;
-                let frames = entry
+                let stored = entry
                     .store
                     .range(seg, offset, count)
                     .ok_or(KernelError::Net(cor_net::NetError::MissingData {
                         seg,
                         offset,
-                    }))?
-                    .to_vec();
+                    }))?;
+                // A pooled buffer: the faulter hands it back with `give`.
+                let mut frames = frame_pool::take(stored.len());
+                frames.extend_from_slice(stored);
                 // Echo the request's sequence number so the faulter can
                 // pair the reply with its request.
                 let reply_msg = protocol::imag_read_reply(reply, seg, offset, frames)

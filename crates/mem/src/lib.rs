@@ -36,6 +36,7 @@ pub mod page;
 pub mod resident;
 pub mod space;
 mod store;
+mod table;
 
 pub use amap::{AMap, AMapEntry, Access};
 pub use disk::{Disk, DiskAddr};

@@ -15,8 +15,19 @@
 //!   least recently used page out to the local [`Disk`] when a configured
 //!   frame budget is exceeded, giving each process a meaningful resident
 //!   set at migration time (Table 4-2).
+//!
+//! The page table is one ascending vector of the materialized pages,
+//! searched by binary search; a state change (fault service, page-out) is
+//! one search and an in-place write. Installing above the highest
+//! materialized page appends; installing below it costs a `memmove` of the
+//! pages above. The spaces built whole — a fork ([`SpaceImage::thaw`]), a
+//! process insertion ([`AddressSpace::from_amap`]) and a blueprint's image
+//! ([`AddressSpace::from_installs`]) — sort their pages first and insert
+//! none. The only entries the paper workloads add after that are the PM
+//! zero-fills, which land above the highest page in every trial of
+//! `experiments all`; a PM space has at most 1,857 pages, which bounds any
+//! `memmove` there.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use cor_sim::IdMap;
@@ -27,6 +38,7 @@ use crate::error::MemError;
 use crate::fault::Fault;
 use crate::page::{Frame, ImageArena, PageData, PageNum, PageRange, VAddr, PAGE_SIZE};
 use crate::resident::ResidentTracker;
+use crate::table::PageTable;
 
 /// Identifies an imaginary segment (a memory object served through a
 /// backing IPC port). Allocation and the backing protocol live in
@@ -87,9 +99,9 @@ impl SpaceStats {
 pub struct AddressSpace {
     /// Sorted, disjoint, non-adjacent validated page ranges.
     regions: Vec<(u64, u64)>,
-    /// Materialized pages only; a validated page absent from this map is
+    /// Materialized pages only; a validated page absent from this table is
     /// RealZeroMem.
-    pages: BTreeMap<PageNum, PageState>,
+    pages: PageTable<PageNum, PageState>,
     resident: ResidentTracker,
     zero_fills: u64,
     cow_copies: u64,
@@ -110,19 +122,19 @@ impl AddressSpace {
         s
     }
 
-    /// The one bulk constructor: `pages` ascends, so the page table is
-    /// built in a single pass instead of by per-page insertion, and `lru`
+    /// The raw bulk constructor: `pages` ascends, so the page table is
+    /// taken over whole instead of built by per-page insertion, and `lru`
     /// lists the resident ones, least recently used first.
     fn assemble(
         regions: Vec<(u64, u64)>,
-        pages: impl Iterator<Item = (PageNum, PageState)>,
+        pages: Vec<(PageNum, PageState)>,
         frame_budget: Option<usize>,
         lru: &[PageNum],
         [zero_fills, cow_copies, pageouts]: [u64; 3],
     ) -> Self {
         AddressSpace {
             regions,
-            pages: pages.collect(),
+            pages: PageTable::from_sorted(pages),
             resident: ResidentTracker::from_lru_order(frame_budget, lru),
             zero_fills,
             cow_copies,
@@ -130,14 +142,64 @@ impl AddressSpace {
         }
     }
 
+    /// Builds, in one pass, what a new space with `frame_budget` holds
+    /// after validating `regions` and then installing `pages` in the order
+    /// given: a resident page as [`AddressSpace::install_page`] installs it,
+    /// an imaginary one as [`AddressSpace::map_imaginary`] maps it, an
+    /// on-disk one as it stands (its block already on `disk`). On a new
+    /// tracker every install is a first touch, so the LRU victim is always
+    /// the oldest resident page: the first `len − budget` resident installs
+    /// spill to `disk` in install order, each frame moved to a fresh block
+    /// and counted as a page-out, and the rest, in install order, are the
+    /// LRU order. `pages` may come in any page order; it is sorted once.
+    ///
+    /// # Errors
+    ///
+    /// [`MemError::NotFresh`] if a page is installed twice; `disk` then
+    /// already holds the refused build's spilled blocks.
+    pub fn from_installs(
+        regions: impl IntoIterator<Item = PageRange>,
+        mut pages: Vec<(PageNum, PageState)>,
+        frame_budget: Option<usize>,
+        disk: &mut Disk,
+    ) -> Result<Self, MemError> {
+        let resident = pages
+            .iter()
+            .filter(|(_, s)| matches!(s, PageState::Resident(_)))
+            .count();
+        let spill = frame_budget.map_or(0, |budget| resident.saturating_sub(budget));
+        let mut lru = Vec::with_capacity(resident - spill);
+        let mut spilling = spill;
+        for (page, state) in &mut pages {
+            match state {
+                PageState::Resident(frame) if spilling > 0 => {
+                    spilling -= 1;
+                    let frame = frame.clone();
+                    *state = PageState::OnDisk(disk.write_new_frame(frame));
+                }
+                PageState::Resident(_) => lru.push(*page),
+                PageState::OnDisk(_) | PageState::Imaginary { .. } => {}
+            }
+        }
+        // Strictly ascending already (an AMap walk) is one check.
+        if !pages.is_sorted_by(|a, b| a.0 < b.0) {
+            pages.sort_unstable_by_key(|&(page, _)| page);
+            if pages.windows(2).any(|w| w[0].0 == w[1].0) {
+                return Err(MemError::NotFresh("a page is installed twice"));
+            }
+        }
+        let regions = validated(regions, &pages);
+        let counters = [0, 0, spill as u64];
+        Ok(Self::assemble(regions, pages, frame_budget, &lru, counters))
+    }
+
     /// Rebuilds the space `amap` was walked off, in one pass — process
     /// insertion replaying the collapse (paper §3.1). `fill(k)` is the state
     /// of the k-th mapped (Real or Imag) page in address order; `None` from
     /// it, or a BadMem entry, yields `None`. The result is what a new space
     /// with `frame_budget` holds after validating every entry and then
-    /// `install_page` / `map_imaginary` of each mapped page in turn:
-    /// resident pages beyond the budget overflow to `disk` first-in
-    /// first-out, blocks written in that order and counted as page-outs.
+    /// `install_page` / `map_imaginary` of each mapped page in turn
+    /// ([`AddressSpace::from_installs`], installing in address order).
     pub fn from_amap(
         amap: &AMap,
         mut fill: impl FnMut(u64) -> Option<PageState>,
@@ -146,45 +208,19 @@ impl AddressSpace {
     ) -> Option<Self> {
         let mapped = amap.bytes_of(Access::Real) + amap.bytes_of(Access::Imag);
         let mut pages = Vec::with_capacity((mapped / PAGE_SIZE) as usize);
-        let mut regions: Vec<(u64, u64)> = Vec::new();
-        let mut carried = 0;
-        // An empty entry validates nothing, as in `validate_pages`.
-        for entry in amap.entries().iter().filter(|e| !e.range.is_empty()) {
-            let (start, end) = (entry.range.start.0, entry.range.end.0);
-            match regions.last_mut() {
-                // Adjacent entries are one region, as `validate_pages` merges.
-                Some(last) if start <= last.1 => last.1 = last.1.max(end),
-                _ => regions.push((start, end)),
-            }
+        for entry in amap.entries() {
             match entry.access {
                 Access::RealZero => {}
                 Access::Real | Access::Imag => {
                     for page in entry.range.iter() {
-                        let state = fill(pages.len() as u64)?;
-                        carried += usize::from(matches!(state, PageState::Resident(_)));
-                        pages.push((page, state));
+                        pages.push((page, fill(pages.len() as u64)?));
                     }
                 }
                 Access::Bad => return None,
             }
         }
-        // On a new tracker every install is a first touch, so the LRU victim
-        // is always the oldest resident page: the first `spill` of them go to
-        // disk, each frame moved there, and the rest are the LRU order.
-        let mut spill = frame_budget.map_or(0, |budget| carried.saturating_sub(budget));
-        let pageouts = spill as u64;
-        let mut lru = Vec::with_capacity(carried - spill);
-        let resident = |(_, s): &&(PageNum, PageState)| matches!(s, PageState::Resident(_));
-        lru.extend(pages.iter().filter(resident).skip(spill).map(|p| p.0));
-        let pages = pages.into_iter().map(|(page, state)| match state {
-            PageState::Resident(frame) if spill > 0 => {
-                spill -= 1;
-                (page, PageState::OnDisk(disk.write_new_frame(frame)))
-            }
-            state => (page, state),
-        });
-        let counters = [0, 0, pageouts];
-        Some(Self::assemble(regions, pages, frame_budget, &lru, counters))
+        let regions = amap.entries().iter().map(|e| e.range);
+        Self::from_installs(regions, pages, frame_budget, disk).ok()
     }
 
     /// Adjusts the frame budget (`None` = unbounded).
@@ -220,37 +256,21 @@ impl AddressSpace {
         if r.is_empty() {
             return;
         }
-        let (mut start, mut end) = (r.start.0, r.end.0);
+        let new = (r.start.0, r.end.0);
         // Already inside one region (every page install after the first
         // validation of its region): nothing to merge, nothing to allocate.
-        let idx = self.regions.partition_point(|&(_, e)| e <= start);
+        let idx = self.regions.partition_point(|&(_, e)| e <= new.0);
         if self
             .regions
             .get(idx)
-            .is_some_and(|&(s, e)| s <= start && end <= e)
+            .is_some_and(|&(s, e)| s <= new.0 && new.1 <= e)
         {
             return;
         }
-        // Merge every region overlapping or adjacent to [start, end).
-        let mut merged = Vec::with_capacity(self.regions.len() + 1);
-        let mut placed = false;
-        for &(s, e) in &self.regions {
-            if e < start || s > end {
-                if s > end && !placed {
-                    merged.push((start, end));
-                    placed = true;
-                }
-                merged.push((s, e));
-            } else {
-                start = start.min(s);
-                end = end.max(e);
-            }
-        }
-        if !placed {
-            merged.push((start, end));
-            merged.sort_unstable();
-        }
-        self.regions = merged;
+        // Inserted in order, so the coalescing sort is one linear check.
+        let at = self.regions.partition_point(|&region| region < new);
+        self.regions.insert(at, new);
+        coalesce(&mut self.regions);
     }
 
     /// Whether `page` lies in a validated region.
@@ -271,7 +291,7 @@ impl AddressSpace {
 
     /// Classifies a page into its accessibility class.
     pub fn classify(&self, page: PageNum) -> Access {
-        match self.pages.get(&page) {
+        match self.pages.get(page) {
             Some(PageState::Resident(_)) | Some(PageState::OnDisk(_)) => Access::Real,
             Some(PageState::Imaginary { .. }) => Access::Imag,
             None if self.is_validated(page) => Access::RealZero,
@@ -288,7 +308,7 @@ impl AddressSpace {
         let mut b = AMap::builder();
         for &(rs, re) in &self.regions {
             let mut cursor = rs;
-            for (&p, state) in self.pages.range(PageNum(rs)..PageNum(re)) {
+            for &(p, ref state) in self.pages.range(PageNum(rs), PageNum(re)) {
                 if cursor < p.0 {
                     b.push(
                         PageRange::new(PageNum(cursor), p),
@@ -333,20 +353,7 @@ impl AddressSpace {
     /// fault that must be serviced first. A successful check refreshes the
     /// page's LRU recency.
     pub fn check_read(&mut self, page: PageNum) -> Result<(), Fault> {
-        match self.pages.get(&page) {
-            Some(PageState::Resident(_)) => {
-                self.resident.refresh(page);
-                Ok(())
-            }
-            Some(PageState::OnDisk(addr)) => Err(Fault::DiskIn { page, addr: *addr }),
-            Some(PageState::Imaginary { seg, offset }) => Err(Fault::Imaginary {
-                page,
-                seg: *seg,
-                offset: *offset,
-            }),
-            None if self.is_validated(page) => Err(Fault::FillZero { page }),
-            None => Err(Fault::Addressing { addr: page.base() }),
-        }
+        self.check(page, false)
     }
 
     /// Checks whether `page` can be written right now. Performs the
@@ -359,14 +366,36 @@ impl AddressSpace {
     /// pager allocated that page at fault time), not a copy forced by
     /// sharing with another mapping.
     pub fn check_write(&mut self, page: PageNum) -> Result<(), Fault> {
-        self.check_read(page)?;
-        if let Some(PageState::Resident(frame)) = self.pages.get_mut(&page) {
-            if frame.is_shared() {
-                let materializing_zero = frame.is_interned_zero();
-                *frame = frame.deep_copy();
-                if !materializing_zero {
-                    self.cow_copies += 1;
-                }
+        self.check(page, true)
+    }
+
+    /// [`AddressSpace::check_read`], and with `write` the copy-on-write
+    /// duplication of [`AddressSpace::check_write`], on one search.
+    fn check(&mut self, page: PageNum, write: bool) -> Result<(), Fault> {
+        let frame = match self.pages.get_mut(page) {
+            Some(PageState::Resident(frame)) => frame,
+            Some(PageState::OnDisk(addr)) => return Err(Fault::DiskIn { page, addr: *addr }),
+            Some(PageState::Imaginary { seg, offset }) => {
+                return Err(Fault::Imaginary {
+                    page,
+                    seg: *seg,
+                    offset: *offset,
+                })
+            }
+            None => {
+                return Err(if self.is_validated(page) {
+                    Fault::FillZero { page }
+                } else {
+                    Fault::Addressing { addr: page.base() }
+                })
+            }
+        };
+        self.resident.refresh(page);
+        if write && frame.is_shared() {
+            let materializing_zero = frame.is_interned_zero();
+            *frame = frame.deep_copy();
+            if !materializing_zero {
+                self.cow_copies += 1;
             }
         }
         Ok(())
@@ -387,7 +416,7 @@ impl AddressSpace {
             let page = cursor.page();
             let off = cursor.page_offset() as usize;
             let n = ((PAGE_SIZE as usize) - off).min(buf.len() - filled);
-            match self.pages.get(&page) {
+            match self.pages.get(page) {
                 Some(PageState::Resident(frame)) => {
                     frame.with(|d| buf[filled..filled + n].copy_from_slice(&d[off..off + n]));
                 }
@@ -413,7 +442,7 @@ impl AddressSpace {
             let page = cursor.page();
             let off = cursor.page_offset() as usize;
             let n = ((PAGE_SIZE as usize) - off).min(data.len() - written);
-            match self.pages.get(&page) {
+            match self.pages.get(page) {
                 Some(PageState::Resident(frame)) => {
                     if frame.is_shared() {
                         return Err(MemError::BadState(page, "copy-on-write shared"));
@@ -443,7 +472,7 @@ impl AddressSpace {
         if !self.is_validated(page) {
             return Err(MemError::NotValidated(page.base()));
         }
-        if self.pages.contains_key(&page) {
+        if self.pages.contains(page) {
             return Err(MemError::BadState(page, "already materialized"));
         }
         self.zero_fills += 1;
@@ -459,16 +488,20 @@ impl AddressSpace {
     /// [`MemError::BadState`] if the page is not in the on-disk state or
     /// the disk block vanished.
     pub fn page_in(&mut self, page: PageNum, disk: &mut Disk) -> Result<(), MemError> {
-        let addr = match self.pages.get(&page) {
-            Some(PageState::OnDisk(a)) => *a,
-            _ => return Err(MemError::BadState(page, "not on disk")),
+        let on_disk = self.pages.get_mut(page).and_then(|state| match *state {
+            PageState::OnDisk(addr) => Some((state, addr)),
+            _ => None,
+        });
+        let Some((state, addr)) = on_disk else {
+            return Err(MemError::BadState(page, "not on disk"));
         };
         // Zero-copy: take over the disk's reference to the frame; no bytes
         // move in either direction of the page-out/page-in roundtrip.
         let frame = disk
             .take_frame(addr)
             .ok_or(MemError::BadState(page, "disk block missing"))?;
-        self.install_frame(page, frame, disk);
+        *state = PageState::Resident(frame);
+        self.touch(page, disk);
         Ok(())
     }
 
@@ -487,11 +520,11 @@ impl AddressSpace {
         frame: Frame,
         disk: &mut Disk,
     ) -> Result<(), MemError> {
-        match self.pages.get(&page) {
-            Some(PageState::Imaginary { .. }) => {}
+        match self.pages.get_mut(page) {
+            Some(state @ PageState::Imaginary { .. }) => *state = PageState::Resident(frame),
             _ => return Err(MemError::BadState(page, "not imaginary")),
         }
-        self.install_frame(page, frame, disk);
+        self.touch(page, disk);
         Ok(())
     }
 
@@ -540,6 +573,12 @@ impl AddressSpace {
 
     fn install_frame(&mut self, page: PageNum, frame: Frame, disk: &mut Disk) {
         self.pages.insert(page, PageState::Resident(frame));
+        self.touch(page, disk);
+    }
+
+    /// Makes the just-resident `page` the most recently used, paging out
+    /// the LRU victim if that exceeds the frame budget.
+    fn touch(&mut self, page: PageNum, disk: &mut Disk) {
         if let Some(victim) = self.resident.touch(page) {
             self.page_out(victim, disk);
         }
@@ -549,12 +588,16 @@ impl AddressSpace {
     /// policies). The frame moves to the disk by reference — no byte copy.
     /// No-op unless the page is resident.
     pub fn page_out(&mut self, page: PageNum, disk: &mut Disk) {
-        if let Some(PageState::Resident(frame)) = self.pages.get(&page) {
-            let addr = disk.write_new_frame(frame.clone());
-            self.pages.insert(page, PageState::OnDisk(addr));
-            self.resident.remove(page);
-            self.pageouts += 1;
-        }
+        let Some(state) = self.pages.get_mut(page) else {
+            return;
+        };
+        let PageState::Resident(frame) = state else {
+            return;
+        };
+        let addr = disk.write_new_frame(frame.clone());
+        *state = PageState::OnDisk(addr);
+        self.resident.remove(page);
+        self.pageouts += 1;
     }
 
     // ----- inspection -------------------------------------------------------
@@ -565,7 +608,7 @@ impl AddressSpace {
     /// the kernel peeking (excision, backing service), not the process
     /// touching memory.
     pub fn peek_page(&self, page: PageNum, disk: &mut Disk) -> Option<PageData> {
-        match self.pages.get(&page)? {
+        match self.pages.get(page)? {
             PageState::Resident(frame) => Some(frame.snapshot()),
             PageState::OnDisk(addr) => disk.read(*addr),
             PageState::Imaginary { .. } => None,
@@ -576,7 +619,7 @@ impl AddressSpace {
     /// copying its bytes — the read-only inspection path for checksums and
     /// transfer assembly. Same disk-read accounting as `peek_page`.
     pub fn peek_frame(&self, page: PageNum, disk: &mut Disk) -> Option<Frame> {
-        match self.pages.get(&page)? {
+        match self.pages.get(page)? {
             PageState::Resident(frame) => Some(frame.clone()),
             PageState::OnDisk(addr) => disk.read_frame(*addr),
             PageState::Imaginary { .. } => None,
@@ -585,12 +628,12 @@ impl AddressSpace {
 
     /// The page's raw state, if materialized.
     pub fn page_state(&self, page: PageNum) -> Option<&PageState> {
-        self.pages.get(&page)
+        self.pages.get(page)
     }
 
     /// All materialized pages in ascending order.
     pub fn materialized_pages(&self) -> impl Iterator<Item = (PageNum, &PageState)> {
-        self.pages.iter().map(|(&p, s)| (p, s))
+        self.pages.iter().map(|(p, s)| (*p, s))
     }
 
     /// The materialized pages numbered `from` and above, in ascending
@@ -599,7 +642,7 @@ impl AddressSpace {
         &self,
         from: PageNum,
     ) -> impl Iterator<Item = (PageNum, &PageState)> {
-        self.pages.range(from..).map(|(&p, s)| (p, s))
+        self.pages.range_from(from).iter().map(|(p, s)| (*p, s))
     }
 
     /// The resident pages in ascending page order.
@@ -618,7 +661,7 @@ impl AddressSpace {
         let mut real = 0u64;
         let mut imag = 0u64;
         let mut res = 0u64;
-        for state in self.pages.values() {
+        for (_, state) in self.pages.iter() {
             match state {
                 PageState::Resident(_) => {
                     real += PAGE_SIZE;
@@ -651,6 +694,52 @@ impl AddressSpace {
     pub fn pageouts(&self) -> u64 {
         self.pageouts
     }
+}
+
+/// Sorts `ranges` and merges the overlapping and adjacent ones, leaving
+/// them sorted, disjoint and non-adjacent: the form of
+/// [`AddressSpace::regions`], whatever order they were validated in.
+fn coalesce(ranges: &mut Vec<(u64, u64)>) {
+    ranges.sort_unstable();
+    ranges.dedup_by(|next, last| {
+        let merges = next.0 <= last.1;
+        if merges {
+            last.1 = last.1.max(next.1);
+        }
+        merges
+    });
+}
+
+/// The regions of a space built by validating `ranges` (in any order) and
+/// installing `pages` (ascending): a page outside every range validates
+/// itself, as [`AddressSpace::install_page`] does.
+fn validated(
+    ranges: impl IntoIterator<Item = PageRange>,
+    pages: &[(PageNum, PageState)],
+) -> Vec<(u64, u64)> {
+    let mut regions: Vec<(u64, u64)> = Vec::new();
+    for r in ranges.into_iter().filter(|r| !r.is_empty()) {
+        let (start, end) = (r.start.0, r.end.0);
+        match regions.last_mut() {
+            // Merged as they arrive while they arrive in order (an AMap's
+            // entries do), so the vector stays as short as the result.
+            Some(last) if last.0 <= start && start <= last.1 => last.1 = last.1.max(end),
+            _ => regions.push((start, end)),
+        }
+    }
+    coalesce(&mut regions);
+    let (mut at, mut outside) = (0, Vec::new());
+    for &(page, _) in pages {
+        at += regions[at..].partition_point(|&(_, e)| e <= page.0);
+        if regions.get(at).is_none_or(|&(s, _)| page.0 < s) {
+            outside.push((page.0, page.0 + 1));
+        }
+    }
+    if !outside.is_empty() {
+        regions.append(&mut outside);
+        coalesce(&mut regions);
+    }
+    regions
 }
 
 /// One materialized page of a [`SpaceImage`]: 16 bytes, no frame held.
@@ -717,7 +806,7 @@ impl SpaceImage {
         let lru = space.resident.pages_lru_order();
         let rank: IdMap<PageNum, u32> = lru.iter().copied().zip(0..).collect();
         let mut pages = Vec::with_capacity(space.pages.len());
-        for (&page, state) in &space.pages {
+        for &(page, ref state) in space.pages.iter() {
             let (frame, home) = match state {
                 PageState::Resident(frame) => (Some(frame), rank[&page]),
                 PageState::OnDisk(addr) => (disk.peek_frame(*addr), ON_DISK | addr.0 as u32),
@@ -767,7 +856,7 @@ impl SpaceImage {
         };
         AddressSpace::assemble(
             self.regions.clone(),
-            self.pages.iter().map(|p| (p.page, state(p))),
+            self.pages.iter().map(|p| (p.page, state(p))).collect(),
             self.frame_budget,
             &lru,
             [self.zero_fills, self.cow_copies, self.pageouts],

@@ -117,6 +117,35 @@ fn disk_op() -> impl Strategy<Value = DiskOp> {
     ]
 }
 
+/// The page table, compiled in from its own file (it names no `crate::`
+/// item) so its reference model can reach the private type.
+#[allow(dead_code)]
+#[path = "../src/table.rs"]
+mod table;
+
+#[derive(Debug, Clone)]
+enum TableOp {
+    Insert(u64, u32),
+    WriteInPlace(u64, u32),
+    Get(u64),
+    Range(u64, u64),
+    RangeFrom(u64),
+}
+
+/// Keys from a small set, so inserts land before, between and after the
+/// entries already there and often replace one.
+fn table_op() -> impl Strategy<Value = TableOp> {
+    let key = || 0u64..48;
+    prop_oneof![
+        (key(), any::<u32>()).prop_map(|(k, v)| TableOp::Insert(k, v)),
+        (key(), any::<u32>()).prop_map(|(k, v)| TableOp::Insert(k, v)),
+        (key(), any::<u32>()).prop_map(|(k, v)| TableOp::WriteInPlace(k, v)),
+        key().prop_map(TableOp::Get),
+        (key(), key()).prop_map(|(lo, hi)| TableOp::Range(lo, hi)),
+        key().prop_map(TableOp::RangeFrom),
+    ]
+}
+
 /// Everything observable about a space and the blocks it owns on `disk`,
 /// with disk addresses relative to `base`.
 fn observe(space: &AddressSpace, disk: &Disk, base: u64) -> String {
@@ -383,6 +412,44 @@ proptest! {
             prop_assert_eq!(disk.blocks_in_use(), model.len());
             prop_assert_eq!(disk.bytes_in_use(), model.len() as u64 * PAGE_SIZE);
             prop_assert_eq!((disk.reads(), disk.writes()), (reads, writes));
+        }
+    }
+
+    /// The page table behaves exactly like a `BTreeMap` under inserts in
+    /// any key order, replacements, in-place writes, lookups and range
+    /// queries, starting empty or from a table built whole.
+    #[test]
+    fn page_table_matches_reference_model(
+        start in prop::collection::vec(0u64..48, 0..16),
+        ops in prop::collection::vec(table_op(), 1..200),
+    ) {
+        use table::PageTable;
+        fn pairs<'a>(it: impl Iterator<Item = (&'a u64, &'a u32)>) -> Vec<(u64, u32)> {
+            it.map(|(&k, &v)| (k, v)).collect()
+        }
+        let mut model: BTreeMap<u64, u32> = start.iter().map(|&k| (k, k as u32)).collect();
+        let mut table = PageTable::from_sorted(pairs(model.iter()));
+        for op in ops {
+            match op {
+                TableOp::Insert(k, v) => prop_assert_eq!(table.insert(k, v), model.insert(k, v)),
+                TableOp::WriteInPlace(k, v) => match (table.get_mut(k), model.get_mut(&k)) {
+                    (Some(got), Some(want)) => (*got, *want) = (v, v),
+                    (got, want) => prop_assert_eq!(got, want),
+                },
+                TableOp::Get(k) => {
+                    prop_assert_eq!(table.get(k), model.get(&k));
+                    prop_assert_eq!(table.contains(k), model.contains_key(&k));
+                }
+                TableOp::Range(lo, hi) => {
+                    let want = if lo <= hi { pairs(model.range(lo..hi)) } else { Vec::new() };
+                    prop_assert_eq!(table.range(lo, hi).to_vec(), want);
+                }
+                TableOp::RangeFrom(lo) => {
+                    prop_assert_eq!(table.range_from(lo).to_vec(), pairs(model.range(lo..)));
+                }
+            }
+            prop_assert_eq!(table.len(), model.len());
+            prop_assert_eq!(table.iter().copied().collect::<Vec<_>>(), pairs(model.iter()));
         }
     }
 

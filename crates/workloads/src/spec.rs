@@ -5,7 +5,9 @@ use cor_kernel::process::ProcessId;
 use cor_kernel::program::Trace;
 use cor_kernel::{KernelError, World};
 use cor_mem::page::{PageBytes, PAGE_SIZE};
-use cor_mem::{AddressSpace, Disk, ImageArena, MemError, PageNum, PageRange, SpaceImage};
+use cor_mem::{
+    AddressSpace, Disk, ImageArena, MemError, PageNum, PageRange, PageState, SpaceImage,
+};
 use cor_sim::{Pcg32, SimDuration};
 
 use cor_ipc::NodeId;
@@ -53,10 +55,11 @@ pub struct Blueprint {
 
 impl Blueprint {
     /// Builds the process's pre-migration memory once and freezes it. Page
-    /// contents are generated straight into one arena; the address space is
-    /// then assembled by the incremental installer — regions, unread file
-    /// pages on disk, then the resident installs whose LRU tail survives
-    /// the frame budget — on a scratch disk, and frozen.
+    /// contents are generated straight into one arena; on a scratch disk the
+    /// unread file pages are written first, then the address space is built
+    /// whole by [`AddressSpace::from_installs`] — regions, those on-disk
+    /// pages, then the resident installs whose LRU tail survives the frame
+    /// budget — and frozen.
     ///
     /// # Errors
     ///
@@ -65,17 +68,17 @@ impl Blueprint {
         let pages = self.on_disk.iter().chain(&self.install_order);
         let arena = ImageArena::new(pages.map(|&p| page_content(self.seed, p)).collect());
         let mut frames = (0..).map(arena.frames());
-        let mut space = AddressSpace::with_frame_budget(self.frame_budget);
         let mut disk = Disk::new();
-        for r in &self.regions {
-            space.validate_pages(*r);
-        }
+        let mut pages = Vec::with_capacity(self.on_disk.len() + self.install_order.len());
         for (&page, frame) in self.on_disk.iter().zip(&mut frames) {
-            space.install_on_disk_frame(page, frame, &mut disk);
+            pages.push((page, PageState::OnDisk(disk.write_new_frame(frame))));
         }
         for (&page, frame) in self.install_order.iter().zip(&mut frames) {
-            space.install_page(page, frame, &mut disk);
+            pages.push((page, PageState::Resident(frame)));
         }
+        let budget = Some(self.frame_budget);
+        let regions = self.regions.iter().copied();
+        let space = AddressSpace::from_installs(regions, pages, budget, &mut disk)?;
         Ok(ProcessImage {
             blueprint: self,
             space: SpaceImage::freeze(&space, &disk, &arena)?,
@@ -298,6 +301,29 @@ mod tests {
             screens, 1,
             "7 events / ceil(7/2)=4 -> one screen boundary hit"
         );
+    }
+
+    #[test]
+    fn a_blueprint_installing_a_page_twice_is_refused() {
+        let blueprint = |on_disk: &[u64], install_order: &[u64]| Blueprint {
+            name: "twice",
+            seed: 5,
+            frame_budget: 8,
+            regions: vec![PageRange::new(PageNum(0), PageNum(16))],
+            on_disk: on_disk.iter().copied().map(PageNum).collect(),
+            install_order: install_order.iter().copied().map(PageNum).collect(),
+            trace: Trace::builder().terminate(),
+            send_rights: 0,
+            recv_ports: 0,
+        };
+        let refused = |bp: Blueprint| matches!(bp.image(), Err(MemError::NotFresh(_)));
+        assert!(blueprint(&[1], &[2, 3]).image().is_ok());
+        // Within the budget, so nothing spills that could strand a block.
+        assert!(
+            refused(blueprint(&[], &[2, 3, 2])),
+            "twice in install_order"
+        );
+        assert!(refused(blueprint(&[3], &[2, 3])), "on disk and installed");
     }
 
     #[test]

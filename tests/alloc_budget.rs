@@ -289,22 +289,28 @@ struct Service {
     seq: u64,
 }
 
+/// Pages in the served segment.
+const PAGES: u64 = 16;
+
+/// The served segment's contents: distinct pages.
+fn contents() -> Vec<Frame> {
+    (0..PAGES)
+        .map(|i| Frame::new(page_from_bytes(&i.to_le_bytes())))
+        .collect()
+}
+
 impl Service {
     fn new(wire: WireParams, relay: bool) -> Self {
-        const PAGES: u64 = 16;
         let (mut world, nodes) =
             World::fleet(if relay { 3 } else { 2 }, CostModel::default(), wire);
         world.fabric.ledger.set_coarse(true);
         let (client, server) = (nodes[0], nodes[nodes.len() - 1]);
         let server_nms = world.fabric.nms_port(server).expect("server registered");
-        let frames = (0..PAGES)
-            .map(|i| Frame::new(page_from_bytes(&i.to_le_bytes())))
-            .collect();
         let seg = world.segs.create(server_nms, PAGES);
         world.segs.add_refs(seg, PAGES).expect("fresh segment");
         world
             .fabric
-            .install_cache(server, seg, frames)
+            .install_cache(server, seg, contents())
             .expect("server registered");
         let (target_port, target_seg) = if relay {
             let scratch = world.ports.allocate(nodes[1]);
@@ -334,6 +340,30 @@ impl Service {
             client,
             target_port,
             target_seg,
+            reply_port,
+            seq: 1,
+        }
+    }
+
+    /// A client faulting on a segment a user-level backer on the server
+    /// owns: the path an IOU-migrated process's faults take to the
+    /// migration manager at its source.
+    fn backed() -> Self {
+        let (mut world, nodes) = World::fleet(2, CostModel::default(), WireParams::default());
+        world.fabric.ledger.set_coarse(true);
+        let (client, server) = (nodes[0], nodes[1]);
+        let backing = world.ports.allocate(server);
+        let seg = world.segs.create(backing, PAGES);
+        world.segs.add_refs(seg, PAGES).expect("fresh segment");
+        world.register_backer(backing, server);
+        let store = world.backer_mut(backing).expect("just registered");
+        store.insert(seg, contents());
+        let reply_port = world.ports.allocate(client);
+        Service {
+            world,
+            client,
+            target_port: backing,
+            target_seg: seg,
             reply_port,
             seq: 1,
         }
@@ -397,6 +427,34 @@ fn a_warm_closed_loop_fault_allocates_nothing() {
             "relay={relay}: heap allocations in one warm fault"
         );
     }
+}
+
+#[test]
+fn a_warm_backer_served_fault_allocates_nothing() {
+    // The backer builds its reply in a pooled buffer, which the faulter
+    // hands back once it has installed the frames.
+    let mut s = Service::backed();
+    let allocs = s.warm_allocs(&[5]);
+    assert_eq!(
+        allocs, 0,
+        "heap allocations in one warm backer-served fault"
+    );
+}
+
+#[test]
+fn a_fork_allocates_its_frames_and_a_constant() {
+    // A thaw allocates one frame handle per page and otherwise only whole
+    // tables: 8 of its own (arena handle, block list, LRU order, disk
+    // addresses, regions, page table, LRU slab and index) and the 11
+    // doublings of a fresh disk's block slab to 3,931 blocks. A page table
+    // that grows by the page, or by the node, fails this.
+    let w = cor_workloads::by_name("Lisp-T").expect("workload exists");
+    let image = w.image().expect("workload build");
+    let mut disk = cor_mem::Disk::new();
+    let mut fork = None;
+    let allocs = heap_allocs(|| fork = Some(image.space().thaw(&mut disk)));
+    assert_eq!(disk.blocks_in_use(), 3_931, "Lisp-T's paged-out pages");
+    assert_eq!(allocs, image.space().real_pages() + 8 + 11);
 }
 
 #[test]
