@@ -357,7 +357,7 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Claim> {
         pct(copy.iter().filter(|o| o.survived).count(), copy.len()),
         100.0..=100.0,
     ));
-    let fast: Vec<_> = outcomes.iter().filter(|o| o.drain_rate == 64).collect();
+    let fast: Vec<_> = outcomes.iter().filter(|o| o.drain == Some(64)).collect();
     checks.push(Claim::new(
         "survivability drain-64 survival %",
         None,
@@ -366,7 +366,7 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Claim> {
     ));
     let undrained_orphans = outcomes
         .iter()
-        .filter(|o| o.drain_rate == 0 && !o.survived)
+        .filter(|o| o.drain == Some(0) && !o.survived)
         .count();
     checks.push(Claim::new(
         "survivability no-drain orphan count",
@@ -393,7 +393,7 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Claim> {
     // overhead grows with the factor, and (e) failover fetches actually
     // fired and their latency registered on the clock.
     let repl = crate::replication::replication_outcomes(workloads, &matrix.pool());
-    let replicated: Vec<_> = repl.iter().filter(|o| o.factor >= 1).collect();
+    let replicated: Vec<_> = repl.iter().filter(|o| o.factor() >= 1).collect();
     checks.push(Claim::new(
         "replication f>=1 survival %",
         None,
@@ -403,7 +403,7 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Claim> {
         ),
         100.0..=100.0,
     ));
-    let baseline_orphans = repl.iter().filter(|o| o.factor == 0 && !o.survived).count();
+    let baseline_orphans = repl.iter().filter(|o| o.factor() == 0 && !o.survived).count();
     checks.push(Claim::new(
         "replication f=0 orphan count",
         None,
@@ -422,7 +422,7 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Claim> {
     ));
     let repl_bytes = |f: u64| -> f64 {
         repl.iter()
-            .filter(|o| o.factor == f)
+            .filter(|o| o.factor() == f)
             .map(|o| o.replicate_bytes)
             .sum::<u64>() as f64
     };
@@ -448,7 +448,7 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Claim> {
     // topology-aware policy never routes longer than the topology-blind
     // one, (d) the fault-latency tail is sane, and (e) a rerun of a cell
     // is byte-identical.
-    let fleet = crate::fleet::fleet_outcomes_for(crate::fleet::gate_cells(), &matrix.pool());
+    let fleet = crate::fleet::STUDY.run(workloads, &matrix.pool(), crate::fleet::gate_cells());
     checks.push(Claim::new(
         "fleet storm survival % (no orphans)",
         None,
@@ -521,8 +521,11 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Claim> {
     // monotonically past the knee, (d) batching+coalescing lifting
     // saturated throughput by the advertised margin, and (e) coalescing
     // actually firing (and shedding bytes) on the relayed hot set.
-    let sat =
-        crate::saturation::saturation_outcomes_for(crate::saturation::gate_cells(), &matrix.pool());
+    let sat = crate::saturation::STUDY.run(
+        workloads,
+        &matrix.pool(),
+        crate::saturation::gate_cells(),
+    );
     let sat_cell = |label: &str, optimized: bool| {
         sat.iter()
             .find(|o| o.spec.optimized == optimized && o.spec.label() == label)

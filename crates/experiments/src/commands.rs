@@ -13,6 +13,7 @@ use cor_trace::Profile;
 use cor_workloads::Workload;
 
 use crate::runner::{matrix_csv, Matrix};
+use crate::study::Study;
 use crate::trace::{journal_level_from_env, traced_trial, write_trace_out, TracedTrial};
 use crate::{
     check, figures, fleet, latency, loss, replication, saturation, summary, survivability, tables,
@@ -154,23 +155,23 @@ pub static COMMANDS: &[Command] = &[
     cmd("modern", "the tradeoff under 2020s cost constants (ours)", Gate::All,
         |c| line(summary::modern_study(&c.workloads, &c.pool))),
     cmd("loss-sweep", "completion time vs wire drop rate (ours)", Gate::All,
-        |c| line(loss::loss_sweep(&c.workloads, &c.pool))),
+        |c| study(&loss::STUDY, c, false)),
     cmd("survivability", "crash time x strategy x drain rate sweep (ours)", Gate::All,
-        |c| line(survivability::survivability(&c.workloads, &c.pool))),
+        |c| study(&survivability::STUDY, c, false)),
     cmd("replication", "replication factor x crash delay x strategy sweep (ours)", Gate::All,
-        |c| line(replication::replication(&c.workloads, &c.pool))),
+        |c| study(&replication::STUDY, c, false)),
     cmd(FLEET, "migration storms on routed N-node fabrics (ours)", Gate::All,
-        |c| line(fleet::fleet(&c.pool))),
+        |c| study(&fleet::STUDY, c, false)),
     cmd("saturation", "remote-fault service under offered load (ours)", Gate::All,
-        |c| line(saturation::saturation(&c.pool))),
+        |c| study(&saturation::STUDY, c, false)),
     cmd("survivability-csv", "the survivability sweep as CSV", file("results/survivability.csv"),
-        |c| Ok(survivability::survivability_csv(&c.workloads, &c.pool))),
+        |c| study(&survivability::STUDY, c, true)),
     cmd("replication-csv", "the replication sweep as CSV", file("results/replication.csv"),
-        |c| Ok(replication::replication_csv(&c.workloads, &c.pool))),
+        |c| study(&replication::STUDY, c, true)),
     cmd("fleet-csv", "the storm sweep as CSV", file("results/fleet.csv"),
-        |c| Ok(fleet::fleet_csv(&c.pool))),
+        |c| study(&fleet::STUDY, c, true)),
     cmd("saturation-csv", "the saturation sweep as CSV", file("results/saturation.csv"),
-        |c| Ok(saturation::saturation_csv(&c.pool))),
+        |c| study(&saturation::STUDY, c, true)),
     cmd("csv", "the full paper matrix as CSV", file("results/matrix.csv"),
         |c| line(matrix_csv(&mut c.matrix, &c.workloads))),
     cmd("latency", "the virtual-time latency baseline", file("LATENCY_baseline.json"),
@@ -195,6 +196,16 @@ pub static COMMANDS: &[Command] = &[
 /// A section printed as `println!` would: one newline after the text.
 fn line(text: String) -> Result<String, Failure> {
     Ok(text + "\n")
+}
+
+/// One study's text table, as a section of `all`, or its CSV.
+fn study<C, O>(s: &Study<C, O>, c: &Ctx, csv: bool) -> Result<String, Failure> {
+    let outcomes = s.outcomes(&c.workloads, &c.pool);
+    if csv {
+        Ok(s.csv(&outcomes))
+    } else {
+        line(s.table(&c.workloads, &outcomes))
+    }
 }
 
 fn trace(c: &mut Ctx) -> Result<String, Failure> {

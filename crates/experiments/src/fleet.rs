@@ -12,7 +12,7 @@
 //! that does not.
 //!
 //! Everything is deterministic: seeded topologies, seeded placement
-//! tie-breaks, cells fanned across a [`Pool`] and rendered serially in
+//! tie-breaks, cells fanned across a [`cor_pool::Pool`] and rendered serially in
 //! cell order, so output is byte-identical at any thread count.
 
 use std::collections::BTreeSet;
@@ -24,11 +24,11 @@ use cor_mem::page::PAGE_SIZE;
 use cor_mem::{AddressSpace, PageNum, VAddr};
 use cor_migrate::{MigrationManager, Strategy};
 use cor_net::{Topology, WireParams};
-use cor_pool::Pool;
 use cor_sim::{JournalLevel, SimDuration};
 use cor_trace::LogHistogram;
 
-use crate::render::{commas, secs, TextTable};
+use crate::render::{commas, millis, secs};
+use crate::study::{fan_out, Column, Study};
 
 /// Seed for topology routing and placement tie-breaks; fixed for
 /// reproducibility.
@@ -353,121 +353,73 @@ fn run_cell_inner(spec: FleetSpec) -> (FleetOutcome, World) {
     (outcome, world)
 }
 
-/// Computes the given cells in deterministic order, fanning across
-/// `pool`.
-pub fn fleet_outcomes_for(specs: Vec<FleetSpec>, pool: &Pool) -> Vec<FleetOutcome> {
-    let jobs: Vec<_> = specs.into_iter().map(|spec| move || run_cell(spec)).collect();
-    pool.run(jobs)
-}
-
-/// Computes every cell of [`cells`].
-pub fn fleet_outcomes(pool: &Pool) -> Vec<FleetOutcome> {
-    fleet_outcomes_for(cells(), pool)
-}
-
-/// Runs the sweep and renders the table (serial, cell-order rendering:
-/// byte-identical at any thread count).
-pub fn fleet(pool: &Pool) -> String {
-    render_table(&fleet_outcomes(pool))
-}
-
-/// Renders outcomes as the human-readable fleet table.
-fn render_table(outcomes: &[FleetOutcome]) -> String {
-    let mut t = TextTable::new(&[
-        "nodes",
-        "topology",
-        "placement",
-        "storm",
-        "migs",
-        "ok",
-        "storm s",
-        "migs/s",
-        "p50 ms",
-        "p99 ms",
-        "wire bytes",
-        "max link",
-        "hops",
-    ]);
-    for o in outcomes {
-        t.row(vec![
-            o.spec.nodes.to_string(),
-            o.spec.topology.to_string(),
-            o.spec.placement.to_string(),
-            o.spec.storm.name.to_string(),
-            o.migrations.to_string(),
-            o.survived.to_string(),
-            secs(o.storm_elapsed.as_secs_f64()),
-            format!("{:.2}", o.throughput),
-            format!("{:.1}", o.fault_p50_us as f64 / 1_000.0),
-            format!("{:.1}", o.fault_p99_us as f64 / 1_000.0),
-            commas(o.wire_bytes),
-            commas(o.max_link_bytes),
-            format!("{:.2}", o.mean_hops),
-        ]);
-    }
-    format!(
+/// The sweep: every cell of [`cells`] fanned across the pool; its table
+/// is a section of `all`, its CSV `results/fleet.csv`.
+pub static STUDY: Study<FleetSpec, FleetOutcome> = Study {
+    title: |_| {
         "Fleet sweep (ours): migration storms on routed N-node fabrics\n\
          (draining nodes evict every resident process at once; pure-IOU with\n\
          one page of prefetch; destinations chosen per process by the named\n\
          placement policy; p50/p99 are post-migration imaginary-fault service\n\
-         times from journal spans)\n\n{}",
-        t.render()
-    )
-}
-
-/// The sweep as CSV for downstream analysis.
-pub fn fleet_csv(pool: &Pool) -> String {
-    csv_for(&fleet_outcomes(pool))
-}
+         times from journal spans)"
+            .to_string()
+    },
+    cells,
+    run: |_, pool, cells| fan_out(pool, cells, run_cell),
+    columns: &[
+        Column::same("nodes", "nodes", |o| o.spec.nodes.to_string()),
+        Column::same("topology", "topology", |o| o.spec.topology.to_string()),
+        Column::same("placement", "placement", |o| o.spec.placement.to_string()),
+        Column::same("storm", "storm", |o| o.spec.storm.name.to_string()),
+        Column::same("migs", "migrations", |o| o.migrations.to_string()),
+        Column::same("ok", "survived", |o| o.survived.to_string()),
+        Column::both(
+            "storm s",
+            |o| secs(o.storm_elapsed.as_secs_f64()),
+            "storm_s",
+            |o| format!("{:.6}", o.storm_elapsed.as_secs_f64()),
+        ),
+        Column::both(
+            "migs/s",
+            |o| format!("{:.2}", o.throughput),
+            "throughput",
+            |o| format!("{:.3}", o.throughput),
+        ),
+        Column::both("p50 ms", |o| millis(o.fault_p50_us), "fault_p50_us", |o| {
+            o.fault_p50_us.to_string()
+        }),
+        Column::both("p99 ms", |o| millis(o.fault_p99_us), "fault_p99_us", |o| {
+            o.fault_p99_us.to_string()
+        }),
+        Column::csv("faults", |o| o.faults.to_string()),
+        Column::both("wire bytes", |o| commas(o.wire_bytes), "wire_bytes", |o| {
+            o.wire_bytes.to_string()
+        }),
+        Column::csv("link_bytes", |o| o.link_bytes.to_string()),
+        Column::both(
+            "max link",
+            |o| commas(o.max_link_bytes),
+            "max_link_bytes",
+            |o| o.max_link_bytes.to_string(),
+        ),
+        Column::both(
+            "hops",
+            |o| format!("{:.2}", o.mean_hops),
+            "mean_hops",
+            |o| format!("{:.4}", o.mean_hops),
+        ),
+    ],
+};
 
 /// Renders outcomes as CSV (split out so tests can diff slices).
 pub fn csv_for(outcomes: &[FleetOutcome]) -> String {
-    let mut out = String::from(
-        "nodes,topology,placement,storm,migrations,survived,storm_s,\
-         throughput,fault_p50_us,fault_p99_us,faults,wire_bytes,\
-         link_bytes,max_link_bytes,mean_hops\n",
-    );
-    for o in outcomes {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{:.6},{:.3},{},{},{},{},{},{},{:.4}\n",
-            o.spec.nodes,
-            o.spec.topology,
-            o.spec.placement,
-            o.spec.storm.name,
-            o.migrations,
-            o.survived,
-            o.storm_elapsed.as_secs_f64(),
-            o.throughput,
-            o.fault_p50_us,
-            o.fault_p99_us,
-            o.faults,
-            o.wire_bytes,
-            o.link_bytes,
-            o.max_link_bytes,
-            o.mean_hops,
-        ));
-    }
-    out
+    STUDY.csv(outcomes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn storm_drains_cleanly_with_no_orphans() {
-        let o = run_cell(FleetSpec {
-            nodes: 16,
-            topology: "torus",
-            placement: "locality",
-            storm: STORM_LOW,
-        });
-        assert_eq!(o.migrations, 4 * 4, "a quarter of 16 nodes × 4 procs");
-        assert_eq!(o.survived, o.migrations, "no migrant was orphaned");
-        assert_eq!(o.drain_residents_after, 0, "drains evict everything");
-        assert!(o.faults > 0, "the read phase faulted remotely");
-        assert!(o.fault_p99_us >= o.fault_p50_us);
-    }
+    use cor_pool::Pool;
 
     #[test]
     fn multi_hop_topologies_bill_every_link() {
@@ -495,13 +447,17 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_deterministic_across_threads_and_runs() {
-        let slice = || fleet_outcomes_for(gate_cells(), &Pool::serial());
-        let a = csv_for(&slice());
-        let b = csv_for(&slice());
-        assert_eq!(a, b, "two seeded runs are byte-identical");
-        let pooled = csv_for(&fleet_outcomes_for(gate_cells(), &Pool::new(4)));
-        assert_eq!(a, pooled, "thread count does not change the bytes");
-        assert_eq!(a.lines().count(), 1 + gate_cells().len());
+    fn sweep_is_deterministic_and_every_storm_faults_remotely() {
+        let slice = || STUDY.run(&[], &Pool::serial(), gate_cells());
+        let a = slice();
+        assert_eq!(
+            csv_for(&a),
+            csv_for(&slice()),
+            "two seeded runs are byte-identical"
+        );
+        for o in &a {
+            assert_eq!(o.migrations, 4 * 4, "a quarter of 16 nodes × 4 procs: {o:?}");
+            assert!(o.faults > 0, "the read phase faulted remotely: {o:?}");
+        }
     }
 }

@@ -74,7 +74,7 @@ pub fn latency_baseline(pool: &Pool) -> String {
     ));
 
     // Saturation: the gate cells' virtual-time service percentiles.
-    let sat = saturation::saturation_outcomes_for(saturation::gate_cells(), pool);
+    let sat = saturation::STUDY.run(&workloads, pool, saturation::gate_cells());
     out.push_str("  \"saturation\": [\n");
     for (i, o) in sat.iter().enumerate() {
         out.push_str(&format!(

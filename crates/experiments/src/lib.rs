@@ -8,6 +8,11 @@
 //! Which function regenerates which paper artifact, under which
 //! subcommand, and what pins its output is one table:
 //! [`commands::COMMANDS`].
+//!
+//! Each "ours" study — `survivability`, `replication`, `fleet`,
+//! `saturation`, `loss` — is one [`study::Study`]: its cells, how they
+//! run, and one column list that renders both its text table and its
+//! CSV. The two crash sweeps share one crash cell (`twin.rs`).
 
 pub mod check;
 pub mod commands;
@@ -19,6 +24,7 @@ pub mod render;
 pub mod replication;
 pub mod runner;
 pub mod saturation;
+pub mod study;
 pub mod summary;
 pub mod survivability;
 pub mod tables;

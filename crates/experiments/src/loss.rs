@@ -10,13 +10,15 @@
 //! trips, each individually cheap to retry but each stalling the process
 //! on its critical path.
 
+use cor_kernel::CostModel;
 use cor_migrate::Strategy;
 use cor_net::{FaultPlan, WireParams};
 use cor_pool::Pool;
 use cor_workloads::Workload;
 
-use crate::render::{commas, secs, TextTable};
-use crate::runner::run_trial_on;
+use crate::render::{commas, secs};
+use crate::runner::{run_trial_on, Trial};
+use crate::study::{fan_out, representative, Column, Study};
 
 /// The studied per-attempt drop rates, in percent.
 pub const DROP_RATES_PCT: [u32; 6] = [0, 2, 5, 10, 15, 20];
@@ -25,72 +27,63 @@ pub const DROP_RATES_PCT: [u32; 6] = [0, 2, 5, 10, 15, 20];
 /// reproducible run to run.
 const SWEEP_SEED: u64 = 0x10E5;
 
-/// Runs the sweep over `workloads` (the first entry named `Minprog`, or
-/// the first workload) and renders the table. Every `(rate, strategy)`
-/// cell is an independent seeded simulation, so the cells fan out across
-/// `pool`; rows are emitted serially in sweep order, making the table
-/// byte-identical at any thread count.
-///
-/// # Panics
-///
-/// Panics if `workloads` is empty or a trial fails internally.
-pub fn loss_sweep(workloads: &[Workload], pool: &Pool) -> String {
-    let w = workloads
+/// One cell: drop rate in percent, strategy.
+type Cell = (u32, Strategy);
+
+/// The sweep's cells in table order.
+fn cells() -> Vec<Cell> {
+    DROP_RATES_PCT
         .iter()
-        .find(|w| w.name() == "Minprog")
-        .unwrap_or(&workloads[0]);
-    let image = &w.image().expect("workload build");
-    let mut t = TextTable::new(&[
-        "drop%",
-        "strategy",
-        "end-to-end s",
-        "retransmits",
-        "retx bytes",
-        "stall s",
-        "dup drops",
-    ]);
-    let cells: Vec<(u32, Strategy)> = DROP_RATES_PCT
-        .iter()
-        .flat_map(|&pct| {
-            [Strategy::PureCopy, Strategy::PureIou { prefetch: 1 }].map(|s| (pct, s))
-        })
-        .collect();
-    let jobs: Vec<_> = cells
-        .iter()
-        .map(|&(pct, strategy)| {
-            move || {
-                let mut wire = WireParams::default();
-                if pct > 0 {
-                    wire.faults = Some(FaultPlan::dropping(
-                        SWEEP_SEED + pct as u64,
-                        pct as f64 / 100.0,
-                    ));
-                }
-                run_trial_on(image, strategy, cor_kernel::CostModel::default(), wire)
-            }
-        })
-        .collect();
-    let trials = pool.run(jobs);
-    for ((pct, strategy), trial) in cells.iter().zip(&trials) {
-        t.row(vec![
-            format!("{pct}"),
-            strategy.family().to_string(),
-            secs(trial.end_to_end().as_secs_f64()),
-            trial.reliability.retransmissions.get().to_string(),
-            commas(trial.retransmit_bytes),
-            secs(trial.reliability.stall_time.as_secs_f64()),
-            trial.reliability.duplicate_drops.get().to_string(),
-        ]);
-    }
-    format!(
-        "Loss sweep (ours): {} completion vs per-attempt drop rate\n\
-         (seeded deterministic injection; retry budget {}, base timeout {:?})\n\n{}",
-        w.name(),
-        WireParams::default().retry_budget,
-        WireParams::default().retry_timeout,
-        t.render()
-    )
+        .flat_map(|&pct| [Strategy::PureCopy, Strategy::PureIou { prefetch: 1 }].map(|s| (pct, s)))
+        .collect()
 }
+
+/// Each cell is an independent seeded trial on a fork of one image of
+/// the representative workload.
+fn run(workloads: &[Workload], pool: &Pool, cells: Vec<Cell>) -> Vec<(Cell, Trial)> {
+    let image = &representative(workloads).image().expect("workload build");
+    fan_out(pool, cells, |(pct, strategy)| {
+        let mut wire = WireParams::default();
+        if pct > 0 {
+            wire.faults = Some(FaultPlan::dropping(
+                SWEEP_SEED + pct as u64,
+                pct as f64 / 100.0,
+            ));
+        }
+        let trial = run_trial_on(image, strategy, CostModel::default(), wire);
+        ((pct, strategy), trial)
+    })
+}
+
+/// The sweep: its table is a section of `all`; it has no CSV.
+pub static STUDY: Study<Cell, (Cell, Trial)> = Study {
+    title: |w| {
+        format!(
+            "Loss sweep (ours): {} completion vs per-attempt drop rate\n\
+             (seeded deterministic injection; retry budget {}, base timeout {:?})",
+            representative(w).name(),
+            WireParams::default().retry_budget,
+            WireParams::default().retry_timeout,
+        )
+    },
+    cells,
+    run,
+    columns: &[
+        Column::text("drop%", |((pct, _), _)| pct.to_string()),
+        Column::text("strategy", |((_, s), _)| s.family().to_string()),
+        Column::text("end-to-end s", |(_, t)| secs(t.end_to_end().as_secs_f64())),
+        Column::text("retransmits", |(_, t)| {
+            t.reliability.retransmissions.get().to_string()
+        }),
+        Column::text("retx bytes", |(_, t)| commas(t.retransmit_bytes)),
+        Column::text("stall s", |(_, t)| {
+            secs(t.reliability.stall_time.as_secs_f64())
+        }),
+        Column::text("dup drops", |(_, t)| {
+            t.reliability.duplicate_drops.get().to_string()
+        }),
+    ],
+};
 
 #[cfg(test)]
 mod tests {
@@ -99,23 +92,14 @@ mod tests {
 
     #[test]
     fn loss_sweep_renders_and_is_deterministic() {
-        let workloads = vec![cor_workloads::minprog::workload()];
-        let serial = Pool::serial();
-        let once = loss_sweep(&workloads, &serial);
+        let workloads = [cor_workloads::minprog::workload()];
+        let table = || STUDY.table(&workloads, &STUDY.outcomes(&workloads, &Pool::serial()));
+        let once = table();
         assert!(once.contains("drop%"));
         // One row per (rate x strategy) plus header and rule.
         let rows = once.lines().filter(|l| l.contains("pure-")).count();
         assert_eq!(rows, DROP_RATES_PCT.len() * 2);
-        assert_eq!(
-            once,
-            loss_sweep(&workloads, &serial),
-            "sweep is reproducible"
-        );
-        assert_eq!(
-            once,
-            loss_sweep(&workloads, &Pool::new(4)),
-            "pooled sweep is byte-identical to serial"
-        );
+        assert_eq!(once, table(), "sweep is reproducible");
     }
 
     #[test]

@@ -25,6 +25,11 @@ pub fn secs(s: f64) -> String {
     }
 }
 
+/// Formats microseconds as milliseconds to one decimal.
+pub fn millis(us: u64) -> String {
+    format!("{:.1}", us as f64 / 1_000.0)
+}
+
 /// A simple fixed-width text table.
 pub struct TextTable {
     header: Vec<String>,

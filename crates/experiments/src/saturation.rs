@@ -24,7 +24,7 @@
 //!   relay's pending-interest table under [`WireParams::coalesce`].
 //!
 //! Everything is deterministic: fixed seeds, cells fanned across a
-//! [`Pool`] and rendered serially in cell order, byte-identical at any
+//! [`cor_pool::Pool`] and rendered serially in cell order, byte-identical at any
 //! thread count.
 
 use cor_ipc::message::{Message, MsgItem, MsgKind};
@@ -35,11 +35,11 @@ use cor_kernel::{CostModel, World};
 use cor_mem::page::{frame_pool, page_from_bytes, Frame};
 use cor_mem::space::SegmentId;
 use cor_net::WireParams;
-use cor_pool::Pool;
 use cor_sim::{Pcg32, SimDuration, SimTime};
 use cor_trace::LogHistogram;
 
-use crate::render::{commas, TextTable};
+use crate::render::{commas, millis};
+use crate::study::{fan_out, Column, Study};
 
 /// Seed for the hot-set page choice; fixed for reproducibility.
 pub const SAT_SEED: u64 = 0x5A7;
@@ -395,92 +395,59 @@ pub fn run_cell(spec: SatSpec) -> SatOutcome {
     }
 }
 
-/// Computes the given cells in deterministic order, fanning across
-/// `pool`.
-pub fn saturation_outcomes_for(specs: Vec<SatSpec>, pool: &Pool) -> Vec<SatOutcome> {
-    let jobs: Vec<_> = specs.into_iter().map(|spec| move || run_cell(spec)).collect();
-    pool.run(jobs)
-}
-
-/// Computes every cell of [`cells`].
-pub fn saturation_outcomes(pool: &Pool) -> Vec<SatOutcome> {
-    saturation_outcomes_for(cells(), pool)
-}
-
-/// Runs the sweep and renders the table (serial, cell-order rendering:
-/// byte-identical at any thread count).
-pub fn saturation(pool: &Pool) -> String {
-    let outcomes = saturation_outcomes(pool);
-    let mut t = TextTable::new(&[
-        "cell",
-        "opt",
-        "offered/s",
-        "achieved/s",
-        "p50 ms",
-        "p95 ms",
-        "p99 ms",
-        "batches",
-        "coalesced",
-        "wire bytes",
-    ]);
-    for o in &outcomes {
-        t.row(vec![
-            o.spec.label(),
-            if o.spec.optimized { "yes" } else { "no" }.to_string(),
-            format!("{:.2}", o.offered_fps),
-            format!("{:.2}", o.achieved_fps),
-            format!("{:.1}", o.p50_us as f64 / 1_000.0),
-            format!("{:.1}", o.p95_us as f64 / 1_000.0),
-            format!("{:.1}", o.p99_us as f64 / 1_000.0),
-            o.batched_replies.to_string(),
-            o.coalesced.to_string(),
-            commas(o.wire_bytes),
-        ]);
-    }
-    format!(
+/// The sweep: every cell of [`cells`] fanned across the pool; its table
+/// is a section of `all`, its CSV `results/saturation.csv`.
+pub static STUDY: Study<SatSpec, SatOutcome> = Study {
+    title: |_| {
         "Saturation study (ours): remote COR fault service under load\n\
          (closed loop = one fault in flight, the paper's §4.3.3 shape; open\n\
          loop = fixed arrival rate on the virtual clock; `opt` runs batched\n\
          multi-page replies + in-flight coalescing + coarse stats, all\n\
-         default-off knobs that leave the paper tables byte-identical)\n\n{}",
-        t.render()
-    )
-}
-
-/// The sweep as CSV for downstream analysis.
-pub fn saturation_csv(pool: &Pool) -> String {
-    csv_for(&saturation_outcomes(pool))
-}
+         default-off knobs that leave the paper tables byte-identical)"
+            .to_string()
+    },
+    cells,
+    run: |_, pool, cells| fan_out(pool, cells, run_cell),
+    columns: &[
+        Column::same("cell", "cell", |o| o.spec.label()),
+        Column::csv("mode", |o| o.spec.mode.to_string()),
+        Column::csv("pattern", |o| o.spec.pattern.to_string()),
+        Column::csv("relay", |o| o.spec.relay.to_string()),
+        Column::both(
+            "opt",
+            |o| if o.spec.optimized { "yes" } else { "no" }.to_string(),
+            "optimized",
+            |o| o.spec.optimized.to_string(),
+        ),
+        Column::csv("requests", |o| o.spec.requests.to_string()),
+        Column::csv("served", |o| o.served.to_string()),
+        Column::both(
+            "offered/s",
+            |o| format!("{:.2}", o.offered_fps),
+            "offered_fps",
+            |o| format!("{:.3}", o.offered_fps),
+        ),
+        Column::both(
+            "achieved/s",
+            |o| format!("{:.2}", o.achieved_fps),
+            "achieved_fps",
+            |o| format!("{:.3}", o.achieved_fps),
+        ),
+        Column::both("p50 ms", |o| millis(o.p50_us), "p50_us", |o| o.p50_us.to_string()),
+        Column::both("p95 ms", |o| millis(o.p95_us), "p95_us", |o| o.p95_us.to_string()),
+        Column::both("p99 ms", |o| millis(o.p99_us), "p99_us", |o| o.p99_us.to_string()),
+        Column::same("batches", "batched_replies", |o| o.batched_replies.to_string()),
+        Column::csv("batched_pages", |o| o.batched_pages.to_string()),
+        Column::same("coalesced", "coalesced", |o| o.coalesced.to_string()),
+        Column::both("wire bytes", |o| commas(o.wire_bytes), "wire_bytes", |o| {
+            o.wire_bytes.to_string()
+        }),
+    ],
+};
 
 /// Renders outcomes as CSV (split out so tests can diff slices).
 pub fn csv_for(outcomes: &[SatOutcome]) -> String {
-    let mut out = String::from(
-        "cell,mode,pattern,relay,optimized,requests,served,offered_fps,\
-         achieved_fps,p50_us,p95_us,p99_us,batched_replies,batched_pages,\
-         coalesced,wire_bytes\n",
-    );
-    for o in outcomes {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{:.3},{:.3},{},{},{},{},{},{},{}\n",
-            o.spec.label(),
-            o.spec.mode,
-            o.spec.pattern,
-            o.spec.relay,
-            o.spec.optimized,
-            o.spec.requests,
-            o.served,
-            o.offered_fps,
-            o.achieved_fps,
-            o.p50_us,
-            o.p95_us,
-            o.p99_us,
-            o.batched_replies,
-            o.batched_pages,
-            o.coalesced,
-            o.wire_bytes,
-        ));
-    }
-    out
+    STUDY.csv(outcomes)
 }
 
 #[cfg(test)]
@@ -547,13 +514,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_deterministic_across_threads_and_runs() {
-        let slice = || saturation_outcomes_for(gate_cells(), &Pool::serial());
-        let a = csv_for(&slice());
-        let b = csv_for(&slice());
-        assert_eq!(a, b, "two seeded runs are byte-identical");
-        let pooled = csv_for(&saturation_outcomes_for(gate_cells(), &Pool::new(4)));
-        assert_eq!(a, pooled, "thread count does not change the bytes");
+    fn sweep_is_deterministic_across_runs() {
+        let slice = || csv_for(&STUDY.run(&[], &cor_pool::Pool::serial(), gate_cells()));
+        let a = slice();
+        assert_eq!(a, slice(), "two seeded runs are byte-identical");
         assert_eq!(a.lines().count(), 1 + gate_cells().len());
     }
 }

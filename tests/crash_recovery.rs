@@ -13,8 +13,8 @@
 //! 2. **Drain immunity.** Fully flush-draining the dependency set before
 //!    the crash always lands in the first outcome: the bytes match.
 //! 3. **Determinism.** Identical crash plans journal identical event
-//!    sequences, rerun after rerun; the survivability sweep's CSV is
-//!    byte-identical at any worker-thread count.
+//!    sequences, rerun after rerun; the survivability sweep's table and
+//!    CSV are byte-identical at any worker-thread count.
 //! 4. **Drain-scan oracle.** [`World::drain_round`] resumes its owed-page
 //!    walk at a per-process cursor. After every foreground slice and
 //!    every drain round — under any strategy, drain mode, rate,
@@ -408,12 +408,16 @@ fn identical_crash_plans_journal_identical_runs() {
 
 #[test]
 fn survivability_csv_is_identical_at_any_thread_count() {
-    use cor_experiments::survivability::survivability_csv;
+    use cor_experiments::survivability::STUDY;
     use cor_pool::Pool;
 
     let workloads = vec![cor::workloads::minprog::workload()];
-    let serial = survivability_csv(&workloads, &Pool::serial());
-    assert_eq!(serial, survivability_csv(&workloads, &Pool::new(3)));
-    assert_eq!(serial, survivability_csv(&workloads, &Pool::new(8)));
-    assert!(serial.lines().count() > 1);
+    let render = |pool: &Pool| {
+        let outcomes = STUDY.outcomes(&workloads, pool);
+        (STUDY.table(&workloads, &outcomes), STUDY.csv(&outcomes))
+    };
+    let serial = render(&Pool::serial());
+    assert_eq!(serial, render(&Pool::new(3)));
+    assert_eq!(serial, render(&Pool::new(8)));
+    assert!(serial.1.lines().count() > 1);
 }

@@ -11,8 +11,9 @@ use cor::kernel::World;
 use cor::mem::{AddressSpace, PageNum, VAddr, PAGE_SIZE};
 use cor::migrate::{MigrationManager, Strategy};
 use cor::net::FaultPlan;
-use cor_experiments::loss;
 use cor_experiments::runner::{matrix_csv, Matrix};
+use cor_experiments::study::Study;
+use cor_experiments::{fleet, loss, replication, saturation};
 use cor_pool::Pool;
 
 #[test]
@@ -25,18 +26,43 @@ fn matrix_csv_is_byte_identical_across_thread_counts() {
     }
 }
 
-#[test]
-fn loss_sweep_is_byte_identical_across_thread_counts() {
-    let workloads = vec![cor_workloads::minprog::workload()];
-    let serial = loss::loss_sweep(&workloads, &Pool::serial());
-    for threads in [2, 4] {
-        let pooled = loss_sweep_at(&workloads, threads);
-        assert_eq!(serial, pooled, "loss sweep diverged at {threads} threads");
+/// One study's text table and CSV over `cells` on Minprog, serially and at
+/// each of `threads`.
+fn assert_same_across_threads<C: Clone, O>(
+    name: &str,
+    study: &Study<C, O>,
+    cells: Vec<C>,
+    threads: &[usize],
+) {
+    let workloads = [cor_workloads::minprog::workload()];
+    let render = |pool: &Pool| {
+        let outcomes = study.run(&workloads, pool, cells.clone());
+        (study.table(&workloads, &outcomes), study.csv(&outcomes))
+    };
+    let serial = render(&Pool::serial());
+    assert!(serial.1.lines().count() > 1, "{name} rendered no CSV rows");
+    for &n in threads {
+        assert_eq!(serial, render(&Pool::new(n)), "{name} diverged at {n} threads");
     }
 }
 
-fn loss_sweep_at(workloads: &[cor_workloads::Workload], threads: usize) -> String {
-    loss::loss_sweep(workloads, &Pool::new(threads))
+#[test]
+fn loss_sweep_is_byte_identical_across_thread_counts() {
+    let loss = &loss::STUDY;
+    assert_same_across_threads("loss-sweep", loss, loss.cells(), &[2, 4]);
+}
+
+/// The other "ours" studies render their table and CSV byte-identically at
+/// 1 and 4 threads: the replication sweep over Minprog in full, the fleet
+/// and saturation sweeps over their gate cells. (The survivability sweep's
+/// own check lives in `crash_recovery.rs`.) This file's four tests
+/// together take about 2.6 s in a debug build.
+#[test]
+fn other_studies_are_byte_identical_at_one_and_four_threads() {
+    let repl = &replication::STUDY;
+    assert_same_across_threads("replication", repl, repl.cells(), &[4]);
+    assert_same_across_threads("fleet", &fleet::STUDY, fleet::gate_cells(), &[4]);
+    assert_same_across_threads("saturation", &saturation::STUDY, saturation::gate_cells(), &[4]);
 }
 
 /// One seeded chaos migration: build a process, migrate it over a lossy
