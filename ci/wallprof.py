@@ -2,6 +2,9 @@
 """Symbolize a ci/wallprof.c capture: self and inclusive shares, callers-of.
 
     python3 ci/wallprof.py PROF_OUT [--top N] [--callers SUBSTRING]
+
+--top 0 prints every row. The header gives the share of one-frame stacks
+per image: samples whose walk stopped inside code without frame pointers.
 """
 import argparse, bisect, collections, os, subprocess
 
@@ -33,12 +36,14 @@ class Images:
                 self.spans.append((lo, hi, f[5], base[f[5]]))
         self.exe = os.path.realpath(self.spans[0][2]) if self.spans else ""
 
+    def span(self, pc):
+        """The (lo, hi, path, base) mapping holding `pc`, or None."""
+        return next((s for s in self.spans if s[0] <= pc < s[1]), None)
+
     def name(self, pc):
-        for lo, hi, path, base in self.spans:
-            if lo <= pc < hi:
-                break
-        else:
+        if not (span := self.span(pc)):
             return "[unmapped]"
+        _, _, path, base = span
         if path not in self.tables:
             with open(path, "rb") as elf:  # ET_EXEC is linked at absolute addresses
                 absolute = elf.read(18)[16] == 2
@@ -56,7 +61,7 @@ class Images:
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("capture")
-    ap.add_argument("--top", type=int, default=20)
+    ap.add_argument("--top", type=int, default=20, help="rows per table; 0 prints every row")
     ap.add_argument("--callers", help="show who calls the symbols containing this")
     args = ap.parse_args()
     lines = open(args.capture).read().splitlines()
@@ -75,10 +80,22 @@ def main():
             if hits:
                 callers[names[hits[-1] + 1] if hits[-1] + 1 < len(names) else "[root]"] += 1
     total = len(stacks) or 1
+    # A one-frame stack is a walk that stopped at once: code built without
+    # frame pointers (glibc), where the sample names no caller and its
+    # symbol is only the nearest export. Say how much of the capture that
+    # is, per image, before any table.
+    single = collections.Counter()
+    for stack in stacks:
+        if len(stack) == 1:
+            span = images.span(int(stack[0], 16))
+            single[os.path.basename(span[2]) if span else "[unmapped]"] += 1
+    parts = ", ".join(f"{img} {100 * n / total:.1f} %" for img, n in single.most_common())
+    print(f"{len(stacks)} samples; one-frame stacks {100 * sum(single.values()) / total:.1f} %"
+          + (f" ({parts})" if parts else ""))
     for title, counts in (("self", self_), ("inclusive", incl), (f"callers of *{args.callers}*", callers)):
         if counts:
             print(f"\n{title} ({len(stacks)} samples)")
-            for name, n in counts.most_common(args.top):
+            for name, n in counts.most_common(args.top or None):
                 print(f"  {100 * n / total:6.2f} %  {n:>8}  {name[:110]}")
 
 

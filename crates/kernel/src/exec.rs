@@ -5,6 +5,7 @@
 //! compute time, and feeds memory touches to the pager.
 
 use cor_ipc::NodeId;
+use cor_mem::page::page_hash;
 use cor_mem::space::SegmentId;
 use cor_mem::{PageNum, PageState};
 use cor_sim::IdMap;
@@ -168,34 +169,37 @@ impl World {
     }
 
     /// A deterministic digest of the contents of every page `pid` has
-    /// touched (in page order). Two runs of the same program — migrated or
-    /// not, under any strategy — must agree.
+    /// touched. Two runs of the same program — migrated or not, under any
+    /// strategy — must agree.
+    ///
+    /// Folds, in page order, each touched page's number and the word-wise
+    /// [`page_hash`] of its bytes as they are now. Every byte is read on
+    /// every call, never the memoised
+    /// [`Frame::content_hash`](cor_mem::Frame::content_hash): the oracle
+    /// must not rely on the memo invalidation it exists to check. A
+    /// host-side peek: an on-disk page counts no simulated disk read. Only
+    /// equality of two digests means anything; the value appears in no
+    /// output.
     ///
     /// # Errors
     ///
     /// Unknown node/process, or internal state errors for touched pages
     /// that have no data.
-    pub fn touched_checksum(&mut self, node: NodeId, pid: ProcessId) -> Result<u64, KernelError> {
-        let mut pages: Vec<PageNum> = {
-            let process = self.process(node, pid)?;
-            process.stats.touched.iter().copied().collect()
-        };
+    pub fn touched_checksum(&self, node: NodeId, pid: ProcessId) -> Result<u64, KernelError> {
+        let process = self.process(node, pid)?;
+        let disk = &self.node(node)?.disk;
+        let mut pages: Vec<PageNum> = process.stats.touched.iter().copied().collect();
         pages.sort_unstable();
         let mut digest: u64 = 0xcbf29ce484222325;
         for page in pages {
-            let (process, disk) = self.node_mut(node)?.process_and_disk(pid)?;
             let frame = process
                 .space
                 .peek_frame(page, disk)
                 .ok_or(KernelError::Mem(cor_mem::MemError::NotResident(page)))?;
-            digest ^= page.0;
-            digest = digest.wrapping_mul(0x100000001b3);
-            frame.with(|data| {
-                for &b in data.iter() {
-                    digest ^= b as u64;
-                    digest = digest.wrapping_mul(0x100000001b3);
-                }
-            });
+            for word in [page.0, frame.with(page_hash)] {
+                digest ^= word;
+                digest = digest.wrapping_mul(0x100000001b3);
+            }
         }
         Ok(digest)
     }

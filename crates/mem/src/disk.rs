@@ -99,19 +99,14 @@ impl Disk {
 
     /// Reads a block, returning a copy of its contents.
     pub fn read(&mut self, addr: DiskAddr) -> Option<PageData> {
-        self.read_frame(addr).map(|frame| frame.snapshot())
-    }
-
-    /// Reads a block as a shared frame (no byte copy). A later write
-    /// through an `AddressSpace` diverges it via the deferred-copy path.
-    pub fn read_frame(&mut self, addr: DiskAddr) -> Option<Frame> {
-        let frame = self.peek_frame(addr)?.clone();
+        let data = self.peek_frame(addr)?.snapshot();
         self.reads += 1;
-        Some(frame)
+        Some(data)
     }
 
     /// The frame stored in a block, without counting a read — host-side
-    /// inspection (freezing a process image), not a simulated disk access.
+    /// inspection (freezing a process image, checksumming its pages), not a
+    /// simulated disk access.
     pub fn peek_frame(&self, addr: DiskAddr) -> Option<&Frame> {
         self.blocks.get(usize::try_from(addr.0).ok()?)?.as_ref()
     }
@@ -203,13 +198,11 @@ mod tests {
         alloc_stats::reset();
         let a = d.write_new_frame(frame.clone());
         assert!(frame.is_shared(), "disk holds the same frame");
-        let back = d.read_frame(a).unwrap();
-        back.with(|data| assert_eq!(&data[..6], b"shared"));
-        drop(back);
+        d.peek_frame(a).unwrap().with(|data| assert_eq!(&data[..6], b"shared"));
         let taken = d.take_frame(a).unwrap();
         drop(frame);
         assert!(!taken.is_shared(), "take released the disk's reference");
-        assert_eq!(d.reads(), 2);
+        assert_eq!(d.reads(), 1);
         assert_eq!(d.blocks_in_use(), 0);
         assert_eq!(alloc_stats::frame_allocs(), 0, "no byte copies");
     }

@@ -474,7 +474,10 @@ impl Frame {
 /// with its own multiplier (so words moving between lanes change the
 /// result), folded and finalised with two xor-shift-multiplies. Only
 /// this process ever sees the value: it is in no wire byte or output.
-fn page_hash(bytes: &PageBytes) -> u64 {
+///
+/// Reads every byte on each call; [`Frame::content_hash`] is the memoised
+/// form of the same value.
+pub fn page_hash(bytes: &PageBytes) -> u64 {
     const K: [u64; 4] = [
         0x9e37_79b9_7f4a_7c15,
         0xbf58_476d_1ce4_e5b9,

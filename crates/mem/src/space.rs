@@ -615,13 +615,13 @@ impl AddressSpace {
         }
     }
 
-    /// Like [`AddressSpace::peek_page`] but shares the frame instead of
-    /// copying its bytes — the read-only inspection path for checksums and
-    /// transfer assembly. Same disk-read accounting as `peek_page`.
-    pub fn peek_frame(&self, page: PageNum, disk: &mut Disk) -> Option<Frame> {
+    /// Like [`AddressSpace::peek_page`] but borrows the frame instead of
+    /// copying its bytes, and counts no disk read: host-side inspection
+    /// (checksums), not a simulated access.
+    pub fn peek_frame<'a>(&'a self, page: PageNum, disk: &'a Disk) -> Option<&'a Frame> {
         match self.pages.get(page)? {
-            PageState::Resident(frame) => Some(frame.clone()),
-            PageState::OnDisk(addr) => disk.read_frame(*addr),
+            PageState::Resident(frame) => Some(frame),
+            PageState::OnDisk(addr) => disk.peek_frame(*addr),
             PageState::Imaginary { .. } => None,
         }
     }

@@ -94,7 +94,6 @@ enum DiskOp {
     WriteNew(u8),
     Write(u64, u8),
     Read(u64),
-    ReadFrame(u64),
     Take(u64),
     Free(u64),
     Peek(u64),
@@ -110,7 +109,6 @@ fn disk_op() -> impl Strategy<Value = DiskOp> {
         any::<u8>().prop_map(DiskOp::WriteNew),
         (addr(), any::<u8>()).prop_map(|(a, b)| DiskOp::Write(a, b)),
         addr().prop_map(DiskOp::Read),
-        addr().prop_map(DiskOp::ReadFrame),
         addr().prop_map(DiskOp::Take),
         addr().prop_map(DiskOp::Free),
         addr().prop_map(DiskOp::Peek),
@@ -389,11 +387,6 @@ proptest! {
                 DiskOp::Read(a) => {
                     let expected = model.get(&a).copied();
                     prop_assert_eq!(disk.read(DiskAddr(a)).map(|d| d[0]), expected);
-                    reads += u64::from(expected.is_some());
-                }
-                DiskOp::ReadFrame(a) => {
-                    let expected = model.get(&a).copied();
-                    prop_assert_eq!(disk.read_frame(DiskAddr(a)).as_ref().map(first), expected);
                     reads += u64::from(expected.is_some());
                 }
                 DiskOp::Take(a) => {

@@ -214,25 +214,26 @@ fn writes_count_copy_on_write_exactly_as_on_a_built_process() {
         }
         assert_eq!(world.process(a, pid).unwrap().space.cow_copies(), 0);
         // A message in flight (or a backer) aliasing the frame: one copy.
-        let n = world.node_mut(a).unwrap();
+        let n = world.node(a).unwrap();
         let in_flight = n.processes[&pid]
             .space
-            .peek_frame(resident[9], &mut n.disk)
+            .peek_frame(resident[9], &n.disk)
+            .cloned()
             .unwrap();
         write(world, a, pid, resident[9], b"while shared");
         assert_eq!(world.process(a, pid).unwrap().space.cow_copies(), 1);
         in_flight.with(|d| assert_ne!(&d[..12], b"while shared"));
     }
-    let sum = |world: &mut World| {
-        let n = world.node_mut(a).unwrap();
+    let sum = |world: &World| {
+        let n = world.node(a).unwrap();
         let space = &n.processes[&pid].space;
         let pages: Vec<_> = space.materialized_pages().map(|(p, _)| p).collect();
         pages
             .into_iter()
-            .map(|p| space.peek_frame(p, &mut n.disk).unwrap().content_hash())
+            .map(|p| space.peek_frame(p, &n.disk).unwrap().content_hash())
             .fold(0u64, |acc, h| acc.rotate_left(5) ^ h)
     };
-    assert_eq!(sum(&mut forked), sum(&mut built), "same bytes afterwards");
+    assert_eq!(sum(&forked), sum(&built), "same bytes afterwards");
 }
 
 #[test]
