@@ -23,12 +23,16 @@ pub struct DiskAddr(pub u64);
 ///
 /// Addresses allocate upward and are never reused, so an address is an
 /// index: blocks live in one slab with a hole where a block was freed or
-/// taken. The slab costs 8 bytes per block *ever written* (a keyed tree
-/// cost ≈ 30 per *live* block). Over the 77 paper-matrix cells the disk a
-/// process ends its run on has `writes ≤ 1.7 × blocks_in_use` (worst:
-/// Lisp-Del resident-set pf=0, 607 / 376; PM-Mid pure-copy, 1,298 / 849),
-/// and the disk it was excised from is left all holes — at most 3,931
-/// (Lisp-T), 31 KB, until its world is dropped — so holes are not reclaimed.
+/// taken. The slab costs 16 bytes per block *ever written* — one frame
+/// handle, a block pointer and a slot number, whose `None` is the hole (a
+/// keyed tree cost ≈ 30 per *live* block). Over the 77 paper-matrix cells
+/// the disk a process ends its run on has `writes ≤ 1.7 × blocks_in_use`
+/// (worst: Lisp-Del resident-set pf=0, 607 / 376; PM-Mid pure-copy,
+/// 1,298 / 849), and the disk it was excised from is left all holes — at
+/// most 3,931 (Lisp-T), 63 KB, until its world is dropped — so holes are
+/// not reclaimed. A fork's blocks are slots of the fork's one frame block
+/// ([`crate::ImageArena::frames`]), so writing them allocates nothing but
+/// the slab's doublings.
 ///
 /// # Examples
 ///

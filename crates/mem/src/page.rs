@@ -133,71 +133,87 @@ pub fn page_from_bytes(bytes: &[u8]) -> PageData {
     p
 }
 
-/// A reference-counted physical frame.
+/// A reference-counted physical frame: one slot of a shared frame block.
 ///
-/// The strong count *is* the copy-on-write reference count: a frame with
-/// `Frame::is_shared() == true` must be copied before being written. This is
-/// the deferred-copy machinery of Accent's IPC (§2.1): mapping message data
-/// into a receiver clones the `Rc`, and the 512-byte copy happens only when
-/// either party writes.
-#[derive(Clone)]
-pub struct Frame(Rc<FrameInner>);
+/// The slot's share count *is* the copy-on-write reference count: a frame
+/// with `Frame::is_shared() == true` must be copied before being written.
+/// This is the deferred-copy machinery of Accent's IPC (§2.1): mapping
+/// message data into a receiver clones the handle, and the 512-byte copy
+/// happens only when either party writes.
+///
+/// A handle is 16 bytes: the block and a slot number. Identity is the
+/// pair; `Clone` bumps the slot's count and `Drop` lowers it, so two
+/// frames of one block are as unrelated as two frames of two blocks.
+/// [`Frame::new`] makes a one-slot block in one allocation. A fork of a
+/// process image ([`ImageArena::frames`]) makes one block for all of its
+/// pages, so thawing costs O(1) allocations, not one per page — μFork's
+/// "share the structure, copy on divergence" (PAPERS.md) applied to the
+/// frame handles themselves.
+pub struct Frame {
+    block: Rc<FrameBlock>,
+    slot: u32,
+}
 
-/// The shared interior of a [`Frame`]: the page's host bytes plus a
-/// memoized content hash. The hash cell caches [`Frame::content_hash`] so
-/// the 512-byte hash walk runs at most once per contents version — every
-/// alias of the frame (CoW shares, messages in flight, dedup-table
-/// residents) reuses it for free, and any mutation through
-/// [`Frame::with_mut`] invalidates it. Zero means "not computed" (a page
-/// that really hashes to zero is merely re-walked each time), which keeps
-/// the interior at the 32 bytes it had before host bytes could be shared.
-struct FrameInner {
-    data: RefCell<HostBytes>,
+/// The shared allocation behind one frame or a fork's worth of them.
+struct FrameBlock {
+    /// The image an unwritten slot reads its bytes from. In an
+    /// image-backed block the handle's slot number is the arena slot.
+    arena: Option<ImageArena>,
+    slots: Slots,
+}
+
+/// A block's slots. A one-slot block holds its slot inline, so a lone
+/// frame costs one allocation; its handle's slot number then only names
+/// the arena slot (0 for a frame that never had one).
+enum Slots {
+    One(Slot),
+    Many(Box<[Slot]>),
+}
+
+/// One frame's state inside its block: 32 bytes.
+///
+/// The hash cell caches [`Frame::content_hash`] so the 512-byte hash walk
+/// runs at most once per contents version — every alias of the frame (CoW
+/// shares, messages in flight, dedup-table residents) reuses it for free,
+/// and any mutation through [`Frame::with_mut`] invalidates it. Zero means
+/// "not computed" (a page that really hashes to zero is merely re-walked
+/// each time).
+struct Slot {
+    /// Live handles to this slot.
+    count: Cell<u32>,
     hash: Cell<u64>,
+    /// The slot's own host bytes: given at birth ([`Frame::new`]) or
+    /// copied out of the arena by the first write. `None` while the bytes
+    /// are still the arena's. This is a level *below* the simulated frame:
+    /// two unrelated frames — in different forks of one process image, on
+    /// different threads — may read the same arena bytes, and the first
+    /// write copies them private.
+    bytes: RefCell<Option<PageData>>,
 }
 
-impl FrameInner {
-    fn new(data: HostBytes) -> Self {
-        FrameInner {
-            data: RefCell::new(data),
+impl Slot {
+    fn new(count: u32, bytes: Option<PageData>) -> Self {
+        Slot {
+            count: Cell::new(count),
             hash: Cell::new(0),
+            bytes: RefCell::new(bytes),
         }
     }
 }
 
-/// Where a frame's bytes live on the host. This is a level *below* the
-/// simulated frame: the `Rc` identity of a [`Frame`] (its sharing, its
-/// copy-on-write count) is what the simulated machine sees, while two
-/// unrelated frames — in different forks of one process image, on
-/// different threads — may read the same host bytes out of an
-/// [`ImageArena`]. The first write copies them private.
-enum HostBytes {
-    Private(PageData),
-    Image { arena: Rc<ImageArena>, slot: u32 },
-}
-
-impl HostBytes {
-    fn get(&self) -> &PageBytes {
-        match self {
-            HostBytes::Private(data) => data,
-            HostBytes::Image { arena, slot } => &arena.0.pages[*slot as usize],
+impl FrameBlock {
+    fn slot(&self, slot: u32) -> &Slot {
+        match &self.slots {
+            Slots::One(only) => only,
+            Slots::Many(slots) => &slots[slot as usize],
         }
     }
 
-    /// The bytes for writing, first copied out of the arena if they were
-    /// still image-backed. That copy is host bookkeeping, not a simulated
-    /// copy-on-write: the frame was never shared with anything the
-    /// simulated machine knows about, and no simulation counter moves.
-    fn make_mut(&mut self) -> &mut PageBytes {
-        if let HostBytes::Image { .. } = self {
-            #[cfg(any(test, feature = "alloc-stats"))]
-            alloc_stats::record_alloc();
-            *self = HostBytes::Private(Box::new(*self.get()));
-        }
-        match self {
-            HostBytes::Private(data) => data,
-            HostBytes::Image { .. } => unreachable!("copied private above"),
-        }
+    /// The arena behind the block's unwritten slots.
+    fn image(&self) -> &ImageArena {
+        self.arena
+            .as_ref()
+            .expect("a slot without its own bytes is an arena slot")
     }
 }
 
@@ -228,6 +244,11 @@ impl ImageArena {
         ImageArena(Arc::new(ArenaInner { pages, hashes }))
     }
 
+    /// Number of slots.
+    pub(crate) fn len(&self) -> usize {
+        self.0.pages.len()
+    }
+
     /// The content hash of slot `slot`, walked at most once per arena
     /// (twice if two threads race, to the same value). `Relaxed`: the memo
     /// is a pure function of immutable bytes and publishes nothing else.
@@ -242,30 +263,43 @@ impl ImageArena {
     }
 
     /// A frame factory for one fork: `frames()(slot)` is a fresh, unshared
-    /// frame whose bytes are slot `slot` of the arena. No page-sized
-    /// allocation happens (and none is counted in `alloc_stats`) until the
-    /// frame is first written. The fork's frames share one thread-local
-    /// handle on the arena, so the atomic count all workers contend on
-    /// moves once per fork, not once per page.
+    /// frame whose bytes are slot `slot` of the arena. The factory makes
+    /// one frame block with a slot per arena page, so the fork's frames
+    /// cost two allocations between them, whatever its page count; no
+    /// page-sized allocation happens (and none is counted in
+    /// `alloc_stats`) until a frame is first written. The atomic count all
+    /// workers contend on moves once per fork, not once per page.
     ///
     /// # Panics
     ///
-    /// The factory panics on a slot that is out of range.
+    /// The factory panics on a slot that is out of range, or that it
+    /// handed out before and some handle still holds.
     pub fn frames(&self) -> impl Fn(u32) -> Frame {
-        let arena = Rc::new(self.clone());
+        let slots = (0..self.len()).map(|_| Slot::new(0, None)).collect();
+        let block = Rc::new(FrameBlock {
+            arena: Some(self.clone()),
+            slots: Slots::Many(slots),
+        });
         move |slot| {
-            assert!(
-                (slot as usize) < arena.0.pages.len(),
-                "arena slot out of range"
-            );
-            let arena = Rc::clone(&arena);
-            Frame(Rc::new(FrameInner::new(HostBytes::Image { arena, slot })))
+            let count = &block.slot(slot).count;
+            assert_eq!(count.get(), 0, "arena slot {slot} is already a live frame");
+            count.set(1);
+            Frame {
+                block: Rc::clone(&block),
+                slot,
+            }
         }
     }
 
-    /// One frame of [`ImageArena::frames`].
+    /// One frame of slot `slot`, in a block of its own: unrelated to every
+    /// other frame, like one frame of [`ImageArena::frames`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a slot that is out of range.
     pub fn frame(&self, slot: u32) -> Frame {
-        self.frames()(slot)
+        assert!((slot as usize) < self.len(), "arena slot out of range");
+        Frame::one(Some(self.clone()), slot, None)
     }
 }
 
@@ -275,7 +309,7 @@ thread_local! {
     /// [`Frame::zeroed`] call aliases it, so validating or zero-filling
     /// megabytes of RealZeroMem costs reference bumps, not allocations;
     /// the first write diverges through the normal deferred-copy path.
-    static ZERO_FRAME: Frame = Frame(Rc::new(FrameInner::new(HostBytes::Private(zero_page()))));
+    static ZERO_FRAME: Frame = Frame::one(None, 0, Some(zero_page()));
 }
 
 /// A thread-local pool of recycled `Vec<Frame>` buffers for message
@@ -367,11 +401,33 @@ pub mod alloc_stats {
 }
 
 impl Frame {
-    /// Wraps page data in a frame.
+    /// A one-slot block holding one handle.
+    fn one(arena: Option<ImageArena>, slot: u32, bytes: Option<PageData>) -> Frame {
+        let block = FrameBlock {
+            arena,
+            slots: Slots::One(Slot::new(1, bytes)),
+        };
+        Frame {
+            block: Rc::new(block),
+            slot,
+        }
+    }
+
+    /// This frame's slot.
+    fn cell(&self) -> &Slot {
+        self.block.slot(self.slot)
+    }
+
+    /// `true` when `self` and `other` are handles to the same frame.
+    fn is(&self, other: &Frame) -> bool {
+        Rc::ptr_eq(&self.block, &other.block) && self.slot == other.slot
+    }
+
+    /// Wraps page data in a frame: a block of one slot, one allocation.
     pub fn new(data: PageData) -> Self {
         #[cfg(any(test, feature = "alloc-stats"))]
         alloc_stats::record_alloc();
-        Frame(Rc::new(FrameInner::new(HostBytes::Private(data))))
+        Frame::one(None, 0, Some(data))
     }
 
     /// A zero-filled frame: an alias of the thread's interned zero page.
@@ -386,13 +442,13 @@ impl Frame {
 
     /// `true` when this frame is an alias of the interned zero page.
     pub fn is_interned_zero(&self) -> bool {
-        ZERO_FRAME.with(|z| Rc::ptr_eq(&z.0, &self.0))
+        ZERO_FRAME.with(|z| z.is(self))
     }
 
     /// `true` when more than one mapping references this frame, i.e. a write
     /// must first perform the deferred copy.
     pub fn is_shared(&self) -> bool {
-        Rc::strong_count(&self.0) > 1
+        self.cell().count.get() > 1
     }
 
     /// Copies the frame contents into a brand-new unshared frame.
@@ -406,13 +462,12 @@ impl Frame {
     }
 
     /// The arena slot behind this frame, if its bytes are still backed by
-    /// `arena` (i.e. it came from [`ImageArena::frame`] on that arena and
-    /// has not been written since).
+    /// `arena` (i.e. it came from [`ImageArena::frame`] or
+    /// [`ImageArena::frames`] on that arena and has not been written since).
     pub fn image_slot(&self, arena: &ImageArena) -> Option<u32> {
-        match &*self.0.data.borrow() {
-            HostBytes::Image { arena: a, slot } if Arc::ptr_eq(&a.0, &arena.0) => Some(*slot),
-            _ => None,
-        }
+        let ours = self.block.arena.as_ref();
+        let unwritten = self.cell().bytes.borrow().is_none();
+        (unwritten && ours.is_some_and(|a| Arc::ptr_eq(&a.0, &arena.0))).then_some(self.slot)
     }
 
     /// Hash of the page contents (a word-parallel multiply-rotate hash, see
@@ -429,27 +484,31 @@ impl Frame {
     /// A frame whose bytes are still an [`ImageArena`] slot takes its hash
     /// from the arena's memo, shared by every fork of the image.
     pub fn content_hash(&self) -> u64 {
-        let memo = self.0.hash.get();
+        let cell = self.cell();
+        let memo = cell.hash.get();
         if memo != 0 {
             return memo;
         }
-        let h = match &*self.0.data.borrow() {
-            HostBytes::Private(data) => page_hash(data),
-            HostBytes::Image { arena, slot } => arena.slot_hash(*slot),
+        let h = match &*cell.bytes.borrow() {
+            Some(data) => page_hash(data),
+            None => self.block.image().slot_hash(self.slot),
         };
-        self.0.hash.set(h);
+        cell.hash.set(h);
         h
     }
 
     /// Byte-for-byte equality of two frames (constant-time `true` for two
     /// aliases of the same frame).
     pub fn same_contents(&self, other: &Frame) -> bool {
-        Rc::ptr_eq(&self.0, &other.0) || self.with(|a| other.with(|b| a[..] == b[..]))
+        self.is(other) || self.with(|a| other.with(|b| a[..] == b[..]))
     }
 
     /// Runs `f` over the page contents.
     pub fn with<R>(&self, f: impl FnOnce(&PageBytes) -> R) -> R {
-        f(self.0.data.borrow().get())
+        match &*self.cell().bytes.borrow() {
+            Some(data) => f(data),
+            None => f(&self.block.image().0.pages[self.slot as usize]),
+        }
     }
 
     /// Runs `f` over the mutable page contents.
@@ -458,11 +517,44 @@ impl Frame {
     /// `AddressSpace`, which copies shared frames first); mutating a shared
     /// frame would violate copy-on-write semantics, though it cannot violate
     /// memory safety. Invalidates the memoized content hash. An
-    /// image-backed frame first copies its bytes out of the arena — a
-    /// host-level divergence no simulation counter sees.
+    /// image-backed frame first copies its bytes out of the arena into its
+    /// slot — a host-level divergence no simulation counter sees.
     pub fn with_mut<R>(&self, f: impl FnOnce(&mut PageBytes) -> R) -> R {
-        self.0.hash.set(0);
-        f(self.0.data.borrow_mut().make_mut())
+        let cell = self.cell();
+        cell.hash.set(0);
+        let mut bytes = cell.bytes.borrow_mut();
+        f(bytes.get_or_insert_with(|| {
+            #[cfg(any(test, feature = "alloc-stats"))]
+            alloc_stats::record_alloc();
+            Box::new(self.block.image().0.pages[self.slot as usize])
+        }))
+    }
+}
+
+impl Clone for Frame {
+    fn clone(&self) -> Self {
+        let count = &self.cell().count;
+        count.set(count.get() + 1);
+        Frame {
+            block: Rc::clone(&self.block),
+            slot: self.slot,
+        }
+    }
+}
+
+impl Drop for Frame {
+    /// Releases this handle. The slot's last handle frees its private
+    /// bytes and memo at once, not when the block goes: the slot's
+    /// neighbours may keep the block alive for the rest of the run, and a
+    /// factory that hands the slot out again hands out a fresh frame.
+    fn drop(&mut self) {
+        let cell = self.cell();
+        let count = cell.count.get() - 1;
+        cell.count.set(count);
+        if count == 0 {
+            cell.hash.set(0);
+            drop(cell.bytes.take());
+        }
     }
 }
 
@@ -501,13 +593,7 @@ pub fn page_hash(bytes: &PageBytes) -> u64 {
 
 impl fmt::Debug for Frame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Frame(rc={})", Rc::strong_count(&self.0))
-    }
-}
-
-impl fmt::Debug for FrameInner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FrameInner")
+        write!(f, "Frame(rc={})", self.cell().count.get())
     }
 }
 
@@ -700,11 +786,37 @@ mod tests {
         arena.frame(1).with(|d| assert_eq!(&d[..3], b"two"));
         a.with_mut(|d| d[1] = b'W');
         assert_eq!(alloc_stats::frame_allocs(), 1, "already private");
-        // Sharing host bytes costs a private frame no space.
-        assert_eq!(std::mem::size_of::<FrameInner>(), 32);
+        // A handle is a block and a slot number; a slot is 32 bytes, and a
+        // page-table entry still fits in 24.
+        assert_eq!(std::mem::size_of::<Frame>(), 16);
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+        assert_eq!(std::mem::size_of::<crate::space::PageState>(), 24);
         // Another arena with equal bytes is still another arena.
         let other = ImageArena::new(vec![*page_from_bytes(b"one")]);
         assert_eq!(other.frame(0).image_slot(&arena), None);
+    }
+
+    #[test]
+    fn a_fork_is_one_block_of_unrelated_frames() {
+        let arena = ImageArena::new(vec![*page_from_bytes(b"one"), *page_from_bytes(b"two")]);
+        let take = arena.frames();
+        let (a, b) = (take(0), take(1));
+        assert!(Rc::ptr_eq(&a.block, &b.block), "one block for the fork");
+        assert!(!a.is_shared() && !b.is_shared());
+        let a2 = a.clone();
+        assert!(a.is_shared() && !b.is_shared(), "counts are per slot");
+        drop(a2);
+        a.with_mut(|d| d[0] = b'O');
+        let hash = a.content_hash();
+        // The slot's last handle frees its bytes and memo; handed out
+        // again, it is the image's page once more.
+        drop(a);
+        let again = take(0);
+        again.with(|d| assert_eq!(&d[..3], b"one"));
+        assert_ne!(again.content_hash(), hash);
+        assert_eq!(again.image_slot(&arena), Some(0));
+        let taken_twice = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| take(1)));
+        assert!(taken_twice.is_err(), "slot 1 is still a live frame");
     }
 
     #[test]

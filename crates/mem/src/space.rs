@@ -806,6 +806,9 @@ impl SpaceImage {
         let lru = space.resident.pages_lru_order();
         let rank: IdMap<PageNum, u32> = lru.iter().copied().zip(0..).collect();
         let mut pages = Vec::with_capacity(space.pages.len());
+        // A fork makes one frame per arena slot, so two pages on one slot
+        // would thaw as aliases of each other.
+        let mut taken = vec![false; arena.len()];
         for &(page, ref state) in space.pages.iter() {
             let (frame, home) = match state {
                 PageState::Resident(frame) => (Some(frame), rank[&page]),
@@ -815,6 +818,9 @@ impl SpaceImage {
             let slot = frame
                 .and_then(|f| f.image_slot(arena))
                 .ok_or(MemError::NotFresh("a page's bytes are not in the arena"))?;
+            if std::mem::replace(&mut taken[slot as usize], true) {
+                return Err(MemError::NotFresh("two pages hold one arena slot"));
+            }
             pages.push(ImagePage { page, slot, home });
         }
         if (pages.len() - lru.len()) as u64 != blocks {
@@ -1204,6 +1210,9 @@ mod tests {
         let (mut s, mut d) = fresh();
         s.install_page(p(0), arena.frame(0), &mut d);
         assert!(refused(&s, &d), "re-installed page strands its old block");
+        let (mut s, mut d) = fresh();
+        s.install_page(p(2), arena.frame(1), &mut d);
+        assert!(refused(&s, &d), "two pages on one arena slot");
         let (mut s, mut d) = fresh();
         ready(&mut s, &mut d, p(0));
         assert!(refused(&s, &d), "disk was read");

@@ -115,6 +115,34 @@ fn disk_op() -> impl Strategy<Value = DiskOp> {
     ]
 }
 
+#[derive(Debug, Clone)]
+enum HandleOp {
+    Clone(usize),
+    Drop(usize),
+    Write(usize, usize, u8),
+    DeepCopy(usize),
+    DiskWrite(usize),
+    Take(usize),
+}
+
+/// Indices are taken modulo the live handles (or disk blocks), so every
+/// operation lands on something whenever something is there.
+fn handle_op() -> impl Strategy<Value = HandleOp> {
+    let at = || 0usize..64;
+    prop_oneof![
+        at().prop_map(HandleOp::Clone),
+        at().prop_map(HandleOp::Clone),
+        at().prop_map(HandleOp::Drop),
+        (at(), 0usize..PAGE_SIZE as usize, any::<u8>())
+            .prop_map(|(h, i, b)| HandleOp::Write(h, i, b)),
+        (at(), 0usize..PAGE_SIZE as usize, any::<u8>())
+            .prop_map(|(h, i, b)| HandleOp::Write(h, i, b)),
+        at().prop_map(HandleOp::DeepCopy),
+        at().prop_map(HandleOp::DiskWrite),
+        at().prop_map(HandleOp::Take),
+    ]
+}
+
 /// The page table, compiled in from its own file (it names no `crate::`
 /// item) so its reference model can reach the private type.
 #[allow(dead_code)]
@@ -575,6 +603,91 @@ proptest! {
                 space.read(PageNum(i as u64).base(), &mut buf).unwrap();
                 let expect = if wrote[r].contains(&i) { 0x80 + r as u8 } else { 0x5A };
                 prop_assert_eq!(buf[0], expect, "receiver {} page {}", r, i);
+            }
+        }
+    }
+
+    /// Frame handles of one fork behave like a map of per-frame share
+    /// counts under clone, drop, copy-on-write writes, deep copies and
+    /// disk round trips: after every operation each live handle — held
+    /// directly or by the disk — is shared exactly when its frame's count
+    /// exceeds one, reads its frame's bytes, and names its arena slot
+    /// exactly while the frame is unwritten. The fork's frames start
+    /// unshared, and a clone of one never moves another's count, so two
+    /// frames of one block are never shared with each other.
+    #[test]
+    fn frame_handles_match_reference_model(
+        n in 1u32..12,
+        ops in prop::collection::vec(handle_op(), 1..120),
+    ) {
+        use cor_mem::page::{Frame, PageBytes};
+        use cor_mem::DiskAddr;
+        struct Model {
+            count: usize,
+            bytes: PageBytes,
+            slot: Option<u32>,
+        }
+        let image = |slot: u32| -> PageBytes { std::array::from_fn(|i| (i as u32 ^ slot) as u8) };
+        let arena = ImageArena::new((0..n).map(image).collect());
+        let take = arena.frames();
+        let mut model: Vec<Model> = (0..n)
+            .map(|slot| Model { count: 1, bytes: image(slot), slot: Some(slot) })
+            .collect();
+        let mut handles: Vec<(usize, Frame)> = (0..n).map(|s| (s as usize, take(s))).collect();
+        drop(take);
+        let mut disk = Disk::new();
+        let mut blocks: Vec<(DiskAddr, usize)> = Vec::new();
+        for op in ops {
+            let live = handles.len();
+            match op {
+                HandleOp::Clone(h) if live > 0 => {
+                    let (id, frame) = &handles[h % live];
+                    model[*id].count += 1;
+                    handles.push((*id, frame.clone()));
+                }
+                HandleOp::Drop(h) if live > 0 => {
+                    let (id, _) = handles.swap_remove(h % live);
+                    model[id].count -= 1;
+                }
+                HandleOp::Write(h, at, byte) if live > 0 => {
+                    // The address space's discipline: copy a shared frame
+                    // before writing it.
+                    let (id, frame) = &mut handles[h % live];
+                    if frame.is_shared() {
+                        let copy = frame.deep_copy();
+                        model[*id].count -= 1;
+                        let bytes = model[*id].bytes;
+                        model.push(Model { count: 1, bytes, slot: None });
+                        *id = model.len() - 1;
+                        *frame = copy;
+                    }
+                    frame.with_mut(|d| d[at] = byte);
+                    model[*id].bytes[at] = byte;
+                    model[*id].slot = None;
+                }
+                HandleOp::DeepCopy(h) if live > 0 => {
+                    let copy = handles[h % live].1.deep_copy();
+                    let bytes = model[handles[h % live].0].bytes;
+                    model.push(Model { count: 1, bytes, slot: None });
+                    handles.push((model.len() - 1, copy));
+                }
+                HandleOp::DiskWrite(h) if live > 0 => {
+                    let (id, frame) = &handles[h % live];
+                    model[*id].count += 1;
+                    blocks.push((disk.write_new_frame(frame.clone()), *id));
+                }
+                HandleOp::Take(b) if !blocks.is_empty() => {
+                    let (addr, id) = blocks.swap_remove(b % blocks.len());
+                    handles.push((id, disk.take_frame(addr).unwrap()));
+                }
+                _ => {}
+            }
+            let on_disk = blocks.iter().map(|&(addr, id)| (id, disk.peek_frame(addr).unwrap()));
+            for (id, frame) in handles.iter().map(|(id, f)| (*id, f)).chain(on_disk) {
+                let m = &model[id];
+                prop_assert_eq!(frame.is_shared(), m.count > 1, "frame {}", id);
+                prop_assert!(frame.with(|d| *d == m.bytes), "frame {} bytes", id);
+                prop_assert_eq!(frame.image_slot(&arena), m.slot, "frame {}", id);
             }
         }
     }

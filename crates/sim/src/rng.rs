@@ -46,13 +46,55 @@ impl Pcg32 {
         self.state = self.state.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
     }
 
+    /// The XSH-RR output permutation of one state.
+    fn output(state: u64) -> u32 {
+        let xorshifted = (((state >> 18) ^ state) >> 27) as u32;
+        xorshifted.rotate_right((state >> 59) as u32)
+    }
+
     /// Returns the next 32 random bits.
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.step();
-        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
-        let rot = (old >> 59) as u32;
-        xorshifted.rotate_right(rot)
+        Self::output(old)
+    }
+
+    /// Fills `out` with successive [`Pcg32::next_u64`] values in
+    /// little-endian byte order (a tail shorter than 8 bytes takes the low
+    /// bytes of one more value), and leaves the generator where that
+    /// scalar loop leaves it: the same bytes, four lanes at a time.
+    ///
+    /// Lane `j` starts `j` steps into the stream and jumps four steps per
+    /// round (multiplier M⁴, increment (M³ + M² + M + 1)·inc), so the four
+    /// multiplies of a round are independent instead of one long chain.
+    pub fn fill_bytes(&mut self, out: &mut [u8]) {
+        const M2: u64 = PCG_MULT.wrapping_mul(PCG_MULT);
+        const M3: u64 = M2.wrapping_mul(PCG_MULT);
+        const M4: u64 = M2.wrapping_mul(M2);
+        const SUM: u64 = 1u64
+            .wrapping_add(PCG_MULT)
+            .wrapping_add(M2)
+            .wrapping_add(M3);
+        let inc4 = self.inc.wrapping_mul(SUM);
+        let mut lanes = [self.state; 4];
+        for j in 1..4 {
+            lanes[j] = lanes[j - 1].wrapping_mul(PCG_MULT).wrapping_add(self.inc);
+        }
+        let mut rounds = out.chunks_exact_mut(16);
+        for round in &mut rounds {
+            let [a, b, c, d] = lanes.map(Self::output);
+            // `next_u64` puts its first output high: each 8-byte chunk is
+            // the second output's bytes, then the first's.
+            for (dst, v) in round.chunks_exact_mut(4).zip([b, a, d, c]) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+            lanes = lanes.map(|s| s.wrapping_mul(M4).wrapping_add(inc4));
+        }
+        self.state = lanes[0];
+        for tail in rounds.into_remainder().chunks_mut(8) {
+            let v = self.next_u64().to_le_bytes();
+            tail.copy_from_slice(&v[..tail.len()]);
+        }
     }
 
     /// Returns the next 64 random bits.
@@ -139,6 +181,25 @@ impl Pcg32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fill_bytes_is_the_scalar_stream() {
+        for len in (0..=40).chain([511, 512, 513]) {
+            for (seed, stream) in [(0, 0), (7, 3), (u64::MAX, u64::MAX), (1 << 63, 1)] {
+                let mut scalar = Pcg32::with_stream(seed, stream);
+                let mut want = vec![0u8; len];
+                for chunk in want.chunks_mut(8) {
+                    let v = scalar.next_u64().to_le_bytes();
+                    chunk.copy_from_slice(&v[..chunk.len()]);
+                }
+                let mut lanes = Pcg32::with_stream(seed, stream);
+                let mut got = vec![0u8; len];
+                lanes.fill_bytes(&mut got);
+                assert_eq!(got, want, "len {len}, seed {seed}, stream {stream}");
+                assert_eq!(lanes.next_u64(), scalar.next_u64(), "end state, len {len}");
+            }
+        }
+    }
 
     #[test]
     fn reference_stream_is_stable() {

@@ -14,17 +14,13 @@ use cor_ipc::NodeId;
 
 use crate::paper::PaperRow;
 
-/// Deterministic non-zero contents for a workload page: a function of the
-/// workload seed and the page number, so every build of a blueprint is
-/// byte-identical.
-pub fn page_content(seed: u64, page: PageNum) -> PageBytes {
-    let mut rng = Pcg32::with_stream(seed ^ page.0.rotate_left(17), page.0);
-    let mut data = [0u8; PAGE_SIZE as usize];
-    for chunk in data.chunks_mut(8) {
-        let v = rng.next_u64().to_le_bytes();
-        chunk.copy_from_slice(&v[..chunk.len()]);
-    }
-    data
+/// Writes the deterministic non-zero contents of a workload page into
+/// `out`, in place: a function of the workload seed and the page number,
+/// so every build of a blueprint is byte-identical. The bytes are the
+/// `next_u64` stream of `Pcg32::with_stream(seed ^ page.rotl(17), page)`,
+/// little-endian, generated four lanes at a time ([`Pcg32::fill_bytes`]).
+pub fn fill_page_content(seed: u64, page: PageNum, out: &mut PageBytes) {
+    Pcg32::with_stream(seed ^ page.0.rotate_left(17), page.0).fill_bytes(out);
 }
 
 /// A complete, instantiable description of a representative process:
@@ -65,11 +61,16 @@ impl Blueprint {
     ///
     /// [`MemError::NotFresh`] if the blueprint installs a page twice.
     pub fn image(&self) -> Result<ProcessImage<'_>, MemError> {
+        let real = self.on_disk.len() + self.install_order.len();
+        let mut bytes = vec![[0; PAGE_SIZE as usize]; real];
         let pages = self.on_disk.iter().chain(&self.install_order);
-        let arena = ImageArena::new(pages.map(|&p| page_content(self.seed, p)).collect());
+        for (out, &page) in bytes.iter_mut().zip(pages) {
+            fill_page_content(self.seed, page, out);
+        }
+        let arena = ImageArena::new(bytes);
         let mut frames = (0..).map(arena.frames());
         let mut disk = Disk::new();
-        let mut pages = Vec::with_capacity(self.on_disk.len() + self.install_order.len());
+        let mut pages = Vec::with_capacity(real);
         for (&page, frame) in self.on_disk.iter().zip(&mut frames) {
             pages.push((page, PageState::OnDisk(disk.write_new_frame(frame))));
         }
@@ -272,6 +273,23 @@ pub fn scattered_runs(
 mod tests {
     use super::*;
 
+    fn page_content(seed: u64, page: PageNum) -> PageBytes {
+        let mut out = [0; PAGE_SIZE as usize];
+        fill_page_content(seed, page, &mut out);
+        out
+    }
+
+    /// The page contents every blueprint build has always had: the scalar
+    /// `next_u64` stream, one dependent step at a time.
+    fn scalar_page_content(seed: u64, page: PageNum) -> PageBytes {
+        let mut rng = Pcg32::with_stream(seed ^ page.0.rotate_left(17), page.0);
+        let mut data = [0u8; PAGE_SIZE as usize];
+        for chunk in data.chunks_mut(8) {
+            chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        data
+    }
+
     #[test]
     fn page_content_is_deterministic_and_distinct() {
         let a = page_content(1, PageNum(5));
@@ -279,6 +297,31 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(page_content(1, PageNum(6)), a);
         assert_ne!(page_content(2, PageNum(5)), a);
+    }
+
+    #[test]
+    fn page_content_is_the_scalar_stream_on_every_paper_page() {
+        let mut pages = 0;
+        for w in crate::all() {
+            let bp = &w.blueprint;
+            for &page in bp.on_disk.iter().chain(&bp.install_order) {
+                assert_eq!(
+                    page_content(bp.seed, page),
+                    scalar_page_content(bp.seed, page),
+                    "{} page {}",
+                    bp.name,
+                    page.0
+                );
+                pages += 1;
+            }
+        }
+        assert_eq!(pages, 11_970, "the seven workloads' real pages");
+        for seed in [0, 1, u64::MAX, 1 << 63] {
+            for page in [0, 1, (1 << 23) - 1, u64::MAX >> 9, u64::MAX] {
+                let page = PageNum(page);
+                assert_eq!(page_content(seed, page), scalar_page_content(seed, page));
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Two allocation guarantees.
+//! Three allocation guarantees.
 //!
 //! * The zero-copy pipeline's: a sparse workload performs O(pages touched)
 //!   frame allocations, never O(address space). The Lisp workloads
@@ -10,6 +10,9 @@
 //! * The remote fault's: once warm, a copy-on-reference fault — direct,
 //!   relayed, or answered in a batch — makes no heap allocation at all.
 //!   This binary installs a counting global allocator for that.
+//! * A fork's: thawing a process image allocates a constant number of
+//!   heap blocks, whatever its page count, and returns every byte of them
+//!   when its last frame handle goes.
 //!
 //! Both counters are thread-local (frames: `cor-mem`'s `alloc-stats`
 //! feature), so each test must run its whole trial on its own thread —
@@ -25,7 +28,8 @@ use cor_ipc::protocol::{self, ProtocolMsg};
 use cor_ipc::NodeId;
 use cor_kernel::{CostModel, World};
 use cor_mem::page::{alloc_stats, frame_pool, page_from_bytes, Frame};
-use cor_mem::space::SegmentId;
+use cor_mem::space::{PageState, SegmentId};
+use cor_mem::PageNum;
 use cor_migrate::Strategy;
 use cor_net::WireParams;
 
@@ -34,11 +38,18 @@ struct Counting;
 
 thread_local! {
     static HEAP_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not yet freed (negative when
+    /// it frees what another thread allocated).
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_alloc() {
     // `try_with`: a thread being torn down may still free and allocate.
     let _ = HEAP_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn count_bytes(delta: i64) {
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + delta));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -47,23 +58,27 @@ fn count_alloc() {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_alloc();
+        count_bytes(layout.size() as i64);
         // SAFETY: same layout the caller passed.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_alloc();
+        count_bytes(layout.size() as i64);
         // SAFETY: same layout the caller passed.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as i64));
         // SAFETY: `ptr` came from this allocator with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_alloc();
+        count_bytes(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from this allocator with this layout, and
         // `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -441,20 +456,68 @@ fn a_warm_backer_served_fault_allocates_nothing() {
     );
 }
 
+/// Allocations a thaw of `workload`'s image makes besides its disk's
+/// block slab: the frame block and its slots, and 7 whole tables (block
+/// list, LRU order, disk addresses, regions, page table, LRU slab and
+/// index). None of them is per page.
+const FORK_ALLOCS: u64 = 2 + 7;
+
 #[test]
-fn a_fork_allocates_its_frames_and_a_constant() {
-    // A thaw allocates one frame handle per page and otherwise only whole
-    // tables: 8 of its own (arena handle, block list, LRU order, disk
-    // addresses, regions, page table, LRU slab and index) and the 11
-    // doublings of a fresh disk's block slab to 3,931 blocks. A page table
-    // that grows by the page, or by the node, fails this.
+fn a_fork_allocates_a_constant() {
+    // A thaw onto a fresh disk allocates `FORK_ALLOCS`, plus one per
+    // growth of the disk's block slab, which doubles from 4 slots: 11 to
+    // hold Lisp-T's 3,931 paged-out pages, 7 for Minprog's 138. That is
+    // the only way the count may differ between the two images, whatever
+    // their page counts. A frame handle, a page table or a node that
+    // allocates by the page fails this.
+    for (name, pages, blocks, growths) in [("Lisp-T", 4_303, 3_931, 11), ("Minprog", 278, 138, 7)] {
+        let w = cor_workloads::by_name(name).expect("workload exists");
+        let image = w.image().expect("workload build");
+        let mut disk = cor_mem::Disk::new();
+        let mut fork = None;
+        let allocs = heap_allocs(|| fork = Some(image.space().thaw(&mut disk)));
+        assert_eq!(image.space().real_pages(), pages, "{name}'s real pages");
+        assert_eq!(disk.blocks_in_use(), blocks, "{name}'s paged-out pages");
+        assert_eq!(allocs, FORK_ALLOCS + growths, "{name}");
+    }
+}
+
+#[test]
+fn a_dropped_fork_returns_every_byte() {
+    // A fork's frames share one block; it must go with the last handle,
+    // even when that handle outlives the space and the disk, and written
+    // slots must give their private bytes back with it.
     let w = cor_workloads::by_name("Lisp-T").expect("workload exists");
     let image = w.image().expect("workload build");
+    let resident: Vec<PageNum> = w
+        .blueprint
+        .install_order
+        .iter()
+        .copied()
+        .filter(|&p| image.space().residency(p) == Some(true))
+        .take(8)
+        .collect();
+    let live = || LIVE_BYTES.with(Cell::get);
+    let baseline = live();
     let mut disk = cor_mem::Disk::new();
-    let mut fork = None;
-    let allocs = heap_allocs(|| fork = Some(image.space().thaw(&mut disk)));
-    assert_eq!(disk.blocks_in_use(), 3_931, "Lisp-T's paged-out pages");
-    assert_eq!(allocs, image.space().real_pages() + 8 + 11);
+    let mut space = image.space().thaw(&mut disk);
+    let mut held = Vec::new();
+    for (i, &page) in resident.iter().enumerate() {
+        space.check_write(page).expect("resident and unshared");
+        space.write(page.base(), b"diverged").expect("writable");
+        if i % 2 == 0 {
+            let Some(PageState::Resident(frame)) = space.page_state(page) else {
+                panic!("page {page:?} is resident");
+            };
+            held.push(frame.clone());
+        }
+    }
+    let with_fork = live();
+    drop((space, disk));
+    assert!(live() > baseline, "the held frames keep their block");
+    assert!(live() < with_fork, "the space and disk are gone");
+    drop(held);
+    assert_eq!(live(), baseline, "a fork's block or slot bytes leaked");
 }
 
 #[test]

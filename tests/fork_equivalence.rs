@@ -24,14 +24,21 @@ use cor::ipc::{NodeId, PortRight, Right};
 use cor::kernel::program::{Op, Trace};
 use cor::kernel::{ProcessId, World};
 use cor::mem::amap::Access;
-use cor::mem::page::{page_from_bytes, Frame};
+use cor::mem::page::{page_from_bytes, zero_page, Frame, PageData};
 use cor::mem::{AddressSpace, Disk, PageNum, PageRange, PageState, SegmentId};
 use cor::migrate::context::CoreBlob;
 use cor::migrate::{excise_process, insert_process, ExcisedProcess};
 use cor::migrate::{MigrationManager, Strategy};
-use cor::workloads::spec::page_content;
+use cor::workloads::spec::fill_page_content;
 use cor::workloads::synth::SynthSpec;
 use cor::workloads::Workload;
+
+/// A workload page's contents in a fresh buffer.
+fn page_content(seed: u64, page: PageNum) -> PageData {
+    let mut data = zero_page();
+    fill_page_content(seed, page, &mut data);
+    data
+}
 
 /// The page-by-page installer every process was built by before images.
 fn build_incrementally(w: &Workload, world: &mut World, node: NodeId) -> ProcessId {
@@ -42,10 +49,10 @@ fn build_incrementally(w: &Workload, world: &mut World, node: NodeId) -> Process
     }
     let disk = &mut world.node_mut(node).unwrap().disk;
     for &page in &bp.on_disk {
-        space.install_on_disk(page, Box::new(page_content(bp.seed, page)), disk);
+        space.install_on_disk(page, page_content(bp.seed, page), disk);
     }
     for &page in &bp.install_order {
-        let frame = Frame::new(Box::new(page_content(bp.seed, page)));
+        let frame = Frame::new(page_content(bp.seed, page));
         space.install_page(page, frame, disk);
     }
     let mut rights = Vec::new();
@@ -188,9 +195,9 @@ fn forks_are_independent_of_each_other_and_of_the_image() {
             .unwrap()
     };
     assert_eq!(&read(&mut world, a, first)[..8], b"diverged");
-    assert_eq!(*read(&mut world, b, second), original, "the other fork");
+    assert_eq!(read(&mut world, b, second), original, "the other fork");
     let third = image.fork(&mut world, b).unwrap();
-    assert_eq!(*read(&mut world, b, third), original, "the image itself");
+    assert_eq!(read(&mut world, b, third), original, "the image itself");
     assert_eq!(
         world.process(a, first).unwrap().space.cow_copies(),
         0,
