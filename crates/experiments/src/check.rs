@@ -344,7 +344,7 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Claim> {
     // source; the sweep must show (a) pure-copy is immune, (b) fast
     // draining makes the lazy strategies immune too, (c) no draining
     // actually loses something (the hazard is real), and (d) every
-    // survivor is byte-identical to its crash-free twin.
+    // survivor is byte-identical to the blueprint's expected memory.
     let outcomes = crate::survivability::survival_outcomes(workloads, &matrix.pool());
     let pct = |num: usize, den: usize| 100.0 * num as f64 / den.max(1) as f64;
     let copy: Vec<_> = outcomes
@@ -389,9 +389,9 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Claim> {
     // failover. The gate asserts (a) any factor >= 1 survives every
     // single-node crash with no orphans, (b) the unreplicated baseline
     // still orphans (the hazard is real), (c) every survivor is
-    // byte-identical to its crash-free twin, (d) the write-through wire
-    // overhead grows with the factor, and (e) failover fetches actually
-    // fired and their latency registered on the clock.
+    // byte-identical to the blueprint's expected memory, (d) the
+    // write-through wire overhead grows with the factor, and (e) failover
+    // fetches actually fired and their latency registered on the clock.
     let repl = crate::replication::replication_outcomes(workloads, &matrix.pool());
     let replicated: Vec<_> = repl.iter().filter(|o| o.factor() >= 1).collect();
     checks.push(Claim::new(

@@ -12,7 +12,7 @@
 //! Each "ours" study — `survivability`, `replication`, `fleet`,
 //! `saturation`, `loss` — is one [`study::Study`]: its cells, how they
 //! run, and one column list that renders both its text table and its
-//! CSV. The two crash sweeps share one crash cell (`twin.rs`).
+//! CSV. The two crash sweeps share one crash cell (`crash.rs`).
 
 pub mod check;
 pub mod commands;
@@ -29,7 +29,7 @@ pub mod summary;
 pub mod survivability;
 pub mod tables;
 pub mod trace;
-mod twin;
+mod crash;
 
 pub use runner::{Matrix, Trial};
 

@@ -9,18 +9,19 @@
 //! drains, never orphans, and never even notices the crash beyond the
 //! failover fetch latency. Each cell migrates a workload, kills the
 //! source at a swept delay, and reports survival, byte-identity against
-//! a crash-free twin, the failover fetch count/pages/latency, and the
-//! wire-byte overhead the replication write-through cost (ledgered under
-//! its own category, so the paper tables are untouched).
+//! the blueprint's expected memory, the failover fetch
+//! count/pages/latency, and the wire-byte overhead the replication
+//! write-through cost (ledgered under its own category, so the paper
+//! tables are untouched).
 
 use cor_net::{ReplicationMode, ReplicationParams};
 use cor_pool::Pool;
 use cor_sim::SimDuration;
 use cor_workloads::Workload;
 
+use crate::crash::{self, CrashCell, CrashOutcome, BYTES, DELAY, LOST, REMOTE, STRATEGY, SURVIVED};
 use crate::render::{commas, secs};
 use crate::study::{representative, Column, Study};
-use crate::twin::{self, CrashCell, CrashOutcome, BYTES, DELAY, LOST, REMOTE, STRATEGY, SURVIVED};
 
 /// Crash delays after migration completes, in milliseconds.
 pub const CRASH_DELAYS_MS: [u64; 2] = [1_000, 10_000];
@@ -55,12 +56,12 @@ fn cells() -> Vec<CrashCell> {
                 seed: SWEEP_SEED,
             });
             CRASH_DELAYS_MS.iter().flat_map(move |&ms| {
-                twin::strategies().map(|strategy| CrashCell {
+                crash::strategies().map(|strategy| CrashCell {
                     nodes: 4,
                     drain: None,
                     replication,
                     strategy,
-                    delay: Some(SimDuration::from_millis(ms)),
+                    delay: SimDuration::from_millis(ms),
                 })
             })
         })
@@ -89,7 +90,7 @@ pub static STUDY: Study<CrashCell, CrashOutcome> = Study {
         )
     },
     cells,
-    run: twin::sweep,
+    run: crash::sweep,
     columns: &[
         Column::same("f", "factor", |o| o.factor().to_string()),
         Column::same("mode", "mode", mode),

@@ -7,18 +7,18 @@
 //! `CrashPlan` at a swept delay after migration, and background
 //! flush-draining at a swept rate races the crash. Each cell reports
 //! whether the process survived, whether its memory is byte-identical to
-//! its crash-free twin (`twin.rs`), how many pages the recovery ladder
-//! salvaged from the crashed node's disk backer, and what the draining
-//! cost — which is ledgered under its own category so the paper tables
-//! are untouched.
+//! the blueprint's expected memory (`crash.rs`), how many pages the
+//! recovery ladder salvaged from the crashed node's disk backer, and what
+//! the draining cost — which is ledgered under its own category so the
+//! paper tables are untouched.
 
 use cor_pool::Pool;
 use cor_sim::SimDuration;
 use cor_workloads::Workload;
 
+use crate::crash::{self, CrashCell, CrashOutcome, BYTES, DELAY, LOST, REMOTE, STRATEGY, SURVIVED};
 use crate::render::commas;
 use crate::study::{representative, Column, Study};
-use crate::twin::{self, CrashCell, CrashOutcome, BYTES, DELAY, LOST, REMOTE, STRATEGY, SURVIVED};
 
 /// Crash delays after migration completes, in milliseconds.
 pub const CRASH_DELAYS_MS: [u64; 3] = [1_000, 3_000, 10_000];
@@ -35,13 +35,13 @@ fn cells() -> Vec<CrashCell> {
     CRASH_DELAYS_MS
         .iter()
         .flat_map(|&ms| {
-            twin::strategies().into_iter().flat_map(move |strategy| {
+            crash::strategies().into_iter().flat_map(move |strategy| {
                 DRAIN_RATES.map(|rate| CrashCell {
                     nodes: 2,
                     drain: Some(rate),
                     replication: None,
                     strategy,
-                    delay: Some(SimDuration::from_millis(ms)),
+                    delay: SimDuration::from_millis(ms),
                 })
             })
         })
@@ -60,7 +60,7 @@ pub static STUDY: Study<CrashCell, CrashOutcome> = Study {
         )
     },
     cells,
-    run: twin::sweep,
+    run: crash::sweep,
     columns: &[
         DELAY,
         STRATEGY,

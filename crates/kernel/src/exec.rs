@@ -5,7 +5,7 @@
 //! compute time, and feeds memory touches to the pager.
 
 use cor_ipc::NodeId;
-use cor_mem::page::page_hash;
+use cor_mem::page::{page_hash, PageBytes};
 use cor_mem::space::SegmentId;
 use cor_mem::{PageNum, PageState};
 use cor_sim::IdMap;
@@ -15,6 +15,20 @@ use crate::error::KernelError;
 use crate::process::{ProcessId, RunStatus};
 use crate::program::Op;
 use crate::world::{ExecReport, World};
+
+/// Where every memory checksum starts: the FNV-1a offset basis.
+pub const CHECKSUM_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one page into a memory checksum, FNV-1a over two words: the
+/// page's number, then the word-wise [`page_hash`] of its bytes. Folded
+/// in ascending page order from [`CHECKSUM_BASIS`], it is the one form of
+/// the transparency digest: [`World::touched_checksum`] folds the pages a
+/// run touched, `Blueprint::expected_checksum` the pages its trace
+/// predicts, so the two cannot drift apart.
+pub fn checksum_page(digest: u64, page: PageNum, bytes: &PageBytes) -> u64 {
+    let fnv = |digest: u64, word: u64| (digest ^ word).wrapping_mul(0x100_0000_01b3);
+    fnv(fnv(digest, page.0), page_hash(bytes))
+}
 
 impl World {
     // ----- the executor ----------------------------------------------------
@@ -170,13 +184,13 @@ impl World {
 
     /// A deterministic digest of the contents of every page `pid` has
     /// touched. Two runs of the same program — migrated or not, under any
-    /// strategy — must agree.
+    /// strategy — must agree, and a run that migrated before its first op
+    /// must equal its blueprint's `expected_checksum`.
     ///
-    /// Folds, in page order, each touched page's number and the word-wise
-    /// [`page_hash`] of its bytes as they are now. Every byte is read on
-    /// every call, never the memoised
-    /// [`Frame::content_hash`](cor_mem::Frame::content_hash): the oracle
-    /// must not rely on the memo invalidation it exists to check. A
+    /// Folds, in page order, each touched page's bytes as they are now
+    /// with [`checksum_page`]. Every byte is read on every call, never the
+    /// memoised [`Frame::content_hash`](cor_mem::Frame::content_hash): the
+    /// oracle must not rely on the memo invalidation it exists to check. A
     /// host-side peek: an on-disk page counts no simulated disk read. Only
     /// equality of two digests means anything; the value appears in no
     /// output.
@@ -190,16 +204,13 @@ impl World {
         let disk = &self.node(node)?.disk;
         let mut pages: Vec<PageNum> = process.stats.touched.iter().copied().collect();
         pages.sort_unstable();
-        let mut digest: u64 = 0xcbf29ce484222325;
+        let mut digest = CHECKSUM_BASIS;
         for page in pages {
             let frame = process
                 .space
                 .peek_frame(page, disk)
                 .ok_or(KernelError::Mem(cor_mem::MemError::NotResident(page)))?;
-            for word in [page.0, frame.with(page_hash)] {
-                digest ^= word;
-                digest = digest.wrapping_mul(0x100000001b3);
-            }
+            digest = frame.with(|bytes| checksum_page(digest, page, bytes));
         }
         Ok(digest)
     }
