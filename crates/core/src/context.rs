@@ -14,6 +14,9 @@ use cor_kernel::program::Trace;
 pub struct ExcisedProcess {
     /// The identity of the excised process (preserved across migration).
     pub pid: ProcessId,
+    /// The process's name, as the Core blob carries it: kept beside the
+    /// message so the source's report need not decode the blob.
+    pub name: String,
     /// The Core context message: serialized PCB + microstate + kernel
     /// stack (inline), the port rights, and the address-space AMap.
     pub core: Message,
@@ -74,20 +77,20 @@ fn status_from(code: u8) -> Option<RunStatus> {
 }
 
 impl CoreBlob {
-    /// Builds the blob from a PCB and context pieces.
+    /// Builds the blob from a PCB and context pieces, taking them over.
     pub fn from_parts(
-        pcb: &Pcb,
-        microstate: &[u8],
-        kernel_stack: &[u8],
+        pcb: Pcb,
+        microstate: Vec<u8>,
+        kernel_stack: Vec<u8>,
         frame_budget: Option<usize>,
     ) -> Self {
         CoreBlob {
-            name: pcb.name.clone(),
+            name: pcb.name,
             trace_pos: pcb.trace_pos as u64,
             priority: pcb.priority,
             status: pcb.status,
-            microstate: microstate.to_vec(),
-            kernel_stack: kernel_stack.to_vec(),
+            microstate,
+            kernel_stack,
             frame_budget: frame_budget.map_or(0, |b| b as u64),
         }
     }

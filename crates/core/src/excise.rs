@@ -15,7 +15,7 @@ use cor_ipc::NodeId;
 use cor_kernel::process::ProcessId;
 use cor_kernel::{KernelError, World};
 use cor_mem::amap::Access;
-use cor_mem::page::Frame;
+use cor_mem::page::{Frame, PAGE_SIZE};
 use cor_mem::{MemError, PageState};
 use cor_sim::{SimDuration, SmallVec};
 
@@ -56,24 +56,28 @@ pub fn excise_process(
     let start = world.clock.now();
 
     // -- AMap construction (the dominant cost for sparse spaces). --
-    let (amap, map_complexity) = {
+    let (amap, map_complexity, resident) = {
         let process = world.process(node, pid)?;
         if process.finished() {
             // A terminated process released its owed-page references; its
             // context can no longer be shipped coherently.
             return Err(KernelError::ProcessNotActive(pid));
         }
-        (process.space.amap(), process.space.map_complexity())
+        let space = &process.space;
+        (space.amap(), space.map_complexity(), space.resident_count())
     };
     let amap_time = world.costs.amap_cost(map_complexity);
     world.clock.advance(amap_time);
 
-    // -- Collapse the Real and Imaginary portions into RIMAS items. --
+    // -- Collapse the Real and Imaginary portions into RIMAS items. Each
+    // vector is sized up front: a batch holds at most the Real pages not
+    // yet collapsed. --
+    let real_total = amap.bytes_of(Access::Real) / PAGE_SIZE;
     let mut items = SmallVec::new();
     let mut batch: Vec<Frame> = Vec::new();
     let mut batch_base = 0u64;
     let mut cursor = 0u64; // next collapsed slot
-    let mut resident_slots = Vec::new();
+    let mut resident_slots = Vec::with_capacity(resident);
     let mut real_pages = 0u64;
     let mut resident_pages = 0u64;
     let mut imag_pages = 0u64;
@@ -90,6 +94,7 @@ pub fn excise_process(
                 Access::Real => {
                     if batch.is_empty() {
                         batch_base = cursor;
+                        batch.reserve_exact((real_total - real_pages) as usize);
                     }
                     // The AMap was walked off this page table, so the
                     // entry's pages are its next entries: walk them
@@ -97,7 +102,7 @@ pub fn excise_process(
                     let mut table = process.space.materialized_pages_from(entry.range.start);
                     for page in entry.range.iter() {
                         match table.next().filter(|&(p, _)| p == page) {
-                            Some((_, PageState::Resident(frame))) => {
+                            Some((_, PageState::Resident(frame, _))) => {
                                 // Memory-mapped into the message: a COW
                                 // share, not a copy.
                                 batch.push(frame.clone());
@@ -158,16 +163,17 @@ pub fn excise_process(
     let process = world.remove_process(node, pid)?;
     let frame_budget = process.space.frame_budget();
     let blob = CoreBlob::from_parts(
-        &process.pcb,
-        &process.microstate,
-        &process.kernel_stack,
+        process.pcb,
+        process.microstate,
+        process.kernel_stack,
         frame_budget,
     );
+    let amap_entries = amap.len() as u64;
     let core = Message::new(MsgKind::Core, dest)
         .with_no_ious(true)
         .push(MsgItem::Inline(blob.encode()))
-        .push(MsgItem::Rights(process.rights.clone()))
-        .push(MsgItem::AMap(amap.clone()));
+        .push(MsgItem::Rights(process.rights))
+        .push(MsgItem::AMap(amap));
     let mut rimas = Message::new(MsgKind::Rimas, dest);
     rimas.items = items;
 
@@ -184,10 +190,11 @@ pub fn excise_process(
         real_pages,
         resident_pages,
         imag_pages,
-        amap_entries: amap.len() as u64,
+        amap_entries,
     };
     let excised = ExcisedProcess {
         pid,
+        name: blob.name,
         core,
         rimas,
         resident_slots,
@@ -252,7 +259,7 @@ mod tests {
         let alias = {
             let process = world.process(a, pid).unwrap();
             match process.space.page_state(PageNum(0)) {
-                Some(cor_mem::PageState::Resident(f)) => f.clone(),
+                Some(cor_mem::PageState::Resident(f, _)) => f.clone(),
                 other => panic!("expected resident page, got {other:?}"),
             }
         };

@@ -83,7 +83,7 @@ pub fn insert_process(
         match item {
             MsgItem::Pages { frames, .. } if off < frames.len() as u64 => {
                 carried_pages += 1;
-                return Some(PageState::Resident(frames[off as usize].clone()));
+                return Some(PageState::resident(frames[off as usize].clone()));
             }
             MsgItem::Iou {
                 seg,
@@ -114,7 +114,7 @@ pub fn insert_process(
     }
 
     // -- Reassemble the process. --
-    let mut process = Process::new(excised.pid, blob.name.clone(), space, excised.program);
+    let mut process = Process::new(excised.pid, blob.name, space, excised.program);
     process.pcb.trace_pos = blob.trace_pos as usize;
     process.pcb.priority = blob.priority;
     process.pcb.status = blob.status;

@@ -103,7 +103,6 @@ impl MigrationManager {
         let excise_span = world.span_enter("excise", Some(self.node));
         let (mut excised, ex_report) = excise_process(world, self.node, pid, dest.control_port)?;
         world.span_exit(excise_span);
-        let process_name = self.peek_name(&excised);
         let mut precopy_plan: Vec<u64> = Vec::new();
         match strategy {
             Strategy::PureCopy => {
@@ -127,15 +126,13 @@ impl MigrationManager {
 
         // -- Phase 2: context transfer. --
         let core_span = world.span_enter("core-transfer", Some(self.node));
-        let (_, core_transfer) = {
-            let t0 = world.clock.now();
-            world.send_from(self.node, excised.core.clone())?;
-            ((), world.clock.now().since(t0))
-        };
+        let t0 = world.clock.now();
+        world.send_from(self.node, excised.core)?;
+        let core_transfer = world.clock.now().since(t0);
         world.span_exit(core_span);
         let rimas_span = world.span_enter("rimas-transfer", Some(self.node));
         let t0 = world.clock.now();
-        let rimas_report = world.send_from(self.node, excised.rimas.clone())?;
+        let rimas_report = world.send_from(self.node, excised.rimas)?;
         let rimas_transfer = world.clock.now().since(t0);
         world.settle()?;
         world.span_exit(rimas_span);
@@ -187,6 +184,8 @@ impl MigrationManager {
         let owed_pages = rimas_rx.owed_pages();
         let excised_rx = ExcisedProcess {
             pid: excised.pid,
+            // The destination reads the name from the Core blob.
+            name: String::new(),
             core: core_rx,
             rimas: rimas_rx,
             resident_slots: Vec::new(),
@@ -207,8 +206,8 @@ impl MigrationManager {
 
         debug_assert_eq!(new_pid, pid);
         Ok(MigrationReport {
-            strategy: strategy.to_string(),
-            process: process_name,
+            strategy,
+            process: excised.name,
             timings: PhaseTimings {
                 excise_amap: ex_report.amap_time,
                 excise_rimas: ex_report.rimas_time,
@@ -227,18 +226,6 @@ impl MigrationManager {
             precopy_rounds,
             precopy_round_times,
         })
-    }
-
-    fn peek_name(&self, excised: &ExcisedProcess) -> String {
-        excised
-            .core
-            .items
-            .first()
-            .and_then(|item| match item {
-                MsgItem::Inline(bytes) => CoreBlob::decode(bytes).map(|b| b.name),
-                _ => None,
-            })
-            .unwrap_or_else(|| format!("pid{}", excised.pid.0))
     }
 
     /// Resident-set packaging: resident slots stay physical; every other

@@ -2,6 +2,8 @@
 
 use cor_sim::{SimDuration, SimTime};
 
+use crate::strategy::Strategy;
+
 /// Timings of every migration phase (the quantities of Tables 4-4 and
 /// 4-5).
 #[derive(Debug, Clone, Copy, Default)]
@@ -31,8 +33,9 @@ impl PhaseTimings {
 /// The complete record of one migration.
 #[derive(Debug, Clone)]
 pub struct MigrationReport {
-    /// Strategy label ("pure-copy", "pure-iou", ...).
-    pub strategy: String,
+    /// The strategy the process migrated under; its `Display` is the
+    /// label ("pure-copy", "pure-iou pf=1", ...).
+    pub strategy: Strategy,
     /// Migrated process name.
     pub process: String,
     /// Phase timings.
@@ -97,7 +100,10 @@ mod tests {
     #[test]
     fn precopy_downtime_is_the_final_round() {
         let r = MigrationReport {
-            strategy: "precopy".into(),
+            strategy: Strategy::PreCopy {
+                max_rounds: 3,
+                stop_pages: 1,
+            },
             process: "x".into(),
             timings: PhaseTimings::default(),
             requested_at: SimTime::ZERO,

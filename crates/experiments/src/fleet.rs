@@ -263,7 +263,9 @@ fn run_cell_inner(spec: FleetSpec) -> (FleetOutcome, World) {
     }
 
     // The storm: every draining node evicts everything it hosts, one
-    // placement decision per process against live load counts.
+    // placement decision per process against live load counts. The load
+    // map is built once; each migration moves one process, so it updates
+    // the two counts that moved.
     let candidates: Vec<NodeId> = nodes
         .iter()
         .copied()
@@ -273,9 +275,10 @@ fn run_cell_inner(spec: FleetSpec) -> (FleetOutcome, World) {
     let storm_start = world.clock.now();
     let bytes_before = world.fabric.ledger.total();
     let mut migrations = 0u64;
+    let mut loads = world.loads();
     for &source in &drain_set {
         for pid in world.resident_pids(source).unwrap() {
-            let loads = world.loads();
+            debug_assert_eq!(loads, world.loads(), "the storm's load map is stale");
             let down = world.fabric.crashed_nodes();
             for &cand in &candidates {
                 if down.contains(&cand) {
@@ -299,6 +302,8 @@ fn run_cell_inner(spec: FleetSpec) -> (FleetOutcome, World) {
                     Strategy::PureIou { prefetch: 1 },
                 )
                 .expect("storm migration");
+            *loads.get_mut(&source).expect("a fleet node") -= 1;
+            *loads.get_mut(&dest).expect("a fleet node") += 1;
             migrations += 1;
         }
     }

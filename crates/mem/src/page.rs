@@ -133,44 +133,48 @@ pub fn page_from_bytes(bytes: &[u8]) -> PageData {
     p
 }
 
-/// A reference-counted physical frame: one slot of a shared frame block.
+/// A reference-counted physical frame.
 ///
-/// The slot's share count *is* the copy-on-write reference count: a frame
-/// with `Frame::is_shared() == true` must be copied before being written.
+/// The share count *is* the copy-on-write reference count: a frame with
+/// `Frame::is_shared() == true` must be copied before being written.
 /// This is the deferred-copy machinery of Accent's IPC (§2.1): mapping
 /// message data into a receiver clones the handle, and the 512-byte copy
 /// happens only when either party writes.
 ///
-/// A handle is 16 bytes: the block and a slot number. Identity is the
-/// pair; `Clone` bumps the slot's count and `Drop` lowers it, so two
-/// frames of one block are as unrelated as two frames of two blocks.
-/// [`Frame::new`] makes a one-slot block in one allocation. A fork of a
-/// process image ([`ImageArena::frames`]) makes one block for all of its
-/// pages, so thawing costs O(1) allocations, not one per page — μFork's
-/// "share the structure, copy on divergence" (PAPERS.md) applied to the
-/// frame handles themselves.
-pub struct Frame {
-    block: Rc<FrameBlock>,
-    slot: u32,
+/// A handle is 16 bytes. An *owned* frame ([`Frame::new`],
+/// [`Frame::deep_copy`], the interned zero page) is one allocation holding
+/// its count, memo and bytes, so a diverging write costs one allocation.
+/// An *image* frame is a slot, with its own share count, of the one block
+/// a process-image fork makes ([`ImageArena::frames`]), so a thaw costs
+/// O(1) allocations — μFork's "share the structure, copy on divergence"
+/// (PAPERS.md) applied to the frame handles themselves.
+pub struct Frame(Handle);
+
+/// The two kinds of frame handle.
+enum Handle {
+    /// Slot `u32` of a block of image frames.
+    Image(Rc<FrameBlock>, u32),
+    /// A frame that owns its bytes; the `Rc`'s strong count is its share
+    /// count.
+    Owned(Rc<OwnedFrame>),
 }
 
-/// The shared allocation behind one frame or a fork's worth of them.
+/// An owned frame's one allocation.
+struct OwnedFrame {
+    /// The memo of [`Frame::content_hash`]; 0 = not computed.
+    hash: Cell<u64>,
+    bytes: RefCell<PageBytes>,
+}
+
+/// The shared allocation behind a fork's image frames: the image their
+/// unwritten slots read from, and a slot per arena page (the handle's slot
+/// number is the arena slot).
 struct FrameBlock {
-    /// The image an unwritten slot reads its bytes from. In an
-    /// image-backed block the handle's slot number is the arena slot.
-    arena: Option<ImageArena>,
-    slots: Slots,
+    arena: ImageArena,
+    slots: Box<[Slot]>,
 }
 
-/// A block's slots. A one-slot block holds its slot inline, so a lone
-/// frame costs one allocation; its handle's slot number then only names
-/// the arena slot (0 for a frame that never had one).
-enum Slots {
-    One(Slot),
-    Many(Box<[Slot]>),
-}
-
-/// One frame's state inside its block: 32 bytes.
+/// One image frame's state inside its block: 32 bytes.
 ///
 /// The hash cell caches [`Frame::content_hash`] so the 512-byte hash walk
 /// runs at most once per contents version — every alias of the frame (CoW
@@ -178,43 +182,17 @@ enum Slots {
 /// and any mutation through [`Frame::with_mut`] invalidates it. Zero means
 /// "not computed" (a page that really hashes to zero is merely re-walked
 /// each time).
+#[derive(Default)]
 struct Slot {
     /// Live handles to this slot.
     count: Cell<u32>,
     hash: Cell<u64>,
-    /// The slot's own host bytes: given at birth ([`Frame::new`]) or
-    /// copied out of the arena by the first write. `None` while the bytes
-    /// are still the arena's. This is a level *below* the simulated frame:
-    /// two unrelated frames — in different forks of one process image, on
-    /// different threads — may read the same arena bytes, and the first
-    /// write copies them private.
+    /// The slot's own host bytes, copied out of the arena by the first
+    /// write; `None` while they are still the arena's. This is a level
+    /// *below* the simulated frame: two unrelated frames — in different
+    /// forks of one process image, on different threads — may read the
+    /// same arena bytes, and the first write copies them private.
     bytes: RefCell<Option<PageData>>,
-}
-
-impl Slot {
-    fn new(count: u32, bytes: Option<PageData>) -> Self {
-        Slot {
-            count: Cell::new(count),
-            hash: Cell::new(0),
-            bytes: RefCell::new(bytes),
-        }
-    }
-}
-
-impl FrameBlock {
-    fn slot(&self, slot: u32) -> &Slot {
-        match &self.slots {
-            Slots::One(only) => only,
-            Slots::Many(slots) => &slots[slot as usize],
-        }
-    }
-
-    /// The arena behind the block's unwritten slots.
-    fn image(&self) -> &ImageArena {
-        self.arena
-            .as_ref()
-            .expect("a slot without its own bytes is an arena slot")
-    }
 }
 
 /// An immutable, atomically reference-counted block of page bytes: the
@@ -275,31 +253,16 @@ impl ImageArena {
     /// The factory panics on a slot that is out of range, or that it
     /// handed out before and some handle still holds.
     pub fn frames(&self) -> impl Fn(u32) -> Frame {
-        let slots = (0..self.len()).map(|_| Slot::new(0, None)).collect();
         let block = Rc::new(FrameBlock {
-            arena: Some(self.clone()),
-            slots: Slots::Many(slots),
+            arena: self.clone(),
+            slots: (0..self.len()).map(|_| Slot::default()).collect(),
         });
         move |slot| {
-            let count = &block.slot(slot).count;
+            let count = &block.slots[slot as usize].count;
             assert_eq!(count.get(), 0, "arena slot {slot} is already a live frame");
             count.set(1);
-            Frame {
-                block: Rc::clone(&block),
-                slot,
-            }
+            Frame(Handle::Image(Rc::clone(&block), slot))
         }
-    }
-
-    /// One frame of slot `slot`, in a block of its own: unrelated to every
-    /// other frame, like one frame of [`ImageArena::frames`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a slot that is out of range.
-    pub fn frame(&self, slot: u32) -> Frame {
-        assert!((slot as usize) < self.len(), "arena slot out of range");
-        Frame::one(Some(self.clone()), slot, None)
     }
 }
 
@@ -309,7 +272,7 @@ thread_local! {
     /// [`Frame::zeroed`] call aliases it, so validating or zero-filling
     /// megabytes of RealZeroMem costs reference bumps, not allocations;
     /// the first write diverges through the normal deferred-copy path.
-    static ZERO_FRAME: Frame = Frame::one(None, 0, Some(zero_page()));
+    static ZERO_FRAME: Frame = Frame::owned([0; PAGE_SIZE as usize]);
 }
 
 /// A thread-local pool of recycled `Vec<Frame>` buffers for message
@@ -387,7 +350,7 @@ pub mod alloc_stats {
 
     /// Fresh page-sized frame allocations on this thread since the last
     /// [`reset`]. Interned-zero clones, CoW `Rc` shares and image-backed
-    /// frames ([`super::ImageArena::frame`]: no bytes are allocated) do
+    /// frames ([`super::ImageArena::frames`]: no bytes are allocated) do
     /// not count; the first write to an image-backed frame, which copies
     /// its 512 bytes out of the arena, does.
     pub fn frame_allocs() -> u64 {
@@ -401,33 +364,36 @@ pub mod alloc_stats {
 }
 
 impl Frame {
-    /// A one-slot block holding one handle.
-    fn one(arena: Option<ImageArena>, slot: u32, bytes: Option<PageData>) -> Frame {
-        let block = FrameBlock {
-            arena,
-            slots: Slots::One(Slot::new(1, bytes)),
-        };
-        Frame {
-            block: Rc::new(block),
-            slot,
-        }
-    }
-
-    /// This frame's slot.
-    fn cell(&self) -> &Slot {
-        self.block.slot(self.slot)
+    /// An owned frame holding `bytes`: one allocation.
+    fn owned(bytes: PageBytes) -> Frame {
+        Frame(Handle::Owned(Rc::new(OwnedFrame {
+            hash: Cell::new(0),
+            bytes: RefCell::new(bytes),
+        })))
     }
 
     /// `true` when `self` and `other` are handles to the same frame.
     fn is(&self, other: &Frame) -> bool {
-        Rc::ptr_eq(&self.block, &other.block) && self.slot == other.slot
+        match (&self.0, &other.0) {
+            (Handle::Image(a, i), Handle::Image(b, j)) => Rc::ptr_eq(a, b) && i == j,
+            (Handle::Owned(a), Handle::Owned(b)) => Rc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
-    /// Wraps page data in a frame: a block of one slot, one allocation.
+    /// The hash memo, whichever kind of frame this is.
+    fn memo(&self) -> &Cell<u64> {
+        match &self.0 {
+            Handle::Image(block, slot) => &block.slots[*slot as usize].hash,
+            Handle::Owned(own) => &own.hash,
+        }
+    }
+
+    /// Wraps page data in a frame: an owned frame, one allocation.
     pub fn new(data: PageData) -> Self {
         #[cfg(any(test, feature = "alloc-stats"))]
         alloc_stats::record_alloc();
-        Frame::one(None, 0, Some(data))
+        Frame::owned(*data)
     }
 
     /// A zero-filled frame: an alias of the thread's interned zero page.
@@ -448,12 +414,24 @@ impl Frame {
     /// `true` when more than one mapping references this frame, i.e. a write
     /// must first perform the deferred copy.
     pub fn is_shared(&self) -> bool {
-        self.cell().count.get() > 1
+        self.count() > 1
     }
 
-    /// Copies the frame contents into a brand-new unshared frame.
+    /// Live handles to this frame.
+    fn count(&self) -> usize {
+        match &self.0 {
+            Handle::Image(block, slot) => block.slots[*slot as usize].count.get() as usize,
+            Handle::Owned(own) => Rc::strong_count(own),
+        }
+    }
+
+    /// Copies the frame contents into a brand-new unshared frame: an owned
+    /// frame, so the copy costs one allocation — the page's bytes and its
+    /// count together.
     pub fn deep_copy(&self) -> Frame {
-        Frame::new(self.snapshot())
+        #[cfg(any(test, feature = "alloc-stats"))]
+        alloc_stats::record_alloc();
+        self.with(|d| Frame::owned(*d))
     }
 
     /// Reads the whole page into a fresh buffer.
@@ -462,12 +440,14 @@ impl Frame {
     }
 
     /// The arena slot behind this frame, if its bytes are still backed by
-    /// `arena` (i.e. it came from [`ImageArena::frame`] or
-    /// [`ImageArena::frames`] on that arena and has not been written since).
+    /// `arena` (i.e. it came from [`ImageArena::frames`] on that arena and
+    /// has not been written since).
     pub fn image_slot(&self, arena: &ImageArena) -> Option<u32> {
-        let ours = self.block.arena.as_ref();
-        let unwritten = self.cell().bytes.borrow().is_none();
-        (unwritten && ours.is_some_and(|a| Arc::ptr_eq(&a.0, &arena.0))).then_some(self.slot)
+        let Handle::Image(block, slot) = &self.0 else {
+            return None;
+        };
+        let unwritten = block.slots[*slot as usize].bytes.borrow().is_none();
+        (unwritten && Arc::ptr_eq(&block.arena.0, &arena.0)).then_some(*slot)
     }
 
     /// Hash of the page contents (a word-parallel multiply-rotate hash, see
@@ -484,16 +464,18 @@ impl Frame {
     /// A frame whose bytes are still an [`ImageArena`] slot takes its hash
     /// from the arena's memo, shared by every fork of the image.
     pub fn content_hash(&self) -> u64 {
-        let cell = self.cell();
-        let memo = cell.hash.get();
-        if memo != 0 {
-            return memo;
+        let memo = self.memo();
+        if memo.get() != 0 {
+            return memo.get();
         }
-        let h = match &*cell.bytes.borrow() {
-            Some(data) => page_hash(data),
-            None => self.block.image().slot_hash(self.slot),
+        let h = match &self.0 {
+            Handle::Image(block, slot) => match &*block.slots[*slot as usize].bytes.borrow() {
+                Some(data) => page_hash(data),
+                None => block.arena.slot_hash(*slot),
+            },
+            Handle::Owned(own) => page_hash(&own.bytes.borrow()),
         };
-        cell.hash.set(h);
+        memo.set(h);
         h
     }
 
@@ -505,9 +487,12 @@ impl Frame {
 
     /// Runs `f` over the page contents.
     pub fn with<R>(&self, f: impl FnOnce(&PageBytes) -> R) -> R {
-        match &*self.cell().bytes.borrow() {
-            Some(data) => f(data),
-            None => f(&self.block.image().0.pages[self.slot as usize]),
+        match &self.0 {
+            Handle::Image(block, slot) => match &*block.slots[*slot as usize].bytes.borrow() {
+                Some(data) => f(data),
+                None => f(&block.arena.0.pages[*slot as usize]),
+            },
+            Handle::Owned(own) => f(&own.bytes.borrow()),
         }
     }
 
@@ -517,38 +502,48 @@ impl Frame {
     /// `AddressSpace`, which copies shared frames first); mutating a shared
     /// frame would violate copy-on-write semantics, though it cannot violate
     /// memory safety. Invalidates the memoized content hash. An
-    /// image-backed frame first copies its bytes out of the arena into its
-    /// slot — a host-level divergence no simulation counter sees.
+    /// image frame first copies its bytes out of the arena into its slot —
+    /// a host-level divergence no simulation counter sees.
     pub fn with_mut<R>(&self, f: impl FnOnce(&mut PageBytes) -> R) -> R {
-        let cell = self.cell();
-        cell.hash.set(0);
-        let mut bytes = cell.bytes.borrow_mut();
-        f(bytes.get_or_insert_with(|| {
-            #[cfg(any(test, feature = "alloc-stats"))]
-            alloc_stats::record_alloc();
-            Box::new(self.block.image().0.pages[self.slot as usize])
-        }))
+        self.memo().set(0);
+        match &self.0 {
+            Handle::Image(block, slot) => {
+                let mut bytes = block.slots[*slot as usize].bytes.borrow_mut();
+                f(bytes.get_or_insert_with(|| {
+                    #[cfg(any(test, feature = "alloc-stats"))]
+                    alloc_stats::record_alloc();
+                    Box::new(block.arena.0.pages[*slot as usize])
+                }))
+            }
+            Handle::Owned(own) => f(&mut own.bytes.borrow_mut()),
+        }
     }
 }
 
 impl Clone for Frame {
     fn clone(&self) -> Self {
-        let count = &self.cell().count;
-        count.set(count.get() + 1);
-        Frame {
-            block: Rc::clone(&self.block),
-            slot: self.slot,
-        }
+        Frame(match &self.0 {
+            Handle::Image(block, slot) => {
+                let count = &block.slots[*slot as usize].count;
+                count.set(count.get() + 1);
+                Handle::Image(Rc::clone(block), *slot)
+            }
+            Handle::Owned(own) => Handle::Owned(Rc::clone(own)),
+        })
     }
 }
 
 impl Drop for Frame {
-    /// Releases this handle. The slot's last handle frees its private
-    /// bytes and memo at once, not when the block goes: the slot's
+    /// Releases this handle. An image slot's last handle frees the slot's
+    /// private bytes and memo at once, not when the block goes: the slot's
     /// neighbours may keep the block alive for the rest of the run, and a
-    /// factory that hands the slot out again hands out a fresh frame.
+    /// factory that hands the slot out again hands out a fresh frame. An
+    /// owned frame goes with its `Rc`.
     fn drop(&mut self) {
-        let cell = self.cell();
+        let Handle::Image(block, slot) = &self.0 else {
+            return;
+        };
+        let cell = &block.slots[*slot as usize];
         let count = cell.count.get() - 1;
         cell.count.set(count);
         if count == 0 {
@@ -593,7 +588,7 @@ pub fn page_hash(bytes: &PageBytes) -> u64 {
 
 impl fmt::Debug for Frame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Frame(rc={})", self.cell().count.get())
+        write!(f, "Frame(rc={})", self.count())
     }
 }
 
@@ -770,7 +765,7 @@ mod tests {
         let arena = ImageArena::new(vec![*page_from_bytes(b"one"), *page_from_bytes(b"two")]);
         let two = Frame::new(page_from_bytes(b"two")).content_hash();
         alloc_stats::reset();
-        let (a, b) = (arena.frame(1), arena.frame(1));
+        let (a, b) = (arena.frames()(1), arena.frames()(1));
         assert_eq!(alloc_stats::frame_allocs(), 0, "no page-sized allocation");
         // Two forks of one slot are unrelated simulated frames.
         assert!(!a.is_shared() && !b.is_shared());
@@ -783,7 +778,7 @@ mod tests {
         assert_eq!(a.image_slot(&arena), None);
         a.with(|d| assert_eq!(&d[..3], b"Two"));
         b.with(|d| assert_eq!(&d[..3], b"two"));
-        arena.frame(1).with(|d| assert_eq!(&d[..3], b"two"));
+        arena.frames()(1).with(|d| assert_eq!(&d[..3], b"two"));
         a.with_mut(|d| d[1] = b'W');
         assert_eq!(alloc_stats::frame_allocs(), 1, "already private");
         // A handle is a block and a slot number; a slot is 32 bytes, and a
@@ -793,7 +788,7 @@ mod tests {
         assert_eq!(std::mem::size_of::<crate::space::PageState>(), 24);
         // Another arena with equal bytes is still another arena.
         let other = ImageArena::new(vec![*page_from_bytes(b"one")]);
-        assert_eq!(other.frame(0).image_slot(&arena), None);
+        assert_eq!(other.frames()(0).image_slot(&arena), None);
     }
 
     #[test]
@@ -801,7 +796,10 @@ mod tests {
         let arena = ImageArena::new(vec![*page_from_bytes(b"one"), *page_from_bytes(b"two")]);
         let take = arena.frames();
         let (a, b) = (take(0), take(1));
-        assert!(Rc::ptr_eq(&a.block, &b.block), "one block for the fork");
+        let (Handle::Image(block_a, _), Handle::Image(block_b, _)) = (&a.0, &b.0) else {
+            panic!("a fork's frames are image frames");
+        };
+        assert!(Rc::ptr_eq(block_a, block_b), "one block for the fork");
         assert!(!a.is_shared() && !b.is_shared());
         let a2 = a.clone();
         assert!(a.is_shared() && !b.is_shared(), "counts are per slot");
@@ -828,7 +826,7 @@ mod tests {
         let arena = ImageArena::new(vec![*page_from_bytes(b"one"), *page_from_bytes(b"two")]);
         let memo = |slot: usize| arena.0.hashes[slot].load(Ordering::Relaxed);
         let two = Frame::new(page_from_bytes(b"two")).content_hash();
-        let (a, b) = (arena.frame(1), arena.frame(1));
+        let (a, b) = (arena.frames()(1), arena.frames()(1));
         assert_eq!((memo(0), memo(1)), (0, 0), "nothing hashed yet");
         assert_eq!(a.content_hash(), two);
         assert_eq!(
@@ -841,7 +839,7 @@ mod tests {
         arena.0.hashes[1].store(0xFEED, Ordering::Relaxed);
         assert_eq!(b.content_hash(), 0xFEED);
         arena.0.hashes[1].store(two, Ordering::Relaxed);
-        assert_eq!(arena.frame(1).content_hash(), two);
+        assert_eq!(arena.frames()(1).content_hash(), two);
 
         // A written frame is private: it hashes its own bytes and neither
         // reads nor disturbs the arena's memo or the other fork.
@@ -850,7 +848,7 @@ mod tests {
         assert_eq!(a.content_hash(), written);
         assert_ne!(written, two);
         assert_eq!(memo(1), two, "the arena's memo is intact");
-        assert_eq!(arena.frame(1).content_hash(), two, "so is a later fork");
+        assert_eq!(arena.frames()(1).content_hash(), two, "so is a later fork");
         a.with_mut(|d| d[0] = b't');
         arena.0.hashes[1].store(0xFEED, Ordering::Relaxed);
         assert_eq!(a.content_hash(), two, "private bytes, never the memo");

@@ -6,16 +6,18 @@
 //! The tracker models a per-space frame budget; when it is exceeded the
 //! least recently used page is nominated for page-out.
 
-use std::collections::hash_map::Entry;
-
 use cor_sim::lru::Slot;
-use cor_sim::{IdMap, LruList};
+use cor_sim::LruList;
 
 use crate::page::PageNum;
 
-/// LRU tracker over the resident pages of one address space: an
-/// [`LruList`] of pages plus a page → slot index, so `touch`, `refresh`
-/// and `remove` are O(1).
+/// LRU order over the resident pages of one address space, and its frame
+/// budget.
+///
+/// The tracker keeps no page index of its own: [`ResidentTracker::push`]
+/// returns the page's [`Slot`], which its owner keeps in the page's
+/// `PageState::Resident`, so a hit refreshes the page, and a page-out
+/// removes it, with no lookup at all.
 ///
 /// # Examples
 ///
@@ -23,51 +25,41 @@ use crate::page::PageNum;
 /// use cor_mem::resident::ResidentTracker;
 /// use cor_mem::PageNum;
 ///
-/// let mut rs = ResidentTracker::with_capacity(2);
-/// assert_eq!(rs.touch(PageNum(1)), None);
-/// assert_eq!(rs.touch(PageNum(2)), None);
-/// assert_eq!(rs.touch(PageNum(1)), None); // refresh 1
-/// // Inserting a third page evicts the LRU page, which is now 2.
-/// assert_eq!(rs.touch(PageNum(3)), Some(PageNum(2)));
+/// let mut rs = ResidentTracker::sized(Some(2), 3);
+/// let one = rs.push(PageNum(1));
+/// rs.push(PageNum(2));
+/// rs.refresh(one);
+/// // A third page puts the tracker over budget; the LRU page is now 2.
+/// rs.push(PageNum(3));
+/// assert_eq!(rs.victim(), Some(PageNum(2)));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ResidentTracker {
     lru: LruList<PageNum>,
-    /// Never iterated for output: `pages` sorts, the list carries the order.
-    slots: IdMap<PageNum, Slot>,
     capacity: Option<usize>,
 }
 
 impl ResidentTracker {
-    /// A tracker that nominates pages for page-out beyond `frames` resident
-    /// pages.
+    /// An empty tracker that nominates pages for page-out beyond
+    /// `capacity` resident pages, with room for `pages` pushes before it
+    /// reallocates.
     ///
     /// # Panics
     ///
-    /// Panics if `frames` is zero; a process needs at least one frame.
-    pub fn with_capacity(frames: usize) -> Self {
-        assert!(frames > 0, "resident capacity must be at least one frame");
-        ResidentTracker {
-            capacity: Some(frames),
-            ..ResidentTracker::default()
-        }
-    }
-
-    /// A tracker holding `lru` (least recently used first) under
-    /// `capacity`, as if each page had been touched in that order.
-    pub fn from_lru_order(capacity: Option<usize>, lru: &[PageNum]) -> Self {
+    /// Panics on `Some(0)`; a process needs at least one frame.
+    pub fn sized(capacity: Option<usize>, pages: usize) -> Self {
         let mut tracker = ResidentTracker {
-            lru: LruList::with_capacity(lru.len()),
-            capacity,
-            ..ResidentTracker::default()
+            lru: LruList::with_capacity(pages),
+            capacity: None,
         };
-        tracker.slots.reserve(lru.len());
-        lru.iter().for_each(|&page| tracker.refresh(page));
+        tracker.set_capacity(capacity);
         tracker
     }
 
-    /// Changes the capacity. Does not immediately evict; the next `touch`
-    /// enforces the new bound one page at a time.
+    /// Changes the capacity. Does not immediately evict: the owner pages
+    /// out one [`ResidentTracker::victim`] per install, so an over-budget
+    /// tracker (after a budget shrink or a bulk insertion) drains one page
+    /// per later install rather than on reads.
     pub fn set_capacity(&mut self, frames: Option<usize>) {
         assert!(
             frames != Some(0),
@@ -76,71 +68,44 @@ impl ResidentTracker {
         self.capacity = frames;
     }
 
-    /// Marks `page` as most recently used (inserting it if absent). If the
-    /// insertion pushed the tracker over capacity, returns the LRU page;
-    /// that page has already been dropped from the tracker and the caller
-    /// must page it out.
-    #[must_use = "a returned page must be paged out by the caller"]
-    pub fn touch(&mut self, page: PageNum) -> Option<PageNum> {
-        self.refresh(page);
-        // Over capacity, so the list is not empty and its oldest page is
-        // the victim — never the page just touched when the capacity is
-        // >= 1.
-        if self.capacity.is_some_and(|cap| self.slots.len() > cap) {
-            let (_, victim) = self.lru.pop_oldest()?;
-            self.slots.remove(&victim);
-            return Some(victim);
-        }
-        None
+    /// Adds `page`, which must not be tracked already, as the most
+    /// recently used; returns the slot that names it from now on.
+    pub fn push(&mut self, page: PageNum) -> Slot {
+        self.lru.push(page)
     }
 
-    /// Marks `page` as most recently used *without* enforcing capacity.
-    /// Used on plain access to an already-resident page: budgets are
-    /// enforced when pages are installed, so an over-budget tracker (after
-    /// a budget shrink or a bulk insertion) drains one page per subsequent
-    /// install rather than on reads.
-    pub fn refresh(&mut self, page: PageNum) {
-        match self.slots.entry(page) {
-            Entry::Occupied(slot) => self.lru.touch(*slot.get()),
-            Entry::Vacant(slot) => {
-                slot.insert(self.lru.push(page));
-            }
-        }
+    /// Marks the page at `slot` as the most recently used.
+    pub fn refresh(&mut self, slot: Slot) {
+        self.lru.touch(slot);
     }
 
-    /// Removes `page` (it was paged out, unmapped, or migrated away).
-    pub fn remove(&mut self, page: PageNum) -> bool {
-        let Some(slot) = self.slots.remove(&page) else {
-            return false;
-        };
-        self.lru.remove(slot);
-        true
+    /// Removes the page at `slot` (it was paged out, unmapped, or migrated
+    /// away) and returns it.
+    pub fn remove(&mut self, slot: Slot) -> PageNum {
+        self.lru.remove(slot)
     }
 
-    /// Forgets everything (e.g. after process excision).
-    pub fn clear(&mut self) {
-        self.lru.clear();
-        self.slots.clear();
-    }
-
-    /// Whether `page` is tracked as resident.
-    pub fn contains(&self, page: PageNum) -> bool {
-        self.slots.contains_key(&page)
+    /// The least recently used page if the tracker holds more pages than
+    /// its capacity: the page its owner must page out next.
+    pub fn victim(&self) -> Option<PageNum> {
+        let over = self.capacity.is_some_and(|cap| self.lru.len() > cap);
+        let (_, oldest) = self.lru.iter().next()?;
+        over.then_some(oldest)
     }
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.lru.len()
     }
 
     /// `true` when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.lru.is_empty()
     }
 
     /// The resident pages in ascending page order.
     pub fn pages(&self) -> Vec<PageNum> {
-        let mut v: Vec<PageNum> = self.slots.keys().copied().collect();
+        let mut v = self.pages_lru_order();
         v.sort_unstable();
         v
     }
@@ -170,65 +135,38 @@ mod tests {
     fn unbounded_never_evicts() {
         let mut rs = ResidentTracker::default();
         for i in 0..1000 {
-            assert_eq!(rs.touch(p(i)), None);
+            rs.push(p(i));
+            assert_eq!(rs.victim(), None);
         }
         assert_eq!(rs.len(), 1000);
     }
 
     #[test]
-    fn lru_eviction_order() {
-        let mut rs = ResidentTracker::with_capacity(3);
-        assert_eq!(rs.touch(p(1)), None);
-        assert_eq!(rs.touch(p(2)), None);
-        assert_eq!(rs.touch(p(3)), None);
-        assert_eq!(rs.touch(p(4)), Some(p(1)));
-        assert_eq!(rs.touch(p(2)), None); // refresh
-        assert_eq!(rs.touch(p(5)), Some(p(3)));
-        assert!(rs.contains(p(2)) && rs.contains(p(4)) && rs.contains(p(5)));
-        assert!(!rs.contains(p(1)) && !rs.contains(p(3)));
+    fn the_victim_is_the_least_recently_used_page() {
+        let mut rs = ResidentTracker::sized(Some(3), 0);
+        let slots: Vec<Slot> = (1..=3).map(|n| rs.push(p(n))).collect();
+        assert_eq!(rs.victim(), None, "at capacity, not over it");
+        rs.push(p(4));
+        assert_eq!(rs.victim(), Some(p(1)));
+        rs.refresh(slots[0]);
+        assert_eq!(rs.victim(), Some(p(2)), "a refresh saves page 1");
+        assert_eq!(rs.remove(slots[1]), p(2));
+        assert_eq!(rs.victim(), None);
+        assert_eq!(rs.pages_lru_order(), vec![p(3), p(4), p(1)]);
+        assert_eq!(rs.pages(), vec![p(1), p(3), p(4)]);
     }
 
     #[test]
-    fn retouching_does_not_grow() {
-        let mut rs = ResidentTracker::with_capacity(2);
-        for _ in 0..10 {
-            assert_eq!(rs.touch(p(7)), None);
-        }
-        assert_eq!(rs.len(), 1);
-    }
-
-    #[test]
-    fn remove_and_clear() {
-        let mut rs = ResidentTracker::with_capacity(2);
-        let _ = rs.touch(p(1));
-        let _ = rs.touch(p(2));
-        assert!(rs.remove(p(1)));
-        assert!(!rs.remove(p(1)));
-        assert_eq!(rs.len(), 1);
-        rs.clear();
-        assert!(rs.is_empty());
-    }
-
-    #[test]
-    fn lru_order_listing() {
-        let mut rs = ResidentTracker::default();
-        let _ = rs.touch(p(5));
-        let _ = rs.touch(p(3));
-        let _ = rs.touch(p(5)); // refresh: 3 is now LRU
-        assert_eq!(rs.pages_lru_order(), vec![p(3), p(5)]);
-        assert_eq!(rs.pages(), vec![p(3), p(5)]);
-    }
-
-    #[test]
-    fn capacity_shrink_enforced_lazily() {
-        let mut rs = ResidentTracker::with_capacity(4);
-        for i in 0..4 {
-            let _ = rs.touch(p(i));
-        }
+    fn capacity_shrink_is_enforced_by_the_owner() {
+        let mut rs = ResidentTracker::sized(Some(4), 4);
+        let slots: Vec<Slot> = (0..4).map(|n| rs.push(p(n))).collect();
         rs.set_capacity(Some(2));
-        assert_eq!(rs.len(), 4);
-        assert_eq!(rs.touch(p(10)), Some(p(0)));
-        assert_eq!(rs.len(), 4); // shrinks one per touch
-        assert_eq!(rs.touch(p(11)), Some(p(1)));
+        assert_eq!(rs.len(), 4, "nothing leaves until the owner pages out");
+        assert_eq!(rs.victim(), Some(p(0)));
+        rs.remove(slots[0]);
+        assert_eq!(rs.victim(), Some(p(1)));
+        rs.remove(slots[1]);
+        assert_eq!(rs.victim(), None);
+        assert!(!rs.is_empty());
     }
 }

@@ -30,6 +30,7 @@
 
 use std::fmt;
 
+use cor_sim::lru::Slot;
 use cor_sim::IdMap;
 
 use crate::amap::{AMap, Access};
@@ -47,11 +48,13 @@ use crate::table::PageTable;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SegmentId(pub u64);
 
-/// Where one materialized page's data currently lives.
+/// Where one materialized page's data currently lives: 24 bytes.
 #[derive(Debug, Clone)]
 pub enum PageState {
-    /// In physical memory. The frame may be shared copy-on-write.
-    Resident(Frame),
+    /// In physical memory. The frame may be shared copy-on-write. The
+    /// slot is the page's place in its space's LRU order, so a hit
+    /// refreshes it and a page-out removes it without a second index.
+    Resident(Frame, Slot),
     /// Paged out to the local disk.
     OnDisk(DiskAddr),
     /// Owed by an imaginary segment: the page's data is `offset` pages into
@@ -62,6 +65,15 @@ pub enum PageState {
         /// Page offset within the segment.
         offset: u64,
     },
+}
+
+impl PageState {
+    /// A resident page as a bulk constructor takes it
+    /// ([`AddressSpace::from_installs`], [`AddressSpace::from_amap`]),
+    /// which links it into the LRU order.
+    pub fn resident(frame: Frame) -> Self {
+        PageState::Resident(frame, Slot::default())
+    }
 }
 
 /// Byte-level composition of an address space, as reported in Table 4-1 of
@@ -118,24 +130,24 @@ impl AddressSpace {
     /// `frame_budget` pages (LRU page-out beyond that).
     pub fn with_frame_budget(frame_budget: usize) -> Self {
         let mut s = AddressSpace::new();
-        s.resident = ResidentTracker::with_capacity(frame_budget);
+        s.set_frame_budget(Some(frame_budget));
         s
     }
 
     /// The raw bulk constructor: `pages` ascends, so the page table is
-    /// taken over whole instead of built by per-page insertion, and `lru`
-    /// lists the resident ones, least recently used first.
+    /// taken over whole instead of built by per-page insertion, and
+    /// `resident` holds the resident ones, each under the slot its state
+    /// names.
     fn assemble(
         regions: Vec<(u64, u64)>,
         pages: Vec<(PageNum, PageState)>,
-        frame_budget: Option<usize>,
-        lru: &[PageNum],
+        resident: ResidentTracker,
         [zero_fills, cow_copies, pageouts]: [u64; 3],
     ) -> Self {
         AddressSpace {
             regions,
             pages: PageTable::from_sorted(pages),
-            resident: ResidentTracker::from_lru_order(frame_budget, lru),
+            resident,
             zero_fills,
             cow_copies,
             pageouts,
@@ -165,19 +177,22 @@ impl AddressSpace {
     ) -> Result<Self, MemError> {
         let resident = pages
             .iter()
-            .filter(|(_, s)| matches!(s, PageState::Resident(_)))
+            .filter(|(_, s)| matches!(s, PageState::Resident(..)))
             .count();
         let spill = frame_budget.map_or(0, |budget| resident.saturating_sub(budget));
-        let mut lru = Vec::with_capacity(resident - spill);
+        // Room for every page that may become resident, up to the budget,
+        // so the LRU slab does not grow page by page as owed pages fault in.
+        let room = frame_budget.map_or(pages.len(), |budget| budget.min(pages.len()));
+        let mut lru = ResidentTracker::sized(frame_budget, room);
         let mut spilling = spill;
         for (page, state) in &mut pages {
             match state {
-                PageState::Resident(frame) if spilling > 0 => {
+                PageState::Resident(frame, _) if spilling > 0 => {
                     spilling -= 1;
                     let frame = frame.clone();
                     *state = PageState::OnDisk(disk.write_new_frame(frame));
                 }
-                PageState::Resident(_) => lru.push(*page),
+                PageState::Resident(_, slot) => *slot = lru.push(*page),
                 PageState::OnDisk(_) | PageState::Imaginary { .. } => {}
             }
         }
@@ -190,7 +205,7 @@ impl AddressSpace {
         }
         let regions = validated(regions, &pages);
         let counters = [0, 0, spill as u64];
-        Ok(Self::assemble(regions, pages, frame_budget, &lru, counters))
+        Ok(Self::assemble(regions, pages, lru, counters))
     }
 
     /// Rebuilds the space `amap` was walked off, in one pass — process
@@ -292,7 +307,7 @@ impl AddressSpace {
     /// Classifies a page into its accessibility class.
     pub fn classify(&self, page: PageNum) -> Access {
         match self.pages.get(page) {
-            Some(PageState::Resident(_)) | Some(PageState::OnDisk(_)) => Access::Real,
+            Some(PageState::Resident(..)) | Some(PageState::OnDisk(_)) => Access::Real,
             Some(PageState::Imaginary { .. }) => Access::Imag,
             None if self.is_validated(page) => Access::RealZero,
             None => Access::Bad,
@@ -319,7 +334,7 @@ impl AddressSpace {
                 }
                 let one = PageRange::new(p, PageNum(p.0 + 1));
                 match state {
-                    PageState::Resident(_) | PageState::OnDisk(_) => {
+                    PageState::Resident(..) | PageState::OnDisk(_) => {
                         b.push(one, Access::Real, None, 0)
                     }
                     PageState::Imaginary { seg, offset } => {
@@ -373,7 +388,10 @@ impl AddressSpace {
     /// duplication of [`AddressSpace::check_write`], on one search.
     fn check(&mut self, page: PageNum, write: bool) -> Result<(), Fault> {
         let frame = match self.pages.get_mut(page) {
-            Some(PageState::Resident(frame)) => frame,
+            Some(PageState::Resident(frame, slot)) => {
+                self.resident.refresh(*slot);
+                frame
+            }
             Some(PageState::OnDisk(addr)) => return Err(Fault::DiskIn { page, addr: *addr }),
             Some(PageState::Imaginary { seg, offset }) => {
                 return Err(Fault::Imaginary {
@@ -390,7 +408,6 @@ impl AddressSpace {
                 })
             }
         };
-        self.resident.refresh(page);
         if write && frame.is_shared() {
             let materializing_zero = frame.is_interned_zero();
             *frame = frame.deep_copy();
@@ -417,7 +434,7 @@ impl AddressSpace {
             let off = cursor.page_offset() as usize;
             let n = ((PAGE_SIZE as usize) - off).min(buf.len() - filled);
             match self.pages.get(page) {
-                Some(PageState::Resident(frame)) => {
+                Some(PageState::Resident(frame, _)) => {
                     frame.with(|d| buf[filled..filled + n].copy_from_slice(&d[off..off + n]));
                 }
                 _ => return Err(MemError::NotResident(page)),
@@ -443,7 +460,7 @@ impl AddressSpace {
             let off = cursor.page_offset() as usize;
             let n = ((PAGE_SIZE as usize) - off).min(data.len() - written);
             match self.pages.get(page) {
-                Some(PageState::Resident(frame)) => {
+                Some(PageState::Resident(frame, _)) => {
                     if frame.is_shared() {
                         return Err(MemError::BadState(page, "copy-on-write shared"));
                     }
@@ -500,8 +517,8 @@ impl AddressSpace {
         let frame = disk
             .take_frame(addr)
             .ok_or(MemError::BadState(page, "disk block missing"))?;
-        *state = PageState::Resident(frame);
-        self.touch(page, disk);
+        *state = PageState::Resident(frame, self.resident.push(page));
+        self.evict_over_budget(disk);
         Ok(())
     }
 
@@ -521,10 +538,12 @@ impl AddressSpace {
         disk: &mut Disk,
     ) -> Result<(), MemError> {
         match self.pages.get_mut(page) {
-            Some(state @ PageState::Imaginary { .. }) => *state = PageState::Resident(frame),
+            Some(state @ PageState::Imaginary { .. }) => {
+                *state = PageState::Resident(frame, self.resident.push(page));
+            }
             _ => return Err(MemError::BadState(page, "not imaginary")),
         }
-        self.touch(page, disk);
+        self.evict_over_budget(disk);
         Ok(())
     }
 
@@ -548,9 +567,9 @@ impl AddressSpace {
     /// disk block holds `frame` by reference.
     pub fn install_on_disk_frame(&mut self, page: PageNum, frame: Frame, disk: &mut Disk) {
         self.validate_pages(PageRange::new(page, PageNum(page.0 + 1)));
-        self.resident.remove(page);
         let addr = disk.write_new_frame(frame);
-        self.pages.insert(page, PageState::OnDisk(addr));
+        let old = self.pages.insert(page, PageState::OnDisk(addr));
+        self.forget(old);
     }
 
     /// Maps `range` to imaginary segment `seg`, with the range's first page
@@ -560,26 +579,38 @@ impl AddressSpace {
     pub fn map_imaginary(&mut self, range: PageRange, seg: SegmentId, base_offset: u64) {
         self.validate_pages(range);
         for (i, page) in range.iter().enumerate() {
-            self.resident.remove(page);
-            self.pages.insert(
-                page,
-                PageState::Imaginary {
-                    seg,
-                    offset: base_offset + i as u64,
-                },
-            );
+            let offset = base_offset + i as u64;
+            let state = PageState::Imaginary { seg, offset };
+            let old = self.pages.insert(page, state);
+            self.forget(old);
         }
     }
 
+    /// Makes `frame` the resident `page`, the most recently used, paging
+    /// out the LRU victim if that exceeds the frame budget.
     fn install_frame(&mut self, page: PageNum, frame: Frame, disk: &mut Disk) {
-        self.pages.insert(page, PageState::Resident(frame));
-        self.touch(page, disk);
+        let slot = match self.pages.get(page) {
+            Some(&PageState::Resident(_, slot)) => {
+                self.resident.refresh(slot);
+                slot
+            }
+            _ => self.resident.push(page),
+        };
+        self.pages.insert(page, PageState::Resident(frame, slot));
+        self.evict_over_budget(disk);
     }
 
-    /// Makes the just-resident `page` the most recently used, paging out
-    /// the LRU victim if that exceeds the frame budget.
-    fn touch(&mut self, page: PageNum, disk: &mut Disk) {
-        if let Some(victim) = self.resident.touch(page) {
+    /// Drops a replaced page state's place in the LRU order, if it had one.
+    fn forget(&mut self, replaced: Option<PageState>) {
+        if let Some(PageState::Resident(_, slot)) = replaced {
+            self.resident.remove(slot);
+        }
+    }
+
+    /// Pages out the LRU page if the resident set is over its frame
+    /// budget: one page per install, so a budget shrink drains gradually.
+    fn evict_over_budget(&mut self, disk: &mut Disk) {
+        if let Some(victim) = self.resident.victim() {
             self.page_out(victim, disk);
         }
     }
@@ -591,12 +622,12 @@ impl AddressSpace {
         let Some(state) = self.pages.get_mut(page) else {
             return;
         };
-        let PageState::Resident(frame) = state else {
+        let PageState::Resident(frame, slot) = state else {
             return;
         };
+        self.resident.remove(*slot);
         let addr = disk.write_new_frame(frame.clone());
         *state = PageState::OnDisk(addr);
-        self.resident.remove(page);
         self.pageouts += 1;
     }
 
@@ -609,7 +640,7 @@ impl AddressSpace {
     /// touching memory.
     pub fn peek_page(&self, page: PageNum, disk: &mut Disk) -> Option<PageData> {
         match self.pages.get(page)? {
-            PageState::Resident(frame) => Some(frame.snapshot()),
+            PageState::Resident(frame, _) => Some(frame.snapshot()),
             PageState::OnDisk(addr) => disk.read(*addr),
             PageState::Imaginary { .. } => None,
         }
@@ -620,7 +651,7 @@ impl AddressSpace {
     /// (checksums), not a simulated access.
     pub fn peek_frame<'a>(&'a self, page: PageNum, disk: &'a Disk) -> Option<&'a Frame> {
         match self.pages.get(page)? {
-            PageState::Resident(frame) => Some(frame),
+            PageState::Resident(frame, _) => Some(frame),
             PageState::OnDisk(addr) => disk.peek_frame(*addr),
             PageState::Imaginary { .. } => None,
         }
@@ -645,6 +676,11 @@ impl AddressSpace {
         self.pages.range_from(from).iter().map(|(p, s)| (*p, s))
     }
 
+    /// How many pages are resident.
+    pub fn resident_count(&self) -> usize {
+        self.resident.len()
+    }
+
     /// The resident pages in ascending page order.
     pub fn resident_pages(&self) -> Vec<PageNum> {
         self.resident.pages()
@@ -663,7 +699,7 @@ impl AddressSpace {
         let mut res = 0u64;
         for (_, state) in self.pages.iter() {
             match state {
-                PageState::Resident(_) => {
+                PageState::Resident(..) => {
                     real += PAGE_SIZE;
                     res += PAGE_SIZE;
                 }
@@ -811,7 +847,7 @@ impl SpaceImage {
         let mut taken = vec![false; arena.len()];
         for &(page, ref state) in space.pages.iter() {
             let (frame, home) = match state {
-                PageState::Resident(frame) => (Some(frame), rank[&page]),
+                PageState::Resident(frame, _) => (Some(frame), rank[&page]),
                 PageState::OnDisk(addr) => (disk.peek_frame(*addr), ON_DISK | addr.0 as u32),
                 PageState::Imaginary { .. } => (None, 0),
             };
@@ -851,6 +887,8 @@ impl SpaceImage {
                 None => lru[p.home as usize] = p.page,
             }
         }
+        let mut resident = ResidentTracker::sized(self.frame_budget, lru.len());
+        let lru_slots: Vec<Slot> = lru.into_iter().map(|page| resident.push(page)).collect();
         let frame = self.arena.frames();
         let addrs: Vec<DiskAddr> = block_slots
             .iter()
@@ -858,13 +896,12 @@ impl SpaceImage {
             .collect();
         let state = |p: &ImagePage| match p.block() {
             Some(block) => PageState::OnDisk(addrs[block]),
-            None => PageState::Resident(frame(p.slot)),
+            None => PageState::Resident(frame(p.slot), lru_slots[p.home as usize]),
         };
         AddressSpace::assemble(
             self.regions.clone(),
             self.pages.iter().map(|p| (p.page, state(p))).collect(),
-            self.frame_budget,
-            &lru,
+            resident,
             [self.zero_fills, self.cow_copies, self.pageouts],
         )
     }
@@ -1184,8 +1221,8 @@ mod tests {
         let arena = ImageArena::new(vec![*page_from_bytes(b"a"), *page_from_bytes(b"b")]);
         let fresh = || {
             let (mut s, mut d) = (AddressSpace::with_frame_budget(1), Disk::new());
-            s.install_page(p(0), arena.frame(0), &mut d);
-            s.install_page(p(1), arena.frame(1), &mut d); // pages 0 out
+            s.install_page(p(0), arena.frames()(0), &mut d);
+            s.install_page(p(1), arena.frames()(1), &mut d); // pages 0 out
             (s, d)
         };
         let refused = |s: &AddressSpace, d: &Disk| {
@@ -1208,10 +1245,10 @@ mod tests {
         s.write(p(1).base(), b"x").unwrap();
         assert!(refused(&s, &d), "written frame");
         let (mut s, mut d) = fresh();
-        s.install_page(p(0), arena.frame(0), &mut d);
+        s.install_page(p(0), arena.frames()(0), &mut d);
         assert!(refused(&s, &d), "re-installed page strands its old block");
         let (mut s, mut d) = fresh();
-        s.install_page(p(2), arena.frame(1), &mut d);
+        s.install_page(p(2), arena.frames()(1), &mut d);
         assert!(refused(&s, &d), "two pages on one arena slot");
         let (mut s, mut d) = fresh();
         ready(&mut s, &mut d, p(0));

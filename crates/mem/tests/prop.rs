@@ -7,7 +7,6 @@ use proptest::prelude::*;
 
 use cor_mem::amap::Access;
 use cor_mem::page::PAGE_SIZE;
-use cor_mem::resident::ResidentTracker;
 use cor_mem::{
     AddressSpace, Disk, Fault, ImageArena, PageNum, PageRange, PageState, SegmentId, SpaceImage,
     VAddr,
@@ -64,28 +63,30 @@ fn build_ops() -> impl Strategy<Value = Vec<BuildOp>> {
 
 #[derive(Debug, Clone)]
 enum LruOp {
+    /// Make the page resident by whichever path its state takes.
     Touch(u64),
-    Refresh(u64),
-    Remove(u64),
+    /// A hit: `check_write` when `true`, else `check_read`.
+    Refresh(u64, bool),
+    PageOut(u64),
+    /// Map the page imaginary: it leaves the resident set.
+    Unmap(u64),
+    /// Reinstall the page on disk: it leaves the resident set.
+    Spill(u64),
     SetCapacity(Option<usize>),
-    Clear,
 }
 
 fn lru_op() -> impl Strategy<Value = LruOp> {
+    let page = || 0u64..32;
     prop_oneof![
-        (0u64..64).prop_map(LruOp::Touch),
-        (0u64..64).prop_map(LruOp::Touch),
-        (0u64..64).prop_map(LruOp::Touch),
-        (0u64..64).prop_map(LruOp::Refresh),
-        (0u64..64).prop_map(LruOp::Refresh),
-        (0u64..64).prop_map(LruOp::Remove),
-        (0u64..64).prop_map(LruOp::Remove),
-        (0usize..16).prop_map(|c| LruOp::SetCapacity((c > 0).then_some(c))),
-        (0u8..16).prop_map(|n| if n == 0 {
-            LruOp::Clear
-        } else {
-            LruOp::Touch(u64::from(n))
-        }),
+        page().prop_map(LruOp::Touch),
+        page().prop_map(LruOp::Touch),
+        page().prop_map(LruOp::Touch),
+        (page(), any::<bool>()).prop_map(|(p, w)| LruOp::Refresh(p, w)),
+        (page(), any::<bool>()).prop_map(|(p, w)| LruOp::Refresh(p, w)),
+        page().prop_map(LruOp::PageOut),
+        page().prop_map(LruOp::Unmap),
+        page().prop_map(LruOp::Spill),
+        (0usize..12).prop_map(|c| LruOp::SetCapacity((c > 0).then_some(c))),
     ]
 }
 
@@ -178,7 +179,7 @@ fn observe(space: &AddressSpace, disk: &Disk, base: u64) -> String {
     let pages: Vec<String> = space
         .materialized_pages()
         .map(|(p, state)| match state {
-            PageState::Resident(f) => format!("{}:r:{:x}", p.0, f.content_hash()),
+            PageState::Resident(f, _) => format!("{}:r:{:x}", p.0, f.content_hash()),
             PageState::OnDisk(a) => {
                 let hash = disk.peek_frame(*a).unwrap().content_hash();
                 format!("{}:d{}:{hash:x}", p.0, a.0 - base)
@@ -221,10 +222,10 @@ proptest! {
                 // A build installs each page once: a second install would
                 // strand the first one's disk block, which `freeze` refuses.
                 BuildOp::Install(p) if installed.insert(p) => {
-                    space.install_page(PageNum(p), arena.frame(p as u32), &mut disk);
+                    space.install_page(PageNum(p), arena.frames()(p as u32), &mut disk);
                 }
                 BuildOp::InstallOnDisk(p) if installed.insert(p) => {
-                    space.install_on_disk_frame(PageNum(p), arena.frame(p as u32), &mut disk);
+                    space.install_on_disk_frame(PageNum(p), arena.frames()(p as u32), &mut disk);
                 }
                 BuildOp::Budget(b) => space.set_frame_budget(b),
                 BuildOp::Install(_) | BuildOp::InstallOnDisk(_) => {}
@@ -239,12 +240,12 @@ proptest! {
         let mut thawed = image.thaw(&mut disk2);
         prop_assert_eq!(observe(&thawed, &disk2, used), observe(&space, &disk, 0));
         for p in (0..128).map(PageNum) {
-            let expected = space.page_state(p).map(|s| matches!(s, PageState::Resident(_)));
+            let expected = space.page_state(p).map(|s| matches!(s, PageState::Resident(..)));
             prop_assert_eq!(image.residency(p), expected);
         }
         for p in 200..204u64 {
-            space.install_page(PageNum(p), arena.frame(0), &mut disk);
-            thawed.install_page(PageNum(p), arena.frame(0), &mut disk2);
+            space.install_page(PageNum(p), arena.frames()(0), &mut disk);
+            thawed.install_page(PageNum(p), arena.frames()(0), &mut disk2);
         }
         prop_assert_eq!(observe(&thawed, &disk2, used), observe(&space, &disk, 0));
     }
@@ -322,14 +323,18 @@ proptest! {
         }
     }
 
-    /// The LRU tracker behaves exactly like a naive reference model under
-    /// any interleaving of its operations, from any starting order.
+    /// A space's resident set — the LRU order its page states hold the
+    /// slots of — behaves exactly like a naive list under any interleaving
+    /// of installs by every path (zero fill, page-in, imaginary service,
+    /// reinstall), hits, page-outs, removals and budget changes, from any
+    /// bulk-built start.
     #[test]
-    fn lru_matches_reference_model(
-        start in prop::collection::vec(0u64..64, 0..24),
+    fn resident_lru_matches_reference_model(
+        start in prop::collection::vec(0u64..32, 0..24),
         ops in prop::collection::vec(lru_op(), 1..300),
-        cap in 0usize..16,
+        cap in 0usize..12,
     ) {
+        use cor_mem::page::Frame;
         let cap = (cap > 0).then_some(cap);
         let mut model: Vec<u64> = Vec::new(); // LRU order, front = oldest
         for &p in &start {
@@ -337,50 +342,73 @@ proptest! {
                 model.push(p);
             }
         }
-        let pages = |model: &[u64]| model.iter().map(|&p| PageNum(p)).collect::<Vec<_>>();
-        let mut tracker = ResidentTracker::from_lru_order(cap, &pages(&model));
+        let mut disk = Disk::new();
+        let installs = model.iter().map(|&p| (PageNum(p), PageState::resident(Frame::zeroed())));
+        let regions = [PageRange::new(PageNum(0), PageNum(32))];
+        let mut space = AddressSpace::from_installs(regions, installs.collect(), cap, &mut disk).unwrap();
+        // The first `len - budget` installs spilled to disk.
+        model.drain(..cap.map_or(0, |cap| model.len().saturating_sub(cap)));
         let mut model_cap = cap;
         let renew = |model: &mut Vec<u64>, p: u64| {
             model.retain(|&q| q != p);
             model.push(p);
         };
+        let mut seg = 0;
         for op in ops {
             match op {
                 LruOp::Touch(p) => {
+                    let page = PageNum(p);
+                    match space.page_state(page) {
+                        None => space.fill_zero(page, &mut disk).unwrap(),
+                        Some(PageState::OnDisk(_)) => space.page_in(page, &mut disk).unwrap(),
+                        Some(PageState::Imaginary { .. }) => {
+                            space.satisfy_imaginary_frame(page, Frame::zeroed(), &mut disk).unwrap();
+                        }
+                        Some(PageState::Resident(..)) => space.install_page(page, Frame::zeroed(), &mut disk),
+                    }
                     renew(&mut model, p);
                     // Over capacity (after a shrink, by any amount): one
-                    // victim per touch, the oldest.
-                    let over = model_cap.is_some_and(|cap| model.len() > cap);
-                    let victim = over.then(|| model.remove(0));
-                    prop_assert_eq!(tracker.touch(PageNum(p)), victim.map(PageNum));
+                    // victim per install, the oldest.
+                    if model_cap.is_some_and(|cap| model.len() > cap) {
+                        model.remove(0);
+                    }
                 }
-                LruOp::Refresh(p) => {
-                    renew(&mut model, p);
-                    tracker.refresh(PageNum(p));
+                LruOp::Refresh(p, write) => {
+                    let page = PageNum(p);
+                    let hit = if write { space.check_write(page) } else { space.check_read(page) };
+                    prop_assert_eq!(hit.is_ok(), model.contains(&p));
+                    if hit.is_ok() {
+                        renew(&mut model, p);
+                    }
                 }
-                LruOp::Remove(p) => {
-                    let present = model.contains(&p);
+                LruOp::PageOut(p) => {
+                    space.page_out(PageNum(p), &mut disk);
                     model.retain(|&q| q != p);
-                    prop_assert_eq!(tracker.remove(PageNum(p)), present);
-                    prop_assert!(!tracker.contains(PageNum(p)));
+                }
+                LruOp::Unmap(p) => {
+                    seg += 1;
+                    space.map_imaginary(PageRange::new(PageNum(p), PageNum(p + 1)), SegmentId(seg), 0);
+                    model.retain(|&q| q != p);
+                }
+                LruOp::Spill(p) => {
+                    space.install_on_disk_frame(PageNum(p), Frame::zeroed(), &mut disk);
+                    model.retain(|&q| q != p);
                 }
                 LruOp::SetCapacity(cap) => {
                     model_cap = cap;
-                    tracker.set_capacity(cap);
-                }
-                LruOp::Clear => {
-                    model.clear();
-                    tracker.clear();
+                    space.set_frame_budget(cap);
                 }
             }
-            prop_assert_eq!(tracker.capacity(), model_cap);
-            prop_assert_eq!(tracker.len(), model.len());
-            prop_assert_eq!(tracker.is_empty(), model.is_empty());
-            let mut expected = pages(&model);
-            prop_assert_eq!(tracker.pages_lru_order(), expected.clone());
-            prop_assert!(expected.iter().all(|&p| tracker.contains(p)));
+            prop_assert_eq!(space.frame_budget(), model_cap);
+            let mut expected: Vec<PageNum> = model.iter().map(|&p| PageNum(p)).collect();
+            prop_assert_eq!(space.resident_pages_lru(), expected.clone());
             expected.sort_unstable();
-            prop_assert_eq!(tracker.pages(), expected);
+            prop_assert_eq!(space.resident_pages(), expected);
+            prop_assert_eq!(space.stats().resident_bytes, model.len() as u64 * PAGE_SIZE);
+            for p in 0..32 {
+                let resident = matches!(space.page_state(PageNum(p)), Some(PageState::Resident(..)));
+                prop_assert_eq!(resident, model.contains(&p), "page {}", p);
+            }
         }
     }
 

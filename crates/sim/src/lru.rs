@@ -10,7 +10,10 @@
 
 /// Where a value sits in an [`LruList`]: valid from the push that returned
 /// it until its removal, after which a later push may reuse it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// `Slot::default()` names no value: a placeholder for an owner to hold
+/// until its value is pushed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Slot(u32);
 
 /// One slab entry: a link of the list or, once released, of the free list
@@ -57,8 +60,12 @@ impl<T> Default for LruList<T> {
 }
 
 impl<T: Copy> LruList<T> {
-    /// An empty list with room for `n` values before it reallocates.
+    /// An empty list with room for `n` values before it reallocates; for
+    /// `n = 0`, an empty list that allocates nothing.
     pub fn with_capacity(n: usize) -> Self {
+        if n == 0 {
+            return LruList::default();
+        }
         LruList {
             nodes: Vec::with_capacity(n + 1),
             ..LruList::default()
@@ -133,13 +140,6 @@ impl<T: Copy> LruList<T> {
         self.len == 0
     }
 
-    /// Forgets every value, keeping the slab's capacity.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free = 0;
-        self.len = 0;
-    }
-
     /// Takes `slot` out of the list, joining its neighbours. A node linked
     /// to itself (fresh from `push`) stays as it is.
     fn unlink(&mut self, slot: u32) {
@@ -179,14 +179,15 @@ mod tests {
     }
 
     #[test]
-    fn released_slots_are_reused_and_clear_empties() {
+    fn released_slots_are_reused_and_popping_empties() {
         let mut lru = LruList::with_capacity(2);
         let a = lru.push(10);
         lru.push(20);
         lru.remove(a);
         assert_eq!(lru.push(30), a, "the released slot is taken first");
         assert_eq!(values(&lru), vec![20, 30]);
-        lru.clear();
+        lru.pop_oldest();
+        lru.pop_oldest();
         assert!(lru.is_empty());
         assert_eq!(lru.pop_oldest(), None);
         assert_eq!(values(&lru), Vec::<u32>::new());

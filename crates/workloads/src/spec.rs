@@ -75,7 +75,7 @@ impl Blueprint {
             pages.push((page, PageState::OnDisk(disk.write_new_frame(frame))));
         }
         for (&page, frame) in self.install_order.iter().zip(&mut frames) {
-            pages.push((page, PageState::Resident(frame)));
+            pages.push((page, PageState::resident(frame)));
         }
         let budget = Some(self.frame_budget);
         let regions = self.regions.iter().copied();

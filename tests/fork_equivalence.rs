@@ -151,7 +151,7 @@ fn a_fork_equals_the_incrementally_built_process() {
             {
                 assert_eq!(fpage, bpage, "{name}: page table keys");
                 let (fframe, bframe) = match (fstate, bstate) {
-                    (PageState::Resident(f), PageState::Resident(b)) => (f, b),
+                    (PageState::Resident(f, _), PageState::Resident(b, _)) => (f, b),
                     (PageState::OnDisk(f), PageState::OnDisk(b)) => {
                         assert_eq!(f, b, "{name}: disk address of {fpage:?}");
                         (fd.peek_frame(*f).unwrap(), bd.peek_frame(*b).unwrap())
@@ -360,7 +360,7 @@ fn observe_space(space: &AddressSpace, disk: &Disk) -> String {
     let pages: Vec<String> = space
         .materialized_pages()
         .map(|(p, state)| match state {
-            PageState::Resident(f) => {
+            PageState::Resident(f, _) => {
                 format!("{}:r:{:x}:{}", p.0, f.content_hash(), f.is_shared())
             }
             PageState::OnDisk(a) => {
@@ -483,7 +483,7 @@ fn collapse_page_by_page(
                         batch_base = cursor;
                     }
                     match space.page_state(page) {
-                        Some(PageState::Resident(frame)) => {
+                        Some(PageState::Resident(frame, _)) => {
                             batch.push(frame.clone());
                             resident_slots.push(cursor);
                             resident += 1;
