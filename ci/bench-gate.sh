@@ -3,7 +3,8 @@
 # commit and at HEAD and compare what does not depend on the runner's
 # speed. Fails when a `model_*` metric differs at all, when
 # `allocs_per_fault` or `peak_heap_mb` is worse than the base by more than
-# its BENCHMARK.json bound, or when an operation fails. Host-time metrics
+# its BENCHMARK.json bound, or when an operation fails; a gated count
+# that improves past its bound reads `better`. Host-time metrics
 # (`setup_s`, `pass_ms`, `host_us_per_fault`) are printed, never gated: a
 # shared runner has no noise floor to gate them on.
 #
@@ -51,7 +52,9 @@ for name, b in base["workloads"].items():
             ok, rule = hv <= bv * (1 + bounds[metric]), f"<= +{bounds[metric]:.0%}"
         else:
             ok, rule = True, "report only"
-        print(f"{name:<18} {metric:<18} {bv:>14.6f} {hv:>14.6f}  {'ok' if ok else 'WORSE'} ({rule})")
+        better = metric in gated and hv < bv * (1 - bounds[metric])
+        verdict = "better" if better else "ok" if ok else "WORSE"
+        print(f"{name:<18} {metric:<18} {bv:>14.6f} {hv:>14.6f}  {verdict} ({rule})")
         if not ok:
             bad.append(f"{name}.{metric}: {bv} -> {hv} ({rule})")
 if bad:

@@ -6,10 +6,10 @@
 //! evicting every resident process at once — stresses the interconnect
 //! and the destination pagers simultaneously. Each cell reports
 //! storm throughput, the p50/p99 of post-migration copy-on-reference
-//! fault service (from `imag-fault` journal spans), total wire bytes,
-//! the hottest link, and the mean hop count — the quantities that
-//! separate a placement policy that respects the topology from one
-//! that does not.
+//! fault service (the kernel's [`World::fault_service`] histogram: a
+//! storm cell keeps no journal), total wire bytes, the hottest link, and
+//! the mean hop count — the quantities that separate a placement policy
+//! that respects the topology from one that does not.
 //!
 //! Everything is deterministic: seeded topologies, seeded placement
 //! tie-breaks, cells fanned across a [`cor_pool::Pool`] and rendered serially in
@@ -25,7 +25,6 @@ use cor_mem::{AddressSpace, PageNum, VAddr};
 use cor_migrate::{MigrationManager, Strategy};
 use cor_net::{Topology, WireParams};
 use cor_sim::{JournalLevel, SimDuration};
-use cor_trace::LogHistogram;
 
 use crate::render::{commas, millis, secs};
 use crate::study::{fan_out, Column, Study};
@@ -199,7 +198,7 @@ fn spawn_proc(world: &mut World, node: NodeId) -> cor_kernel::ProcessId {
 /// Panics on internal simulation errors — a storm cell has no expected
 /// failure mode.
 pub fn run_cell(spec: FleetSpec) -> FleetOutcome {
-    run_cell_inner(spec).0
+    run_cell_inner(spec, false).0
 }
 
 /// The fixed cell profiled by `experiments profile fleet` and the
@@ -231,12 +230,14 @@ pub fn link_waits(world: &World) -> LinkWaits {
 /// journals) and the per-directed-link queue waits in microseconds —
 /// the inputs of [`cor_trace::Profile::blame_csv`].
 pub fn run_cell_profiled(spec: FleetSpec) -> (FleetOutcome, cor_trace::Profile, LinkWaits) {
-    let (outcome, world) = run_cell_inner(spec);
+    let (outcome, world) = run_cell_inner(spec, true);
     let profile = cor_trace::Profile::from_journals(&world.journals());
     (outcome, profile, link_waits(&world))
 }
 
-fn run_cell_inner(spec: FleetSpec) -> (FleetOutcome, World) {
+/// One storm cell; `traced` records the `Full` journal the profile is
+/// built from. The outcome is the same either way.
+fn run_cell_inner(spec: FleetSpec, traced: bool) -> (FleetOutcome, World) {
     let topo = topology_for(spec.topology, spec.nodes);
     let wire = WireParams {
         topology: Some(topo),
@@ -244,8 +245,9 @@ fn run_cell_inner(spec: FleetSpec) -> (FleetOutcome, World) {
     };
     let (mut world, nodes) = World::fleet(spec.nodes, CostModel::default(), wire);
     world.fabric.validate_plans().expect("a well-wired fleet");
-    // Full journal: the p99 comes from `imag-fault` span durations.
-    world.enable_journal_at(JournalLevel::Full);
+    if traced {
+        world.enable_journal_at(JournalLevel::Full);
+    }
     let managers: Vec<MigrationManager> = nodes
         .iter()
         .map(|&n| MigrationManager::new(&mut world, n))
@@ -325,16 +327,6 @@ fn run_cell_inner(spec: FleetSpec) -> (FleetOutcome, World) {
         .map(|&n| world.node_load(n).unwrap())
         .sum();
 
-    let mut faults = LogHistogram::new();
-    if let Some(journal) = &world.journal {
-        for span in journal.spans() {
-            if span.name == "imag-fault" {
-                if let Some(d) = span.duration() {
-                    faults.record_duration(d);
-                }
-            }
-        }
-    }
     let links = world.fabric.link_stats();
     let link_bytes: u64 = links.values().map(|s| s.bytes).sum();
     let max_link_bytes = links.values().map(|s| s.bytes).max().unwrap_or(0);
@@ -347,9 +339,9 @@ fn run_cell_inner(spec: FleetSpec) -> (FleetOutcome, World) {
         drain_residents_after,
         storm_elapsed,
         throughput: migrations as f64 / storm_elapsed.as_secs_f64().max(f64::MIN_POSITIVE),
-        fault_p50_us: faults.p50(),
-        fault_p99_us: faults.p99(),
-        faults: faults.count(),
+        fault_p50_us: world.fault_service.p50(),
+        fault_p99_us: world.fault_service.p99(),
+        faults: world.fault_service.count(),
         wire_bytes: world.fabric.ledger.total() - bytes_before,
         link_bytes,
         max_link_bytes,

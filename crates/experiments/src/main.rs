@@ -18,10 +18,10 @@
 //! `trace` command it redirects that command's own trace there; for any
 //! other command (e.g. a sweep) it additionally captures a fixed-seed
 //! Minprog trial so every run can ship a trace artifact. `COR_JOURNAL`
-//! (`off|summary|full`) sets the journal level of sweep trials. A bad
-//! invocation — an unknown command, a `COR_JOURNAL` of any other value,
-//! a `--trace-out` path that cannot be written — prints one line to
-//! stderr and exits 2.
+//! (`off|summary|full`) sets the journal level of traced commands only;
+//! sweeps and storm cells record no journal. A bad invocation — an
+//! unknown command, a `COR_JOURNAL` of any other value, a `--trace-out`
+//! path that cannot be written — prints one line to stderr and exits 2.
 
 use std::io::{ErrorKind, Write};
 use std::process::exit;

@@ -167,12 +167,6 @@ pub fn run_trial_on(
     wire: cor_net::WireParams,
 ) -> Trial {
     let mut world = World::new(costs, wire);
-    // Sweeps run with the milestone-level journal by default so every
-    // trial carries its migration/exec span skeleton at negligible cost;
-    // COR_JOURNAL=off|summary|full overrides.
-    world.enable_journal_at(crate::trace::journal_level_from_env(
-        cor_sim::JournalLevel::Summary,
-    ));
     let a = world.add_node();
     let b = world.add_node();
     let src = MigrationManager::new(&mut world, a);

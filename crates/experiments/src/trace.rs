@@ -34,9 +34,9 @@ pub fn journal_level_env() -> Result<Option<JournalLevel>, String> {
     }
 }
 
-/// The journal verbosity for experiment runs: `COR_JOURNAL`, else
-/// `default` (`full` for the dedicated trace commands; sweeps that only
-/// need milestones pass [`JournalLevel::Summary`]).
+/// The journal verbosity of a traced trial: `COR_JOURNAL`, else
+/// `default` (`full`, or [`JournalLevel::Summary`] for `trace
+/// --summary`). Sweeps and storm cells record no journal at any level.
 ///
 /// # Panics
 ///

@@ -153,7 +153,9 @@ impl World {
     ) -> Result<u64, KernelError> {
         // One span per copy-on-reference fault, closed on every exit —
         // recovery-ladder errors included — so a trace is never left with
-        // a dangling fault interval.
+        // a dangling fault interval. The service-time histogram times the
+        // same interval, journal or not.
+        let start = self.clock.now();
         let span = self.span_enter("imag-fault", Some(node));
         // Fabric spans opened outside the round trip (replica reads,
         // failover fetches) parent under the fault via the cross-journal
@@ -161,6 +163,8 @@ impl World {
         // open world span.
         let result = self.imaginary_fault_inner(node, pid, page, seg, offset);
         self.span_exit(span);
+        self.fault_service
+            .record_duration(self.clock.now().since(start));
         result
     }
 

@@ -13,7 +13,7 @@ use cor_mem::{space::SegmentId, Fault, PageNum, PageRange, VAddr};
 use cor_mem::{AddressSpace, SegmentStore};
 use cor_net::{Fabric, SendReport, WireParams};
 use cor_sim::{Clock, IdMap, JournalLevel, SimDuration, SimTime};
-use cor_trace::{Journal, MetricsRegistry, SpanId, TraceEvent};
+use cor_trace::{Journal, LogHistogram, MetricsRegistry, SpanId, TraceEvent};
 
 use crate::costs::CostModel;
 use crate::error::KernelError;
@@ -116,6 +116,11 @@ pub struct World {
     /// [`World::enable_journal`]; recording is skipped entirely when
     /// absent.
     pub journal: Option<Journal>,
+    /// Service time of every copy-on-reference fault, at any journal
+    /// level: each fault records the interval its `imag-fault` span
+    /// covers, so at [`JournalLevel::Full`] this equals the histogram of
+    /// those spans' durations, with no journal to keep or scan.
+    pub fault_service: LogHistogram,
     pub(crate) nodes: BTreeMap<NodeId, Node>,
     pub(crate) backers: IdMap<PortId, BackerEntry>,
     pub(crate) next_pid: u64,
@@ -136,6 +141,7 @@ impl World {
             costs,
             prefetch: 0,
             journal: None,
+            fault_service: LogHistogram::new(),
             nodes: BTreeMap::new(),
             backers: IdMap::default(),
             next_pid: 0,

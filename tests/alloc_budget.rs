@@ -1,4 +1,4 @@
-//! Three allocation guarantees.
+//! Four allocation guarantees.
 //!
 //! * The zero-copy pipeline's: a sparse workload performs O(pages touched)
 //!   frame allocations, never O(address space). The Lisp workloads
@@ -13,8 +13,10 @@
 //! * A fork's: thawing a process image allocates a constant number of
 //!   heap blocks, whatever its page count, and returns every byte of them
 //!   when its last frame handle goes.
+//! * A storm cell's: its high-water mark of live heap is what its
+//!   simulated state needs, with no journal it would only scan.
 //!
-//! Both counters are thread-local (frames: `cor-mem`'s `alloc-stats`
+//! The counters are thread-local (frames: `cor-mem`'s `alloc-stats`
 //! feature), so each test must run its whole trial on its own thread —
 //! which is exactly what libtest does.
 
@@ -41,6 +43,9 @@ thread_local! {
     /// Bytes this thread has allocated and not yet freed (negative when
     /// it frees what another thread allocated).
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The high-water mark of `LIVE_BYTES` since [`peak_bytes`] last
+    /// reset it.
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_alloc() {
@@ -49,7 +54,11 @@ fn count_alloc() {
 }
 
 fn count_bytes(delta: i64) {
-    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + delta));
+    let _ = LIVE_BYTES.try_with(|c| {
+        let live = c.get() + delta;
+        c.set(live);
+        let _ = PEAK_BYTES.try_with(|p| p.set(p.get().max(live)));
+    });
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -93,6 +102,15 @@ fn heap_allocs(f: impl FnOnce()) -> u64 {
     let before = HEAP_ALLOCS.with(Cell::get);
     f();
     HEAP_ALLOCS.with(Cell::get) - before
+}
+
+/// The most heap `f` held live at once on this thread, beyond what was
+/// live when it started.
+fn peak_bytes(f: impl FnOnce()) -> u64 {
+    let before = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|p| p.set(before));
+    f();
+    (PEAK_BYTES.with(Cell::get) - before) as u64
 }
 
 /// Runs one full trial (build, migrate, remote run) and returns the
@@ -615,4 +633,33 @@ fn a_storm_migration_allocates_a_constant() {
     storm(&mut world);
     let fewest = (0..4).map(|_| storm(&mut world)).min();
     assert_eq!(fewest, Some(STORM_ALLOCS));
+}
+
+/// The most heap one storm cell may hold at once. The blame cell (16-node
+/// ring, low storm: 16 processes migrated by least-loaded placement)
+/// peaks at 230.5 KiB, all of it simulated state:
+/// * the world and its 16 migration managers: 10.8 KiB (nodes, ports,
+///   fabric, ring routes);
+/// * the 16 spawned processes: 113.1 KiB, ≈ 7.1 KiB each (8 written
+///   512-byte frames, microstate, trace, page table, LRU slab);
+/// * the storm: 73.6 KiB more, ≈ 4.6 KiB per migration (the destination's
+///   space, process and decoded microstate; the segments and stand-ins
+///   the source keeps to serve the IOUs);
+/// * the post-storm runs: 24.2 KiB more held at their end, ≈ 1.5 KiB per
+///   migrant (what its read faults leave in its stats and the serving
+///   nodes' tables), and an 8.6 KiB transient peak.
+///
+/// That leaves 25.5 KiB of headroom. A `Full` journal, which the cell
+/// only scanned for its fault times, cost 141.7 KiB on top of all this.
+const STORM_CELL_PEAK_BYTES: u64 = 256 * 1024;
+
+#[test]
+fn a_storm_cell_keeps_no_journal() {
+    let peak = peak_bytes(|| {
+        cor_experiments::fleet::run_cell(cor_experiments::fleet::blame_cell_spec());
+    });
+    assert!(
+        peak <= STORM_CELL_PEAK_BYTES,
+        "a storm cell peaked at {peak} bytes"
+    );
 }

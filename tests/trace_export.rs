@@ -171,6 +171,141 @@ fn imag_fault_span_count_equals_fault_counter() {
     }
 }
 
+/// The histogram of `world`'s `imag-fault` span durations, as its
+/// `Debug` (every bucket, count, sum, min and max).
+fn fault_span_histogram(world: &cor::kernel::World) -> String {
+    let mut h = cor::trace::LogHistogram::new();
+    let journal = world.journal.as_ref().expect("a journal-enabled world");
+    for s in journal.spans().iter().filter(|s| s.name == "imag-fault") {
+        h.record_duration(s.duration().expect("fault span closed"));
+    }
+    format!("{h:?}")
+}
+
+/// The kernel's always-on fault histogram times exactly what the
+/// `imag-fault` span covers, on every exit of the fault path: so a storm
+/// cell can read it instead of keeping a journal to scan.
+fn assert_fault_service_is_the_span_histogram(world: &cor::kernel::World, what: &str) {
+    assert!(world.fault_service.count() > 0, "{what}: no faults");
+    assert_eq!(
+        format!("{:?}", world.fault_service),
+        fault_span_histogram(world),
+        "{what}: fault_service != imag-fault span durations"
+    );
+}
+
+#[test]
+fn fault_service_equals_span_durations_on_a_traced_trial() {
+    let w = cor::workloads::minprog::workload();
+    let t = traced_trial(&w, JournalLevel::Full);
+    assert_fault_service_is_the_span_histogram(&t.world, "Minprog pure-IOU");
+    assert_eq!(t.world.fault_service.count(), t.imag_faults);
+}
+
+#[test]
+fn fault_service_equals_span_durations_through_recovery_and_orphan_exits() {
+    // The traveler's first pages are flushed to the source's disk backer,
+    // the rest stay owed; then the source dies. Reading back recovers the
+    // flushed pages from disk (the recovery exit) and orphans on the first
+    // unflushed one (the error exit).
+    use cor::kernel::program::Trace;
+    use cor::kernel::{DrainPolicy, KernelError, World};
+    use cor::mem::{AddressSpace, PageNum, VAddr, PAGE_SIZE};
+    use cor::migrate::{MigrationManager, Strategy};
+    use cor::net::{CrashPlan, CrashTrigger};
+
+    let (pages, flushed) = (8u64, 3u64);
+    let (mut world, a, b) = World::testbed();
+    world.enable_journal();
+    let src = MigrationManager::new(&mut world, a);
+    let dst = MigrationManager::new(&mut world, b);
+    let mut space = AddressSpace::new();
+    space.validate(VAddr(0), pages * PAGE_SIZE).unwrap();
+    let mut tb = Trace::builder();
+    for i in 0..pages {
+        tb.write(PageNum(i).base(), 64);
+    }
+    tb.read(VAddr(0), pages * PAGE_SIZE);
+    let pid = world
+        .create_process(a, "traveler", space, tb.terminate())
+        .unwrap();
+    world.run_for(a, pid, pages as usize).unwrap();
+    src.migrate_to(&mut world, &dst, pid, Strategy::PureIou { prefetch: 0 })
+        .unwrap();
+    let drained = world.drain_round(b, pid, DrainPolicy::flush(flushed));
+    assert_eq!(drained.unwrap(), flushed);
+    let now = world.clock.now();
+    world.fabric.params.crashes = Some(CrashPlan::new().killing(a, CrashTrigger::AtTime(now)));
+    let err = world.run(b, pid).expect_err("an unflushed page orphans");
+    assert!(
+        matches!(err, KernelError::OrphanedProcess { .. }),
+        "expected OrphanedProcess, got {err:?}"
+    );
+    assert_eq!(world.fabric.reliability.pages_recovered.get(), flushed);
+    assert_eq!(world.fault_service.count(), flushed + 1);
+    assert_fault_service_is_the_span_histogram(&world, "recovery and orphan");
+}
+
+#[test]
+fn fault_service_equals_span_durations_through_replica_failover() {
+    // Replicated page homes, the primary dead the moment the migration
+    // lands: every fault is served by a replica read, an early return of
+    // the fault path that never makes the wire round trip.
+    use cor::kernel::program::Trace;
+    use cor::kernel::World;
+    use cor::mem::{AddressSpace, PageNum, VAddr, PAGE_SIZE};
+    use cor::migrate::{MigrationManager, Strategy};
+    use cor::net::{ReplicationParams, WireParams};
+
+    let pages = 6u64;
+    let wire = WireParams {
+        replication: Some(ReplicationParams::primary_backup(1, 1)),
+        ..WireParams::default()
+    };
+    let (mut world, nodes) = World::fleet(4, Default::default(), wire);
+    world.enable_journal();
+    let (a, b) = (nodes[0], nodes[1]);
+    let src = MigrationManager::new(&mut world, a);
+    let dst = MigrationManager::new(&mut world, b);
+    let mut space = AddressSpace::new();
+    space.validate(VAddr(0), pages * PAGE_SIZE).unwrap();
+    let mut tb = Trace::builder();
+    for i in 0..pages {
+        tb.write(PageNum(i).base(), 64);
+    }
+    for i in 0..pages {
+        tb.read(PageNum(i).base(), 64);
+    }
+    let pid = world
+        .create_process(a, "hopper", space, tb.terminate())
+        .unwrap();
+    world.run_for(a, pid, pages as usize).unwrap();
+    src.migrate_to(&mut world, &dst, pid, Strategy::PureIou { prefetch: 0 })
+        .unwrap();
+    let now = world.clock.now();
+    world.fabric.crash_node(now, &mut world.ports, a, false);
+    assert!(world.run(b, pid).unwrap().finished);
+    assert_eq!(world.fabric.reliability.failover_fetches.get(), pages);
+    assert_eq!(world.fault_service.count(), pages);
+    assert_fault_service_is_the_span_histogram(&world, "replica failover");
+}
+
+#[test]
+fn a_journal_free_storm_cell_equals_a_full_journal_one() {
+    // `run_cell` keeps no journal and reads the kernel's histogram;
+    // `run_cell_profiled` records `Full`. Every CSV column must agree.
+    use cor_experiments::fleet;
+    let mut specs = fleet::gate_cells();
+    specs.push(fleet::blame_cell_spec());
+    for spec in specs {
+        assert_eq!(
+            fleet::csv_for(&[fleet::run_cell(spec)]),
+            fleet::csv_for(&[fleet::run_cell_profiled(spec).0]),
+            "{spec:?}"
+        );
+    }
+}
+
 #[test]
 fn span_parents_exist_and_precede_children() {
     let w = cor::workloads::minprog::workload();
@@ -743,9 +878,8 @@ fn variant_index(e: &TraceEvent) -> usize {
 
 /// Every `Full`-journal record stores one `JournalEvent` (instant, span,
 /// event), so these sizes are what the benchmark's
-/// `cor-trace.full_bytes_per_event` and `fleet_storm`'s `peak_heap_mb`
-/// measure: a field that widens one variant widens every record of every
-/// journal.
+/// `cor-trace.full_bytes_per_event` measures: a field that widens one
+/// variant widens every record of every journal.
 #[test]
 fn an_event_is_48_bytes_and_a_journal_record_64() {
     assert_eq!(std::mem::size_of::<TraceEvent>(), 48);
