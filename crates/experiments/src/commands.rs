@@ -14,7 +14,7 @@ use cor_workloads::Workload;
 
 use crate::runner::{matrix_csv, Matrix};
 use crate::study::Study;
-use crate::trace::{journal_level_from_env, traced_trial, write_trace_out, TracedTrial};
+use crate::trace::{traced_trial, write_trace_out, TracedTrial};
 use crate::{
     check, figures, fleet, latency, loss, replication, saturation, summary, survivability, tables,
 };
@@ -267,9 +267,9 @@ impl Ctx {
         })
     }
 
-    /// The target's traced trial, at `COR_JOURNAL` or else `level`.
+    /// The target's traced trial, with its journal at `level`.
     fn traced(&self, level: JournalLevel) -> Result<TracedTrial, Failure> {
-        Ok(traced_trial(&self.workload()?, journal_level_from_env(level)))
+        Ok(traced_trial(&self.workload()?, level))
     }
 
     /// The target's critical-path profile and per-link queue waits: the

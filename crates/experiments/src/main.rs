@@ -9,19 +9,20 @@
 //! it runs `all`.
 //!
 //! Independent trial cells run concurrently on `N` worker threads
-//! (`--threads N`, or the `COR_THREADS` environment variable, defaulting
-//! to the machine's parallelism). Every output is byte-identical at any
-//! thread count: each cell is its own deterministic simulation, and all
-//! rendering happens serially in cell order.
+//! (`--threads N`, defaulting to the machine's parallelism). Every output
+//! is byte-identical at any thread count: each cell is its own
+//! deterministic simulation, and all rendering happens serially in cell
+//! order.
 //!
 //! `--trace-out FILE` writes a Perfetto `trace.json` to FILE: for the
 //! `trace` command it redirects that command's own trace there; for any
 //! other command (e.g. a sweep) it additionally captures a fixed-seed
-//! Minprog trial so every run can ship a trace artifact. `COR_JOURNAL`
-//! (`off|summary|full`) sets the journal level of traced commands only;
-//! sweeps and storm cells record no journal. A bad invocation — an
-//! unknown command, a `COR_JOURNAL` of any other value, a `--trace-out`
-//! path that cannot be written — prints one line to stderr and exits 2.
+//! Minprog trial so every run can ship a trace artifact. Traced commands
+//! record the `Full` journal (`trace --summary`: milestones only); sweeps
+//! and storm cells record none. The binary reads no environment
+//! variable. A bad invocation — an unknown command, a `--threads` that is
+//! not a positive integer, a `--trace-out` path that cannot be written —
+//! prints one line to stderr and exits 2.
 
 use std::io::{ErrorKind, Write};
 use std::process::exit;
@@ -69,12 +70,8 @@ fn main() {
                 exit(2);
             }
         },
-        None => Pool::from_env(),
+        None => Pool::default(),
     };
-    if let Err(message) = trace::journal_level_env() {
-        eprintln!("{message}");
-        exit(2);
-    }
     let mut ctx = Ctx::new(pool);
     ctx.trace_out = take_option(&mut args, "--trace-out", "a file path");
     let mut args = args.iter().map(String::as_str);
@@ -95,7 +92,7 @@ fn main() {
     // trial at Full level.
     if let Some(path) = ctx.trace_out {
         let w = cor_workloads::minprog::workload();
-        let t = trace::traced_trial(&w, trace::journal_level_from_env(JournalLevel::Full));
+        let t = trace::traced_trial(&w, JournalLevel::Full);
         if let Err(message) = trace::write_trace_out(&path, &t, &t.perfetto()) {
             eprintln!("{message}");
             exit(2);

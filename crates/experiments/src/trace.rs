@@ -15,40 +15,6 @@ use cor_sim::JournalLevel;
 use cor_trace::{MetricsRegistry, Profile};
 use cor_workloads::Workload;
 
-/// The `COR_JOURNAL` environment variable, when set: `off`, `summary` or
-/// `full`, in any case.
-///
-/// # Errors
-///
-/// A one-line message for any other value — a typo'd level silently
-/// tracing nothing would be worse.
-pub fn journal_level_env() -> Result<Option<JournalLevel>, String> {
-    let Ok(v) = std::env::var("COR_JOURNAL") else {
-        return Ok(None);
-    };
-    match v.to_ascii_lowercase().as_str() {
-        "off" => Ok(Some(JournalLevel::Off)),
-        "summary" => Ok(Some(JournalLevel::Summary)),
-        "full" => Ok(Some(JournalLevel::Full)),
-        _ => Err(format!("COR_JOURNAL must be off|summary|full, got {v:?}")),
-    }
-}
-
-/// The journal verbosity of a traced trial: `COR_JOURNAL`, else
-/// `default` (`full`, or [`JournalLevel::Summary`] for `trace
-/// --summary`). Sweeps and storm cells record no journal at any level.
-///
-/// # Panics
-///
-/// On a value [`journal_level_env`] rejects. The `experiments` binary
-/// rejects one before it runs anything, so only a library caller can
-/// get here.
-pub fn journal_level_from_env(default: JournalLevel) -> JournalLevel {
-    journal_level_env()
-        .unwrap_or_else(|message| panic!("{message}"))
-        .unwrap_or(default)
-}
-
 /// Writes `doc`, exported from `trial`, to a `--trace-out` path, then
 /// describes the trial and the file on stderr.
 ///

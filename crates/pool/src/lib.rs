@@ -39,9 +39,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable overriding the default worker count.
-pub const THREADS_ENV: &str = "COR_THREADS";
-
 /// Jobs claimed per queue interaction. Trials are coarse (a fraction of a
 /// millisecond to a few milliseconds each; a whole `experiments all`
 /// takes under 0.3 s on a 2-core Xeon), so a small chunk keeps the tail
@@ -71,21 +68,6 @@ impl Pool {
     /// the calling thread.
     pub fn serial() -> Self {
         Pool::new(1)
-    }
-
-    /// A pool sized from the environment: `COR_THREADS` if set and
-    /// parseable, otherwise the machine's available parallelism.
-    pub fn from_env() -> Self {
-        let threads = std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        Pool::new(threads)
     }
 
     /// The configured worker count.
@@ -171,8 +153,9 @@ impl Pool {
 }
 
 impl Default for Pool {
+    /// A pool with one worker per core the machine makes available.
     fn default() -> Self {
-        Pool::from_env()
+        Pool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 }
 

@@ -22,12 +22,11 @@
 //!    the walk from page 0 kept here must agree with
 //!    [`World::residual_dependencies`] and with what the round drained.
 //!
-//! The `COR_CHAOS_SEED` environment variable (default 1) perturbs the
-//! replica-placement seeds of the drain-scan oracle, so CI sweeps distinct
-//! placements run over run while each stays individually reproducible. It
-//! never varied a crash: a [`CrashPlan`] has no seed (the one it used to
-//! take fed only an `AtTime` slack that was zero everywhere), so crash
-//! instants come from the generated inputs alone.
+//! The drain-scan oracle draws the replica-placement seed and the
+//! replication factor with its other inputs, so one run covers every
+//! placement and factor it checks. A [`CrashPlan`] has no seed (the one it
+//! used to take fed only an `AtTime` slack that was zero everywhere), so
+//! crash instants come from the generated inputs alone.
 
 use proptest::prelude::*;
 
@@ -40,14 +39,6 @@ use cor::mem::{AddressSpace, PageNum, PageState, SegmentId, VAddr, PAGE_SIZE};
 use cor::migrate::{Drainer, MigrationManager, Strategy};
 use cor::net::{CrashPlan, CrashTrigger, ReplicationParams, WireParams};
 use cor::sim::SimDuration;
-
-/// CI-swept perturbation of the replica-placement seeds in this suite.
-fn chaos_seed() -> u64 {
-    std::env::var("COR_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
 
 /// Write every page, compute a while (the window a crash can land in),
 /// then read everything back and terminate.
@@ -273,7 +264,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(768))]
 
     /// The drain-scan oracle, all axes drawn together. The stepper — half
     /// its pages paged out, so the resident-set strategy owes some too —
@@ -297,7 +288,7 @@ proptest! {
         let strategy = [LAZY[0], LAZY[1], Strategy::PureCopy][strat_idx];
         let params = WireParams {
             replication: (factor > 0)
-                .then(|| ReplicationParams::primary_backup(factor, seed ^ chaos_seed())),
+                .then(|| ReplicationParams::primary_backup(factor, seed)),
             ..WireParams::default()
         };
         let mut world = World::new(Default::default(), params);

@@ -114,7 +114,7 @@ fn world_clock_only_moves_forward() {
 /// `experiments all > results/all.txt`.
 #[test]
 fn committed_results_are_current() {
-    let mut ctx = Ctx::new(cor_pool::Pool::from_env());
+    let mut ctx = Ctx::new(cor_pool::Pool::default());
     for command in COMMANDS {
         if let Gate::File(path, args) = command.gate {
             let fresh = commands::run(&mut ctx, command.name, args)

@@ -17,7 +17,7 @@ use cor_experiments::commands::{self, Ctx, Failure};
 fn gate() -> &'static Result<String, Failure> {
     static GATE: OnceLock<Result<String, Failure>> = OnceLock::new();
     GATE.get_or_init(|| {
-        let mut ctx = Ctx::new(cor_pool::Pool::from_env());
+        let mut ctx = Ctx::new(cor_pool::Pool::default());
         commands::run(&mut ctx, "check", &[])
     })
 }

@@ -173,8 +173,8 @@ proptest! {
 /// `journal`, `metrics`, `profile` and `flamegraph` of the `experiments`
 /// command table, run through it: four renderings of one traced trial.
 /// The folded stacks partition exactly the time the blame totals
-/// account for, at any `COR_JOURNAL` level; a flag is not a target; an
-/// unknown target is a usage error, not output.
+/// account for; a flag is not a target; an unknown target is a usage
+/// error, not output.
 #[test]
 fn the_trace_views_render_one_trial() {
     let mut ctx = Ctx::new(cor_pool::Pool::serial());

@@ -21,13 +21,13 @@
 //!    for an upstream fetch unparks and accounts every one of them when
 //!    the upstream dies: no leaked waiters under any crash plan.
 //!
-//! `COR_CHAOS_SEED` (default 1) perturbs the replica-placement seeds and
-//! `COR_REPLICATION_FACTOR` (default 1) sets the replication factor, so
-//! CI sweeps distinct placements and factors while each leg stays
-//! individually reproducible. It never varied a crash: a [`CrashPlan`]
-//! has no seed (the one it used to take fed only an `AtTime` slack that
-//! was zero everywhere), so crash instants come from the generated inputs
-//! alone.
+//! The properties draw the replica-placement seed and the replication
+//! factor (0 to 2, or 1 to 2 where the law needs a live replica) with
+//! their other inputs, and the fixed crash tests loop over every factor
+//! and three placement seeds, so one run covers every configuration. A
+//! [`CrashPlan`] has no seed (the one it used to take fed only an
+//! `AtTime` slack that was zero everywhere), so crash instants come from
+//! the generated inputs alone.
 
 use proptest::prelude::*;
 
@@ -39,21 +39,12 @@ use cor::migrate::{MigrationManager, Strategy};
 use cor::net::{CrashPlan, CrashTrigger, ReplicationParams, WireParams};
 use cor::sim::{LedgerCategory, SimDuration};
 
-/// CI-swept perturbation of every placement seed in this suite.
-fn chaos_seed() -> u64 {
-    std::env::var("COR_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
+/// Every replication factor the suite checks (0 = the unreplicated
+/// baseline).
+const FACTORS: std::ops::RangeInclusive<u64> = 0..=2;
 
-/// CI-swept replication factor (0 = the unreplicated baseline).
-fn replication_factor() -> u64 {
-    std::env::var("COR_REPLICATION_FACTOR")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
+/// The offsets each fixed crash test XORs into its placement seed.
+const SEED_OFFSETS: std::ops::RangeInclusive<u64> = 1..=3;
 
 fn primary_backup(factor: u64, seed: u64) -> Option<ReplicationParams> {
     (factor > 0).then(|| ReplicationParams::primary_backup(factor, seed))
@@ -166,7 +157,7 @@ const STRATEGIES: [Strategy; 3] = [
 ];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(144))]
 
     /// Survival: with `f >= 1`, any crash of the backing site at any
     /// delay leaves every strategy's run byte-identical to the crash-free
@@ -177,11 +168,11 @@ proptest! {
         delay_ms in 0u64..2_000,
         strat_idx in 0usize..3,
         pages in 8u64..20,
+        factor in 1u64..=2,
     ) {
         let strategy = STRATEGIES[strat_idx];
-        let factor = replication_factor().max(1);
         let reference = hopper_reference(pages);
-        let mut rig = single_hop_rig(pages, factor, seed ^ chaos_seed(), strategy);
+        let mut rig = single_hop_rig(pages, factor, seed, strategy);
         let (a, b) = (rig.nodes[0], rig.nodes[1]);
         let at = rig.world.clock.now() + SimDuration::from_millis(delay_ms);
         rig.world.fabric.params.crashes =
@@ -207,11 +198,11 @@ proptest! {
         after_n in 1u64..60,
         by_messages in any::<bool>(),
         amnesiac in any::<bool>(),
+        factor in FACTORS,
     ) {
-        let factor = replication_factor();
         let pages = 12;
         let reference = hopper_reference(pages);
-        let mut rig = chain_rig(pages, factor, seed ^ chaos_seed());
+        let mut rig = chain_rig(pages, factor, seed);
         let (a, c) = (rig.nodes[0], rig.nodes[2]);
         let trigger = if by_messages {
             CrashTrigger::AfterMessages(after_n)
@@ -239,31 +230,40 @@ proptest! {
     }
 }
 
-/// The CI-swept factor obeys the two-outcome law at the fixed seed, and
-/// with `f >= 1` the lazy strategies survive outright.
+/// Every factor obeys the two-outcome law at three fixed placement seeds:
+/// with `f >= 1` every strategy survives outright, and unreplicated only
+/// pure-IOU orphans (the other two ship every page).
 #[test]
-fn env_factor_crash_obeys_the_two_outcome_law() {
-    let factor = replication_factor();
+fn every_factor_crash_obeys_the_two_outcome_law() {
     let pages = 12;
     let reference = hopper_reference(pages);
-    for (i, strategy) in STRATEGIES.into_iter().enumerate() {
-        let mut rig = single_hop_rig(pages, factor, 0x5EED ^ chaos_seed() ^ i as u64, strategy);
-        let (a, b) = (rig.nodes[0], rig.nodes[1]);
-        let at = rig.world.clock.now() + SimDuration::from_millis(1);
-        rig.world.fabric.params.crashes =
-            Some(CrashPlan::new().killing(a, CrashTrigger::AtTime(at)));
-        match rig.world.run(b, rig.pid) {
-            Ok(_) => {
-                assert_eq!(rig.world.touched_checksum(b, rig.pid).unwrap(), reference);
+    let mut orphans = 0;
+    for factor in FACTORS {
+        for offset in SEED_OFFSETS {
+            for (i, strategy) in STRATEGIES.into_iter().enumerate() {
+                let seed = 0x5EED ^ offset ^ i as u64;
+                let mut rig = single_hop_rig(pages, factor, seed, strategy);
+                let (a, b) = (rig.nodes[0], rig.nodes[1]);
+                let at = rig.world.clock.now() + SimDuration::from_millis(1);
+                rig.world.fabric.params.crashes =
+                    Some(CrashPlan::new().killing(a, CrashTrigger::AtTime(at)));
+                match rig.world.run(b, rig.pid) {
+                    Ok(_) => {
+                        assert_eq!(rig.world.touched_checksum(b, rig.pid).unwrap(), reference);
+                    }
+                    Err(KernelError::OrphanedProcess { lost_pages, .. }) => {
+                        assert_eq!(factor, 0, "f>=1 must survive a single crash ({strategy:?})");
+                        assert_eq!(strategy, Strategy::PureIou { prefetch: 0 });
+                        assert!(lost_pages > 0);
+                        orphans += 1;
+                    }
+                    Err(other) => panic!("third outcome is forbidden: {other:?}"),
+                }
+                assert_no_parked_waiters(&rig);
             }
-            Err(KernelError::OrphanedProcess { lost_pages, .. }) => {
-                assert_eq!(factor, 0, "f>=1 must survive a single crash ({strategy:?})");
-                assert!(lost_pages > 0);
-            }
-            Err(other) => panic!("third outcome is forbidden: {other:?}"),
         }
-        assert_no_parked_waiters(&rig);
     }
+    assert_eq!(orphans, SEED_OFFSETS.count(), "each f=0 pure-IOU run orphans");
 }
 
 /// Invisibility: a crash-free primary-backup run is byte-identical to
@@ -396,25 +396,29 @@ fn relay_pit_unparks_and_accounts_waiters_when_the_upstream_dies() {
     );
 }
 
-/// The replicated chain sails through the same upstream crash: every
-/// fault on a dead-origin page resolves content-addressed against a
-/// replica, nothing parks, nothing orphans.
+/// The replicated chain sails through the same upstream crash at every
+/// factor `f >= 1` and three placement seeds: every fault on a
+/// dead-origin page resolves content-addressed against a replica,
+/// nothing parks, nothing orphans.
 #[test]
 fn replicated_chain_survives_the_upstream_crash_without_parked_waiters() {
-    let factor = replication_factor().max(1);
     let pages = 12;
     let reference = hopper_reference(pages);
-    let mut rig = chain_rig(pages, factor, 0x42 ^ chaos_seed());
-    let (a, c) = (rig.nodes[0], rig.nodes[2]);
-    let now = rig.world.clock.now();
-    rig.world
-        .fabric
-        .crash_node(now, &mut rig.world.ports, a, false);
-    rig.world.run(c, rig.pid).unwrap();
-    assert_eq!(rig.world.touched_checksum(c, rig.pid).unwrap(), reference);
-    assert!(rig.world.fabric.reliability.failover_fetches.get() >= 1);
-    assert_eq!(rig.world.fabric.reliability.pages_lost.get(), 0);
-    assert_no_parked_waiters(&rig);
+    for factor in FACTORS.filter(|&f| f >= 1) {
+        for offset in SEED_OFFSETS {
+            let mut rig = chain_rig(pages, factor, 0x42 ^ offset);
+            let (a, c) = (rig.nodes[0], rig.nodes[2]);
+            let now = rig.world.clock.now();
+            rig.world
+                .fabric
+                .crash_node(now, &mut rig.world.ports, a, false);
+            rig.world.run(c, rig.pid).unwrap();
+            assert_eq!(rig.world.touched_checksum(c, rig.pid).unwrap(), reference);
+            assert!(rig.world.fabric.reliability.failover_fetches.get() >= 1);
+            assert_eq!(rig.world.fabric.reliability.pages_lost.get(), 0);
+            assert_no_parked_waiters(&rig);
+        }
+    }
 }
 
 /// The metrics view reports the replication counters: after the same

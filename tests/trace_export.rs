@@ -19,9 +19,9 @@
 //!    JSON args written out, so no rendering of any event can drift.
 
 use cor::ipc::{MsgKind, NodeId};
-use cor::sim::{JournalLevel, SimDuration, SimTime};
+use cor::sim::{JournalLevel, LedgerCategory, SimDuration, SimTime};
 use cor::trace::{export, Journal, JournalEvent, TraceEvent};
-use cor_experiments::trace::traced_trial;
+use cor_experiments::trace::{traced_trial, TracedTrial};
 
 /// A minimal JSON scanner for the hand-rolled exporter output: extracts
 /// top-level string/number fields of one-line JSON objects. Good enough
@@ -62,17 +62,16 @@ fn summary_jsonl_matches_golden_file() {
 }
 
 /// What `experiments trace` prints is the trial this suite checks: the
-/// command table's row adds the target, the format flag and the
-/// `COR_JOURNAL` level, nothing else.
+/// command table's row adds the target, the format flag and the journal
+/// level (`--summary`), nothing else.
 #[test]
 fn the_trace_command_prints_the_traced_trial() {
     use cor_experiments::commands::{self, Ctx};
-    use cor_experiments::trace::journal_level_from_env;
     let mut ctx = Ctx::new(cor_pool::Pool::serial());
     let w = cor::workloads::minprog::workload();
-    let full = traced_trial(&w, journal_level_from_env(JournalLevel::Full));
+    let full = traced_trial(&w, JournalLevel::Full);
     assert_eq!(commands::run(&mut ctx, "trace", &[]).unwrap(), full.perfetto());
-    let summary = traced_trial(&w, journal_level_from_env(JournalLevel::Summary));
+    let summary = traced_trial(&w, JournalLevel::Summary);
     let args = ["Minprog", "--jsonl", "--summary"];
     assert_eq!(commands::run(&mut ctx, "trace", &args).unwrap(), summary.jsonl());
 }
@@ -401,16 +400,30 @@ fn mid_fault_crash_abandons_no_spans_silently() {
 fn journal_off_records_nothing_and_changes_nothing() {
     let w = cor::workloads::minprog::workload();
     let off = traced_trial(&w, JournalLevel::Off);
-    let full = traced_trial(&w, JournalLevel::Full);
     for (_, j) in off.world.journals() {
         assert!(j.is_empty());
         assert!(j.spans().is_empty());
     }
-    // Observability is a pure observer: virtual time and results agree
-    // at every level.
-    assert_eq!(off.world.clock.now(), full.world.clock.now());
-    assert_eq!(off.imag_faults, full.imag_faults);
-    assert_eq!(off.ops, full.ops);
+    // Observability is a pure observer: virtual time, results, bytes on
+    // the wire, fault service times and memory agree at every level.
+    let observed = |t: &TracedTrial| {
+        let world = &t.world;
+        let b = world.node_ids()[1];
+        let pid = world.resident_pids(b).unwrap()[0];
+        (
+            world.clock.now(),
+            t.imag_faults,
+            t.ops,
+            LedgerCategory::ALL.map(|c| world.fabric.ledger.total_for(c)),
+            format!("{:?}", world.fault_service),
+            world.touched_checksum(b, pid).unwrap(),
+        )
+    };
+    let at_off = observed(&off);
+    for level in [JournalLevel::Summary, JournalLevel::Full] {
+        let at_level = observed(&traced_trial(&w, level));
+        assert_eq!(at_level, at_off, "{level:?} differs from Off");
+    }
 }
 
 /// One event with everything it renders to. Every field value is
