@@ -185,18 +185,8 @@ mod tests {
 
     #[test]
     fn flush_drain_immunizes_against_a_source_crash() {
-        // Reference checksum: same program, no migration, no crash.
         let pages = 10u64;
-        let clean = {
-            let (mut world, a, _) = World::testbed();
-            let mut space = AddressSpace::new();
-            space.validate(VAddr(0), pages * PAGE_SIZE).unwrap();
-            let pid = world
-                .create_process(a, "traveler", space, traveler_trace(pages))
-                .unwrap();
-            world.run(a, pid).unwrap();
-            world.touched_checksum(a, pid).unwrap()
-        };
+        let expected = traveler_trace(pages).expected_checksum_from(0, |_, _| ());
         let (mut world, a, b, pid) = migrated(pages);
         let drainer = Drainer::new(DrainPolicy {
             mode: DrainMode::FlushToDisk,
@@ -209,7 +199,7 @@ mod tests {
         let now = world.clock.now();
         world.fabric.crash_node(now, &mut world.ports, a, false);
         world.run(b, pid).unwrap();
-        assert_eq!(world.touched_checksum(b, pid).unwrap(), clean);
+        assert_eq!(world.touched_checksum(b, pid).unwrap(), expected);
         assert_eq!(world.fabric.reliability.pages_lost.get(), 0);
     }
 

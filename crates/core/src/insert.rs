@@ -207,35 +207,22 @@ mod tests {
 
     #[test]
     fn final_memory_matches_unmigrated_run() {
-        // Reference: run to completion without migration.
-        let build = |world: &mut World, node| {
-            let mut space = AddressSpace::new();
-            space.validate(VAddr(0), 16 * PAGE_SIZE).unwrap();
-            let mut tb = Trace::builder();
-            for i in 0..12u64 {
-                tb.write(VAddr(i * 700), 100);
-            }
-            world
-                .create_process(node, "check", space, tb.terminate())
-                .unwrap()
-        };
-        let reference = {
-            let (mut world, a, _) = World::testbed();
-            let pid = build(&mut world, a);
-            world.run(a, pid).unwrap();
-            world.touched_checksum(a, pid).unwrap()
-        };
-        let migrated = {
-            let (mut world, a, b) = World::testbed();
-            let pid = build(&mut world, a);
-            world.run_for(a, pid, 5).unwrap();
-            let dest = world.ports.allocate(b);
-            let (excised, _) = excise_process(&mut world, a, pid, dest).unwrap();
-            let (pid, _) = insert_process(&mut world, b, excised).unwrap();
-            world.run(b, pid).unwrap();
-            world.touched_checksum(b, pid).unwrap()
-        };
-        assert_eq!(reference, migrated);
+        let mut space = AddressSpace::new();
+        space.validate(VAddr(0), 16 * PAGE_SIZE).unwrap();
+        let mut tb = Trace::builder();
+        for i in 0..12u64 {
+            tb.write(VAddr(i * 700), 100);
+        }
+        let trace = tb.terminate();
+        let expected = trace.expected_checksum_from(0, |_, _| ());
+        let (mut world, a, b) = World::testbed();
+        let pid = world.create_process(a, "check", space, trace).unwrap();
+        world.run_for(a, pid, 5).unwrap();
+        let dest = world.ports.allocate(b);
+        let (excised, _) = excise_process(&mut world, a, pid, dest).unwrap();
+        let (pid, _) = insert_process(&mut world, b, excised).unwrap();
+        world.run(b, pid).unwrap();
+        assert_eq!(world.touched_checksum(b, pid).unwrap(), expected);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! migration with a [`CrashPlan`], and judge a survivor by Zarrabi's
 //! transparency criterion: its touched memory must be byte-identical to
 //! the blueprint's expected memory
-//! ([`Blueprint::expected_checksum`](cor_workloads::Blueprint::expected_checksum)),
+//! ([`Blueprint::expected_checksum_from`](cor_workloads::Blueprint::expected_checksum_from)),
 //! which the blueprint and its trace predict without running the
 //! simulator. They differ only in data — the world's size, whether a
 //! flush drainer races the crash, and whether page homes are replicated —
@@ -244,7 +244,7 @@ pub(crate) fn sweep(
 ) -> Vec<CrashOutcome> {
     let workload = representative(workloads);
     let image = &workload.image().expect("workload build");
-    let expected = workload.blueprint.expected_checksum();
+    let expected = workload.blueprint.expected_checksum_from(0);
     fan_out(pool, cells, |cell| run_cell(image, cell, expected))
 }
 

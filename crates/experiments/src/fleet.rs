@@ -457,4 +457,21 @@ mod tests {
             assert!(o.faults > 0, "the read phase faulted remotely: {o:?}");
         }
     }
+
+    #[test]
+    fn every_storm_process_ends_with_the_memory_its_trace_predicts() {
+        let mut judged = 0;
+        for spec in gate_cells().into_iter().chain([blame_cell_spec()]) {
+            let (_, world) = run_cell_inner(spec, false);
+            for node in world.node_ids() {
+                for (&pid, process) in &world.node(node).unwrap().processes {
+                    let expected = process.trace.expected_checksum_from(0, |_, _| ());
+                    let got = world.touched_checksum(node, pid).unwrap();
+                    assert_eq!(got, expected, "{spec:?}: {pid:?} on {node:?}");
+                    judged += 1;
+                }
+            }
+        }
+        assert_eq!(judged, 160);
+    }
 }

@@ -17,15 +17,15 @@ use crate::program::Op;
 use crate::world::{ExecReport, World};
 
 /// Where every memory checksum starts: the FNV-1a offset basis.
-pub const CHECKSUM_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const CHECKSUM_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds one page into a memory checksum, FNV-1a over two words: the
 /// page's number, then the word-wise [`page_hash`] of its bytes. Folded
 /// in ascending page order from [`CHECKSUM_BASIS`], it is the one form of
 /// the transparency digest: [`World::touched_checksum`] folds the pages a
-/// run touched, `Blueprint::expected_checksum` the pages its trace
+/// run touched, [`crate::Trace::expected_checksum_from`] the pages its trace
 /// predicts, so the two cannot drift apart.
-pub fn checksum_page(digest: u64, page: PageNum, bytes: &PageBytes) -> u64 {
+pub(crate) fn checksum_page(digest: u64, page: PageNum, bytes: &PageBytes) -> u64 {
     let fnv = |digest: u64, word: u64| (digest ^ word).wrapping_mul(0x100_0000_01b3);
     fnv(fnv(digest, page.0), page_hash(bytes))
 }
@@ -183,12 +183,11 @@ impl World {
     }
 
     /// A deterministic digest of the contents of every page `pid` has
-    /// touched. Two runs of the same program — migrated or not, under any
-    /// strategy — must agree, and a run that migrated before its first op
-    /// must equal its blueprint's `expected_checksum`.
+    /// touched. A run whose touch tracking starts at op `k` must end equal
+    /// to [`crate::Trace::expected_checksum_from`]`(k, ..)`.
     ///
     /// Folds, in page order, each touched page's bytes as they are now
-    /// with [`checksum_page`]. Every byte is read on every call, never the
+    /// with `checksum_page`. Every byte is read on every call, never the
     /// memoised [`Frame::content_hash`](cor_mem::Frame::content_hash): the
     /// oracle must not rely on the memo invalidation it exists to check. A
     /// host-side peek: an on-disk page counts no simulated disk read. Only

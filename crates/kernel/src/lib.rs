@@ -46,7 +46,6 @@ pub mod world;
 
 pub use costs::CostModel;
 pub use error::KernelError;
-pub use exec::{checksum_page, CHECKSUM_BASIS};
 pub use node::Node;
 pub use placement::{LeastLoaded, LocalityAware, Placement, PlacementCtx, RoundRobin};
 pub use process::{ExecStats, Pcb, Process, ProcessId, RunStatus};

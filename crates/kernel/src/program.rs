@@ -6,8 +6,10 @@
 //! fetches happen mechanically — the trace encodes *what the program does*,
 //! and the simulation derives *what that costs*.
 
-use cor_mem::VAddr;
+use cor_mem::{page::PageBytes, PageNum, PageRange, VAddr, PAGE_SIZE};
 use cor_sim::SimDuration;
+
+use crate::exec::{checksum_page, CHECKSUM_BASIS};
 
 /// One step of a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,6 +93,52 @@ impl Trace {
                 _ => None,
             })
             .sum()
+    }
+
+    /// The [`World::touched_checksum`](crate::World::touched_checksum) of a
+    /// process that runs this trace to its end, touch tracking started at op
+    /// `from_op`, wherever and whenever it migrates. Each page touched from
+    /// `from_op` on starts as `initial` writes it (zeros for a hand-built
+    /// space: `|_, _| ()`); every write of the trace then stores
+    /// [`write_pattern`], in order; pages fold in order with `checksum_page`.
+    pub fn expected_checksum_from(
+        &self,
+        from_op: usize,
+        mut initial: impl FnMut(PageNum, &mut PageBytes),
+    ) -> u64 {
+        let touches = self.ops.iter().enumerate().filter_map(|(i, op)| match *op {
+            Op::Touch { addr, len, write } => Some((i, addr, len, write)),
+            _ => None,
+        });
+        let mut pages: Vec<PageNum> = touches
+            .clone()
+            .filter(|&(i, ..)| i >= from_op)
+            .flat_map(|(_, addr, len, _)| PageRange::covering(addr, len).iter())
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        let mut bytes = vec![[0; PAGE_SIZE as usize]; pages.len()];
+        for (&page, out) in pages.iter().zip(&mut bytes) {
+            initial(page, out);
+        }
+        for (op_index, addr, len, _) in touches.filter(|&(.., write)| write) {
+            // The folded pages a write covers are a contiguous run of `pages`.
+            let range = PageRange::covering(addr, len);
+            let first = pages.partition_point(|&page| page < range.start);
+            let run = pages[first..].iter().take_while(|&&page| page < range.end);
+            for (&page, out) in run.zip(&mut bytes[first..]) {
+                let base = page.base().0;
+                for a in addr.0.max(base)..(addr.0 + len).min(base + PAGE_SIZE) {
+                    out[(a - base) as usize] = write_pattern(VAddr(a), op_index);
+                }
+            }
+        }
+        pages
+            .iter()
+            .zip(&bytes)
+            .fold(CHECKSUM_BASIS, |digest, (&page, bytes)| {
+                checksum_page(digest, page, bytes)
+            })
     }
 }
 

@@ -2,11 +2,11 @@
 
 use cor_ipc::{PortRight, Right};
 use cor_kernel::process::ProcessId;
-use cor_kernel::program::{write_pattern, Op, Trace};
-use cor_kernel::{checksum_page, KernelError, World, CHECKSUM_BASIS};
+use cor_kernel::program::Trace;
+use cor_kernel::{KernelError, World};
 use cor_mem::page::{PageBytes, PAGE_SIZE};
 use cor_mem::{
-    AddressSpace, Disk, ImageArena, MemError, PageNum, PageRange, PageState, SpaceImage, VAddr,
+    AddressSpace, Disk, ImageArena, MemError, PageNum, PageRange, PageState, SpaceImage,
 };
 use cor_sim::{Pcg32, SimDuration};
 
@@ -86,56 +86,17 @@ impl Blueprint {
         })
     }
 
-    /// The [`World::touched_checksum`] this process ends with when it runs
-    /// its trace to termination: the memory the blueprint and the trace
-    /// predict, computed with no world and no simulation. Every page a
-    /// `Touch` covers starts as [`fill_page_content`] if the blueprint
-    /// installs it real (on disk or resident) and as zeros otherwise; each
-    /// write then stores [`write_pattern`] over its bytes, in trace order;
-    /// the pages are folded in page order with [`checksum_page`].
-    ///
-    /// Precondition: the process migrates (or starts its touch tracking)
-    /// before it runs any op, so its touched set is every page the trace
-    /// covers and no write predates the checksum's view.
-    pub fn expected_checksum(&self) -> u64 {
-        let touches = || {
-            self.trace
-                .ops()
-                .iter()
-                .enumerate()
-                .filter_map(|(i, op)| match *op {
-                    Op::Touch { addr, len, write } => Some((i, addr, len, write)),
-                    _ => None,
-                })
-        };
-        let mut pages: Vec<PageNum> = touches()
-            .flat_map(|(_, addr, len, _)| PageRange::covering(addr, len).iter())
-            .collect();
-        pages.sort_unstable();
-        pages.dedup();
-        let mut bytes = vec![[0; PAGE_SIZE as usize]; pages.len()];
-        for page in self.on_disk.iter().chain(&self.install_order) {
-            if let Ok(i) = pages.binary_search(page) {
-                fill_page_content(self.seed, *page, &mut bytes[i]);
+    /// [`Trace::expected_checksum_from`] over the blueprint's memory: a page
+    /// the blueprint installs real (on disk or resident) starts as
+    /// [`fill_page_content`], any other as zeros.
+    pub fn expected_checksum_from(&self, from_op: usize) -> u64 {
+        let mut real = [&self.on_disk[..], &self.install_order].concat();
+        real.sort_unstable();
+        self.trace.expected_checksum_from(from_op, |page, out| {
+            if real.binary_search(&page).is_ok() {
+                fill_page_content(self.seed, page, out);
             }
-        }
-        for (op_index, addr, len, _) in touches().filter(|&(.., write)| write) {
-            // A write's pages are a contiguous run of `pages`.
-            let range = PageRange::covering(addr, len);
-            let first = pages.partition_point(|&page| page < range.start);
-            for (page, out) in range.iter().zip(&mut bytes[first..]) {
-                let base = page.base().0;
-                for a in addr.0.max(base)..(addr.0 + len).min(base + PAGE_SIZE) {
-                    out[(a - base) as usize] = write_pattern(VAddr(a), op_index);
-                }
-            }
-        }
-        pages
-            .iter()
-            .zip(&bytes)
-            .fold(CHECKSUM_BASIS, |digest, (&page, bytes)| {
-                checksum_page(digest, page, bytes)
-            })
+        })
     }
 
     /// Creates the process on `node` with its memory in the documented

@@ -2,7 +2,8 @@
 //!
 //! Chains: a process that migrates a → b → c leaves its unfetched pages
 //! behind a chain of NMS stand-ins; faults at c must be forwarded two hops
-//! to the original cache and replies relayed back, renamed at every hop.
+//! to the original cache and replies relayed back, renamed at every hop,
+//! and the process must end with the memory its trace predicts.
 //!
 //! Failures: broken backing chains, dead ports, and vanished cache data
 //! must surface as clean errors, never panics or hangs.
@@ -104,18 +105,12 @@ fn two_hop_chain_faults_resolve_through_both_nms() {
 
 #[test]
 fn chain_memory_is_correct_end_to_end() {
-    // Reference: never migrated, same reset points.
-    let reference = {
-        let mut world = World::new(Default::default(), Default::default());
-        let a = world.add_node();
-        let pid = staged_process(&mut world, a, 10);
-        world.run_for(a, pid, 3).unwrap();
-        world.run(a, pid).unwrap();
-        world.touched_checksum(a, pid).unwrap()
-    };
     let (mut world, nodes, managers) = three_node_world();
     let (a, b, c) = (nodes[0], nodes[1], nodes[2]);
     let pid = staged_process(&mut world, a, 10);
+    // Touch tracking starts after the 10 staged writes.
+    let trace = &world.process(a, pid).unwrap().trace;
+    let expected = trace.expected_checksum_from(10, |_, _| ());
     managers[&a]
         .migrate_to(
             &mut world,
@@ -134,7 +129,7 @@ fn chain_memory_is_correct_end_to_end() {
         )
         .unwrap();
     world.run(c, pid).unwrap();
-    assert_eq!(world.touched_checksum(c, pid).unwrap(), reference);
+    assert_eq!(world.touched_checksum(c, pid).unwrap(), expected);
 }
 
 #[test]

@@ -1,22 +1,20 @@
-//! The transparency oracle itself. The crash studies judge each survivor
-//! by `World::touched_checksum` against the blueprint's expected memory
-//! (`Blueprint::expected_checksum`, computed from the blueprint and its
-//! trace with no world), and the migration tests compare it between runs,
-//! so the digest must see every byte of every touched page, at that
-//! page's number, on every call — judging a run must not change it — and
-//! the world-free prediction must equal what a finished remote run holds.
-//! That is checked here on every paper workload under every strategy (the
-//! paper matrix's runner takes no checksum itself). Because the
-//! prediction runs no simulator code, a bug that corrupts every run alike
-//! (a write stored one byte late) fails here even though any two runs
-//! still agree.
+//! The transparency oracle itself. Every memory check judges a run by
+//! `World::touched_checksum` against the memory its trace predicts
+//! (`Trace::expected_checksum_from`, computed with no world), so the
+//! digest must see every byte of every touched page, at that page's
+//! number, on every call — judging a run must not change it — and the
+//! prediction must equal what a finished remote run holds, whether the
+//! process moved before its first op or after op k. That is checked here
+//! on every paper workload. Because the prediction runs no simulator
+//! code, a bug that corrupts every run alike (a write stored one byte
+//! late) fails here even though any two runs still agree.
 
 use cor::ipc::NodeId;
-use cor::kernel::program::Trace;
+use cor::kernel::program::{Op, Trace};
 use cor::kernel::{ProcessId, World};
 use cor::mem::page::PageBytes;
 use cor::mem::{PageNum, PageRange, PageState, VAddr, PAGE_SIZE};
-use cor::migrate::MigrationManager;
+use cor::migrate::{MigrationManager, Strategy};
 use cor::workloads::synth::SynthSpec;
 use cor::workloads::Blueprint;
 use cor_experiments::Matrix;
@@ -185,23 +183,26 @@ fn the_same_bytes_at_another_page_number_change_the_checksum() {
     assert_ne!(judge_only(&mut world, p), judge_only(&mut world, q));
 }
 
-/// Forks `blueprint` once per paper strategy from one image, migrates each
-/// fork before its first op, runs it to the end at the destination, and
-/// asserts its touched-memory checksum is the blueprint's prediction.
-fn assert_the_oracle_predicts_every_remote_run(blueprint: &Blueprint) {
-    let expected = blueprint.expected_checksum();
+/// Forks `blueprint` once per strategy from one image, runs each fork at
+/// home to op `k`, starts its touch tracking there, migrates it and runs it
+/// to the end at the destination, and asserts its touched-memory checksum
+/// is the blueprint's prediction from op `k`.
+fn assert_the_oracle_predicts(blueprint: &Blueprint, k: usize, strategies: &[Strategy]) {
+    let expected = blueprint.expected_checksum_from(k);
     let image = blueprint.image().unwrap();
-    for strategy in Matrix::paper_strategies() {
+    for &strategy in strategies {
         let (mut world, a, b) = World::testbed();
         let src = MigrationManager::new(&mut world, a);
         let dst = MigrationManager::new(&mut world, b);
         let pid = image.fork(&mut world, a).unwrap();
+        world.run_for(a, pid, k).unwrap();
+        world.reset_touch_tracking(a, pid).unwrap();
         src.migrate_to(&mut world, &dst, pid, strategy).unwrap();
         assert!(world.run(b, pid).unwrap().finished);
         assert_eq!(
             world.touched_checksum(b, pid).unwrap(),
             expected,
-            "{} under {strategy:?}",
+            "{} from op {k} under {strategy:?}",
             blueprint.name
         );
     }
@@ -213,7 +214,7 @@ fn assert_the_oracle_predicts_every_remote_run(blueprint: &Blueprint) {
 #[test]
 fn the_oracle_predicts_every_paper_workload_under_every_strategy() {
     for workload in cor::workloads::all() {
-        assert_the_oracle_predicts_every_remote_run(&workload.blueprint);
+        assert_the_oracle_predicts(&workload.blueprint, 0, &Matrix::paper_strategies());
     }
 }
 
@@ -237,7 +238,7 @@ fn the_oracle_predicts_the_degraded_wire_processes() {
             write_fraction: 0.25,
         }
         .build();
-        assert_the_oracle_predicts_every_remote_run(&workload.blueprint);
+        assert_the_oracle_predicts(&workload.blueprint, 0, &Matrix::paper_strategies());
     }
 }
 
@@ -266,5 +267,45 @@ fn the_oracle_predicts_partial_and_overlapping_writes() {
         send_rights: 0,
         recv_ports: 0,
     };
-    assert_the_oracle_predicts_every_remote_run(&blueprint);
+    assert_the_oracle_predicts(&blueprint, 0, &Matrix::paper_strategies());
+}
+
+/// The strategies the reproduction gate leans on.
+const GATE_STRATEGIES: [Strategy; 4] = [
+    Strategy::PureCopy,
+    Strategy::PureIou { prefetch: 0 },
+    Strategy::PureIou { prefetch: 1 },
+    Strategy::ResidentSet { prefetch: 0 },
+];
+
+/// Op k of a mid-trace migration: the first touch, from a third of the way
+/// through `trace`'s touches on, of a page no later op touches, so an
+/// oracle that judged from one op late would miss that page.
+fn op_k(trace: &Trace) -> usize {
+    let ops = trace.ops();
+    let pages = |op: &Op| match *op {
+        Op::Touch { addr, len, .. } => PageRange::covering(addr, len),
+        _ => PageRange::new(PageNum(0), PageNum(0)),
+    };
+    let touches: Vec<usize> = (0..ops.len())
+        .filter(|&i| !pages(&ops[i]).is_empty())
+        .collect();
+    let touched_after = |i: usize, page| ops[i + 1..].iter().any(|op| pages(op).contains(page));
+    touches[touches.len() / 3..]
+        .iter()
+        .copied()
+        .find(|&i| pages(&ops[i]).iter().any(|page| !touched_after(i, page)))
+        .expect("a touch after the first third is some page's last")
+}
+
+/// Every paper workload, forked from its image, runs at home to op k and
+/// then migrates under every gate strategy: its pages start with the
+/// blueprint's real bytes, and only the pages touched from op k on are
+/// judged (about 0.8 s in a debug build on a 2-core Xeon).
+#[test]
+fn the_oracle_predicts_a_migration_after_op_k_on_real_memory() {
+    for workload in cor::workloads::all() {
+        let k = op_k(&workload.blueprint.trace);
+        assert_the_oracle_predicts(&workload.blueprint, k, &GATE_STRATEGIES);
+    }
 }

@@ -6,8 +6,8 @@
 //!
 //! 1. **Two-outcome law.** Under *any* [`CrashPlan`] — any crash
 //!    time, any trigger, amnesiac reboot or not — a migrated run either
-//!    completes with its remotely touched memory byte-identical to a
-//!    crash-free run, or fails with the typed
+//!    completes with its remotely touched memory equal to the memory the
+//!    trace predicts, or fails with the typed
 //!    [`KernelError::OrphanedProcess`] error. Never a panic, a hang, or
 //!    any third outcome.
 //! 2. **Drain immunity.** Fully flush-draining the dependency set before
@@ -67,18 +67,6 @@ fn stepper_trace(pages: u64) -> Trace {
         tb.read(PageNum(i).base(), 64);
     }
     tb.terminate()
-}
-
-/// The same trace run start-to-finish on one node: the reference image.
-fn reference_checksum(pages: u64) -> u64 {
-    let (mut world, a, _) = World::testbed();
-    let mut space = AddressSpace::new();
-    space.validate(VAddr(0), pages * PAGE_SIZE).unwrap();
-    let pid = world
-        .create_process(a, "traveler", space, traveler_trace(pages))
-        .unwrap();
-    world.run(a, pid).unwrap();
-    world.touched_checksum(a, pid).unwrap()
 }
 
 struct CrashRun {
@@ -190,8 +178,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The two-outcome law: any crash plan, any strategy, any drain rate —
-    /// the run matches the crash-free image or orphans with the typed
-    /// error. Nothing else.
+    /// the run holds the memory its trace predicts or orphans with the
+    /// typed error. Nothing else.
     #[test]
     fn any_crash_plan_yields_matching_bytes_or_typed_orphan(
         delay_ms in 0u64..3_000,
@@ -201,7 +189,7 @@ proptest! {
         drain_rate in 0u64..8,
     ) {
         let strategy = LAZY[strat_idx];
-        let reference = reference_checksum(pages);
+        let expected = traveler_trace(pages).expected_checksum_from(pages as usize, |_, _| ());
         // The testbed's source node is always NodeId(0).
         let a = cor::ipc::NodeId(0);
         let trigger = CrashTrigger::AtTime(
@@ -215,8 +203,8 @@ proptest! {
         let run = run_under_plan(pages, strategy, plan, drain_rate);
         match run.outcome {
             Ok(sum) => prop_assert_eq!(
-                sum, reference,
-                "a surviving run must be byte-identical to the crash-free image"
+                sum, expected,
+                "a surviving run must hold the memory its trace predicts"
             ),
             Err(KernelError::OrphanedProcess { node, lost_pages, .. }) => {
                 prop_assert_eq!(node, a);
@@ -237,7 +225,7 @@ proptest! {
         strat_idx in 0usize..2,
     ) {
         let strategy = LAZY[strat_idx];
-        let reference = reference_checksum(pages);
+        let expected = traveler_trace(pages).expected_checksum_from(pages as usize, |_, _| ());
         let (mut world, a, b) = World::testbed();
         let src = MigrationManager::new(&mut world, a);
         let dst = MigrationManager::new(&mut world, b);
@@ -258,7 +246,7 @@ proptest! {
         world.fabric.params.crashes =
             Some(CrashPlan::new().killing(a, CrashTrigger::AtTime(now)));
         world.run(b, pid).unwrap();
-        prop_assert_eq!(world.touched_checksum(b, pid).unwrap(), reference);
+        prop_assert_eq!(world.touched_checksum(b, pid).unwrap(), expected);
         prop_assert_eq!(world.fabric.reliability.pages_lost.get(), 0);
     }
 }
