@@ -11,7 +11,7 @@ use std::collections::HashSet;
 
 use cor_ipc::PortRight;
 use cor_mem::{AddressSpace, PageNum};
-use cor_sim::SimDuration;
+use cor_sim::{IdSet, SimDuration};
 
 use crate::program::Trace;
 
@@ -59,12 +59,14 @@ pub struct ExecStats {
     pub prefetched_pages: u64,
     /// Prefetched pages later touched by the program.
     pub prefetch_hits: u64,
-    /// Distinct pages the program has touched. This set and the next keep
-    /// std's hasher: they are public, and the frozen benchmark intersects
-    /// `touched` with a std `HashSet`, which needs the same hasher type.
+    /// Distinct pages the program has touched. It keeps std's hasher: the
+    /// frozen benchmark intersects it with a std `HashSet`, which needs the
+    /// same hasher type.
     pub touched: HashSet<PageNum>,
-    /// Pages currently installed by prefetch and not yet touched.
-    pub prefetch_pending: HashSet<PageNum>,
+    /// Pages currently installed by prefetch and not yet touched. An
+    /// [`IdSet`], so when it grows, and with it a run's heap-allocation
+    /// count, is the same on every run.
+    pub prefetch_pending: IdSet<PageNum>,
     /// Total modeled computation time executed.
     pub compute: SimDuration,
     /// Screen updates drawn.

@@ -109,6 +109,13 @@ pub enum CrashTrigger {
     /// received). The `n`-th message itself is delivered at the link
     /// layer, but anything still queued on the node — including that
     /// message, if nobody consumed it yet — dies with it.
+    ///
+    /// Only deliveries count, from the moment the plan is installed.
+    /// Replica write-through and replica reads are billed as transfers,
+    /// not delivered, so a node that carries no delivered message (a
+    /// bystander, a replica home) is never crashed by this trigger. The
+    /// count is checked only after a delivery, so `n = 0` behaves like
+    /// `n = 1`.
     AfterMessages(u64),
 }
 

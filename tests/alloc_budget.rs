@@ -194,6 +194,30 @@ fn zero_fill_faults_do_not_allocate() {
     assert_eq!(first, second, "alloc counts are deterministic");
 }
 
+#[test]
+fn prefetching_runs_allocate_the_same_count_every_time() {
+    // Heap allocations are a function of the inputs, not of a hasher's
+    // random seed: the seven paper workloads under IOU pf 1 and pf 15,
+    // where prefetched pages enter and leave the pending set, count the
+    // same every time.
+    let workloads = cor_workloads::all();
+    let images: Vec<_> = workloads
+        .iter()
+        .map(|w| w.image().expect("build"))
+        .collect();
+    let matrix = || {
+        heap_allocs(|| {
+            for (image, prefetch) in images.iter().flat_map(|i| [(i, 1), (i, 15)]) {
+                let strategy = Strategy::PureIou { prefetch };
+                runner::run_trial_on(image, strategy, CostModel::default(), WireParams::default());
+            }
+        })
+    };
+    matrix(); // the first run also fills this thread's lazily built tables
+    let counts = [matrix(), matrix(), matrix()];
+    assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
+}
+
 /// Frame allocations of one saturation cell (its own setup included).
 fn sat_allocs(spec: cor_experiments::saturation::SatSpec) -> u64 {
     alloc_stats::reset();
@@ -604,8 +628,8 @@ fn storm_process(world: &mut World, node: NodeId) -> ProcessId {
 /// blob's name and microstate, the sorted RIMAS items, the page list, the
 /// LRU slab (sized for every page that may fault in), the regions, and
 /// the microstate `Process::new` makes before the blob's replaces it. The
-/// remote run makes 2: growths of the std `ExecStats::prefetch_pending`
-/// set. No message is cloned, no frame is copied (the process only reads
+/// remote run makes 2: growths of the `ExecStats::prefetch_pending` set.
+/// No message is cloned, no frame is copied (the process only reads
 /// after it migrates), and nothing is per page or per fault.
 const STORM_ALLOCS: u64 = 5 + 7 + 2;
 

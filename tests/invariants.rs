@@ -1,5 +1,8 @@
 //! Cross-crate system invariants: conservation, lifecycle, transparency.
 
+mod common;
+
+use common::assert_quiescent;
 use cor::ipc::{NodeId, Right};
 use cor::kernel::program::Trace;
 use cor::kernel::World;
@@ -222,56 +225,6 @@ fn ledger_conservation() {
         .flat_map(|&c| ledger.binned(cor::sim::SimDuration::from_secs(1), end, c))
         .sum();
     assert_eq!(ledger.total(), binned, "binning conserves bytes");
-}
-
-/// Quiescence: what `World::settle` promises when it returns `Ok`. Every
-/// queue a server drains (NetMsgServer ports, backer ports) is empty —
-/// except on a crashed node, which serves nothing — and each fabric
-/// component is at rest: no live node holds a parked pending-interest
-/// waiter, a down node has lost its volatile state, the two
-/// retransmission accounts agree, and on a routed fault-free wire every
-/// ledgered byte crossed at least one link (with a fault plan, dropped
-/// attempts are ledgered but never routed).
-///
-/// The pending-interest table is swept of waiters whose upstream died
-/// only under `coalesce`; with it off (the seed semantics) the latest
-/// relay entry per origin page outlives a crashed upstream, so after a
-/// crash the table is checked only in a coalescing world.
-fn assert_quiescent(world: &World, what: &str) {
-    let fabric = &world.fabric;
-    let nodes = world.node_ids();
-    let crash_free = !nodes.iter().any(|&n| fabric.lost_volatile_state(n));
-    for port in world.ports.ready_ports() {
-        let home = world.ports.home(port).unwrap();
-        assert!(
-            fabric.is_crashed(home),
-            "{what}: settle left {} message(s) on {port} of live {home}",
-            world.ports.queue_len(port)
-        );
-    }
-    for node in nodes {
-        if fabric.is_crashed(node) {
-            assert!(
-                fabric.lost_volatile_state(node),
-                "{what}: {node} is down yet kept its volatile state"
-            );
-        } else if crash_free || fabric.params.coalesce {
-            let parked = fabric.pending_waiters(node);
-            assert_eq!(parked, 0, "{what}: waiters left parked on live {node}");
-        }
-    }
-    assert!(
-        fabric.retransmit_accounting_consistent(),
-        "{what}: ledger and counters disagree on retransmitted bytes"
-    );
-    if fabric.params.topology.is_some() && fabric.params.faults.is_none() {
-        let routed: u64 = fabric.link_stats().values().map(|s| s.bytes).sum();
-        let ledgered = fabric.ledger.total();
-        assert!(
-            routed >= ledgered,
-            "{what}: {ledgered} bytes ledgered but only {routed} crossed a link"
-        );
-    }
 }
 
 /// Migrates `pid` and runs it to the end, settling and checking

@@ -55,7 +55,7 @@ fn loss_sweep_is_byte_identical_across_thread_counts() {
 /// The other "ours" studies render their table and CSV byte-identically at
 /// 1 and 4 threads: the replication sweep over Minprog in full, the fleet
 /// and saturation sweeps over their gate cells. (The survivability sweep's
-/// own check lives in `crash_recovery.rs`.) This file's four tests
+/// own check lives in `crash_law.rs`.) This file's four tests
 /// together take about 2.6 s in a debug build.
 #[test]
 fn other_studies_are_byte_identical_at_one_and_four_threads() {
