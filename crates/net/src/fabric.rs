@@ -1153,7 +1153,7 @@ mod tests {
         assert_eq!(
             w.fabric.reliability.duplicate_drops.get(),
             5,
-            "every duplicate is recognised and suppressed"
+            "the link layer drops every duplicate"
         );
         assert_eq!(
             w.ports.queue_len(dest),

@@ -33,9 +33,9 @@
 //! * **Unreliable wires.** An optional, fully deterministic fault-injection
 //!   layer ([`FaultPlan`] on [`WireParams`]) drops, duplicates, delays and
 //!   reorders remote deliveries per directed link, driven by a seeded
-//!   `cor-sim` RNG. The link layer recovers with sequence numbers,
-//!   timeout-driven exponential-backoff retransmission and receiver-side
-//!   duplicate suppression; a message that exhausts its retry budget
+//!   `cor-sim` RNG. The link layer recovers with sequence numbers and
+//!   timeout-driven exponential-backoff retransmission, and bills and
+//!   drops every duplicate itself; a message that exhausts its retry budget
 //!   surfaces as [`NetError::SourceUnreachable`]. Every injected fault is
 //!   journaled and counted in [`cor_sim::ReliabilityStats`], and
 //!   retransmitted bytes land in their own ledger category so lossless
@@ -53,7 +53,7 @@
 //!
 //! * **Routed topologies.** A [`Topology`] on [`WireParams`] generalizes
 //!   the point-to-point wire into an N-node interconnect (full mesh,
-//!   ring, 2D mesh, torus) with deterministic multi-hop routing, per-hop
+//!   ring, 2D torus) with deterministic multi-hop routing, per-hop
 //!   store-and-forward latency, per-link queueing, and a per-link byte
 //!   table ([`Fabric::link_stats`]). `None` (the default) keeps the
 //!   original pairwise wire byte-identical. See `docs/TOPOLOGY.md`.

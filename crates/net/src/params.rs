@@ -33,8 +33,8 @@ pub struct LinkFaults {
     pub drop: f64,
     /// Probability that a delivered message is repeated on the wire. The
     /// copy pays full wire bytes (charged to the `Retransmit` ledger
-    /// category) and is then suppressed by receiver-side sequence
-    /// tracking.
+    /// category) and is dropped by the link layer: nothing above it ever
+    /// sees a duplicate.
     pub duplicate: f64,
     /// Probability that a delivered message is held back and released
     /// only when later traffic (or a pump) flushes the link — i.e. it

@@ -5,6 +5,9 @@
 //! One RNG stream feeds every injected fault, and a send draws from it in
 //! a fixed order — drop (once per attempt), jitter, duplicate, reorder —
 //! so identical plans over identical traffic inject identical faults.
+//!
+//! An injected duplicate is billed, counted and dropped here: no port,
+//! NetMsgServer or kernel above the link layer ever receives one.
 
 use cor_ipc::message::Message;
 use cor_ipc::port::PortRegistry;
@@ -27,10 +30,9 @@ pub(crate) struct LinkLayer {
     /// send under a plan.
     rng: Option<Pcg32>,
     /// Per directed link, the last sequence number issued. A number is
-    /// issued at the moment its delivery is accepted, so this is also the
-    /// receiver's delivered high-water mark: a repeat delivery carries a
-    /// number at or below it. Only maintained under faults (a perfect
-    /// wire cannot duplicate), one entry per link however long the run.
+    /// issued at the moment its delivery is accepted; a duplicate's
+    /// `net-dup` event names the number of the delivery it repeats. Only
+    /// maintained under faults, one entry per link however long the run.
     seq: IdMap<(NodeId, NodeId), u64>,
     /// Deliveries held back by reorder injection, released (FIFO) by the
     /// next non-reordered send or by [`Fabric::pump`].
@@ -69,11 +71,6 @@ impl LinkLayer {
         let last = self.seq.entry(link).or_insert(0);
         *last += 1;
         *last
-    }
-
-    /// Whether the receiver on `link` has already accepted `seq`.
-    fn already_accepted(&self, link: (NodeId, NodeId), seq: u64) -> bool {
-        self.seq.get(&link).is_some_and(|&last| seq <= last)
     }
 
     /// Drops every held delivery `doomed` selects; returns how many.
@@ -174,8 +171,10 @@ impl Fabric {
     /// Link-layer acceptance of the delivery that got through, and the
     /// faults injected on it: issues its sequence number, then delay
     /// jitter, then a possible duplicate — the wire repeats the delivery
-    /// in full (the copy pays wire bytes and header inspection) and the
-    /// receiver recognises the already-accepted number and suppresses it.
+    /// in full (the copy pays wire bytes and the receiver's header
+    /// inspection) and the link layer drops the copy, counted once as
+    /// injected and once as dropped. Nothing above the link layer ever
+    /// sees a duplicate.
     pub(crate) fn inject_on_delivery(
         &mut self,
         clock: &mut Clock,
@@ -202,15 +201,13 @@ impl Fabric {
                 .record(clock.now(), wire.bytes, LedgerCategory::Retransmit);
             self.reliability.retransmit_wire_bytes.add(wire.bytes);
             self.charge_cpu(to, self.params.msg_cpu_fixed);
-            if self.link.already_accepted((from, to), seq) {
-                self.reliability.duplicate_drops.incr();
-                self.note(clock.now(), || TraceEvent::NetDup {
-                    msg: kind,
-                    from,
-                    to,
-                    seq,
-                });
-            }
+            self.reliability.duplicate_drops.incr();
+            self.note(clock.now(), || TraceEvent::NetDup {
+                msg: kind,
+                from,
+                to,
+                seq,
+            });
         }
     }
 
@@ -262,8 +259,8 @@ mod tests {
 
     #[test]
     fn sequence_state_is_one_entry_per_directed_link() {
-        // A duplicating wire exercises the sequence check on every
-        // delivery; the table must not grow with the message count.
+        // A duplicating wire numbers every delivery; the table must not
+        // grow with the message count.
         let (a, b) = (NodeId(0), NodeId(1));
         let mut ports = PortRegistry::new();
         let mut segs = SegmentRegistry::new();

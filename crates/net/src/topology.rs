@@ -9,16 +9,15 @@
 //! bytes to its own per-link table, and a link still busy with earlier
 //! traffic queues the delivery behind it.
 //!
-//! Four shapes are modeled (in the style of port-pair interconnect
+//! Three shapes are modeled (in the style of port-pair interconnect
 //! simulators):
 //!
 //! * **Full mesh** — every pair is one hop; the topology adds per-link
 //!   accounting and queueing but no extra latency.
 //! * **Ring** — nodes in a cycle; traffic takes the shorter direction.
-//! * **2D mesh** — a `rows × cols` grid with dimension-order (X then Y)
-//!   routing and no wraparound.
-//! * **2D torus** — the mesh with wraparound links; each axis takes the
-//!   shorter way around.
+//! * **2D torus** — a `rows × cols` grid with wraparound links and
+//!   dimension-order (X then Y) routing; each axis takes the shorter way
+//!   around.
 //!
 //! Routing is deterministic end to end. Where two routes tie (the
 //! antipodal node of an even ring, the half-way wrap of an even torus
@@ -47,12 +46,6 @@ pub enum TopologyKind {
     FullMesh,
     /// Nodes form a cycle; routes take the shorter direction.
     Ring,
-    /// A `rows × cols` grid without wraparound; dimension-order (X then
-    /// Y) routing.
-    Mesh2d {
-        /// Columns per row (row-major node numbering).
-        cols: u32,
-    },
     /// A `rows × cols` grid with wraparound links on both axes.
     Torus2d {
         /// Columns per row (row-major node numbering).
@@ -63,8 +56,8 @@ pub enum TopologyKind {
 /// A routed interconnect over nodes `node0 .. node(N-1)`.
 ///
 /// Node identifiers index the topology directly: [`NodeId`] `i` sits at
-/// ring position `i`, or grid position `(i / cols, i % cols)` for the 2D
-/// shapes. Worlds built with sequential [`NodeId`]s (the default) fit
+/// ring position `i`, or grid position `(i / cols, i % cols)` on a
+/// torus. Worlds built with sequential [`NodeId`]s (the default) fit
 /// with no mapping.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Topology {
@@ -128,20 +121,6 @@ impl Topology {
         }
     }
 
-    /// A `rows × cols` 2D mesh (no wraparound).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn mesh(rows: u32, cols: u32) -> Self {
-        assert!(rows > 0 && cols > 0, "mesh dimensions must be non-zero");
-        Topology {
-            kind: TopologyKind::Mesh2d { cols },
-            nodes: rows * cols,
-            ..Topology::full_mesh(rows * cols)
-        }
-    }
-
     /// A `rows × cols` 2D torus (wraparound on both axes).
     ///
     /// # Panics
@@ -162,13 +141,11 @@ impl Topology {
         self
     }
 
-    /// A short display name for tables (`full-mesh`, `ring`, `mesh`,
-    /// `torus`).
+    /// A short display name for tables (`full-mesh`, `ring`, `torus`).
     pub fn name(&self) -> &'static str {
         match self.kind {
             TopologyKind::FullMesh => "full-mesh",
             TopologyKind::Ring => "ring",
-            TopologyKind::Mesh2d { .. } => "mesh",
             TopologyKind::Torus2d { .. } => "torus",
         }
     }
@@ -231,17 +208,14 @@ impl Topology {
         self.check(to)?;
         let cols = match self.kind {
             TopologyKind::FullMesh | TopologyKind::Ring => self.nodes,
-            TopologyKind::Mesh2d { cols } | TopologyKind::Torus2d { cols } => cols,
+            TopologyKind::Torus2d { cols } => cols,
         };
         let rows = self.nodes / cols;
         let (r, c) = (from.0 / cols, from.0 % cols);
         let (tr, tc) = (to.0 / cols, to.0 % cols);
-        // Without wraparound a −1 step is `n − 1` modulo `n` all the same.
-        let toward = |n: u32, cur: u32, target: u32| if target > cur { 1 } else { n - 1 };
         let (cstep, rstep) = match self.kind {
             TopologyKind::FullMesh => ((tc + cols - c) % cols, 0),
             TopologyKind::Ring => (self.wrap_step(cols, c, tc, 0, from, to), 0),
-            TopologyKind::Mesh2d { .. } => (toward(cols, c, tc), toward(rows, r, tr)),
             TopologyKind::Torus2d { .. } => (
                 self.wrap_step(cols, c, tc, 1, from, to),
                 self.wrap_step(rows, r, tr, 2, from, to),
@@ -291,11 +265,6 @@ impl Topology {
                 let n = self.nodes;
                 let fwd = (to.0 + n - from.0) % n;
                 fwd.min(n - fwd)
-            }
-            TopologyKind::Mesh2d { cols } => {
-                let (fr, fc) = (from.0 / cols, from.0 % cols);
-                let (tr, tc) = (to.0 / cols, to.0 % cols);
-                fr.abs_diff(tr) + fc.abs_diff(tc)
             }
             TopologyKind::Torus2d { cols } => {
                 let rows = self.nodes / cols;
@@ -394,20 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn mesh_routes_dimension_order() {
-        let t = Topology::mesh(4, 4);
-        // node5 = (1,1), node15 = (3,3): X first to (1,3), then Y down.
-        let r = t.route(NodeId(5), NodeId(15)).unwrap();
-        assert_eq!(r.len(), 4);
-        links_valid(&t, &r, NodeId(5), NodeId(15));
-        assert_eq!(r[0], (NodeId(5), NodeId(6)));
-        assert_eq!(r[1], (NodeId(6), NodeId(7)));
-        assert_eq!(r[2], (NodeId(7), NodeId(11)));
-        assert_eq!(r[3], (NodeId(11), NodeId(15)));
-        assert_eq!(t.distance(NodeId(5), NodeId(15)).unwrap(), 4);
-    }
-
-    #[test]
     fn torus_wraps_the_shorter_axis() {
         let t = Topology::torus(4, 4);
         // node0 = (0,0) to node3 = (0,3): one wraparound hop, not three.
@@ -425,7 +380,6 @@ mod tests {
         for t in [
             Topology::full_mesh(9),
             Topology::ring(9),
-            Topology::mesh(3, 3),
             Topology::torus(3, 3),
         ] {
             for a in 0..t.nodes {

@@ -240,7 +240,8 @@ pub struct ReliabilityStats {
     /// duplicate deliveries). Mirrors the ledger's retransmit category:
     /// the two are kept consistent by a fabric debug assertion.
     pub retransmit_wire_bytes: Counter,
-    /// Duplicate deliveries suppressed by receiver-side sequence tracking.
+    /// Injected duplicates the link layer dropped: every one of them, so
+    /// this always equals `duplicates_injected`.
     pub duplicate_drops: Counter,
     /// Stale or already-satisfied protocol replies dropped by idempotent
     /// handlers above the link layer.

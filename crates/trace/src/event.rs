@@ -358,8 +358,7 @@ events! {
         delay_us: u64,
     } => "{msg:?} {from}->{to} delayed {delay_us}us";
 
-    /// An injected duplicate was suppressed by the receiver's link-layer
-    /// sequence tracking.
+    /// An injected duplicate was billed and dropped by the link layer.
     NetDup["net-dup", false, Some(from)] {
         /// Message discriminator.
         msg: MsgKind,

@@ -40,11 +40,11 @@
 //! with self-time microsecond counts), deterministic by construction
 //! (stacks are aggregated and emitted in sorted order).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use cor_ipc::NodeId;
-use cor_sim::SimTime;
+use cor_sim::{IdMap, SimTime};
 
 use crate::export::escape;
 use crate::journal::Journal;
@@ -194,7 +194,7 @@ impl Profile {
     /// demotes the span to a root.
     pub fn from_journals(journals: &[(&'static str, &Journal)]) -> Profile {
         let total: usize = journals.iter().map(|(_, j)| j.spans().len()).sum();
-        let mut index: HashMap<u64, usize> = HashMap::with_capacity(total);
+        let mut index = IdMap::with_capacity_and_hasher(total, Default::default());
         let mut spans = Vec::with_capacity(total);
         for (source, j) in journals {
             for s in j.spans() {

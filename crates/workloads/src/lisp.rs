@@ -21,10 +21,8 @@
 //! of touch clusters are adjacent pairs, the rest isolated singles) fitted
 //! to the published prefetch hit ratios.
 
-use std::collections::HashSet;
-
 use cor_mem::{PageNum, PageRange};
-use cor_sim::{Pcg32, SimDuration};
+use cor_sim::{IdSet, Pcg32, SimDuration};
 
 use crate::paper::ROWS;
 use crate::spec::{assemble_trace, scattered_runs, Blueprint, TouchEvent, Workload};
@@ -57,7 +55,7 @@ fn pick_scattered(
     runs: &[PageRange],
     count: u64,
     pair_frac: f64,
-    exclude: &HashSet<PageNum>,
+    exclude: &IdSet<PageNum>,
 ) -> Vec<Vec<PageNum>> {
     let mut order: Vec<usize> = (0..runs.len()).collect();
     rng.shuffle(&mut order);
@@ -109,9 +107,9 @@ fn build(params: LispParams, paper_idx: usize) -> Workload {
 
     // The resident set: RS_PAGES scattered picks (30% pairs) across the
     // heap — the isolated recently-used pages of a GC'd heap.
-    let tail_clusters = pick_scattered(&mut rng, &heap_runs, RS_PAGES, 0.3, &HashSet::new());
+    let tail_clusters = pick_scattered(&mut rng, &heap_runs, RS_PAGES, 0.3, &IdSet::default());
     let tail: Vec<PageNum> = tail_clusters.iter().flatten().copied().collect();
-    let tail_set: HashSet<PageNum> = tail.iter().copied().collect();
+    let tail_set: IdSet<PageNum> = tail.iter().copied().collect();
 
     // Install order: code, then heap (minus the tail) run by run in
     // shuffled order, then the tail — so the LRU keeps exactly the tail.
@@ -218,6 +216,8 @@ pub fn lisp_del() -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
     use cor_kernel::program::Op;
     use cor_kernel::World;
 

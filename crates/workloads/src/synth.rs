@@ -32,7 +32,7 @@
 //! ```
 
 use cor_mem::{PageNum, PageRange};
-use cor_sim::{Pcg32, SimDuration};
+use cor_sim::{IdSet, Pcg32, SimDuration};
 
 use crate::paper::PaperRow;
 use crate::spec::{assemble_trace, scattered_runs, Blueprint, TouchEvent, Workload};
@@ -109,7 +109,7 @@ impl SynthSpec {
         let want = ((self.real_pages as f64 * self.touched_fraction).round() as usize)
             .clamp(1, all_pages.len());
         let mut touched: Vec<PageNum> = Vec::with_capacity(want);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IdSet::default();
         let mut cursor = rng.below(all_pages.len() as u32) as usize;
         while touched.len() < want {
             if seen.insert(all_pages[cursor]) {

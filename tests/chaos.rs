@@ -7,20 +7,31 @@
 //! 1. **Correctness under loss.** For any drop rate below the retry
 //!    budget's breaking point, a migration completes and the remotely
 //!    touched memory image equals the memory the trace predicts.
-//! 2. **Clean-wire equivalence.** A zero-rate fault plan reproduces the
-//!    lossless ledger byte counts exactly, category by category — fault
-//!    injection costs nothing when it injects nothing.
-//! 3. **Determinism.** Identical seeds produce identical runs, down to
-//!    the journaled fault sequence; different seeds diverge.
+//! 2. **Determinism.** Identical seeds produce identical runs, down to
+//!    the journaled fault sequence, serially or on pool workers;
+//!    different seeds diverge.
+//! 3. **Exactly-once service.** With in-flight coalescing on a wire that
+//!    drops, duplicates and reorders, every fault completes once with the
+//!    canonical bytes. An injected duplicate is billed and counted at the
+//!    link layer and dropped there: nothing above it ever sees one.
+//!
+//! That a clean fault plan changes nothing is one row of
+//! `tests/determinism.rs`'s inert-option table.
 
 use proptest::prelude::*;
 
+use cor::ipc::message::{Message, MsgItem, MsgKind};
+use cor::ipc::port::PortId;
+use cor::ipc::protocol::{self, ProtocolMsg};
+use cor::ipc::NodeId;
 use cor::kernel::program::Trace;
-use cor::kernel::World;
-use cor::mem::{AddressSpace, PageNum, VAddr, PAGE_SIZE};
+use cor::kernel::{CostModel, World};
+use cor::mem::page::{page_from_bytes, Frame};
+use cor::mem::{AddressSpace, PageNum, SegmentId, VAddr, PAGE_SIZE};
 use cor::migrate::{MigrationManager, Strategy};
-use cor::net::{FaultPlan, LinkFaults};
+use cor::net::{FaultPlan, LinkFaults, WireParams};
 use cor::sim::LedgerCategory;
+use cor_pool::Pool;
 
 /// Builds a deterministic workload on node `a`: `pages` pages written in
 /// the source phase, half of them read back in the remote phase.
@@ -41,6 +52,7 @@ fn build_workload(world: &mut World, pages: u64) -> cor::kernel::process::Proces
     pid
 }
 
+#[derive(Debug, PartialEq)]
 struct RunOutcome {
     checksum: u64,
     /// The memory the trace predicts for the remote phase.
@@ -124,30 +136,6 @@ fn migrations_survive_twenty_percent_drop_with_identical_memory() {
 }
 
 #[test]
-fn zero_loss_runs_reproduce_lossless_byte_counts_exactly() {
-    for strategy in STRATEGIES {
-        let without = run_migration(24, strategy, None).unwrap();
-        let with_clean_plan = run_migration(
-            24,
-            strategy,
-            Some(FaultPlan::uniform(7, LinkFaults::default())),
-        )
-        .unwrap();
-        assert_eq!(
-            without.ledger, with_clean_plan.ledger,
-            "{strategy}: a zero-rate plan must not perturb the ledger"
-        );
-        let retransmit_bytes = without
-            .ledger
-            .iter()
-            .find(|(c, _)| *c == LedgerCategory::Retransmit)
-            .map(|&(_, b)| b)
-            .unwrap();
-        assert_eq!(retransmit_bytes, 0, "lossless wire never retransmits");
-    }
-}
-
-#[test]
 fn same_seed_same_journal_different_seed_diverges() {
     let faults = LinkFaults {
         drop: 0.15,
@@ -158,13 +146,7 @@ fn same_seed_same_journal_different_seed_diverges() {
     let strategy = Strategy::PureIou { prefetch: 0 };
     let run = |seed| run_migration(24, strategy, Some(FaultPlan::uniform(seed, faults))).unwrap();
     let first = run(1234);
-    let second = run(1234);
-    assert_eq!(
-        first.journal, second.journal,
-        "identical seeds must journal identical fault sequences"
-    );
-    assert_eq!(first.checksum, second.checksum);
-    assert_eq!(first.ledger, second.ledger);
+    assert_eq!(first, run(1234), "identical seeds, identical runs and journals");
     assert!(
         first.retransmissions > 0 || first.duplicate_drops > 0,
         "the plan actually injected faults"
@@ -174,6 +156,21 @@ fn same_seed_same_journal_different_seed_diverges() {
         first.journal, third.journal,
         "a different seed must draw a different fault sequence"
     );
+}
+
+#[test]
+fn seeded_chaos_trials_match_under_the_pool() {
+    // The same seeded lossy migration run concurrently on pool workers
+    // must reproduce the serial run exactly, fault journal included: each
+    // job owns its whole simulation, so nothing leaks between workers.
+    let run = || {
+        let plan = FaultPlan::dropping(0xC0FFEE, 0.10);
+        run_migration(64, Strategy::PureIou { prefetch: 1 }, Some(plan)).unwrap()
+    };
+    let serial = run();
+    for (i, pooled) in Pool::new(4).run_indexed(4, |_| run()).iter().enumerate() {
+        assert_eq!(&serial, pooled, "worker {i} diverged from the serial run");
+    }
 }
 
 #[test]
@@ -210,10 +207,6 @@ fn retransmit_ledger_and_reliability_counters_agree_under_chaos() {
 
 #[test]
 fn duplicate_reply_after_termination_is_dropped_cleanly() {
-    use cor::ipc::protocol;
-    use cor::mem::page::Frame;
-    use cor::mem::SegmentId;
-
     let (mut world, a, b) = World::testbed();
     // A (zero-rate) fault plan arms the wire's idempotent stale handling.
     world.fabric.params.faults = Some(FaultPlan::uniform(11, LinkFaults::default()));
@@ -224,11 +217,11 @@ fn duplicate_reply_after_termination_is_dropped_cleanly() {
         .unwrap();
     world.run(b, pid).unwrap();
     assert_eq!(world.segs.live(), 0, "termination released every segment");
-    // A duplicate of an already-satisfied COR reply arrives at the source
-    // NMS after the process died — as if the wire had duplicated it and
-    // delayed the copy past termination. There is no pending relay left to
-    // pair it with; the handler must drop it, not panic or resurrect
-    // anything.
+    // A second copy of an already-satisfied COR reply reaches the source
+    // NMS after the process died. The link layer drops every wire
+    // duplicate itself, so the copy is enqueued by hand. There is no
+    // pending relay left to pair it with; the handler must drop it, not
+    // panic or resurrect anything.
     let nms_a = world.fabric.nms_port(a).unwrap();
     let ghost = protocol::imag_read_reply(nms_a, SegmentId(1), 0, vec![Frame::zeroed()])
         .with_seq(7)
@@ -246,6 +239,104 @@ fn duplicate_reply_after_termination_is_dropped_cleanly() {
         assert_eq!(world.fabric.cached_pages_live(n), 0);
         assert_eq!(world.fabric.standins_live(n), 0);
     }
+}
+
+/// The saturation harness's relay setup, built with public APIs: the
+/// server (node 2) caches a 16-page segment, the relay (node 1) holds a
+/// stand-in for it, and the client (node 0) faults through the relay.
+/// Returns the world, the client, the relay's NMS port, the stand-in and
+/// the client's reply port.
+fn relay_world(wire: WireParams) -> (World, NodeId, PortId, SegmentId, PortId) {
+    const PAGES: u64 = 16;
+    let (mut world, nodes) = World::fleet(3, CostModel::default(), wire);
+    let (client, relay, server) = (nodes[0], nodes[1], nodes[2]);
+    let server_nms = world.fabric.nms_port(server).unwrap();
+    let frames = (0..PAGES).map(|i| Frame::new(page_from_bytes(&i.to_le_bytes())));
+    let seg = world.segs.create(server_nms, PAGES);
+    world.segs.add_refs(seg, PAGES).unwrap();
+    world.fabric.install_cache(server, seg, frames.collect()).unwrap();
+    let scratch = world.ports.allocate(relay);
+    let iou = MsgItem::Iou {
+        base_page: 0,
+        seg,
+        seg_offset: 0,
+        pages: PAGES,
+    };
+    let offer = Message::new(MsgKind::User(0x3D), scratch).push(iou);
+    world.send_from(server, offer.with_no_ious(true)).unwrap();
+    let delivered = world.ports.dequeue(scratch).unwrap().unwrap();
+    let Some(&MsgItem::Iou { seg: stand_in, .. }) = delivered.items.first() else {
+        panic!("expected a rewritten IOU, got {:?}", delivered.items.first());
+    };
+    let relay_nms = world.fabric.nms_port(relay).unwrap();
+    let reply_port = world.ports.allocate(client);
+    (world, client, relay_nms, stand_in, reply_port)
+}
+
+#[test]
+fn coalescing_with_retransmission_never_double_installs() {
+    // Duplicate in-flight faults for the same page, on a wire that also
+    // duplicates and reorders deliveries, with coalescing on: every
+    // outstanding fault must complete exactly once, every delivered page
+    // must carry the canonical bytes, and no reply may complete a fault
+    // twice (double installation).
+    let faults = LinkFaults {
+        duplicate: 0.25,
+        reorder: 0.15,
+        drop: 0.05,
+        ..LinkFaults::default()
+    };
+    let wire = WireParams {
+        faults: Some(FaultPlan::uniform(0xD0B1E, faults)),
+        ..WireParams::default()
+    }
+    .hot_path();
+    let (mut world, client, relay_nms, stand_in, reply_port) = relay_world(wire);
+    // Three waves of duplicate faults on a two-page hot set.
+    let mut outstanding = 0u64;
+    let mut seq = 50_000u64;
+    let mut completed = [0u32; 16];
+    for _wave in 0..3 {
+        for &offset in &[3u64, 3, 7, 3, 7, 7] {
+            let req = protocol::imag_read_request(relay_nms, reply_port, stand_in, offset, 1);
+            world.send_from(client, req.with_seq(seq).with_no_ious(true)).unwrap();
+            seq += 1;
+            outstanding += 1;
+        }
+        world.settle().unwrap();
+        while let Some(msg) = world.ports.dequeue(reply_port).unwrap() {
+            let Ok(ProtocolMsg::ImagReadReply {
+                seg: rseg,
+                offset: ro,
+                frames,
+                ..
+            }) = protocol::parse_owned(msg)
+            else {
+                panic!("unexpected message on the reply port");
+            };
+            assert_eq!(rseg, stand_in, "reply renamed to the stand-in");
+            for (page, frame) in (ro..).zip(&frames) {
+                let expect = page_from_bytes(&page.to_le_bytes());
+                frame.with(|data| assert_eq!(data[..], expect[..], "page {page}'s bytes"));
+                completed[page as usize] += 1;
+            }
+            outstanding = outstanding.saturating_sub(1);
+        }
+    }
+    assert_eq!(outstanding, 0, "every fault completed");
+    // Coalescing answers each parked waiter once, and the link layer
+    // drops every injected duplicate delivery before any port sees it,
+    // so the number of completions per page equals the number of
+    // requests for it — never more.
+    assert_eq!(completed[3], 9, "page 3: one completion per request");
+    assert_eq!(completed[7], 9, "page 7: one completion per request");
+    assert_eq!(
+        completed.iter().map(|&c| c as u64).sum::<u64>(),
+        18,
+        "no page was installed beyond its requests"
+    );
+    let stats = world.fabric.stats();
+    assert!(stats.coalesced_requests > 0, "coalescing engaged");
 }
 
 proptest! {

@@ -640,22 +640,6 @@ fn identical_crash_plans_journal_identical_runs() {
     assert!(fired, "the plan actually fired");
 }
 
-#[test]
-fn survivability_csv_is_identical_at_any_thread_count() {
-    use cor_experiments::survivability::STUDY;
-    use cor_pool::Pool;
-
-    let workloads = vec![cor::workloads::minprog::workload()];
-    let render = |pool: &Pool| {
-        let outcomes = STUDY.outcomes(&workloads, pool);
-        (STUDY.table(&workloads, &outcomes), STUDY.csv(&outcomes))
-    };
-    let serial = render(&Pool::serial());
-    assert_eq!(serial, render(&Pool::new(3)));
-    assert_eq!(serial, render(&Pool::new(8)));
-    assert!(serial.1.lines().count() > 1);
-}
-
 /// Invisibility: a crash-free primary-backup run is byte-identical to
 /// the unreplicated run on the virtual clock and on every paper ledger
 /// category — the write-through's bytes all land under `Replicate`.

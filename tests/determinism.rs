@@ -1,87 +1,27 @@
-//! Bit-level reproducibility: the whole system is deterministic.
+//! What must not move an output, stated once as two tables.
 //!
-//! Two runs of the same trial must agree on every measured quantity —
-//! virtual end time, wire bytes, fault counts, message counts, memory
-//! digests. This is what makes the experiment harness trustworthy.
+//! 1. **Thread count.** Every committed output — each [`Gate::File`] row
+//!    of the command table — is reproduced byte for byte on one worker
+//!    and on four. Cells fan out across the pool but render serially in
+//!    cell order, so the pool decides only when a cell runs.
+//! 2. **Inert wire options.** On the gate cells, a wire option that
+//!    injects nothing leaves the whole [`Trial`] record — timings, every
+//!    counter, the reliability stats and the full ledger — exactly as the
+//!    base wire leaves it, on the default wire and on a lossy one. The
+//!    "again" row is plain reproducibility.
+//!
+//! Memory is judged more strictly elsewhere: `tests/checksum_oracle.rs`
+//! compares every workload × strategy with the memory its trace predicts.
 
-use cor::kernel::World;
+use cor::kernel::{CostModel, World};
 use cor::migrate::{MigrationManager, Strategy};
+use cor::net::{CrashPlan, FaultPlan, LinkFaults, ReplicationParams, WireParams};
+use cor::sim::ReliabilityStats;
+use cor::workloads::{ProcessImage, Workload};
 use cor_experiments::commands::{self, Ctx, Gate, COMMANDS};
-
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    end_micros: u64,
-    wire_bytes: u64,
-    msgs: u64,
-    imag_faults: u64,
-    disk_faults: u64,
-    zero_faults: u64,
-    checksum: u64,
-}
-
-fn fingerprint(workload: &cor::workloads::Workload, strategy: Strategy) -> Fingerprint {
-    let (mut world, a, b) = World::testbed();
-    let src = MigrationManager::new(&mut world, a);
-    let dst = MigrationManager::new(&mut world, b);
-    let pid = workload.build(&mut world, a).unwrap();
-    src.migrate_to(&mut world, &dst, pid, strategy).unwrap();
-    world.run(b, pid).unwrap();
-    let stats = world.process(b, pid).unwrap().stats.clone();
-    Fingerprint {
-        end_micros: world.clock.now().as_micros(),
-        wire_bytes: world.fabric.ledger.total(),
-        msgs: world.fabric.stats().msgs_total,
-        imag_faults: stats.imag_faults,
-        disk_faults: stats.disk_faults,
-        zero_faults: stats.zero_faults,
-        checksum: world.touched_checksum(b, pid).unwrap(),
-    }
-}
-
-#[test]
-fn trials_are_bit_reproducible() {
-    // One representative from each behavioural class, two strategies each.
-    let cases = [
-        (
-            cor::workloads::minprog::workload(),
-            Strategy::PureIou { prefetch: 1 },
-        ),
-        (cor::workloads::minprog::workload(), Strategy::PureCopy),
-        (
-            cor::workloads::lisp::lisp_t(),
-            Strategy::PureIou { prefetch: 3 },
-        ),
-        (
-            cor::workloads::lisp::lisp_t(),
-            Strategy::ResidentSet { prefetch: 0 },
-        ),
-        (
-            cor::workloads::pasmac::pm_start(),
-            Strategy::PureIou { prefetch: 15 },
-        ),
-        (
-            cor::workloads::chess::workload(),
-            Strategy::ResidentSet { prefetch: 7 },
-        ),
-    ];
-    for (w, s) in cases {
-        let first = fingerprint(&w, s);
-        let second = fingerprint(&w, s);
-        assert_eq!(first, second, "{} under {s} not reproducible", w.name());
-    }
-}
-
-#[test]
-fn different_strategies_genuinely_differ() {
-    // A meta-check on the fingerprint itself: it distinguishes strategies.
-    let w = cor::workloads::minprog::workload();
-    let copy = fingerprint(&w, Strategy::PureCopy);
-    let iou = fingerprint(&w, Strategy::PureIou { prefetch: 0 });
-    assert_ne!(copy.wire_bytes, iou.wire_bytes);
-    assert_ne!(copy.imag_faults, iou.imag_faults);
-    // But the computation result is identical.
-    assert_eq!(copy.checksum, iou.checksum);
-}
+use cor_experiments::runner::{self, Trial};
+use cor_experiments::Matrix;
+use cor_pool::Pool;
 
 #[test]
 fn world_clock_only_moves_forward() {
@@ -99,22 +39,32 @@ fn world_clock_only_moves_forward() {
     assert!(world.clock.now() > t1);
 }
 
-/// The committed outputs are the serve-order regression test: the
-/// 64-node torus storm cells, the paper matrix and the replication sweep
-/// depend on the order NMS queues and backers are served, and the
-/// survivability sweep on every drain round and recovery rung, so any
-/// change to quiescence or draining that is not byte-identical shows up
-/// here. The saturation sweep is the only one that runs batched replies
+/// Table 1 on one worker. The committed outputs are also the serve-order
+/// regression test: the 64-node torus storm cells, the paper matrix and
+/// the replication sweep depend on the order NMS queues and backers are
+/// served, and the survivability sweep on every drain round and recovery
+/// rung. The saturation sweep is the only one that runs batched replies
 /// and the pending-interest table, the fleet blame table the only pin on
 /// the per-link `wire-send` / `link-queue` / `link-transit` spans, and
 /// `results/all.txt` the only pin on how the paper's tables and figures
-/// (and `ablation`, `cow-study`, `sensitivity`, `modern`, `loss-sweep`)
-/// are *rendered*. The loop is the [`Gate::File`] rows of the command
-/// table; regenerate a stale file with the command it names, e.g.
-/// `experiments all > results/all.txt`.
+/// (and every study) are *rendered*. Regenerate a stale file with the
+/// command its row names, e.g. `experiments all > results/all.txt`.
 #[test]
 fn committed_results_are_current() {
-    let mut ctx = Ctx::new(cor_pool::Pool::default());
+    assert_committed_outputs(Pool::serial());
+}
+
+/// Table 1 on four workers: the twin of the test above, a separate test
+/// so that the two run concurrently.
+#[test]
+fn committed_results_are_current_at_four_threads() {
+    assert_committed_outputs(Pool::new(4));
+}
+
+/// Runs every [`Gate::File`] row of the command table on `pool` and
+/// compares its output with the committed file.
+fn assert_committed_outputs(pool: Pool) {
+    let mut ctx = Ctx::new(pool);
     for command in COMMANDS {
         if let Gate::File(path, args) = command.gate {
             let fresh = commands::run(&mut ctx, command.name, args)
@@ -124,10 +74,111 @@ fn committed_results_are_current() {
     }
 }
 
+/// Table 2 on the default wire, which must also leave the reliability
+/// layer untouched: nothing retransmitted, nothing injected.
+#[test]
+fn inert_options_leave_every_trial_identical_on_the_default_wire() {
+    let base = WireParams::default();
+    let mut clean = base.clone();
+    clean.faults = Some(FaultPlan::uniform(7, LinkFaults::default()));
+    let mut crashless = base.clone();
+    crashless.crashes = Some(CrashPlan::new());
+    let mut rows = rows_on(&base);
+    rows.extend([("clean fault plan", clean), ("empty crash plan", crashless)]);
+    for trial in assert_inert(&base, &rows) {
+        let cell = format!("{} {}", trial.workload, trial.strategy);
+        assert_eq!(trial.retransmit_bytes, 0, "{cell}: a lossless wire retransmits");
+        assert_eq!(trial.reliability, ReliabilityStats::default(), "{cell}: injected");
+    }
+}
+
+/// Table 2 on a lossy wire: the link layer absorbs every drop, duplicate
+/// and reorder below the hot path, so it still has nothing to merge.
+#[test]
+fn inert_options_leave_every_trial_identical_on_a_lossy_wire() {
+    let faults = LinkFaults {
+        drop: 0.08,
+        duplicate: 0.08,
+        reorder: 0.05,
+        ..LinkFaults::default()
+    };
+    let base = WireParams {
+        faults: Some(FaultPlan::uniform(0xBADC0DE, faults)),
+        ..WireParams::default()
+    };
+    let trials = assert_inert(&base, &rows_on(&base));
+    let drops: u64 = trials.iter().map(|t| t.reliability.drops_injected.get()).sum();
+    assert!(drops > 0, "the lossy base injected no drop");
+}
+
+/// The rows every base takes: itself again, the hot path, and
+/// replication that places no replica (f = 0).
+fn rows_on(base: &WireParams) -> Vec<(&'static str, WireParams)> {
+    let mut unreplicated = base.clone();
+    unreplicated.replication = Some(ReplicationParams::primary_backup(0, 7));
+    vec![
+        ("again", base.clone()),
+        ("hot path", base.clone().hot_path()),
+        ("replication f = 0", unreplicated),
+    ]
+}
+
+/// The gate cells: every workload under pure-copy, IOU prefetch 0 and 1
+/// and resident-set prefetch 0, and Minprog under every paper strategy
+/// and pre-copy.
+fn gate_cells() -> Vec<(Workload, Vec<Strategy>)> {
+    let gate = [
+        Strategy::PureCopy,
+        Strategy::PureIou { prefetch: 0 },
+        Strategy::PureIou { prefetch: 1 },
+        Strategy::ResidentSet { prefetch: 0 },
+    ];
+    let mut minprog = Matrix::paper_strategies();
+    minprog.push(Strategy::PreCopy { max_rounds: 3, stop_pages: 4 });
+    let cell = |w: Workload| {
+        let strategies = if w.name() == "Minprog" { minprog.clone() } else { gate.to_vec() };
+        (w, strategies)
+    };
+    cor_workloads::all().into_iter().map(cell).collect()
+}
+
+/// Runs every gate cell on `base` and on each row's wire, forked from one
+/// image per workload, and fails on the first cell whose whole [`Trial`]
+/// record differs, quoting both records from the field that moved.
+/// Returns the base trials.
+fn assert_inert(base: &WireParams, rows: &[(&str, WireParams)]) -> Vec<Trial> {
+    let run = |image: &ProcessImage, s, wire: &WireParams| {
+        runner::run_trial_on(image, s, CostModel::default(), wire.clone())
+    };
+    let mut trials = Vec::new();
+    for (w, strategies) in gate_cells() {
+        let image = w.image().expect("workload image");
+        for s in strategies {
+            let trial = run(&image, s, base);
+            let expected = format!("{trial:?}");
+            for (row, wire) in rows {
+                let got = format!("{:?}", run(&image, s, wire));
+                if got != expected {
+                    let same = got.bytes().zip(expected.bytes()).take_while(|(a, b)| a == b);
+                    let field = expected[..same.count()].rfind(", ").map_or(0, |i| i + 2);
+                    panic!(
+                        "{} {s}: `{row}` moved the trial\n  row:  …{:.160}\n  base: …{:.160}",
+                        w.name(),
+                        &got[field..],
+                        &expected[field..],
+                    );
+                }
+            }
+            trials.push(trial);
+        }
+    }
+    trials
+}
+
 /// A row of the command table that nothing pins is a surface nobody
 /// would notice breaking: every [`Gate`] must exist. `File` rows are
-/// compared by the loop above, so the file only has to be there; a
-/// `Test` row's file must drive the command through the table, by name.
+/// compared by Table 1, so the file only has to be there; a `Test` row's
+/// file must drive the command through the table, by name.
 #[test]
 fn every_command_has_a_gate() {
     for command in COMMANDS {
