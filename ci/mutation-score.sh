@@ -33,11 +33,15 @@ git worktree add --quiet --detach "$tree" HEAD
 
 if [ ${#patches[@]} -eq 0 ]; then patches=("$root"/ci/mutants/*.patch); fi
 
-# The first failing test in a cargo log: `<target>: <test name>`.
+# The first failing test in a cargo log: `<target>: <test name>`. A test
+# binary that aborts (a panic inside a destructor) prints no `---- <name>
+# stdout ----` block, so the first `thread '<name>' panicked` line names it.
 first_failure() {
     awk '/^---- .* stdout ----$/ && !name { name = $2 }
+         /^thread \047.*\047.* panicked at/ && !panicked { split($0, q, "\047"); panicked = q[2] }
          /to rerun pass `/ && !target { split($0, q, "`"); target = q[2] }
-         END { print (target ? target ": " : "") (name ? name : "(no test named)") }' "$1"
+         END { if (!name) name = panicked
+               print (target ? target ": " : "") (name ? name : "(no test named)") }' "$1"
 }
 
 killed=0 total=0 bad=0

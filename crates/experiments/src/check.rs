@@ -385,7 +385,7 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Claim> {
         100.0..=100.0,
     ));
 
-    // Replication (ours): replicated page homes with content-addressed
+    // Replication (ours): replicated page homes with replica
     // failover. The gate asserts (a) any factor >= 1 survives every
     // single-node crash with no orphans, (b) the unreplicated baseline
     // still orphans (the hazard is real), (c) every survivor is

@@ -38,19 +38,24 @@ fn cells() -> Vec<Cell> {
         .collect()
 }
 
+/// The default wire, dropping `pct` percent of attempts.
+fn wire_for(pct: u32) -> WireParams {
+    let mut wire = WireParams::default();
+    if pct > 0 {
+        wire.faults = Some(FaultPlan::dropping(
+            SWEEP_SEED + pct as u64,
+            pct as f64 / 100.0,
+        ));
+    }
+    wire
+}
+
 /// Each cell is an independent seeded trial on a fork of one image of
 /// the representative workload.
 fn run(workloads: &[Workload], pool: &Pool, cells: Vec<Cell>) -> Vec<(Cell, Trial)> {
     let image = &representative(workloads).image().expect("workload build");
     fan_out(pool, cells, |(pct, strategy)| {
-        let mut wire = WireParams::default();
-        if pct > 0 {
-            wire.faults = Some(FaultPlan::dropping(
-                SWEEP_SEED + pct as u64,
-                pct as f64 / 100.0,
-            ));
-        }
-        let trial = run_trial_on(image, strategy, CostModel::default(), wire);
+        let trial = run_trial_on(image, strategy, CostModel::default(), wire_for(pct));
         ((pct, strategy), trial)
     })
 }
@@ -88,7 +93,27 @@ pub static STUDY: Study<Cell, (Cell, Trial)> = Study {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_trial_with;
+    use crate::runner::{run_trial_inner, run_trial_with};
+
+    /// Every cell's process ends with the memory its trace predicts from
+    /// op 0, where its touch tracking starts (the fork): loss changes what
+    /// a run costs, never the bytes it ends with.
+    #[test]
+    fn every_cell_ends_with_the_memory_its_trace_predicts() {
+        let workload = cor_workloads::minprog::workload();
+        let image = workload.image().expect("workload build");
+        let expected = workload.blueprint.expected_checksum_from(0);
+        for (pct, strategy) in cells() {
+            let (_, world) = run_trial_inner(&image, strategy, CostModel::default(), wire_for(pct));
+            let mut got = Vec::new();
+            for node in world.node_ids() {
+                for &pid in world.node(node).unwrap().processes.keys() {
+                    got.push(world.touched_checksum(node, pid).unwrap());
+                }
+            }
+            assert_eq!(got, [expected], "drop {pct}%, {strategy}");
+        }
+    }
 
     #[test]
     fn loss_sweep_renders_and_is_deterministic() {

@@ -5,7 +5,7 @@
 //! other side: replicated page homes (`docs/REPLICATION.md`). Migration
 //! page-out write-throughs every owed page to `f` deterministic replica
 //! nodes; a copy-on-reference fault whose primary home is dead fails
-//! over to a surviving replica content-addressed, so the process never
+//! over to a surviving replica home, so the process never
 //! drains, never orphans, and never even notices the crash beyond the
 //! failover fetch latency. Each cell migrates a workload, kills the
 //! source at a swept delay, and reports survival, byte-identity against

@@ -165,6 +165,17 @@ pub fn run_trial_on(
     costs: cor_kernel::CostModel,
     wire: cor_net::WireParams,
 ) -> Trial {
+    run_trial_inner(image, strategy, costs, wire).0
+}
+
+/// [`run_trial_on`], also returning the world the trial ran in, its
+/// process still at the destination, for an oracle to judge.
+pub(crate) fn run_trial_inner(
+    image: &ProcessImage<'_>,
+    strategy: Strategy,
+    costs: cor_kernel::CostModel,
+    wire: cor_net::WireParams,
+) -> (Trial, World) {
     let mut world = World::new(costs, wire);
     let a = world.add_node();
     let b = world.add_node();
@@ -185,7 +196,7 @@ pub fn run_trial_on(
         rs_union_pages += u64::from(!was_resident);
     }
     let fabric_stats = world.fabric.stats();
-    Trial {
+    let trial = Trial {
         workload: image.name().to_string(),
         strategy,
         migration,
@@ -207,7 +218,8 @@ pub fn run_trial_on(
         reliability: world.fabric.reliability.clone(),
         ledger: world.fabric.ledger.clone(),
         end_time: world.clock.now(),
-    }
+    };
+    (trial, world)
 }
 
 /// The full experiment matrix: every representative under pure-copy and

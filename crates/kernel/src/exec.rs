@@ -187,9 +187,7 @@ impl World {
     /// to [`crate::Trace::expected_checksum_from`]`(k, ..)`.
     ///
     /// Folds, in page order, each touched page's bytes as they are now
-    /// with `checksum_page`. Every byte is read on every call, never the
-    /// memoised [`Frame::content_hash`](cor_mem::Frame::content_hash): the
-    /// oracle must not rely on the memo invalidation it exists to check. A
+    /// with `checksum_page`; every byte is read on every call. A
     /// host-side peek: an on-disk page counts no simulated disk read. Only
     /// equality of two digests means anything; the value appears in no
     /// output.

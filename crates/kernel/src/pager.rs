@@ -180,7 +180,7 @@ impl World {
         self.clock.advance(self.costs.fault_dispatch);
         let want = self.prefetch + 1;
         let count = self.contiguous_owed(node, pid, page, seg, offset, want)?;
-        // With replicated page homes the fetch is content-addressed: a
+        // With replicated page homes any live home may serve the fetch: a
         // replica may answer instead of the primary backing site — always
         // when the primary is down, and in Quorum mode also when a replica
         // is simply closer on the topology.
@@ -376,11 +376,11 @@ impl World {
         Ok(count.max(1))
     }
 
-    /// Tries to satisfy an owed fetch content-addressed from a replica
-    /// page home (see `docs/REPLICATION.md`) instead of the primary
-    /// backing site. The fabric decides whether a replica may answer —
-    /// always when the primary is down (the failover path, rung 0 of the
-    /// recovery ladder), and under [`cor_net::ReplicationMode::Quorum`]
+    /// Tries to satisfy an owed fetch from a replica page home (see
+    /// `docs/REPLICATION.md`) instead of the primary backing site. The
+    /// fabric decides whether a replica may answer — always when the
+    /// primary is down (the failover path, rung 0 of the recovery ladder),
+    /// and under [`cor_net::ReplicationMode::Quorum`]
     /// also when a live replica is nearer on the topology. Returns
     /// `Ok(None)` when no replica can or should serve the read; the
     /// caller then proceeds exactly as without replication.

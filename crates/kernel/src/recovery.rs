@@ -293,7 +293,7 @@ impl World {
             _ => return Err(err),
         };
         // Rung 0: with replicated page homes, a surviving replica serves
-        // the read content-addressed — no data loss, no drain, and the
+        // the read — no data loss, no drain, and the
         // fetch is charged like a wire round trip (the measured failover
         // latency). Reached when the primary died *mid-flight*: a fetch
         // that found it already down failed over before sending.

@@ -7,7 +7,6 @@
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The Accent page size in bytes.
@@ -143,7 +142,7 @@ pub fn page_from_bytes(bytes: &[u8]) -> PageData {
 ///
 /// A handle is 16 bytes. An *owned* frame ([`Frame::new`],
 /// [`Frame::deep_copy`], the interned zero page) is one allocation holding
-/// its count, memo and bytes, so a diverging write costs one allocation.
+/// its count and bytes, so a diverging write costs one allocation.
 /// An *image* frame is a slot, with its own share count, of the one block
 /// a process-image fork makes ([`ImageArena::frames`]), so a thaw costs
 /// O(1) allocations — μFork's "share the structure, copy on divergence"
@@ -161,8 +160,6 @@ enum Handle {
 
 /// An owned frame's one allocation.
 struct OwnedFrame {
-    /// The memo of [`Frame::content_hash`]; 0 = not computed.
-    hash: Cell<u64>,
     bytes: RefCell<PageBytes>,
 }
 
@@ -174,19 +171,11 @@ struct FrameBlock {
     slots: Box<[Slot]>,
 }
 
-/// One image frame's state inside its block: 32 bytes.
-///
-/// The hash cell caches [`Frame::content_hash`] so the 512-byte hash walk
-/// runs at most once per contents version — every alias of the frame (CoW
-/// shares, messages in flight, dedup-table residents) reuses it for free,
-/// and any mutation through [`Frame::with_mut`] invalidates it. Zero means
-/// "not computed" (a page that really hashes to zero is merely re-walked
-/// each time).
+/// One image frame's state inside its block: 24 bytes.
 #[derive(Default)]
 struct Slot {
     /// Live handles to this slot.
     count: Cell<u32>,
-    hash: Cell<u64>,
     /// The slot's own host bytes, copied out of the arena by the first
     /// write; `None` while they are still the arena's. This is a level
     /// *below* the simulated frame: two unrelated frames — in different
@@ -201,43 +190,19 @@ struct Slot {
 /// [`ImageArena::frames`] point into it instead of owning 512 bytes each,
 /// and the arena is `Send + Sync`, so forks on `cor-pool` workers share
 /// it although frames themselves never cross threads.
-///
-/// Beside the bytes sits one content-hash memo per slot, so a page is
-/// hashed once per image, not once per fork: [`Frame::content_hash`] of a
-/// frame still backed by the arena consults and fills it.
 #[derive(Clone)]
-pub struct ImageArena(Arc<ArenaInner>);
-
-struct ArenaInner {
-    pages: Vec<PageBytes>,
-    /// `hashes[slot]` memoizes the hash of `pages[slot]`; 0 = not computed.
-    hashes: Vec<AtomicU64>,
-}
+pub struct ImageArena(Arc<Vec<PageBytes>>);
 
 impl ImageArena {
     /// Freezes `pages` as an arena; slot `i` holds `pages[i]`. The vector
     /// is moved, not copied.
     pub fn new(pages: Vec<PageBytes>) -> Self {
-        let hashes = pages.iter().map(|_| AtomicU64::new(0)).collect();
-        ImageArena(Arc::new(ArenaInner { pages, hashes }))
+        ImageArena(Arc::new(pages))
     }
 
     /// Number of slots.
     pub(crate) fn len(&self) -> usize {
-        self.0.pages.len()
-    }
-
-    /// The content hash of slot `slot`, walked at most once per arena
-    /// (twice if two threads race, to the same value). `Relaxed`: the memo
-    /// is a pure function of immutable bytes and publishes nothing else.
-    fn slot_hash(&self, slot: u32) -> u64 {
-        let memo = &self.0.hashes[slot as usize];
-        let mut h = memo.load(Ordering::Relaxed);
-        if h == 0 {
-            h = page_hash(&self.0.pages[slot as usize]);
-            memo.store(h, Ordering::Relaxed);
-        }
-        h
+        self.0.len()
     }
 
     /// A frame factory for one fork: `frames()(slot)` is a fresh, unshared
@@ -367,7 +332,6 @@ impl Frame {
     /// An owned frame holding `bytes`: one allocation.
     fn owned(bytes: PageBytes) -> Frame {
         Frame(Handle::Owned(Rc::new(OwnedFrame {
-            hash: Cell::new(0),
             bytes: RefCell::new(bytes),
         })))
     }
@@ -378,14 +342,6 @@ impl Frame {
             (Handle::Image(a, i), Handle::Image(b, j)) => Rc::ptr_eq(a, b) && i == j,
             (Handle::Owned(a), Handle::Owned(b)) => Rc::ptr_eq(a, b),
             _ => false,
-        }
-    }
-
-    /// The hash memo, whichever kind of frame this is.
-    fn memo(&self) -> &Cell<u64> {
-        match &self.0 {
-            Handle::Image(block, slot) => &block.slots[*slot as usize].hash,
-            Handle::Owned(own) => &own.hash,
         }
     }
 
@@ -450,33 +406,13 @@ impl Frame {
         (unwritten && Arc::ptr_eq(&block.arena.0, &arena.0)).then_some(*slot)
     }
 
-    /// Hash of the page contents (a word-parallel multiply-rotate hash, see
-    /// `page_hash`), for content-addressed dedup caches. Equal pages always
-    /// collide; unequal pages practically never do, but dedup callers must
-    /// still confirm with [`Frame::same_contents`].
-    ///
-    /// Memoized per contents version: the 512-byte walk happens once,
-    /// every later call (on this frame or any alias of it) returns the
-    /// cached value, and a mutation through [`Frame::with_mut`]
-    /// invalidates the cache. On the COR reply path, where shared and
-    /// interned frames are re-hashed every time they cross a dedup-capable
-    /// NetMsgServer, this turns the checksum into a constant-time lookup.
-    /// A frame whose bytes are still an [`ImageArena`] slot takes its hash
-    /// from the arena's memo, shared by every fork of the image.
+    /// [`page_hash`] of the page contents, walked on every call: a
+    /// fingerprint for tests and benchmarks. No simulator path calls it — a
+    /// NetMsgServer names every page it holds by `(segment, offset)`.
+    /// Equal pages always collide; unequal pages practically never do,
+    /// so confirm with [`Frame::same_contents`] where it matters.
     pub fn content_hash(&self) -> u64 {
-        let memo = self.memo();
-        if memo.get() != 0 {
-            return memo.get();
-        }
-        let h = match &self.0 {
-            Handle::Image(block, slot) => match &*block.slots[*slot as usize].bytes.borrow() {
-                Some(data) => page_hash(data),
-                None => block.arena.slot_hash(*slot),
-            },
-            Handle::Owned(own) => page_hash(&own.bytes.borrow()),
-        };
-        memo.set(h);
-        h
+        self.with(page_hash)
     }
 
     /// Byte-for-byte equality of two frames (constant-time `true` for two
@@ -490,7 +426,7 @@ impl Frame {
         match &self.0 {
             Handle::Image(block, slot) => match &*block.slots[*slot as usize].bytes.borrow() {
                 Some(data) => f(data),
-                None => f(&block.arena.0.pages[*slot as usize]),
+                None => f(&block.arena.0[*slot as usize]),
             },
             Handle::Owned(own) => f(&own.bytes.borrow()),
         }
@@ -501,18 +437,17 @@ impl Frame {
     /// Callers must only do this on unshared frames (enforced by
     /// `AddressSpace`, which copies shared frames first); mutating a shared
     /// frame would violate copy-on-write semantics, though it cannot violate
-    /// memory safety. Invalidates the memoized content hash. An
-    /// image frame first copies its bytes out of the arena into its slot —
-    /// a host-level divergence no simulation counter sees.
+    /// memory safety. An image frame first copies its bytes out of the
+    /// arena into its slot — a host-level divergence no simulation counter
+    /// sees.
     pub fn with_mut<R>(&self, f: impl FnOnce(&mut PageBytes) -> R) -> R {
-        self.memo().set(0);
         match &self.0 {
             Handle::Image(block, slot) => {
                 let mut bytes = block.slots[*slot as usize].bytes.borrow_mut();
                 f(bytes.get_or_insert_with(|| {
                     #[cfg(any(test, feature = "alloc-stats"))]
                     alloc_stats::record_alloc();
-                    Box::new(block.arena.0.pages[*slot as usize])
+                    Box::new(block.arena.0[*slot as usize])
                 }))
             }
             Handle::Owned(own) => f(&mut own.bytes.borrow_mut()),
@@ -535,7 +470,7 @@ impl Clone for Frame {
 
 impl Drop for Frame {
     /// Releases this handle. An image slot's last handle frees the slot's
-    /// private bytes and memo at once, not when the block goes: the slot's
+    /// private bytes at once, not when the block goes: the slot's
     /// neighbours may keep the block alive for the rest of the run, and a
     /// factory that hands the slot out again hands out a fresh frame. An
     /// owned frame goes with its `Rc`.
@@ -547,7 +482,6 @@ impl Drop for Frame {
         let count = cell.count.get() - 1;
         cell.count.set(count);
         if count == 0 {
-            cell.hash.set(0);
             drop(cell.bytes.take());
         }
     }
@@ -562,8 +496,7 @@ impl Drop for Frame {
 /// result), folded and finalised with two xor-shift-multiplies. Only
 /// this process ever sees the value: it is in no wire byte or output.
 ///
-/// Reads every byte on each call; [`Frame::content_hash`] is the memoised
-/// form of the same value.
+/// Reads every byte on each call.
 pub fn page_hash(bytes: &PageBytes) -> u64 {
     const K: [u64; 4] = [
         0x9e37_79b9_7f4a_7c15,
@@ -692,28 +625,39 @@ mod tests {
         assert_eq!(alloc_stats::frame_allocs(), 2);
     }
 
+    /// `content_hash` reads the bytes as they are now: an alias agrees,
+    /// and a write moves it.
     #[test]
-    fn content_hash_is_memoized_and_invalidated_by_writes() {
+    fn content_hash_follows_every_write() {
+        let hash_of = |bytes: &[u8]| Frame::new(page_from_bytes(bytes)).content_hash();
         let f = Frame::new(page_from_bytes(b"abc"));
-        let h1 = f.content_hash();
-        assert_eq!(f.content_hash(), h1, "second call hits the cache");
-        // An alias shares the memo.
-        let alias = f.clone();
-        assert_eq!(alias.content_hash(), h1);
-        // A write invalidates it and the recomputed hash differs.
-        let g = f.deep_copy();
-        assert_eq!(g.content_hash(), h1, "deep copy has equal contents");
-        g.with_mut(|d| d[0] = b'x');
-        assert_ne!(g.content_hash(), h1, "mutation invalidates the memo");
-        // And matches a from-scratch frame with the same bytes.
-        let mut fresh = *zero_page();
-        fresh[..3].copy_from_slice(b"xbc");
-        assert_eq!(g.content_hash(), Frame::new(Box::new(fresh)).content_hash());
+        assert_eq!(f.clone().content_hash(), hash_of(b"abc"));
+        f.with_mut(|d| d[0] = b'x');
+        assert_eq!(f.content_hash(), hash_of(b"xbc"));
+        assert_ne!(hash_of(b"xbc"), hash_of(b"abc"));
+    }
+
+    /// A write through an image frame moves that frame's hash alone, never
+    /// the arena's or another fork's.
+    #[test]
+    fn a_fork_s_write_moves_its_own_hash_only() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ImageArena>();
+        assert_send_sync::<crate::space::SpaceImage>();
+
+        let hash_of = |bytes: &[u8]| Frame::new(page_from_bytes(bytes)).content_hash();
+        let arena = ImageArena::new(vec![*page_from_bytes(b"one"), *page_from_bytes(b"two")]);
+        let (a, b) = (arena.frames()(1), arena.frames()(1));
+        assert_eq!(a.content_hash(), hash_of(b"two"));
+        a.with_mut(|d| d[0] = b'T');
+        assert_eq!(a.content_hash(), hash_of(b"Two"));
+        assert_eq!(b.content_hash(), hash_of(b"two"), "the other fork");
+        let later = arena.frames()(1);
+        assert_eq!(later.content_hash(), hash_of(b"two"), "a later fork");
     }
 
     /// A weak mix must fail here, not show up as a slow workload: over
-    /// pages as the simulator really makes them, no two hashes collide and
-    /// none is the "not memoized" zero.
+    /// pages as the simulator really makes them, no two hashes collide.
     #[test]
     fn page_hash_separates_the_pages_the_simulator_makes() {
         // What a write-touch stores (`cor_kernel::program::write_pattern`).
@@ -757,7 +701,6 @@ mod tests {
             }
         }
         assert_eq!(hashes.len(), pages, "two distinct pages collide");
-        assert!(!hashes.contains(&0), "0 means \"not memoized\"");
     }
 
     #[test]
@@ -781,10 +724,10 @@ mod tests {
         arena.frames()(1).with(|d| assert_eq!(&d[..3], b"two"));
         a.with_mut(|d| d[1] = b'W');
         assert_eq!(alloc_stats::frame_allocs(), 1, "already private");
-        // A handle is a block and a slot number; a slot is 32 bytes, and a
-        // page-table entry still fits in 24.
+        // A handle is a block and a slot number; a slot is 24 bytes, and so
+        // is a page-table entry.
         assert_eq!(std::mem::size_of::<Frame>(), 16);
-        assert_eq!(std::mem::size_of::<Slot>(), 32);
+        assert_eq!(std::mem::size_of::<Slot>(), 24);
         assert_eq!(std::mem::size_of::<crate::space::PageState>(), 24);
         // Another arena with equal bytes is still another arena.
         let other = ImageArena::new(vec![*page_from_bytes(b"one")]);
@@ -806,7 +749,7 @@ mod tests {
         drop(a2);
         a.with_mut(|d| d[0] = b'O');
         let hash = a.content_hash();
-        // The slot's last handle frees its bytes and memo; handed out
+        // The slot's last handle frees its bytes; handed out
         // again, it is the image's page once more.
         drop(a);
         let again = take(0);
@@ -815,43 +758,6 @@ mod tests {
         assert_eq!(again.image_slot(&arena), Some(0));
         let taken_twice = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| take(1)));
         assert!(taken_twice.is_err(), "slot 1 is still a live frame");
-    }
-
-    #[test]
-    fn a_slot_is_hashed_once_per_image_not_once_per_fork() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<ImageArena>();
-        assert_send_sync::<crate::space::SpaceImage>();
-
-        let arena = ImageArena::new(vec![*page_from_bytes(b"one"), *page_from_bytes(b"two")]);
-        let memo = |slot: usize| arena.0.hashes[slot].load(Ordering::Relaxed);
-        let two = Frame::new(page_from_bytes(b"two")).content_hash();
-        let (a, b) = (arena.frames()(1), arena.frames()(1));
-        assert_eq!((memo(0), memo(1)), (0, 0), "nothing hashed yet");
-        assert_eq!(a.content_hash(), two);
-        assert_eq!(
-            (memo(0), memo(1)),
-            (0, two),
-            "the first fork fills the memo"
-        );
-        // The second fork reads the memo instead of walking the bytes: it
-        // reports whatever the cell holds.
-        arena.0.hashes[1].store(0xFEED, Ordering::Relaxed);
-        assert_eq!(b.content_hash(), 0xFEED);
-        arena.0.hashes[1].store(two, Ordering::Relaxed);
-        assert_eq!(arena.frames()(1).content_hash(), two);
-
-        // A written frame is private: it hashes its own bytes and neither
-        // reads nor disturbs the arena's memo or the other fork.
-        a.with_mut(|d| d[0] = b'T');
-        let written = Frame::new(page_from_bytes(b"Two")).content_hash();
-        assert_eq!(a.content_hash(), written);
-        assert_ne!(written, two);
-        assert_eq!(memo(1), two, "the arena's memo is intact");
-        assert_eq!(arena.frames()(1).content_hash(), two, "so is a later fork");
-        a.with_mut(|d| d[0] = b't');
-        arena.0.hashes[1].store(0xFEED, Ordering::Relaxed);
-        assert_eq!(a.content_hash(), two, "private bytes, never the memo");
     }
 
     #[test]

@@ -583,8 +583,8 @@ proptest! {
     }
 
     /// Wire sharing: frames delivered by reference count to several
-    /// receivers — one of them twice, modelling a retransmitted reply
-    /// deduplicated into the same frame — diverge privately on write.
+    /// receivers — one of them twice, the same frame installed over
+    /// itself — diverge privately on write.
     /// The sender's frames and every other receiver keep the original
     /// bytes.
     #[test]
@@ -603,8 +603,7 @@ proptest! {
             for (i, f) in sender.iter().enumerate() {
                 space.install_page(PageNum(i as u64), f.clone(), &mut disk);
                 if r == 2 {
-                    // Duplicate delivery: the dedup cache hands the same
-                    // frame back for a retransmitted reply.
+                    // The same frame installed again over itself.
                     space.install_page(PageNum(i as u64), f.clone(), &mut disk);
                 }
             }

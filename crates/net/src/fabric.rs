@@ -98,7 +98,7 @@ pub struct Fabric {
     /// Optional event log of injected faults and recovery actions
     /// (`net-drop`, `net-dup`, `net-jitter`, `net-reorder`,
     /// `net-unreachable`, `net-stale`, `net-crash`, `net-node-down`,
-    /// `net-death-lost`, `net-dedup`), plus `wire-send`/`xmit-attempt`
+    /// `net-death-lost`), plus `wire-send`/`xmit-attempt`
     /// causal spans around every remote delivery. Install a [`Journal`]
     /// to record.
     pub journal: Option<Journal>,
@@ -328,7 +328,7 @@ impl Fabric {
                 }
             }
         }
-        self.translate_incoming(clock.now(), ports, segs, from, to, &mut msg)?;
+        self.translate_incoming(ports, segs, to, &mut msg)?;
         // 4. Delivery, unless reorder injection holds it back.
         self.enqueue_or_hold(clock, ports, wire, faults, msg)?;
         // Count the carried message against both endpoints last, so an
@@ -571,9 +571,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::content::DEDUP_CAP_PAGES;
     use cor_ipc::message::INLINE_THRESHOLD;
-    use cor_ipc::port::PortId;
     use cor_ipc::protocol::ProtocolMsg;
     use cor_mem::page::{page_from_bytes, Frame};
 
@@ -1632,159 +1630,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_reply_pages_dedup_into_one_frame() {
-        let (mut w, a, b) = world();
-        let dest = w.ports.allocate(b);
-        // Two replies carrying byte-identical pages (a retransmission, or
-        // the same hot page fetched twice).
-        for _ in 0..2 {
-            let msg = Message::new(MsgKind::ImagReadReply, dest)
-                .push(MsgItem::Pages {
-                    base_page: 0,
-                    frames: vec![Frame::new(page_from_bytes(b"hot page"))],
-                })
-                .with_no_ious(true);
-            w.fabric
-                .send(&mut w.clock, &mut w.ports, &mut w.segs, a, msg)
-                .unwrap();
-        }
-        assert_eq!(w.fabric.reliability.dedup_hits.get(), 1);
-        // Both delivered messages hold the *same* frame: the second reply
-        // was substituted with the copy node b already interned.
-        let first = w.ports.dequeue(dest).unwrap().unwrap();
-        let second = w.ports.dequeue(dest).unwrap().unwrap();
-        let frame_of = |m: &Message| match &m.items[0] {
-            MsgItem::Pages { frames, .. } => frames[0].clone(),
-            other => panic!("unexpected item {other:?}"),
-        };
-        let (f1, f2) = (frame_of(&first), frame_of(&second));
-        assert!(f1.is_shared(), "deduped frames share storage");
-        assert!(f1.same_contents(&f2));
-        f1.with(|d| assert_eq!(&d[..8], b"hot page"));
-    }
-
-    #[test]
-    fn dedup_never_substitutes_different_contents() {
-        let (mut w, a, b) = world();
-        let dest = w.ports.allocate(b);
-        for byte in [1u8, 2u8] {
-            let msg = Message::new(MsgKind::ImagReadReply, dest)
-                .push(MsgItem::Pages {
-                    base_page: 0,
-                    frames: vec![Frame::new(page_from_bytes(&[byte]))],
-                })
-                .with_no_ious(true);
-            w.fabric
-                .send(&mut w.clock, &mut w.ports, &mut w.segs, a, msg)
-                .unwrap();
-        }
-        assert_eq!(w.fabric.reliability.dedup_hits.get(), 0);
-        let first = w.ports.dequeue(dest).unwrap().unwrap();
-        let second = w.ports.dequeue(dest).unwrap().unwrap();
-        for (m, byte) in [(&first, 1u8), (&second, 2u8)] {
-            match &m.items[0] {
-                MsgItem::Pages { frames, .. } => frames[0].with(|d| assert_eq!(d[0], byte)),
-                other => panic!("unexpected item {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn crash_wipes_the_dedup_table() {
-        let (mut w, a, b) = world();
-        let dest = w.ports.allocate(b);
-        let send_reply = |w: &mut World| {
-            let msg = Message::new(MsgKind::ImagReadReply, dest)
-                .push(MsgItem::Pages {
-                    base_page: 0,
-                    frames: vec![Frame::new(page_from_bytes(b"survivor"))],
-                })
-                .with_no_ious(true);
-            w.fabric
-                .send(&mut w.clock, &mut w.ports, &mut w.segs, a, msg)
-                .unwrap();
-        };
-        send_reply(&mut w);
-        // Amnesiac reboot: b answers the wire again, minus everything it
-        // knew — including the dedup table.
-        w.fabric.crash_node(w.clock.now(), &mut w.ports, b, true);
-        send_reply(&mut w);
-        // The post-crash reply found an empty table: no hit.
-        assert_eq!(w.fabric.reliability.dedup_hits.get(), 0);
-    }
-
-    /// Sends one `ImagReadReply` carrying `frames` from `a` toward a port
-    /// on the node that owns `dest`, so the receiver's dedup table interns
-    /// (or hits) every frame.
-    fn send_reply_frames(w: &mut World, from: NodeId, dest: PortId, frames: Vec<Frame>) {
-        let msg = Message::new(MsgKind::ImagReadReply, dest)
-            .push(MsgItem::Pages {
-                base_page: 0,
-                frames,
-            })
-            .with_no_ious(true);
-        w.fabric
-            .send(&mut w.clock, &mut w.ports, &mut w.segs, from, msg)
-            .unwrap();
-    }
-
-    #[test]
-    fn dedup_table_evicts_lru_at_cap_deterministically() {
-        let (mut w, a, b) = world();
-        let dest = w.ports.allocate(b);
-        let page_for = |i: u64| Frame::new(page_from_bytes(&i.to_le_bytes()));
-        // Fill b's table exactly to the cap with distinct pages.
-        let mut i = 0u64;
-        while i < DEDUP_CAP_PAGES {
-            let chunk: Vec<Frame> = (i..(i + 64).min(DEDUP_CAP_PAGES)).map(page_for).collect();
-            i += chunk.len() as u64;
-            send_reply_frames(&mut w, a, dest, chunk);
-        }
-        assert_eq!(w.fabric.reliability.dedup_evictions.get(), 0);
-        // Refresh page 0: the hit bumps its recency stamp past page 1's.
-        send_reply_frames(&mut w, a, dest, vec![page_for(0)]);
-        assert_eq!(w.fabric.reliability.dedup_hits.get(), 1);
-        // Insert one more page at the cap: the LRU entry — page 1, not the
-        // just-refreshed page 0 — is evicted, deterministically.
-        send_reply_frames(&mut w, a, dest, vec![page_for(DEDUP_CAP_PAGES)]);
-        assert_eq!(w.fabric.reliability.dedup_evictions.get(), 1);
-        send_reply_frames(&mut w, a, dest, vec![page_for(0)]);
-        assert_eq!(
-            w.fabric.reliability.dedup_hits.get(),
-            2,
-            "the refreshed entry survived the eviction"
-        );
-        send_reply_frames(&mut w, a, dest, vec![page_for(1)]);
-        assert_eq!(
-            w.fabric.reliability.dedup_hits.get(),
-            2,
-            "the least-recently-used entry was the one evicted"
-        );
-    }
-
-    #[test]
-    fn crash_wipes_dedup_entries_interned_from_the_dead_node() {
-        let mut w = fleet_world(WireParams::default(), 3);
-        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
-        let dest = w.ports.allocate(b);
-        // b interns a page from a's reply…
-        send_reply_frames(&mut w, a, dest, vec![Frame::new(page_from_bytes(b"from a"))]);
-        // …then a dies. b's own table survives the crash of a *different*
-        // node, but every entry a's replies contributed must go: a dead
-        // (possibly amnesiac-rebooted) source cannot keep vouching for
-        // bytes.
-        w.fabric.crash_node(w.clock.now(), &mut w.ports, a, false);
-        let page = Frame::new(page_from_bytes(b"from a"));
-        assert!(!w.fabric.nms.content(b).unwrap().holds(&page));
-        send_reply_frames(&mut w, c, dest, vec![page]);
-        assert_eq!(
-            w.fabric.reliability.dedup_hits.get(),
-            0,
-            "the dead node's contribution was wiped, not re-used"
-        );
-    }
-
-    #[test]
     fn replicate_backing_spreads_pages_and_replica_read_fails_over() {
         let params = WireParams {
             replication: Some(crate::ReplicationParams::primary_backup(2, 7)),
@@ -1838,8 +1683,8 @@ mod tests {
         assert!(w.clock.now() > before, "the failover fetch costs real time");
         assert_eq!(w.fabric.reliability.failover_fetches.get(), 1);
         assert_eq!(w.fabric.reliability.failover_pages.get(), 2);
-        // Kill every home: content-addressed resolution has nowhere left
-        // to go, and the caller falls through to the next recovery rung.
+        // Kill every home: the read has nowhere left to go, and the caller
+        // falls through to the next recovery rung.
         for &h in &homes {
             w.fabric.crash_node(w.clock.now(), &mut w.ports, h, false);
         }
@@ -1850,35 +1695,55 @@ mod tests {
         assert!(!w.fabric.replica_live_elsewhere(primary, seg, 0));
     }
 
+    /// Two pages with unequal bytes and one content hash. The page hash
+    /// folds word 0 and then word 4 into lane 0, so a word 4 that differs
+    /// by exactly what word 0 did to the lane state cancels the difference.
+    fn colliding_pages() -> (Frame, Frame) {
+        const K0: u64 = 0x9e37_79b9_7f4a_7c15;
+        let lane = |w: u64| {
+            let product = u128::from(K0 ^ w) * u128::from(K0);
+            product as u64 ^ (product >> 64) as u64
+        };
+        let page = |w0: u64, w4: u64| {
+            let mut bytes = [0u8; 40];
+            bytes[..8].copy_from_slice(&w0.to_le_bytes());
+            bytes[32..].copy_from_slice(&w4.to_le_bytes());
+            Frame::new(page_from_bytes(&bytes))
+        };
+        (page(1, 0), page(2, lane(1) ^ lane(2)))
+    }
+
+    /// A replica home names each page by segment and offset, so two
+    /// segments whose pages share a content hash each get their own bytes
+    /// back on failover.
     #[test]
-    fn a_replica_home_dedups_a_reply_page_onto_its_replica_frame() {
+    fn a_failover_read_serves_the_segment_asked_for_under_a_hash_collision() {
+        let (a, b) = colliding_pages();
+        assert_eq!(a.content_hash(), b.content_hash());
+        assert!(!a.same_contents(&b));
         let params = WireParams {
             replication: Some(crate::ReplicationParams::primary_backup(1, 7)),
             ..WireParams::default()
         };
         let mut w = fleet_world(params, 2);
         let (primary, home) = (NodeId(0), NodeId(1));
-        let replica = Frame::new(page_from_bytes(b"replicated"));
-        let pages = std::slice::from_ref(&replica);
-        w.fabric
-            .replicate_backing(&mut w.clock, primary, SegmentId(5), pages)
-            .unwrap();
-        // A COR reply to the home carries the same bytes in a fresh frame.
-        let dest = w.ports.allocate(home);
-        let fresh = Frame::new(page_from_bytes(b"replicated"));
-        send_reply_frames(&mut w, primary, dest, vec![fresh]);
-        assert_eq!(w.fabric.reliability.dedup_hits.get(), 1);
-        let content = w.fabric.nms.content(home).unwrap();
-        assert_eq!(content.interned_pages(), 0, "no second copy was interned");
-        assert_eq!(content.pinned_pages(), 1);
-        let got = w.ports.dequeue(dest).unwrap().unwrap();
-        let MsgItem::Pages { frames, .. } = &got.items[0] else {
-            panic!("expected pages, got {:?}", got.items[0]);
-        };
-        // The delivered frame *is* the replica's: a write through one
-        // alias shows through the other.
-        replica.with_mut(|d| d[0] = b'R');
-        frames[0].with(|d| assert_eq!(d[0], b'R'));
+        for (seg, page) in [(SegmentId(5), &a), (SegmentId(6), &b)] {
+            let pages = std::slice::from_ref(page);
+            w.fabric
+                .replicate_backing(&mut w.clock, primary, seg, pages)
+                .unwrap();
+        }
+        assert_eq!(w.fabric.replica_pages(home), 2);
+        w.fabric.crash_node(w.clock.now(), &mut w.ports, primary, false);
+        for (seg, page) in [(SegmentId(5), &a), (SegmentId(6), &b)] {
+            let (replica, got, failover) = w
+                .fabric
+                .replica_read(&mut w.clock, home, primary, seg, 0, 1)
+                .expect("the home holds both segments");
+            assert!(failover && replica == home);
+            let own = got[0].same_contents(page);
+            assert!(own, "{seg:?} got another segment's bytes");
+        }
     }
 
     #[test]

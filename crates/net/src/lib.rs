@@ -61,7 +61,6 @@
 #![deny(missing_docs)]
 #![warn(clippy::too_many_lines)]
 
-mod content;
 mod crash;
 pub mod error;
 pub mod fabric;

@@ -5,14 +5,13 @@
 //! [`NmsState`] is a forwarding triad: a Content Store, a Pending Interest
 //! Table (`pending`, swept by [`Fabric::sweep_dead_pit_waiters`]) and a
 //! FIB (`forward`, walked by [`Fabric::resolve_owed`]). Its Content Store
-//! is one store per way a page is named: the segment cache (`cache`, by
-//! `(segment, offset)`, the way every read request names pages) and the
-//! [`ContentStore`] (`content`, by content hash: pinned replica pages and
-//! interned reply pages). The service loop that drives them —
+//! names every page the way every read request does, by `(segment,
+//! offset)`: the segments it backs (`cache`) and the segments it holds as a
+//! replica home (`replicas`). The service loop that drives them —
 //! [`Fabric::serve_nms`] and its handlers — and every other part of
 //! [`Fabric`]'s surface that reads NetMsgServer state live here too.
 
-use cor_ipc::message::{Message, MsgItem, MsgKind};
+use cor_ipc::message::{Message, MsgItem};
 use cor_ipc::port::{PortId, PortRegistry};
 use cor_ipc::protocol::{self, ProtocolMsg};
 use cor_ipc::segment::SegmentRegistry;
@@ -23,7 +22,6 @@ use cor_mem::SegmentStore;
 use cor_sim::{Clock, IdMap, SimDuration, SimTime, SmallVec};
 use cor_trace::{SpanId, TraceEvent};
 
-use crate::content::ContentStore;
 use crate::error::NetError;
 use crate::fabric::Fabric;
 
@@ -86,8 +84,10 @@ struct NmsState {
     /// The segments this NMS backs, with their page data, by
     /// `(segment, offset)`: every read request names pages that way.
     cache: SegmentStore,
-    /// Replica pages (pinned) and reply pages (interned), by content hash.
-    content: ContentStore,
+    /// The segments this NMS holds as a replica home, written through at
+    /// their page-out ([`Fabric::replicate_backing`]), by `(segment,
+    /// offset)` like `cache`.
+    replicas: SegmentStore,
     /// Stand-in segments this NMS created for remote imaginary objects.
     forward: IdMap<SegmentId, ForwardEntry>,
     /// Keyed by (origin segment, origin offset) of a forwarded request,
@@ -108,7 +108,7 @@ impl NmsState {
             node,
             port,
             cache: SegmentStore::default(),
-            content: ContentStore::default(),
+            replicas: SegmentStore::default(),
             forward: IdMap::default(),
             pending: IdMap::default(),
             cpu: SimDuration::ZERO,
@@ -199,21 +199,25 @@ impl NmsTable {
         self.servers.iter().map(|n| n.node)
     }
 
-    /// `node`'s content store.
-    pub(crate) fn content(&self, node: NodeId) -> Option<&ContentStore> {
-        self.get(node).ok().map(|n| &n.content)
+    /// The segments `node` holds as a replica home.
+    pub(crate) fn replicas(&self, node: NodeId) -> Option<&SegmentStore> {
+        self.get(node).ok().map(|n| &n.replicas)
     }
 
-    /// Pins `frames` in `node`'s content store: replica write-through.
-    pub(crate) fn pin(&mut self, node: NodeId, frames: &[Frame]) -> Result<(), NetError> {
-        let content = &mut self.get_mut(node)?.content;
-        frames.iter().for_each(|f| content.pin(f));
+    /// Installs `frames` as `seg` on replica home `node`: replica
+    /// write-through.
+    pub(crate) fn replicate(
+        &mut self,
+        node: NodeId,
+        seg: SegmentId,
+        frames: &[Frame],
+    ) -> Result<(), NetError> {
+        self.get_mut(node)?.replicas.insert(seg, frames.to_vec());
         Ok(())
     }
 
     /// Wipes `node`'s volatile state — a wiped NMS is a fresh NMS on the
-    /// same port — and, on every other node, the pages `node`'s replies
-    /// interned. Returns `false` if `node` was never registered.
+    /// same port. Returns `false` if `node` was never registered.
     pub(crate) fn wipe(&mut self, node: NodeId) -> bool {
         let Ok(nms) = self.get_mut(node) else {
             return false;
@@ -222,9 +226,6 @@ impl NmsTable {
             cpu: nms.cpu,
             ..NmsState::new(node, nms.port)
         };
-        for other in self.servers.iter_mut().filter(|n| n.node != node) {
-            other.content.forget(node);
-        }
         true
     }
 }
@@ -370,18 +371,10 @@ impl Fabric {
     /// Incoming translation on the receiving NMS `dest`. It creates a
     /// local stand-in segment for every IOU item of `msg` owed from another
     /// node, remembering the forwarding path back to the origin segment.
-    /// And a reply page whose bytes it already holds, pinned or interned
-    /// (retransmitted or duplicate COR replies under chaos, repeated zero
-    /// or constant pages, a replica home's own replica pages), installs
-    /// the already-held frame instead of a fresh copy
-    /// ([`ContentStore::intern`]) — pure bookkeeping on identical bytes,
-    /// no virtual time is charged.
     pub(crate) fn translate_incoming(
         &mut self,
-        now: SimTime,
         ports: &mut PortRegistry,
         segs: &mut SegmentRegistry,
-        from: NodeId,
         dest: NodeId,
         msg: &mut Message,
     ) -> Result<(), NetError> {
@@ -411,27 +404,6 @@ impl Fabric {
             self.stats.standins_created += 1;
             // The item now names the stand-in, from its page 0.
             (*seg, *seg_offset) = (stand_in, 0);
-        }
-        if matches!(msg.kind, MsgKind::ImagReadReply) {
-            let (mut hits, mut evictions) = (0u64, 0u64);
-            for item in &mut msg.items {
-                let MsgItem::Pages { frames, .. } = item else {
-                    continue;
-                };
-                for frame in frames {
-                    let (hit, evicted) = nms.content.intern(from, frame);
-                    hits += u64::from(hit);
-                    evictions += u64::from(evicted);
-                }
-            }
-            self.reliability.dedup_hits.add(hits);
-            self.reliability.dedup_evictions.add(evictions);
-            if hits > 0 {
-                self.note(now, || TraceEvent::NetDedup {
-                    node: dest,
-                    pages: hits,
-                });
-            }
         }
         Ok(())
     }

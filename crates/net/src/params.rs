@@ -199,7 +199,7 @@ impl CrashPlan {
     }
 }
 
-/// How replicated page homes answer content-addressed COR reads.
+/// How replicated page homes answer COR reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicationMode {
     /// Replicas are cold standbys: every COR read goes to the primary
@@ -324,7 +324,7 @@ pub struct WireParams {
     /// Optional page-home replication plan. `None` (the default) keeps
     /// the seed's single-home semantics byte-identical; `Some` installs
     /// page backing on `factor + 1` nodes at page-out and routes COR
-    /// reads content-addressed across the live homes.
+    /// reads across the live homes.
     pub replication: Option<ReplicationParams>,
 }
 

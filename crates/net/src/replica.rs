@@ -1,16 +1,18 @@
-//! Page-home replication: the placement draw, the replica and
-//! content-hash directories, nearest-live-home selection, and the
-//! write-through / content-addressed read paths built on them.
+//! Page-home replication: the placement draw, the replica directory,
+//! nearest-live-home selection, and the write-through and read paths built
+//! on them. A replica home holds each replicated segment by name, in its
+//! NetMsgServer's `replicas` store, and serves a read of `count` pages of
+//! the segment from an offset exactly as the primary would.
 
 use cor_ipc::message::MsgKind;
 use cor_ipc::protocol;
 use cor_ipc::NodeId;
 use cor_mem::page::Frame;
 use cor_mem::space::SegmentId;
+use cor_mem::SegmentStore;
 use cor_sim::{Clock, IdMap, LedgerCategory, Pcg32};
 use cor_trace::TraceEvent;
 
-use crate::content::ContentStore;
 use crate::error::NetError;
 use crate::fabric::{Fabric, Transfer};
 use crate::params::{ReplicationMode, ReplicationParams};
@@ -29,10 +31,6 @@ pub(crate) struct ReplicaDirectory {
     /// Origin segment → the replica nodes its pages were write-through
     /// installed on (primary excluded).
     homes: IdMap<SegmentId, Vec<NodeId>>,
-    /// `(origin segment, offset)` → the page's content hash at page-out
-    /// time, the key a content-addressed COR request resolves against the
-    /// pages a replica home pinned.
-    hash: IdMap<(u64, u64), u64>,
 }
 
 impl ReplicaDirectory {
@@ -71,9 +69,9 @@ impl ReplicaDirectory {
 impl Fabric {
     /// Write-through installs `seg`'s page backing on its replica homes
     /// (the migration page-out hook). Under a [`ReplicationParams`] plan
-    /// with factor `f`, the pages are pinned in `f` replicas' content
-    /// stores, the replica directory and content-hash directory are
-    /// recorded, and each replica's copy is charged to the wire — bytes under
+    /// with factor `f`, `seg` is installed on `f` replica homes under its
+    /// own name, the replica directory records them, and each replica's
+    /// copy is charged to the wire — bytes under
     /// [`LedgerCategory::Replicate`] (spread over the transmission
     /// interval), handling CPU at both ends, and per-link accounting
     /// when a topology is installed. The install is fire-and-forget on
@@ -105,10 +103,6 @@ impl Fabric {
         if targets.is_empty() {
             return Ok(0);
         }
-        for (i, f) in frames.iter().enumerate() {
-            let at = (seg.0, i as u64);
-            self.replicas.hash.insert(at, f.content_hash());
-        }
         let pages = frames.len() as u64;
         let payload = pages * cor_mem::PAGE_SIZE;
         let now = clock.now();
@@ -119,7 +113,7 @@ impl Fabric {
         let rep_span = self.span_start(now, "replicate", primary);
         // Each replica's copy is one detached transfer from the primary.
         let installed = targets.iter().try_fold(0u64, |total, &replica| {
-            self.nms.pin(replica, frames)?;
+            self.nms.replicate(replica, seg, frames)?;
             let category = LedgerCategory::Replicate;
             let copy = self.one_way(primary, replica, MsgKind::Rimas, payload, category, true);
             self.charge_transfer(clock, now, arrives, &copy)?;
@@ -138,19 +132,18 @@ impl Fabric {
     }
 
     /// The *live* homes of `oseg` other than `avoid`, ascending: up, with
-    /// their volatile state intact, and holding every hash of `hashes`
-    /// pinned.
-    fn live_homes<'a>(
-        &'a self,
+    /// their volatile state intact, and holding the `count` pages of `oseg`
+    /// from `ooff`.
+    fn live_homes(
+        &self,
         avoid: NodeId,
         oseg: SegmentId,
-        hashes: &'a [u64],
-    ) -> impl Iterator<Item = NodeId> + 'a {
+        ooff: u64,
+        count: u64,
+    ) -> impl Iterator<Item = NodeId> + '_ {
         let homes = self.replicas.homes_of(oseg).iter().copied();
-        let holds_all = |store: &ContentStore| hashes.iter().all(|&h| store.pinned(h).is_some());
-        homes.filter(move |&r| {
-            r != avoid && !self.lost_volatile_state(r) && self.nms.content(r).is_some_and(holds_all)
-        })
+        let holds = move |r| self.nms.replicas(r)?.range(oseg, ooff, count);
+        homes.filter(move |&r| r != avoid && !self.lost_volatile_state(r) && holds(r).is_some())
     }
 
     /// Whether a *live* replica other than `avoid` holds the page of
@@ -161,8 +154,7 @@ impl Fabric {
         if self.params.replication.is_none() {
             return false;
         }
-        let hash = self.replicas.hash.get(&(oseg.0, ooff));
-        hash.is_some_and(|&h| self.live_homes(avoid, oseg, &[h]).next().is_some())
+        self.live_homes(avoid, oseg, ooff, 1).next().is_some()
     }
 
     /// The hop distance from `from` to `to` for nearest-replica routing:
@@ -178,10 +170,10 @@ impl Fabric {
         }
     }
 
-    /// Content-addressed COR read against the replica directory: resolves
-    /// the content hashes of `count` pages of `oseg` starting at `ooff`
-    /// and serves them from the nearest live replica. `backer` is the
-    /// page's primary home as resolved through the forwarding chain.
+    /// COR read against the replica directory: serves `count` pages of
+    /// `oseg` starting at `ooff` from the nearest live replica home that
+    /// holds them. `backer` is the page's primary home as resolved through
+    /// the forwarding chain.
     ///
     /// Routing discipline by [`ReplicationMode`]:
     /// * `PrimaryBackup` serves from a replica only once the primary is
@@ -213,11 +205,9 @@ impl Fabric {
         if count == 0 || self.replicas.homes_of(oseg).is_empty() {
             return None;
         }
-        let hash_of = |o| self.replicas.hash.get(&(oseg.0, o)).copied();
-        let hashes: Vec<u64> = (ooff..ooff + count).map(hash_of).collect::<Option<_>>()?;
         let primary_down = self.lost_volatile_state(backer);
         // The nearest live home by hop count, smallest `NodeId` on a tie.
-        let live = self.live_homes(backer, oseg, &hashes);
+        let live = self.live_homes(backer, oseg, ooff, count);
         let (d, replica) = live
             .map(|r| (self.replica_distance(requester, r), r))
             .min()?;
@@ -228,11 +218,8 @@ impl Fabric {
         if !serves {
             return None;
         }
-        let store = self.nms.content(replica)?;
-        let frames: Vec<Frame> = hashes
-            .iter()
-            .map(|&h| store.pinned(h).cloned())
-            .collect::<Option<_>>()?;
+        let held = self.nms.replicas(replica)?.range(oseg, ooff, count)?;
+        let frames = held.to_vec();
         let start = clock.now();
         // The replica round trip gets its own blame span: `failover` when
         // it substitutes for a down primary, `replicate` when a live
@@ -305,8 +292,8 @@ impl Fabric {
             .ok()
     }
 
-    /// Replica pages pinned in `node`'s content store.
+    /// Replica pages `node` holds as a replica home.
     pub fn replica_pages(&self, node: NodeId) -> u64 {
-        self.nms.content(node).map_or(0, ContentStore::pinned_pages)
+        self.nms.replicas(node).map_or(0, SegmentStore::pages)
     }
 }

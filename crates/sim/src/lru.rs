@@ -5,8 +5,7 @@
 //! end and removing one are O(1) and allocate nothing once the slab has
 //! grown to its working size. Its owner keeps the [`Slot`] each push
 //! returns next to whatever the value names: an address space's resident
-//! tracker keys slots by page, a NetMsgServer's content store keeps one
-//! in each interned entry.
+//! tracker keys slots by page.
 
 /// Where a value sits in an [`LruList`]: valid from the push that returned
 /// it until its removal, after which a later push may reuse it.
@@ -36,7 +35,8 @@ struct Node<T> {
 /// let a = lru.push('a');
 /// lru.push('b');
 /// lru.touch(a); // 'b' is now the least recently used
-/// assert_eq!(lru.pop_oldest().map(|(_, v)| v), Some('b'));
+/// assert_eq!(lru.iter().map(|(_, v)| v).collect::<String>(), "ba");
+/// assert_eq!(lru.remove(a), 'a');
 /// assert_eq!(lru.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -114,12 +114,6 @@ impl<T: Copy> LruList<T> {
         node.value
     }
 
-    /// Removes the least recently used value, with the slot it held.
-    pub fn pop_oldest(&mut self) -> Option<(Slot, T)> {
-        let oldest = self.nodes.first()?.next;
-        (oldest != 0).then(|| (Slot(oldest), self.remove(Slot(oldest))))
-    }
-
     /// Every `(slot, value)`, from least to most recently used.
     pub fn iter(&self) -> impl Iterator<Item = (Slot, T)> + '_ {
         let first = self.nodes.first().map_or(0, |sentinel| sentinel.next);
@@ -165,6 +159,12 @@ mod tests {
         lru.iter().map(|(_, v)| v).collect()
     }
 
+    /// Removes the least recently used value, as an owner evicting does.
+    fn pop_oldest(lru: &mut LruList<u32>) -> Option<u32> {
+        let (oldest, _) = lru.iter().next()?;
+        Some(lru.remove(oldest))
+    }
+
     #[test]
     fn touch_moves_to_the_newest_end_and_pop_takes_the_oldest() {
         let mut lru = LruList::default();
@@ -172,7 +172,7 @@ mod tests {
         lru.touch(slots[0]);
         lru.touch(slots[2]);
         assert_eq!(values(&lru), vec![2, 4, 1, 3]);
-        assert_eq!(lru.pop_oldest(), Some((slots[1], 2)));
+        assert_eq!(pop_oldest(&mut lru), Some(2));
         assert_eq!(lru.remove(slots[0]), 1);
         assert_eq!(values(&lru), vec![4, 3]);
         assert_eq!(lru.len(), 2);
@@ -186,10 +186,10 @@ mod tests {
         lru.remove(a);
         assert_eq!(lru.push(30), a, "the released slot is taken first");
         assert_eq!(values(&lru), vec![20, 30]);
-        lru.pop_oldest();
-        lru.pop_oldest();
+        pop_oldest(&mut lru);
+        pop_oldest(&mut lru);
         assert!(lru.is_empty());
-        assert_eq!(lru.pop_oldest(), None);
+        assert_eq!(pop_oldest(&mut lru), None);
         assert_eq!(values(&lru), Vec::<u32>::new());
     }
 }

@@ -62,7 +62,7 @@ pub enum LedgerCategory {
     /// are untouched by the robustness machinery.
     Drain,
     /// Page-home replication: write-through installs of owed-page backing
-    /// on replica nodes and content-addressed reads served by a replica
+    /// on replica nodes and reads served by a replica
     /// (nearest-replica routing and crash failover). Zero unless a
     /// replication plan is configured, so the paper's byte categories are
     /// untouched by the replication machinery.
@@ -268,14 +268,6 @@ pub struct ReliabilityStats {
     pub pages_recovered: Counter,
     /// Owed pages confirmed unrecoverable when a process was orphaned.
     pub pages_lost: Counter,
-    /// Reply pages whose bytes the receiving NetMsgServer already held
-    /// (retransmitted or duplicate copy-on-reference replies, repeated
-    /// zero/constant pages): the held frame was installed instead of a
-    /// fresh copy.
-    pub dedup_hits: Counter,
-    /// Dedup-cache pages evicted by the deterministic LRU at the cap, or
-    /// wiped because the node that sourced them crashed.
-    pub dedup_evictions: Counter,
     /// Owed-page copies installed on replica homes by write-through
     /// replication (one count per page per replica).
     pub replicated_pages: Counter,
@@ -304,7 +296,7 @@ impl ReliabilityStats {
     /// field, so a new one does not compile until it is listed here.
     /// `retransmit_wire_bytes` is the one field left out: the view
     /// reports it as a byte gauge, not a counter.
-    pub fn counters(&self) -> [(&'static str, u64); 24] {
+    pub fn counters(&self) -> [(&'static str, u64); 22] {
         let ReliabilityStats {
             drops_injected,
             duplicates_injected,
@@ -322,8 +314,6 @@ impl ReliabilityStats {
             drained_pages,
             pages_recovered,
             pages_lost,
-            dedup_hits,
-            dedup_evictions,
             replicated_pages,
             replica_reads,
             failover_fetches,
@@ -348,8 +338,6 @@ impl ReliabilityStats {
             ("net.drained-pages", drained_pages.get()),
             ("net.pages-recovered", pages_recovered.get()),
             ("net.pages-lost", pages_lost.get()),
-            ("net.dedup-hits", dedup_hits.get()),
-            ("net.dedup-evictions", dedup_evictions.get()),
             ("net.replicated-pages", replicated_pages.get()),
             ("net.replica-reads", replica_reads.get()),
             ("net.failover-fetches", failover_fetches.get()),
@@ -436,7 +424,6 @@ mod tests {
         assert_eq!(r.failover_time, SimDuration::ZERO);
         assert_eq!(r.pit_waiters_failed.get(), 0);
         assert_eq!(r.pit_waiters_rerouted.get(), 0);
-        assert_eq!(r.dedup_evictions.get(), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The vectors on the remote-fault path are almost always one or two long:
 //! a read request's one header item, a reply's header and page run, a
-//! pending interest's one waiter, a content-store bucket's one page.
+//! pending interest's one waiter.
 //! [`SmallVec`] holds up to two elements inline and moves to the heap only
 //! for a third, so those paths allocate nothing. It dereferences to a
 //! slice, so reading one reads like reading a `Vec`. It is written in safe

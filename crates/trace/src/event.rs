@@ -380,15 +380,6 @@ events! {
         to: NodeId,
     } => "{msg:?} {from}->{to} held in limbo";
 
-    /// Reply pages matched bytes the receiving NetMsgServer already held;
-    /// the held frames were installed instead of fresh copies.
-    NetDedup["net-dedup", false, Some(node)] {
-        /// The receiving node.
-        node: NodeId,
-        /// Reply pages substituted from the content cache.
-        pages: u64,
-    } => "{node} installed {pages} already-held reply pages";
-
     /// A reply arrived with no pending relay (its request was already
     /// satisfied).
     NetStale["net-stale", false, None] {
@@ -479,9 +470,8 @@ events! {
         pages: u64,
     } => "{node} replicated {pages} pages to {replica}";
 
-    /// The primary page home was down, and a COR fetch was served
-    /// content-addressed from a surviving replica instead of draining or
-    /// terminating.
+    /// The primary page home was down, and a COR fetch was served from a
+    /// surviving replica home instead of draining or terminating.
     Failover["failover", true, Some(node)] {
         /// The faulting process.
         pid: u64,

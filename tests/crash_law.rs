@@ -741,7 +741,7 @@ fn relay_pit_unparks_and_accounts_waiters_when_the_upstream_dies() {
 
 /// The replicated chain sails through the same upstream crash at every
 /// factor `f >= 1` and three placement seeds: every fault on a
-/// dead-origin page resolves content-addressed against a replica,
+/// dead-origin page resolves against a replica home,
 /// nothing parks, nothing orphans.
 #[test]
 fn replicated_chain_survives_the_upstream_crash_without_parked_waiters() {

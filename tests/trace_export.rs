@@ -690,17 +690,6 @@ fn pins() -> Vec<Pin> {
             args: r#""msg":"MigrateRequest","from":24,"to":25"#,
         },
         Pin {
-            event: TraceEvent::NetDedup {
-                node: n(26),
-                pages: 171,
-            },
-            kind: "net-dedup",
-            milestone: false,
-            node: Some(26),
-            detail: "node26 installed 171 already-held reply pages",
-            args: r#""node":26,"pages":171"#,
-        },
-        Pin {
             event: TraceEvent::NetStale {
                 seg: 181,
                 offset: 182,
@@ -874,18 +863,17 @@ fn variant_index(e: &TraceEvent) -> usize {
         TraceEvent::NetJitter { .. } => 14,
         TraceEvent::NetDup { .. } => 15,
         TraceEvent::NetReorder { .. } => 16,
-        TraceEvent::NetDedup { .. } => 17,
-        TraceEvent::NetStale { .. } => 18,
-        TraceEvent::NetDeathLost { .. } => 19,
-        TraceEvent::NetCrash { .. } => 20,
-        TraceEvent::NetNodeDown { .. } => 21,
-        TraceEvent::NetRoute { .. } => 22,
-        TraceEvent::NetBatch { .. } => 23,
-        TraceEvent::NetCoalesce { .. } => 24,
-        TraceEvent::NetReplicate { .. } => 25,
-        TraceEvent::Failover { .. } => 26,
-        TraceEvent::PlacementSkip { .. } => 27,
-        TraceEvent::NetPitFail { .. } => 28,
+        TraceEvent::NetStale { .. } => 17,
+        TraceEvent::NetDeathLost { .. } => 18,
+        TraceEvent::NetCrash { .. } => 19,
+        TraceEvent::NetNodeDown { .. } => 20,
+        TraceEvent::NetRoute { .. } => 21,
+        TraceEvent::NetBatch { .. } => 22,
+        TraceEvent::NetCoalesce { .. } => 23,
+        TraceEvent::NetReplicate { .. } => 24,
+        TraceEvent::Failover { .. } => 25,
+        TraceEvent::PlacementSkip { .. } => 26,
+        TraceEvent::NetPitFail { .. } => 27,
     }
 }
 
@@ -901,7 +889,7 @@ fn an_event_is_48_bytes_and_a_journal_record_64() {
 
 #[test]
 fn the_pins_cover_every_variant() {
-    let mut seen = [false; 29];
+    let mut seen = [false; 28];
     for p in pins() {
         seen[variant_index(&p.event)] = true;
     }
