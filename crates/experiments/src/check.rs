@@ -393,7 +393,7 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Claim> {
     // write-through wire overhead grows with the factor, and (e) failover
     // fetches actually fired and their latency registered on the clock.
     let repl = crate::replication::replication_outcomes(workloads, &matrix.pool());
-    let replicated: Vec<_> = repl.iter().filter(|o| o.factor() >= 1).collect();
+    let replicated: Vec<_> = repl.iter().filter(|o| o.replication.factor >= 1).collect();
     checks.push(Claim::new(
         "replication f>=1 survival %",
         None,
@@ -403,7 +403,7 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Claim> {
         ),
         100.0..=100.0,
     ));
-    let baseline_orphans = repl.iter().filter(|o| o.factor() == 0 && !o.survived).count();
+    let baseline_orphans = repl.iter().filter(|o| o.replication.factor == 0 && !o.survived).count();
     checks.push(Claim::new(
         "replication f=0 orphan count",
         None,
@@ -422,7 +422,7 @@ pub fn run_checks(matrix: &mut Matrix, workloads: &[Workload]) -> Vec<Claim> {
     ));
     let repl_bytes = |f: u64| -> f64 {
         repl.iter()
-            .filter(|o| o.factor() == f)
+            .filter(|o| o.replication.factor == f)
             .map(|o| o.replicate_bytes)
             .sum::<u64>() as f64
     };

@@ -43,8 +43,8 @@ pub struct CrashCell {
     /// Pages flushed to disk per idle round, one round per foreground op;
     /// `None` runs the process with no drainer.
     pub(crate) drain: Option<u64>,
-    /// Replicated page homes, if any.
-    pub(crate) replication: Option<ReplicationParams>,
+    /// Replicated page homes (f = 0: none).
+    pub(crate) replication: ReplicationParams,
     /// The strategy under test.
     pub(crate) strategy: Strategy,
     /// When the source dies after migration.
@@ -60,8 +60,8 @@ pub struct CrashOutcome {
     pub strategy: Strategy,
     /// Pages flushed per idle round; `None` when no drainer ran.
     pub drain: Option<u64>,
-    /// Replicated page homes, if any.
-    pub replication: Option<ReplicationParams>,
+    /// Replicated page homes (f = 0: none).
+    pub replication: ReplicationParams,
     /// Whether the process ran to termination despite the crash.
     pub survived: bool,
     /// Whether its touched memory matched the blueprint's expected memory
@@ -91,13 +91,6 @@ pub struct CrashOutcome {
     pub replicate_bytes: u64,
     /// Post-migration wall time (drain + execution + recovery).
     pub remote_elapsed: SimDuration,
-}
-
-impl CrashOutcome {
-    /// Replicas beyond the primary home; 0 when nothing is replicated.
-    pub fn factor(&self) -> u64 {
-        self.replication.map_or(0, |r| r.factor)
-    }
 }
 
 /// When the source died.
@@ -194,7 +187,7 @@ fn run_to_end(
 fn run_cell(image: &ProcessImage<'_>, cell: CrashCell, expected: u64) -> CrashOutcome {
     let (mut world, a, b, pid) = migrated(image, cell);
     let migration_end = world.clock.now();
-    world.fabric.params.crashes = Some(CrashPlan::at_time(a, migration_end + cell.delay));
+    world.fabric.params.crashes = CrashPlan::at_time(a, migration_end + cell.delay);
     let finished = run_to_end(&mut world, b, pid, cell);
     let rel = &world.fabric.reliability;
     let ledger = &world.fabric.ledger;
@@ -272,7 +265,7 @@ mod tests {
                     assert!(o.pages_lost > 0, "an orphan lost something: {o:?}");
                     assert!(!o.checksum_match, "{o:?}");
                 }
-                if o.factor() == 0 {
+                if o.replication.factor == 0 {
                     assert_eq!(o.replicate_bytes, 0, "no plan, no replicate bytes: {o:?}");
                 }
             }

@@ -30,14 +30,14 @@ pub const CRASH_DELAYS_MS: [u64; 2] = [1_000, 10_000];
 /// reproducibility.
 const SWEEP_SEED: u64 = 0x9EB1;
 
-/// The swept replication plans, `(factor, mode)`; `None` is the
+/// The swept replication plans, by factor and mode; f = 0 is the
 /// unreplicated baseline.
-pub const FACTOR_MODES: [Option<(u64, ReplicationMode)>; 5] = [
-    None,
-    Some((1, ReplicationMode::PrimaryBackup)),
-    Some((1, ReplicationMode::Quorum)),
-    Some((2, ReplicationMode::PrimaryBackup)),
-    Some((2, ReplicationMode::Quorum)),
+pub const FACTOR_MODES: [ReplicationParams; 5] = [
+    ReplicationParams::primary_backup(0, SWEEP_SEED),
+    ReplicationParams::primary_backup(1, SWEEP_SEED),
+    ReplicationParams::quorum(1, SWEEP_SEED),
+    ReplicationParams::primary_backup(2, SWEEP_SEED),
+    ReplicationParams::quorum(2, SWEEP_SEED),
 ];
 
 /// One cell's outcome.
@@ -49,12 +49,7 @@ pub type ReplicationOutcome = CrashOutcome;
 fn cells() -> Vec<CrashCell> {
     FACTOR_MODES
         .iter()
-        .flat_map(|&plan| {
-            let replication = plan.map(|(factor, mode)| ReplicationParams {
-                factor,
-                mode,
-                seed: SWEEP_SEED,
-            });
+        .flat_map(|&replication| {
             CRASH_DELAYS_MS.iter().flat_map(move |&ms| {
                 crash::strategies().map(|strategy| CrashCell {
                     nodes: 4,
@@ -70,10 +65,10 @@ fn cells() -> Vec<CrashCell> {
 
 /// How reads route among the homes: "none", "primary-backup" or "quorum".
 fn mode(o: &CrashOutcome) -> String {
-    match o.replication.map(|r| r.mode) {
-        None => "none",
-        Some(ReplicationMode::PrimaryBackup) => "primary-backup",
-        Some(ReplicationMode::Quorum) => "quorum",
+    match (o.replication.factor, o.replication.mode) {
+        (0, _) => "none",
+        (_, ReplicationMode::PrimaryBackup) => "primary-backup",
+        (_, ReplicationMode::Quorum) => "quorum",
     }
     .to_string()
 }
@@ -92,7 +87,7 @@ pub static STUDY: Study<CrashCell, CrashOutcome> = Study {
     cells,
     run: crash::sweep,
     columns: &[
-        Column::same("f", "factor", |o| o.factor().to_string()),
+        Column::same("f", "factor", |o| o.replication.factor.to_string()),
         Column::same("mode", "mode", mode),
         DELAY,
         STRATEGY,

@@ -261,6 +261,12 @@ fn offsets_for(spec: SatSpec) -> Vec<u64> {
 /// Panics on internal simulation errors — a saturation cell has no
 /// expected failure mode.
 pub fn run_cell(spec: SatSpec) -> SatOutcome {
+    serve(spec, |_, _| {})
+}
+
+/// [`run_cell`], showing `on_reply` the segment the client asked for and
+/// every message it dequeues from its reply port.
+fn serve(spec: SatSpec, mut on_reply: impl FnMut(SegmentId, &Message)) -> SatOutcome {
     let mut b = build(spec);
     let offsets = offsets_for(spec);
     let mut hist = LogHistogram::new();
@@ -284,6 +290,7 @@ pub fn run_cell(spec: SatSpec) -> SatOutcome {
                 .dequeue(b.reply_port)
                 .expect("reply port exists")
                 .expect("closed-loop reply arrived");
+            on_reply(b.target_seg, &reply);
             match protocol::parse_owned(reply) {
                 Ok(ProtocolMsg::ImagReadReply { frames, .. }) => frame_pool::give(frames),
                 other => panic!("expected a read reply, got {other:?}"),
@@ -346,6 +353,7 @@ pub fn run_cell(spec: SatSpec) -> SatOutcome {
             let processed = b.world.settle().expect("service round");
             assert!(processed > 0, "{}: faults lost", spec.label());
             while let Some(msg) = b.world.ports.dequeue(b.reply_port).expect("reply port") {
+                on_reply(b.target_seg, &msg);
                 let Ok(ProtocolMsg::ImagReadReply {
                     seg: rseg,
                     offset: ro,
@@ -511,6 +519,34 @@ mod tests {
             opt.achieved_fps,
             base.achieved_fps
         );
+    }
+
+    /// Every cell is judged by the bytes it serves: each reply the client
+    /// dequeues names the segment it asked for and carries, page for
+    /// page, what the server cached at those offsets.
+    #[test]
+    fn every_reply_carries_the_pages_cached_at_its_offsets() {
+        for spec in cells() {
+            let mut pages = 0u64;
+            serve(spec, |asked, reply| {
+                let Some(ProtocolMsg::ImagReadReply {
+                    seg,
+                    offset,
+                    frames,
+                    ..
+                }) = protocol::parse(reply)
+                else {
+                    panic!("{}: not a read reply: {reply:?}", spec.label());
+                };
+                assert_eq!(seg, asked, "{}: reply names another segment", spec.label());
+                for (i, frame) in (offset..).zip(&frames) {
+                    let cached = Frame::new(page_from_bytes(&i.to_le_bytes()));
+                    assert!(frame.same_contents(&cached), "{}: page {i}", spec.label());
+                }
+                pages += frames.len() as u64;
+            });
+            assert!(pages > 0, "{}: no reply checked", spec.label());
+        }
     }
 
     /// The committed sweep's unoptimized scan ladder keeps up at its

@@ -39,7 +39,7 @@ fn cells() -> Vec<CrashCell> {
                 DRAIN_RATES.map(|rate| CrashCell {
                     nodes: 2,
                     drain: Some(rate),
-                    replication: None,
+                    replication: Default::default(),
                     strategy,
                     delay: SimDuration::from_millis(ms),
                 })

@@ -88,6 +88,13 @@ pub fn imag_read_reply(reply: PortId, seg: SegmentId, offset: u64, frames: Vec<F
         })
 }
 
+/// The wire size of an `ImaginaryReadReply` carrying `count` pages,
+/// computed without building one (and so without cloning its pages).
+pub fn imag_read_reply_size(count: u64) -> u64 {
+    let empty = imag_read_reply(PortId(0), SegmentId(0), 0, Vec::new());
+    empty.wire_size() + count * cor_mem::PAGE_SIZE
+}
+
 /// Builds an `ImaginarySegmentDeath` notice.
 pub fn imag_segment_death(backing_port: PortId, seg: SegmentId) -> Message {
     Message::new(MsgKind::ImagSegmentDeath, backing_port).push(MsgItem::Header {
@@ -165,6 +172,16 @@ pub fn parse_owned(mut msg: Message) -> Result<ProtocolMsg, Message> {
 mod tests {
     use super::*;
     use cor_mem::page::page_from_bytes;
+
+    #[test]
+    fn the_reply_size_is_that_of_the_reply_it_stands_for() {
+        for count in [1, 2, 32] {
+            let frames = vec![Frame::zeroed(); count as usize];
+            let reply = imag_read_reply(PortId(7), SegmentId(3), 5, frames);
+            let size = imag_read_reply_size(count);
+            assert_eq!(size, reply.wire_size(), "{count} pages");
+        }
+    }
 
     #[test]
     fn request_roundtrip() {

@@ -184,12 +184,10 @@ impl World {
         // replica may answer instead of the primary backing site — always
         // when the primary is down, and in Quorum mode also when a replica
         // is simply closer on the topology.
-        if self.fabric.params.replication.is_some() {
-            if let Some(installed) =
-                self.try_replica_read(node, pid, page, seg, offset, count, fault_start)?
-            {
-                return Ok(installed);
-            }
+        if let Some(installed) =
+            self.try_replica_read(node, pid, page, seg, offset, count, fault_start)?
+        {
+            return Ok(installed);
         }
         let pager_port = self.node(node)?.pager_port;
         let backing = self.segs.backing_port(seg)?;
@@ -382,8 +380,9 @@ impl World {
     /// primary is down (the failover path, rung 0 of the recovery ladder),
     /// and under [`cor_net::ReplicationMode::Quorum`]
     /// also when a live replica is nearer on the topology. Returns
-    /// `Ok(None)` when no replica can or should serve the read; the
-    /// caller then proceeds exactly as without replication.
+    /// `Ok(None)` when no replica can or should serve the read — at once
+    /// when nothing is replicated (f = 0); the caller then proceeds
+    /// exactly as without replication.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn try_replica_read(
         &mut self,
@@ -395,6 +394,9 @@ impl World {
         count: u64,
         fault_start: SimTime,
     ) -> Result<Option<u64>, KernelError> {
+        if self.fabric.params.replication.factor == 0 {
+            return Ok(None);
+        }
         // A broken chain here is not ours to diagnose: fall through and
         // let the ordinary fetch surface the seed-identical error.
         let Ok((backer, bseg, boff)) =

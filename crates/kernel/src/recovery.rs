@@ -292,18 +292,13 @@ impl World {
             }
             _ => return Err(err),
         };
-        // Rung 0: with replicated page homes, a surviving replica serves
-        // the read — no data loss, no drain, and the
-        // fetch is charged like a wire round trip (the measured failover
-        // latency). Reached when the primary died *mid-flight*: a fetch
+        // Rung 0: a surviving replica home, if any, serves the read — no
+        // data loss, no drain, and the fetch is charged like a wire round
+        // trip (the measured failover latency). Reached when the primary died *mid-flight*: a fetch
         // that found it already down failed over before sending.
-        if self.fabric.params.replication.is_some() {
-            let now = self.clock.now();
-            if let Some(installed) =
-                self.try_replica_read(node, pid, page, seg, offset, count, now)?
-            {
-                return Ok(installed);
-            }
+        let now = self.clock.now();
+        if let Some(installed) = self.try_replica_read(node, pid, page, seg, offset, count, now)? {
+            return Ok(installed);
         }
         // Rung 1: the crashed node's disk backer, page by page; prefetch
         // pages beyond the faulting one are best-effort.

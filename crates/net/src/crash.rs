@@ -105,22 +105,25 @@ impl Fabric {
     }
 
     /// Fires every not-yet-fired event of the crash plan that is due, in
-    /// plan order; no-op without a plan. With `carried` a delivery was
-    /// just carried between the two nodes: their message counts advance
-    /// and `AfterMessages` triggers are checked. Without it a send,
+    /// plan order. With `carried` a delivery was just carried between the
+    /// two nodes: their message counts advance and `AfterMessages`
+    /// triggers are checked. Without it a send,
     /// service or pump step is looking at the clock: `AtTime` triggers at
     /// or before `now` are due. The two never mix — an `AtTime` crash
     /// lands at the next network activity, never in the tail of the
-    /// delivery that happened to straddle it.
+    /// delivery that happened to straddle it. An empty plan does nothing
+    /// and counts nothing, so `AfterMessages` counts deliveries from the
+    /// moment a non-empty plan is installed.
     pub(crate) fn fire_due_crashes(
         &mut self,
         now: SimTime,
         ports: &mut PortRegistry,
         carried: Option<(NodeId, NodeId)>,
     ) {
-        let Some(plan) = &self.params.crashes else {
+        let plan = &self.params.crashes;
+        if plan.events.is_empty() {
             return;
-        };
+        }
         let state = &mut self.crash;
         if let Some((from, to)) = carried {
             *state.carried.entry(from).or_insert(0) += 1;
@@ -194,7 +197,7 @@ mod tests {
         let mut segs = SegmentRegistry::new();
         let mut clock = Clock::new();
         let mut fabric = Fabric::new(crate::WireParams {
-            crashes: Some(crate::CrashPlan::at_time(b, due)),
+            crashes: crate::CrashPlan::at_time(b, due),
             ..crate::WireParams::default()
         });
         fabric.add_node(a, &mut ports);

@@ -436,6 +436,7 @@ impl Fabric {
     ) -> Result<(), NetError> {
         let backer = segs.backing_port(seg)?;
         if segs.release_refs(seg, pages)? {
+            self.drop_replicas(seg);
             self.stats.deaths_sent += 1;
             let death = protocol::imag_segment_death(backer, seg).with_no_ious(true);
             match self.send_detached(clock, ports, segs, from, death) {
@@ -561,10 +562,7 @@ impl Fabric {
                 return Err(NetError::UnknownNode(n));
             }
         }
-        if let Some(plan) = &self.params.crashes {
-            plan.validate(&registered)?;
-        }
-        Ok(())
+        self.params.crashes.validate(&registered)
     }
 }
 
@@ -712,7 +710,7 @@ mod tests {
         // A crash aimed at an unregistered node.
         let w = fleet_world(
             WireParams {
-                crashes: Some(crate::CrashPlan::at_time(NodeId(9), SimTime::ZERO)),
+                crashes: crate::CrashPlan::at_time(NodeId(9), SimTime::ZERO),
                 ..WireParams::default()
             },
             2,
@@ -1432,7 +1430,7 @@ mod tests {
     fn at_time_crash_fires_and_purges_queues() {
         let (mut w, a, b) = world();
         w.fabric.journal = Some(Journal::new());
-        w.fabric.params.crashes = Some(crate::CrashPlan::at_time(b, SimTime::from_millis(500)));
+        w.fabric.params.crashes = crate::CrashPlan::at_time(b, SimTime::from_millis(500));
         let dest = w.ports.allocate(b);
         // Delivered before the crash instant: sits in b's queue.
         w.fabric
@@ -1473,7 +1471,7 @@ mod tests {
         // retry loop must notice and abort instead of burning the full
         // budget (about 12.8 s of stall at the default parameters).
         let (mut w, a, b) = faulty_world(LinkFaults::dropping(1.0), 3);
-        w.fabric.params.crashes = Some(crate::CrashPlan::at_time(b, SimTime::from_millis(40)));
+        w.fabric.params.crashes = crate::CrashPlan::at_time(b, SimTime::from_millis(40));
         let dest = w.ports.allocate(b);
         let err = w
             .fabric
@@ -1502,7 +1500,7 @@ mod tests {
     #[test]
     fn after_messages_trigger_kills_the_node() {
         let (mut w, a, b) = world();
-        w.fabric.params.crashes = Some(crate::CrashPlan::after_messages(b, 3));
+        w.fabric.params.crashes = crate::CrashPlan::after_messages(b, 3);
         let dest = w.ports.allocate(b);
         for i in 0..3 {
             w.fabric
@@ -1632,7 +1630,7 @@ mod tests {
     #[test]
     fn replicate_backing_spreads_pages_and_replica_read_fails_over() {
         let params = WireParams {
-            replication: Some(crate::ReplicationParams::primary_backup(2, 7)),
+            replication: crate::ReplicationParams::primary_backup(2, 7),
             ..WireParams::default()
         };
         let mut w = fleet_world(params, 4);
@@ -1722,7 +1720,7 @@ mod tests {
         assert_eq!(a.content_hash(), b.content_hash());
         assert!(!a.same_contents(&b));
         let params = WireParams {
-            replication: Some(crate::ReplicationParams::primary_backup(1, 7)),
+            replication: crate::ReplicationParams::primary_backup(1, 7),
             ..WireParams::default()
         };
         let mut w = fleet_world(params, 2);
@@ -1749,7 +1747,7 @@ mod tests {
     #[test]
     fn replica_placement_is_deterministic_per_segment() {
         let params = WireParams {
-            replication: Some(crate::ReplicationParams::quorum(2, 0xABCD)),
+            replication: crate::ReplicationParams::quorum(2, 0xABCD),
             ..WireParams::default()
         };
         let build = || {

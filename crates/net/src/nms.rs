@@ -204,16 +204,10 @@ impl NmsTable {
         self.get(node).ok().map(|n| &n.replicas)
     }
 
-    /// Installs `frames` as `seg` on replica home `node`: replica
-    /// write-through.
-    pub(crate) fn replicate(
-        &mut self,
-        node: NodeId,
-        seg: SegmentId,
-        frames: &[Frame],
-    ) -> Result<(), NetError> {
-        self.get_mut(node)?.replicas.insert(seg, frames.to_vec());
-        Ok(())
+    /// The segments `node` holds as a replica home, for write-through
+    /// and for dropping a dead segment.
+    pub(crate) fn replicas_mut(&mut self, node: NodeId) -> Result<&mut SegmentStore, NetError> {
+        Ok(&mut self.get_mut(node)?.replicas)
     }
 
     /// Wipes `node`'s volatile state — a wiped NMS is a fresh NMS on the
@@ -351,11 +345,9 @@ impl Fabric {
                 let cached = std::mem::take(frames);
                 cached_total += pages;
                 // Page-out: the sending NMS becomes these pages' primary
-                // home. With replicated page homes enabled, write them
-                // through to the segment's replica set as well.
-                if self.params.replication.is_some() {
-                    self.replicate_backing(clock, from, seg, &cached)?;
-                }
+                // home, and writes them through to the segment's replica
+                // homes, if any.
+                self.replicate_backing(clock, from, seg, &cached)?;
                 self.install_cache(from, seg, cached)?;
                 *item = MsgItem::Iou {
                     base_page: *base_page,

@@ -200,11 +200,12 @@ impl CrashPlan {
 }
 
 /// How replicated page homes answer COR reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplicationMode {
     /// Replicas are cold standbys: every COR read goes to the primary
     /// home, and a replica serves pages only after the primary has
     /// crashed (the failover ladder promotes the nearest live replica).
+    #[default]
     PrimaryBackup,
     /// Replicas are live read targets: every COR read routes to the
     /// nearest live home — primary or replica — by the topology's
@@ -213,17 +214,16 @@ pub enum ReplicationMode {
     Quorum,
 }
 
-/// An opt-in page-home replication plan: the migration page-out path
-/// write-through installs page backing on `factor` extra deterministic
-/// replica nodes, and the COR fault path resolves each page's content
-/// hash against the resulting replica directory. `None` on
-/// [`WireParams::replication`] (the default) keeps every output
-/// byte-identical to a fabric built before replication existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A page-home replication plan: the migration page-out path
+/// write-through installs each segment on `factor` extra deterministic
+/// replica nodes, and a COR fault may read the segment's pages, by
+/// `(segment, offset)`, from a live replica home the directory names.
+/// The default, f = 0, replicates nothing: no home is placed, no
+/// directory entry is made, and every output is that of a single home.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicationParams {
     /// Number of replicas beyond the primary home (`f`); a page is backed
-    /// on `f + 1` nodes. `0` installs no replicas but still builds the
-    /// directory, which is useful only for tests.
+    /// on `f + 1` nodes. `0` replicates nothing.
     pub factor: u64,
     /// Read-routing discipline across the `f + 1` homes.
     pub mode: ReplicationMode,
@@ -234,7 +234,7 @@ pub struct ReplicationParams {
 
 impl ReplicationParams {
     /// A primary-backup plan with `factor` replicas.
-    pub fn primary_backup(factor: u64, seed: u64) -> Self {
+    pub const fn primary_backup(factor: u64, seed: u64) -> Self {
         ReplicationParams {
             factor,
             mode: ReplicationMode::PrimaryBackup,
@@ -243,7 +243,7 @@ impl ReplicationParams {
     }
 
     /// A quorum-read plan with `factor` replicas.
-    pub fn quorum(factor: u64, seed: u64) -> Self {
+    pub const fn quorum(factor: u64, seed: u64) -> Self {
         ReplicationParams {
             factor,
             mode: ReplicationMode::Quorum,
@@ -296,10 +296,9 @@ pub struct WireParams {
     /// is a perfect wire with behaviour byte-identical to a fabric built
     /// before fault injection existed.
     pub faults: Option<FaultPlan>,
-    /// Optional deterministic whole-node crash plan. `None` (the default)
-    /// means nodes never die, and every paper-reproduction number is
-    /// byte-identical to a fabric built before crash injection existed.
-    pub crashes: Option<CrashPlan>,
+    /// Deterministic whole-node crash plan. The default is empty: nodes
+    /// never die, and no message is counted toward a crash.
+    pub crashes: CrashPlan,
     /// Optional routed interconnect. `None` (the default) is the seed-era
     /// point-to-point wire: every remote pair is directly connected and
     /// behaviour is byte-identical to a fabric built before topologies
@@ -321,11 +320,10 @@ pub struct WireParams {
     /// waiters from the single upstream reply instead of re-forwarding.
     /// Off (the default) keeps the seed's latest-waiter-wins semantics.
     pub coalesce: bool,
-    /// Optional page-home replication plan. `None` (the default) keeps
-    /// the seed's single-home semantics byte-identical; `Some` installs
-    /// page backing on `factor + 1` nodes at page-out and routes COR
-    /// reads across the live homes.
-    pub replication: Option<ReplicationParams>,
+    /// Page-home replication plan. The default, f = 0, keeps every page
+    /// on its one home; f > 0 installs page backing on `factor + 1`
+    /// nodes at page-out and routes COR reads across the live homes.
+    pub replication: ReplicationParams,
 }
 
 impl Default for WireParams {
@@ -345,11 +343,11 @@ impl Default for WireParams {
             retry_budget: 10,
             retry_timeout: SimDuration::from_millis(25),
             faults: None,
-            crashes: None,
+            crashes: CrashPlan::new(),
             topology: None,
             batch_replies: false,
             coalesce: false,
-            replication: None,
+            replication: ReplicationParams::default(),
         }
     }
 }
@@ -438,8 +436,9 @@ mod tests {
     fn default_wire_is_perfect() {
         let p = WireParams::default();
         assert!(p.faults.is_none(), "fault injection is strictly opt-in");
-        assert!(p.crashes.is_none(), "crash injection is strictly opt-in");
-        assert!(p.replication.is_none(), "replication is strictly opt-in");
+        assert_eq!(p.crashes, CrashPlan::new(), "no node dies by default");
+        let unreplicated = ReplicationParams::primary_backup(0, 0);
+        assert_eq!(p.replication, unreplicated, "nothing replicated by default");
         assert!(p.retry_budget >= 2);
         assert!(p.retry_timeout > SimDuration::ZERO);
         assert!(LinkFaults::default().is_clean());

@@ -22,10 +22,10 @@ use crate::params::{ReplicationMode, ReplicationParams};
 /// other seeded draw.
 const REPLICA_STREAM: u64 = 0x9E_0F;
 
-/// Where replicated pages live. Populated only under
-/// [`WireParams::replication`](crate::WireParams::replication); survives
-/// crashes — liveness is checked at lookup time, which is what makes the
-/// failover ladder's "all homes down" outcome reachable.
+/// Where replicated pages live, one entry per live segment replicated at
+/// f > 0. Entries survive crashes — liveness is checked at lookup time,
+/// which is what makes the failover ladder's "all homes down" outcome
+/// reachable.
 #[derive(Debug, Default)]
 pub(crate) struct ReplicaDirectory {
     /// Origin segment → the replica nodes its pages were write-through
@@ -77,14 +77,13 @@ impl Fabric {
     /// when a topology is installed. The install is fire-and-forget on
     /// the virtual clock (the same discipline as segment-death notices):
     /// the migration's foreground path is never stalled by its own
-    /// replication traffic. Without a plan (the default) this is a
-    /// no-op, byte-identical to the seed.
+    /// replication traffic. At f = 0 (the default) this does nothing.
     ///
     /// Returns the total pages installed across all replicas.
     ///
     /// # Errors
     ///
-    /// [`NetError::UnknownNode`] if `primary` was never added.
+    /// [`NetError::UnknownNode`] if f > 0 and `primary` was never added.
     pub fn replicate_backing(
         &mut self,
         clock: &mut Clock,
@@ -92,13 +91,11 @@ impl Fabric {
         seg: SegmentId,
         frames: &[Frame],
     ) -> Result<u64, NetError> {
-        let Some(rep) = self.params.replication else {
-            return Ok(0);
-        };
-        self.nms_port(primary)?;
+        let rep = self.params.replication;
         if rep.factor == 0 || frames.is_empty() {
             return Ok(0);
         }
+        self.nms_port(primary)?;
         let targets = ReplicaDirectory::place(self.nms.nodes(), primary, seg, rep);
         if targets.is_empty() {
             return Ok(0);
@@ -113,7 +110,7 @@ impl Fabric {
         let rep_span = self.span_start(now, "replicate", primary);
         // Each replica's copy is one detached transfer from the primary.
         let installed = targets.iter().try_fold(0u64, |total, &replica| {
-            self.nms.replicate(replica, seg, frames)?;
+            self.nms.replicas_mut(replica)?.insert(seg, frames.to_vec());
             let category = LedgerCategory::Replicate;
             let copy = self.one_way(primary, replica, MsgKind::Rimas, payload, category, true);
             self.charge_transfer(clock, now, arrives, &copy)?;
@@ -151,9 +148,6 @@ impl Fabric {
     /// accounting use this: a page with a surviving replica home is not
     /// hostage to `avoid`'s volatile state.
     pub fn replica_live_elsewhere(&self, avoid: NodeId, oseg: SegmentId, ooff: u64) -> bool {
-        if self.params.replication.is_none() {
-            return false;
-        }
         self.live_homes(avoid, oseg, ooff, 1).next().is_some()
     }
 
@@ -201,7 +195,6 @@ impl Fabric {
         ooff: u64,
         count: u64,
     ) -> Option<(NodeId, Vec<Frame>, bool)> {
-        let rep = self.params.replication?;
         if count == 0 || self.replicas.homes_of(oseg).is_empty() {
             return None;
         }
@@ -214,7 +207,8 @@ impl Fabric {
         // A healthy primary keeps the read unless quorum routing finds the
         // replica strictly nearer.
         let nearer = || d < self.replica_distance(requester, backer);
-        let serves = primary_down || (rep.mode == ReplicationMode::Quorum && nearer());
+        let quorum = self.params.replication.mode == ReplicationMode::Quorum;
+        let serves = primary_down || (quorum && nearer());
         if !serves {
             return None;
         }
@@ -231,7 +225,7 @@ impl Fabric {
             "replicate"
         };
         let span = self.span_start(start, name, requester);
-        let fetched = self.charge_replica_fetch(clock, requester, replica, (oseg, ooff), &frames);
+        let fetched = self.charge_replica_fetch(clock, requester, replica, (oseg, ooff), count);
         self.span_end(clock.now(), span);
         fetched?;
         if primary_down {
@@ -244,7 +238,7 @@ impl Fabric {
         Some((replica, frames, primary_down))
     }
 
-    /// Charges fetching `frames` (the pages of `oseg` from `ooff`) from
+    /// Charges fetching the `count` pages of `oseg` from `ooff` from
     /// `replica`: request out, replica NMS service, reply back — the same
     /// shape as the round trip it replaces, with real message sizes — as
     /// one transfer. `None` if the requester is unknown or a leg cannot
@@ -255,7 +249,7 @@ impl Fabric {
         requester: NodeId,
         replica: NodeId,
         (oseg, ooff): (SegmentId, u64),
-        frames: &[Frame],
+        count: u64,
     ) -> Option<()> {
         if replica == requester {
             clock.advance(self.params.local_delivery);
@@ -263,11 +257,9 @@ impl Fabric {
         }
         let start = clock.now();
         let my_port = self.nms_port(requester).ok()?;
-        let count = frames.len() as u64;
         let req_payload =
             protocol::imag_read_request(my_port, my_port, oseg, ooff, count).wire_size();
-        let reply_payload =
-            protocol::imag_read_reply(my_port, oseg, ooff, frames.to_vec()).wire_size();
+        let reply_payload = protocol::imag_read_reply_size(count);
         clock.advance(self.params.xmit_time(req_payload, 0));
         clock.advance(self.params.nms_service);
         clock.advance(self.params.xmit_time(reply_payload, 1));
@@ -290,6 +282,17 @@ impl Fabric {
         };
         self.charge_transfer(clock, start, clock.now(), &round_trip)
             .ok()
+    }
+
+    /// Forgets the replicas of `seg`, whose last reference just died: its
+    /// directory entry and every home's copy. No read can name the
+    /// segment again, so this is bookkeeping — nothing is sent or billed.
+    pub(crate) fn drop_replicas(&mut self, seg: SegmentId) {
+        for home in self.replicas.homes.remove(&seg).unwrap_or_default() {
+            if let Ok(store) = self.nms.replicas_mut(home) {
+                store.remove(seg);
+            }
+        }
     }
 
     /// Replica pages `node` holds as a replica home.

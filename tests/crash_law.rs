@@ -185,8 +185,7 @@ impl Spec {
         let (_, nodes, hops, hot) = self.world;
         let base = WireParams::default();
         let mut wire = if hot { base.hot_path() } else { base };
-        wire.replication =
-            (self.factor > 0).then(|| ReplicationParams::primary_backup(self.factor, self.seed));
+        wire.replication = ReplicationParams::primary_backup(self.factor, self.seed);
         let (mut world, nodes) = World::fleet(nodes, Default::default(), wire);
         let managers: Vec<_> = nodes
             .iter()
@@ -341,10 +340,10 @@ fn run_case(case: &Case, clean: Option<End>) -> (Option<Phase>, usize, End) {
     let node = rig.nodes[i];
     if clean.is_some() {
         let (plan, trigger) = (CrashPlan::new(), CrashTrigger::AfterMessages(n));
-        rig.world.fabric.params.crashes = Some(match amnesiac {
+        rig.world.fabric.params.crashes = match amnesiac {
             true => plan.rebooting(node, trigger),
             false => plan.killing(node, trigger),
-        });
+        };
     }
     let handoff = rig.hop();
     let in_handoff = rig.world.fabric.lost_volatile_state(node);
@@ -565,7 +564,7 @@ proptest! {
                 _ => plan.rebooting(node, at),
             };
         }
-        world.fabric.params.crashes = Some(plan);
+        world.fabric.params.crashes = plan;
         let policy =
             if prefetch_mode { DrainPolicy::prefetch(rate) } else { DrainPolicy::flush(rate) };
         let orphaned = |e: &KernelError| matches!(e, KernelError::OrphanedProcess { .. });
@@ -625,7 +624,7 @@ fn identical_crash_plans_journal_identical_runs() {
         let (a, b, pid) = (rig.nodes[0], rig.host(), rig.pid);
         let world = &mut rig.world;
         let at = CrashTrigger::AtTime(world.clock.now() + SimDuration::from_millis(40));
-        world.fabric.params.crashes = Some(CrashPlan::new().killing(a, at));
+        world.fabric.params.crashes = CrashPlan::new().killing(a, at);
         let drainer = Drainer::new(DrainPolicy::flush(2)).with_interleave(1);
         let outcome = drainer
             .run(world, b, pid)
@@ -667,6 +666,30 @@ fn crash_free_replication_is_invisible_on_the_clock_and_paper_ledger() {
     assert_eq!(repl.fabric.reliability.failover_fetches.get(), 0);
 }
 
+/// Replica pages die with their segment: once the write-through has put
+/// every page on each of the `f` homes, running the process to its end
+/// releases the segment's last reference, and after the world settles no
+/// node holds a replica page.
+#[test]
+fn replica_pages_die_with_their_segment() {
+    let program = Program::Hopper(12);
+    for factor in FACTORS.filter(|&f| f >= 1) {
+        let mut rig = Spec::new(SINGLE, factor, 0xC0DE, IOU).build(program);
+        let held = |rig: &Rig| -> Vec<u64> {
+            let fabric = &rig.world.fabric;
+            rig.nodes.iter().map(|&n| fabric.replica_pages(n)).collect()
+        };
+        assert_eq!(held(&rig).iter().sum::<u64>(), factor * 12, "f = {factor}");
+        rig.run_judged(program);
+        rig.world.settle().unwrap();
+        assert_eq!(
+            held(&rig),
+            [0; 4],
+            "f = {factor}: replicas outlived the segment"
+        );
+    }
+}
+
 /// Exhaustion: the primary dies, failover carries the run for a while,
 /// and then the last live home dies too — the run must end in the same
 /// typed orphan as the unreplicated hazard, with the loss accounted.
@@ -695,8 +718,8 @@ fn second_crash_mid_failover_exhausts_every_home_into_a_typed_orphan() {
     let reliability = &rig.world.fabric.reliability;
     assert!(reliability.failover_fetches.get() >= 3, "mid-failover");
     assert!(reliability.failover_time > SimDuration::ZERO);
-    // Second crash: every remaining home dies. Content-addressed
-    // resolution now has nowhere to go.
+    // Second crash: every remaining home dies. A read of the owed
+    // pages now has no live home to go to.
     for &h in &homes {
         rig.kill(h);
     }

@@ -15,7 +15,7 @@
 
 use cor::kernel::{CostModel, World};
 use cor::migrate::{MigrationManager, Strategy};
-use cor::net::{CrashPlan, FaultPlan, LinkFaults, ReplicationParams, WireParams};
+use cor::net::{FaultPlan, LinkFaults, WireParams};
 use cor::sim::ReliabilityStats;
 use cor::workloads::{ProcessImage, Workload};
 use cor_experiments::commands::{self, Ctx, Gate, COMMANDS};
@@ -81,10 +81,8 @@ fn inert_options_leave_every_trial_identical_on_the_default_wire() {
     let base = WireParams::default();
     let mut clean = base.clone();
     clean.faults = Some(FaultPlan::uniform(7, LinkFaults::default()));
-    let mut crashless = base.clone();
-    crashless.crashes = Some(CrashPlan::new());
     let mut rows = rows_on(&base);
-    rows.extend([("clean fault plan", clean), ("empty crash plan", crashless)]);
+    rows.push(("clean fault plan", clean));
     for trial in assert_inert(&base, &rows) {
         let cell = format!("{} {}", trial.workload, trial.strategy);
         assert_eq!(trial.retransmit_bytes, 0, "{cell}: a lossless wire retransmits");
@@ -111,15 +109,11 @@ fn inert_options_leave_every_trial_identical_on_a_lossy_wire() {
     assert!(drops > 0, "the lossy base injected no drop");
 }
 
-/// The rows every base takes: itself again, the hot path, and
-/// replication that places no replica (f = 0).
+/// The rows every base takes: itself again and the hot path.
 fn rows_on(base: &WireParams) -> Vec<(&'static str, WireParams)> {
-    let mut unreplicated = base.clone();
-    unreplicated.replication = Some(ReplicationParams::primary_backup(0, 7));
     vec![
         ("again", base.clone()),
         ("hot path", base.clone().hot_path()),
-        ("replication f = 0", unreplicated),
     ]
 }
 

@@ -268,7 +268,7 @@ fn settle_leaves_no_live_served_queue_non_empty() {
         (
             "crash",
             WireParams {
-                crashes: Some(plan.clone().killing(NodeId(0), trigger)),
+                crashes: plan.clone().killing(NodeId(0), trigger),
                 ..WireParams::default()
             },
             1,
@@ -276,7 +276,7 @@ fn settle_leaves_no_live_served_queue_non_empty() {
         (
             "reboot",
             WireParams {
-                crashes: Some(plan.rebooting(NodeId(0), trigger)),
+                crashes: plan.rebooting(NodeId(0), trigger),
                 ..WireParams::default()
             },
             1,

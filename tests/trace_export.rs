@@ -234,7 +234,7 @@ fn fault_service_equals_span_durations_through_recovery_and_orphan_exits() {
     let drained = world.drain_round(b, pid, DrainPolicy::flush(flushed));
     assert_eq!(drained.unwrap(), flushed);
     let now = world.clock.now();
-    world.fabric.params.crashes = Some(CrashPlan::new().killing(a, CrashTrigger::AtTime(now)));
+    world.fabric.params.crashes = CrashPlan::new().killing(a, CrashTrigger::AtTime(now));
     let err = world.run(b, pid).expect_err("an unflushed page orphans");
     assert!(
         matches!(err, KernelError::OrphanedProcess { .. }),
@@ -258,7 +258,7 @@ fn fault_service_equals_span_durations_through_replica_failover() {
 
     let pages = 6u64;
     let wire = WireParams {
-        replication: Some(ReplicationParams::primary_backup(1, 1)),
+        replication: ReplicationParams::primary_backup(1, 1),
         ..WireParams::default()
     };
     let (mut world, nodes) = World::fleet(4, Default::default(), wire);
@@ -368,7 +368,7 @@ fn mid_fault_crash_abandons_no_spans_silently() {
     // Kill the source right now: the very first owed-page fault at the
     // destination dies against a crashed home.
     let now = world.clock.now();
-    world.fabric.params.crashes = Some(CrashPlan::new().killing(a, CrashTrigger::AtTime(now)));
+    world.fabric.params.crashes = CrashPlan::new().killing(a, CrashTrigger::AtTime(now));
     let err = world.run(b, pid).expect_err("read-back must orphan");
     assert!(
         matches!(err, KernelError::OrphanedProcess { .. }),
