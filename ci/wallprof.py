@@ -2,9 +2,15 @@
 """Symbolize a ci/wallprof.c capture: self and inclusive shares, callers-of.
 
     python3 ci/wallprof.py PROF_OUT [--top N] [--callers SUBSTRING]
+                                    [--owners A,B,... [--scale X]]
 
 --top 0 prints every row. The header gives the share of one-frame stacks
 per image: samples whose walk stopped inside code without frame pointers.
+--owners prints one more table: each sample goes to the first owner of the
+list (a symbol substring) that any frame of its stack contains, or to
+"other"; --scale X also prints each share times X (for an allocation
+capture, pass the benchmark's allocs_per_fault to read allocations per
+fault).
 """
 import argparse, bisect, collections, os, subprocess
 
@@ -63,11 +69,14 @@ def main():
     ap.add_argument("capture")
     ap.add_argument("--top", type=int, default=20, help="rows per table; 0 prints every row")
     ap.add_argument("--callers", help="show who calls the symbols containing this")
+    ap.add_argument("--owners", help="comma-separated symbol substrings, in priority order")
+    ap.add_argument("--scale", type=float, help="with --owners: also print share times this")
     args = ap.parse_args()
+    owners = args.owners.split(",") if args.owners else []
     lines = open(args.capture).read().splitlines()
     split = lines.index("STACKS")
     images, cache = Images(lines[:split]), {}
-    self_, incl, callers = (collections.Counter() for _ in range(3))
+    self_, incl, callers, owned = (collections.Counter() for _ in range(4))
     stacks = [s.split() for s in lines[split + 1 :] if s]
     for stack in stacks:
         # Frames past the first hold return addresses: look up the call itself.
@@ -75,6 +84,8 @@ def main():
         names = [cache.setdefault(pc, images.name(pc)) for pc in pcs]
         self_[names[0]] += 1
         incl.update(set(names))
+        if owners:
+            owned[next((o for o in owners if any(o in n for n in names)), "other")] += 1
         if args.callers:
             hits = [i for i, n in enumerate(names) if args.callers in n]
             if hits:
@@ -97,6 +108,12 @@ def main():
             print(f"\n{title} ({len(stacks)} samples)")
             for name, n in counts.most_common(args.top or None):
                 print(f"  {100 * n / total:6.2f} %  {n:>8}  {name[:110]}")
+    if owners:
+        print(f"\nowners ({len(stacks)} samples" + (f"; share x {args.scale:g}" if args.scale else "") + ")")
+        for name in owners + ["other"]:
+            n = owned[name]
+            scaled = f"  {n / total * args.scale:8.3f}" if args.scale else ""
+            print(f"  {100 * n / total:6.2f} %  {n:>8}{scaled}  {name}")
 
 
 if __name__ == "__main__":

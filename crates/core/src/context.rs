@@ -8,6 +8,7 @@
 use cor_ipc::message::Message;
 use cor_kernel::process::{ExecStats, Pcb, ProcessId, RunStatus};
 use cor_kernel::program::Trace;
+use cor_sim::SmallVec;
 
 /// A process context extracted by `ExciseProcess`, ready for shipment.
 #[derive(Debug)]
@@ -23,9 +24,11 @@ pub struct ExcisedProcess {
     /// The RIMAS message: the Real and Imaginary address-space portions
     /// collapsed into a contiguous area of page slots.
     pub rimas: Message,
-    /// Collapsed slot indices that were *resident* at excision time (used
-    /// by the resident-set strategy to decide what ships physically).
-    pub resident_slots: Vec<u64>,
+    /// The collapsed slots that were *resident* at excision time, as
+    /// ascending `[start, end)` runs (used by the resident-set strategy to
+    /// decide what ships physically). A space resident in one stretch is
+    /// one run, held inline.
+    pub resident_slots: SmallVec<(u64, u64)>,
     /// The program text. In a real system this lives in the Real pages
     /// already carried by the RIMAS message; the simulation keeps the
     /// structured form alongside so the destination can keep executing it.

@@ -56,7 +56,7 @@ pub fn excise_process(
     let start = world.clock.now();
 
     // -- AMap construction (the dominant cost for sparse spaces). --
-    let (amap, map_complexity, resident) = {
+    let (amap, map_complexity) = {
         let process = world.process(node, pid)?;
         if process.finished() {
             // A terminated process released its owed-page references; its
@@ -64,7 +64,7 @@ pub fn excise_process(
             return Err(KernelError::ProcessNotActive(pid));
         }
         let space = &process.space;
-        (space.amap(), space.map_complexity(), space.resident_count())
+        (space.amap(), space.map_complexity())
     };
     let amap_time = world.costs.amap_cost(map_complexity);
     world.clock.advance(amap_time);
@@ -77,7 +77,7 @@ pub fn excise_process(
     let mut batch: Vec<Frame> = Vec::new();
     let mut batch_base = 0u64;
     let mut cursor = 0u64; // next collapsed slot
-    let mut resident_slots = Vec::with_capacity(resident);
+    let mut resident_slots: SmallVec<(u64, u64)> = SmallVec::new();
     let mut real_pages = 0u64;
     let mut resident_pages = 0u64;
     let mut imag_pages = 0u64;
@@ -106,7 +106,10 @@ pub fn excise_process(
                                 // Memory-mapped into the message: a COW
                                 // share, not a copy.
                                 batch.push(frame.clone());
-                                resident_slots.push(cursor);
+                                match resident_slots.last_mut() {
+                                    Some((_, end)) if *end == cursor => *end += 1,
+                                    _ => resident_slots.push((cursor, cursor + 1)),
+                                }
                                 resident_pages += 1;
                             }
                             // Transferred by reference to the disk block:
@@ -211,6 +214,15 @@ mod tests {
     use cor_kernel::program::Trace;
     use cor_mem::{AddressSpace, PageNum, PageRange, VAddr, PAGE_SIZE};
 
+    /// The resident slots an excision names, run by run.
+    fn resident_slots(excised: &ExcisedProcess) -> Vec<u64> {
+        excised
+            .resident_slots
+            .iter()
+            .flat_map(|&(s, e)| s..e)
+            .collect()
+    }
+
     fn build_process(budget: Option<usize>) -> (World, NodeId, ProcessId) {
         let (mut world, a, _) = World::testbed();
         let mut space = match budget {
@@ -239,7 +251,8 @@ mod tests {
         assert_eq!(report.resident_pages, 8);
         assert_eq!(excised.rimas.carried_pages(), 8);
         assert_eq!(excised.rimas.owed_pages(), 0);
-        assert_eq!(excised.resident_slots, (0..8).collect::<Vec<_>>());
+        assert_eq!(resident_slots(&excised), (0..8).collect::<Vec<_>>());
+        assert_eq!(excised.resident_slots[..], [(0, 8)], "one run");
         // The Core message is self-contained.
         let blob_item = &excised.core.items[0];
         let MsgItem::Inline(bytes) = blob_item else {
@@ -285,7 +298,8 @@ mod tests {
         let (excised, report) = excise_process(&mut world, a, pid, dest).unwrap();
         assert_eq!(report.real_pages, 8);
         assert_eq!(report.resident_pages, 4);
-        assert_eq!(excised.resident_slots.len(), 4);
+        // Pages 0–3 were paged out first, so 4–7 stay resident.
+        assert_eq!(resident_slots(&excised), (4..8).collect::<Vec<_>>());
         assert_eq!(excised.rimas.carried_pages(), 8, "disk pages included");
     }
 

@@ -12,7 +12,7 @@
 use cor_ipc::message::MsgItem;
 use cor_ipc::port::Right;
 use cor_ipc::NodeId;
-use cor_kernel::process::{Process, ProcessId};
+use cor_kernel::process::{Pcb, Process, ProcessId};
 use cor_kernel::{KernelError, World};
 use cor_mem::amap::Access;
 use cor_mem::{AddressSpace, PageNum, PageState};
@@ -33,22 +33,16 @@ pub struct InsertReport {
     pub runs: u64,
 }
 
-/// A RIMAS item that fills collapsed slots, with its first slot.
-fn by_base(item: &MsgItem) -> Option<(u64, &MsgItem)> {
-    match item {
-        MsgItem::Pages { base_page, .. } | MsgItem::Iou { base_page, .. } => {
-            Some((*base_page, item))
-        }
-        _ => None,
-    }
-}
-
 /// Recreates a process on `node` from its two context messages.
+///
+/// The RIMAS message's page and IOU items arrive in ascending slot order,
+/// as excision and the resident-set repackaging emit them, so insertion
+/// walks them in place with one cursor. Other items are skipped.
 ///
 /// # Errors
 ///
-/// Malformed context messages, unknown node, or port failures while
-/// relocating rights.
+/// Malformed context messages (an item out of slot order among them),
+/// unknown node, or port failures while relocating rights.
 pub fn insert_process(
     world: &mut World,
     node: NodeId,
@@ -71,32 +65,38 @@ pub fn insert_process(
     // as it would during page-by-page installation: physically carried
     // pages beyond the destination's physical memory overflow to its disk,
     // just as a bulk-copied context would on the real testbed. --
-    let mut items: Vec<(u64, &MsgItem)> = excised.rimas.items.iter().filter_map(by_base).collect();
-    items.sort_by_key(|&(base, _)| base);
+    let items = &excised.rimas.items;
     let (mut at, mut carried_pages, mut owed_pages) = (0, 0u64, 0u64);
     // What fills a collapsed slot: a carried frame or an owed segment page,
     // `None` if no item covers it. The walk asks in ascending order, so the
-    // search resumes at the item that answered last.
+    // search resumes at the item that answered last; an item that starts
+    // past the slot (one out of order) answers `None`.
     let fill = |slot: u64| loop {
-        let &(base, item) = items.get(at)?;
-        let off = slot.checked_sub(base)?;
-        match item {
-            MsgItem::Pages { frames, .. } if off < frames.len() as u64 => {
-                carried_pages += 1;
-                return Some(PageState::resident(frames[off as usize].clone()));
+        match items.get(at)? {
+            MsgItem::Pages { base_page, frames } if slot >= *base_page => {
+                let off = slot - base_page;
+                if let Some(frame) = frames.get(off as usize) {
+                    carried_pages += 1;
+                    return Some(PageState::resident(frame.clone()));
+                }
             }
             MsgItem::Iou {
+                base_page,
                 seg,
                 seg_offset,
                 pages,
-                ..
-            } if off < *pages => {
-                owed_pages += 1;
-                let offset = seg_offset + off;
-                return Some(PageState::Imaginary { seg: *seg, offset });
+            } if slot >= *base_page => {
+                let off = slot - base_page;
+                if off < *pages {
+                    owed_pages += 1;
+                    let offset = seg_offset + off;
+                    return Some(PageState::Imaginary { seg: *seg, offset });
+                }
             }
-            _ => at += 1,
+            MsgItem::Pages { .. } | MsgItem::Iou { .. } => return None,
+            _ => {}
         }
+        at += 1;
     };
     let disk = &mut world.node_mut(node)?.disk;
     let space = AddressSpace::from_amap(amap, fill, blob.budget(), disk).ok_or_else(malformed)?;
@@ -113,15 +113,18 @@ pub fn insert_process(
         }
     }
 
-    // -- Reassemble the process. --
-    let mut process = Process::new(excised.pid, blob.name, space, excised.program);
-    process.pcb.trace_pos = blob.trace_pos as usize;
-    process.pcb.priority = blob.priority;
-    process.pcb.status = blob.status;
+    // -- Reassemble the process from its context, taking the decoded
+    // pieces over. --
+    let pcb = Pcb {
+        name: blob.name,
+        status: blob.status,
+        priority: blob.priority,
+        trace_pos: blob.trace_pos as usize,
+    };
+    let mut process = Process::resume(excised.pid, pcb, space, excised.program, excised.stats);
     process.microstate = blob.microstate;
     process.kernel_stack = blob.kernel_stack;
     process.rights = rights;
-    process.stats = excised.stats;
     world.install_process(node, process)?;
 
     world
@@ -147,7 +150,7 @@ mod tests {
     use super::*;
     use crate::excise::excise_process;
     use cor_kernel::program::Trace;
-    use cor_mem::{VAddr, PAGE_SIZE};
+    use cor_mem::{PageRange, VAddr, PAGE_SIZE};
 
     /// Excise on node a, insert on node b, entirely locally (no wire):
     /// the context messages are consumed as built.
@@ -242,5 +245,41 @@ mod tests {
         let (mut excised, _) = excise_process(&mut world, a, pid, dest).unwrap();
         excised.core.items.clear();
         assert!(insert_process(&mut world, b, excised).is_err());
+    }
+
+    #[test]
+    fn rimas_items_out_of_slot_order_are_a_malformed_context() {
+        let (mut world, a, b) = World::testbed();
+        let backing = world.ports.allocate(a);
+        let seg = world.segs.create(backing, 2);
+        world.segs.add_refs(seg, 2).unwrap();
+        let mut space = AddressSpace::new();
+        space.validate(VAddr(0), 4 * PAGE_SIZE).unwrap();
+        space.map_imaginary(PageRange::new(PageNum(2), PageNum(4)), seg, 0);
+        let mut tb = Trace::builder();
+        tb.write(PageNum(0).base(), 8).write(PageNum(1).base(), 8);
+        let pid = world
+            .create_process(a, "swapped", space, tb.terminate())
+            .unwrap();
+        world.run_for(a, pid, 2).unwrap();
+        let dest = world.ports.allocate(b);
+        let (mut excised, _) = excise_process(&mut world, a, pid, dest).unwrap();
+        // Slots 0–1 carried, 2–3 owed: two items, which a swap puts out of
+        // order.
+        let items = &mut excised.rimas.items;
+        assert!(matches!(
+            &items[..],
+            [
+                MsgItem::Pages { base_page: 0, .. },
+                MsgItem::Iou { base_page: 2, .. }
+            ]
+        ));
+        items.swap(0, 1);
+        match insert_process(&mut world, b, excised) {
+            Err(KernelError::Mem(cor_mem::MemError::BadState(_, what))) => {
+                assert_eq!(what, "malformed context");
+            }
+            other => panic!("expected a malformed context, got {other:?}"),
+        }
     }
 }

@@ -188,7 +188,7 @@ impl MigrationManager {
             name: String::new(),
             core: core_rx,
             rimas: rimas_rx,
-            resident_slots: Vec::new(),
+            resident_slots: SmallVec::new(),
             program: excised.program,
             stats: excised.stats,
             frame_budget: excised.frame_budget,
@@ -236,7 +236,11 @@ impl MigrationManager {
         world: &mut World,
         excised: &mut ExcisedProcess,
     ) -> Result<(), KernelError> {
-        let resident: IdSet<u64> = excised.resident_slots.iter().copied().collect();
+        let resident: IdSet<u64> = excised
+            .resident_slots
+            .iter()
+            .flat_map(|&(start, end)| start..end)
+            .collect();
         let total_owed: u64 = excised
             .rimas
             .items

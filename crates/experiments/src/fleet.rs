@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 
 use cor_ipc::NodeId;
 use cor_kernel::placement::{LeastLoaded, LocalityAware, Placement, PlacementCtx, RoundRobin};
-use cor_kernel::{CostModel, World};
+use cor_kernel::{CostModel, Trace, World};
 use cor_mem::page::PAGE_SIZE;
 use cor_mem::{AddressSpace, PageNum, VAddr};
 use cor_migrate::{MigrationManager, Strategy};
@@ -169,21 +169,26 @@ fn placement_for(name: &str) -> Box<dyn Placement> {
     }
 }
 
-/// Builds one synthetic fleet process on `node` and runs its write
-/// phase there, leaving the read-back phase for after migration.
-fn spawn_proc(world: &mut World, node: NodeId) -> cor_kernel::ProcessId {
-    let mut space = AddressSpace::new();
-    space.validate(VAddr(0), 4 * PROC_PAGES * PAGE_SIZE).unwrap();
-    let mut tb = cor_kernel::Trace::builder();
+/// What every fleet process runs: write its pages, then read half of
+/// them back. A cell builds it once and shares it with every process.
+fn storm_trace() -> Trace {
+    let mut tb = Trace::builder();
     for i in 0..PROC_PAGES {
         tb.write(PageNum(i).base(), 64);
     }
     for i in 0..PROC_PAGES / 2 {
         tb.read(PageNum(i * 2).base(), 64);
     }
-    let pid = world
-        .create_process(node, "fleet", space, tb.terminate())
-        .unwrap();
+    tb.terminate()
+}
+
+/// Builds one synthetic fleet process on `node` running `trace` and runs
+/// its write phase there, leaving the read-back phase for after
+/// migration.
+fn spawn_proc(world: &mut World, node: NodeId, trace: Trace) -> cor_kernel::ProcessId {
+    let mut space = AddressSpace::new();
+    space.validate(VAddr(0), 4 * PROC_PAGES * PAGE_SIZE).unwrap();
+    let pid = world.create_process(node, "fleet", space, trace).unwrap();
     world.run_for(node, pid, PROC_PAGES as usize).unwrap();
     pid
 }
@@ -258,9 +263,10 @@ fn run_cell_inner(spec: FleetSpec, traced: bool) -> (FleetOutcome, World) {
         .copied()
         .filter(|n| n.0 % spec.storm.drain_every == 0)
         .collect();
+    let trace = storm_trace();
     for &node in &drain_set {
         for _ in 0..spec.storm.procs_per_node {
-            spawn_proc(&mut world, node);
+            spawn_proc(&mut world, node, trace.clone());
         }
     }
 

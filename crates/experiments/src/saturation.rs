@@ -32,7 +32,7 @@ use cor_ipc::port::PortId;
 use cor_ipc::protocol::{self, ProtocolMsg};
 use cor_ipc::NodeId;
 use cor_kernel::{CostModel, World};
-use cor_mem::page::{frame_pool, page_from_bytes, Frame};
+use cor_mem::page::{frame_pool, Frame};
 use cor_mem::space::SegmentId;
 use cor_net::WireParams;
 use cor_sim::{Pcg32, SimDuration, SimTime};
@@ -196,7 +196,7 @@ fn build(spec: SatSpec) -> Bench {
     }
     let server_nms = world.fabric.nms_port(server).expect("server registered");
     let frames: Vec<Frame> = (0..SEG_PAGES)
-        .map(|i| Frame::new(page_from_bytes(&i.to_le_bytes())))
+        .map(|i| Frame::from_bytes(&i.to_le_bytes()))
         .collect();
     let seg = world.segs.create(server_nms, SEG_PAGES);
     world.segs.add_refs(seg, SEG_PAGES).expect("fresh segment");
@@ -540,7 +540,7 @@ mod tests {
                 };
                 assert_eq!(seg, asked, "{}: reply names another segment", spec.label());
                 for (i, frame) in (offset..).zip(&frames) {
-                    let cached = Frame::new(page_from_bytes(&i.to_le_bytes()));
+                    let cached = Frame::from_bytes(&i.to_le_bytes());
                     assert!(frame.same_contents(&cached), "{}: page {i}", spec.label());
                 }
                 pages += frames.len() as u64;

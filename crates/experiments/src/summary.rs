@@ -175,7 +175,7 @@ pub fn ablation(workloads: &[Workload], pool: &Pool) -> String {
 /// the physically copied fraction under increasing write rates.
 pub fn cow_study() -> String {
     use cor_kernel::program::Trace;
-    use cor_mem::page::{page_from_bytes, Frame};
+    use cor_mem::page::Frame;
     let mut t = TextTable::new(&["write rate", "bytes passed", "bytes copied", "uncopied%"]);
     for &write_pct in &[0.0f64, 0.02, 0.1, 1.0, 10.0] {
         let (mut world, a, _) = World::testbed();
@@ -202,7 +202,7 @@ pub fn cow_study() -> String {
                     // Message transfer: the receiver maps the sender's
                     // frame copy-on-write (what Accent IPC does for
                     // over-threshold data).
-                    let frame = Frame::new(page_from_bytes(&page.0.to_le_bytes()));
+                    let frame = Frame::from_bytes(&page.0.to_le_bytes());
                     sender_mappings.push(frame.clone());
                     space.install_page(page, frame, &mut node.disk);
                     if (page.0 + 1).is_multiple_of(write_every) {

@@ -112,23 +112,38 @@ pub struct Process {
 impl Process {
     /// Creates a ready process with the given name, space and trace.
     pub fn new(id: ProcessId, name: impl Into<String>, space: AddressSpace, trace: Trace) -> Self {
+        let pcb = Pcb {
+            name: name.into(),
+            status: RunStatus::Ready,
+            priority: 10,
+            trace_pos: 0,
+        };
+        let mut process = Process::resume(id, pcb, space, trace, ExecStats::default());
         // The microstate is deterministic, non-zero content so context
         // transfer fidelity is observable.
-        let microstate: Vec<u8> = (0..512u32).map(|i| (i as u8) ^ (id.0 as u8)).collect();
+        process.microstate = (0..512u32).map(|i| (i as u8) ^ (id.0 as u8)).collect();
+        process
+    }
+
+    /// Reassembles a process from a shipped context: its PCB, space, trace
+    /// and measurements, with an empty microstate, kernel stack and rights
+    /// list, which allocate nothing; insertion moves the carried ones in.
+    pub fn resume(
+        id: ProcessId,
+        pcb: Pcb,
+        space: AddressSpace,
+        trace: Trace,
+        stats: ExecStats,
+    ) -> Self {
         Process {
             id,
-            pcb: Pcb {
-                name: name.into(),
-                status: RunStatus::Ready,
-                priority: 10,
-                trace_pos: 0,
-            },
-            microstate,
+            pcb,
+            microstate: Vec::new(),
             kernel_stack: Vec::new(),
             rights: Vec::new(),
             space,
             trace,
-            stats: ExecStats::default(),
+            stats,
             drain_cursor: PageNum(0),
         }
     }

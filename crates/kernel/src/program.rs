@@ -6,6 +6,8 @@
 //! fetches happen mechanically — the trace encodes *what the program does*,
 //! and the simulation derives *what that costs*.
 
+use std::sync::Arc;
+
 use cor_mem::{page::PageBytes, PageNum, PageRange, VAddr, PAGE_SIZE};
 use cor_sim::SimDuration;
 
@@ -36,9 +38,15 @@ pub enum Op {
 }
 
 /// A complete program trace.
+///
+/// The ops are shared, not owned: a clone is a reference-count bump, so
+/// every process forked from one image, or spawned from one storm
+/// trace, runs the same ops without a copy of them.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    ops: Vec<Op>,
+    ops: Arc<[Op]>,
+    /// Distinct pages the touches cover.
+    pages: usize,
 }
 
 impl Trace {
@@ -61,7 +69,11 @@ impl Trace {
                 "Terminate must be the final op"
             );
         }
-        Trace { ops }
+        let pages = distinct_pages(&ops);
+        Trace {
+            ops: ops.into(),
+            pages,
+        }
     }
 
     /// Builder for growing traces.
@@ -82,6 +94,13 @@ impl Trace {
     /// `true` for the empty trace.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// The number of distinct pages the trace's touches cover: what a
+    /// process running it from its start may come to hold, so its tables
+    /// can be sized once.
+    pub fn pages(&self) -> usize {
+        self.pages
     }
 
     /// Total `Compute` time in the trace.
@@ -140,6 +159,31 @@ impl Trace {
                 checksum_page(digest, page, bytes)
             })
     }
+}
+
+/// The distinct pages `ops`' touches cover: their page ranges, sorted
+/// and merged.
+fn distinct_pages(ops: &[Op]) -> usize {
+    let mut ranges: Vec<(u64, u64)> = ops
+        .iter()
+        .filter_map(|op| match *op {
+            Op::Touch { addr, len, .. } => {
+                let r = PageRange::covering(addr, len);
+                Some((r.start.0, r.end.0))
+            }
+            _ => None,
+        })
+        .collect();
+    ranges.sort_unstable();
+    let (mut pages, mut covered) = (0, 0);
+    for (start, end) in ranges {
+        let start = start.max(covered);
+        if end > start {
+            pages += end - start;
+            covered = end;
+        }
+    }
+    pages as usize
 }
 
 /// Incremental [`Trace`] construction.
@@ -227,6 +271,36 @@ mod tests {
     #[should_panic(expected = "final op")]
     fn early_terminate_rejected() {
         Trace::new(vec![Op::Terminate, Op::Terminate]);
+    }
+
+    #[test]
+    fn pages_counts_distinct_pages_and_a_clone_shares_the_ops() {
+        let mut b = Trace::builder();
+        b.write(PageNum(3).base(), 8)
+            .read(VAddr(PAGE_SIZE - 1), 2) // pages 0 and 1
+            .compute(SimDuration::from_millis(1))
+            .read(PageNum(3).base(), PAGE_SIZE) // page 3 again
+            .write(PageNum(9).base(), 3 * PAGE_SIZE) // pages 9..12
+            .screen()
+            .read(PageNum(10).base(), 1); // inside 9..12
+        let t = b.terminate();
+        let mut distinct: Vec<PageNum> = t
+            .ops()
+            .iter()
+            .filter_map(|op| match *op {
+                Op::Touch { addr, len, .. } => Some(PageRange::covering(addr, len).iter()),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(t.pages(), distinct.len());
+        assert_eq!(t.pages(), 6);
+        assert_eq!(Trace::default().pages(), 0);
+        let clone = t.clone();
+        assert!(Arc::ptr_eq(&t.ops, &clone.ops), "a clone copied the ops");
+        assert_eq!(clone.pages(), t.pages());
     }
 
     #[test]

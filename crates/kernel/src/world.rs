@@ -331,7 +331,10 @@ impl World {
         self.nodes.get_mut(&id).ok_or(KernelError::UnknownNode(id))
     }
 
-    /// Creates a process on `node` from a prepared space and trace.
+    /// Creates a process on `node` from a prepared space and trace. The
+    /// tables a run fills page by page (the touched set, the page table,
+    /// the LRU slab) are sized here, once, for the trace's
+    /// [`pages`](Trace::pages).
     ///
     /// # Errors
     ///
@@ -340,12 +343,14 @@ impl World {
         &mut self,
         node: NodeId,
         name: impl Into<String>,
-        space: AddressSpace,
+        mut space: AddressSpace,
         trace: Trace,
     ) -> Result<ProcessId, KernelError> {
         let pid = ProcessId(self.next_pid);
         self.next_pid += 1;
-        let process = Process::new(pid, name, space, trace);
+        space.reserve(trace.pages());
+        let mut process = Process::new(pid, name, space, trace);
+        process.stats.touched.reserve(process.trace.pages());
         self.node_mut(node)?.processes.insert(pid, process);
         Ok(pid)
     }

@@ -126,10 +126,15 @@ pub fn zero_page() -> PageData {
 /// Allocates a page initialized from `bytes` (zero-padded, truncated to the
 /// page size).
 pub fn page_from_bytes(bytes: &[u8]) -> PageData {
-    let mut p = zero_page();
+    Box::new(padded(bytes))
+}
+
+/// `bytes` zero-padded, or truncated, to one page.
+fn padded(bytes: &[u8]) -> PageBytes {
+    let mut page = [0; PAGE_SIZE as usize];
     let n = bytes.len().min(PAGE_SIZE as usize);
-    p[..n].copy_from_slice(&bytes[..n]);
-    p
+    page[..n].copy_from_slice(&bytes[..n]);
+    page
 }
 
 /// A reference-counted physical frame.
@@ -350,6 +355,15 @@ impl Frame {
         #[cfg(any(test, feature = "alloc-stats"))]
         alloc_stats::record_alloc();
         Frame::owned(*data)
+    }
+
+    /// An owned frame initialized from `bytes` (zero-padded, truncated to
+    /// the page size): what `Frame::new(page_from_bytes(bytes))` makes, in
+    /// one allocation instead of a boxed page and then the frame.
+    pub fn from_bytes(bytes: &[u8]) -> Self {
+        #[cfg(any(test, feature = "alloc-stats"))]
+        alloc_stats::record_alloc();
+        Frame::owned(padded(bytes))
     }
 
     /// A zero-filled frame: an alias of the thread's interned zero page.
@@ -623,6 +637,19 @@ mod tests {
         let f = Frame::new(zero_page());
         let _ = f.deep_copy();
         assert_eq!(alloc_stats::frame_allocs(), 2);
+        let _ = Frame::from_bytes(b"fresh");
+        assert_eq!(alloc_stats::frame_allocs(), 3);
+    }
+
+    #[test]
+    fn from_bytes_holds_what_a_boxed_page_would() {
+        let long = [7u8; PAGE_SIZE as usize + 3];
+        for bytes in [&b""[..], b"abc", &long] {
+            let direct = Frame::from_bytes(bytes);
+            let boxed = Frame::new(page_from_bytes(bytes));
+            direct.with(|d| boxed.with(|b| assert_eq!(d, b)));
+            assert!(!direct.is_shared());
+        }
     }
 
     /// `content_hash` reads the bytes as they are now: an alias agrees,

@@ -56,6 +56,17 @@ impl ResidentTracker {
         tracker
     }
 
+    /// Makes room for `pages` more pushes, but never for more than one
+    /// page past the frame budget: the owner pushes a page before it
+    /// pages out the victim, and from then on each push reuses the slot
+    /// the last page-out freed.
+    pub fn reserve(&mut self, pages: usize) {
+        let room = self.capacity.map_or(pages, |cap| {
+            pages.min((cap + 1).saturating_sub(self.lru.len()))
+        });
+        self.lru.reserve(room);
+    }
+
     /// Changes the capacity. Does not immediately evict: the owner pages
     /// out one [`ResidentTracker::victim`] per install, so an over-budget
     /// tracker (after a budget shrink or a bulk insertion) drains one page

@@ -238,6 +238,17 @@ impl AddressSpace {
         Self::from_installs(regions, pages, frame_budget, disk).ok()
     }
 
+    /// Makes room for a run that touches `pages` distinct pages: the page
+    /// table and the LRU slab grow once, here, rather than by doubling as
+    /// the pages fault in. Pages already materialized count against
+    /// `pages`, so a thawed image's exact tables grow by nothing, and the
+    /// LRU slab is never sized past the frame budget.
+    pub fn reserve(&mut self, pages: usize) {
+        let more = pages.saturating_sub(self.pages.len());
+        self.pages.reserve(more);
+        self.resident.reserve(more);
+    }
+
     /// Adjusts the frame budget (`None` = unbounded).
     pub fn set_frame_budget(&mut self, frames: Option<usize>) {
         self.resident.set_capacity(frames);
@@ -674,11 +685,6 @@ impl AddressSpace {
         from: PageNum,
     ) -> impl Iterator<Item = (PageNum, &PageState)> {
         self.pages.range_from(from).iter().map(|(p, s)| (*p, s))
-    }
-
-    /// How many pages are resident.
-    pub fn resident_count(&self) -> usize {
-        self.resident.len()
     }
 
     /// The resident pages in ascending page order.

@@ -37,6 +37,11 @@ impl<K: Ord + Copy, V> PageTable<K, V> {
         self.entries.binary_search_by(|(k, _)| k.cmp(&key))
     }
 
+    /// Makes room for `additional` more entries in one growth.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+    }
+
     /// Number of entries.
     pub(crate) fn len(&self) -> usize {
         self.entries.len()

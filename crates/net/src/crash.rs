@@ -176,6 +176,15 @@ impl Fabric {
         let disk = self.crash.disk.get(&node);
         disk.map(|d| d.len() as u64).unwrap_or(0)
     }
+
+    /// Drops `seg`'s pages from every node's disk backer: the segment
+    /// died, so no owed page can name them again. Unbilled bookkeeping, as
+    /// the replica drop beside it is.
+    pub(crate) fn drop_disk_pages(&mut self, seg: SegmentId) {
+        for disk in self.crash.disk.values_mut() {
+            disk.retain(|&(s, _), _| s != seg.0);
+        }
+    }
 }
 
 #[cfg(test)]

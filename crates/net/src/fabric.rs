@@ -437,6 +437,7 @@ impl Fabric {
         let backer = segs.backing_port(seg)?;
         if segs.release_refs(seg, pages)? {
             self.drop_replicas(seg);
+            self.drop_disk_pages(seg);
             self.stats.deaths_sent += 1;
             let death = protocol::imag_segment_death(backer, seg).with_no_ious(true);
             match self.send_detached(clock, ports, segs, from, death) {

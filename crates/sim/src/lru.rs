@@ -72,6 +72,15 @@ impl<T: Copy> LruList<T> {
         }
     }
 
+    /// Makes room for `additional` more pushes (the sentinel too, on an
+    /// empty list) in at most one growth.
+    pub fn reserve(&mut self, additional: usize) {
+        if additional > 0 {
+            let sentinel = usize::from(self.nodes.is_empty());
+            self.nodes.reserve(additional + sentinel);
+        }
+    }
+
     /// Appends `value` as the most recently used; returns its slot. Takes
     /// a released node when there is one.
     pub fn push(&mut self, value: T) -> Slot {

@@ -603,9 +603,7 @@ fn a_diverging_write_allocates_once() {
 
 /// What the fleet storm migrates: 8 pages written at the source, and a
 /// trace that reads 4 of them back after the migration.
-fn storm_process(world: &mut World, node: NodeId) -> ProcessId {
-    let mut space = AddressSpace::new();
-    space.validate(VAddr(0), 32 * PAGE_SIZE).expect("non-empty");
+fn storm_trace() -> Trace {
     let mut tb = Trace::builder();
     for i in 0..8 {
         tb.write(PageNum(i).base(), 64);
@@ -613,25 +611,58 @@ fn storm_process(world: &mut World, node: NodeId) -> ProcessId {
     for i in 0..4 {
         tb.read(PageNum(i * 2).base(), 64);
     }
+    tb.terminate()
+}
+
+/// A storm process on `node` running `trace`, its 8 writes done.
+fn storm_process(world: &mut World, node: NodeId, trace: &Trace) -> ProcessId {
+    let mut space = AddressSpace::new();
+    space.validate(VAddr(0), 32 * PAGE_SIZE).expect("non-empty");
     let pid = world
-        .create_process(node, "fleet", space, tb.terminate())
+        .create_process(node, "fleet", space, trace.clone())
         .expect("known node");
     world.run_for(node, pid, 8).expect("the write phase");
     pid
 }
 
+/// Allocations of one storm process's spawn and write phase besides its
+/// 8 page copies (each write materialises a zero-filled page): the
+/// space's region list, the process's name and microstate, and one each
+/// of the tables its run fills, sized for the trace's 8 pages when the
+/// process is created (the touched set, the page table, the LRU slab).
+/// The trace is shared, not copied.
+const SPAWN_ALLOCS: u64 = 3 + 3;
+
+#[test]
+fn a_storm_spawn_allocates_one_of_each_table() {
+    // The node's process table grows by doubling now and then; the fewest
+    // of four spawns is one where it did not. A table that grows page by
+    // page, or a trace copied per process, fails this.
+    let (mut world, nodes) = World::fleet(2, CostModel::default(), WireParams::default());
+    let trace = storm_trace();
+    assert_eq!(trace.pages(), 8);
+    let mut spawn = || {
+        heap_allocs(|| {
+            storm_process(&mut world, nodes[0], &trace);
+        })
+    };
+    spawn();
+    let fewest = (0..4).map(|_| spawn()).min();
+    assert_eq!(fewest, Some(8 + SPAWN_ALLOCS));
+}
+
 /// Allocations of one storm migration, IOU with one page of prefetch,
-/// and of the migrant's run to its end. Excision makes 5: the AMap's
-/// entries, the RIMAS page batch and the resident-slot list (each sized
-/// once), the Core blob's bytes, and the Core message's item list (its
-/// third item spills the two inline). Insertion makes 7: the decoded
-/// blob's name and microstate, the sorted RIMAS items, the page list, the
-/// LRU slab (sized for every page that may fault in), the regions, and
-/// the microstate `Process::new` makes before the blob's replaces it. The
+/// and of the migrant's run to its end. Excision makes 4: the AMap's
+/// entries and the RIMAS page batch (each sized once), the Core blob's
+/// bytes, and the Core message's item list (its third item spills the two
+/// inline); the resident slots are one run, held inline. Insertion makes
+/// 5: the decoded blob's name and microstate, which the rebuilt process
+/// takes over, the page list, the LRU slab (sized for every page that may
+/// fault in) and the regions; it walks the RIMAS items in place. The
 /// remote run makes 2: growths of the `ExecStats::prefetch_pending` set.
 /// No message is cloned, no frame is copied (the process only reads
 /// after it migrates), and nothing is per page or per fault.
-const STORM_ALLOCS: u64 = 5 + 7 + 2;
+const STORM_ALLOCS: u64 = 4 + 5 + 2;
 
 #[test]
 fn a_storm_migration_allocates_a_constant() {
@@ -643,8 +674,9 @@ fn a_storm_migration_allocates_a_constant() {
     let (mut world, nodes) = World::fleet(2, CostModel::default(), WireParams::default());
     let src = MigrationManager::new(&mut world, nodes[0]);
     let dst = MigrationManager::new(&mut world, nodes[1]);
+    let trace = storm_trace();
     let storm = |world: &mut World| {
-        let pid = storm_process(world, nodes[0]);
+        let pid = storm_process(world, nodes[0], &trace);
         heap_allocs(|| {
             let report = src
                 .migrate_to(world, &dst, pid, Strategy::PureIou { prefetch: 1 })

@@ -690,6 +690,23 @@ fn replica_pages_die_with_their_segment() {
     }
 }
 
+/// Disk-backer pages die with their segment: a flush drainer puts owed
+/// pages on the origin's crash-survivable disk while the process runs, and
+/// once it ends and the world settles no node's disk holds one.
+#[test]
+fn disk_backer_pages_die_with_their_segment() {
+    let program = Program::Hopper(12);
+    let mut rig = Spec::new(TESTBED, 0, 0, IOU).build(program);
+    let (b, pid) = (rig.host(), rig.pid);
+    let drainer = Drainer::new(DrainPolicy::flush(2)).with_interleave(1);
+    let report = drainer.run(&mut rig.world, b, pid).unwrap();
+    assert!(report.finished && report.drained_pages > 0, "{report:?}");
+    rig.world.settle().unwrap();
+    let fabric = &rig.world.fabric;
+    let held: Vec<u64> = rig.nodes.iter().map(|&n| fabric.disk_pages(n)).collect();
+    assert_eq!(held, [0, 0], "disk pages outlived the segment");
+}
+
 /// Exhaustion: the primary dies, failover carries the run for a while,
 /// and then the last live home dies too — the run must end in the same
 /// typed orphan as the unreplicated hazard, with the loss accounted.

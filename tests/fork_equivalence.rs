@@ -549,7 +549,14 @@ proptest! {
         drop(oracle.remove_process(a, pid).unwrap());
 
         prop_assert_eq!(observe_items(&excised.rimas.items), observe_items(&items));
-        prop_assert_eq!(&excised.resident_slots, &resident_slots);
+        let excised_slots: Vec<u64> =
+            excised.resident_slots.iter().flat_map(|&(s, e)| s..e).collect();
+        prop_assert_eq!(&excised_slots, &resident_slots);
+        prop_assert!(
+            excised.resident_slots.windows(2).all(|w| w[0].1 < w[1].0),
+            "resident runs must ascend, apart: {:?}",
+            excised.resident_slots
+        );
         prop_assert_eq!(
             (report.real_pages, report.resident_pages, report.imag_pages),
             (real, resident, imag)
